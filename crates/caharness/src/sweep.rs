@@ -362,7 +362,11 @@ pub fn run_results_weighted<'env, T: Send + 'env>(
                 }
                 // Own work first (front), then steal from a victim (back):
                 // stolen tasks are the ones their owner would reach last.
-                let next = queues[w].lock().unwrap().pop_front().or_else(|| {
+                // Two statements on purpose: the own-deque guard must be
+                // dropped before a victim's is taken, or two workers that
+                // drain together each hold one lock and wait for the other.
+                let own = queues[w].lock().unwrap().pop_front();
+                let next = own.or_else(|| {
                     (1..workers)
                         .map(|d| (w + d) % workers)
                         .find_map(|v| queues[v].lock().unwrap().pop_back())
@@ -576,6 +580,33 @@ mod tests {
         set_jobs(64);
         let out = run("test", vec![Box::new(|| 7u32) as Task<u32>]);
         assert_eq!(out, vec![7]);
+    }
+
+    #[test]
+    fn draining_workers_do_not_deadlock() {
+        // Trivial tasks make every worker run dry at nearly the same
+        // instant, over and over: a worker that held its own deque's lock
+        // while stealing deadlocked against a peer doing the same (3 of 24
+        // runs at jobs = 2). A deadlocked sweep cannot be joined, so it
+        // runs on a detached thread and the test waits with a timeout.
+        let _jobs = JobsLock::take();
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for jobs in [2, 4] {
+                set_jobs(jobs);
+                for _ in 0..50 {
+                    let tasks = (0..1000u32)
+                        .map(|i| Box::new(move || i) as Task<u32>)
+                        .collect();
+                    let out = run("test-drain", tasks);
+                    assert!(out.into_iter().eq(0..1000), "jobs={jobs}");
+                }
+            }
+            done_tx.send(()).expect("the test is still waiting");
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("sweep did not finish: workers deadlocked (or the sweep panicked)");
     }
 
     fn panicky_tasks(bad: u32) -> Vec<Task<'static, u32>> {

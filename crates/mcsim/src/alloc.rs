@@ -211,6 +211,7 @@ impl Allocator {
     }
 
     /// Classify a line for the access detector.
+    #[inline]
     pub fn line_status(&self, line: Line) -> LineStatus {
         let l = line.0;
         if l == 0 {
@@ -236,6 +237,7 @@ impl Allocator {
     /// access would trip the detector. The gang runtime's parallel phase
     /// uses this (allocator state is frozen between epoch barriers), with
     /// fault *recording* deferred to the barrier merge.
+    #[inline]
     pub fn access_fault(&self, core: CoreId, addr: Addr, kind: &'static str) -> Option<Fault> {
         let status = self.line_status(addr.line());
         if matches!(status, LineStatus::Static | LineStatus::Allocated) {
@@ -251,18 +253,25 @@ impl Allocator {
     }
 
     /// Validate a program data access; returns true if it may proceed.
-    /// In [`UafMode::Panic`] an invalid access aborts the simulation.
+    /// In [`UafMode::Panic`] an invalid access aborts the simulation. Runs
+    /// once per memory event: the valid case is an inlined classification,
+    /// the fault is out of line.
+    #[inline]
     pub fn check_access(&mut self, core: CoreId, addr: Addr, kind: &'static str) -> bool {
         match self.access_fault(core, addr, kind) {
             None => true,
-            Some(f) => {
-                match self.uaf_mode {
-                    UafMode::Panic => panic_access(&f),
-                    UafMode::Record => self.faults.push(f),
-                }
-                false
-            }
+            Some(f) => self.access_violation(f),
         }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn access_violation(&mut self, f: Fault) -> bool {
+        match self.uaf_mode {
+            UafMode::Panic => panic_access(&f),
+            UafMode::Record => self.faults.push(f),
+        }
+        false
     }
 }
 

@@ -267,6 +267,7 @@ impl L1 {
 
     /// Set hyperthread `ht`'s tag bit on a resident line. Returns false if
     /// the line is not resident (callers must fill first).
+    #[inline]
     pub fn set_tag(&mut self, line: Line, ht: usize) -> bool {
         match self.array.lookup_mut(line) {
             Some(e) => {
@@ -321,6 +322,7 @@ impl L1 {
     }
 
     /// Is the line resident with hyperthread `ht`'s tag bit set?
+    #[inline]
     pub fn is_tagged(&self, line: Line, ht: usize) -> bool {
         self.array
             .lookup(line)
@@ -328,6 +330,7 @@ impl L1 {
     }
 
     /// The line's full tag mask (0 when absent).
+    #[inline]
     pub fn tag_mask(&self, line: Line) -> u8 {
         self.array.lookup(line).map_or(0, |e| e.payload.tags)
     }

@@ -18,8 +18,8 @@
 //! executes **gang-local events** directly and in parallel with other
 //! gangs; any event that touches shared state is **deferred**: queued with
 //! its issue key and applied at the barrier in `(clock, core id, seq)`
-//! order against the full machine state, using the *same* `exec_op` the
-//! single-gang pipeline uses.
+//! order against the full machine state by `event::exec_op`, which
+//! delegates to the same typed event bodies the single-gang pipeline runs.
 //!
 //! ## The banked multi-writer merge
 //!
@@ -124,9 +124,9 @@
 //! bookkeeping goes through stable raw element pointers
 //! (`clock_ptrs`/`blocked_ptrs`/`results`/`LaneParts::next_preempt`),
 //! never through `&mut GangState`. The op semantics stay single-sourced:
-//! the serial replay and the epilogue reach the same
-//! `machine::exec_bank_op` through `exec_op` (whose hub methods are thin
-//! delegates onto the very same `BankParts` accessors).
+//! the serial replay and the epilogue (`event::exec_op`) and the lanes
+//! (`event::exec_bank_op`) are arm-by-arm delegates to one set of typed
+//! `BankEvent` bodies over the very same `BankParts` accessors.
 //!
 //! In debug builds the classifier additionally emits a per-lane
 //! [`LaneScope`] (the union-find component's bank/pcore membership) and
@@ -147,7 +147,8 @@ use crate::cache::{MsiState, L1};
 use crate::coherence::{BankParts, LaneScope, TxState};
 use crate::fault::FaultStop;
 use crate::latency::LatencyModel;
-use crate::machine::{exec_bank_op, exec_op, CoreFn, CtxBackend, Ctx, Op, Out, SimState};
+use crate::event::{exec_bank_op, exec_op, Op, Out};
+use crate::machine::{CoreFn, Ctx, CtxBackend, SimState};
 use crate::sched::{Sched, NO_TURN};
 use crate::stats::{CoreStats, RevokeCause};
 

@@ -70,7 +70,7 @@
 // castatic: allow(nondet) — lookup-only maps; reports aggregate via BTreeMap
 use std::collections::HashMap;
 
-use crate::machine::{Op, Out};
+use crate::event::{Op, Out};
 use crate::Addr;
 
 /// Words per line (the conflict granule is the 8-byte word).
@@ -155,6 +155,14 @@ impl TraceBank {
     pub fn record(&mut self, core: usize, clock: u64, op: Op, out: &Out) {
         debug_assert!(self.enabled, "record() called with tracing disabled");
         record_into(&mut self.cores[core], clock, op, out);
+    }
+
+    /// Every recorded event as `(clock, kind name, address)`, per core.
+    pub fn snapshot(&self) -> Vec<Vec<(u64, &'static str, u64)>> {
+        self.cores
+            .iter()
+            .map(|t| t.iter().map(|e| (e.clock, e.kind.name(), e.addr.0)).collect())
+            .collect()
     }
 
     /// Mark a completed `Machine` run: the analyzer joins all cores'

@@ -61,6 +61,7 @@ pub mod cache;
 pub mod coherence;
 #[cfg(mcsim_coop)]
 pub mod coop;
+pub(crate) mod event;
 pub mod fault;
 pub(crate) mod gang;
 pub mod hb;
@@ -79,6 +80,8 @@ pub use fault::{CoreOutcome, CrashFault, FaultPlan, Restart, RestartFault, Stall
 pub use hb::{Finding, RaceReport};
 pub use latency::LatencyModel;
 pub use machine::{Ctx, ExecBackend, FootprintSample, Machine, MachineConfig};
+#[doc(hidden)]
+pub use event::{Op, Out};
 #[doc(hidden)]
 pub use machine::{set_gang_driver, GangDriver};
 pub use rng::{Rng, SplitMix64};

@@ -60,7 +60,12 @@ use std::thread::Thread;
 
 use crate::addr::{Addr, CoreId};
 use crate::alloc::{Allocator, Fault, UafMode};
-use crate::coherence::{BankParts, CacheConfig, CoherenceHub};
+use crate::coherence::{CacheConfig, CoherenceHub};
+use crate::event::{
+    AllocOp, CasOp, CreadOp, CwriteOp, Event, FenceOp, FreeOp, Op, OpCompletedOp, Out, OutVal,
+    ReadOp, SmrFenceOp, TxAbortOp, TxBeginOp, TxCommitOp, TxReadOp, TxWriteOp, UntagAllOp,
+    UntagOneOp, WriteOp,
+};
 use crate::fault::{CoreOutcome, FaultPlan, FaultState, FaultStop, Restart, WedgeProbe};
 use crate::latency::LatencyModel;
 use crate::sched::{Sched, NO_TURN};
@@ -1010,6 +1015,14 @@ impl Machine {
         crate::hb::analyze(&st.hub.trace, self.cfg.static_lines)
     }
 
+    /// The raw analyzer trace, per hardware thread, as `(issue clock, kind
+    /// name, address)` — test plumbing for the typed-vs-reified battery,
+    /// which compares what the two pipelines recorded event by event.
+    #[doc(hidden)]
+    pub fn trace_snapshot(&self) -> Vec<Vec<(u64, &'static str, u64)>> {
+        self.shared.lock().hub.trace.snapshot()
+    }
+
     /// Name `lines` lines starting at `a`'s line in race-analyzer reports
     /// (e.g. `hp.hazards`). Cheap and unconditional, so callers need not
     /// gate on [`MachineConfig::race_check`]. Call between runs.
@@ -1085,34 +1098,42 @@ pub(crate) struct ThreadsCtx<'m> {
 }
 
 impl<'m> ThreadsCtx<'m> {
-    /// Ensure core `c` owns the turn and the state guard is cached.
-    ///
-    /// Fast path: the guard is already held from a previous event. Slow
-    /// path: park until the current owner publishes `c` in `turn_word` and
-    /// unparks us, then take the (uncontended) mutex.
+    /// Ensure core `c` owns the turn and the state guard is cached. The
+    /// fast path — the guard is already held from a previous event — is the
+    /// only part that inlines into the event pipeline.
+    #[inline]
     fn acquire_turn(&mut self, c: CoreId) -> &mut SimState {
         if self.turn_guard.is_none() {
-            loop {
-                if self.shared.turn_word.load(Ordering::Acquire) == c {
-                    let st = self.shared.lock();
-                    if st.sched.turn == c {
-                        self.turn_guard = Some(st);
-                        // While the guard is cached, a host-side call on
-                        // this machine from this thread must panic, not
-                        // self-deadlock (see `Shared::lock`).
-                        HOLDING_STATE.set(self.shared as *const Shared as *const ());
-                        break;
-                    }
-                    // Stale wake (cannot normally happen — the turn leaves
-                    // `c` only by `c`'s own action): re-park below.
-                    drop(st);
-                }
-                // A leftover unpark token makes this return immediately
-                // once; the loop re-checks, so spurious wakes are harmless.
-                std::thread::park();
-            }
+            self.wait_for_turn(c);
         }
         self.turn_guard.as_deref_mut().expect("turn acquired")
+    }
+
+    /// Slow path of [`Self::acquire_turn`]: park until the current owner
+    /// publishes `c` in `turn_word` and unparks us, then take the
+    /// (uncontended) mutex.
+    #[cold]
+    #[inline(never)]
+    fn wait_for_turn(&mut self, c: CoreId) {
+        loop {
+            if self.shared.turn_word.load(Ordering::Acquire) == c {
+                let st = self.shared.lock();
+                if st.sched.turn == c {
+                    self.turn_guard = Some(st);
+                    // While the guard is cached, a host-side call on this
+                    // machine from this thread must panic, not
+                    // self-deadlock (see `Shared::lock`).
+                    HOLDING_STATE.set(self.shared as *const Shared as *const ());
+                    return;
+                }
+                // Stale wake (cannot normally happen — the turn leaves `c`
+                // only by `c`'s own action): re-park below.
+                drop(st);
+            }
+            // A leftover unpark token makes this return immediately once;
+            // the loop re-checks, so spurious wakes are harmless.
+            std::thread::park();
+        }
     }
 
     /// Release the turn to `next`: publish its id, drop the state guard,
@@ -1142,241 +1163,6 @@ pub(crate) struct CoopCtx {
     /// Set by `retire`: the slot the entry shim must switch to after the
     /// coroutine body returns (next turn owner, or the main slot).
     retire_target: Option<usize>,
-}
-
-/// One architectural operation a simulated core can issue — the payload of
-/// every scheduler event. Reifying the operation (instead of passing a
-/// closure) lets the gang runtime ship deferred events to its epoch-barrier
-/// conductor and replay them through the *same* [`exec_op`] the single-gang
-/// path uses, so both paths have one source of semantic truth.
-#[derive(Copy, Clone, Debug)]
-#[allow(clippy::enum_variant_names)] // OpCompleted mirrors Ctx::op_completed
-pub(crate) enum Op {
-    Read(Addr),
-    Write(Addr, u64),
-    Cas(Addr, u64, u64),
-    Fence,
-    /// The SMR protocols' uncosted ordering fence, issued **only** when
-    /// [`MachineConfig::race_check`] is armed (it exists purely so the
-    /// analyzer sees the edge; zero cycles, no stats — a run with the
-    /// analyzer off never creates one, keeping the schedule and the stats
-    /// byte-identical to pre-analyzer goldens).
-    SmrFence,
-    Cread(Addr),
-    Cwrite(Addr, u64),
-    UntagOne(Addr),
-    UntagAll,
-    Alloc,
-    Free(Addr),
-    TxBegin,
-    TxRead(Addr),
-    TxWrite(Addr, u64),
-    TxCommit,
-    TxAbort,
-    OpCompleted,
-}
-
-/// Result of an [`Op`]. The unwrappers panic only on a simulator bug (an
-/// op returning the wrong variant).
-#[derive(Copy, Clone, Debug)]
-pub(crate) enum Out {
-    Unit,
-    Val(u64),
-    A(Addr),
-    Opt(Option<u64>),
-    CasR(Result<u64, u64>),
-    Flag(bool),
-}
-
-impl Out {
-    pub(crate) fn val(self) -> u64 {
-        match self {
-            Out::Val(v) => v,
-            other => unreachable!("expected Val, got {other:?}"),
-        }
-    }
-    pub(crate) fn addr(self) -> Addr {
-        match self {
-            Out::A(a) => a,
-            other => unreachable!("expected Addr, got {other:?}"),
-        }
-    }
-    pub(crate) fn opt(self) -> Option<u64> {
-        match self {
-            Out::Opt(v) => v,
-            other => unreachable!("expected Opt, got {other:?}"),
-        }
-    }
-    pub(crate) fn casr(self) -> Result<u64, u64> {
-        match self {
-            Out::CasR(r) => r,
-            other => unreachable!("expected CasR, got {other:?}"),
-        }
-    }
-    pub(crate) fn flag(self) -> bool {
-        match self {
-            Out::Flag(b) => b,
-            other => unreachable!("expected Flag, got {other:?}"),
-        }
-    }
-    pub(crate) fn unit(self) {
-        match self {
-            Out::Unit => (),
-            other => unreachable!("expected Unit, got {other:?}"),
-        }
-    }
-}
-
-/// Execute one operation against the simulator state, returning its output
-/// and cycle cost. This is the single semantic definition of every event:
-/// the batched single-gang pipeline calls it under the turn, and the gang
-/// runtime's conductor calls it at epoch barriers for deferred events.
-pub(crate) fn exec_op(st: &mut SimState, c: CoreId, op: Op) -> (Out, u64) {
-    match op {
-        Op::Read(..) | Op::Write(..) | Op::Cas(..) | Op::Cread(..) | Op::Cwrite(..) => {
-            // The bank-classifiable ops run through the same `BankParts`
-            // body the gang merge lanes use, so the serial replay, the
-            // barrier epilogue and the lanes cannot drift apart.
-            let SimState { hub, alloc, .. } = st;
-            let mut parts = hub.parts();
-            // Safety: `st` is exclusively borrowed, so the transient
-            // projection owns every part for the duration of the call.
-            unsafe {
-                exec_bank_op(
-                    &mut parts,
-                    &mut |c, a, kind| {
-                        alloc.check_access(c, a, kind);
-                    },
-                    c,
-                    op,
-                )
-            }
-        }
-        Op::Fence => (Out::Unit, st.hub.fence(c)),
-        Op::SmrFence => (Out::Unit, 0),
-        Op::UntagOne(a) => (Out::Unit, st.hub.untag_one(c, a)),
-        Op::UntagAll => (Out::Unit, st.hub.untag_all(c)),
-        Op::Alloc => {
-            // Under oom_recoverable, exhaustion is a verdict: the malloc
-            // latency is still charged (the simulated allocator did the
-            // work of discovering there was nothing to hand out) and the
-            // null address flows back to `Ctx::try_alloc` as `None`.
-            let a = if st.fault.oom_recoverable {
-                st.alloc.try_alloc(c).unwrap_or_else(|| {
-                    st.hub.stats.core(c).alloc_failures += 1;
-                    Addr::NULL
-                })
-            } else {
-                st.alloc.alloc(c)
-            };
-            (Out::A(a), st.hub.lat.malloc)
-        }
-        Op::Free(a) => {
-            st.alloc.free(c, a);
-            (Out::Unit, st.hub.lat.free)
-        }
-        Op::TxBegin => (Out::Unit, st.hub.tx_begin(c)),
-        Op::TxRead(a) => {
-            let (v, cost) = st.hub.tx_read(c, a);
-            if v.is_some() {
-                st.alloc.check_access(c, a, "tx_read");
-            }
-            (Out::Opt(v), cost)
-        }
-        Op::TxWrite(a, v) => {
-            let (ok, cost) = st.hub.tx_write(c, a, v);
-            (Out::Flag(ok), cost)
-        }
-        Op::TxCommit => {
-            let (writes, abort_cost) = st.hub.tx_commit_begin(c);
-            match writes {
-                None => (Out::Flag(false), abort_cost),
-                Some(w) => {
-                    for &(a, _) in &w {
-                        st.alloc.check_access(c, a, "tx_commit");
-                    }
-                    let cost = st.hub.tx_commit_apply(c, &w);
-                    (Out::Flag(true), cost)
-                }
-            }
-        }
-        Op::TxAbort => (Out::Unit, st.hub.tx_abort(c)),
-        Op::OpCompleted => {
-            st.hub.stats.core(c).ops += 1;
-            st.global_ops += 1;
-            if let Some(every) = st.sample_every {
-                if st.global_ops >= st.next_sample_at {
-                    let live = st.alloc.allocated_not_freed;
-                    let ops = st.global_ops;
-                    st.samples.push((ops, live));
-                    st.next_sample_at += every;
-                }
-            }
-            (Out::Unit, 0)
-        }
-    }
-}
-
-/// Execute one *bank-classifiable* operation (`Read`/`Write`/`Cas`/`Cread`/
-/// `Cwrite` — exactly the set the gang classifier may route to a merge
-/// lane) through a [`BankParts`] projection. `check` is the allocator
-/// validity check, abstracted because the serial path mutates the allocator
-/// (Record mode pushes faults) while a merge lane reads a frozen allocator
-/// and panics on a fault (the classifier only builds lanes under
-/// `UafMode::Panic`). The check interleaving is part of the semantics:
-/// plain accesses validate *before* touching the hub; conditional accesses
-/// validate only *after* the hardware reports success (a failed
-/// cread/cwrite touches no memory).
-///
-/// # Safety
-/// `parts` must satisfy the [`BankParts`] footprint-exclusivity contract
-/// for the op's line and its set-holder pcores.
-pub(crate) unsafe fn exec_bank_op(
-    parts: &mut BankParts,
-    check: &mut impl FnMut(CoreId, Addr, &'static str),
-    c: CoreId,
-    op: Op,
-) -> (Out, u64) {
-    // SAFETY (each arm): forwards this fn's own footprint-exclusivity
-    // contract on `parts` to the per-op hub primitive.
-    match op {
-        Op::Read(a) => {
-            check(c, a, "read");
-            let (v, cost) = unsafe { parts.read(c, a) };
-            (Out::Val(v), cost)
-        }
-        Op::Write(a, v) => {
-            check(c, a, "write");
-            (Out::Unit, unsafe { parts.write(c, a, v) })
-        }
-        Op::Cas(a, expected, new) => {
-            check(c, a, "cas");
-            // SAFETY: same `parts` footprint forwarding as above.
-            let (r, cost) = unsafe { parts.cas(c, a, expected, new) };
-            (Out::CasR(r), cost)
-        }
-        // SAFETY (conditional arms): same forwarding of the `parts`
-        // footprint contract as the plain arms above.
-        Op::Cread(a) => {
-            let (v, cost) = unsafe { parts.cread(c, a) };
-            if v.is_some() {
-                // The load architecturally happened: validate it.
-                check(c, a, "cread");
-            }
-            (Out::Opt(v), cost)
-        }
-        Op::Cwrite(a, v) => {
-            // Check whether the store would actually execute before
-            // validating the target (a failed cwrite touches no memory).
-            // SAFETY: same `parts` footprint forwarding as above.
-            let (ok, cost) = unsafe { parts.cwrite(c, a, v) };
-            if ok {
-                check(c, a, "cwrite");
-            }
-            (Out::Flag(ok), cost)
-        }
-        _ => unreachable!("exec_bank_op called with a non-bank-classifiable op"),
-    }
 }
 
 /// The OS-preemption model's deadline step, shared by every event path
@@ -1435,71 +1221,94 @@ pub(crate) fn wedge_attribution(st: &SimState) -> Option<String> {
     })
 }
 
-/// Charge pending ticks, execute `op`, charge its cost, apply the
+/// Charge pending ticks, execute `ev`, charge its cost, apply the
 /// OS-preemption model, and take the scheduling decision — the
-/// backend-independent core of every event.
+/// backend-independent core of every event. Generic over the typed event
+/// so the result returns in registers and the L1-hit path of `ev.exec`
+/// inlines straight through; everything an empty `FaultPlan` and a disarmed
+/// analyzer never reach is behind an out-of-line cold call.
 #[inline]
-fn run_event_on(st: &mut SimState, c: CoreId, pending: u64, op: Op) -> (Out, Option<CoreId>) {
+fn run_event_on<T: Event>(
+    st: &mut SimState,
+    c: CoreId,
+    pending: u64,
+    ev: T,
+) -> (T::R, Option<CoreId>) {
     st.sched.clocks[c] += pending;
-    if st.fault.hot && st.fault.crash_due(c, st.sched.clocks[c]) {
+    if st.fault.hot {
+        crash_if_due(st, c);
+    }
+    let issue_clock = st.sched.clocks[c];
+    let (out, cost) = ev.exec(st, c);
+    if st.hub.trace.enabled {
+        // The only place the single-gang path materialises `Op`/`Out`.
+        st.hub.trace.record(c, issue_clock, ev.op(), &out.to_out());
+    }
+    st.sched.clocks[c] += cost;
+    if st.fault.hot {
+        // Injected burst deschedules (and the wedge watchdog) land before
+        // the periodic model, at the same point in the event: after the
+        // op's cost, before the scheduling decision.
+        apply_fault_triggers(st, c);
+    }
+    let SimState {
+        sched,
+        next_preempt,
+        hub,
+        ctx_switch,
+        ..
+    } = st;
+    apply_preempt_model(
+        &mut sched.clocks[c],
+        &mut next_preempt[c],
+        *ctx_switch,
+        || hub.preempt(c),
+    );
+    let next = sched.after_event(c);
+    match next {
+        Some(_) => hub.stats.core(c).turn_handoffs += 1,
+        None => hub.stats.core(c).batched_events += 1,
+    }
+    (out, next)
+}
+
+/// Injected fail-stop check at event issue (armed fault plans only).
+#[cold]
+#[inline(never)]
+fn crash_if_due(st: &mut SimState, c: CoreId) {
+    let clock = st.sched.clocks[c];
+    if st.fault.crash_due(c, clock) {
         // The op never executes: the core fail-stops here, mid-operation.
         // The unwind is caught at the workload-closure boundary, where the
         // backend retires the core so the survivors keep being scheduled.
         st.fault.crashed[c] = true;
-        let clock = st.sched.clocks[c];
         std::panic::resume_unwind(Box::new(FaultStop { core: c, clock }));
     }
-    let issue_clock = st.sched.clocks[c];
-    let (out, cost) = exec_op(st, c, op);
-    if st.hub.trace.enabled {
-        st.hub.trace.record(c, issue_clock, op, &out);
-    }
-    st.sched.clocks[c] += cost;
-    let mut wedged = false;
-    {
-        let SimState {
-            sched,
-            next_preempt,
-            hub,
-            ctx_switch,
-            fault,
-            ..
-        } = st;
-        if fault.hot {
-            // Injected burst deschedules (and the wedge watchdog) land
-            // before the periodic model, at the same point in the event:
-            // after the op's cost, before the scheduling decision.
-            let (fired, w) = crate::fault::apply_stalls_and_watchdog(
-                &mut sched.clocks[c],
-                &fault.stalls[c],
-                &mut fault.cursor[c],
-                fault.max_cycles,
-                || hub.preempt(c),
-            );
-            hub.stats.core(c).fault_stalls += fired;
-            wedged = w;
-        }
-        if !wedged {
-            apply_preempt_model(
-                &mut sched.clocks[c],
-                &mut next_preempt[c],
-                *ctx_switch,
-                || hub.preempt(c),
-            );
-        }
-    }
+}
+
+/// Fire core `c`'s due stalls and check the wedge watchdog (armed fault
+/// plans only). A wedge is fatal: it panics here, before the periodic
+/// preemption model would run.
+#[cold]
+#[inline(never)]
+fn apply_fault_triggers(st: &mut SimState, c: CoreId) {
+    let SimState {
+        sched, hub, fault, ..
+    } = st;
+    let (fired, wedged) = crate::fault::apply_stalls_and_watchdog(
+        &mut sched.clocks[c],
+        &fault.stalls[c],
+        &mut fault.cursor[c],
+        fault.max_cycles,
+        || hub.preempt(c),
+    );
+    hub.stats.core(c).fault_stalls += fired;
     if wedged {
-        // Fatal: attribute the wedge before panicking (this path owns the
-        // full state, so the registered probes are readable host-side).
+        // Attribute the wedge before panicking (this path owns the full
+        // state, so the registered probes are readable host-side).
         let detail = wedge_attribution(st);
         crate::fault::wedge_panic(c, st.sched.clocks[c], st.fault.max_cycles, detail);
     }
-    let next = st.sched.after_event(c);
-    match next {
-        Some(_) => st.hub.stats.core(c).turn_handoffs += 1,
-        None => st.hub.stats.core(c).batched_events += 1,
-    }
-    (out, next)
 }
 
 /// Backend-independent retire bookkeeping; returns the next turn owner.
@@ -1558,48 +1367,74 @@ impl<'m> Ctx<'m> {
         self.pending_ticks += cycles;
     }
 
-    /// Execute one memory event under the turn (single-gang backends) or
-    /// the gang protocol (gang backends: locally when the event resolves
-    /// inside this gang's partition, via the epoch barrier otherwise).
-    fn event(&mut self, op: Op) -> Out {
+    /// Execute one typed event under the turn (single-gang backends) or the
+    /// gang protocol (gang backends: locally when the event resolves inside
+    /// this gang's partition, via the epoch barrier otherwise).
+    ///
+    /// On the single-gang backends nothing is reified: `T::exec` runs under
+    /// the turn and its result returns in registers. The backend match only
+    /// selects *where the state lives*; the pipeline itself is one copy.
+    #[inline]
+    fn event<T: Event>(&mut self, ev: T) -> T::R {
         let c = self.core;
         let pending = std::mem::take(&mut self.pending_ticks);
-        match &mut self.backend {
-            CtxBackend::Threads(tb) => {
-                let st = tb.acquire_turn(c);
-                let (out, next) = run_event_on(st, c, pending, op);
-                if let Some(next) = next {
-                    tb.release_turn_to(next);
-                }
-                // (None: keep the turn — and the guard — so the next event
-                // skips the lock entirely.)
-                out
-            }
+        let st = match &mut self.backend {
+            CtxBackend::Threads(tb) => tb.acquire_turn(c),
             CtxBackend::Coop(cb) => {
                 // SAFETY: a coroutine only runs while it owns the turn, so
                 // state access needs no locking at all.
                 let st = unsafe { &mut *cb.state };
                 debug_assert_eq!(st.sched.turn, c, "coop: non-owner coroutine running");
-                let (out, next) = run_event_on(st, c, pending, op);
-                if let Some(next) = next {
-                    // A coop Ctx only exists on targets where the module is
-                    // compiled (run_coop constructs it), so the arm is
-                    // unreachable elsewhere. SAFETY: `next` came from the
-                    // scheduler, so its context is live and suspended.
-                    #[cfg(mcsim_coop)]
-                    unsafe {
-                        crate::coop::switch(cb.ctxs.add(c), *cb.ctxs.add(next))
-                    };
-                    #[cfg(not(mcsim_coop))]
+                st
+            }
+            _ => return T::R::from_out(self.gang_event(pending, ev.op())),
+        };
+        let (out, next) = run_event_on(st, c, pending, ev);
+        if let Some(next) = next {
+            self.hand_off(next);
+        }
+        // (None: keep the turn — and, on the threads backend, the guard —
+        // so the next event skips the lock entirely.)
+        out
+    }
+
+    /// Move the turn to `next` after an event (single-gang backends).
+    #[inline(never)]
+    fn hand_off(&mut self, next: CoreId) {
+        match &mut self.backend {
+            CtxBackend::Threads(tb) => tb.release_turn_to(next),
+            CtxBackend::Coop(cb) => {
+                // A coop Ctx only exists on targets where the module is
+                // compiled (run_coop constructs it), so the arm is
+                // unreachable elsewhere. SAFETY: `next` came from the
+                // scheduler, so its context is live and suspended.
+                #[cfg(mcsim_coop)]
+                unsafe {
+                    crate::coop::switch(cb.ctxs.add(self.core), *cb.ctxs.add(next))
+                };
+                #[cfg(not(mcsim_coop))]
+                {
+                    let _ = cb;
                     unreachable!("coop backend unavailable on this target: core {next}");
                 }
-                out
             }
+            _ => unreachable!("hand_off on a gang ctx (the gang protocol moves its own turns)"),
+        }
+    }
+
+    /// One event on a gang backend: these queue and replay operations, so
+    /// they take the reified form.
+    #[cold]
+    #[inline(never)]
+    fn gang_event(&mut self, pending: u64, op: Op) -> Out {
+        let c = self.core;
+        match &mut self.backend {
             // SAFETY (gang arms): the ctx was built by the gang driver, so
             // the embedded run pointer outlives the core's execution.
             CtxBackend::GangThreads(gt) => unsafe { crate::gang::event_threads(gt, c, pending, op) },
             #[cfg(mcsim_coop)]
             CtxBackend::GangCoop(gc) => unsafe { crate::gang::event_coop(gc, c, pending, op) },
+            _ => unreachable!("gang_event on a single-gang ctx"),
         }
     }
 
@@ -1633,22 +1468,22 @@ impl<'m> Ctx<'m> {
 
     /// Plain 64-bit load.
     pub fn read(&mut self, a: Addr) -> u64 {
-        self.event(Op::Read(a)).val()
+        self.event(ReadOp(a))
     }
 
     /// Plain 64-bit store.
     pub fn write(&mut self, a: Addr, v: u64) {
-        self.event(Op::Write(a, v)).unit()
+        self.event(WriteOp(a, v))
     }
 
     /// Compare-and-swap: `Ok(expected)` on success, `Err(actual)` otherwise.
     pub fn cas(&mut self, a: Addr, expected: u64, new: u64) -> Result<u64, u64> {
-        self.event(Op::Cas(a, expected, new)).casr()
+        self.event(CasOp(a, expected, new))
     }
 
     /// Memory fence.
     pub fn fence(&mut self) {
-        self.event(Op::Fence).unit()
+        self.event(FenceOp)
     }
 
     /// The SMR protocols' uncosted ordering fence (`casmr`'s
@@ -1656,34 +1491,34 @@ impl<'m> Ctx<'m> {
     /// sequentially consistent simulator and absent from the pinned cost
     /// model, so by default it issues nothing at all; with
     /// [`MachineConfig::race_check`] armed it issues a zero-cost
-    /// [`Op::SmrFence`] event so the happens-before analyzer
+    /// `Op::SmrFence` event so the happens-before analyzer
     /// ([`crate::hb`]) sees the ordering edge the native backend's real
     /// fence provides.
     pub fn smr_fence(&mut self) {
         if self.race_check {
-            self.event(Op::SmrFence).unit()
+            self.event(SmrFenceOp)
         }
     }
 
     /// `cread`: conditional load (None = failed, CAFAIL set). See paper
     /// §II-B and `cacore::isa`.
     pub fn cread(&mut self, a: Addr) -> Option<u64> {
-        self.event(Op::Cread(a)).opt()
+        self.event(CreadOp(a))
     }
 
     /// `cwrite`: conditional store (false = failed, CAFAIL set).
     pub fn cwrite(&mut self, a: Addr, v: u64) -> bool {
-        self.event(Op::Cwrite(a, v)).flag()
+        self.event(CwriteOp(a, v))
     }
 
     /// `untagOne`.
     pub fn untag_one(&mut self, a: Addr) {
-        self.event(Op::UntagOne(a)).unit()
+        self.event(UntagOneOp(a))
     }
 
     /// `untagAll` (clears the tag set and the ARB).
     pub fn untag_all(&mut self) {
-        self.event(Op::UntagAll).unit()
+        self.event(UntagAllOp)
     }
 
     /// Allocate one node (a 64-byte line). Charges the malloc latency.
@@ -1692,7 +1527,7 @@ impl<'m> Ctx<'m> {
     /// must use [`Self::try_alloc`] instead — calling `alloc` there turns
     /// the verdict back into a panic.
     pub fn alloc(&mut self) -> Addr {
-        let a = self.event(Op::Alloc).addr();
+        let a = self.event(AllocOp);
         assert!(
             a != Addr::NULL,
             "allocation failed on core {} (oom_recoverable run): \
@@ -1708,7 +1543,7 @@ impl<'m> Ctx<'m> {
     /// inside the event instead). The malloc latency is charged either way,
     /// and each `None` ticks the core's `alloc_failures` counter.
     pub fn try_alloc(&mut self) -> Option<Addr> {
-        let a = self.event(Op::Alloc).addr();
+        let a = self.event(AllocOp);
         if a == Addr::NULL {
             None
         } else {
@@ -1720,7 +1555,7 @@ impl<'m> Ctx<'m> {
     /// gang runs, a double free by a *deferred* free is trapped at the
     /// epoch barrier that applies it).
     pub fn free(&mut self, a: Addr) {
-        self.event(Op::Free(a)).unit()
+        self.event(FreeOp(a))
     }
 
     // --- HTM comparator (paper §VI) -------------------------------------
@@ -1728,32 +1563,32 @@ impl<'m> Ctx<'m> {
     /// Begin a hardware transaction. Panics on nesting; plain memory
     /// operations are forbidden until `tx_commit`/`tx_abort`.
     pub fn tx_begin(&mut self) {
-        self.event(Op::TxBegin).unit()
+        self.event(TxBeginOp)
     }
 
     /// Speculative load inside a transaction. `None` means the transaction
     /// detected a conflict and **has aborted**; restart it.
     pub fn tx_read(&mut self, a: Addr) -> Option<u64> {
-        self.event(Op::TxRead(a)).opt()
+        self.event(TxReadOp(a))
     }
 
     /// Speculative store inside a transaction (buffered until commit).
     /// `false` means the transaction has aborted.
     pub fn tx_write(&mut self, a: Addr, v: u64) -> bool {
-        self.event(Op::TxWrite(a, v)).flag()
+        self.event(TxWriteOp(a, v))
     }
 
     /// Attempt to commit. On success all buffered writes become visible
     /// atomically (and the use-after-free detector validates each target);
     /// on conflict the transaction is rolled back and `false` is returned.
     pub fn tx_commit(&mut self) -> bool {
-        self.event(Op::TxCommit).flag()
+        self.event(TxCommitOp)
     }
 
     /// Explicitly abort the in-flight transaction (e.g. a version validation
     /// inside it failed).
     pub fn tx_abort(&mut self) {
-        self.event(Op::TxAbort).unit()
+        self.event(TxAbortOp)
     }
 
     /// Is a transaction in flight on this hardware thread? (Introspection;
@@ -1777,10 +1612,19 @@ impl<'m> Ctx<'m> {
         }
     }
 
+    /// Issue one *reified* operation through the event pipeline — the
+    /// `exec_op` replay the gang conductor uses, under this core's turn.
+    /// Test plumbing for the typed-vs-reified differential battery
+    /// (`tests/typed_vs_reified.rs`); programs use the typed methods above.
+    #[doc(hidden)]
+    pub fn issue_reified(&mut self, op: Op) -> Out {
+        self.event(op)
+    }
+
     /// Record one completed data-structure operation (throughput numerator,
     /// Figure 3 sampling trigger).
     pub fn op_completed(&mut self) {
-        self.event(Op::OpCompleted).unit()
+        self.event(OpCompletedOp)
     }
 
     /// This core's current simulated clock (cycles).

@@ -38,6 +38,9 @@ use crate::addr::CoreId;
 /// Sentinel for "no core holds the turn" (all retired).
 pub const NO_TURN: usize = usize::MAX;
 
+/// An empty two-min key: no core, and a clock no comparison reads.
+const NONE: (CoreId, u64) = (NO_TURN, u64::MAX);
+
 /// Scheduler state (owned by the machine, mutated under its lock).
 #[derive(Debug)]
 pub struct Sched {
@@ -52,10 +55,11 @@ pub struct Sched {
     /// Lookahead quantum in cycles.
     pub quantum: u64,
     /// Smallest active `(core, clock)` as of the last rescan (ties →
-    /// lowest id).
-    min1: Option<(CoreId, u64)>,
-    /// Second-smallest active `(core, clock)` as of the last rescan.
-    min2: Option<(CoreId, u64)>,
+    /// lowest id); the core is [`NO_TURN`] when no core is active.
+    min1: (CoreId, u64),
+    /// Second-smallest active `(core, clock)` as of the last rescan
+    /// ([`NO_TURN`] when fewer than two cores are active).
+    min2: (CoreId, u64),
     /// Full O(cores) rescans performed (introspection: unit tests assert
     /// the keep-turn path never rescans).
     pub rescans: u64,
@@ -68,8 +72,8 @@ impl Sched {
             active: vec![false; cores],
             turn: NO_TURN,
             quantum,
-            min1: None,
-            min2: None,
+            min1: NONE,
+            min2: NONE,
             rescans: 0,
         }
     }
@@ -80,42 +84,40 @@ impl Sched {
     }
 
     /// Recompute the two smallest active `(clock, id)` keys. O(cores);
-    /// called only on turn moves, activation and retirement.
+    /// called only on turn moves, activation and retirement — which at
+    /// quantum 0 is most events, so the scan keeps both keys in plain
+    /// scalars.
     fn rescan(&mut self) {
         self.rescans += 1;
-        let mut m1: Option<(CoreId, u64)> = None;
-        let mut m2: Option<(CoreId, u64)> = None;
+        let (mut i1, mut c1) = NONE;
+        let (mut i2, mut c2) = NONE;
         for (i, (&a, &clk)) in self.active.iter().zip(&self.clocks).enumerate() {
             if !a {
                 continue;
             }
             // Strict `<` with id-ordered iteration keeps the lowest id in
             // front on clock ties — the documented tie-break.
-            match m1 {
-                None => m1 = Some((i, clk)),
-                Some((_, c1)) if clk < c1 => {
-                    m2 = m1;
-                    m1 = Some((i, clk));
-                }
-                _ => match m2 {
-                    None => m2 = Some((i, clk)),
-                    Some((_, c2)) if clk < c2 => m2 = Some((i, clk)),
-                    _ => {}
-                },
+            if i1 == NO_TURN || clk < c1 {
+                (i2, c2) = (i1, c1);
+                (i1, c1) = (i, clk);
+            } else if i2 == NO_TURN || clk < c2 {
+                (i2, c2) = (i, clk);
             }
         }
-        self.min1 = m1;
-        self.min2 = m2;
+        self.min1 = (i1, c1);
+        self.min2 = (i2, c2);
     }
 
-    /// Min-clock active core other than `me` (ties → lowest id). O(1):
-    /// served from the two-min bookkeeping, which is valid because only
-    /// `me` (the turn owner) can have advanced its clock since the last
-    /// rescan.
-    fn min_other(&self, me: CoreId) -> Option<(CoreId, u64)> {
-        match self.min1 {
-            Some((i, _)) if i == me => self.min2,
-            other => other,
+    /// Min-clock active core other than `me` (ties → lowest id), or
+    /// [`NO_TURN`] if there is none. O(1): served from the two-min
+    /// bookkeeping, which is valid because only `me` (the turn owner) can
+    /// have advanced its clock since the last rescan.
+    #[inline]
+    fn min_other(&self, me: CoreId) -> (CoreId, u64) {
+        if self.min1.0 == me {
+            self.min2
+        } else {
+            self.min1
         }
     }
 
@@ -128,7 +130,7 @@ impl Sched {
             self.active[c] = true;
         }
         self.rescan();
-        self.turn = self.min1.expect("n >= 1").0;
+        self.turn = self.min1.0;
         self.turn
     }
 
@@ -143,28 +145,35 @@ impl Sched {
     /// wrong owner there would rewrite `turn` and rescan from a foreign
     /// core's clock, silently corrupting the two-min bookkeeping into a
     /// wrong-but-plausible interleaving.
+    #[inline]
     pub fn after_event(&mut self, me: CoreId) -> Option<CoreId> {
         debug_assert_eq!(self.turn, me);
-        if let Some((next, min)) = self.min_other(me) {
-            // Keep running while within the lookahead window; the window is
-            // measured from the minimum of the *other* cores.
-            if self.clocks[me] > min.saturating_add(self.quantum) {
-                // Cold path (the quantum amortizes it): a real assert here
-                // costs nothing measurable and turns release-mode misuse
-                // into a loud panic instead of schedule corruption.
-                assert_eq!(
-                    self.turn, me,
-                    "after_event by core {me} without the turn (owner: {})",
-                    self.turn
-                );
-                self.turn = next;
-                // `me`'s clock is now final until the turn returns to it:
-                // refresh the two-min keys for the new owner's decisions.
-                self.rescan();
-                return Some(next);
-            }
+        let (next, min) = self.min_other(me);
+        // Keep running while within the lookahead window; the window is
+        // measured from the minimum of the *other* cores.
+        if next != NO_TURN && self.clocks[me] > min.saturating_add(self.quantum) {
+            self.move_turn(me, next);
+            return Some(next);
         }
         None
+    }
+
+    /// The turn-move half of [`Self::after_event`] (out of line: the
+    /// quantum amortizes it, and it ends in the O(cores) rescan).
+    #[inline(never)]
+    fn move_turn(&mut self, me: CoreId, next: CoreId) {
+        // A real assert here costs nothing measurable and turns
+        // release-mode misuse into a loud panic instead of schedule
+        // corruption.
+        assert_eq!(
+            self.turn, me,
+            "after_event by core {me} without the turn (owner: {})",
+            self.turn
+        );
+        self.turn = next;
+        // `me`'s clock is now final until the turn returns to it: refresh
+        // the two-min keys for the new owner's decisions.
+        self.rescan();
     }
 
     /// Retire `me` (must hold the turn). Returns the next turn owner, if any
@@ -185,16 +194,8 @@ impl Sched {
         assert!(self.active[me], "retire of inactive core {me}");
         self.active[me] = false;
         self.rescan();
-        match self.min1 {
-            Some((next, _)) => {
-                self.turn = next;
-                Some(next)
-            }
-            None => {
-                self.turn = NO_TURN;
-                None
-            }
-        }
+        self.turn = self.min1.0;
+        (self.turn != NO_TURN).then_some(self.turn)
     }
 
     /// Re-activate a core deactivated by [`Self::retire`] (gang scheduling:
@@ -212,24 +213,16 @@ impl Sched {
     /// when no core is active (the window has no work).
     pub fn start_window(&mut self) -> Option<CoreId> {
         self.rescan();
-        match self.min1 {
-            Some((c, _)) => {
-                self.turn = c;
-                Some(c)
-            }
-            None => {
-                self.turn = NO_TURN;
-                None
-            }
-        }
+        self.turn = self.min1.0;
+        (self.turn != NO_TURN).then_some(self.turn)
     }
 
     /// Zero all clocks (between the prefill run and the measured run).
     pub fn reset_clocks(&mut self) {
         assert_eq!(self.n_active(), 0, "cannot reset clocks mid-run");
         self.clocks.fill(0);
-        self.min1 = None;
-        self.min2 = None;
+        self.min1 = NONE;
+        self.min2 = NONE;
     }
 
     /// The machine's finish time: max clock over all cores.
