@@ -11,18 +11,18 @@
 //! introduced ordering holes.
 //!
 //! The workload is deliberately small (the analyzer is O(events) per run
-//! and the grid has 35 cells) and pinned to quantum 0, where the gang
-//! linearization `(clock, core, seq)` is exact, so the report is
-//! byte-identical across gang counts, bank counts, and backends.
+//! and the grid has 39 cells: the paper's five structures under all seven
+//! schemes, the four CA-only extensions as `ca`) and pinned to quantum 0,
+//! where the gang linearization `(clock, core, seq)` is exact, so the report
+//! is byte-identical across gang counts, bank counts, and backends.
 //!
 //! Usage: `cargo run --release -p caharness --bin race_audit [--quick]`
 //!
 //! `--quick` runs a 6-cell subset as a CI smoke (one list, one tree, the
 //! stack and the queue, covering the CAS-heavy and fence-heavy schemes).
 
-use caharness::{race_report_queue, race_report_set, race_report_stack, Mix, RunConfig, SetKind};
+use caharness::{run, Instrument, Mix, RunConfig, SetKind, Structure};
 use casmr::SchemeKind;
-use mcsim::RaceReport;
 
 /// Whitelisted benign signatures, one `region prior later # why` per line.
 const WHITELIST: &str = include_str!("../race_whitelist.txt");
@@ -63,6 +63,7 @@ fn audit_cfg(updates_only: bool) -> RunConfig {
         // Quantum 0 keeps the gang linearization exact, which makes the
         // report byte-identical across gangs / banks / backends.
         quantum: 0,
+        race_check: true,
         ..Default::default()
     }
 }
@@ -72,44 +73,38 @@ fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
     let allow = whitelist();
 
-    // (structure label, scheme) grid. Structures beyond the three sets:
-    // the Treiber stack and the MS queue.
-    let structures = ["lazylist", "extbst", "hashtable", "stack", "queue"];
-    let schemes = SchemeKind::ALL;
-
     let mut unexplained = 0u64;
     let mut cells = 0u64;
     println!("race_audit quantum=0 threads=4 quick={quick}");
-    for structure in structures {
-        for scheme in schemes {
+    for structure in Structure::ALL {
+        for scheme in SchemeKind::ALL {
+            if !structure.supports(scheme) {
+                continue;
+            }
             if quick {
                 // Smoke subset: every structure shape once, on the two
                 // extreme schemes (fence-heavy Hp, primitive-level Ca),
                 // plus the queue's qsbr cell for an epoch scheme.
                 let keep = matches!(
                     (structure, scheme),
-                    ("lazylist", SchemeKind::Hp)
-                        | ("lazylist", SchemeKind::Ca)
-                        | ("extbst", SchemeKind::Hp)
-                        | ("hashtable", SchemeKind::Ca)
-                        | ("stack", SchemeKind::Hp)
-                        | ("queue", SchemeKind::Qsbr)
+                    (Structure::Set(SetKind::LazyList), SchemeKind::Hp | SchemeKind::Ca)
+                        | (Structure::Set(SetKind::ExtBst), SchemeKind::Hp)
+                        | (Structure::Set(SetKind::HashTable), SchemeKind::Ca)
+                        | (Structure::Stack, SchemeKind::Hp)
+                        | (Structure::Queue, SchemeKind::Qsbr)
                 );
                 if !keep {
                     continue;
                 }
             }
-            let report: RaceReport = match structure {
-                "lazylist" => race_report_set(SetKind::LazyList, scheme, &audit_cfg(false)).1,
-                "extbst" => race_report_set(SetKind::ExtBst, scheme, &audit_cfg(false)).1,
-                "hashtable" => race_report_set(SetKind::HashTable, scheme, &audit_cfg(false)).1,
-                "stack" => race_report_stack(scheme, &audit_cfg(false)).1,
-                "queue" => race_report_queue(scheme, &audit_cfg(true)).1,
-                _ => unreachable!(),
-            };
+            let cfg = audit_cfg(structure == Structure::Queue);
+            let report = run(structure, scheme, &cfg, Instrument::None)
+                .race
+                .expect("audit_cfg arms race_check");
             cells += 1;
             println!(
-                "cell structure={structure} scheme={} events={} findings={}",
+                "cell structure={} scheme={} events={} findings={}",
+                structure.name(),
                 scheme.name(),
                 report.events,
                 report.findings.len()

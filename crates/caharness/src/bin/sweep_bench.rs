@@ -66,11 +66,15 @@ use std::time::Instant;
 
 use caharness::config::jobs_from_args;
 use caharness::{
-    run_queue_recover, run_queue_robust, run_set_with_stats, sweep, Mix, RunConfig, SeriesTable,
-    SetKind,
+    run, run_queue, sweep, Instrument, Mix, Outcome, RunConfig, SeriesTable, SetKind, Structure,
 };
 use casmr::{SchemeKind, SmrConfig};
 use mcsim::FaultPlan;
+
+/// The CA lazy list every gang / merge instrument times.
+fn ca_lazylist(cfg: &RunConfig) -> Outcome {
+    run(Structure::Set(SetKind::LazyList), SchemeKind::Ca, cfg, Instrument::None)
+}
 
 fn grid() -> SeriesTable {
     let threads = [1usize, 2, 4, 8];
@@ -128,11 +132,11 @@ fn time_gangs(gangs: usize, mix: Mix, reps: usize) -> (f64, u64, u64, u64) {
         gangs,
         ..Default::default()
     };
-    let (warm, warm_stats) = run_set_with_stats(SetKind::LazyList, SchemeKind::Ca, &cfg);
+    let Outcome { metrics: warm, stats: warm_stats, .. } = ca_lazylist(&cfg);
     let mut best_ms = f64::INFINITY;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let (m, s) = run_set_with_stats(SetKind::LazyList, SchemeKind::Ca, &cfg);
+        let Outcome { metrics: m, stats: s, .. } = ca_lazylist(&cfg);
         best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         assert_eq!(m.cycles, warm.cycles, "gangs={gangs}: repeated runs diverged");
         assert_eq!(
@@ -169,11 +173,11 @@ fn time_banked(
         },
         ..Default::default()
     };
-    let (warm, warm_stats) = run_set_with_stats(SetKind::LazyList, SchemeKind::Ca, &cfg);
+    let Outcome { metrics: warm, stats: warm_stats, .. } = ca_lazylist(&cfg);
     let mut best_ms = f64::INFINITY;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let (m, s) = run_set_with_stats(SetKind::LazyList, SchemeKind::Ca, &cfg);
+        let Outcome { metrics: m, stats: s, .. } = ca_lazylist(&cfg);
         best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         assert_eq!(
             m.cycles, warm.cycles,
@@ -225,12 +229,12 @@ fn time_robust(
         max_cycles: Some(2_000_000_000),
         ..Default::default()
     };
-    let warm = run_queue_robust(scheme, &cfg);
+    let warm = run_queue(scheme, &cfg);
     assert_eq!(warm.crashed_cores, 2, "{}: both crashes must land", scheme.name());
     let mut best_ms = f64::INFINITY;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let m = run_queue_robust(scheme, &cfg);
+        let m = run_queue(scheme, &cfg);
         best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         assert_eq!(
             (m.cycles, m.total_ops, m.crashed_cores, m.peak_garbage_bytes, m.final_garbage_bytes),
@@ -272,12 +276,12 @@ fn time_recover(scheme: SchemeKind, reps: usize) -> (f64, caharness::Metrics) {
         max_cycles: Some(2_000_000_000),
         ..Default::default()
     };
-    let warm = run_queue_recover(scheme, &cfg);
+    let warm = run_queue(scheme, &cfg);
     assert_eq!(warm.total_ops, 16 * 500, "{}: restart must finish the quota", scheme.name());
     let mut best_ms = f64::INFINITY;
     for _ in 0..reps {
         let t0 = Instant::now();
-        let m = run_queue_recover(scheme, &cfg);
+        let m = run_queue(scheme, &cfg);
         best_ms = best_ms.min(t0.elapsed().as_secs_f64() * 1e3);
         assert_eq!(
             (m.cycles, m.total_ops, m.adoptions, m.adopted_bytes, m.recovery_cycles),

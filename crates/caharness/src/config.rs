@@ -80,8 +80,9 @@ pub struct RunConfig {
     /// cross-gang event latency; see `mcsim`). Ignored at `gangs == 1`.
     pub gang_window: u64,
     /// Injected faults for robustness experiments (see `mcsim::fault`);
-    /// empty for every ordinary figure. The robustness runner disarms the
-    /// plan during prefill so faults fire at measured-phase clocks only.
+    /// empty for every ordinary figure. [`crate::run`] disarms the plan
+    /// during prefill so faults fire at measured-phase clocks only, treats
+    /// an injected crash as an outcome, and recovers cores the plan restarts.
     pub fault_plan: FaultPlan,
     /// Wedge watchdog: panic if any simulated core's clock passes this
     /// bound (`--max_cycles`). `None` = no bound (the default).
@@ -95,8 +96,9 @@ pub struct RunConfig {
     pub native: bool,
     /// Arm the simulator's happens-before race analyzer
     /// (`--race_check` / [`mcsim::MachineConfig::race_check`]): trace every
-    /// memory event and let [`crate::runner`]'s `race_report_*` helpers and
-    /// the `race_audit` bin report unsynchronized conflicting accesses. Off
+    /// memory event and have [`crate::run`] return the report of
+    /// unsynchronized conflicting accesses in [`crate::Outcome::race`] (the
+    /// `race_audit` bin diffs it against the whitelist). Off
     /// by default (zero cost, byte-identical schedules). Ignored by native
     /// runs (the analyzer is a simulator instrument).
     pub race_check: bool,

@@ -18,8 +18,7 @@ use mcsim::{CacheConfig, FaultPlan};
 use crate::config::{Mix, RunConfig};
 use crate::metrics::Metrics;
 use crate::runner::{
-    run_fallback_list, run_harris, run_htm_list, run_lf_bst, run_queue, run_queue_recover,
-    run_queue_robust, run_set, run_set_latency, run_stack, SetKind,
+    run, run_queue, run_set, run_set_latency, run_stack, Instrument, SetKind, Structure,
 };
 use crate::sweep;
 use crate::table::SeriesTable;
@@ -80,8 +79,8 @@ fn base_config(scale: Scale) -> RunConfig {
 /// can be flattened into a single sweep (see [`throughput_panels`]).
 #[derive(Copy, Clone)]
 pub struct PanelSpec<'a> {
-    /// Structure under test; `None` = Treiber stack.
-    pub kind: Option<SetKind>,
+    /// Structure under test.
+    pub structure: Structure,
     /// Workload mix.
     pub mix: Mix,
     /// Key range (prefill is half of it).
@@ -101,7 +100,7 @@ pub fn throughput_panels(sweep_label: &str, specs: &[PanelSpec], scale: Scale) -
     let threads = scale.threads();
     let mut tasks: Vec<sweep::Task<f64>> = Vec::new();
     for spec in specs {
-        let kind = spec.kind;
+        let structure = spec.structure;
         for &scheme in SchemeKind::ALL.iter() {
             for &t in &threads {
                 let cfg = RunConfig {
@@ -112,11 +111,7 @@ pub fn throughput_panels(sweep_label: &str, specs: &[PanelSpec], scale: Scale) -
                     ..base_config(scale)
                 };
                 tasks.push(Box::new(move || {
-                    let m = match kind {
-                        Some(k) => run_set(k, scheme, &cfg),
-                        None => run_stack(scheme, &cfg),
-                    };
-                    m.throughput
+                    run(structure, scheme, &cfg, Instrument::None).metrics.throughput
                 }));
             }
         }
@@ -143,15 +138,15 @@ pub fn throughput_panels(sweep_label: &str, specs: &[PanelSpec], scale: Scale) -
 
 /// Single-panel convenience form of [`throughput_panels`].
 pub fn throughput_panel(
-    kind: Option<SetKind>, // None = stack
+    structure: Structure,
     mix: Mix,
     scale: Scale,
     key_range: u64,
     title: &str,
 ) -> SeriesTable {
-    let label = format!("{} {}", kind.map_or("stack", SetKind::name), mix.label());
+    let label = format!("{} {}", structure.name(), mix.label());
     let spec = PanelSpec {
-        kind,
+        structure,
         mix,
         key_range,
         title,
@@ -165,7 +160,7 @@ pub fn throughput_panel(
 /// shared by its three workload panels ([`Mix::PAPER`]).
 struct FigSpec {
     name: &'static str,
-    kind: Option<SetKind>,
+    structure: Structure,
     key_range: u64,
     title: &'static str,
 }
@@ -174,25 +169,25 @@ struct FigSpec {
 const THROUGHPUT_FIGS: [FigSpec; 4] = [
     FigSpec {
         name: "fig1_lazylist",
-        kind: Some(SetKind::LazyList),
+        structure: Structure::Set(SetKind::LazyList),
         key_range: 1000,
         title: "Fig 1 (top) lazy list, size ~500",
     },
     FigSpec {
         name: "fig1_extbst",
-        kind: Some(SetKind::ExtBst),
+        structure: Structure::Set(SetKind::ExtBst),
         key_range: 10_000,
         title: "Fig 1 (bottom) external BST, size ~5K",
     },
     FigSpec {
         name: "fig2_hashtable",
-        kind: Some(SetKind::HashTable),
+        structure: Structure::Set(SetKind::HashTable),
         key_range: 1000,
         title: "Fig 2 (top) hash table, 128 buckets",
     },
     FigSpec {
         name: "fig2_stack",
-        kind: None,
+        structure: Structure::Stack,
         key_range: 1000,
         title: "Fig 2 (bottom) stack",
     },
@@ -203,7 +198,7 @@ fn fig_panels(fig: &FigSpec) -> Vec<PanelSpec<'static>> {
     Mix::PAPER
         .iter()
         .map(|&mix| PanelSpec {
-            kind: fig.kind,
+            structure: fig.structure,
             mix,
             key_range: fig.key_range,
             title: fig.title,
@@ -507,7 +502,7 @@ fn lockfree_vs_baselines(
     labels: LfLabels,
     scale: Scale,
     kind: SetKind,
-    variant: impl Fn(&RunConfig) -> f64 + Sync,
+    variant: Structure,
     cfg_for: impl Fn(usize) -> RunConfig + Sync,
 ) -> SeriesTable {
     let threads = scale.threads();
@@ -517,11 +512,12 @@ fn lockfree_vs_baselines(
         threads.iter().map(|t| t.to_string()).collect(),
     );
     let schemes = [SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::None];
-    let variant = &variant;
     let cfg_for = &cfg_for;
     let mut tasks: Vec<sweep::Task<f64>> = Vec::new();
     for &t in &threads {
-        tasks.push(Box::new(move || variant(&cfg_for(t))));
+        tasks.push(Box::new(move || {
+            run(variant, SchemeKind::Ca, &cfg_for(t), Instrument::None).metrics.throughput
+        }));
     }
     for &scheme in &schemes {
         for &t in &threads {
@@ -552,7 +548,7 @@ pub fn harris_bench(scale: Scale) -> SeriesTable {
         },
         scale,
         SetKind::LazyList,
-        |cfg| run_harris(cfg).throughput,
+        Structure::Harris,
         move |t| RunConfig {
             threads: t,
             key_range: 1000,
@@ -578,7 +574,7 @@ pub fn lfbst_bench(scale: Scale) -> SeriesTable {
         },
         scale,
         SetKind::ExtBst,
-        |cfg| run_lf_bst(cfg).throughput,
+        Structure::LfBst,
         move |t| RunConfig {
             threads: t,
             key_range: 10_000,
@@ -643,7 +639,7 @@ pub fn fig_robustness(scale: Scale) -> Vec<SeriesTable> {
 
 /// [`fig_robustness`] with optional `+adopt` columns (the bin's
 /// `--recover` flag): each crashed column re-runs under a
-/// **restart-bearing** plan through [`run_queue_recover`] — the victims
+/// **restart-bearing** plan — the victims
 /// come back, certify their own fail-stop, adopt their orphans (forcible
 /// retraction + merge + scan) and finish their quota — so the three tables
 /// show the pinned-backlog blowup and its repair side by side.
@@ -714,13 +710,7 @@ pub fn fig_robustness_with(scale: Scale, recover: bool) -> Vec<SeriesTable> {
         .iter()
         .flat_map(|&scheme| {
             cols.iter().map(move |&(_, s, restart)| {
-                Box::new(move || {
-                    if restart {
-                        run_queue_recover(scheme, &cfg_for(s, true))
-                    } else {
-                        run_queue_robust(scheme, &cfg_for(s, false))
-                    }
-                }) as sweep::Task<Metrics>
+                Box::new(move || run_queue(scheme, &cfg_for(s, restart))) as sweep::Task<Metrics>
             })
         })
         .collect();
@@ -834,7 +824,7 @@ pub fn fig_recovery(scale: Scale, recover: bool) -> (SeriesTable, SeriesTable) {
     let cfg = &cfg;
     let tasks: Vec<sweep::Task<Metrics>> = SchemeKind::ALL
         .iter()
-        .map(|&scheme| Box::new(move || run_queue_recover(scheme, cfg)) as sweep::Task<Metrics>)
+        .map(|&scheme| Box::new(move || run_queue(scheme, cfg)) as sweep::Task<Metrics>)
         .collect();
     let results = sweep::run_results("fig_recovery", tasks);
 
@@ -1165,8 +1155,9 @@ pub fn ablation_fallback(scale: Scale) -> (SeriesTable, SeriesTable) {
             (run_set(SetKind::LazyList, SchemeKind::Ca, &cfg).throughput, f64::NAN)
         }));
         tasks.push(Box::new(move || {
-            let (m, taken) = run_fallback_list(&cfg2, 32);
-            (m.throughput, taken as f64)
+            let fb = Structure::FallbackList { max_attempts: 32 };
+            let out = run(fb, SchemeKind::Ca, &cfg2, Instrument::None);
+            (out.metrics.throughput, out.fallbacks as f64)
         }));
     }
     let flat = sweep::run("ablation_fallback", tasks);
@@ -1211,8 +1202,10 @@ pub fn ablation_fallback(scale: Scale) -> (SeriesTable, SeriesTable) {
                 ..base_config(scale)
             };
             Box::new(move || {
-                let (m, k) = run_fallback_list(&cfg, 8);
-                (m.throughput, k as f64, k as f64 / m.total_ops as f64)
+                let fb = Structure::FallbackList { max_attempts: 8 };
+                let out = run(fb, SchemeKind::Ca, &cfg, Instrument::None);
+                let (m, k) = (out.metrics, out.fallbacks as f64);
+                (m.throughput, k, k / m.total_ops as f64)
             }) as sweep::Task<(f64, f64, f64)>
         })
         .collect();
@@ -1260,7 +1253,8 @@ pub fn htm_bench(scale: Scale) -> (SeriesTable, SeriesTable, SeriesTable) {
             table.push_series(scheme.name(), row);
         }
         let hrows = sweep::grid("htm_hoh", &slot_sizes, &threads, |&slots, &t| {
-            run_htm_list(&cfg_for(t, mix), slots)
+            let htm = Structure::HtmList { slots };
+            run(htm, SchemeKind::Ca, &cfg_for(t, mix), Instrument::None).metrics
         });
         for (&slots, row) in slot_sizes.iter().zip(&hrows) {
             table.push_series(
@@ -1309,7 +1303,7 @@ mod tests {
         // host scheduling (task-list shape), never cell values or table
         // assembly order.
         let a = PanelSpec {
-            kind: Some(SetKind::LazyList),
+            structure: Structure::Set(SetKind::LazyList),
             mix: Mix {
                 insert_pct: 50,
                 delete_pct: 50,
@@ -1318,7 +1312,7 @@ mod tests {
             title: "flatten A",
         };
         let b = PanelSpec {
-            kind: None,
+            structure: Structure::Stack,
             mix: Mix {
                 insert_pct: 30,
                 delete_pct: 30,
@@ -1329,8 +1323,8 @@ mod tests {
         let flat = throughput_panels("flatten", &[a, b], Scale::Quick);
         assert_eq!(flat.len(), 2);
         let solo = [
-            throughput_panel(a.kind, a.mix, Scale::Quick, a.key_range, a.title),
-            throughput_panel(b.kind, b.mix, Scale::Quick, b.key_range, b.title),
+            throughput_panel(a.structure, a.mix, Scale::Quick, a.key_range, a.title),
+            throughput_panel(b.structure, b.mix, Scale::Quick, b.key_range, b.title),
         ];
         for (f, s) in flat.iter().zip(&solo) {
             assert_eq!(f.render(), s.render());

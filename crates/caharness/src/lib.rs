@@ -48,8 +48,8 @@
 //! the binary exits nonzero after completing everything else.
 //!
 //! Crash recovery (PR 10): `fig_recovery` (and the `--recover` flag of
-//! `fig_robustness`) run restart-bearing fault plans through
-//! [`runner::run_queue_recover`] — a crashed core's state is parked in a
+//! `fig_robustness`) put restart-bearing fault plans in
+//! [`RunConfig::fault_plan`] — a crashed core's state is parked in a
 //! [`casmr::TlsVault`], its fail-stop certified by a
 //! [`casmr::CrashToken`], its orphan adopted on restart (forcible
 //! retraction, merge, scan) — and report the adopted backlog and the
@@ -61,6 +61,35 @@
 //! metrics. Conditional Access needs the simulated hardware and renders
 //! as `ERR` cells there. The `validate` binary runs both backends and
 //! scores how well the simulator's scheme ordering matches the host's.
+//!
+//! ## The runner
+//!
+//! Every figure cell is one call of [`run`]`(structure, scheme, &cfg,
+//! instrument) -> `[`Outcome`]: one prefill and one operation loop per
+//! structure family, shared by Conditional Access and every SMR baseline, on
+//! both hosts. [`Structure`] names what is driven ([`Structure::ALL`] ×
+//! `SchemeKind::ALL`, filtered by [`Structure::supports`], is the whole
+//! grid); [`RunConfig`] says everything else — `native` picks the host, a
+//! non-empty `fault_plan` is disarmed for the prefill and survived in the
+//! measured phase (restarts bring the victim back to adopt its orphan),
+//! `race_check` fills [`Outcome::race`]; [`Instrument::Latency`] fills
+//! [`Outcome::latency`]. `run_set` / `run_stack` / `run_queue` /
+//! `run_set_native` / `run_set_latency` are one-line delegations kept for the
+//! frozen `perfbench/` workspace.
+//!
+//! To extend it, touch exactly these places in [`runner`]:
+//!
+//! * **a scheme** — one arm of `with_scheme!` (plus the `SchemeKind` variant
+//!   in `casmr`);
+//! * **a structure** — a [`Structure`] variant with its `ALL` / `name` /
+//!   `supports` entries, and one arm of `with_smr_structure!` and/or of the
+//!   CA `match` at the end of [`run`], wrapped in the family newtype
+//!   (`SetOps`, `StackOps`, `QueueOps`) whose prefill and step it shares;
+//! * **a structure family** — one more `family!` newtype with its
+//!   `Workload` impl (the only place a prefill loop or a mix roll lives);
+//! * **an instrument** — an [`Instrument`] variant, its probe in
+//!   `Worker::drive`, its field in [`Outcome`] merged in `Outcome::fold`.
+//!   Neither host shell (`run_sim`, `run_native`) changes.
 
 pub mod config;
 pub mod experiments;
@@ -75,10 +104,8 @@ pub use experiments::Scale;
 pub use hist::Histogram;
 pub use metrics::Metrics;
 pub use runner::{
-    race_report_queue, race_report_set, race_report_stack, run_queue, run_queue_native,
-    run_queue_recover, run_queue_recover_with_stats, run_queue_robust, run_set, run_set_latency,
-    run_set_native, run_set_robust, run_set_with_stats, run_stack, run_stack_native,
-    RecoveryClocks, SetKind,
+    run, run_queue, run_set, run_set_latency, run_set_native, run_stack, Instrument, Outcome,
+    RecoveryClocks, SetKind, Structure,
 };
 pub use table::SeriesTable;
 

@@ -204,16 +204,16 @@ impl Metrics {
         }
     }
 
-    /// Attach scheme-level garbage accounting (the robustness runner calls
-    /// this with the merged per-thread [`casmr::GarbageStats`]).
+    /// Attach scheme-level garbage accounting ([`crate::run`] calls this
+    /// with the merged per-thread [`casmr::GarbageStats`]).
     pub fn with_garbage(mut self, g: &casmr::GarbageStats) -> Self {
         self.peak_garbage_bytes = g.peak_bytes();
         self.final_garbage_bytes = g.live_bytes();
         self
     }
 
-    /// Attach crash-recovery accounting (the recovery runner calls this
-    /// with the counters its restart closures collected).
+    /// Attach crash-recovery accounting ([`crate::run`] calls this with
+    /// the counters its restart closures collected).
     pub fn with_recovery(
         mut self,
         orphans_detected: u64,

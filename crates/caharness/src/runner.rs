@@ -1,24 +1,36 @@
-//! Experiment runner: builds a machine + structure for a (kind, scheme)
-//! pair, prefills to 50%, runs the measured phase, and collects metrics.
+//! The experiment runner: **one** entry point, [`run`], drives every
+//! benchmarked [`Structure`] under every scheme, on either host, with every
+//! instrument — so Conditional Access and the SMR baselines are always
+//! measured by the same prefill and the same operation loop.
 //!
-//! Every runner honours [`RunConfig::native`]: with it set, the experiment
-//! executes on real host threads over a [`casmr::NativeMachine`] instead of
-//! the simulator, through the same [`Metrics`] pipeline (cycles become
-//! wall-clock nanoseconds, throughput ops/µs — see
-//! [`Metrics::from_native`]). Conditional Access needs the simulator's
-//! hardware primitive and panics under `native` (one `ERR` cell in a
-//! collecting sweep).
+//! What a run does beyond prefill + measured phase follows from what
+//! [`RunConfig`] already says; nothing is selected by function name:
+//!
+//! * [`RunConfig::native`] picks the host: real threads over a
+//!   [`casmr::NativeMachine`] instead of the simulator. Conditional Access,
+//!   the CA-only structures and fault plans need the simulated machine and
+//!   panic there (one `ERR` cell in a collecting sweep).
+//! * [`RunConfig::fault_plan`] is disarmed for the prefill and armed for the
+//!   measured phase; an injected crash is an outcome, not a panic; a
+//!   restart in the plan brings the victim back to adopt its own wreck.
+//! * [`RunConfig::race_check`] adds the happens-before [`mcsim::RaceReport`].
+//! * Per-operation latency capture is the one thing `RunConfig` cannot
+//!   express, and the one [`Instrument`] argument.
+//!
+//! The prefill and the operation step are written once per structure family
+//! (`SetOps`, `StackOps`, `QueueOps`) against [`casmr::Env`] and
+//! monomorphized by exactly two host shells, `run_sim` and `run_native`.
 
 use cads::ca::{CaExtBst, CaHarrisList, CaLazyList, CaLfExtBst, CaQueue, CaStack, FbCaLazyList};
 use cads::htm::HtmLazyList;
 use cads::smr::{SmrExtBst, SmrLazyList, SmrQueue, SmrStack};
 use cads::{DsShared, HashTable, QueueDs, SetDs, StackDs};
 use casmr::{
-    CrashToken, GarbageStats, He, Hp, Ibr, Leaky, NativeEnv, NativeMachine, Orphan, Qsbr, Rcu,
+    CrashToken, Env, GarbageStats, He, Hp, Ibr, Leaky, NativeEnv, NativeMachine, Orphan, Qsbr, Rcu,
     SchemeKind, Smr, SmrBase, TlsVault,
 };
 use mcsim::machine::Ctx;
-use mcsim::{CoreOutcome, Machine, Rng};
+use mcsim::{Machine, MachineStats, RaceReport, Rng};
 
 use crate::config::RunConfig;
 use crate::hist::Histogram;
@@ -46,299 +58,85 @@ impl SetKind {
     }
 }
 
-/// Instantiate a baseline scheme and run `body` with it. `Ca` has no scheme
-/// object and must be special-cased before calling this.
-macro_rules! with_scheme {
-    ($machine:expr, $cfg:expr, $scheme:expr, |$s:ident| $body:expr) => {
-        match $scheme {
-            SchemeKind::None => {
-                let $s = Leaky::new();
-                $body
-            }
-            SchemeKind::Qsbr => {
-                let $s = Qsbr::new($machine, $cfg.threads, $cfg.smr.clone());
-                $body
-            }
-            SchemeKind::Rcu => {
-                let $s = Rcu::new($machine, $cfg.threads, $cfg.smr.clone());
-                $body
-            }
-            SchemeKind::Ibr => {
-                let $s = Ibr::new($machine, $cfg.threads, $cfg.smr.clone());
-                $body
-            }
-            SchemeKind::Hp => {
-                let $s = Hp::new($machine, $cfg.threads, $cfg.smr.clone());
-                $body
-            }
-            SchemeKind::He => {
-                let $s = He::new($machine, $cfg.threads, $cfg.smr.clone());
-                $body
-            }
-            SchemeKind::Ca => unreachable!("CA is handled before dispatch"),
+/// Every structure the harness can drive.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Structure {
+    /// One of the paper's three sets, under any scheme.
+    Set(SetKind),
+    /// Treiber stack (Figure 2 bottom); reads are `peek`. Any scheme.
+    Stack,
+    /// Michael–Scott queue (§IV-A). Any scheme; needs a 100%-update mix.
+    Queue,
+    /// Lock-free Conditional-Access Harris list (extension beyond the paper).
+    Harris,
+    /// Lock-free Conditional-Access external BST (extension).
+    LfBst,
+    /// Hand-over-hand **transactional** lazy list (the Zhou et al.
+    /// comparator of §VI) with a `slots`-entry metadata version table. Like
+    /// CA it reclaims immediately and needs no SMR scheme.
+    HtmList {
+        /// Metadata version-table entries.
+        slots: usize,
+    },
+    /// The CA lazy list wrapped in the §IV fallback path: an operation that
+    /// fails `max_attempts` times completes on the sequential path
+    /// ([`Outcome::fallbacks`] counts those).
+    FallbackList {
+        /// Optimistic attempts before falling back.
+        max_attempts: u64,
+    },
+}
+
+impl Structure {
+    /// Every structure, the parameterised ones at their `cads` defaults.
+    pub const ALL: [Structure; 9] = [
+        Structure::Set(SetKind::LazyList),
+        Structure::Set(SetKind::ExtBst),
+        Structure::Set(SetKind::HashTable),
+        Structure::Stack,
+        Structure::Queue,
+        Structure::Harris,
+        Structure::LfBst,
+        Structure::HtmList {
+            slots: cads::htm::lazylist::DEFAULT_META_SLOTS,
+        },
+        Structure::FallbackList {
+            max_attempts: cads::ca::fallback_list::DEFAULT_MAX_ATTEMPTS,
+        },
+    ];
+
+    /// Figure label.
+    pub fn name(self) -> &'static str {
+        match self {
+            Structure::Set(kind) => kind.name(),
+            Structure::Stack => "stack",
+            Structure::Queue => "queue",
+            Structure::Harris => "harris",
+            Structure::LfBst => "lfbst",
+            Structure::HtmList { .. } => "htmlist",
+            Structure::FallbackList { .. } => "fallbacklist",
         }
-    };
-}
-
-/// Panic (→ one `ERR` cell in a collecting sweep) when a sim-only runner
-/// is asked to execute natively.
-fn reject_native(cfg: &RunConfig, what: &str) {
-    assert!(
-        !cfg.native,
-        "{what} is simulator-only and cannot run with RunConfig::native \
-         (Conditional Access and the instrumented runners need the \
-         simulated machine)"
-    );
-}
-
-/// Run one set-structure experiment. With [`RunConfig::native`] set, the
-/// run executes on real host threads ([`run_set_native`]); CA panics there.
-pub fn run_set(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
-    if cfg.native {
-        return run_set_native(kind, scheme, cfg);
     }
-    run_set_with_stats(kind, scheme, cfg).0
-}
 
-/// Like [`run_set`], but also returns the raw per-core machine statistics
-/// snapshot — the instrument behind the determinism tests (identical runs
-/// must produce identical per-core counters, not just identical
-/// aggregates).
-pub fn run_set_with_stats(
-    kind: SetKind,
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-) -> (Metrics, mcsim::MachineStats) {
-    reject_native(cfg, "run_set_with_stats");
-    let m = Machine::new(cfg.machine_config());
-    match (kind, scheme) {
-        (SetKind::LazyList, SchemeKind::Ca) => {
-            let ds = CaLazyList::new(&m);
-            drive_set(&m, &ds, scheme, cfg)
-        }
-        (SetKind::LazyList, s) => with_scheme!(&m, cfg, s, |sch| {
-            let ds = SmrLazyList::new(&m, sch);
-            drive_set(&m, &ds, s, cfg)
-        }),
-        (SetKind::ExtBst, SchemeKind::Ca) => {
-            let ds = CaExtBst::new(&m);
-            drive_set(&m, &ds, scheme, cfg)
-        }
-        (SetKind::ExtBst, s) => with_scheme!(&m, cfg, s, |sch| {
-            let ds = SmrExtBst::new(&m, sch);
-            drive_set(&m, &ds, s, cfg)
-        }),
-        (SetKind::HashTable, SchemeKind::Ca) => {
-            let ds = HashTable::new(&m, cfg.buckets, CaLazyList::new);
-            drive_set(&m, &ds, scheme, cfg)
-        }
-        (SetKind::HashTable, s) => with_scheme!(&m, cfg, s, |sch| {
-            let ds = HashTable::new(&m, cfg.buckets, |mm| SmrLazyList::new(mm, &sch));
-            drive_set(&m, &ds, s, cfg)
-        }),
+    /// Whether `scheme` applies. The paper's five structures exist under
+    /// every scheme; the rest embody immediate reclamation (CA or HTM) and
+    /// run only as `ca`.
+    pub fn supports(self, scheme: SchemeKind) -> bool {
+        matches!(self, Structure::Set(_) | Structure::Stack | Structure::Queue)
+            || scheme == SchemeKind::Ca
     }
 }
 
-/// Like [`run_set`], but with the happens-before race analyzer armed
-/// ([`mcsim::machine::MachineConfig::race_check`]) regardless of what
-/// `cfg.race_check` says, returning the analysis report alongside the
-/// metrics. Simulator-only: the analyzer lives in the coherence hub.
-pub fn race_report_set(
-    kind: SetKind,
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-) -> (Metrics, mcsim::RaceReport) {
-    reject_native(cfg, "race_report_set");
-    let mut cfg = cfg.clone();
-    cfg.race_check = true;
-    let cfg = &cfg;
-    let m = Machine::new(cfg.machine_config());
-    let metrics = match (kind, scheme) {
-        (SetKind::LazyList, SchemeKind::Ca) => {
-            let ds = CaLazyList::new(&m);
-            drive_set(&m, &ds, scheme, cfg).0
-        }
-        (SetKind::LazyList, s) => with_scheme!(&m, cfg, s, |sch| {
-            let ds = SmrLazyList::new(&m, sch);
-            drive_set(&m, &ds, s, cfg).0
-        }),
-        (SetKind::ExtBst, SchemeKind::Ca) => {
-            let ds = CaExtBst::new(&m);
-            drive_set(&m, &ds, scheme, cfg).0
-        }
-        (SetKind::ExtBst, s) => with_scheme!(&m, cfg, s, |sch| {
-            let ds = SmrExtBst::new(&m, sch);
-            drive_set(&m, &ds, s, cfg).0
-        }),
-        (SetKind::HashTable, SchemeKind::Ca) => {
-            let ds = HashTable::new(&m, cfg.buckets, CaLazyList::new);
-            drive_set(&m, &ds, scheme, cfg).0
-        }
-        (SetKind::HashTable, s) => with_scheme!(&m, cfg, s, |sch| {
-            let ds = HashTable::new(&m, cfg.buckets, |mm| SmrLazyList::new(mm, &sch));
-            drive_set(&m, &ds, s, cfg).0
-        }),
-    };
-    let report = m.race_report();
-    (metrics, report)
-}
-
-/// [`race_report_set`] for the Treiber stack.
-pub fn race_report_stack(scheme: SchemeKind, cfg: &RunConfig) -> (Metrics, mcsim::RaceReport) {
-    reject_native(cfg, "race_report_stack");
-    let mut cfg = cfg.clone();
-    cfg.race_check = true;
-    let cfg = &cfg;
-    let m = Machine::new(cfg.machine_config());
-    let metrics = match scheme {
-        SchemeKind::Ca => {
-            let ds = CaStack::new(&m);
-            drive_stack(&m, &ds, scheme, cfg)
-        }
-        s => with_scheme!(&m, cfg, s, |sch| {
-            let ds = SmrStack::new(&m, sch);
-            drive_stack(&m, &ds, s, cfg)
-        }),
-    };
-    let report = m.race_report();
-    (metrics, report)
-}
-
-/// [`race_report_set`] for the MS queue. Requires a 100%-update mix.
-pub fn race_report_queue(scheme: SchemeKind, cfg: &RunConfig) -> (Metrics, mcsim::RaceReport) {
-    assert_eq!(
-        cfg.mix.updates(),
-        100,
-        "queues have no read operation: use an enqueue/dequeue-only mix"
-    );
-    reject_native(cfg, "race_report_queue");
-    let mut cfg = cfg.clone();
-    cfg.race_check = true;
-    let cfg = &cfg;
-    let m = Machine::new(cfg.machine_config());
-    let metrics = match scheme {
-        SchemeKind::Ca => {
-            let ds = CaQueue::new(&m);
-            drive_queue(&m, &ds, scheme, cfg)
-        }
-        s => with_scheme!(&m, cfg, s, |sch| {
-            let ds = SmrQueue::new(&m, sch);
-            drive_queue(&m, &ds, s, cfg)
-        }),
-    };
-    let report = m.race_report();
-    (metrics, report)
-}
-
-/// Run the lock-free Conditional-Access Harris list (extension beyond the
-/// paper; only the `ca` scheme applies — the structure embodies it).
-pub fn run_harris(cfg: &RunConfig) -> Metrics {
-    reject_native(cfg, "run_harris");
-    let m = Machine::new(cfg.machine_config());
-    let ds = CaHarrisList::new(&m);
-    drive_set(&m, &ds, SchemeKind::Ca, cfg).0
-}
-
-/// Run the **lock-free** Conditional-Access external BST (extension beyond
-/// the paper, mirroring [`run_harris`] for trees).
-pub fn run_lf_bst(cfg: &RunConfig) -> Metrics {
-    reject_native(cfg, "run_lf_bst");
-    let m = Machine::new(cfg.machine_config());
-    let ds = CaLfExtBst::new(&m);
-    drive_set(&m, &ds, SchemeKind::Ca, cfg).0
-}
-
-/// Run the hand-over-hand **transactional** lazy list (the Zhou et al.
-/// comparator of §VI) with a `slots`-entry metadata version table. Like CA
-/// it reclaims immediately and needs no SMR scheme.
-pub fn run_htm_list(cfg: &RunConfig, slots: usize) -> Metrics {
-    reject_native(cfg, "run_htm_list");
-    let m = Machine::new(cfg.machine_config());
-    let ds = HtmLazyList::with_slots(&m, slots);
-    drive_set(&m, &ds, SchemeKind::Ca, cfg).0
-}
-
-/// Run the CA lazy list wrapped in the §IV fallback path. Returns the usual
-/// metrics plus how many operations completed on the sequential path.
-pub fn run_fallback_list(cfg: &RunConfig, max_attempts: u64) -> (Metrics, u64) {
-    reject_native(cfg, "run_fallback_list");
-    let m = Machine::new(cfg.machine_config());
-    let ds = FbCaLazyList::with_max_attempts(&m, cfg.threads, max_attempts);
-    let metrics = drive_set(&m, &ds, SchemeKind::Ca, cfg).0;
-    let fallbacks = ds.fallbacks_taken();
-    (metrics, fallbacks)
-}
-
-/// The robustness-figure runner: [`run_set`] under an injected
-/// [`RunConfig::fault_plan`]. Faults are disarmed for the prefill (so
-/// trigger clocks always mean measured-phase clocks) and re-armed after
-/// `reset_timing`; the measured phase tolerates injected crashes — a
-/// crashed core simply stops contributing operations, exactly like a
-/// thread that stalled forever (the two are indistinguishable to the
-/// survivors). Returns the usual metrics plus the merged
-/// retired-but-unfreed garbage accounting of the *surviving* threads —
-/// which is where a pinned backlog accumulates, since it is the survivors
-/// who retire nodes they can no longer free.
-pub fn run_set_robust(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
-    reject_native(cfg, "run_set_robust");
-    let m = Machine::new(cfg.machine_config());
-    match (kind, scheme) {
-        (SetKind::LazyList, SchemeKind::Ca) => {
-            let ds = CaLazyList::new(&m);
-            drive_set_robust(&m, &ds, scheme, cfg, |_| GarbageStats::default())
-        }
-        (SetKind::LazyList, s) => with_scheme!(&m, cfg, s, |sch| {
-            let ds = SmrLazyList::new(&m, &sch);
-            drive_set_robust(&m, &ds, s, cfg, |tls| sch.garbage(tls))
-        }),
-        (SetKind::ExtBst, SchemeKind::Ca) => {
-            let ds = CaExtBst::new(&m);
-            drive_set_robust(&m, &ds, scheme, cfg, |_| GarbageStats::default())
-        }
-        (SetKind::ExtBst, s) => with_scheme!(&m, cfg, s, |sch| {
-            let ds = SmrExtBst::new(&m, &sch);
-            drive_set_robust(&m, &ds, s, cfg, |tls| sch.garbage(tls))
-        }),
-        (SetKind::HashTable, SchemeKind::Ca) => {
-            let ds = HashTable::new(&m, cfg.buckets, CaLazyList::new);
-            drive_set_robust(&m, &ds, scheme, cfg, |_| GarbageStats::default())
-        }
-        (SetKind::HashTable, s) => with_scheme!(&m, cfg, s, |sch| {
-            let ds = HashTable::new(&m, cfg.buckets, |mm| SmrLazyList::new(mm, &sch));
-            drive_set_robust(&m, &ds, s, cfg, |tls| sch.garbage(tls))
-        }),
-    }
-}
-
-/// [`run_queue`] under an injected fault plan — the robustness figure's
-/// main instrument. The MS queue is **lock-free**, so it (like every
-/// nonblocking structure) stays live when a core fail-stops mid-operation;
-/// the lock-based sets do not — a victim crashed while holding a node lock
-/// wedges the survivors, which the [`RunConfig::max_cycles`] watchdog turns
-/// into an attributable panic (one `ERR` cell under collecting sweeps).
-/// That asymmetry is the reason this figure runs on the queue: a crashed
-/// thread only makes sense as a *measurement* condition where the survivors
-/// are guaranteed to keep completing operations. Crash plans on
-/// [`run_set_robust`] are still meaningful for *finite* stalls (the victim
-/// resumes and releases its locks).
-pub fn run_queue_robust(scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
-    assert_eq!(
-        cfg.mix.updates(),
-        100,
-        "queues have no read operation: use an enqueue/dequeue-only mix"
-    );
-    reject_native(cfg, "run_queue_robust");
-    let m = Machine::new(cfg.machine_config());
-    match scheme {
-        SchemeKind::Ca => {
-            let ds = CaQueue::new(&m);
-            drive_queue_robust(&m, &ds, scheme, cfg, |_| GarbageStats::default())
-        }
-        s => with_scheme!(&m, cfg, s, |sch| {
-            let ds = SmrQueue::new(&m, &sch);
-            drive_queue_robust(&m, &ds, s, cfg, |tls| sch.garbage(tls))
-        }),
-    }
+/// The one per-run instrument [`RunConfig`] does not already describe.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Instrument {
+    /// Plain run.
+    None,
+    /// Record every operation's latency (simulated cycles, or wall
+    /// nanoseconds natively) into [`Outcome::latency`] — the §I tail-latency
+    /// claim's instrument. The probes are host-side [`Env::now`] reads, so
+    /// simulated results are identical to a plain run's.
+    Latency,
 }
 
 /// Recovery clocks per core, as reported by
@@ -346,785 +144,554 @@ pub fn run_queue_robust(scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
 /// for cores that crashed and came back, `None` elsewhere.
 pub type RecoveryClocks = Vec<Option<(u64, u64)>>;
 
-/// Per-core accounting collected by the recovery runner's closures.
-#[derive(Clone, Debug, Default)]
-struct RecoveryProbe {
+/// Everything one [`run`] produced.
+#[derive(Clone, Debug)]
+pub struct Outcome {
+    /// The measurement record, including the garbage and recovery counters
+    /// folded from every worker that finished (or recovered).
+    pub metrics: Metrics,
+    /// Raw per-core machine statistics — the instrument behind the
+    /// determinism tests (identical runs must produce identical per-core
+    /// counters, not just identical aggregates). No cores for native runs.
+    pub stats: MachineStats,
+    /// Retired-but-unfreed accounting merged over the *surviving* threads —
+    /// which is where a pinned backlog accumulates, since it is the
+    /// survivors who retire nodes they can no longer free.
+    pub garbage: GarbageStats,
+    /// Per-core recovery clocks (all `None` without restarts; empty natively).
+    pub recovery: RecoveryClocks,
+    /// Operations completed on the sequential fallback path
+    /// ([`Structure::FallbackList`] only).
+    pub fallbacks: u64,
+    /// Merged per-operation latency ([`Instrument::Latency`] only).
+    pub latency: Option<Histogram>,
+    /// Happens-before analysis ([`RunConfig::race_check`] only).
+    pub race: Option<RaceReport>,
+}
+
+/// The request, as every layer below [`run`] sees it.
+#[derive(Copy, Clone)]
+struct Job<'a> {
+    scheme: SchemeKind,
+    cfg: &'a RunConfig,
+    instrument: Instrument,
+}
+
+/// One structure family's workload, written once against any [`Env`]: how
+/// to fill the structure and what one measured operation is.
+trait Workload<E: Env>: DsShared {
+    fn prefill(&self, env: &mut E, tls: &mut Self::Tls, rng: &mut Rng, cfg: &RunConfig);
+    fn step(&self, env: &mut E, tls: &mut Self::Tls, rng: &mut Rng, cfg: &RunConfig);
+}
+
+/// Family wrappers: a blanket `Workload` impl per `cads` trait would
+/// overlap, a newtype per family does not.
+macro_rules! family {
+    ($(#[$doc:meta])* $name:ident) => {
+        $(#[$doc])*
+        struct $name<D>(D);
+
+        impl<D: DsShared> DsShared for $name<D> {
+            type Tls = D::Tls;
+
+            fn register(&self, tid: usize) -> D::Tls {
+                self.0.register(tid)
+            }
+        }
+    };
+}
+
+family!(
+    /// Sets: prefill to exactly `prefill` distinct keys; insert / delete /
+    /// contains by the mix.
+    SetOps
+);
+family!(
+    /// Stacks: `prefill` pushes; push / pop / peek by the mix.
+    StackOps
+);
+family!(
+    /// Queues: `prefill` enqueues; enqueue / dequeue (no read operation).
+    QueueOps
+);
+
+impl<E: Env, D: SetDs<E>> Workload<E> for SetOps<D> {
+    fn prefill(&self, env: &mut E, tls: &mut D::Tls, rng: &mut Rng, cfg: &RunConfig) {
+        assert!(
+            cfg.prefill <= cfg.key_range,
+            "cannot prefill {} distinct keys from a range of {}",
+            cfg.prefill,
+            cfg.key_range
+        );
+        // Exactly `prefill` elements with random keys (paper: 50%).
+        let mut live = 0;
+        while live < cfg.prefill {
+            if self.0.insert(env, tls, 1 + rng.below(cfg.key_range)) {
+                live += 1;
+            }
+        }
+    }
+
+    #[inline]
+    fn step(&self, env: &mut E, tls: &mut D::Tls, rng: &mut Rng, cfg: &RunConfig) {
+        let key = 1 + rng.below(cfg.key_range);
+        let roll = rng.below(100);
+        if roll < cfg.mix.insert_pct {
+            self.0.insert(env, tls, key);
+        } else if roll < cfg.mix.updates() {
+            self.0.delete(env, tls, key);
+        } else {
+            self.0.contains(env, tls, key);
+        }
+    }
+}
+
+impl<E: Env, D: StackDs<E>> Workload<E> for StackOps<D> {
+    fn prefill(&self, env: &mut E, tls: &mut D::Tls, rng: &mut Rng, cfg: &RunConfig) {
+        for _ in 0..cfg.prefill {
+            self.0.push(env, tls, 1 + rng.below(cfg.key_range));
+        }
+    }
+
+    #[inline]
+    fn step(&self, env: &mut E, tls: &mut D::Tls, rng: &mut Rng, cfg: &RunConfig) {
+        let roll = rng.below(100);
+        if roll < cfg.mix.insert_pct {
+            self.0.push(env, tls, 1 + rng.below(cfg.key_range));
+        } else if roll < cfg.mix.updates() {
+            self.0.pop(env, tls);
+        } else {
+            self.0.peek(env, tls);
+        }
+    }
+}
+
+impl<E: Env, D: QueueDs<E>> Workload<E> for QueueOps<D> {
+    fn prefill(&self, env: &mut E, tls: &mut D::Tls, rng: &mut Rng, cfg: &RunConfig) {
+        for _ in 0..cfg.prefill {
+            self.0.enqueue(env, tls, 1 + rng.below(cfg.key_range));
+        }
+    }
+
+    #[inline]
+    fn step(&self, env: &mut E, tls: &mut D::Tls, rng: &mut Rng, cfg: &RunConfig) {
+        let roll = rng.below(100);
+        if roll < cfg.mix.insert_pct {
+            self.0.enqueue(env, tls, 1 + rng.below(cfg.key_range));
+        } else {
+            self.0.dequeue(env, tls);
+        }
+    }
+}
+
+/// The single-threaded prefill both hosts run before resetting their clocks.
+fn prefill<E: Env, W: Workload<E>>(w: &W, env: &mut E, cfg: &RunConfig) {
+    let mut tls = w.register(0);
+    let mut rng = Rng::new(cfg.thread_seed(usize::MAX));
+    w.prefill(env, &mut tls, &mut rng, cfg);
+}
+
+/// One worker's state across the measured phase: thread-local reclamation
+/// state, the workload RNG, the completed-op count (so a restarted core can
+/// finish exactly its interrupted quota) and the latency histogram.
+struct Worker<T> {
+    tls: T,
+    rng: Rng,
+    done: u64,
+    latency: Option<Histogram>,
+}
+
+impl<T> Worker<T> {
+    fn new(tls: T, tid: usize, job: Job) -> Self {
+        Worker {
+            tls,
+            rng: Rng::new(job.cfg.thread_seed(tid)),
+            done: 0,
+            latency: (job.instrument == Instrument::Latency).then(Histogram::new),
+        }
+    }
+
+    /// The measured loop: run operations until this worker's quota is met.
+    fn drive<E: Env, W: Workload<E, Tls = T>>(&mut self, w: &W, env: &mut E, cfg: &RunConfig) {
+        while self.done < cfg.ops_per_thread {
+            match &mut self.latency {
+                None => w.step(env, &mut self.tls, &mut self.rng, cfg),
+                Some(hist) => {
+                    let start = env.now();
+                    w.step(env, &mut self.tls, &mut self.rng, cfg);
+                    hist.record(env.now() - start);
+                }
+            }
+            env.op_completed();
+            self.done += 1;
+        }
+    }
+
+    /// What this worker reports once its quota is met.
+    fn probe(&mut self, garbage: GarbageStats) -> Probe {
+        Probe {
+            garbage,
+            latency: self.latency.take(),
+            ..Default::default()
+        }
+    }
+}
+
+/// Per-worker accounting, folded into the [`Outcome`] by [`Outcome::fold`].
+#[derive(Default)]
+struct Probe {
     garbage: GarbageStats,
+    latency: Option<Histogram>,
     orphans_detected: u64,
     adoptions: u64,
     adopted_bytes: u64,
     recovery_cycles: u64,
 }
 
-/// The crash-recovery runner: [`run_queue`] under a **restart-bearing**
-/// [`RunConfig::fault_plan`], through [`mcsim::Machine::run_recover_on`].
-///
-/// Every worker parks its thread-local SMR state in a [`casmr::TlsVault`]
-/// slot, so an injected crash strands the state instead of destroying it.
-/// When the victim's restart trigger fires, its recovery closure
-///
-/// 1. mints a [`casmr::CrashToken`] from the restart notice (safe: the
-///    notice proves the simulator itself fail-stopped the core),
-/// 2. extracts the wrecked state from the vault and rejoins via
-///    [`casmr::Smr::join`],
-/// 3. **adopts** the crash orphan ([`casmr::Smr::adopt`]) — forcibly
-///    retracting the victim's stale publications, merging its retire
-///    backlog, and scanning — and
-/// 4. finishes the victim's interrupted operation quota.
-///
-/// The returned [`Metrics`] carry the recovery counters
-/// (`orphans_detected`, `adoptions`, `adopted_bytes`, `recovery_cycles` =
-/// worst crash→adoption-complete latency). Plans whose crashes have no
-/// restart degrade to [`run_queue_robust`] behavior: the victim stays dead
-/// and its pinned backlog grows with the survivors' work — the contrast
-/// `fig_recovery` plots.
-pub fn run_queue_recover(scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
-    run_queue_recover_with_stats(scheme, cfg).0
-}
-
-/// [`run_queue_recover`], also returning the raw machine statistics and the
-/// per-core recovery clocks — the instrument behind the gang-determinism
-/// grid (identical layouts must recover at identical clocks).
-pub fn run_queue_recover_with_stats(
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-) -> (Metrics, mcsim::MachineStats, RecoveryClocks) {
-    assert_eq!(
-        cfg.mix.updates(),
-        100,
-        "queues have no read operation: use an enqueue/dequeue-only mix"
-    );
-    reject_native(cfg, "run_queue_recover");
-    let m = Machine::new(cfg.machine_config());
-    match scheme {
-        SchemeKind::Ca => {
-            let ds = CaQueue::new(&m);
-            drive_queue_recover_immediate(&m, &ds, scheme, cfg)
-        }
-        s => with_scheme!(&m, cfg, s, |sch| {
-            let ds = SmrQueue::new(&m, sch);
-            drive_queue_recover(&m, &ds, s, cfg)
-        }),
-    }
-}
-
-/// Worker state parked in the vault across the recovery runner's measured
-/// phase: thread-local SMR state, the workload RNG, and the completed-op
-/// count (so a restarted core can finish exactly its interrupted quota).
-struct Parked<T> {
-    tls: T,
-    rng: Rng,
-    done: u64,
-}
-
-fn drive_queue_recover<S>(
-    m: &Machine,
-    ds: &SmrQueue<S>,
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-) -> (Metrics, mcsim::MachineStats, RecoveryClocks)
-where
-    S: for<'m> Smr<Ctx<'m>> + Sync,
-    <S as SmrBase>::Tls: Send,
-{
-    m.set_faults_armed(false);
-    m.run_on(1, |_, ctx| {
-        let mut tls = ds.register(0);
-        let mut rng = Rng::new(cfg.thread_seed(usize::MAX));
-        for _ in 0..cfg.prefill {
-            ds.enqueue(ctx, &mut tls, 1 + rng.below(cfg.key_range));
-        }
-    });
-    m.reset_timing();
-    m.set_faults_armed(true);
-
-    let vault: TlsVault<Parked<S::Tls>> = TlsVault::new(cfg.threads);
-    for tid in 0..cfg.threads {
-        vault.put(
-            tid,
-            Parked {
-                tls: ds.register(tid),
-                rng: Rng::new(cfg.thread_seed(tid)),
-                done: 0,
-            },
-        );
-    }
-    let step = |ctx: &mut Ctx, p: &mut Parked<S::Tls>| {
-        let roll = p.rng.below(100);
-        if roll < cfg.mix.insert_pct {
-            ds.enqueue(ctx, &mut p.tls, 1 + p.rng.below(cfg.key_range));
-        } else {
-            ds.dequeue(ctx, &mut p.tls);
-        }
-        ctx.op_completed();
-        p.done += 1;
-    };
-    let outs = m.run_recover_on(
-        cfg.threads,
-        |tid, ctx| {
-            // Work through the held vault guard: a crash unwinds here and
-            // merely poisons the slot, leaving the state adoptable.
-            let mut slot = vault.lock(tid);
-            let p = slot.as_mut().expect("worker state parked before the run");
-            while p.done < cfg.ops_per_thread {
-                step(ctx, p);
+impl Outcome {
+    /// Fold the finished workers' probes into the host's metrics.
+    fn fold(
+        metrics: Metrics,
+        stats: MachineStats,
+        recovery: RecoveryClocks,
+        race: Option<RaceReport>,
+        probes: impl Iterator<Item = Probe>,
+        instrument: Instrument,
+    ) -> Outcome {
+        let mut garbage = GarbageStats::default();
+        let mut latency = (instrument == Instrument::Latency).then(Histogram::new);
+        let (mut orphans, mut adoptions, mut adopted_bytes, mut recovery_cycles) = (0, 0, 0, 0u64);
+        for p in probes {
+            garbage.merge(&p.garbage);
+            if let (Some(merged), Some(h)) = (&mut latency, &p.latency) {
+                merged.merge(h);
             }
-            RecoveryProbe {
-                garbage: ds.smr().garbage(&p.tls),
-                ..Default::default()
-            }
-        },
-        |restart, ctx| {
-            let tid = restart.core;
-            let token = CrashToken::from_restart(restart);
-            let wreck = vault
-                .take(tid)
-                .expect("crashed worker parked its state before dying");
-            let inherited = ds.smr().garbage(&wreck.tls);
-            let mut p = Parked {
-                tls: ds.smr().join(ctx, tid),
-                rng: wreck.rng,
-                done: wreck.done,
-            };
-            ds.smr().adopt(ctx, &mut p.tls, Orphan::crashed(wreck.tls, token));
-            let recovery_cycles = ctx.now() - restart.crash_clock;
-            while p.done < cfg.ops_per_thread {
-                step(ctx, &mut p);
-            }
-            RecoveryProbe {
-                garbage: ds.smr().garbage(&p.tls),
-                orphans_detected: 1,
-                adoptions: 1,
-                adopted_bytes: inherited.live_bytes(),
-                recovery_cycles,
-            }
-        },
-    );
-    finish_recover(m, scheme, cfg, outs)
-}
-
-/// The no-scheme leg of the recovery runner (Conditional Access): nothing
-/// to adopt — CA structures hold no per-thread reclamation state, so a
-/// restarted core simply re-registers and finishes its quota. Recovery
-/// latency is the restart gap itself.
-fn drive_queue_recover_immediate<D>(
-    m: &Machine,
-    ds: &D,
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-) -> (Metrics, mcsim::MachineStats, RecoveryClocks)
-where
-    D: for<'m> QueueDs<Ctx<'m>>,
-    D::Tls: Send,
-{
-    m.set_faults_armed(false);
-    m.run_on(1, |_, ctx| {
-        let mut tls = ds.register(0);
-        let mut rng = Rng::new(cfg.thread_seed(usize::MAX));
-        for _ in 0..cfg.prefill {
-            ds.enqueue(ctx, &mut tls, 1 + rng.below(cfg.key_range));
-        }
-    });
-    m.reset_timing();
-    m.set_faults_armed(true);
-
-    let vault: TlsVault<Parked<D::Tls>> = TlsVault::new(cfg.threads);
-    for tid in 0..cfg.threads {
-        vault.put(
-            tid,
-            Parked {
-                tls: ds.register(tid),
-                rng: Rng::new(cfg.thread_seed(tid)),
-                done: 0,
-            },
-        );
-    }
-    let step = |ctx: &mut Ctx, p: &mut Parked<D::Tls>| {
-        let roll = p.rng.below(100);
-        if roll < cfg.mix.insert_pct {
-            ds.enqueue(ctx, &mut p.tls, 1 + p.rng.below(cfg.key_range));
-        } else {
-            ds.dequeue(ctx, &mut p.tls);
-        }
-        ctx.op_completed();
-        p.done += 1;
-    };
-    let outs = m.run_recover_on(
-        cfg.threads,
-        |tid, ctx| {
-            let mut slot = vault.lock(tid);
-            let p = slot.as_mut().expect("worker state parked before the run");
-            while p.done < cfg.ops_per_thread {
-                step(ctx, p);
-            }
-            RecoveryProbe::default()
-        },
-        |restart, ctx| {
-            let tid = restart.core;
-            let wreck = vault
-                .take(tid)
-                .expect("crashed worker parked its state before dying");
-            let mut p = Parked {
-                tls: ds.register(tid),
-                rng: wreck.rng,
-                done: wreck.done,
-            };
-            let recovery_cycles = ctx.now() - restart.crash_clock;
-            while p.done < cfg.ops_per_thread {
-                step(ctx, &mut p);
-            }
-            RecoveryProbe {
-                orphans_detected: 1,
-                recovery_cycles,
-                ..Default::default()
-            }
-        },
-    );
-    finish_recover(m, scheme, cfg, outs)
-}
-
-/// Fold the recovery runner's per-core probes into metrics + stats.
-fn finish_recover(
-    m: &Machine,
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-    outs: Vec<CoreOutcome<RecoveryProbe>>,
-) -> (Metrics, mcsim::MachineStats, RecoveryClocks) {
-    let clocks: RecoveryClocks = outs.iter().map(|o| o.recovered()).collect();
-    let mut merged = GarbageStats::default();
-    let (mut orphans, mut adoptions, mut adopted_bytes, mut recovery_cycles) = (0, 0, 0, 0u64);
-    for o in outs {
-        if let Some(p) = o.done() {
-            merged.merge(&p.garbage);
             orphans += p.orphans_detected;
             adoptions += p.adoptions;
             adopted_bytes += p.adopted_bytes;
             recovery_cycles = recovery_cycles.max(p.recovery_cycles);
         }
-    }
-    let stats = m.stats();
-    let metrics = Metrics::from_stats(scheme.name(), cfg.threads, &stats, m.footprint_samples())
-        .with_garbage(&merged)
-        .with_recovery(orphans, adoptions, adopted_bytes, recovery_cycles);
-    (metrics, stats, clocks)
-}
-
-/// Like [`run_set`] but additionally records **per-operation latency** (in
-/// simulated cycles) into a merged histogram — the §I tail-latency claim's
-/// instrument.
-pub fn run_set_latency(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> (Metrics, Histogram) {
-    reject_native(cfg, "run_set_latency");
-    let m = Machine::new(cfg.machine_config());
-    match (kind, scheme) {
-        (SetKind::LazyList, SchemeKind::Ca) => {
-            let ds = CaLazyList::new(&m);
-            drive_set_latency(&m, &ds, scheme, cfg)
+        Outcome {
+            metrics: metrics
+                .with_garbage(&garbage)
+                .with_recovery(orphans, adoptions, adopted_bytes, recovery_cycles),
+            stats,
+            garbage,
+            recovery,
+            fallbacks: 0,
+            latency,
+            race,
         }
-        (SetKind::LazyList, s) => with_scheme!(&m, cfg, s, |sch| {
-            let ds = SmrLazyList::new(&m, sch);
-            drive_set_latency(&m, &ds, s, cfg)
-        }),
-        (SetKind::ExtBst, SchemeKind::Ca) => {
-            let ds = CaExtBst::new(&m);
-            drive_set_latency(&m, &ds, scheme, cfg)
-        }
-        (SetKind::ExtBst, s) => with_scheme!(&m, cfg, s, |sch| {
-            let ds = SmrExtBst::new(&m, sch);
-            drive_set_latency(&m, &ds, s, cfg)
-        }),
-        (SetKind::HashTable, SchemeKind::Ca) => {
-            let ds = HashTable::new(&m, cfg.buckets, CaLazyList::new);
-            drive_set_latency(&m, &ds, scheme, cfg)
-        }
-        (SetKind::HashTable, s) => with_scheme!(&m, cfg, s, |sch| {
-            let ds = HashTable::new(&m, cfg.buckets, |mm| SmrLazyList::new(mm, &sch));
-            drive_set_latency(&m, &ds, s, cfg)
-        }),
     }
 }
 
-/// Run one stack experiment (Figure 2 bottom). Reads are `peek`.
-pub fn run_stack(scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
-    if cfg.native {
-        return run_stack_native(scheme, cfg);
-    }
-    let m = Machine::new(cfg.machine_config());
-    match scheme {
-        SchemeKind::Ca => {
-            let ds = CaStack::new(&m);
-            drive_stack(&m, &ds, scheme, cfg)
-        }
-        s => with_scheme!(&m, cfg, s, |sch| {
-            let ds = SmrStack::new(&m, sch);
-            drive_stack(&m, &ds, s, cfg)
-        }),
-    }
-}
-
-/// Run one queue experiment (the §IV-A extra). Requires a 100%-update mix.
-pub fn run_queue(scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
-    assert_eq!(
-        cfg.mix.updates(),
-        100,
-        "queues have no read operation: use an enqueue/dequeue-only mix"
-    );
-    if cfg.native {
-        return run_queue_native(scheme, cfg);
-    }
-    let m = Machine::new(cfg.machine_config());
-    match scheme {
-        SchemeKind::Ca => {
-            let ds = CaQueue::new(&m);
-            drive_queue(&m, &ds, scheme, cfg)
-        }
-        s => with_scheme!(&m, cfg, s, |sch| {
-            let ds = SmrQueue::new(&m, sch);
-            drive_queue(&m, &ds, s, cfg)
-        }),
-    }
-}
-
-/// Run one set-structure experiment on **real host threads** (the
-/// [`casmr::NativeMachine`] environment). Workload generation, seeds and
-/// prefill discipline are identical to the simulated [`run_set`]; only the
-/// memory environment differs — so sim-vs-native disagreement is
-/// attributable to the cost model, not the workload (the premise of the
-/// `validate` bin). CA panics here: the paper's primitive exists only in
-/// the simulator.
-pub fn run_set_native(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
-    assert!(
-        scheme != SchemeKind::Ca,
-        "Conditional Access needs the simulator's hardware primitive and \
-         cannot run on the native environment"
-    );
-    let mut m = NativeMachine::new(cfg.native_pool_lines());
-    match kind {
-        SetKind::LazyList => with_scheme!(&m, cfg, scheme, |sch| {
-            let ds = SmrLazyList::new(&m, sch);
-            drive_set_native(&mut m, &ds, scheme, cfg)
-        }),
-        SetKind::ExtBst => with_scheme!(&m, cfg, scheme, |sch| {
-            let ds = SmrExtBst::new(&m, sch);
-            drive_set_native(&mut m, &ds, scheme, cfg)
-        }),
-        SetKind::HashTable => with_scheme!(&m, cfg, scheme, |sch| {
-            let ds = HashTable::new(&m, cfg.buckets, |mm| SmrLazyList::new(mm, &sch));
-            drive_set_native(&mut m, &ds, scheme, cfg)
-        }),
-    }
-}
-
-/// Native counterpart of [`run_stack`] (reads are `peek`).
-pub fn run_stack_native(scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
-    assert!(
-        scheme != SchemeKind::Ca,
-        "Conditional Access needs the simulator's hardware primitive and \
-         cannot run on the native environment"
-    );
-    let mut m = NativeMachine::new(cfg.native_pool_lines());
-    with_scheme!(&m, cfg, scheme, |sch| {
-        let ds = SmrStack::new(&m, sch);
-        drive_stack_native(&mut m, &ds, scheme, cfg)
-    })
-}
-
-/// Native counterpart of [`run_queue`]. Requires a 100%-update mix.
-pub fn run_queue_native(scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
-    assert_eq!(
-        cfg.mix.updates(),
-        100,
-        "queues have no read operation: use an enqueue/dequeue-only mix"
-    );
-    assert!(
-        scheme != SchemeKind::Ca,
-        "Conditional Access needs the simulator's hardware primitive and \
-         cannot run on the native environment"
-    );
-    let mut m = NativeMachine::new(cfg.native_pool_lines());
-    with_scheme!(&m, cfg, scheme, |sch| {
-        let ds = SmrQueue::new(&m, sch);
-        drive_queue_native(&mut m, &ds, scheme, cfg)
-    })
-}
-
-fn drive_set_native<D>(
-    m: &mut NativeMachine,
-    ds: &D,
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-) -> Metrics
+/// The simulator shell.
+///
+/// Every worker parks its [`Worker`] state in a [`casmr::TlsVault`] slot and
+/// works through the held guard, so an injected crash unwinds out of the
+/// closure, merely poisons the slot, and strands the state instead of
+/// destroying it. A crashed core with no restart simply stops contributing
+/// operations, exactly like a thread that stalled forever (the two are
+/// indistinguishable to the survivors). When a victim's restart trigger
+/// fires, its recovery closure mints a [`casmr::CrashToken`] from the
+/// restart notice (safe: the notice proves the simulator itself fail-stopped
+/// the core), takes the wreck out of the vault, lets `rejoin` turn it into
+/// fresh thread-local state (adopting the orphan, for schemes that have
+/// one), and finishes the interrupted quota. The vault, the probes and the
+/// `catch_unwind` inside [`Machine::run_recover_on`] are host-side only:
+/// with an empty plan the simulated schedule is the plain one.
+///
+/// Crash plans are a *measurement* only on nonblocking structures (the
+/// queue, the stack): a victim that fail-stops while holding a node lock
+/// wedges the lock-based sets' survivors, which the
+/// [`RunConfig::max_cycles`] watchdog turns into an attributable panic.
+/// Finite stalls are meaningful everywhere (the victim resumes and releases
+/// its locks).
+fn run_sim<W, G, J>(m: &Machine, w: &W, garbage: G, rejoin: J, job: Job) -> Outcome
 where
-    D: for<'p> SetDs<NativeEnv<'p>>,
+    W: for<'m> Workload<Ctx<'m>>,
+    G: Fn(&W::Tls) -> GarbageStats + Sync,
+    J: Fn(&mut Ctx, usize, W::Tls, CrashToken) -> (W::Tls, Option<u64>) + Sync,
 {
-    use casmr::Env as _;
-    assert!(
-        cfg.prefill <= cfg.key_range,
-        "cannot prefill {} distinct keys from a range of {}",
-        cfg.prefill,
-        cfg.key_range
-    );
-    let prefill_seed = cfg.thread_seed(usize::MAX);
-    m.run_on(1, |_, env| {
-        let mut tls = ds.register(0);
-        let mut rng = Rng::new(prefill_seed);
-        let mut live = 0;
-        while live < cfg.prefill {
-            if ds.insert(env, &mut tls, 1 + rng.below(cfg.key_range)) {
-                live += 1;
-            }
-        }
-    });
-    m.reset_timing();
-    m.run_on(cfg.threads, |tid, env| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(cfg.thread_seed(tid));
-        for _ in 0..cfg.ops_per_thread {
-            let key = 1 + rng.below(cfg.key_range);
-            let roll = rng.below(100);
-            if roll < cfg.mix.insert_pct {
-                ds.insert(env, &mut tls, key);
-            } else if roll < cfg.mix.updates() {
-                ds.delete(env, &mut tls, key);
-            } else {
-                ds.contains(env, &mut tls, key);
-            }
-            env.op_completed();
-        }
-    });
-    Metrics::from_native(scheme.name(), cfg.threads, &m.stats())
-}
-
-fn drive_stack_native<D>(
-    m: &mut NativeMachine,
-    ds: &D,
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-) -> Metrics
-where
-    D: for<'p> StackDs<NativeEnv<'p>>,
-{
-    use casmr::Env as _;
-    m.run_on(1, |_, env| {
-        let mut tls = ds.register(0);
-        let mut rng = Rng::new(cfg.thread_seed(usize::MAX));
-        for _ in 0..cfg.prefill {
-            ds.push(env, &mut tls, 1 + rng.below(cfg.key_range));
-        }
-    });
-    m.reset_timing();
-    m.run_on(cfg.threads, |tid, env| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(cfg.thread_seed(tid));
-        for _ in 0..cfg.ops_per_thread {
-            let roll = rng.below(100);
-            if roll < cfg.mix.insert_pct {
-                ds.push(env, &mut tls, 1 + rng.below(cfg.key_range));
-            } else if roll < cfg.mix.updates() {
-                ds.pop(env, &mut tls);
-            } else {
-                ds.peek(env, &mut tls);
-            }
-            env.op_completed();
-        }
-    });
-    Metrics::from_native(scheme.name(), cfg.threads, &m.stats())
-}
-
-fn drive_queue_native<D>(
-    m: &mut NativeMachine,
-    ds: &D,
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-) -> Metrics
-where
-    D: for<'p> QueueDs<NativeEnv<'p>>,
-{
-    use casmr::Env as _;
-    m.run_on(1, |_, env| {
-        let mut tls = ds.register(0);
-        let mut rng = Rng::new(cfg.thread_seed(usize::MAX));
-        for _ in 0..cfg.prefill {
-            ds.enqueue(env, &mut tls, 1 + rng.below(cfg.key_range));
-        }
-    });
-    m.reset_timing();
-    m.run_on(cfg.threads, |tid, env| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(cfg.thread_seed(tid));
-        for _ in 0..cfg.ops_per_thread {
-            let roll = rng.below(100);
-            if roll < cfg.mix.insert_pct {
-                ds.enqueue(env, &mut tls, 1 + rng.below(cfg.key_range));
-            } else {
-                ds.dequeue(env, &mut tls);
-            }
-            env.op_completed();
-        }
-    });
-    Metrics::from_native(scheme.name(), cfg.threads, &m.stats())
-}
-
-fn drive_set<D: for<'m> SetDs<Ctx<'m>>>(
-    m: &Machine,
-    ds: &D,
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-) -> (Metrics, mcsim::MachineStats) {
-    assert!(
-        cfg.prefill <= cfg.key_range,
-        "cannot prefill {} distinct keys from a range of {}",
-        cfg.prefill,
-        cfg.key_range
-    );
-    // Prefill to exactly `prefill` elements with random keys (paper: 50%).
-    let prefill_seed = cfg.thread_seed(usize::MAX);
-    m.run_on(1, |_, ctx| {
-        let mut tls = ds.register(0);
-        let mut rng = Rng::new(prefill_seed);
-        let mut live = 0;
-        while live < cfg.prefill {
-            if ds.insert(ctx, &mut tls, 1 + rng.below(cfg.key_range)) {
-                live += 1;
-            }
-        }
-    });
-    m.reset_timing();
-    m.run_on(cfg.threads, |tid, ctx| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(cfg.thread_seed(tid));
-        for _ in 0..cfg.ops_per_thread {
-            let key = 1 + rng.below(cfg.key_range);
-            let roll = rng.below(100);
-            if roll < cfg.mix.insert_pct {
-                ds.insert(ctx, &mut tls, key);
-            } else if roll < cfg.mix.updates() {
-                ds.delete(ctx, &mut tls, key);
-            } else {
-                ds.contains(ctx, &mut tls, key);
-            }
-            ctx.op_completed();
-        }
-    });
-    let stats = m.stats();
-    let metrics = Metrics::from_stats(scheme.name(), cfg.threads, &stats, m.footprint_samples());
-    (metrics, stats)
-}
-
-/// `drive_set` under an armed fault plan (see [`run_set_robust`]).
-fn drive_set_robust<D: for<'m> SetDs<Ctx<'m>>, G>(
-    m: &Machine,
-    ds: &D,
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-    garbage: G,
-) -> Metrics
-where
-    G: Fn(&D::Tls) -> GarbageStats + Sync,
-{
+    let cfg = job.cfg;
     // Prefill with faults disarmed: a `crash at clock C` in the plan always
     // means "C cycles into the measured phase", never somewhere random
     // inside the (much longer, single-threaded) prefill.
     m.set_faults_armed(false);
-    let prefill_seed = cfg.thread_seed(usize::MAX);
-    m.run_on(1, |_, ctx| {
-        let mut tls = ds.register(0);
-        let mut rng = Rng::new(prefill_seed);
-        let mut live = 0;
-        while live < cfg.prefill {
-            if ds.insert(ctx, &mut tls, 1 + rng.below(cfg.key_range)) {
-                live += 1;
-            }
-        }
-    });
+    m.run_on(1, |_, ctx| prefill(w, ctx, cfg));
     m.reset_timing();
     m.set_faults_armed(true);
-    let outs = m.run_outcomes_on(cfg.threads, |tid, ctx| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(cfg.thread_seed(tid));
-        for _ in 0..cfg.ops_per_thread {
-            let key = 1 + rng.below(cfg.key_range);
-            let roll = rng.below(100);
-            if roll < cfg.mix.insert_pct {
-                ds.insert(ctx, &mut tls, key);
-            } else if roll < cfg.mix.updates() {
-                ds.delete(ctx, &mut tls, key);
-            } else {
-                ds.contains(ctx, &mut tls, key);
-            }
-            ctx.op_completed();
-        }
-        garbage(&tls)
-    });
-    let mut merged = GarbageStats::default();
-    for o in outs {
-        if let CoreOutcome::Done(g) = o {
-            merged.merge(&g);
-        }
+
+    let vault = TlsVault::new(cfg.threads);
+    for tid in 0..cfg.threads {
+        vault.put(tid, Worker::new(w.register(tid), tid, job));
     }
-    Metrics::from_stats(scheme.name(), cfg.threads, &m.stats(), m.footprint_samples())
-        .with_garbage(&merged)
+    let outs = m.run_recover_on(
+        cfg.threads,
+        |tid, ctx| {
+            let mut slot = vault.lock(tid);
+            let p = slot.as_mut().expect("worker state parked before the run");
+            p.drive(w, ctx, cfg);
+            p.probe(garbage(&p.tls))
+        },
+        |restart, ctx| {
+            let tid = restart.core;
+            let wreck = vault
+                .take(tid)
+                .expect("crashed worker parked its state before dying");
+            let (tls, adopted) = rejoin(ctx, tid, wreck.tls, CrashToken::from_restart(restart));
+            let mut p = Worker { tls, ..wreck };
+            let recovery_cycles = ctx.now() - restart.crash_clock;
+            p.drive(w, ctx, cfg);
+            Probe {
+                orphans_detected: 1,
+                adoptions: adopted.is_some() as u64,
+                adopted_bytes: adopted.unwrap_or(0),
+                recovery_cycles,
+                ..p.probe(garbage(&p.tls))
+            }
+        },
+    );
+    let stats = m.stats();
+    Outcome::fold(
+        Metrics::from_stats(job.scheme.name(), cfg.threads, &stats, m.footprint_samples()),
+        stats,
+        outs.iter().map(|o| o.recovered()).collect(),
+        cfg.race_check.then(|| m.race_report()),
+        outs.into_iter().filter_map(|o| o.done()),
+        job.instrument,
+    )
 }
 
-/// `drive_set` with per-operation latency capture. The `ctx.now()` probes
-/// are host-side (no simulated cycles), so throughput is unaffected.
-fn drive_set_latency<D: for<'m> SetDs<Ctx<'m>>>(
-    m: &Machine,
-    ds: &D,
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-) -> (Metrics, Histogram) {
-    let prefill_seed = cfg.thread_seed(usize::MAX);
-    m.run_on(1, |_, ctx| {
-        let mut tls = ds.register(0);
-        let mut rng = Rng::new(prefill_seed);
-        let mut live = 0;
-        while live < cfg.prefill {
-            if ds.insert(ctx, &mut tls, 1 + rng.below(cfg.key_range)) {
-                live += 1;
-            }
-        }
-    });
-    m.reset_timing();
-    let hists = m.run_on(cfg.threads, |tid, ctx| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(cfg.thread_seed(tid));
-        let mut hist = Histogram::new();
-        for _ in 0..cfg.ops_per_thread {
-            let key = 1 + rng.below(cfg.key_range);
-            let roll = rng.below(100);
-            let start = ctx.now();
-            if roll < cfg.mix.insert_pct {
-                ds.insert(ctx, &mut tls, key);
-            } else if roll < cfg.mix.updates() {
-                ds.delete(ctx, &mut tls, key);
-            } else {
-                ds.contains(ctx, &mut tls, key);
-            }
-            hist.record(ctx.now() - start);
-            ctx.op_completed();
-        }
-        hist
-    });
-    let mut merged = Histogram::new();
-    for h in &hists {
-        merged.merge(h);
-    }
-    let metrics = Metrics::from_stats(scheme.name(), cfg.threads, &m.stats(), m.footprint_samples());
-    (metrics, merged)
+/// [`run_sim`] for the structures that reclaim immediately (CA, HTM): there
+/// is no garbage to meter and nothing to adopt — they hold no per-thread
+/// reclamation state, so a restarted core simply re-registers and finishes
+/// its quota, and recovery latency is the restart gap itself.
+fn run_sim_immediate<W: for<'m> Workload<Ctx<'m>>>(m: &Machine, w: &W, job: Job) -> Outcome {
+    let rejoin = |_: &mut Ctx, tid, _, _| (w.register(tid), None);
+    run_sim(m, w, |_| GarbageStats::default(), rejoin, job)
 }
 
-fn drive_stack<D: for<'m> StackDs<Ctx<'m>>>(
-    m: &Machine,
-    ds: &D,
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-) -> Metrics {
-    m.run_on(1, |_, ctx| {
-        let mut tls = ds.register(0);
-        let mut rng = Rng::new(cfg.thread_seed(usize::MAX));
-        for _ in 0..cfg.prefill {
-            ds.push(ctx, &mut tls, 1 + rng.below(cfg.key_range));
-        }
-    });
-    m.reset_timing();
-    m.run_on(cfg.threads, |tid, ctx| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(cfg.thread_seed(tid));
-        for _ in 0..cfg.ops_per_thread {
-            let roll = rng.below(100);
-            if roll < cfg.mix.insert_pct {
-                ds.push(ctx, &mut tls, 1 + rng.below(cfg.key_range));
-            } else if roll < cfg.mix.updates() {
-                ds.pop(ctx, &mut tls);
-            } else {
-                ds.peek(ctx, &mut tls);
-            }
-            ctx.op_completed();
-        }
-    });
-    Metrics::from_stats(scheme.name(), cfg.threads, &m.stats(), m.footprint_samples())
-}
-
-/// `drive_queue` under an armed fault plan (see [`run_queue_robust`];
-/// prefill/arming discipline as in [`drive_set_robust`]).
-fn drive_queue_robust<D: for<'m> QueueDs<Ctx<'m>>, G>(
-    m: &Machine,
-    ds: &D,
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-    garbage: G,
-) -> Metrics
+/// The host-thread shell: same prefill, same loop, same seeds as
+/// [`run_sim`]; only the memory environment differs — so sim-vs-native
+/// disagreement is attributable to the cost model, not the workload (the
+/// premise of the `validate` bin). No fault plan reaches here.
+fn run_native<W, G>(m: &mut NativeMachine, w: &W, garbage: G, job: Job) -> Outcome
 where
-    G: Fn(&D::Tls) -> GarbageStats + Sync,
+    W: for<'p> Workload<NativeEnv<'p>>,
+    G: Fn(&W::Tls) -> GarbageStats + Sync,
 {
-    m.set_faults_armed(false);
-    m.run_on(1, |_, ctx| {
-        let mut tls = ds.register(0);
-        let mut rng = Rng::new(cfg.thread_seed(usize::MAX));
-        for _ in 0..cfg.prefill {
-            ds.enqueue(ctx, &mut tls, 1 + rng.below(cfg.key_range));
-        }
-    });
+    let cfg = job.cfg;
+    m.run_on(1, |_, env| prefill(w, env, cfg));
     m.reset_timing();
-    m.set_faults_armed(true);
-    let outs = m.run_outcomes_on(cfg.threads, |tid, ctx| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(cfg.thread_seed(tid));
-        for _ in 0..cfg.ops_per_thread {
-            let roll = rng.below(100);
-            if roll < cfg.mix.insert_pct {
-                ds.enqueue(ctx, &mut tls, 1 + rng.below(cfg.key_range));
-            } else {
-                ds.dequeue(ctx, &mut tls);
-            }
-            ctx.op_completed();
-        }
-        garbage(&tls)
+    let probes = m.run_on(cfg.threads, |tid, env| {
+        let mut p = Worker::new(w.register(tid), tid, job);
+        p.drive(w, env, cfg);
+        p.probe(garbage(&p.tls))
     });
-    let mut merged = GarbageStats::default();
-    for o in outs {
-        if let CoreOutcome::Done(g) = o {
-            merged.merge(&g);
-        }
-    }
-    Metrics::from_stats(scheme.name(), cfg.threads, &m.stats(), m.footprint_samples())
-        .with_garbage(&merged)
+    Outcome::fold(
+        Metrics::from_native(job.scheme.name(), cfg.threads, &m.stats()),
+        MachineStats::default(),
+        RecoveryClocks::new(),
+        None,
+        probes.into_iter(),
+        job.instrument,
+    )
 }
 
-fn drive_queue<D: for<'m> QueueDs<Ctx<'m>>>(
-    m: &Machine,
-    ds: &D,
+/// Instantiate a baseline scheme over `$host` (either machine) and run
+/// `$body` with it. `Ca` has no scheme object and is handled before this.
+/// **Adding a scheme is one arm here.**
+macro_rules! with_scheme {
+    ($host:expr, $cfg:expr, $scheme:expr, |$s:ident| $body:expr) => {
+        match $scheme {
+            SchemeKind::None => {
+                let $s = Leaky::new();
+                $body
+            }
+            SchemeKind::Qsbr => {
+                let $s = Qsbr::new($host, $cfg.threads, $cfg.smr.clone());
+                $body
+            }
+            SchemeKind::Rcu => {
+                let $s = Rcu::new($host, $cfg.threads, $cfg.smr.clone());
+                $body
+            }
+            SchemeKind::Ibr => {
+                let $s = Ibr::new($host, $cfg.threads, $cfg.smr.clone());
+                $body
+            }
+            SchemeKind::Hp => {
+                let $s = Hp::new($host, $cfg.threads, $cfg.smr.clone());
+                $body
+            }
+            SchemeKind::He => {
+                let $s = He::new($host, $cfg.threads, $cfg.smr.clone());
+                $body
+            }
+            SchemeKind::Ca => unreachable!("CA is handled before dispatch"),
+        }
+    };
+}
+
+/// Build the SMR variant of `$structure` over `$host` (either machine: the
+/// SMR structures are `EnvHost`-generic) around the shared scheme `$sch`,
+/// and run `$body` with it. **Adding an SMR structure is one arm here.**
+macro_rules! with_smr_structure {
+    ($host:expr, $cfg:expr, $structure:expr, $sch:expr, |$w:ident| $body:expr) => {
+        match $structure {
+            Structure::Set(SetKind::LazyList) => {
+                let $w = SetOps(SmrLazyList::new($host, $sch));
+                $body
+            }
+            Structure::Set(SetKind::ExtBst) => {
+                let $w = SetOps(SmrExtBst::new($host, $sch));
+                $body
+            }
+            Structure::Set(SetKind::HashTable) => {
+                let $w = SetOps(HashTable::new($host, $cfg.buckets, |h| {
+                    SmrLazyList::new(h, $sch)
+                }));
+                $body
+            }
+            Structure::Stack => {
+                let $w = StackOps(SmrStack::new($host, $sch));
+                $body
+            }
+            Structure::Queue => {
+                let $w = QueueOps(SmrQueue::new($host, $sch));
+                $body
+            }
+            other => unreachable!("{} takes no scheme (Structure::supports)", other.name()),
+        }
+    };
+}
+
+/// Panic (→ one `ERR` cell in a collecting sweep) when something that needs
+/// the simulated machine is asked to execute natively.
+fn reject_native(needs_sim: bool, what: &str) {
+    assert!(
+        !needs_sim,
+        "{what} is simulator-only and cannot run with RunConfig::native \
+         (Conditional Access and the instrumented runners need the \
+         simulated machine)"
+    );
+}
+
+/// Run one experiment: build the machine `cfg` describes, build `structure`
+/// under `scheme` on it, prefill, run the measured phase, and collect the
+/// [`Outcome`]. See the module docs for what `cfg` implies.
+pub fn run(
+    structure: Structure,
     scheme: SchemeKind,
     cfg: &RunConfig,
-) -> Metrics {
-    m.run_on(1, |_, ctx| {
-        let mut tls = ds.register(0);
-        let mut rng = Rng::new(cfg.thread_seed(usize::MAX));
-        for _ in 0..cfg.prefill {
-            ds.enqueue(ctx, &mut tls, 1 + rng.below(cfg.key_range));
+    instrument: Instrument,
+) -> Outcome {
+    assert!(
+        structure.supports(scheme),
+        "{} embodies immediate reclamation and runs only as `ca`, not `{scheme}`",
+        structure.name()
+    );
+    if structure == Structure::Queue {
+        assert_eq!(
+            cfg.mix.updates(),
+            100,
+            "queues have no read operation: use an enqueue/dequeue-only mix"
+        );
+    }
+    let job = Job { scheme, cfg, instrument };
+    if cfg.native {
+        // Only the structures that take an SMR scheme have a native build.
+        reject_native(!structure.supports(SchemeKind::None), structure.name());
+        assert!(
+            scheme != SchemeKind::Ca,
+            "Conditional Access needs the simulator's hardware primitive and \
+             cannot run on the native environment"
+        );
+        reject_native(!cfg.fault_plan.is_empty(), "a fault plan");
+        let mut m = NativeMachine::new(cfg.native_pool_lines());
+        return with_scheme!(&m, cfg, scheme, |sch| {
+            with_smr_structure!(&m, cfg, structure, &sch, |w| {
+                run_native(&mut m, &w, |tls| sch.garbage(tls), job)
+            })
+        });
+    }
+    let m = Machine::new(cfg.machine_config());
+    if scheme != SchemeKind::Ca {
+        return with_scheme!(&m, cfg, scheme, |sch| {
+            with_smr_structure!(&m, cfg, structure, &sch, |w| {
+                // Adopt the crash orphan: forcibly retract the victim's
+                // stale publications, merge its retire backlog, scan.
+                let rejoin = |ctx: &mut Ctx, tid, wreck, token| {
+                    let inherited = sch.garbage(&wreck).live_bytes();
+                    let mut tls = sch.join(ctx, tid);
+                    sch.adopt(ctx, &mut tls, Orphan::crashed(wreck, token));
+                    (tls, Some(inherited))
+                };
+                run_sim(&m, &w, |tls| sch.garbage(tls), rejoin, job)
+            })
+        });
+    }
+    match structure {
+        Structure::Set(SetKind::LazyList) => run_sim_immediate(&m, &SetOps(CaLazyList::new(&m)), job),
+        Structure::Set(SetKind::ExtBst) => run_sim_immediate(&m, &SetOps(CaExtBst::new(&m)), job),
+        Structure::Set(SetKind::HashTable) => {
+            let table = HashTable::new(&m, cfg.buckets, CaLazyList::new);
+            run_sim_immediate(&m, &SetOps(table), job)
         }
-    });
-    m.reset_timing();
-    m.run_on(cfg.threads, |tid, ctx| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(cfg.thread_seed(tid));
-        for _ in 0..cfg.ops_per_thread {
-            let roll = rng.below(100);
-            if roll < cfg.mix.insert_pct {
-                ds.enqueue(ctx, &mut tls, 1 + rng.below(cfg.key_range));
-            } else {
-                ds.dequeue(ctx, &mut tls);
-            }
-            ctx.op_completed();
+        Structure::Stack => run_sim_immediate(&m, &StackOps(CaStack::new(&m)), job),
+        Structure::Queue => run_sim_immediate(&m, &QueueOps(CaQueue::new(&m)), job),
+        Structure::Harris => run_sim_immediate(&m, &SetOps(CaHarrisList::new(&m)), job),
+        Structure::LfBst => run_sim_immediate(&m, &SetOps(CaLfExtBst::new(&m)), job),
+        Structure::HtmList { slots } => {
+            run_sim_immediate(&m, &SetOps(HtmLazyList::with_slots(&m, slots)), job)
         }
-    });
-    Metrics::from_stats(scheme.name(), cfg.threads, &m.stats(), m.footprint_samples())
+        Structure::FallbackList { max_attempts } => {
+            let w = SetOps(FbCaLazyList::with_max_attempts(&m, cfg.threads, max_attempts));
+            let mut out = run_sim_immediate(&m, &w, job);
+            out.fallbacks = w.0.fallbacks_taken();
+            out
+        }
+    }
+}
+
+// The five names the frozen `perfbench/` workspace calls; everything else
+// goes through `run`.
+
+/// [`run`] on a set, metrics only.
+pub fn run_set(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
+    run(Structure::Set(kind), scheme, cfg, Instrument::None).metrics
+}
+
+/// [`run`] on the stack, metrics only.
+pub fn run_stack(scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
+    run(Structure::Stack, scheme, cfg, Instrument::None).metrics
+}
+
+/// [`run`] on the queue, metrics only.
+pub fn run_queue(scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
+    run(Structure::Queue, scheme, cfg, Instrument::None).metrics
+}
+
+/// [`run_set`] on real host threads whatever `cfg.native` says.
+pub fn run_set_native(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
+    let cfg = RunConfig { native: true, ..cfg.clone() };
+    run_set(kind, scheme, &cfg)
+}
+
+/// [`run`] on a set with [`Instrument::Latency`].
+pub fn run_set_latency(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> (Metrics, Histogram) {
+    let out = run(Structure::Set(kind), scheme, cfg, Instrument::Latency);
+    (out.metrics, out.latency.expect("latency capture was requested"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::Mix;
+    use mcsim::FaultPlan;
+
+    const UPDATES: Mix = Mix { insert_pct: 50, delete_pct: 50 };
 
     fn tiny(threads: usize, mix: Mix) -> RunConfig {
         RunConfig {
@@ -1137,56 +704,41 @@ mod tests {
         }
     }
 
+    fn plain(structure: Structure, scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
+        run(structure, scheme, cfg, Instrument::None).metrics
+    }
+
     #[test]
-    fn every_scheme_runs_on_the_lazylist() {
-        for scheme in SchemeKind::ALL {
-            let m = run_set(
-                SetKind::LazyList,
-                scheme,
-                &tiny(2, Mix { insert_pct: 50, delete_pct: 50 }),
-            );
-            assert_eq!(m.total_ops, 300, "{scheme}");
-            assert!(m.throughput > 0.0, "{scheme}");
+    fn every_supported_cell_runs() {
+        for structure in Structure::ALL {
+            for scheme in SchemeKind::ALL {
+                if !structure.supports(scheme) {
+                    continue;
+                }
+                let pct = match structure {
+                    Structure::Set(SetKind::ExtBst) => 25,
+                    Structure::Set(SetKind::HashTable) => 5,
+                    Structure::Stack => 30,
+                    _ => 50,
+                };
+                let mix = Mix { insert_pct: pct, delete_pct: pct };
+                let cfg = RunConfig { buckets: 8, ..tiny(2, mix) };
+                let m = plain(structure, scheme, &cfg);
+                assert_eq!(m.total_ops, 300, "{} {scheme}", structure.name());
+                assert!(m.throughput > 0.0, "{} {scheme}", structure.name());
+            }
         }
     }
 
     #[test]
-    fn every_scheme_runs_on_the_bst() {
-        for scheme in SchemeKind::ALL {
-            let m = run_set(
-                SetKind::ExtBst,
-                scheme,
-                &tiny(2, Mix { insert_pct: 25, delete_pct: 25 }),
-            );
-            assert_eq!(m.total_ops, 300, "{scheme}");
-        }
-    }
-
-    #[test]
-    fn every_scheme_runs_on_the_hashtable() {
-        for scheme in SchemeKind::ALL {
-            let cfg = RunConfig {
-                buckets: 8,
-                ..tiny(2, Mix { insert_pct: 5, delete_pct: 5 })
-            };
-            let m = run_set(SetKind::HashTable, scheme, &cfg);
-            assert_eq!(m.total_ops, 300, "{scheme}");
-        }
-    }
-
-    #[test]
-    fn every_scheme_runs_on_stack_and_queue() {
-        for scheme in SchemeKind::ALL {
-            let m = run_stack(scheme, &tiny(2, Mix { insert_pct: 30, delete_pct: 30 }));
-            assert_eq!(m.total_ops, 300, "stack {scheme}");
-            let m = run_queue(scheme, &tiny(2, Mix { insert_pct: 50, delete_pct: 50 }));
-            assert_eq!(m.total_ops, 300, "queue {scheme}");
-        }
+    #[should_panic(expected = "runs only as `ca`")]
+    fn ca_only_structures_reject_other_schemes() {
+        plain(Structure::Harris, SchemeKind::Hp, &tiny(1, UPDATES));
     }
 
     #[test]
     fn runs_are_deterministic() {
-        let cfg = tiny(3, Mix { insert_pct: 50, delete_pct: 50 });
+        let cfg = tiny(3, UPDATES);
         let a = run_set(SetKind::LazyList, SchemeKind::Ca, &cfg);
         let b = run_set(SetKind::LazyList, SchemeKind::Ca, &cfg);
         assert_eq!(a.cycles, b.cycles);
@@ -1196,9 +748,8 @@ mod tests {
 
     #[test]
     fn ca_footprint_tracks_live_set_smr_does_not() {
-        let mix = Mix { insert_pct: 50, delete_pct: 50 };
-        let ca = run_set(SetKind::LazyList, SchemeKind::Ca, &tiny(2, mix));
-        let none = run_set(SetKind::LazyList, SchemeKind::None, &tiny(2, mix));
+        let ca = run_set(SetKind::LazyList, SchemeKind::Ca, &tiny(2, UPDATES));
+        let none = run_set(SetKind::LazyList, SchemeKind::None, &tiny(2, UPDATES));
         assert!(
             ca.final_allocated <= 64,
             "CA keeps only live nodes (≤ key range), got {}",
@@ -1218,12 +769,34 @@ mod tests {
         run_queue(SchemeKind::Ca, &tiny(1, Mix { insert_pct: 5, delete_pct: 5 }));
     }
 
+    // Without the range assert `while live < cfg.prefill` never ends; the one
+    // prefill body must guard the instrumented and fault-plan runs too.
+    fn overfull() -> RunConfig {
+        RunConfig { key_range: 8, prefill: 9, ..tiny(1, UPDATES) }
+    }
+
     #[test]
-    fn latency_runner_matches_plain_runner() {
-        // The ctx.now() probes are host-side: throughput and op counts must
-        // be identical to an uninstrumented run, and the histogram must hold
+    #[should_panic(expected = "cannot prefill 9 distinct keys")]
+    fn latency_run_rejects_an_impossible_prefill() {
+        run_set_latency(SetKind::LazyList, SchemeKind::Ca, &overfull());
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot prefill 9 distinct keys")]
+    fn fault_plan_run_rejects_an_impossible_prefill() {
+        let cfg = RunConfig {
+            fault_plan: FaultPlan::none().stall(0, 2_000, 50_000),
+            ..overfull()
+        };
+        run_set(SetKind::LazyList, SchemeKind::Qsbr, &cfg);
+    }
+
+    #[test]
+    fn latency_capture_is_free() {
+        // The now() probes are host-side: throughput and op counts must be
+        // identical to an uninstrumented run, and the histogram must hold
         // exactly one sample per operation.
-        let cfg = tiny(2, Mix { insert_pct: 50, delete_pct: 50 });
+        let cfg = tiny(2, UPDATES);
         let plain = run_set(SetKind::LazyList, SchemeKind::Ca, &cfg);
         let (instr, hist) = run_set_latency(SetKind::LazyList, SchemeKind::Ca, &cfg);
         assert_eq!(plain.cycles, instr.cycles, "instrumentation must be free");
@@ -1234,9 +807,41 @@ mod tests {
     }
 
     #[test]
-    fn htm_runner_reports_transactions() {
-        let cfg = tiny(2, Mix { insert_pct: 50, delete_pct: 50 });
-        let m = run_htm_list(&cfg, 64);
+    fn latency_capture_runs_natively() {
+        // Latency needs only Env::now, so it works on real host threads.
+        let cfg = RunConfig { native: true, ..tiny(2, UPDATES) };
+        let out = run(Structure::Set(SetKind::LazyList), SchemeKind::Hp, &cfg, Instrument::Latency);
+        assert_eq!(out.latency.expect("requested").count(), 2 * 150);
+        assert_eq!(out.metrics.total_ops, 2 * 150);
+    }
+
+    #[test]
+    #[should_panic(expected = "a fault plan is simulator-only")]
+    fn native_runs_reject_fault_plans() {
+        let cfg = RunConfig {
+            native: true,
+            fault_plan: FaultPlan::none().crash(1, 5_000),
+            ..tiny(2, UPDATES)
+        };
+        run_queue(SchemeKind::Qsbr, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs the simulator's hardware primitive")]
+    fn native_runs_reject_conditional_access() {
+        run_set_native(SetKind::LazyList, SchemeKind::Ca, &tiny(2, UPDATES));
+    }
+
+    #[test]
+    #[should_panic(expected = "htmlist is simulator-only")]
+    fn native_runs_reject_ca_only_structures() {
+        let cfg = RunConfig { native: true, ..tiny(2, UPDATES) };
+        plain(Structure::HtmList { slots: 64 }, SchemeKind::Ca, &cfg);
+    }
+
+    #[test]
+    fn htm_run_reports_transactions() {
+        let m = plain(Structure::HtmList { slots: 64 }, SchemeKind::Ca, &tiny(2, UPDATES));
         assert_eq!(m.total_ops, 300);
         assert!(m.tx_begins > 0, "every op runs transactions");
         assert!(m.throughput > 0.0);
@@ -1245,46 +850,46 @@ mod tests {
     }
 
     #[test]
-    fn fallback_runner_roomy_geometry_never_falls_back() {
-        let cfg = tiny(2, Mix { insert_pct: 50, delete_pct: 50 });
-        let (m, fallbacks) = run_fallback_list(&cfg, 32);
-        assert_eq!(m.total_ops, 300);
-        assert_eq!(fallbacks, 0);
+    fn fallback_run_roomy_geometry_never_falls_back() {
+        let structure = Structure::FallbackList { max_attempts: 32 };
+        let out = run(structure, SchemeKind::Ca, &tiny(2, UPDATES), Instrument::None);
+        assert_eq!(out.metrics.total_ops, 300);
+        assert_eq!(out.fallbacks, 0);
     }
 
     #[test]
-    fn lf_bst_runner_runs() {
-        let cfg = tiny(2, Mix { insert_pct: 50, delete_pct: 50 });
-        let m = run_lf_bst(&cfg);
-        assert_eq!(m.total_ops, 300);
-        assert!(m.throughput > 0.0);
+    fn an_unfired_fault_plan_changes_nothing_simulated() {
+        // Arming, the vault and crash tolerance are host-side only: a plan
+        // whose only trigger lies beyond the end of the run must leave the
+        // simulated results identical to an empty plan's.
+        let cfg = tiny(2, UPDATES);
+        let empty = run_set(SetKind::LazyList, SchemeKind::Qsbr, &cfg);
+        let unfired = run_set(
+            SetKind::LazyList,
+            SchemeKind::Qsbr,
+            &RunConfig {
+                fault_plan: FaultPlan::none().crash(1, u64::MAX),
+                ..cfg
+            },
+        );
+        assert_eq!(empty.cycles, unfired.cycles);
+        assert_eq!(empty.total_ops, unfired.total_ops);
+        assert_eq!(unfired.crashed_cores, 0);
+        assert_eq!(empty.peak_garbage_bytes, unfired.peak_garbage_bytes);
+        assert!(empty.peak_garbage_bytes > 0, "qsbr holds a retire backlog");
     }
 
     #[test]
-    fn robust_runner_without_faults_matches_plain_runner() {
-        // An empty fault plan must leave the robust runner's simulated
-        // results identical to the plain one (the garbage probe and crash
-        // tolerance are host-side only).
-        let cfg = tiny(2, Mix { insert_pct: 50, delete_pct: 50 });
-        let plain = run_set(SetKind::LazyList, SchemeKind::Qsbr, &cfg);
-        let robust = run_set_robust(SetKind::LazyList, SchemeKind::Qsbr, &cfg);
-        assert_eq!(plain.cycles, robust.cycles);
-        assert_eq!(plain.total_ops, robust.total_ops);
-        assert_eq!(robust.crashed_cores, 0);
-        assert!(robust.peak_garbage_bytes > 0, "qsbr holds a retire backlog");
-    }
-
-    #[test]
-    fn robust_queue_runner_tolerates_an_injected_crash() {
+    fn queue_run_tolerates_an_injected_crash() {
         // The MS queue is lock-free, so a core fail-stopping mid-operation
         // cannot wedge the survivors (unlike the lock-based sets, where the
-        // watchdog would fire instead — see run_queue_robust's docs).
+        // watchdog would fire instead — see run_sim's docs).
         let cfg = RunConfig {
-            fault_plan: mcsim::FaultPlan::none().crash(1, 5_000),
+            fault_plan: FaultPlan::none().crash(1, 5_000),
             max_cycles: Some(100_000_000),
-            ..tiny(2, Mix { insert_pct: 50, delete_pct: 50 })
+            ..tiny(2, UPDATES)
         };
-        let m = run_queue_robust(SchemeKind::Qsbr, &cfg);
+        let m = run_queue(SchemeKind::Qsbr, &cfg);
         assert_eq!(m.crashed_cores, 1);
         assert!(
             m.total_ops < 300,
@@ -1295,57 +900,62 @@ mod tests {
     }
 
     #[test]
-    fn robust_set_runner_rides_out_a_finite_stall() {
+    fn set_run_rides_out_a_finite_stall() {
         // On the lock-based sets, crashes can wedge survivors, but a
         // *finite* stall always resolves: the victim resumes, releases its
         // locks, and the run completes with every op accounted for.
+        // (tests/runner_pin.rs pins this cell's exact numbers.)
         let cfg = RunConfig {
-            fault_plan: mcsim::FaultPlan::none().stall(1, 2_000, 50_000),
+            fault_plan: FaultPlan::none().stall(1, 2_000, 50_000),
             max_cycles: Some(100_000_000),
-            ..tiny(2, Mix { insert_pct: 50, delete_pct: 50 })
+            ..tiny(2, UPDATES)
         };
-        let m = run_set_robust(SetKind::LazyList, SchemeKind::Qsbr, &cfg);
+        let m = run_set(SetKind::LazyList, SchemeKind::Qsbr, &cfg);
         assert_eq!(m.crashed_cores, 0);
         assert_eq!(m.total_ops, 300, "a finite stall loses no operations");
         assert_eq!(m.fault_stalls, 1);
         assert!(m.cycles >= 50_000, "the stall window is on the clock");
     }
 
+    fn tight_smr() -> casmr::SmrConfig {
+        casmr::SmrConfig {
+            reclaim_freq: 4,
+            epoch_freq: 8,
+            ..Default::default()
+        }
+    }
+
     #[test]
-    fn recovery_runner_adopts_and_completes_every_op() {
-        // A crash+restart plan through run_queue_recover: the victim's
-        // restarted core certifies the fail-stop, adopts its own orphan,
-        // and finishes the interrupted quota — so unlike the robust
-        // runner, no operation is lost.
+    fn a_restart_adopts_and_completes_every_op() {
+        // A crash+restart plan: the victim's restarted core certifies the
+        // fail-stop, adopts its own orphan, and finishes the interrupted
+        // quota — so unlike a crash-only plan, no operation is lost.
         let cfg = RunConfig {
-            fault_plan: mcsim::FaultPlan::none().crash(1, 5_000).restart(1, 40_000),
+            fault_plan: FaultPlan::none().crash(1, 5_000).restart(1, 40_000),
             max_cycles: Some(100_000_000),
-            smr: casmr::SmrConfig {
-                reclaim_freq: 4,
-                epoch_freq: 8,
-                ..Default::default()
-            },
-            ..tiny(2, Mix { insert_pct: 50, delete_pct: 50 })
+            smr: tight_smr(),
+            ..tiny(2, UPDATES)
         };
-        let (m, stats, clocks) = run_queue_recover_with_stats(SchemeKind::Qsbr, &cfg);
+        let out = run(Structure::Queue, SchemeKind::Qsbr, &cfg, Instrument::None);
+        let m = &out.metrics;
         assert_eq!(m.total_ops, 300, "the restarted core finishes its quota");
         assert_eq!(m.orphans_detected, 1);
         assert_eq!(m.adoptions, 1);
         assert!(m.recovery_cycles > 0, "adoption takes simulated time");
-        let (crash, restart) = clocks[1].expect("core 1 must recover");
+        let (crash, restart) = out.recovery[1].expect("core 1 must recover");
         assert!(crash >= 5_000 && restart >= 40_000);
-        assert_eq!(clocks[0], None);
-        assert!(stats.crashed[1], "the crash trigger was consumed");
+        assert_eq!(out.recovery[0], None);
+        assert!(out.stats.crashed[1], "the crash trigger was consumed");
     }
 
     #[test]
-    fn recovery_runner_on_ca_needs_no_adoption() {
+    fn a_restart_on_ca_needs_no_adoption() {
         let cfg = RunConfig {
-            fault_plan: mcsim::FaultPlan::none().crash(1, 5_000).restart(1, 40_000),
+            fault_plan: FaultPlan::none().crash(1, 5_000).restart(1, 40_000),
             max_cycles: Some(100_000_000),
-            ..tiny(2, Mix { insert_pct: 50, delete_pct: 50 })
+            ..tiny(2, UPDATES)
         };
-        let m = run_queue_recover(SchemeKind::Ca, &cfg);
+        let m = run_queue(SchemeKind::Ca, &cfg);
         assert_eq!(m.total_ops, 300);
         assert_eq!(m.orphans_detected, 1, "the restart is still detected");
         assert_eq!(m.adoptions, 0, "CA holds no per-thread state to adopt");
@@ -1353,21 +963,25 @@ mod tests {
     }
 
     #[test]
-    fn recovery_runner_without_restart_matches_the_robust_runner() {
-        // With a crash-only plan the recovery closure never runs, and the
-        // vault parking is host-side only — the simulated schedule must be
-        // identical to run_queue_robust's.
-        let cfg = RunConfig {
-            fault_plan: mcsim::FaultPlan::none().crash(1, 5_000),
+    fn an_unused_restart_changes_nothing_simulated() {
+        // A restart for a core that never crashes arms the recovery path
+        // without ever entering it: the simulated schedule must be
+        // identical to the crash-only plan's.
+        let crash_only = RunConfig {
+            fault_plan: FaultPlan::none().crash(1, 5_000),
             max_cycles: Some(100_000_000),
-            ..tiny(2, Mix { insert_pct: 50, delete_pct: 50 })
+            ..tiny(2, UPDATES)
         };
-        let robust = run_queue_robust(SchemeKind::Qsbr, &cfg);
-        let recover = run_queue_recover(SchemeKind::Qsbr, &cfg);
-        assert_eq!(robust.cycles, recover.cycles);
-        assert_eq!(robust.total_ops, recover.total_ops);
-        assert_eq!(recover.orphans_detected, 0, "nobody came back to adopt");
-        assert_eq!(recover.crashed_cores, 1);
+        let with_restart = RunConfig {
+            fault_plan: FaultPlan::none().crash(1, 5_000).restart(0, 40_000),
+            ..crash_only.clone()
+        };
+        let a = run_queue(SchemeKind::Qsbr, &crash_only);
+        let b = run_queue(SchemeKind::Qsbr, &with_restart);
+        assert_eq!(a.cycles, b.cycles);
+        assert_eq!(a.total_ops, b.total_ops);
+        assert_eq!(b.orphans_detected, 0, "nobody came back to adopt");
+        assert_eq!(b.crashed_cores, 1);
     }
 
     #[test]
@@ -1377,25 +991,21 @@ mod tests {
         // the backlog is inherited and freed, without one it only grows.
         let base = RunConfig {
             max_cycles: Some(2_000_000_000),
-            smr: casmr::SmrConfig {
-                reclaim_freq: 4,
-                epoch_freq: 8,
-                ..Default::default()
-            },
-            ..tiny(4, Mix { insert_pct: 50, delete_pct: 50 })
+            smr: tight_smr(),
+            ..tiny(4, UPDATES)
         };
-        let healthy = run_queue_recover(SchemeKind::Qsbr, &base);
-        let crashed = run_queue_recover(
+        let healthy = run_queue(SchemeKind::Qsbr, &base);
+        let crashed = run_queue(
             SchemeKind::Qsbr,
             &RunConfig {
-                fault_plan: mcsim::FaultPlan::none().crash(3, 4_000),
+                fault_plan: FaultPlan::none().crash(3, 4_000),
                 ..base.clone()
             },
         );
-        let recovered = run_queue_recover(
+        let recovered = run_queue(
             SchemeKind::Qsbr,
             &RunConfig {
-                fault_plan: mcsim::FaultPlan::none().crash(3, 4_000).restart(3, 30_000),
+                fault_plan: FaultPlan::none().crash(3, 4_000).restart(3, 30_000),
                 ..base.clone()
             },
         );
@@ -1416,10 +1026,7 @@ mod tests {
 
     #[test]
     fn smt_config_drives_sibling_revokes() {
-        let cfg = RunConfig {
-            smt: 2,
-            ..tiny(4, Mix { insert_pct: 50, delete_pct: 50 })
-        };
+        let cfg = RunConfig { smt: 2, ..tiny(4, UPDATES) };
         let m = run_set(SetKind::LazyList, SchemeKind::Ca, &cfg);
         assert_eq!(m.total_ops, 600);
         assert!(
@@ -1439,7 +1046,7 @@ mod tests {
             key_range: 2048,
             prefill: 1024,
             ops_per_thread: 150,
-            mix: Mix { insert_pct: 50, delete_pct: 50 },
+            mix: UPDATES,
             cache: mcsim::CacheConfig {
                 protocol: Protocol::Mesi,
                 ..Default::default()

@@ -87,3 +87,81 @@ pub fn check_set_accounting(acct: &SetAccounting, final_keys: &[u64]) {
         );
     }
 }
+
+/// FNV-1a, the simplest stable hash that fits in a golden line.
+pub struct Digest(pub u64);
+
+impl Digest {
+    pub fn new() -> Self {
+        Digest(0xcbf2_9ce4_8422_2325)
+    }
+
+    pub fn bytes(&mut self, bs: &[u8]) {
+        for &b in bs {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    pub fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+
+    pub fn slice(&mut self, vs: &[u64]) {
+        self.u64(vs.len() as u64);
+        for &v in vs {
+            self.u64(v);
+        }
+    }
+
+    /// The digest of one whole string.
+    pub fn of(s: &str) -> u64 {
+        let mut d = Digest::new();
+        d.bytes(s.as_bytes());
+        d.0
+    }
+}
+
+fn golden_path(file: &str) -> std::path::PathBuf {
+    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens").join(file)
+}
+
+/// The checked-in `tests/goldens/<file>`.
+pub fn golden(file: &str) -> String {
+    let path = golden_path(file);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); generate with MCSIM_WRITE_GOLDENS=1",
+            path.display()
+        )
+    })
+}
+
+/// Hold `rendered` (one `label = value` per line) to `tests/goldens/<file>`,
+/// or write the file when `MCSIM_WRITE_GOLDENS` is set. `what` says what a
+/// divergence means, for the panic message.
+pub fn check_golden(file: &str, rendered: &str, what: &str) {
+    if std::env::var_os("MCSIM_WRITE_GOLDENS").is_some() {
+        let path = golden_path(file);
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, rendered).unwrap();
+        eprintln!("[goldens] wrote {} lines to {}", rendered.lines().count(), path.display());
+        return;
+    }
+    let golden = golden(file);
+    if rendered != golden {
+        let mismatches: Vec<&str> = rendered
+            .lines()
+            .zip(golden.lines())
+            .filter(|(a, b)| a != b)
+            .map(|(a, _)| a)
+            .collect();
+        panic!(
+            "{what} ({} of {} lines differ, golden has {}):\n{}",
+            mismatches.len(),
+            rendered.lines().count(),
+            golden.lines().count(),
+            mismatches.join("\n")
+        );
+    }
+}

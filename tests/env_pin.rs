@@ -17,6 +17,9 @@
 //! Regenerate (only when an *intentional* simulated-behaviour change lands):
 //! `MCSIM_WRITE_GOLDENS=1 cargo test --test env_pin`
 
+mod common;
+
+use common::{check_golden, Digest};
 use conditional_access::sim::machine::Ctx;
 use conditional_access::ds::ca::{CaExtBst, CaLazyList, CaQueue, CaStack};
 use conditional_access::ds::seqcheck::{walk_bst, walk_list};
@@ -25,29 +28,6 @@ use conditional_access::ds::{QueueDs, SetDs, StackDs};
 use conditional_access::harness::{run_set, Mix, RunConfig, SetKind};
 use conditional_access::sim::{Machine, MachineConfig, Rng, UafMode};
 use conditional_access::smr::{He, Hp, Ibr, Leaky, Qsbr, Rcu, SchemeKind, SmrConfig};
-
-/// FNV-1a, the simplest stable hash that fits in a golden line.
-struct Digest(u64);
-
-impl Digest {
-    fn new() -> Self {
-        Digest(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn slice(&mut self, vs: &[u64]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.u64(v);
-        }
-    }
-}
 
 fn machine(cores: usize, uaf: UafMode) -> Machine {
     Machine::new(MachineConfig {
@@ -337,13 +317,6 @@ fn all_digests() -> Vec<(String, u64)> {
     out
 }
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("goldens")
-        .join("env_pin.txt")
-}
-
 fn render(digests: &[(String, u64)]) -> String {
     let mut s = String::new();
     for (label, h) in digests {
@@ -354,35 +327,10 @@ fn render(digests: &[(String, u64)]) -> String {
 
 #[test]
 fn simulated_results_match_pre_refactor_goldens() {
-    let digests = all_digests();
-    let rendered = render(&digests);
-    let path = golden_path();
-    if std::env::var_os("MCSIM_WRITE_GOLDENS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &rendered).unwrap();
-        eprintln!("[env_pin] wrote {} digests to {}", digests.len(), path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); generate with MCSIM_WRITE_GOLDENS=1",
-            path.display()
-        )
-    });
-    if rendered != golden {
-        let mismatches: Vec<&str> = rendered
-            .lines()
-            .zip(golden.lines())
-            .filter(|(a, b)| a != b)
-            .map(|(a, _)| a)
-            .collect();
-        panic!(
-            "simulated results diverged from the pre-refactor goldens \
-             ({} of {} lines differ; the Env layer must be invisible to the \
-             simulator path):\n{}",
-            mismatches.len(),
-            digests.len(),
-            mismatches.join("\n")
-        );
-    }
+    check_golden(
+        "env_pin.txt",
+        &render(&all_digests()),
+        "simulated results diverged from the pre-refactor goldens (the Env \
+         layer must be invisible to the simulator path)",
+    );
 }

@@ -15,9 +15,14 @@
 //!   contents accounting, zero UAF-oracle violations (the detector stays
 //!   armed in `Panic` mode through `run_set`).
 
-use caharness::{run_set_with_stats, Mix, RunConfig, SetKind};
+use caharness::{run, Instrument, Metrics, Mix, RunConfig, SetKind, Structure};
 use casmr::SchemeKind;
-use mcsim::ExecBackend;
+use mcsim::{ExecBackend, MachineStats};
+
+fn set_run_with_stats(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> (Metrics, MachineStats) {
+    let out = run(Structure::Set(kind), scheme, cfg, Instrument::None);
+    (out.metrics, out.stats)
+}
 
 fn cfg(quantum: u64, gangs: usize, seed: u64, exec: ExecBackend) -> RunConfig {
     RunConfig {
@@ -50,8 +55,8 @@ fn gangs_one_is_byte_identical_to_the_pre_gang_scheduler() {
                 quantum,
                 ..cfg(quantum, 1, 7, ExecBackend::Auto)
             };
-            let (mb, sb) = run_set_with_stats(kind, SchemeKind::Ca, &baseline);
-            let (mg, sg) = run_set_with_stats(kind, SchemeKind::Ca, &cfg(quantum, 1, 7, ExecBackend::Auto));
+            let (mb, sb) = set_run_with_stats(kind, SchemeKind::Ca, &baseline);
+            let (mg, sg) = set_run_with_stats(kind, SchemeKind::Ca, &cfg(quantum, 1, 7, ExecBackend::Auto));
             assert_eq!(sb.cores, sg.cores, "{kind:?} q={quantum}: per-core stats");
             assert_eq!(sb.max_cycles, sg.max_cycles);
             assert_eq!(sb.epoch_barriers, 0, "gangs=1 must never cross a barrier");
@@ -68,12 +73,12 @@ fn fixed_gang_layouts_are_deterministic_across_runs_and_backends() {
     // backends must agree on every per-core counter.
     for gangs in [2usize, 4] {
         for quantum in QUANTA {
-            let (_, threads1) = run_set_with_stats(
+            let (_, threads1) = set_run_with_stats(
                 SetKind::LazyList,
                 SchemeKind::Ca,
                 &cfg(quantum, gangs, 11, ExecBackend::Threads),
             );
-            let (_, threads2) = run_set_with_stats(
+            let (_, threads2) = set_run_with_stats(
                 SetKind::LazyList,
                 SchemeKind::Ca,
                 &cfg(quantum, gangs, 11, ExecBackend::Threads),
@@ -82,7 +87,7 @@ fn fixed_gang_layouts_are_deterministic_across_runs_and_backends() {
                 threads1.cores, threads2.cores,
                 "gangs={gangs} q={quantum}: repeated runs diverged"
             );
-            let (_, coop) = run_set_with_stats(
+            let (_, coop) = set_run_with_stats(
                 SetKind::LazyList,
                 SchemeKind::Ca,
                 &cfg(quantum, gangs, 11, ExecBackend::Coop),
@@ -108,7 +113,7 @@ fn gang_runs_preserve_program_correctness() {
     // gang runtime would panic or skew the count.
     for gangs in [2usize, 4] {
         for scheme in [SchemeKind::Ca, SchemeKind::None, SchemeKind::Hp] {
-            let (m, s) = run_set_with_stats(
+            let (m, s) = set_run_with_stats(
                 SetKind::LazyList,
                 scheme,
                 &cfg(64, gangs, 3, ExecBackend::Auto),
@@ -131,7 +136,7 @@ fn gang_tables_are_byte_identical_across_host_worker_counts() {
         sweep::set_jobs(jobs);
         config::set_default_gangs(2);
         let t = throughput_panel(
-            Some(SetKind::LazyList),
+            Structure::Set(SetKind::LazyList),
             Mix {
                 insert_pct: 50,
                 delete_pct: 50,
@@ -162,7 +167,7 @@ fn banked_merge_grid_is_byte_identical_across_banks_and_backends() {
     let cell = |gangs: usize, l2_banks: usize, exec: ExecBackend| {
         let mut c = cfg(64, gangs, 13, exec);
         c.cache.l2_banks = l2_banks;
-        run_set_with_stats(SetKind::LazyList, SchemeKind::Ca, &c)
+        set_run_with_stats(SetKind::LazyList, SchemeKind::Ca, &c)
     };
     for gangs in [1usize, 2, 4] {
         let (m_ref, s_ref) = cell(gangs, 8, ExecBackend::Coop);
@@ -225,7 +230,7 @@ fn banked_merge_grid_is_byte_identical_across_gang_drivers() {
         }
         let mut c = cfg(64, gangs, 17, exec);
         c.cache.l2_banks = l2_banks;
-        let r = run_set_with_stats(SetKind::LazyList, SchemeKind::Ca, &c);
+        let r = set_run_with_stats(SetKind::LazyList, SchemeKind::Ca, &c);
         set_gang_driver(GangDriver::Auto);
         r
     };
@@ -270,7 +275,6 @@ fn restart_bearing_plans_are_deterministic_across_gang_drivers() {
     // gang layout, per-core stats AND the (crash_clock, restart_clock)
     // pair reported for the victim are byte-identical across the threads
     // backend and both coop gang drivers.
-    use caharness::run_queue_recover_with_stats;
     use mcsim::{set_gang_driver, FaultPlan, GangDriver};
     let cell = |gangs: usize, exec: ExecBackend, driver: Option<GangDriver>| {
         if let Some(d) = driver {
@@ -287,9 +291,9 @@ fn restart_bearing_plans_are_deterministic_across_gang_drivers() {
             max_cycles: Some(2_000_000_000),
             ..cfg(64, gangs, 19, exec)
         };
-        let r = run_queue_recover_with_stats(SchemeKind::Qsbr, &c);
+        let out = run(Structure::Queue, SchemeKind::Qsbr, &c, Instrument::None);
         set_gang_driver(GangDriver::Auto);
-        r
+        (out.metrics, out.stats, out.recovery)
     };
     for gangs in [1usize, 2, 4] {
         let (m_ref, s_ref, clocks_ref) = cell(gangs, ExecBackend::Threads, None);
@@ -319,8 +323,8 @@ fn different_gang_layouts_are_different_but_valid_schedules() {
     // Sanity: gangs=2 is not required (or expected) to reproduce gangs=1
     // timing — it is a bounded-skew relaxation — but both must agree on
     // the workload-driven facts.
-    let (m1, _) = run_set_with_stats(SetKind::LazyList, SchemeKind::Ca, &cfg(64, 1, 9, ExecBackend::Auto));
-    let (m2, _) = run_set_with_stats(SetKind::LazyList, SchemeKind::Ca, &cfg(64, 2, 9, ExecBackend::Auto));
+    let (m1, _) = set_run_with_stats(SetKind::LazyList, SchemeKind::Ca, &cfg(64, 1, 9, ExecBackend::Auto));
+    let (m2, _) = set_run_with_stats(SetKind::LazyList, SchemeKind::Ca, &cfg(64, 2, 9, ExecBackend::Auto));
     assert_eq!(m1.total_ops, m2.total_ops);
     assert!(m1.cycles > 0 && m2.cycles > 0);
 }

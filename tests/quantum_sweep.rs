@@ -7,9 +7,14 @@
 //! (program, seed, quantum) must give identical **per-core** statistics —
 //! not just identical aggregates — for every quantum, on every backend.
 
-use caharness::{run_set_with_stats, Mix, RunConfig, SetKind};
+use caharness::{run, Instrument, Metrics, Mix, RunConfig, SetKind, Structure};
 use casmr::SchemeKind;
-use mcsim::ExecBackend;
+use mcsim::{ExecBackend, MachineStats};
+
+fn set_run_with_stats(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> (Metrics, MachineStats) {
+    let out = run(Structure::Set(kind), scheme, cfg, Instrument::None);
+    (out.metrics, out.stats)
+}
 
 fn cfg(quantum: u64, seed: u64, exec: ExecBackend) -> RunConfig {
     RunConfig {
@@ -35,8 +40,8 @@ const QUANTA: [u64; 3] = [0, 64, 1024];
 fn identical_runs_identical_per_core_stats() {
     for kind in KINDS {
         for quantum in QUANTA {
-            let (m1, s1) = run_set_with_stats(kind, SchemeKind::Ca, &cfg(quantum, 7, ExecBackend::Auto));
-            let (m2, s2) = run_set_with_stats(kind, SchemeKind::Ca, &cfg(quantum, 7, ExecBackend::Auto));
+            let (m1, s1) = set_run_with_stats(kind, SchemeKind::Ca, &cfg(quantum, 7, ExecBackend::Auto));
+            let (m2, s2) = set_run_with_stats(kind, SchemeKind::Ca, &cfg(quantum, 7, ExecBackend::Auto));
             assert_eq!(
                 s1.max_cycles, s2.max_cycles,
                 "{kind:?} q={quantum}: max_clock diverged"
@@ -60,9 +65,9 @@ fn backends_produce_bit_identical_schedules() {
     for kind in KINDS {
         for quantum in QUANTA {
             let (_, threads) =
-                run_set_with_stats(kind, SchemeKind::Ca, &cfg(quantum, 11, ExecBackend::Threads));
+                set_run_with_stats(kind, SchemeKind::Ca, &cfg(quantum, 11, ExecBackend::Threads));
             let (_, coop) =
-                run_set_with_stats(kind, SchemeKind::Ca, &cfg(quantum, 11, ExecBackend::Coop));
+                set_run_with_stats(kind, SchemeKind::Ca, &cfg(quantum, 11, ExecBackend::Coop));
             assert_eq!(
                 threads.max_cycles, coop.max_cycles,
                 "{kind:?} q={quantum}: backends disagree on finish time"
@@ -80,7 +85,7 @@ fn larger_quanta_batch_more_events() {
     // The whole point of the lookahead quantum: the share of events that
     // keep the turn (batched under the held lock) must grow with it.
     let ratio = |quantum| {
-        let (m, _) = run_set_with_stats(
+        let (m, _) = set_run_with_stats(
             SetKind::LazyList,
             SchemeKind::Ca,
             &cfg(quantum, 3, ExecBackend::Auto),
@@ -105,7 +110,7 @@ fn parallel_sweep_is_byte_identical_across_jobs() {
     let render = |jobs: usize| {
         sweep::set_jobs(jobs);
         let t = throughput_panel(
-            Some(SetKind::LazyList),
+            Structure::Set(SetKind::LazyList),
             Mix {
                 insert_pct: 50,
                 delete_pct: 50,
@@ -125,7 +130,7 @@ fn parallel_sweep_is_byte_identical_across_jobs() {
 #[test]
 fn seeds_still_perturb_the_schedule() {
     // Sanity check that the determinism above is not a constant function.
-    let (a, _) = run_set_with_stats(SetKind::LazyList, SchemeKind::Ca, &cfg(64, 1, ExecBackend::Auto));
-    let (b, _) = run_set_with_stats(SetKind::LazyList, SchemeKind::Ca, &cfg(64, 2, ExecBackend::Auto));
+    let (a, _) = set_run_with_stats(SetKind::LazyList, SchemeKind::Ca, &cfg(64, 1, ExecBackend::Auto));
+    let (b, _) = set_run_with_stats(SetKind::LazyList, SchemeKind::Ca, &cfg(64, 2, ExecBackend::Auto));
     assert_ne!(a.cycles, b.cycles);
 }

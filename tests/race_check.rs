@@ -17,19 +17,23 @@
 //! analyzer's edges or report format intentionally change):
 //! `MCSIM_WRITE_GOLDENS=1 cargo test --test race_check`
 
+mod common;
+
+use common::{check_golden, Digest};
 use conditional_access::harness::{
-    race_report_queue, race_report_set, run_set, Mix, RunConfig, SetKind,
+    run, run_set, Instrument, Metrics, Mix, RunConfig, SetKind, Structure,
 };
+use conditional_access::sim::RaceReport;
 use conditional_access::smr::SchemeKind;
 
-/// FNV-1a over the rendered report (same digest as `tests/env_pin.rs`).
-fn fnv(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// Run with the analyzer armed, whatever `cfg.race_check` says.
+fn race_report(structure: Structure, scheme: SchemeKind, cfg: &RunConfig) -> (Metrics, RaceReport) {
+    let armed = RunConfig {
+        race_check: true,
+        ..cfg.clone()
+    };
+    let out = run(structure, scheme, &armed, Instrument::None);
+    (out.metrics, out.race.expect("race_check was armed"))
 }
 
 fn cfg(gangs: usize, l2_banks: usize) -> RunConfig {
@@ -63,9 +67,9 @@ fn report_is_byte_identical_across_banks_and_reruns_per_gang_count() {
         (SetKind::LazyList, SchemeKind::Ca),
     ] {
         for gangs in [1usize, 2, 4] {
-            let reference = race_report_set(kind, scheme, &cfg(gangs, 1)).1.render();
+            let reference = race_report(Structure::Set(kind), scheme, &cfg(gangs, 1)).1.render();
             for l2_banks in [1usize, 8] {
-                let r = race_report_set(kind, scheme, &cfg(gangs, l2_banks)).1.render();
+                let r = race_report(Structure::Set(kind), scheme, &cfg(gangs, l2_banks)).1.render();
                 assert_eq!(
                     reference, r,
                     "{kind:?}/{scheme:?} gangs={gangs} banks={l2_banks}: report diverged"
@@ -82,20 +86,13 @@ fn race_check_does_not_perturb_simulated_time() {
     for scheme in [SchemeKind::Hp, SchemeKind::Qsbr, SchemeKind::Ca] {
         let c = cfg(1, 1);
         let plain = run_set(SetKind::LazyList, scheme, &c);
-        let (armed, _) = race_report_set(SetKind::LazyList, scheme, &c);
+        let (armed, _) = race_report(Structure::Set(SetKind::LazyList), scheme, &c);
         assert_eq!(
             plain.cycles, armed.cycles,
             "{scheme:?}: race_check changed simulated cycles"
         );
         assert_eq!(plain.total_ops, armed.total_ops);
     }
-}
-
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("goldens")
-        .join("race_report.txt")
 }
 
 #[test]
@@ -106,11 +103,11 @@ fn reports_match_goldens_across_backends() {
     for (label, report) in [
         (
             "lazylist/hp",
-            race_report_set(SetKind::LazyList, SchemeKind::Hp, &cfg(2, 8)).1,
+            race_report(Structure::Set(SetKind::LazyList), SchemeKind::Hp, &cfg(2, 8)).1,
         ),
         (
             "lazylist/ca",
-            race_report_set(SetKind::LazyList, SchemeKind::Ca, &cfg(2, 8)).1,
+            race_report(Structure::Set(SetKind::LazyList), SchemeKind::Ca, &cfg(2, 8)).1,
         ),
         ("queue/qsbr", {
             let mut c = cfg(2, 8);
@@ -118,27 +115,15 @@ fn reports_match_goldens_across_backends() {
                 insert_pct: 50,
                 delete_pct: 50,
             };
-            race_report_queue(SchemeKind::Qsbr, &c).1
+            race_report(Structure::Queue, SchemeKind::Qsbr, &c).1
         }),
     ] {
-        lines.push_str(&format!("{label} = {:#018x}\n", fnv(&report.render())));
+        lines.push_str(&format!("{label} = {:#018x}\n", Digest::of(&report.render())));
     }
-    let path = golden_path();
-    if std::env::var_os("MCSIM_WRITE_GOLDENS").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &lines).unwrap();
-        eprintln!("[race_check] wrote goldens to {}", path.display());
-        return;
-    }
-    let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); generate with MCSIM_WRITE_GOLDENS=1",
-            path.display()
-        )
-    });
-    assert_eq!(
-        lines, golden,
+    check_golden(
+        "race_report.txt",
+        &lines,
         "race reports diverged from goldens (analyzer edges or report \
-         format changed; regenerate only if intentional)"
+         format changed; regenerate only if intentional)",
     );
 }
