@@ -13,8 +13,8 @@
 //! The workload is deliberately small (the analyzer is O(events) per run
 //! and the grid has 39 cells: the paper's five structures under all seven
 //! schemes, the four CA-only extensions as `ca`) and pinned to quantum 0,
-//! where the gang linearization `(clock, core, seq)` is exact, so the report
-//! is byte-identical across gang counts, bank counts, and backends.
+//! where the analyzer's linearization `(clock, core, seq)` is exact, so the
+//! report is byte-identical across bank counts and backends.
 //!
 //! Usage: `cargo run --release -p caharness --bin race_audit [--quick]`
 //!
@@ -60,8 +60,8 @@ fn audit_cfg(updates_only: bool) -> RunConfig {
                 delete_pct: 25,
             }
         },
-        // Quantum 0 keeps the gang linearization exact, which makes the
-        // report byte-identical across gangs / banks / backends.
+        // Quantum 0 keeps the analyzer's linearization exact, which makes
+        // the report byte-identical across banks / backends.
         quantum: 0,
         race_check: true,
         ..Default::default()

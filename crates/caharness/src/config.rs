@@ -68,17 +68,11 @@ pub struct RunConfig {
     /// Host execution backend (simulated results are identical across
     /// backends; see `mcsim::ExecBackend`).
     pub exec: ExecBackend,
-    /// Intra-machine gangs (see `mcsim`'s gang scheduling): 1 = the classic
-    /// single-turn scheduler (byte-identical to the pre-gang simulator);
-    /// G > 1 runs one machine across G host threads with deterministic
-    /// epoch barriers. Unlike `--jobs`, this *is* part of the simulated
-    /// configuration: results are a pure function of
-    /// `(program, seeds, quantum, gangs)` — deterministic for every fixed
-    /// value, but different values are different (bounded-skew) schedules.
+    /// **Retired** (PR 18, see `history/README.md`): must be 1 — [`crate::run`]
+    /// rejects anything else with [`GANGS_RETIRED`]. The field survives only
+    /// because the frozen `perfbench/` workspace still writes `gangs: 1`;
+    /// the next benchmark-only PR drops it.
     pub gangs: usize,
-    /// Gang epoch window W in cycles (bounds inter-gang skew and
-    /// cross-gang event latency; see `mcsim`). Ignored at `gangs == 1`.
-    pub gang_window: u64,
     /// Injected faults for robustness experiments (see `mcsim::fault`);
     /// empty for every ordinary figure. [`crate::run`] disarms the plan
     /// during prefill so faults fire at measured-phase clocks only, treats
@@ -119,20 +113,13 @@ impl Default for RunConfig {
             seed: 0xC0FFEE,
             smr: SmrConfig::default(),
             quantum: 64,
-            cache: {
-                let mut cache = CacheConfig::default();
-                if default_l2_banks() > 0 {
-                    cache.l2_banks = default_l2_banks();
-                }
-                cache
-            },
+            cache: CacheConfig::default(),
             latency: LatencyModel::default(),
             sample_every: None,
             buckets: 128,
             ctx_switch: None,
             exec: ExecBackend::Auto,
-            gangs: default_gangs(),
-            gang_window: 4096,
+            gangs: 1,
             fault_plan: FaultPlan::none(),
             max_cycles: default_max_cycles(),
             native: default_native(),
@@ -182,23 +169,29 @@ pub fn set_race_check_from_args() {
     set_default_race_check(std::env::args().any(|a| a == "--race_check"));
 }
 
-/// Process-wide default for [`RunConfig::gangs`], installed by the bins'
-/// `--gangs N` flag (mirrors the `--jobs` plumbing in [`crate::sweep`]).
-/// 0 is not meaningful here: the default of the default is 1.
-static DEFAULT_GANGS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(1);
+/// The error for an old command line or config that still asks for
+/// intra-machine gangs: silently running the one remaining schedule would
+/// hand back a table the caller did not ask for.
+pub const GANGS_RETIRED: &str =
+    "`--gangs`/`--l2_banks` were retired in PR 18 (see history/README.md)";
 
-/// Set the default gang count newly-built [`RunConfig`]s start with.
-pub fn set_default_gangs(n: usize) {
-    DEFAULT_GANGS.store(n.max(1), std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current default gang count.
-pub fn default_gangs() -> usize {
-    DEFAULT_GANGS.load(std::sync::atomic::Ordering::Relaxed).max(1)
+/// `Err(`[`GANGS_RETIRED`]`)` if `args` carries `--gangs` or `--l2_banks`
+/// (either `<flag> N` or `<flag>=N`).
+pub fn reject_retired_flags(args: impl IntoIterator<Item = String>) -> Result<(), &'static str> {
+    let retired = |a: &str| {
+        ["--gangs", "--l2_banks"]
+            .iter()
+            .any(|f| a == *f || a.strip_prefix(f).is_some_and(|rest| rest.starts_with('=')))
+    };
+    if args.into_iter().any(|a| retired(&a)) {
+        Err(GANGS_RETIRED)
+    } else {
+        Ok(())
+    }
 }
 
 /// Scan argv for a `<flag> N` / `<flag>=N` pair, returning the raw value.
-/// Shared by every numeric CLI flag below so the parsing (and its
+/// Shared by the numeric CLI flags below so the parsing (and its
 /// edge-case handling) lives in exactly one place.
 fn flag_value_from_args(flag: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -215,64 +208,6 @@ fn flag_value_from_args(flag: &str) -> Option<String> {
         }
     }
     None
-}
-
-/// [`flag_value_from_args`] + integer parse with a uniform error message.
-fn usize_flag_from_args(flag: &str, default: usize) -> usize {
-    match flag_value_from_args(flag) {
-        None => default,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("{flag} requires a non-negative integer, got {v:?}")),
-    }
-}
-
-/// Parse the `--gangs N` / `--gangs=N` flag (default 1). Unlike `--jobs`
-/// this changes the *simulated* schedule (deterministically per value); the
-/// figure bins thread it through [`set_default_gangs`] so every cell of a
-/// sweep runs its machine gang-scheduled.
-pub fn gangs_from_args() -> usize {
-    let n = usize_flag_from_args("--gangs", 1);
-    assert!(n >= 1, "--gangs requires a positive integer, got 0");
-    n
-}
-
-/// Parse `--gangs` from the CLI and install it as the process default —
-/// the one-liner every harness bin calls next to
-/// [`crate::sweep::set_jobs_from_args`].
-pub fn set_gangs_from_args() {
-    set_default_gangs(gangs_from_args());
-}
-
-/// Process-wide default for the L2/directory bank count
-/// (`CacheConfig::l2_banks`), installed by the bins' `--l2_banks N` flag.
-/// 0 = keep `CacheConfig`'s own default (8). Banking is exactly
-/// set-preserving, so simulated results are bit-identical for every value;
-/// the knob exists so figure regeneration exercises the banked gang merge
-/// at several widths (and `--l2_banks 1` pins the flat directory).
-static DEFAULT_L2_BANKS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-
-/// Set the default L2 bank count newly-built [`RunConfig`]s start with
-/// (0 = `CacheConfig` default).
-pub fn set_default_l2_banks(n: usize) {
-    DEFAULT_L2_BANKS.store(n, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current default L2 bank count (0 = `CacheConfig` default).
-pub fn default_l2_banks() -> usize {
-    DEFAULT_L2_BANKS.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Parse the `--l2_banks N` / `--l2_banks=N` flag (0 or absent = the
-/// `CacheConfig` default of 8).
-pub fn l2_banks_from_args() -> usize {
-    usize_flag_from_args("--l2_banks", 0)
-}
-
-/// Parse `--l2_banks` from the CLI and install it as the process default —
-/// called by every harness bin next to [`set_gangs_from_args`].
-pub fn set_l2_banks_from_args() {
-    set_default_l2_banks(l2_banks_from_args());
 }
 
 /// Process-wide default for [`RunConfig::max_cycles`] (the wedge
@@ -307,7 +242,7 @@ pub fn max_cycles_from_args() -> u64 {
 }
 
 /// Parse `--max_cycles` from the CLI and install it as the process default
-/// — called by every harness bin next to [`set_gangs_from_args`].
+/// — called by every harness bin via [`crate::init_from_args`].
 pub fn set_max_cycles_from_args() {
     set_default_max_cycles(max_cycles_from_args());
 }
@@ -359,8 +294,6 @@ impl RunConfig {
             uaf_mode: UafMode::Panic,
             ctx_switch: self.ctx_switch,
             exec: self.exec,
-            gangs: self.gangs,
-            gang_window: self.gang_window,
             fault_plan: self.fault_plan.clone(),
             max_cycles: self.max_cycles,
             race_check: self.race_check,
@@ -405,6 +338,20 @@ mod tests {
         let mc = cfg.machine_config();
         let heap_lines = mc.mem_bytes / 64 - mc.static_lines - 1;
         assert!(heap_lines > 2 * 32 * 3000, "heap fits all-insert leaky run");
+    }
+
+    #[test]
+    fn retired_flags_are_rejected_not_ignored() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for old in [
+            &["fig1_lazylist", "--quick", "--gangs", "4"][..],
+            &["fig1_lazylist", "--gangs=2"],
+            &["fig1_lazylist", "--jobs", "4", "--l2_banks", "8"],
+            &["fig1_lazylist", "--l2_banks=1"],
+        ] {
+            assert_eq!(reject_retired_flags(args(old)), Err(GANGS_RETIRED), "{old:?}");
+        }
+        assert_eq!(reject_retired_flags(args(&["fig1_lazylist", "--quick", "--jobs", "4"])), Ok(()));
     }
 
     #[test]

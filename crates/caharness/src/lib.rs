@@ -33,13 +33,6 @@
 //! [`sweep`] engine runs them concurrently on `N` host threads with
 //! bit-identical results for every `N` (0/default = one per host CPU).
 //!
-//! Every binary also accepts `--gangs G` (default 1): each simulated
-//! machine is itself split across `G` host threads with deterministic
-//! epoch barriers (`mcsim` gang scheduling). Unlike `--jobs`, this is
-//! part of the simulated configuration — `gangs=1` is byte-identical to
-//! the classic scheduler, every fixed `G` is bit-deterministic, and
-//! different `G` are different (bounded-skew) schedules.
-//!
 //! Robustness flags (PR 6): `--max_cycles N` arms the per-core wedge
 //! watchdog (a run that passes `N` simulated cycles panics instead of
 //! spinning forever — turns a CI hang into a red test), and `--fail-fast`
@@ -109,14 +102,18 @@ pub use runner::{
 };
 pub use table::SeriesTable;
 
-/// Parse the shared harness CLI flags (`--jobs`, `--gangs`, `--l2_banks`,
-/// `--max_cycles`, `--fail-fast`, `--native`, `--race_check`) and install
-/// them as process defaults. Every figure binary calls this first.
+/// Parse the shared harness CLI flags (`--jobs`, `--max_cycles`,
+/// `--fail-fast`, `--native`, `--race_check`) and install them as process
+/// defaults. Every figure binary calls this first. Unknown flags are
+/// otherwise ignored, so the retired `--gangs`/`--l2_banks` are rejected
+/// here: an old command line must not quietly produce a different table.
 pub fn init_from_args() {
+    if let Err(msg) = config::reject_retired_flags(std::env::args()) {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    }
     sweep::set_jobs_from_args();
     sweep::set_fail_fast_from_args();
-    config::set_gangs_from_args();
-    config::set_l2_banks_from_args();
     config::set_max_cycles_from_args();
     config::set_native_from_args();
     config::set_race_check_from_args();

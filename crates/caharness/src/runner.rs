@@ -599,6 +599,7 @@ pub fn run(
             "queues have no read operation: use an enqueue/dequeue-only mix"
         );
     }
+    assert!(cfg.gangs == 1, "RunConfig::gangs = {}: {}", cfg.gangs, crate::config::GANGS_RETIRED);
     let job = Job { scheme, cfg, instrument };
     if cfg.native {
         // Only the structures that take an SMR scheme have a native build.
@@ -761,6 +762,12 @@ mod tests {
             none.final_allocated,
             ca.final_allocated
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "were retired in PR 18")]
+    fn retired_gangs_field_is_rejected() {
+        run_set(SetKind::LazyList, SchemeKind::Ca, &RunConfig { gangs: 2, ..tiny(2, UPDATES) });
     }
 
     #[test]

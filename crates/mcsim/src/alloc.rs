@@ -234,9 +234,7 @@ impl Allocator {
     }
 
     /// Classify a program data access **read-only**: `Some(fault)` if the
-    /// access would trip the detector. The gang runtime's parallel phase
-    /// uses this (allocator state is frozen between epoch barriers), with
-    /// fault *recording* deferred to the barrier merge.
+    /// access would trip the detector.
     #[inline]
     pub fn access_fault(&self, core: CoreId, addr: Addr, kind: &'static str) -> Option<Fault> {
         let status = self.line_status(addr.line());
@@ -275,9 +273,8 @@ impl Allocator {
     }
 }
 
-/// Panic with the canonical detector message (one source of truth for the
-/// machine-lock path and the gang lane).
-pub(crate) fn panic_access(f: &Fault) -> ! {
+/// Panic with the canonical detector message.
+fn panic_access(f: &Fault) -> ! {
     panic!(
         "MEMORY SAFETY VIOLATION: core {} {} {:?} → {:?} \
          (use-after-free or wild access detected by the simulator)",

@@ -198,13 +198,6 @@ impl<P> SetAssoc<P> {
         self.ways.iter().flatten()
     }
 
-    /// Iterate over the resident entries of the set `line` maps to (the
-    /// lines that could be evicted by inserting `line`). Used by the gang
-    /// runtime's banked-merge classifier to bound an event's footprint.
-    pub fn set_entries(&self, line: Line) -> impl Iterator<Item = &Entry<P>> {
-        self.ways[self.set_range(line)].iter().flatten()
-    }
-
     /// Number of resident lines.
     pub fn len(&self) -> usize {
         self.ways.iter().flatten().count()

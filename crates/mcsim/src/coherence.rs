@@ -77,8 +77,7 @@ pub struct CacheConfig {
     /// power of two and clamped to the set count. Banking is **exactly
     /// set-preserving** (see [`BankedL2`]), so simulated results are
     /// bit-identical for every bank count — the banks model a banked
-    /// directory and give future multi-writer backends independently
-    /// lockable shards.
+    /// directory.
     pub l2_banks: usize,
     /// Coherence protocol (paper: MSI).
     pub protocol: Protocol,
@@ -156,18 +155,6 @@ impl BankedL2 {
         (line.0 & self.bank_mask) as usize
     }
 
-    /// Union of the holder masks of every directory entry in the L2 set
-    /// `line` maps to — the complete set of physical cores whose L1s a fill
-    /// of `line` could touch (sharers/owner of the line itself, plus the
-    /// holders of any entry its insertion could evict and back-invalidate).
-    /// Used by the gang runtime's banked-merge classifier.
-    #[inline]
-    pub(crate) fn set_holders(&self, line: Line) -> u64 {
-        self.banks[self.bank_of(line)]
-            .set_entries(line)
-            .fold(0u64, |m, e| m | e.payload.holders())
-    }
-
     #[inline]
     pub fn lookup(&self, line: Line) -> Option<&crate::cache::Entry<DirMeta>> {
         self.banks[self.bank_of(line)].lookup(line)
@@ -189,8 +176,6 @@ impl BankedL2 {
 }
 
 /// Per-hardware-thread transaction state for the HTM comparator.
-/// `pub(crate)` so the gang lane (see `crate::gang`) can consult and roll
-/// back transactions inside its partition.
 #[derive(Debug, Default)]
 pub(crate) struct TxState {
     /// A transaction is in flight.
@@ -285,10 +270,7 @@ impl CoherenceHub {
     ///
     /// The projection is how *every* mutable coherence transition executes:
     /// the hub's own `read`/`write`/… methods materialize a transient
-    /// projection under `&mut self` (trivially exclusive), and the gang
-    /// runtime's merge lanes hold a long-lived one whose exclusivity over a
-    /// *subset* of parts is established by the barrier-merge classifier
-    /// (see `crate::gang`). Either way the op bodies are the same code.
+    /// projection under `&mut self` (trivially exclusive).
     #[inline]
     pub(crate) fn parts(&mut self) -> BankParts {
         let (banks, n_banks, bank_mask) = self.l2.raw_parts();
@@ -304,16 +286,10 @@ impl CoherenceHub {
             arb: self.arb.as_mut_ptr(),
             tx: self.tx.as_mut_ptr(),
             stats: self.stats.cores.as_mut_ptr(),
-            trace: if self.trace.enabled {
-                self.trace.cores.as_mut_ptr()
-            } else {
-                std::ptr::null_mut()
-            },
             n_threads: self.arb.len(),
             smt: self.smt,
             protocol: self.protocol,
             lat: &self.lat,
-            scope: std::ptr::null(),
         }
     }
 
@@ -329,19 +305,22 @@ impl CoherenceHub {
     // ------------------------------------------------------------------
     // Architectural operations (called via the machine, which performs the
     // allocator validity checks before letting data reach the program).
-    // The bodies of every op that can reach a merge lane — and of every
+    // The bodies of the plain and conditional accesses — and of every
     // helper transition they share — live on [`BankParts`]; the hub methods
     // are delegates whose `&mut self` receiver makes the projection
-    // trivially exclusive.
+    // trivially exclusive, inlined so the event pipeline's L1-hit path
+    // stays one straight-line body.
     // ------------------------------------------------------------------
 
     /// Plain load.
+    #[inline]
     pub fn read(&mut self, t: CoreId, a: Addr) -> (u64, u64) {
         // Safety: `&mut self` is exclusive over every projected part.
         unsafe { self.parts().read(t, a) }
     }
 
     /// Plain store.
+    #[inline]
     pub fn write(&mut self, t: CoreId, a: Addr, v: u64) -> u64 {
         // Safety: `&mut self` is exclusive over every projected part.
         unsafe { self.parts().write(t, a, v) }
@@ -351,6 +330,7 @@ impl CoherenceHub {
     /// on failure, plus the cost. Acquires exclusive ownership either way
     /// (as real CAS instructions do); sibling tags are only revoked when the
     /// value is actually modified.
+    #[inline]
     pub fn cas(&mut self, t: CoreId, a: Addr, expected: u64, new: u64) -> (Result<u64, u64>, u64) {
         // Safety: `&mut self` is exclusive over every projected part.
         unsafe { self.parts().cas(t, a, expected, new) }
@@ -368,6 +348,7 @@ impl CoherenceHub {
     /// itself may have evicted a tagged victim, which conservatively fails
     /// this cread too (honours Claim 4: success implies no tagged line was
     /// invalidated since it was tagged).
+    #[inline]
     pub fn cread(&mut self, t: CoreId, a: Addr) -> (Option<u64>, u64) {
         // Safety: `&mut self` is exclusive over every projected part.
         unsafe { self.parts().cread(t, a) }
@@ -378,6 +359,7 @@ impl CoherenceHub {
     /// that avoids TOCTOU on a cold store). On success the store goes
     /// through the normal exclusive path, invalidating remote copies (and
     /// revoking their tags) and revoking sibling hyperthreads' tags.
+    #[inline]
     pub fn cwrite(&mut self, t: CoreId, a: Addr, v: u64) -> (bool, u64) {
         // Safety: `&mut self` is exclusive over every projected part.
         unsafe { self.parts().cwrite(t, a, v) }
@@ -626,50 +608,20 @@ impl CoherenceHub {
 // BankParts: the raw per-part projection of the hub.
 // ---------------------------------------------------------------------------
 
-/// The parts of the hub a merge lane is entitled to touch, per the banked
-/// barrier-merge classifier (`crate::gang`): the lane's banks and the
-/// physical cores of its union-find component. `debug_assertions` builds
-/// check every access against it — a runtime race detector for the
-/// classification proof. A null scope (the hub's own transient projections,
-/// and release builds) checks nothing.
-pub(crate) struct LaneScope {
-    /// `banks[b]` — directory bank `b` (and the memory words of its lines)
-    /// belongs to this lane.
-    pub(crate) banks: Box<[bool]>,
-    /// `pcores[p]` — physical core `p`'s L1, and its hardware threads'
-    /// ARBs/tx/stats, belong to this lane.
-    pub(crate) pcores: Box<[bool]>,
-}
-
-impl LaneScope {
-    pub(crate) fn new(n_banks: usize, n_pcores: usize) -> Self {
-        Self {
-            banks: vec![false; n_banks].into_boxed_slice(),
-            pcores: vec![false; n_pcores].into_boxed_slice(),
-        }
-    }
-}
-
 /// Raw-pointer projection of [`CoherenceHub`] into independently writable
 /// parts: per-pcore L1s, per-bank directory shards (sets **and** per-bank
 /// LRU stamps — each `SetAssoc` bank is one element), the memory words, and
 /// the per-hardware-thread ARB/tx/stats arrays. Every mutable coherence
 /// transition's body lives here; the hub's safe methods delegate through a
-/// transient projection, and merge lanes hold one for the whole merge phase.
+/// transient projection.
 ///
 /// # Safety contract
 ///
 /// A projection is a claim of exclusivity over the parts it *touches*, not
 /// over the hub: concurrent projections are sound iff their footprints are
-/// disjoint. The two users are
-///
-/// * the hub's own delegates — `&mut self` makes the whole footprint
-///   trivially exclusive, and the projection dies inside the call; and
-/// * the gang merge lanes — the classifier routes an event to a lane only
-///   when the banks and pcores it can touch are owned by that lane's
-///   union-find component (see the "Aliasing discipline" notes in
-///   `crate::gang`); `scope` carries the classifier's verdict so debug
-///   builds can assert the footprint claim access by access.
+/// disjoint. The only user is the hub's own delegates — `&mut self` makes
+/// the whole footprint trivially exclusive, and the projection dies inside
+/// the call.
 ///
 /// All pointers are derived from one `&mut CoherenceHub` and are stable for
 /// the projection's lifetime (no container on the projected path grows or
@@ -686,29 +638,13 @@ pub(crate) struct BankParts {
     arb: *mut bool,
     tx: *mut TxState,
     stats: *mut crate::stats::CoreStats,
-    /// Race-analyzer trace Vecs, one per hardware thread (null when the
-    /// analyzer is off). Appended to only for the issuing thread, which the
-    /// exclusivity contract already covers.
-    trace: *mut Vec<crate::hb::TraceEv>,
     n_threads: usize,
     smt: usize,
     protocol: Protocol,
     lat: *const LatencyModel,
-    /// Footprint the holder is entitled to (null = unchecked).
-    scope: *const LaneScope,
 }
 
-// Safety: a raw projection; the exclusivity contract above is what makes a
-// cross-thread handoff (conductor → merge lane) sound.
-unsafe impl Send for BankParts {}
-
 impl BankParts {
-    /// Install the classifier's footprint verdict: every subsequent access
-    /// through this projection must stay inside `scope` (debug builds).
-    pub(crate) fn set_scope(&mut self, scope: *const LaneScope) {
-        self.scope = scope;
-    }
-
     #[inline]
     fn pcore(&self, t: CoreId) -> usize {
         t / self.smt
@@ -731,41 +667,9 @@ impl BankParts {
         unsafe { &*self.lat }
     }
 
-    /// Footprint check: physical core `p` must be in scope.
-    #[inline]
-    fn check_pcore(&self, p: usize) {
-        debug_assert!(p < self.n_pcores, "pcore {p} out of bounds");
-        if cfg!(debug_assertions) && !self.scope.is_null() {
-            // Safety: scopes outlive the projection they are installed on
-            // (they live in `MergeShared`, which outlives the lanes).
-            let s = unsafe { &*self.scope };
-            assert!(
-                s.pcores[p],
-                "merge-lane footprint violation: pcore {p} is outside the \
-                 classified component (misclassified event)"
-            );
-        }
-    }
-
-    /// Footprint check: directory bank `b` (and its lines' memory words)
-    /// must be in scope.
-    #[inline]
-    fn check_bank(&self, b: usize) {
-        debug_assert!(b < self.n_banks, "bank {b} out of bounds");
-        if cfg!(debug_assertions) && !self.scope.is_null() {
-            // Safety: see `check_pcore`.
-            let s = unsafe { &*self.scope };
-            assert!(
-                s.banks[b],
-                "merge-lane footprint violation: bank {b} is outside the \
-                 classified component (misclassified event)"
-            );
-        }
-    }
-
     #[inline]
     fn l1(&mut self, p: usize) -> &mut L1 {
-        self.check_pcore(p);
+        debug_assert!(p < self.n_pcores, "pcore {p} out of bounds");
         // Safety: in bounds (checked above); exclusivity per the contract.
         unsafe { &mut *self.l1s.add(p) }
     }
@@ -777,7 +681,7 @@ impl BankParts {
     #[inline]
     fn bank_ptr(&mut self, line: Line) -> *mut SetAssoc<DirMeta> {
         let b = self.bank_of(line);
-        self.check_bank(b);
+        debug_assert!(b < self.n_banks, "bank {b} out of bounds");
         // Safety: in bounds (checked above).
         unsafe { self.banks.add(b) }
     }
@@ -785,7 +689,7 @@ impl BankParts {
     #[inline]
     fn dir_mut(&mut self, line: Line) -> Option<&mut crate::cache::Entry<DirMeta>> {
         let b = self.bank_of(line);
-        self.check_bank(b);
+        debug_assert!(b < self.n_banks, "bank {b} out of bounds");
         // Safety: in bounds; exclusivity per the contract.
         unsafe { (*self.banks.add(b)).lookup_mut(line) }
     }
@@ -793,7 +697,6 @@ impl BankParts {
     #[inline]
     fn arb_at(&self, t: CoreId) -> bool {
         debug_assert!(t < self.n_threads);
-        self.check_pcore(t / self.smt);
         // Safety: in bounds; exclusivity per the contract.
         unsafe { *self.arb.add(t) }
     }
@@ -801,7 +704,6 @@ impl BankParts {
     #[inline]
     fn arb_write(&mut self, t: CoreId, v: bool) {
         debug_assert!(t < self.n_threads);
-        self.check_pcore(t / self.smt);
         // Safety: in bounds; exclusivity per the contract.
         unsafe { *self.arb.add(t) = v }
     }
@@ -809,7 +711,6 @@ impl BankParts {
     #[inline]
     fn tx_at(&mut self, t: CoreId) -> &mut TxState {
         debug_assert!(t < self.n_threads);
-        self.check_pcore(t / self.smt);
         // Safety: in bounds; exclusivity per the contract.
         unsafe { &mut *self.tx.add(t) }
     }
@@ -817,51 +718,23 @@ impl BankParts {
     #[inline]
     fn tx_active_at(&self, t: CoreId) -> bool {
         debug_assert!(t < self.n_threads);
-        self.check_pcore(t / self.smt);
         // Safety: in bounds; exclusivity per the contract.
         unsafe { (*self.tx.add(t)).active }
     }
 
-    /// Mutable per-thread stats (also used by the gang runtime to attribute
-    /// injected fault stalls executed inside a lane).
+    /// Mutable per-thread stats.
     #[inline]
-    pub(crate) fn core_stats(&mut self, t: CoreId) -> &mut crate::stats::CoreStats {
+    fn core_stats(&mut self, t: CoreId) -> &mut crate::stats::CoreStats {
         debug_assert!(t < self.n_threads);
-        self.check_pcore(t / self.smt);
         // Safety: in bounds; exclusivity per the contract.
         unsafe { &mut *self.stats.add(t) }
-    }
-
-    /// Record a race-analyzer trace event for thread `t` (no-op when the
-    /// analyzer is off). Used by the gang merge lanes, which execute
-    /// deferred events through this projection without hub access.
-    #[inline]
-    pub(crate) fn record_trace(
-        &mut self,
-        t: CoreId,
-        clock: u64,
-        op: crate::event::Op,
-        out: &crate::event::Out,
-    ) {
-        if self.trace.is_null() {
-            return;
-        }
-        debug_assert!(t < self.n_threads);
-        self.check_pcore(t / self.smt);
-        // Safety: in bounds; only `t`'s own Vec is touched, and the lane
-        // classifier guarantees thread `t`'s events run on one lane —
-        // exclusivity per the contract, same as `core_stats`.
-        let v = unsafe { &mut *self.trace.add(t) };
-        crate::hb::record_into(v, clock, op, out);
     }
 
     #[inline]
     fn mem_read(&self, a: Addr) -> u64 {
         let i = a.word_index();
         assert!(i < self.mem_words, "simulated read out of bounds: {a:?}");
-        self.check_bank(self.bank_of(a.line()));
-        // Safety: in bounds; a resident copy excludes any concurrent M
-        // writer (simulated-coherence serialization, see `Memory::raw_words`).
+        // Safety: in bounds; exclusivity per the contract.
         unsafe { self.mem.add(i).read() }
     }
 
@@ -869,9 +742,7 @@ impl BankParts {
     fn mem_write(&mut self, a: Addr, v: u64) {
         let i = a.word_index();
         assert!(i < self.mem_words, "simulated write out of bounds: {a:?}");
-        self.check_bank(self.bank_of(a.line()));
-        // Safety: in bounds; writes go only through an M/E copy, which
-        // excludes every other copy.
+        // Safety: in bounds; exclusivity per the contract.
         unsafe { self.mem.add(i).write(v) }
     }
 
@@ -927,9 +798,7 @@ impl BankParts {
     /// victim: a Modified victim writes back to the L2 (directory drops
     /// ownership); an Exclusive victim notifies the directory (clean drop);
     /// a tagged victim sets its taggers' ARBs (associativity-conflict
-    /// spurious revoke, paper §III). The victim shares the L1 set of `line`,
-    /// and with `banks <= l1_sets` (the classifier's gate) therefore also
-    /// its directory bank — the footprint checker asserts exactly that.
+    /// spurious revoke, paper §III).
     fn l1_insert(&mut self, t: CoreId, line: Line, state: MsiState) {
         let pcore = self.pcore(t);
         let victim = self.l1(pcore).array.insert(line, L1Meta::clean(state));
@@ -963,8 +832,7 @@ impl BankParts {
 
     /// Ensure `line` is resident in the L2, evicting (and back-invalidating)
     /// an L2 victim if necessary. Returns the cycle cost. The victim shares
-    /// the set (hence the bank) of `line`, and its holders are in the
-    /// classifier's set-holder union — both asserted by the scope checks.
+    /// the set (hence the bank) of `line`.
     fn l2_get_or_fill(&mut self, t: CoreId, line: Line) -> u64 {
         let b = self.bank_of(line);
         if self.bank_lookup_touch(b, line) {
@@ -997,14 +865,14 @@ impl BankParts {
 
     #[inline]
     fn bank_lookup_touch(&mut self, b: usize, line: Line) -> bool {
-        self.check_bank(b);
+        debug_assert!(b < self.n_banks, "bank {b} out of bounds");
         // Safety: in bounds; exclusivity per the contract.
         unsafe { (*self.banks.add(b)).lookup_touch(line).is_some() }
     }
 
     #[inline]
     fn bank_insert(&mut self, b: usize, line: Line) -> Option<crate::cache::Entry<DirMeta>> {
-        self.check_bank(b);
+        debug_assert!(b < self.n_banks, "bank {b} out of bounds");
         // Safety: in bounds; exclusivity per the contract.
         unsafe { (*self.banks.add(b)).insert(line, DirMeta::default()) }
     }
@@ -1810,46 +1678,6 @@ mod tests {
         // Power-of-two rounding.
         let h = CoherenceHub::new(1, 1, &CacheConfig { l2_banks: 3, ..CacheConfig::default() }, LatencyModel::default(), 1 << 20);
         assert_eq!(h.l2.bank_count(), 4);
-    }
-
-    // --- BankParts footprint checker -------------------------------------
-
-    #[test]
-    fn footprint_checker_rejects_misclassified_events() {
-        // Self-test of the merge-lane footprint checker: a projection whose
-        // scope grants no banks and no pcores must abort on its first access
-        // in debug builds — this is exactly what a misclassified merge event
-        // (routed to a lane that does not own its footprint) looks like.
-        if !cfg!(debug_assertions) {
-            return; // the checker compiles out of release builds
-        }
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let mut h = hub(2);
-        h.write(0, A, 7); // warm state: the access would otherwise succeed
-        let n_banks = h.l2.bank_count();
-        let empty = LaneScope::new(n_banks, 2);
-        let mut parts = h.parts();
-        parts.set_scope(&empty);
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            // Safety: `h` is exclusively held across the whole call.
-            unsafe { parts.read(0, A) }
-        }))
-        .expect_err("an access outside the classified footprint must panic");
-        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            msg.contains("footprint violation"),
-            "unexpected panic message: {msg}"
-        );
-
-        // The same access through a scope that owns the footprint succeeds.
-        let mut full = LaneScope::new(n_banks, 2);
-        full.banks.iter_mut().for_each(|b| *b = true);
-        full.pcores.iter_mut().for_each(|p| *p = true);
-        let mut parts = h.parts();
-        parts.set_scope(&full);
-        // Safety: as above.
-        assert_eq!(unsafe { parts.read(0, A) }.0, 7);
-        h.check_invariants();
     }
 
     // --- MESI -----------------------------------------------------------

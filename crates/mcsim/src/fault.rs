@@ -7,9 +7,9 @@
 //! pins every epoch-based scheme's garbage, while hazard/interval schemes
 //! and Conditional Access stay bounded. This module provides that model as
 //! a **pure function of each core's local clock**, so faults fire at
-//! identical simulated cycles on every execution backend, every gang
-//! driver, and every `gangs × l2_banks` layout — the same determinism
-//! contract the rest of the simulator keeps.
+//! identical simulated cycles on every execution backend and every
+//! `l2_banks` layout — the same determinism contract the rest of the
+//! simulator keeps.
 //!
 //! Three fault kinds (see [`FaultPlan`]):
 //!
@@ -252,7 +252,7 @@ impl<R> CoreOutcome<R> {
 /// Compiled per-core fault state, owned by `SimState`. Trigger checks are
 /// a pure function of the core's local clock, so they commute with every
 /// execution strategy that preserves per-core event order and clocks —
-/// which all backends and gang layouts do by construction.
+/// which both backends do by construction.
 #[derive(Debug)]
 pub(crate) struct FaultState {
     /// Per-core stall windows, sorted by trigger clock.
@@ -361,17 +361,15 @@ pub struct WedgeProbe {
     pub sentinel: u64,
 }
 
-/// Fire every due stall for one core and check the wedge watchdog —
-/// the single trigger engine shared by the batched single-gang pipeline,
-/// the gang lane and the gang conductor's barrier replay (mirroring
-/// `apply_preempt_model`). `deschedule` is called once per fired stall
-/// with the §III preemption side effects (ARB, tx abort, accounting).
+/// Fire every due stall for one core and check the wedge watchdog
+/// (mirroring the machine's `apply_preempt_model`). `deschedule` is called
+/// once per fired stall with the §III preemption side effects (ARB, tx
+/// abort, accounting).
 ///
 /// Returns `(fired, wedged)`: how many stalls fired (the caller ticks
 /// `fault_stalls`) and whether the clock passed the watchdog ceiling. A
-/// wedged caller must call [`wedge_panic`] — attribution detail (which
-/// needs simulated-memory access only some call sites have) is the
-/// caller's job, which is why the panic no longer lives here.
+/// wedged caller must call [`wedge_panic`] — attribution detail needs
+/// simulated-memory access, so building it is the caller's job.
 #[inline]
 pub(crate) fn apply_stalls_and_watchdog(
     clock: &mut u64,
@@ -390,8 +388,8 @@ pub(crate) fn apply_stalls_and_watchdog(
     (fired, *clock > max_cycles)
 }
 
-/// The wedge watchdog's panic, shared by every call site so the message
-/// prefix (asserted by the determinism tests) cannot drift. `detail` is
+/// The wedge watchdog's panic; the message prefix is asserted by the
+/// determinism tests. `detail` is
 /// the optional attribution suffix ("oldest outstanding reservation: …")
 /// built where simulated memory is readable.
 pub(crate) fn wedge_panic(

@@ -13,18 +13,13 @@
 //!
 //! When [`crate::MachineConfig::race_check`] is set, every executed event
 //! that touches memory is appended to a per-hardware-thread trace
-//! ([`TraceBank`], one `Vec` per core so the gang merge lanes can record in
-//! parallel without sharing). Each entry carries the core's **issue clock**
-//! (its local clock when the event started, before the op's cost), which is
-//! exactly the key the gang barrier merge sorts deferred events by — so the
-//! analyzer's linearization `(clock, core, seq)` reproduces the simulated
-//! interleaving on every backend and bank width, and the reports are
-//! byte-identical across all of them (pinned by `tests/race_check.rs`).
-//! Gang count parameterizes the simulated history itself (the machine's
-//! determinism contract, `tests/gang_determinism.rs`), so each gang count
-//! has its own — individually deterministic — report. When disabled,
-//! nothing records and no `SmrFence` events are issued: runs are
-//! byte-identical to the pre-analyzer goldens.
+//! ([`TraceBank`], one `Vec` per core). Each entry carries the core's
+//! **issue clock** (its local clock when the event started, before the op's
+//! cost), so the analyzer's linearization `(clock, core, seq)` reproduces
+//! the simulated interleaving on every backend and bank width, and the
+//! reports are byte-identical across all of them (pinned by
+//! `tests/race_check.rs`). When disabled, nothing records and no `SmrFence`
+//! events are issued: runs are byte-identical to the pre-analyzer goldens.
 //!
 //! # Happens-before edges
 //!
@@ -70,11 +65,82 @@
 // castatic: allow(nondet) — lookup-only maps; reports aggregate via BTreeMap
 use std::collections::HashMap;
 
-use crate::event::{Op, Out};
 use crate::Addr;
 
 /// Words per line (the conflict granule is the 8-byte word).
 const WORDS_PER_LINE: u64 = crate::LINE_BYTES / 8;
+
+/// One architectural operation in reified form: what the event pipeline
+/// hands [`TraceBank::record`] (built from a typed `crate::event::Event`
+/// only while the analyzer is armed).
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[allow(clippy::enum_variant_names)] // OpCompleted mirrors Ctx::op_completed
+pub(crate) enum Op {
+    Read(Addr),
+    Write(Addr, u64),
+    Cas(Addr, u64, u64),
+    Fence,
+    /// The SMR protocols' uncosted ordering fence, issued **only** when
+    /// `MachineConfig::race_check` is armed (it exists purely so the
+    /// analyzer sees the edge; zero cycles, no stats — a run with the
+    /// analyzer off never creates one, keeping the schedule and the stats
+    /// byte-identical to pre-analyzer goldens).
+    SmrFence,
+    Cread(Addr),
+    Cwrite(Addr, u64),
+    UntagOne(Addr),
+    UntagAll,
+    Alloc,
+    Free(Addr),
+    TxBegin,
+    TxRead(Addr),
+    TxWrite(Addr, u64),
+    TxCommit,
+    TxAbort,
+    OpCompleted,
+}
+
+/// Result of an [`Op`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub(crate) enum Out {
+    Unit,
+    Val(u64),
+    A(Addr),
+    Opt(Option<u64>),
+    CasR(Result<u64, u64>),
+    Flag(bool),
+}
+
+/// A typed event result and its reified [`Out`] form.
+pub(crate) trait OutVal: Copy {
+    fn to_out(self) -> Out;
+}
+
+impl OutVal for () {
+    #[inline]
+    fn to_out(self) -> Out {
+        Out::Unit
+    }
+}
+
+macro_rules! out_val {
+    ($($t:ty => $variant:ident),* $(,)?) => {$(
+        impl OutVal for $t {
+            #[inline]
+            fn to_out(self) -> Out {
+                Out::$variant(self)
+            }
+        }
+    )*};
+}
+
+out_val! {
+    u64 => Val,
+    Addr => A,
+    Option<u64> => Opt,
+    Result<u64, u64> => CasR,
+    bool => Flag,
+}
 
 /// What a trace entry did to memory — the analyzer's event alphabet.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -109,8 +175,8 @@ impl Kind {
 }
 
 /// One traced event: the issuing core's local clock at issue (before the
-/// op's cost was charged — the same key the gang merge sorts by), what it
-/// did, and to which address (`Addr::NULL` for fences).
+/// op's cost was charged), what it did, and to which address (`Addr::NULL`
+/// for fences).
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct TraceEv {
     pub clock: u64,
@@ -119,12 +185,8 @@ pub(crate) struct TraceEv {
 }
 
 /// The per-machine trace store, living in the coherence hub next to the
-/// stats bank. One event `Vec` per hardware thread: every recording path
-/// (single-turn pipeline, gang lane, conductor merge) appends only to the
-/// issuing core's `Vec`, so the gang merge lanes can record through raw
-/// parts without sharing (the lane classifier already guarantees per-core
-/// exclusivity). Within one `Vec`, index order is program order and clocks
-/// are monotonic.
+/// stats bank. One event `Vec` per hardware thread; within one `Vec`, index
+/// order is program order and clocks are monotonic.
 pub(crate) struct TraceBank {
     /// Set from `MachineConfig::race_check` at machine construction. Every
     /// recording site gates on this; when false the analyzer costs nothing
@@ -157,14 +219,6 @@ impl TraceBank {
         record_into(&mut self.cores[core], clock, op, out);
     }
 
-    /// Every recorded event as `(clock, kind name, address)`, per core.
-    pub fn snapshot(&self) -> Vec<Vec<(u64, &'static str, u64)>> {
-        self.cores
-            .iter()
-            .map(|t| t.iter().map(|e| (e.clock, e.kind.name(), e.addr.0)).collect())
-            .collect()
-    }
-
     /// Mark a completed `Machine` run: the analyzer joins all cores'
     /// clocks here (the host observes every core's result between runs).
     pub fn mark_run(&mut self) {
@@ -182,10 +236,9 @@ impl TraceBank {
 /// accesses touch no memory and allocation failures return no line, so
 /// they record nothing; tag maintenance and tx ops are outside the
 /// analyzed model (the CA structures' `cread`/`cwrite` carry the sync
-/// semantics). Shared by [`TraceBank::record`] and the gang merge lanes'
-/// raw-parts recorder (`BankParts::record_trace`).
+/// semantics).
 #[inline]
-pub(crate) fn record_into(trace: &mut Vec<TraceEv>, clock: u64, op: Op, out: &Out) {
+fn record_into(trace: &mut Vec<TraceEv>, clock: u64, op: Op, out: &Out) {
     let (kind, addr) = match (op, out) {
         (Op::Read(a), _) => (Kind::Read, a),
         (Op::Write(a, _), _) => (Kind::Write, a),
@@ -264,7 +317,7 @@ impl RaceReport {
     }
 
     /// Stable text rendering: one header line, one line per signature.
-    /// Byte-identical across backends / gangs / banks for the same
+    /// Byte-identical across backends and bank counts for the same
     /// simulated program (the determinism pin hashes this).
     pub fn render(&self) -> String {
         let mut s = format!(
@@ -401,7 +454,7 @@ pub(crate) fn analyze(bank: &TraceBank, static_lines: u64) -> RaceReport {
     let mut start = vec![0usize; n];
     for mark in &marks {
         // Linearize this segment by (issue clock, core, per-core index) —
-        // the gang merge's ordering key, exact at quantum = 0.
+        // the simulated interleaving itself at quantum = 0.
         let mut order: Vec<(u64, usize, usize)> = Vec::new();
         for c in 0..n {
             for i in start[c]..mark[c] {

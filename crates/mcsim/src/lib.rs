@@ -33,7 +33,7 @@
 //! * **Deterministic fault injection** ([`fault`]): seeded plans that
 //!   stall, burst-deschedule or crash chosen cores mid-operation and
 //!   inject allocation pressure, firing at identical simulated clocks on
-//!   every backend, driver and gang layout — the substrate of the
+//!   every backend and bank layout — the substrate of the
 //!   robustness experiments (one stalled thread pins epoch-based
 //!   reclamation; CA stays bounded).
 //!
@@ -63,7 +63,6 @@ pub mod coherence;
 pub mod coop;
 pub(crate) mod event;
 pub mod fault;
-pub(crate) mod gang;
 pub mod hb;
 pub mod latency;
 pub mod machine;
@@ -80,9 +79,5 @@ pub use fault::{CoreOutcome, CrashFault, FaultPlan, Restart, RestartFault, Stall
 pub use hb::{Finding, RaceReport};
 pub use latency::LatencyModel;
 pub use machine::{Ctx, ExecBackend, FootprintSample, Machine, MachineConfig};
-#[doc(hidden)]
-pub use event::{Op, Out};
-#[doc(hidden)]
-pub use machine::{set_gang_driver, GangDriver};
 pub use rng::{Rng, SplitMix64};
 pub use stats::{CoreStats, MachineStats, RevokeCause};

@@ -6,10 +6,7 @@
 //! coroutines on the calling thread where supported, or on one OS thread
 //! per core elsewhere (see [`ExecBackend`]); every memory event is
 //! serialized and deterministically ordered by the min-clock scheduler
-//! (see [`crate::sched`]), identically on either backend. With
-//! [`MachineConfig::gangs`] > 1 the run instead executes under the gang
-//! protocol (see [`crate::gang`]): per-gang scheduler shards on their own
-//! host threads, cross-gang events merged at deterministic epoch barriers.
+//! (see [`crate::sched`]), identically on either backend.
 //!
 //! A machine can be `run` multiple times (e.g. a single-core prefill run
 //! followed by [`Machine::reset_timing`] and a measured multi-core run);
@@ -62,10 +59,10 @@ use crate::addr::{Addr, CoreId};
 use crate::alloc::{Allocator, Fault, UafMode};
 use crate::coherence::{CacheConfig, CoherenceHub};
 use crate::event::{
-    AllocOp, CasOp, CreadOp, CwriteOp, Event, FenceOp, FreeOp, Op, OpCompletedOp, Out, OutVal,
-    ReadOp, SmrFenceOp, TxAbortOp, TxBeginOp, TxCommitOp, TxReadOp, TxWriteOp, UntagAllOp,
-    UntagOneOp, WriteOp,
+    AllocOp, CasOp, CreadOp, CwriteOp, Event, FenceOp, FreeOp, OpCompletedOp, ReadOp, SmrFenceOp,
+    TxAbortOp, TxBeginOp, TxCommitOp, TxReadOp, TxWriteOp, UntagAllOp, UntagOneOp, WriteOp,
 };
+use crate::hb::OutVal;
 use crate::fault::{CoreOutcome, FaultPlan, FaultState, FaultStop, Restart, WedgeProbe};
 use crate::latency::LatencyModel;
 use crate::sched::{Sched, NO_TURN};
@@ -94,52 +91,6 @@ pub enum ExecBackend {
 
 /// Is the coroutine backend available on this target?
 const COOP_SUPPORTED: bool = cfg!(mcsim_coop);
-
-/// Process-wide gang-driver override (a host-performance knob: every
-/// driver produces bit-identical results). 0 = auto (consult
-/// `MCSIM_GANG_DRIVER`, else pick by host CPU count); tests pin a driver
-/// through this atomic instead of `std::env::set_var`, which would race
-/// with concurrent libc `getenv` calls.
-#[cfg(mcsim_coop)]
-static GANG_DRIVER: AtomicUsize = AtomicUsize::new(GANG_DRIVER_AUTO);
-#[cfg(mcsim_coop)]
-const GANG_DRIVER_AUTO: usize = 0;
-#[cfg(mcsim_coop)]
-const GANG_DRIVER_SEQ: usize = 1;
-#[cfg(mcsim_coop)]
-const GANG_DRIVER_SPAWN: usize = 2;
-
-/// Which host mechanism drives gang epochs — a host-performance knob:
-/// every driver produces bit-identical simulated results, which the
-/// determinism suites assert by pinning each one in turn. `#[doc(hidden)]`
-/// because it is test/benchmark plumbing, not simulator API.
-#[doc(hidden)]
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum GangDriver {
-    /// Consult `MCSIM_GANG_DRIVER`, else pick by host CPU count.
-    Auto,
-    /// Single-threaded sequential epochs (serial merge).
-    Seq,
-    /// Scoped worker threads running the coop mechanism (parallel merge).
-    Spawn,
-}
-
-/// Pin the gang driver process-wide (see [`GANG_DRIVER`]). A no-op on
-/// targets without the coop backend, where only the auto driver exists.
-#[doc(hidden)]
-pub fn set_gang_driver(d: GangDriver) {
-    #[cfg(mcsim_coop)]
-    GANG_DRIVER.store(
-        match d {
-            GangDriver::Auto => GANG_DRIVER_AUTO,
-            GangDriver::Seq => GANG_DRIVER_SEQ,
-            GangDriver::Spawn => GANG_DRIVER_SPAWN,
-        },
-        Ordering::Relaxed,
-    );
-    #[cfg(not(mcsim_coop))]
-    let _ = d;
-}
 
 impl ExecBackend {
     /// Environment override consulted by [`Self::Auto`] only:
@@ -215,27 +166,10 @@ pub struct MachineConfig {
     /// Host execution backend (a host-performance knob; simulated results
     /// are identical across backends).
     pub exec: ExecBackend,
-    /// Intra-machine gang count (see [`crate::gang`]). `1` (the default)
-    /// runs the classic single-turn scheduler. With `gangs = G > 1`, the
-    /// run's cores are partitioned into G contiguous, SMT-aligned blocks;
-    /// each gang owns a scheduler shard and executes on its own host
-    /// thread, and cross-gang interaction is confined to deterministic
-    /// epoch barriers. Simulated results are a pure function of
-    /// `(program, seeds, quantum, gangs, gang_window)` — `gangs = 1` is
-    /// byte-identical to the pre-gang scheduler, while different gang
-    /// layouts are *different (but each deterministic)* schedules, the same
-    /// trade the paper's banked Graphite simulation makes with lax
-    /// synchronization.
-    pub gangs: usize,
-    /// Epoch window W in cycles for gang runs: within one epoch a core may
-    /// only advance to `global_min_clock + W`, and cross-gang events are
-    /// delivered at the epoch barrier — so W bounds both inter-gang clock
-    /// skew and cross-gang event latency. Ignored when `gangs == 1`.
-    pub gang_window: u64,
     /// Deterministic fault-injection plan (see [`crate::fault`]): stalls,
     /// burst deschedules, crashes and allocation pressure, all triggered by
-    /// per-core local clocks so they fire identically on every backend,
-    /// gang driver and `gangs × l2_banks` layout. Empty by default.
+    /// per-core local clocks so they fire identically on every backend and
+    /// `l2_banks` layout. Empty by default.
     pub fault_plan: FaultPlan,
     /// Wedge watchdog: panic with a diagnostic if any core's local clock
     /// exceeds this many cycles in one run — so a livelocked or
@@ -265,8 +199,6 @@ impl Default for MachineConfig {
             uaf_mode: UafMode::Panic,
             ctx_switch: None,
             exec: ExecBackend::Auto,
-            gangs: 1,
-            gang_window: 4096,
             fault_plan: FaultPlan::default(),
             max_cycles: None,
             race_check: false,
@@ -314,15 +246,6 @@ pub(crate) struct SimState {
     /// OS thread handle per simulated core, registered at the start of each
     /// run; the turn owner unparks the next owner's handle on handoff.
     pub threads: Vec<Option<Thread>>,
-    /// Epoch barriers crossed by gang runs (0 on single-gang machines).
-    pub gang_epochs: u64,
-    /// Gang runs: deferred events the barrier-merge classifier proved
-    /// bank-local (see `crate::gang`'s banked merge).
-    pub banked_merge_events: u64,
-    /// Gang runs: barrier items replayed in the serial merge epilogue.
-    pub serial_epilogue_events: u64,
-    /// Gang runs: bank-classified deferred events per L2 bank.
-    pub bank_occupancy: Vec<u64>,
     /// Compiled fault-injection state (see [`crate::fault`]).
     pub fault: FaultState,
     /// Watchdog attribution probes (see [`WedgeProbe`]): read host-side
@@ -374,16 +297,6 @@ impl StateHoldMark {
     }
 }
 
-/// Set this host thread's hold marker from a raw machine identity (the
-/// `Shared` address as a `usize`, so it can cross a `spawn` boundary).
-/// Used by the gang drivers: every gang worker / core thread of a gang run
-/// must panic — not deadlock — if a workload closure calls a host-side
-/// `Machine` method while the conductor holds the state lock.
-pub(crate) fn hold_state_marker(marker: usize) -> StateHoldMark {
-    let prev = HOLDING_STATE.replace(marker as *const ());
-    StateHoldMark { prev }
-}
-
 impl Drop for StateHoldMark {
     fn drop(&mut self) {
         HOLDING_STATE.set(self.prev);
@@ -430,7 +343,6 @@ const _: () = {
 impl Machine {
     /// Build a machine.
     pub fn new(cfg: MachineConfig) -> Self {
-        assert!(cfg.gangs >= 1, "MachineConfig::gangs must be at least 1");
         let mut hub = CoherenceHub::new(
             cfg.cores,
             cfg.smt,
@@ -444,7 +356,6 @@ impl Machine {
         if let Some(lines) = cfg.fault_plan.heap_limit_lines {
             alloc.limit_heap_lines(lines);
         }
-        let n_banks = hub.l2_bank_count();
         let state = SimState {
             hub,
             alloc,
@@ -456,10 +367,6 @@ impl Machine {
             ctx_switch: cfg.ctx_switch,
             next_preempt: vec![cfg.ctx_switch.map_or(u64::MAX, |(i, _)| i); cfg.cores],
             threads: vec![None; cfg.cores],
-            gang_epochs: 0,
-            banked_merge_events: 0,
-            serial_epilogue_events: 0,
-            bank_occupancy: vec![0; n_banks],
             fault: FaultState::new(&cfg.fault_plan, cfg.cores, cfg.max_cycles),
             wedge_probes: Vec::new(),
         };
@@ -560,8 +467,8 @@ impl Machine {
     /// clock is charged as plain local ticks; from there the recovery
     /// closure's events are an ordinary continuation of the core's event
     /// stream — a pure function of its local clock, byte-identical across
-    /// backends, gang drivers and layouts like every other fault trigger
-    /// (pinned by `fault_determinism` / `gang_determinism`).
+    /// backends and bank layouts like every other fault trigger (pinned by
+    /// `fault_determinism`).
     ///
     /// Restarts recover *injected crashes only*: any other panic (workload
     /// bug, UAF detector, wedge watchdog) still propagates, and a panic
@@ -637,7 +544,7 @@ impl Machine {
 
     /// Backend dispatch: run the closures and collect each core's result
     /// *or* caught panic, in core order. Panics that escaped a workload
-    /// closure's own frame (driver/conductor failures) still propagate.
+    /// closure's own frame (driver failures) still propagate.
     fn run_results<'env, R: Send + 'env>(
         &'env self,
         fns: Vec<CoreFn<'env, R>>,
@@ -671,93 +578,11 @@ impl Machine {
             ExecBackend::Threads => false,
             ExecBackend::Auto | ExecBackend::Coop => COOP_SUPPORTED,
         };
-        if self.cfg.gangs > 1 {
-            let layout = crate::gang::Layout::new(n, self.cfg.gangs, self.cfg.smt);
-            if layout.gangs > 1 {
-                return self.run_gangs(fns, layout, coop);
-            }
-            // A run too small to split (e.g. the single-core prefill run of
-            // a gangs=4 machine) uses the classic single-turn path, which
-            // the gang protocol degenerates to at G = 1 anyway.
-        }
         if coop {
             #[cfg(mcsim_coop)]
             return self.run_coop(fns);
         }
         self.run_threads(fns)
-    }
-
-    /// Gang-scheduled execution (`gangs > 1`): partition the run's cores
-    /// into gangs, one host thread per gang, with deterministic epoch
-    /// barriers for everything that crosses a gang boundary. See
-    /// [`crate::gang`] for the protocol and its determinism contract.
-    fn run_gangs<'env, R: Send + 'env>(
-        &'env self,
-        fns: Vec<CoreFn<'env, R>>,
-        layout: crate::gang::Layout,
-        coop: bool,
-    ) -> Vec<std::thread::Result<R>> {
-        let mut guard = self.shared.lock();
-        // The conductor (this thread) holds the state lock for the whole
-        // run; host-side calls on this machine — from workload closures on
-        // gang threads or from anything on this thread — must panic loudly
-        // instead of deadlocking. Gang worker threads set the same marker.
-        let _mark = StateHoldMark::set(&self.shared);
-        let marker = &*self.shared as *const Shared as *const () as usize;
-        let root: *mut SimState = &mut *guard;
-        // SAFETY: `guard` (and thus `root`) is held for the whole gang run;
-        // the run's raw projections are dropped before the guard below.
-        let run = unsafe {
-            crate::gang::GangRun::new(root, layout, self.cfg.quantum, self.cfg.gang_window)
-        };
-        let (outs, conductor_result) = if coop {
-            #[cfg(mcsim_coop)]
-            {
-                // Driver choice is a pure host-performance knob: every
-                // driver routes all decisions through the same gang event
-                // engine, so results are bit-identical. On a single-CPU
-                // host, per-gang worker threads buy nothing and cost a
-                // condvar round trip per epoch — run the whole protocol
-                // on this thread instead. MCSIM_GANG_DRIVER=seq|spawn
-                // pins the choice (CI / debugging).
-                let seq = match GANG_DRIVER.load(Ordering::Relaxed) {
-                    GANG_DRIVER_SEQ => true,
-                    GANG_DRIVER_SPAWN => false,
-                    // castatic: allow(nondet) — MCSIM_GANG_DRIVER is the documented driver knob
-                    _ => match std::env::var("MCSIM_GANG_DRIVER").as_deref() {
-                        Ok("seq") => true,
-                        Ok("spawn") => false,
-                        _ => std::thread::available_parallelism().map_or(1, |n| n.get()) == 1,
-                    },
-                };
-                if seq {
-                    crate::gang::run_seq_mech(&run, fns)
-                } else {
-                    crate::gang::run_coop_mech(&run, fns, marker)
-                }
-            }
-            #[cfg(not(mcsim_coop))]
-            {
-                unreachable!("coop resolved on a target without coop support")
-            }
-        } else {
-            crate::gang::run_threads_mech(&run, fns, marker)
-        };
-        // Publish the gang scheduler shards' clocks back into the global
-        // scheduler (stats()/max_clock read them between runs).
-        // SAFETY: all workers joined; this thread again has sole access.
-        unsafe { run.writeback(&mut guard) };
-        drop(run);
-        drop(guard);
-        // The conductor's panic (e.g. the UAF detector firing inside a
-        // deferred event at an epoch barrier) outranks the secondary
-        // "gang run aborted" panics it caused in the workers.
-        if let Err(e) = conductor_result {
-            std::panic::resume_unwind(e);
-        }
-        outs.into_iter()
-            .map(|r| r.expect("gang core finished without a result"))
-            .collect()
     }
 
     /// Coroutine backend: all simulated cores on the calling OS thread,
@@ -816,7 +641,7 @@ impl Machine {
                         CtxBackend::Coop(cb) => {
                             cb.retire_target.expect("coop retire records a target")
                         }
-                        _ => unreachable!("coop body on a non-coop ctx"),
+                        CtxBackend::Threads(_) => unreachable!("coop body on a threads ctx"),
                     }
                 });
                 // SAFETY: erase 'env — every coroutine is fully consumed
@@ -941,10 +766,6 @@ impl Machine {
         st.next_sample_at = st.sample_every.unwrap_or(0);
         let interval = st.ctx_switch.map_or(u64::MAX, |(i, _)| i);
         st.next_preempt.fill(interval);
-        st.gang_epochs = 0;
-        st.banked_merge_events = 0;
-        st.serial_epilogue_events = 0;
-        st.bank_occupancy.fill(0);
         // Clocks restart at zero, so the fault plan's triggers restart too.
         st.fault.reset();
     }
@@ -972,10 +793,10 @@ impl Machine {
             peak_allocated: st.alloc.peak,
             total_ops: st.global_ops,
             max_cycles: st.sched.max_clock(),
-            epoch_barriers: st.gang_epochs,
-            banked_merge_events: st.banked_merge_events,
-            serial_epilogue_events: st.serial_epilogue_events,
-            bank_occupancy: st.bank_occupancy.clone(),
+            epoch_barriers: 0,
+            banked_merge_events: 0,
+            serial_epilogue_events: 0,
+            bank_occupancy: vec![0; st.hub.l2_bank_count()],
             crashed: st.fault.crashed.clone(),
         }
     }
@@ -1013,14 +834,6 @@ impl Machine {
     pub fn race_report(&self) -> crate::hb::RaceReport {
         let st = self.shared.lock();
         crate::hb::analyze(&st.hub.trace, self.cfg.static_lines)
-    }
-
-    /// The raw analyzer trace, per hardware thread, as `(issue clock, kind
-    /// name, address)` — test plumbing for the typed-vs-reified battery,
-    /// which compares what the two pipelines recorded event by event.
-    #[doc(hidden)]
-    pub fn trace_snapshot(&self) -> Vec<Vec<(u64, &'static str, u64)>> {
-        self.shared.lock().hub.trace.snapshot()
     }
 
     /// Name `lines` lines starting at `a`'s line in race-analyzer reports
@@ -1071,22 +884,14 @@ pub struct Ctx<'m> {
     backend: CtxBackend<'m>,
 }
 
-/// Backend-specific part of a [`Ctx`] (see [`ExecBackend`] and
-/// [`crate::gang`]).
-pub(crate) enum CtxBackend<'m> {
+/// Backend-specific part of a [`Ctx`] (see [`ExecBackend`]).
+enum CtxBackend<'m> {
     Threads(ThreadsCtx<'m>),
     #[cfg_attr(not(mcsim_coop), allow(dead_code))]
     Coop(CoopCtx),
-    /// Gang run, threads mechanism: one OS thread per core, per-gang turn
-    /// words.
-    GangThreads(crate::gang::GangThreadsCtx),
-    /// Gang run, coroutine mechanism: this core is a coroutine in its gang
-    /// worker's arena.
-    #[cfg(mcsim_coop)]
-    GangCoop(crate::gang::GangCoopCtx),
 }
 
-pub(crate) struct ThreadsCtx<'m> {
+struct ThreadsCtx<'m> {
     shared: &'m Shared,
     /// The state guard, held across consecutive events while this core
     /// keeps the turn (see the module docs on event batching). `Some` iff
@@ -1155,7 +960,7 @@ impl<'m> ThreadsCtx<'m> {
     not(mcsim_coop),
     allow(dead_code)
 )]
-pub(crate) struct CoopCtx {
+struct CoopCtx {
     state: *mut SimState,
     /// Context-slot table (`cores + 1` entries; the last is the main slot).
     ctxs: *mut *mut u8,
@@ -1165,14 +970,12 @@ pub(crate) struct CoopCtx {
     retire_target: Option<usize>,
 }
 
-/// The OS-preemption model's deadline step, shared by every event path
-/// (the batched single-gang pipeline, the gang lane, and the gang
-/// conductor's barrier merge): when the core's clock reaches its deadline,
-/// run `preempt` (which sets the ARB and aborts any transaction), charge
-/// the switch cost, and advance the deadline past the new clock.
-/// Deadline-driven, hence deterministic.
+/// The OS-preemption model's deadline step: when the core's clock reaches
+/// its deadline, run `preempt` (which sets the ARB and aborts any
+/// transaction), charge the switch cost, and advance the deadline past the
+/// new clock. Deadline-driven, hence deterministic.
 #[inline]
-pub(crate) fn apply_preempt_model(
+fn apply_preempt_model(
     clock: &mut u64,
     next_preempt: &mut u64,
     model: Option<(u64, u64)>,
@@ -1193,7 +996,7 @@ pub(crate) fn apply_preempt_model(
 /// registered [`WedgeProbe`]s for the minimum non-sentinel reservation/era
 /// value and name its holder. `None` when no probe holds anything — the
 /// wedge is then a plain livelock, not a reservation pin.
-pub(crate) fn wedge_attribution(st: &SimState) -> Option<String> {
+fn wedge_attribution(st: &SimState) -> Option<String> {
     let mut oldest: Option<(u64, &'static str, usize, u64)> = None;
     for p in &st.wedge_probes {
         for t in 0..p.threads {
@@ -1241,7 +1044,7 @@ fn run_event_on<T: Event>(
     let issue_clock = st.sched.clocks[c];
     let (out, cost) = ev.exec(st, c);
     if st.hub.trace.enabled {
-        // The only place the single-gang path materialises `Op`/`Out`.
+        // The only place an event is reified (see `hb::Op`).
         st.hub.trace.record(c, issue_clock, ev.op(), &out.to_out());
     }
     st.sched.clocks[c] += cost;
@@ -1319,22 +1122,6 @@ fn finish_retire(st: &mut SimState, c: CoreId, pending: u64) -> Option<CoreId> {
 }
 
 impl<'m> Ctx<'m> {
-    /// Internal constructor for the gang drivers (`crate::gang`).
-    pub(crate) fn from_parts(
-        core: CoreId,
-        threads: usize,
-        race_check: bool,
-        backend: CtxBackend<'m>,
-    ) -> Self {
-        Ctx {
-            core,
-            threads,
-            pending_ticks: 0,
-            race_check,
-            backend,
-        }
-    }
-
     /// This simulated core's id.
     #[inline]
     pub fn core(&self) -> CoreId {
@@ -1348,18 +1135,6 @@ impl<'m> Ctx<'m> {
         self.threads
     }
 
-    /// Gang-coop only: the final switch target recorded by `retire` (read
-    /// by the gang worker's coroutine body after the closure returns).
-    #[cfg(mcsim_coop)]
-    pub(crate) fn gang_coop_retire_target(&self) -> usize {
-        match &self.backend {
-            CtxBackend::GangCoop(gc) => gc
-                .retire_target
-                .expect("gang-coop retire records a target"),
-            _ => unreachable!("gang_coop_retire_target on a non-gang-coop ctx"),
-        }
-    }
-
     /// Charge `cycles` of local computation (no scheduling point; the cost
     /// is folded into the next memory event).
     #[inline]
@@ -1367,13 +1142,10 @@ impl<'m> Ctx<'m> {
         self.pending_ticks += cycles;
     }
 
-    /// Execute one typed event under the turn (single-gang backends) or the
-    /// gang protocol (gang backends: locally when the event resolves inside
-    /// this gang's partition, via the epoch barrier otherwise).
-    ///
-    /// On the single-gang backends nothing is reified: `T::exec` runs under
-    /// the turn and its result returns in registers. The backend match only
-    /// selects *where the state lives*; the pipeline itself is one copy.
+    /// Execute one typed event under the turn. Nothing is reified:
+    /// `T::exec` runs under the turn and its result returns in registers.
+    /// The backend match only selects *where the state lives*; the pipeline
+    /// itself is one copy.
     #[inline]
     fn event<T: Event>(&mut self, ev: T) -> T::R {
         let c = self.core;
@@ -1387,7 +1159,6 @@ impl<'m> Ctx<'m> {
                 debug_assert_eq!(st.sched.turn, c, "coop: non-owner coroutine running");
                 st
             }
-            _ => return T::R::from_out(self.gang_event(pending, ev.op())),
         };
         let (out, next) = run_event_on(st, c, pending, ev);
         if let Some(next) = next {
@@ -1398,7 +1169,7 @@ impl<'m> Ctx<'m> {
         out
     }
 
-    /// Move the turn to `next` after an event (single-gang backends).
+    /// Move the turn to `next` after an event.
     #[inline(never)]
     fn hand_off(&mut self, next: CoreId) {
         match &mut self.backend {
@@ -1418,27 +1189,10 @@ impl<'m> Ctx<'m> {
                     unreachable!("coop backend unavailable on this target: core {next}");
                 }
             }
-            _ => unreachable!("hand_off on a gang ctx (the gang protocol moves its own turns)"),
         }
     }
 
-    /// One event on a gang backend: these queue and replay operations, so
-    /// they take the reified form.
-    #[cold]
-    #[inline(never)]
-    fn gang_event(&mut self, pending: u64, op: Op) -> Out {
-        let c = self.core;
-        match &mut self.backend {
-            // SAFETY (gang arms): the ctx was built by the gang driver, so
-            // the embedded run pointer outlives the core's execution.
-            CtxBackend::GangThreads(gt) => unsafe { crate::gang::event_threads(gt, c, pending, op) },
-            #[cfg(mcsim_coop)]
-            CtxBackend::GangCoop(gc) => unsafe { crate::gang::event_coop(gc, c, pending, op) },
-            _ => unreachable!("gang_event on a single-gang ctx"),
-        }
-    }
-
-    pub(crate) fn retire(&mut self) {
+    fn retire(&mut self) {
         let c = self.core;
         let pending = std::mem::take(&mut self.pending_ticks);
         match &mut self.backend {
@@ -1457,10 +1211,6 @@ impl<'m> Ctx<'m> {
                 // closure's allocation is freed first.
                 cb.retire_target = Some(next.unwrap_or(cb.main_slot));
             }
-            // SAFETY (gang arms): as for the gang arms of `event` above.
-            CtxBackend::GangThreads(gt) => unsafe { crate::gang::retire_threads(gt, c, pending) },
-            #[cfg(mcsim_coop)]
-            CtxBackend::GangCoop(gc) => unsafe { crate::gang::retire_coop(gc, c, pending) },
         }
     }
 
@@ -1551,9 +1301,7 @@ impl<'m> Ctx<'m> {
         }
     }
 
-    /// Free one node. Charges the free latency. Traps double frees (on
-    /// gang runs, a double free by a *deferred* free is trapped at the
-    /// epoch barrier that applies it).
+    /// Free one node. Charges the free latency. Traps double frees.
     pub fn free(&mut self, a: Addr) {
         self.event(FreeOp(a))
     }
@@ -1602,23 +1350,7 @@ impl<'m> Ctx<'m> {
             },
             // SAFETY: a running coroutine owns the turn (state is idle).
             CtxBackend::Coop(cb) => unsafe { (&*cb.state).hub.tx_active(c) },
-            // SAFETY (gang arms): a core's tx state is only ever touched by
-            // its own events (or by the conductor while the core is
-            // blocked), so an unsynchronized read from the core's own
-            // context is race-free.
-            CtxBackend::GangThreads(gt) => unsafe { crate::gang::probe_tx_active(gt.run(), c) },
-            #[cfg(mcsim_coop)]
-            CtxBackend::GangCoop(gc) => unsafe { crate::gang::probe_tx_active(gc.run(), c) },
         }
-    }
-
-    /// Issue one *reified* operation through the event pipeline — the
-    /// `exec_op` replay the gang conductor uses, under this core's turn.
-    /// Test plumbing for the typed-vs-reified differential battery
-    /// (`tests/typed_vs_reified.rs`); programs use the typed methods above.
-    #[doc(hidden)]
-    pub fn issue_reified(&mut self, op: Op) -> Out {
-        self.event(op)
     }
 
     /// Record one completed data-structure operation (throughput numerator,
@@ -1638,12 +1370,6 @@ impl<'m> Ctx<'m> {
             },
             // SAFETY: a running coroutine owns the turn (state is idle).
             CtxBackend::Coop(cb) => unsafe { (&*cb.state).sched.clocks[c] + pending },
-            // SAFETY (gang arms): only a core's own events advance its
-            // clock slot, so reading it from the core's own context is
-            // race-free.
-            CtxBackend::GangThreads(gt) => unsafe { crate::gang::probe_clock(gt.run(), c) + pending },
-            #[cfg(mcsim_coop)]
-            CtxBackend::GangCoop(gc) => unsafe { crate::gang::probe_clock(gc.run(), c) + pending },
         }
     }
 }
@@ -2040,666 +1766,6 @@ mod tests {
         assert_eq!(ExecBackend::env_override(), ExecBackend::env_override());
     }
 
-    // --- gang scheduling -------------------------------------------------
-
-    fn gang_machine(cores: usize, gangs: usize, window: u64, exec: ExecBackend) -> Machine {
-        Machine::new(MachineConfig {
-            cores,
-            mem_bytes: 1 << 20,
-            static_lines: 64,
-            quantum: 0,
-            gangs,
-            gang_window: window,
-            exec,
-            ..Default::default()
-        })
-    }
-
-    const GANG_BACKENDS: [ExecBackend; 2] = [ExecBackend::Threads, ExecBackend::Coop];
-
-    #[test]
-    fn gang_counter_is_exact_across_gang_boundaries() {
-        // Cross-gang CAS contention: every path here (S→M upgrades,
-        // invalidations, misses) defers to the epoch barrier, so this
-        // exercises the whole queue/merge protocol.
-        for exec in GANG_BACKENDS {
-            for gangs in [2, 4] {
-                let m = gang_machine(4, gangs, 128, exec);
-                let a = m.alloc_static(1);
-                m.run_on(4, |_, ctx| {
-                    for _ in 0..50 {
-                        loop {
-                            let cur = ctx.read(a);
-                            if ctx.cas(a, cur, cur + 1).is_ok() {
-                                break;
-                            }
-                        }
-                    }
-                });
-                assert_eq!(m.host_read(a), 200, "{exec:?} gangs={gangs}");
-                m.check_invariants();
-                let stats = m.stats();
-                assert!(stats.epoch_barriers > 0, "gang runs must cross barriers");
-                assert!(
-                    stats.sum(|c| c.deferred_events) > 0,
-                    "cross-gang contention must defer events"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gang_runs_are_deterministic_and_backend_identical() {
-        // For a fixed gang layout: repeated runs and both exec mechanisms
-        // must produce bit-identical per-core statistics (the determinism
-        // contract of the gang protocol).
-        let program = |gangs: usize, exec: ExecBackend| {
-            let m = gang_machine(6, gangs, 256, exec);
-            let a = m.alloc_static(1);
-            m.run_on(6, |i, ctx| {
-                for _ in 0..60 {
-                    loop {
-                        let cur = ctx.read(a);
-                        if ctx.cas(a, cur, cur.wrapping_mul(31) + i as u64 + 1).is_ok() {
-                            break;
-                        }
-                    }
-                }
-            });
-            (m.host_read(a), m.stats())
-        };
-        for gangs in [2, 3] {
-            let (v1, s1) = program(gangs, ExecBackend::Threads);
-            let (v2, s2) = program(gangs, ExecBackend::Threads);
-            assert_eq!(v1, v2, "gangs={gangs}: repeated runs diverged");
-            assert_eq!(s1.cores, s2.cores, "gangs={gangs}: per-core stats diverged");
-            assert_eq!(s1.epoch_barriers, s2.epoch_barriers);
-            let (v3, s3) = program(gangs, ExecBackend::Coop);
-            assert_eq!(v1, v3, "gangs={gangs}: coop mechanism diverged from threads");
-            assert_eq!(
-                s1.cores, s3.cores,
-                "gangs={gangs}: coop per-core stats diverged from threads"
-            );
-            assert_eq!(s1.max_cycles, s3.max_cycles);
-        }
-    }
-
-    #[test]
-    fn gang_local_fast_path_executes_in_parallel_phase() {
-        // A read-heavy single-location workload: after the first fill, the
-        // spins are L1 hits and must execute on the gang-local lane, not at
-        // barriers.
-        let m = gang_machine(4, 2, 512, ExecBackend::Threads);
-        let a = m.alloc_static(1);
-        m.run_on(4, |_, ctx| {
-            for _ in 0..200 {
-                let _ = ctx.read(a);
-            }
-        });
-        let stats = m.stats();
-        let local = stats.sum(|c| c.batched_events + c.turn_handoffs) - stats.sum(|c| c.deferred_events);
-        assert!(
-            local > stats.sum(|c| c.deferred_events),
-            "hit-dominated workloads must mostly run on the lane: local {local}, deferred {}",
-            stats.sum(|c| c.deferred_events)
-        );
-        assert_eq!(stats.sum(|c| c.l1_hits), 4 * 200 - 4, "one miss per core, then hits");
-    }
-
-    #[test]
-    fn gang_cread_revocation_crosses_gangs() {
-        // CA semantics across a gang boundary: gang 1's write to a line
-        // tagged by gang 0 must set gang 0's ARB at an epoch barrier, and
-        // the tagger's next cread must fail.
-        for exec in GANG_BACKENDS {
-            let m = gang_machine(2, 2, 64, exec);
-            let a = m.alloc_static(1);
-            let flag = m.alloc_static(1);
-            let outs = m.run_on(2, |i, ctx| {
-                if i == 0 {
-                    let first = ctx.cread(a);
-                    assert_eq!(first, Some(0), "initial cread sees the zeroed line");
-                    ctx.write(flag, 1);
-                    let mut spins = 0u64;
-                    loop {
-                        match ctx.cread(a) {
-                            None => break,
-                            Some(_) => ctx.tick(1),
-                        }
-                        spins += 1;
-                        assert!(spins < 1_000_000, "revocation never arrived");
-                    }
-                    ctx.untag_all();
-                    ctx.read(a)
-                } else {
-                    while ctx.read(flag) == 0 {
-                        ctx.tick(1);
-                    }
-                    ctx.write(a, 7);
-                    7
-                }
-            });
-            assert_eq!(outs, vec![7, 7], "{exec:?}");
-            let stats = m.stats();
-            assert!(stats.cores[0].cread_fail > 0, "{exec:?}: revocation must fail a cread");
-            assert!(stats.cores[0].revoke_remote > 0, "{exec:?}");
-        }
-    }
-
-    #[test]
-    fn gang_uaf_detector_fires_through_the_barrier() {
-        // A use-after-free whose faulting access is a *deferred* event: the
-        // conductor's merge panics, the run aborts cleanly, and the panic
-        // propagates out of run().
-        for exec in GANG_BACKENDS {
-            let m = gang_machine(2, 2, 128, exec);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                m.run_on(2, |i, ctx| {
-                    if i == 0 {
-                        let a = ctx.alloc();
-                        ctx.write(a, 1);
-                        ctx.free(a);
-                        // Deferred read of a freed line (the free above is
-                        // applied at a barrier before this read executes).
-                        ctx.read(a);
-                    } else {
-                        for _ in 0..20 {
-                            ctx.tick(10);
-                            ctx.fence();
-                        }
-                    }
-                });
-            }));
-            assert!(result.is_err(), "{exec:?}: UAF through the barrier must panic");
-        }
-    }
-
-    #[test]
-    fn gang_panic_in_one_closure_propagates_and_others_finish() {
-        for exec in GANG_BACKENDS {
-            let m = gang_machine(4, 2, 128, exec);
-            let a = m.alloc_static(1);
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                m.run_on(4, |i, ctx| {
-                    for _ in 0..10 {
-                        ctx.read(a);
-                    }
-                    if i == 2 {
-                        panic!("deliberate gang test panic");
-                    }
-                    for _ in 0..10 {
-                        ctx.read(a);
-                    }
-                });
-            }));
-            assert!(result.is_err(), "{exec:?}: closure panic must propagate");
-            // The machine survives: a fresh (gang) run works.
-            let v = m.run_on(4, |_, ctx| ctx.read(a));
-            assert_eq!(v, vec![0, 0, 0, 0], "{exec:?}");
-        }
-    }
-
-    #[test]
-    fn gang_host_calls_inside_a_run_panic_instead_of_deadlocking() {
-        // The conductor holds the state lock for the whole gang run; a
-        // host-side Machine call from a workload closure must trip the
-        // hold marker on the gang thread, not deadlock on the mutex.
-        for exec in GANG_BACKENDS {
-            let m = gang_machine(2, 2, 128, exec);
-            let a = m.alloc_static(1);
-            let m_ref = &m;
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                m_ref.run_on(2, |i, ctx| {
-                    ctx.read(a);
-                    if i == 0 {
-                        let _ = m_ref.stats(); // would deadlock unguarded
-                    }
-                });
-            }));
-            assert!(result.is_err(), "{exec:?}: host call inside a gang run must panic");
-            assert_eq!(m.stats().total_ops, 0, "{exec:?}: machine usable afterwards");
-        }
-    }
-
-    #[test]
-    fn gang_lane_matches_the_hub_counter_for_counter() {
-        // The gang lane hand-mirrors the hub's L1-hit costs and stats; this
-        // pins the mirror. With **disjoint per-core working sets** there is
-        // no cross-core coherence, so every core's event sequence — hence
-        // its clock and every counter except the scheduling artifacts
-        // (batched/handoff/deferred) — must be IDENTICAL between gangs=1
-        // (pure hub path) and gangs=2 (lane fast path + barrier merges).
-        // Any drift between Lane::try_op and the hub's hit arms fails here.
-        let run = |gangs: usize| {
-            let m = Machine::new(MachineConfig {
-                cores: 4,
-                mem_bytes: 1 << 20,
-                static_lines: 256,
-                quantum: 0,
-                gangs,
-                gang_window: 256,
-                ..Default::default()
-            });
-            let bases: Vec<Addr> = (0..4).map(|_| m.alloc_static(8)).collect();
-            let bases = &bases;
-            m.run_on(4, |i, ctx| {
-                let b = bases[i];
-                for r in 0..30u64 {
-                    for l in 0..8u64 {
-                        let a = Addr(b.0 + l * 64);
-                        ctx.write(a, r + l);
-                        let _ = ctx.read(a);
-                        let _ = ctx.cas(a, r + l, r + l + 1);
-                        let _ = ctx.cread(a);
-                        let _ = ctx.cwrite(a, 5);
-                        ctx.untag_one(a);
-                        let _ = ctx.cread(a);
-                        ctx.untag_all();
-                        ctx.fence();
-                        ctx.tick(3);
-                    }
-                    ctx.op_completed();
-                }
-            });
-            m.stats()
-        };
-        let hub = run(1);
-        let lane = run(2);
-        assert_eq!(hub.max_cycles, lane.max_cycles, "per-core clocks must agree");
-        assert_eq!(hub.total_ops, lane.total_ops);
-        for (c, (a, b)) in hub.cores.iter().zip(&lane.cores).enumerate() {
-            let mut a = a.clone();
-            let mut b = b.clone();
-            // Scheduling-artifact counters legitimately differ between a
-            // global turn and per-gang windows; everything else must not.
-            a.batched_events = 0;
-            a.turn_handoffs = 0;
-            a.deferred_events = 0;
-            b.batched_events = 0;
-            b.turn_handoffs = 0;
-            b.deferred_events = 0;
-            assert_eq!(a, b, "core {c}: lane stats diverged from the hub");
-        }
-    }
-
-    #[test]
-    fn gang_seq_and_spawn_drivers_are_identical() {
-        // The sequential (single-CPU) and per-gang-worker drivers share
-        // every decision path; pin them against each other explicitly.
-        // (Safe to toggle concurrently with other gang tests: the driver
-        // never changes simulated results, only host scheduling.)
-        let program = |driver: GangDriver| {
-            set_gang_driver(driver);
-            let m = gang_machine(4, 2, 128, ExecBackend::Coop);
-            let a = m.alloc_static(1);
-            m.run_on(4, |i, ctx| {
-                for _ in 0..40 {
-                    loop {
-                        let cur = ctx.read(a);
-                        if ctx.cas(a, cur, cur.wrapping_mul(31) + i as u64 + 1).is_ok() {
-                            break;
-                        }
-                    }
-                }
-            });
-            set_gang_driver(GangDriver::Auto);
-            (m.host_read(a), m.stats())
-        };
-        let (v_seq, s_seq) = program(GangDriver::Seq);
-        let (v_spawn, s_spawn) = program(GangDriver::Spawn);
-        assert_eq!(v_seq, v_spawn, "drivers diverged on the final value");
-        assert_eq!(s_seq.cores, s_spawn.cores, "drivers diverged on per-core stats");
-        assert_eq!(s_seq.epoch_barriers, s_spawn.epoch_barriers);
-    }
-
-    #[test]
-    fn banked_merge_lanes_match_serial_replay_and_counters_are_driver_invariant() {
-        // 16 cores × 4 gangs, disjoint per-core working sets: every epoch
-        // each core defers one cold miss, so barriers carry enough
-        // bank-local events for the spawn driver and the threads backend's
-        // dedicated merge workers to dispatch parallel lanes. The
-        // sequential driver replays the same barriers serially. All three
-        // must produce byte-identical per-core stats, final memory, AND the
-        // same banked-merge counters (classification is a pure function of
-        // the deterministic event stream, never of the execution strategy).
-        let program = |driver: Option<GangDriver>, exec: ExecBackend| {
-            if let Some(d) = driver {
-                set_gang_driver(d);
-            }
-            let m = Machine::new(MachineConfig {
-                cores: 16,
-                mem_bytes: 1 << 20,
-                static_lines: 1024,
-                quantum: 0,
-                gangs: 4,
-                gang_window: 256,
-                exec,
-                ..Default::default()
-            });
-            let bases: Vec<Addr> = (0..16).map(|_| m.alloc_static(32)).collect();
-            let bases = &bases;
-            m.run_on(16, |i, ctx| {
-                let b = bases[i];
-                let mut acc = 0u64;
-                for l in 0..32u64 {
-                    let a = Addr(b.0 + l * 64);
-                    ctx.write(a, i as u64 + l);
-                    acc = acc.wrapping_add(ctx.read(a));
-                }
-                acc
-            });
-            set_gang_driver(GangDriver::Auto);
-            m.stats()
-        };
-        let seq = program(Some(GangDriver::Seq), ExecBackend::Coop);
-        let spawn = program(Some(GangDriver::Spawn), ExecBackend::Coop);
-        let threads = program(None, ExecBackend::Threads);
-        assert!(
-            seq.banked_merge_events > 0,
-            "disjoint cold misses must classify as bank-local"
-        );
-        assert_eq!(
-            seq.bank_occupancy.iter().sum::<u64>(),
-            seq.banked_merge_events,
-            "occupancy must partition the banked events"
-        );
-        for (label, other) in [("spawn", &spawn), ("threads", &threads)] {
-            assert_eq!(seq.cores, other.cores, "{label}: per-core stats diverged");
-            assert_eq!(seq.max_cycles, other.max_cycles, "{label}");
-            assert_eq!(seq.epoch_barriers, other.epoch_barriers, "{label}");
-            assert_eq!(
-                seq.banked_merge_events, other.banked_merge_events,
-                "{label}: banked counter diverged"
-            );
-            assert_eq!(
-                seq.serial_epilogue_events, other.serial_epilogue_events,
-                "{label}: epilogue counter diverged"
-            );
-            assert_eq!(seq.bank_occupancy, other.bank_occupancy, "{label}");
-        }
-    }
-
-    #[test]
-    fn banked_merge_keeps_freed_line_reads_behind_the_free() {
-        // Within ONE barrier, a read of a line freed earlier (by simulated
-        // clock) in the same window must still trip the UAF detector: the
-        // classifier routes reads of barrier-freed lines to the serial
-        // epilogue, behind the free. The control run (read issued *before*
-        // the free) must complete — the lane replay of the read commutes
-        // with the later free. Pinned on the spawn driver with enough
-        // sibling traffic to trigger real parallel lane dispatch.
-        let run = |read_tick: u64, free_tick: u64| -> std::thread::Result<()> {
-            set_gang_driver(GangDriver::Spawn);
-            let m = Machine::new(MachineConfig {
-                cores: 16,
-                mem_bytes: 1 << 20,
-                static_lines: 2048,
-                quantum: 0,
-                gangs: 4,
-                gang_window: 1 << 40, // one epoch: every core runs to its block
-                exec: ExecBackend::Coop,
-                ..Default::default()
-            });
-            // Run 1: core 0 allocates the victim line; the host learns its
-            // address (state persists across runs).
-            let victim = m.run_on(1, |_, ctx| ctx.alloc())[0];
-            m.reset_timing();
-            let bases: Vec<Addr> = (0..16).map(|_| m.alloc_static(4)).collect();
-            let bases = &bases;
-            let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                m.run_on(16, move |i, ctx| match i {
-                    0 => {
-                        ctx.tick(free_tick);
-                        ctx.free(victim);
-                    }
-                    1 => {
-                        ctx.tick(read_tick);
-                        let _ = ctx.read(victim);
-                    }
-                    _ => {
-                        // Sibling lane traffic: one cold miss each, so the
-                        // barrier clears MIN_PARALLEL_MERGE_EVENTS.
-                        let _ = ctx.read(bases[i]);
-                    }
-                })
-            }));
-            set_gang_driver(GangDriver::Auto);
-            out.map(|_| ())
-        };
-        assert!(
-            run(10_000, 10).is_err(),
-            "read after the free (same barrier) must trip the UAF detector"
-        );
-        assert!(
-            run(10, 10_000).is_ok(),
-            "read before the free (same barrier) must complete"
-        );
-    }
-
-    #[test]
-    fn banked_merge_defers_accesses_racing_a_same_barrier_alloc() {
-        // Within ONE barrier, a stale read of a freed line that a
-        // same-barrier Alloc re-allocates (LIFO reuse) must replay AFTER
-        // the alloc, exactly as the serial order does: the read is then a
-        // legal access to a live line. Replaying it on a lane — before the
-        // suffix alloc — would see the line still freed and raise a
-        // spurious UAF panic the serial schedule never raises. Pinned on
-        // the spawn driver with enough sibling traffic for real lane
-        // dispatch; this run must COMPLETE.
-        set_gang_driver(GangDriver::Spawn);
-        let m = Machine::new(MachineConfig {
-            cores: 16,
-            mem_bytes: 1 << 20,
-            static_lines: 2048,
-            quantum: 0,
-            gangs: 4,
-            gang_window: 1 << 40, // one epoch: every core runs to its block
-            exec: ExecBackend::Coop,
-            ..Default::default()
-        });
-        // Run 1: core 0 allocates and frees the victim line, leaving it on
-        // core 0's LIFO free list; the host learns its address.
-        let victim = m.run_on(1, |_, ctx| {
-            let a = ctx.alloc();
-            ctx.free(a);
-            a
-        })[0];
-        m.reset_timing();
-        let bases: Vec<Addr> = (0..16).map(|_| m.alloc_static(4)).collect();
-        let bases = &bases;
-        let realloc = m.run_on(16, move |i, ctx| match i {
-            0 => {
-                // Re-allocates the victim (clock 10, before the read).
-                ctx.tick(10);
-                ctx.alloc()
-            }
-            1 => {
-                // Stale pointer dereference at clock 10_000, same barrier.
-                ctx.tick(10_000);
-                let _ = ctx.read(victim);
-                victim
-            }
-            _ => {
-                let _ = ctx.read(bases[i]);
-                Addr(0)
-            }
-        });
-        set_gang_driver(GangDriver::Auto);
-        assert_eq!(realloc[0], victim, "LIFO reuse must hand back the victim");
-        m.check_invariants();
-    }
-
-    #[test]
-    fn threads_merge_lane_uaf_panic_aborts_deterministically_and_cleans_up() {
-        // A UAF verdict firing *inside a threads-mechanism merge lane* (the
-        // victim was freed in an earlier run, so the classifier sees a
-        // plain bank-local read and routes it to a lane, where the
-        // frozen-allocator check panics mid-merge) must: (1) surface the
-        // allocator's canonical diagnostic — not the abort shim's, not a
-        // poisoned-mutex error; (2) do so identically on a repeated run
-        // (first-lane-wins capture + deterministic classification); and
-        // (3) tear the gate down cleanly — `run_on` returning at all
-        // proves the scoped core threads AND the dedicated merge workers
-        // joined (a wedged parked worker would deadlock the scope), and
-        // the follow-up clean run on the same machine proves no poisoned
-        // or half-open protocol state survives the abort.
-        let m = Machine::new(MachineConfig {
-            cores: 16,
-            mem_bytes: 1 << 20,
-            static_lines: 2048,
-            quantum: 0,
-            gangs: 4,
-            gang_window: 1 << 40, // one epoch: every core runs to its block
-            exec: ExecBackend::Threads,
-            ..Default::default()
-        });
-        let victim = m.run_on(1, |_, ctx| {
-            let a = ctx.alloc();
-            ctx.free(a);
-            a
-        })[0];
-        let bases: Vec<Addr> = (0..16).map(|_| m.alloc_static(4)).collect();
-        let bases = &bases;
-        let msg_of = |e: Box<dyn std::any::Any + Send>| {
-            e.downcast_ref::<String>()
-                .cloned()
-                .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default()
-        };
-        let attempt = || {
-            m.reset_timing();
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                m.run_on(16, move |i, ctx| {
-                    // One cold miss per core: the barrier clears
-                    // MIN_PARALLEL_MERGE_EVENTS with several disjoint
-                    // lanes, and core 1's miss targets the freed victim.
-                    let a = if i == 1 { victim } else { bases[i] };
-                    let _ = ctx.read(a);
-                })
-            }))
-        };
-        let e1 = msg_of(attempt().expect_err("freed-line read must abort the merge"));
-        assert!(
-            e1.contains("MEMORY SAFETY VIOLATION"),
-            "lane panic must surface the detector's diagnostic, got {e1:?}"
-        );
-        let e2 = msg_of(attempt().expect_err("second run must abort identically"));
-        assert_eq!(e1, e2, "lane abort must be deterministic across runs");
-        // The machine is still fully operational after two aborted runs.
-        m.reset_timing();
-        let sums = m.run_on(16, |i, ctx| ctx.read(bases[i]));
-        assert_eq!(sums.len(), 16);
-        m.check_invariants();
-    }
-
-    #[test]
-    fn banked_merge_is_identical_across_bank_counts() {
-        // The banking is exactly set-preserving and the banked merge is a
-        // proof-carrying reordering of the serial replay: for a fixed gang
-        // layout, per-core results must be bit-identical for every bank
-        // count (only the merge counters — which describe the banking
-        // itself — may differ).
-        let program = |l2_banks: usize| {
-            let m = Machine::new(MachineConfig {
-                cores: 8,
-                mem_bytes: 1 << 20,
-                static_lines: 64,
-                quantum: 0,
-                gangs: 2,
-                gang_window: 256,
-                cache: crate::CacheConfig {
-                    l2_banks,
-                    ..Default::default()
-                },
-                ..Default::default()
-            });
-            let a = m.alloc_static(1);
-            m.run_on(8, |i, ctx| {
-                for _ in 0..40 {
-                    loop {
-                        let cur = ctx.read(a);
-                        if ctx.cas(a, cur, cur.wrapping_mul(31) + i as u64 + 1).is_ok() {
-                            break;
-                        }
-                    }
-                }
-            });
-            (m.host_read(a), m.stats())
-        };
-        let (v1, s1) = program(1);
-        for banks in [4usize, 8] {
-            let (v, s) = program(banks);
-            assert_eq!(v1, v, "banks={banks}: final value diverged");
-            assert_eq!(s1.cores, s.cores, "banks={banks}: per-core stats diverged");
-            assert_eq!(s1.max_cycles, s.max_cycles, "banks={banks}");
-            assert_eq!(s1.epoch_barriers, s.epoch_barriers, "banks={banks}");
-        }
-        // banks=1 has no banked classification at all.
-        assert_eq!(s1.banked_merge_events, 0);
-        assert!(s1.serial_epilogue_events > 0);
-    }
-
-    #[test]
-    fn gang_warm_runs_and_reset_timing() {
-        let m = gang_machine(4, 2, 128, ExecBackend::Threads);
-        let a = m.alloc_static(1);
-        // Prefill on one core (too small to split: classic path), then a
-        // gang-scheduled measured run on warm state.
-        m.run_on(1, |_, ctx| ctx.write(a, 5));
-        m.reset_timing();
-        assert_eq!(m.stats().max_cycles, 0);
-        let v = m.run_on(4, |_, ctx| ctx.read(a));
-        assert_eq!(v, vec![5; 4]);
-        assert!(m.stats().max_cycles > 0, "gang clocks written back");
-        // A second gang run continues from the warm clocks.
-        let v = m.run_on(4, |_, ctx| ctx.read(a));
-        assert_eq!(v, vec![5; 4]);
-    }
-
-    #[test]
-    fn gang_alloc_free_and_sampling_work_through_barriers() {
-        let m = Machine::new(MachineConfig {
-            cores: 4,
-            mem_bytes: 1 << 20,
-            static_lines: 64,
-            quantum: 0,
-            gangs: 2,
-            gang_window: 128,
-            sample_every: Some(10),
-            ..Default::default()
-        });
-        m.run_on(4, |_, ctx| {
-            for _ in 0..25 {
-                let a = ctx.alloc();
-                ctx.write(a, 1);
-                ctx.op_completed();
-            }
-        });
-        assert_eq!(m.stats().total_ops, 100);
-        assert_eq!(m.stats().allocated_not_freed, 100);
-        let samples = m.footprint_samples();
-        assert_eq!(samples.len(), 10, "100 ops / sample_every 10");
-        assert!(samples.windows(2).all(|w| w[0].0 < w[1].0));
-    }
-
-    #[test]
-    fn gang_lifo_reuse_within_a_core() {
-        // free defers its allocator half but stays ordered before the same
-        // core's next alloc in the barrier merge: LIFO reuse must hold.
-        let m = gang_machine(4, 2, 128, ExecBackend::Coop);
-        let addrs = m.run_on(4, |_, ctx| {
-            let a = ctx.alloc();
-            ctx.write(a, 1);
-            ctx.free(a);
-            let b = ctx.alloc();
-            ctx.write(b, 2);
-            (a, b)
-        });
-        for (a, b) in addrs {
-            assert_eq!(a, b, "LIFO reuse across the barrier");
-        }
-    }
-
     #[test]
     fn cread_cwrite_through_ctx() {
         let m = small();
@@ -2896,81 +1962,5 @@ mod tests {
             )
         };
         assert_eq!(run(ExecBackend::Threads), run(ExecBackend::Coop));
-    }
-
-    fn gang_fault_machine(gangs: usize, exec: ExecBackend, plan: FaultPlan) -> Machine {
-        Machine::new(MachineConfig {
-            cores: 4,
-            mem_bytes: 1 << 20,
-            static_lines: 64,
-            quantum: 0,
-            gangs,
-            gang_window: 128,
-            exec,
-            fault_plan: plan,
-            ..Default::default()
-        })
-    }
-
-    #[test]
-    fn gang_fault_crash_and_stall_fire_on_every_layout() {
-        // Faults must fire inside the gang pipeline too — both in the
-        // gang-local fast path and (via cross-gang contention) through the
-        // deferred/merge path — on every backend and gang count.
-        for exec in GANG_BACKENDS {
-            for gangs in [2, 4] {
-                let plan = FaultPlan::none().stall(1, 500, 20_000).crash(3, 1_500);
-                let m = gang_fault_machine(gangs, exec, plan);
-                let outs = cas_work(&m, 4, 60);
-                let st = m.stats();
-                let label = format!("{exec:?} gangs={gangs}");
-                assert!(outs[3].crashed(), "{label}: core 3 must crash");
-                for (c, o) in outs.iter().enumerate().take(3) {
-                    assert!(!o.crashed(), "{label}: core {c} must survive");
-                }
-                assert_eq!(st.crashed, vec![false, false, false, true], "{label}");
-                assert_eq!(st.cores[1].fault_stalls, 1, "{label}");
-                assert!(st.cores[1].cycles >= 20_000, "{label}: burst not charged");
-                m.check_invariants();
-            }
-        }
-    }
-
-    #[test]
-    fn gang_fault_runs_are_driver_and_backend_invariant() {
-        // Same contract as `gang_seq_and_spawn_drivers_are_identical`, under
-        // an active fault plan: triggers are pure functions of per-core
-        // simulated clocks, so the merge driver and the exec backend must
-        // not shift where they fire by a single cycle.
-        if !COOP_SUPPORTED {
-            return;
-        }
-        let program = |driver: Option<GangDriver>, exec: ExecBackend| {
-            if let Some(d) = driver {
-                set_gang_driver(d);
-            }
-            let plan = FaultPlan::none()
-                .stall(0, 2_000, 5_000)
-                .stall(2, 500, 15_000)
-                .crash(3, 1_200);
-            let m = gang_fault_machine(2, exec, plan);
-            let outs = cas_work(&m, 4, 80);
-            set_gang_driver(GangDriver::Auto);
-            let st = m.stats();
-            (
-                outs.iter().map(|o| o.crashed()).collect::<Vec<_>>(),
-                st.crashed.clone(),
-                st.max_cycles,
-                st.cores
-                    .iter()
-                    .map(|c| (c.cycles, c.fault_stalls, c.accesses))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        let seq = program(Some(GangDriver::Seq), ExecBackend::Coop);
-        let spawn = program(Some(GangDriver::Spawn), ExecBackend::Coop);
-        let threads = program(None, ExecBackend::Threads);
-        assert_eq!(seq, spawn, "merge drivers diverged under faults");
-        assert_eq!(seq, threads, "exec backends diverged under faults");
     }
 }

@@ -41,14 +41,9 @@ impl Memory {
         self.words[i]
     }
 
-    /// Raw view of the word array, for the gang runtime's parallel phase.
-    ///
-    /// Safety contract (see `crate::gang`): accesses through the returned
-    /// pointer are serialized by the *simulated* coherence protocol — a
-    /// lane only writes a word through an M/E L1 copy (which excludes every
-    /// other copy, so no concurrent reader exists) and only reads through a
-    /// resident copy (which excludes concurrent writers). Everything else
-    /// happens under the conductor's exclusive barrier phase.
+    /// Raw view of the word array, for the hub's `BankParts` projection
+    /// (`CoherenceHub::parts`), which bounds-checks every index and is only
+    /// ever materialized under `&mut CoherenceHub`.
     pub(crate) fn raw_words(&mut self) -> (*mut u64, usize) {
         (self.words.as_mut_ptr(), self.words.len())
     }

@@ -21,7 +21,7 @@
 //! cores. Rescanning all cores per event made every simulated memory access
 //! O(cores); instead the scheduler tracks the two smallest active
 //! `(clock, id)` keys, refreshed by a full scan only when the turn moves,
-//! a core activates, or a core retires. The refresh points are sufficient
+//! a run starts, or a core retires. The refresh points are sufficient
 //! because **only the turn owner's clock ever advances**: between refreshes
 //! every other core's key is frozen, so
 //!
@@ -180,11 +180,6 @@ impl Sched {
     /// core is still active. Cold path: turn ownership is checked with real
     /// asserts (a release-mode misuse would deactivate the wrong core and
     /// corrupt the bookkeeping silently).
-    ///
-    /// Gang scheduling reuses this as the generic *deactivate* step: a core
-    /// pausing at an epoch ceiling or blocking on a cross-gang event leaves
-    /// the active set exactly like a retiring core does, and
-    /// [`Self::activate`] brings it back at the next window.
     pub fn retire(&mut self, me: CoreId) -> Option<CoreId> {
         assert_eq!(
             self.turn, me,
@@ -193,25 +188,6 @@ impl Sched {
         );
         assert!(self.active[me], "retire of inactive core {me}");
         self.active[me] = false;
-        self.rescan();
-        self.turn = self.min1.0;
-        (self.turn != NO_TURN).then_some(self.turn)
-    }
-
-    /// Re-activate a core deactivated by [`Self::retire`] (gang scheduling:
-    /// epoch-window start re-admits paused and unblocked cores). Cold path;
-    /// real asserts.
-    pub fn activate(&mut self, c: CoreId) {
-        assert!(!self.active[c], "activate of already-active core {c}");
-        self.active[c] = true;
-        self.rescan();
-    }
-
-    /// Start a scheduling window over the currently-active cores: hand the
-    /// turn to the min-clock active core (ties → lowest id) without the
-    /// activation [`Self::start_run`] performs. Returns the owner, or `None`
-    /// when no core is active (the window has no work).
-    pub fn start_window(&mut self) -> Option<CoreId> {
         self.rescan();
         self.turn = self.min1.0;
         (self.turn != NO_TURN).then_some(self.turn)
@@ -342,43 +318,6 @@ mod tests {
         s.start_run(1); // only core 0 active, turn = 0
         s.active[0] = false; // simulate corrupted bookkeeping
         s.retire(0);
-    }
-
-    #[test]
-    #[should_panic(expected = "already-active")]
-    fn double_activate_panics() {
-        let mut s = Sched::new(2, 0);
-        s.start_run(2);
-        s.activate(1);
-    }
-
-    // --- gang-scheduling window primitives ------------------------------
-
-    #[test]
-    fn deactivate_reactivate_window_round_trip() {
-        let mut s = Sched::new(3, 0);
-        s.start_run(3);
-        s.clocks[0] = 10;
-        // Core 0 "pauses" (epoch ceiling): deactivate via retire.
-        assert_eq!(s.retire(0), Some(1));
-        assert_eq!(s.n_active(), 2);
-        // Remaining cores run; then the window ends and core 0 returns.
-        s.retire(1);
-        s.retire(2);
-        assert_eq!(s.turn, NO_TURN);
-        s.activate(0);
-        s.activate(1);
-        assert_eq!(s.start_window(), Some(1), "min-clock core 1 (0 < 10)");
-        assert_eq!(s.turn, 1);
-        s.clocks[1] = 11;
-        assert_eq!(s.after_event(1), Some(0), "two-min keys valid after window start");
-    }
-
-    #[test]
-    fn start_window_with_no_active_cores() {
-        let mut s = Sched::new(2, 0);
-        assert_eq!(s.start_window(), None);
-        assert_eq!(s.turn, NO_TURN);
     }
 
     // --- two-min bookkeeping --------------------------------------------

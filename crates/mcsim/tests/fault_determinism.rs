@@ -2,24 +2,15 @@
 //! a `FaultPlan` — stalls, a crash, allocation pressure, plus the wedge
 //! watchdog ceiling — must fire at *identical simulated clocks* on
 //!
-//! * both host execution backends (threads, coop),
-//! * all three gang drivers (sequential, spawn-coop, and the threads
-//!   mechanism's dedicated parallel merge workers),
-//! * every gang count in {1, 2, 4} (compared *within* a gang count: like
-//!   the quantum, the gang layout is part of the schedule's identity), and
-//! * every L2 bank count in {1, 8} (banking is set-preserving and the
-//!   banked merge is a proof-carrying reordering, so bank count must never
-//!   shift a trigger by a single cycle — even when the stall/watchdog
-//!   bookkeeping of a deferred event replays inside a parallel merge
-//!   lane).
+//! * both host execution backends (threads, coop), and
+//! * every L2 bank count in {1, 8} (banking is set-preserving, so bank
+//!   count must never shift a trigger by a single cycle).
 //!
 //! The signature compared is deliberately fat — per-core clocks, stall and
 //! alloc-failure counters, crash verdicts, final shared state — so a
 //! trigger drifting by one event anywhere in the grid fails loudly.
 
-use mcsim::{
-    set_gang_driver, Addr, CoreOutcome, ExecBackend, FaultPlan, GangDriver, Machine, MachineConfig,
-};
+use mcsim::{Addr, CoreOutcome, ExecBackend, FaultPlan, Machine, MachineConfig};
 
 const CORES: usize = 8;
 
@@ -39,22 +30,12 @@ struct Signature {
 /// CAS contention (so stalls and the crash land inside read/CAS retry
 /// loops) plus alloc/free churn against a shrunken heap (so allocation
 /// pressure produces recoverable verdicts on some cores).
-fn run_cell(
-    exec: ExecBackend,
-    driver: Option<GangDriver>,
-    gangs: usize,
-    l2_banks: usize,
-) -> Signature {
-    if let Some(d) = driver {
-        set_gang_driver(d);
-    }
+fn run_cell(exec: ExecBackend, l2_banks: usize) -> Signature {
     let m = Machine::new(MachineConfig {
         cores: CORES,
         mem_bytes: 1 << 20,
         static_lines: 64,
         quantum: 0,
-        gangs,
-        gang_window: 256,
         exec,
         cache: mcsim::CacheConfig {
             l2_banks,
@@ -97,7 +78,6 @@ fn run_cell(
         }
         got
     });
-    set_gang_driver(GangDriver::Auto);
     let st = m.stats();
     m.check_invariants();
     Signature {
@@ -123,53 +103,45 @@ fn run_cell(
     }
 }
 
+/// The two host backends of the grid. (On targets without the coroutine
+/// backend, an explicit `Coop` config documents its portable fallback to
+/// threads — the comparison is then trivially green there and meaningful
+/// on x86-64 Linux.)
+const BACKENDS: [ExecBackend; 2] = [ExecBackend::Threads, ExecBackend::Coop];
+
 #[test]
 fn fault_plan_fires_identically_across_backends_and_layouts() {
-    for gangs in [1usize, 2, 4] {
-        let reference = run_cell(ExecBackend::Threads, None, gangs, 1);
+    let reference = run_cell(ExecBackend::Threads, 1);
 
-        // The plan actually bit: the crash landed, at least one stall
-        // fired, and the pressured heap produced recoverable verdicts.
-        assert_eq!(
-            reference.crashed_stats,
-            {
-                let mut v = vec![false; CORES];
-                v[6] = true;
-                v
-            },
-            "gangs={gangs}: core 6 must crash (and only core 6)"
-        );
-        assert_eq!(reference.crashed_outcomes, reference.crashed_stats);
-        assert!(reference.returns[6].is_none(), "crashed core has no return");
-        assert_eq!(reference.per_core[1].1, 1, "gangs={gangs}: core 1 stall");
-        assert_eq!(reference.per_core[5].1, 1, "gangs={gangs}: core 5 stall");
-        assert!(
-            reference.per_core.iter().map(|c| c.2).sum::<u64>() > 0,
-            "gangs={gangs}: allocation pressure must produce recoverable failures"
-        );
+    // The plan actually bit: the crash landed, at least one stall
+    // fired, and the pressured heap produced recoverable verdicts.
+    assert_eq!(
+        reference.crashed_stats,
+        {
+            let mut v = vec![false; CORES];
+            v[6] = true;
+            v
+        },
+        "core 6 must crash (and only core 6)"
+    );
+    assert_eq!(reference.crashed_outcomes, reference.crashed_stats);
+    assert!(reference.returns[6].is_none(), "crashed core has no return");
+    assert_eq!(reference.per_core[1].1, 1, "core 1 stall");
+    assert_eq!(reference.per_core[5].1, 1, "core 5 stall");
+    assert!(
+        reference.per_core.iter().map(|c| c.2).sum::<u64>() > 0,
+        "allocation pressure must produce recoverable failures"
+    );
 
-        // Byte-identity across every backend × gang driver × bank layout,
-        // and across repeats, within this gang count. The threads leg
-        // exercises the dedicated parallel merge workers at 8 banks (fault
-        // stall/watchdog bookkeeping replays inside `BankParts` lanes);
-        // the pinned seq/spawn legs cover the coop drivers explicitly
-        // (AUTO resolves to seq on 1-CPU hosts). (On targets without the
-        // coroutine backend, an explicit `Coop` config documents its
-        // portable fallback to threads — the comparison is then trivially
-        // green there and meaningful on x86-64 Linux.)
-        let legs = [
-            (ExecBackend::Threads, None, "threads"),
-            (ExecBackend::Coop, Some(GangDriver::Seq), "coop/seq"),
-            (ExecBackend::Coop, Some(GangDriver::Spawn), "coop/spawn"),
-        ];
-        for (exec, driver, label) in legs {
-            for l2_banks in [1usize, 8] {
-                let got = run_cell(exec, driver, gangs, l2_banks);
-                assert_eq!(
-                    got, reference,
-                    "fault schedule diverged: {label} gangs={gangs} l2_banks={l2_banks}"
-                );
-            }
+    // Byte-identity across every backend × bank layout, and across
+    // repeats.
+    for exec in BACKENDS {
+        for l2_banks in [1usize, 8] {
+            let got = run_cell(exec, l2_banks);
+            assert_eq!(
+                got, reference,
+                "fault schedule diverged: {exec:?} l2_banks={l2_banks}"
+            );
         }
     }
 }
@@ -190,23 +162,13 @@ struct RestartSignature {
 /// recovery closure that rejoins the shared-counter contention. Both the
 /// crash clock and the restart clock are part of the compared signature,
 /// so a recovery resuming one event early or late anywhere in the
-/// backend × driver × gangs × banks grid fails loudly.
-fn run_restart_cell(
-    exec: ExecBackend,
-    driver: Option<GangDriver>,
-    gangs: usize,
-    l2_banks: usize,
-) -> RestartSignature {
-    if let Some(d) = driver {
-        set_gang_driver(d);
-    }
+/// backend × banks grid fails loudly.
+fn run_restart_cell(exec: ExecBackend, l2_banks: usize) -> RestartSignature {
     let m = Machine::new(MachineConfig {
         cores: CORES,
         mem_bytes: 1 << 20,
         static_lines: 64,
         quantum: 0,
-        gangs,
-        gang_window: 256,
         exec,
         cache: mcsim::CacheConfig {
             l2_banks,
@@ -256,7 +218,6 @@ fn run_restart_cell(
             got
         },
     );
-    set_gang_driver(GangDriver::Auto);
     let st = m.stats();
     m.check_invariants();
     RestartSignature {
@@ -274,55 +235,47 @@ fn run_restart_cell(
 
 #[test]
 fn restart_faults_fire_identically_across_backends_and_layouts() {
-    for gangs in [1usize, 2, 4] {
-        let reference = run_restart_cell(ExecBackend::Threads, None, gangs, 1);
+    let reference = run_restart_cell(ExecBackend::Threads, 1);
 
-        // The plan bit as designed: core 6 crashed AND recovered (its
-        // recovery closure returned), core 3 crashed for good, everyone
-        // else ran to completion.
-        let (crash_clock, restart_clock) =
-            reference.recovery_clocks[6].expect("core 6 must recover");
-        assert!(crash_clock >= 3_000, "gangs={gangs}: crash at its trigger");
-        assert_eq!(
-            restart_clock,
-            crash_clock.max(40_000),
-            "gangs={gangs}: restart at max(trigger, crash clock)"
-        );
-        assert!(
-            reference.returns[6].is_some_and(|r| r > 1_000),
-            "gangs={gangs}: core 6 returns the recovery closure's result"
-        );
-        assert!(reference.returns[3].is_none(), "gangs={gangs}: core 3 stays crashed");
-        assert_eq!(
-            reference.crashed_stats,
-            {
-                let mut v = vec![false; CORES];
-                v[3] = true;
-                v[6] = true;
-                v
-            },
-            "gangs={gangs}: both crash triggers consumed"
-        );
-        for c in [0usize, 1, 2, 4, 5, 7] {
-            assert_eq!(reference.recovery_clocks[c], None);
-            assert!(reference.returns[c].is_some());
-        }
+    // The plan bit as designed: core 6 crashed AND recovered (its
+    // recovery closure returned), core 3 crashed for good, everyone
+    // else ran to completion.
+    let (crash_clock, restart_clock) = reference.recovery_clocks[6].expect("core 6 must recover");
+    assert!(crash_clock >= 3_000, "crash at its trigger");
+    assert_eq!(
+        restart_clock,
+        crash_clock.max(40_000),
+        "restart at max(trigger, crash clock)"
+    );
+    assert!(
+        reference.returns[6].is_some_and(|r| r > 1_000),
+        "core 6 returns the recovery closure's result"
+    );
+    assert!(reference.returns[3].is_none(), "core 3 stays crashed");
+    assert_eq!(
+        reference.crashed_stats,
+        {
+            let mut v = vec![false; CORES];
+            v[3] = true;
+            v[6] = true;
+            v
+        },
+        "both crash triggers consumed"
+    );
+    for c in [0usize, 1, 2, 4, 5, 7] {
+        assert_eq!(reference.recovery_clocks[c], None);
+        assert!(reference.returns[c].is_some());
+    }
 
-        // Byte-identity across backends × drivers × bank layouts, within
-        // this gang count — recovery clocks included.
-        let legs = [
-            (ExecBackend::Threads, None, "threads"),
-            (ExecBackend::Coop, Some(GangDriver::Seq), "coop/seq"),
-            (ExecBackend::Coop, Some(GangDriver::Spawn), "coop/spawn"),
-        ];
-        for (exec, driver, label) in legs {
-            for l2_banks in [1usize, 8] {
-                let got = run_restart_cell(exec, driver, gangs, l2_banks);
-                assert_eq!(
-                    got, reference,
-                    "restart schedule diverged: {label} gangs={gangs} l2_banks={l2_banks}"
-                );
-            }
+    // Byte-identity across backends × bank layouts — recovery clocks
+    // included.
+    for exec in BACKENDS {
+        for l2_banks in [1usize, 8] {
+            let got = run_restart_cell(exec, l2_banks);
+            assert_eq!(
+                got, reference,
+                "restart schedule diverged: {exec:?} l2_banks={l2_banks}"
+            );
         }
     }
 }
@@ -332,17 +285,19 @@ fn watchdog_verdict_is_layout_invariant() {
     // A plan that wedges core 2 far past the ceiling must trip the wedge
     // watchdog — with the same diagnostic — on every backend and layout,
     // rather than hanging the run.
-    for exec in [ExecBackend::Threads, ExecBackend::Coop] {
-        for gangs in [1usize, 2] {
+    for exec in BACKENDS {
+        for l2_banks in [1usize, 8] {
             let res = std::panic::catch_unwind(|| {
                 let m = Machine::new(MachineConfig {
                     cores: 4,
                     mem_bytes: 1 << 20,
                     static_lines: 64,
                     quantum: 0,
-                    gangs,
-                    gang_window: 256,
                     exec,
+                    cache: mcsim::CacheConfig {
+                        l2_banks,
+                        ..Default::default()
+                    },
                     fault_plan: FaultPlan::none().stall(2, 1_000, 10_000_000),
                     max_cycles: Some(100_000),
                     ..Default::default()
@@ -367,7 +322,7 @@ fn watchdog_verdict_is_layout_invariant() {
                 .unwrap_or_default();
             assert!(
                 msg.contains("wedge watchdog: core 2"),
-                "exec={exec:?} gangs={gangs}: unexpected panic payload {msg:?}"
+                "exec={exec:?} l2_banks={l2_banks}: unexpected panic payload {msg:?}"
             );
         }
     }

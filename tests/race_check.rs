@@ -1,13 +1,11 @@
 //! Determinism pins for the happens-before race analyzer.
 //!
 //! The analyzer's report is part of the simulated result surface, so it
-//! inherits the machine's determinism contract (`tests/gang_determinism.rs`):
-//! simulated results are a pure function of `(program, seeds, quantum,
-//! gangs, gang_window)`. Gang count is therefore a *parameter* of the
-//! history being analyzed — but everything else about the host must be
-//! invisible: for a fixed gang count the rendered report is
-//! **byte-identical** across bank counts, repeated runs, and host
-//! execution backends. And the analyzer must be free when disabled (the
+//! inherits the machine's determinism contract: simulated results are a
+//! pure function of `(program, seeds, quantum)`, and everything about the
+//! host must be invisible — the rendered report is **byte-identical**
+//! across bank counts, repeated runs, and host execution backends. And the
+//! analyzer must be free when disabled (the
 //! `race_check = false` identity is pinned by `tests/env_pin.rs`, whose
 //! goldens predate the analyzer and still pass unmodified).
 //!
@@ -36,7 +34,7 @@ fn race_report(structure: Structure, scheme: SchemeKind, cfg: &RunConfig) -> (Me
     (out.metrics, out.race.expect("race_check was armed"))
 }
 
-fn cfg(gangs: usize, l2_banks: usize) -> RunConfig {
+fn cfg(l2_banks: usize) -> RunConfig {
     let mut c = RunConfig {
         threads: 4,
         key_range: 64,
@@ -47,7 +45,6 @@ fn cfg(gangs: usize, l2_banks: usize) -> RunConfig {
             delete_pct: 30,
         },
         quantum: 0,
-        gangs,
         ..Default::default()
     };
     c.cache.l2_banks = l2_banks;
@@ -55,26 +52,21 @@ fn cfg(gangs: usize, l2_banks: usize) -> RunConfig {
 }
 
 #[test]
-fn report_is_byte_identical_across_banks_and_reruns_per_gang_count() {
+fn report_is_byte_identical_across_banks_and_reruns() {
     // The trace is recorded per core and linearized by issue clock, so the
-    // merge's bank partitioning and run-to-run scheduling must be
-    // invisible: for each gang count, every (l2_banks, rerun) cell renders
-    // the same bytes. (Gang count itself parameterizes the simulated
-    // history — see the module doc — so each gangs value pins its own
-    // reference; the analyzer faithfully reports the history it was given.)
+    // directory's bank partitioning and run-to-run scheduling must be
+    // invisible: every (l2_banks, rerun) cell renders the same bytes.
     for (kind, scheme) in [
         (SetKind::LazyList, SchemeKind::Hp),
         (SetKind::LazyList, SchemeKind::Ca),
     ] {
-        for gangs in [1usize, 2, 4] {
-            let reference = race_report(Structure::Set(kind), scheme, &cfg(gangs, 1)).1.render();
-            for l2_banks in [1usize, 8] {
-                let r = race_report(Structure::Set(kind), scheme, &cfg(gangs, l2_banks)).1.render();
-                assert_eq!(
-                    reference, r,
-                    "{kind:?}/{scheme:?} gangs={gangs} banks={l2_banks}: report diverged"
-                );
-            }
+        let reference = race_report(Structure::Set(kind), scheme, &cfg(1)).1.render();
+        for l2_banks in [1usize, 8] {
+            let r = race_report(Structure::Set(kind), scheme, &cfg(l2_banks)).1.render();
+            assert_eq!(
+                reference, r,
+                "{kind:?}/{scheme:?} banks={l2_banks}: report diverged"
+            );
         }
     }
 }
@@ -84,7 +76,7 @@ fn race_check_does_not_perturb_simulated_time() {
     // SmrFence events cost zero cycles and the trace is recorded off the
     // critical path, so arming the analyzer may not move a single clock.
     for scheme in [SchemeKind::Hp, SchemeKind::Qsbr, SchemeKind::Ca] {
-        let c = cfg(1, 1);
+        let c = cfg(1);
         let plain = run_set(SetKind::LazyList, scheme, &c);
         let (armed, _) = race_report(Structure::Set(SetKind::LazyList), scheme, &c);
         assert_eq!(
@@ -103,14 +95,14 @@ fn reports_match_goldens_across_backends() {
     for (label, report) in [
         (
             "lazylist/hp",
-            race_report(Structure::Set(SetKind::LazyList), SchemeKind::Hp, &cfg(2, 8)).1,
+            race_report(Structure::Set(SetKind::LazyList), SchemeKind::Hp, &cfg(8)).1,
         ),
         (
             "lazylist/ca",
-            race_report(Structure::Set(SetKind::LazyList), SchemeKind::Ca, &cfg(2, 8)).1,
+            race_report(Structure::Set(SetKind::LazyList), SchemeKind::Ca, &cfg(8)).1,
         ),
         ("queue/qsbr", {
-            let mut c = cfg(2, 8);
+            let mut c = cfg(8);
             c.mix = Mix {
                 insert_pct: 50,
                 delete_pct: 50,

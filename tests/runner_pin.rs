@@ -5,9 +5,10 @@
 //! queue, the four CA-only structures, latency capture (metrics and
 //! histogram buckets), the robust set runner under a finite stall, the
 //! robust queue runner under two crashes, and the recovery runner (metrics,
-//! machine stats, recovery clocks) — every scheme, at gangs 1 and 2. Labels,
-//! configurations and digests below are that generator's; only the call
-//! producing each cell changed.
+//! machine stats, recovery clocks) — every scheme. Labels, configurations
+//! and digests below are that generator's (the `g1` label prefix dates from
+//! when the grid had a second, since-retired axis); only the call producing
+//! each cell changed.
 //!
 //! Simulated results are bit-identical across host execution backends, so
 //! one golden file serves both `MCSIM_EXEC` legs.
@@ -27,31 +28,30 @@ use conditional_access::smr::{SchemeKind, SmrConfig};
 const UPDATES: Mix = Mix { insert_pct: 50, delete_pct: 50 };
 const MIXED: Mix = Mix { insert_pct: 30, delete_pct: 30 };
 
-fn tiny(threads: usize, gangs: usize, mix: Mix) -> RunConfig {
+fn tiny(threads: usize, mix: Mix) -> RunConfig {
     RunConfig {
         threads,
         key_range: 64,
         prefill: 32,
         ops_per_thread: 150,
         mix,
-        gangs,
         buckets: 8,
         ..Default::default()
     }
 }
 
 /// The plan of the runner unit test `set_run_rides_out_a_finite_stall`.
-fn stall_cfg(gangs: usize) -> RunConfig {
+fn stall_cfg() -> RunConfig {
     RunConfig {
         fault_plan: FaultPlan::none().stall(1, 2_000, 50_000),
         max_cycles: Some(100_000_000),
-        ..tiny(2, gangs, UPDATES)
+        ..tiny(2, UPDATES)
     }
 }
 
 /// A four-thread queue cell under `plan`, reclaiming often enough for 150
 /// operations per thread to show a pinned backlog.
-fn crash_cfg(gangs: usize, plan: FaultPlan) -> RunConfig {
+fn crash_cfg(plan: FaultPlan) -> RunConfig {
     RunConfig {
         fault_plan: plan,
         max_cycles: Some(2_000_000_000),
@@ -60,7 +60,7 @@ fn crash_cfg(gangs: usize, plan: FaultPlan) -> RunConfig {
             epoch_freq: 8,
             ..Default::default()
         },
-        ..tiny(4, gangs, UPDATES)
+        ..tiny(4, UPDATES)
     }
 }
 
@@ -90,47 +90,44 @@ fn line(label: String, m: &Metrics, all: &dyn std::fmt::Debug) -> String {
 
 fn all_lines() -> String {
     let mut out = String::new();
-    for gangs in [1usize, 2] {
-        let g = format!("g{gangs}");
-        for scheme in SchemeKind::ALL {
-            for (structure, mix) in [(Structure::Stack, MIXED), (Structure::Queue, UPDATES)] {
-                let o = run(structure, scheme, &tiny(4, gangs, mix), Instrument::None);
-                let m = probeless(&o.metrics);
-                out += &line(format!("{g} plain {} {scheme}", structure.name()), &m, &m);
-            }
-        }
-        for structure in [
-            Structure::Harris,
-            Structure::LfBst,
-            Structure::HtmList { slots: 64 },
-            Structure::FallbackList { max_attempts: 2 },
-        ] {
-            let o = run(structure, SchemeKind::Ca, &tiny(4, gangs, MIXED), Instrument::None);
+    for scheme in SchemeKind::ALL {
+        for (structure, mix) in [(Structure::Stack, MIXED), (Structure::Queue, UPDATES)] {
+            let o = run(structure, scheme, &tiny(4, mix), Instrument::None);
             let m = probeless(&o.metrics);
-            out += &line(format!("{g} plain {} ca", structure.name()), &m, &(&m, o.fallbacks));
+            out += &line(format!("g1 plain {} {scheme}", structure.name()), &m, &m);
         }
-        for kind in [SetKind::LazyList, SetKind::ExtBst, SetKind::HashTable] {
-            for scheme in SchemeKind::ALL {
-                let cfg = tiny(4, gangs, MIXED);
-                let o = run(Structure::Set(kind), scheme, &cfg, Instrument::Latency);
-                let m = probeless(&o.metrics);
-                out += &line(format!("{g} latency {} {scheme}", kind.name()), &m, &(&m, &o.latency));
-            }
-        }
+    }
+    for structure in [
+        Structure::Harris,
+        Structure::LfBst,
+        Structure::HtmList { slots: 64 },
+        Structure::FallbackList { max_attempts: 2 },
+    ] {
+        let o = run(structure, SchemeKind::Ca, &tiny(4, MIXED), Instrument::None);
+        let m = probeless(&o.metrics);
+        out += &line(format!("g1 plain {} ca", structure.name()), &m, &(&m, o.fallbacks));
+    }
+    for kind in [SetKind::LazyList, SetKind::ExtBst, SetKind::HashTable] {
         for scheme in SchemeKind::ALL {
-            let two_crashes = FaultPlan::none().crash(3, 4_000).crash(2, 7_000);
-            for (label, structure, cfg) in [
-                ("stall", Structure::Set(SetKind::LazyList), stall_cfg(gangs)),
-                ("two_crash", Structure::Queue, crash_cfg(gangs, two_crashes)),
-            ] {
-                let m = run(structure, scheme, &cfg, Instrument::None).metrics;
-                out += &line(format!("{g} {label} {} {scheme}", structure.name()), &m, &m);
-            }
-            let restart = FaultPlan::none().crash(3, 5_000).restart(3, 40_000);
-            let o = run(Structure::Queue, scheme, &crash_cfg(gangs, restart), Instrument::None);
-            let all = (&o.metrics, &o.stats, &o.recovery);
-            out += &line(format!("{g} recover queue {scheme}"), &o.metrics, &all);
+            let cfg = tiny(4, MIXED);
+            let o = run(Structure::Set(kind), scheme, &cfg, Instrument::Latency);
+            let m = probeless(&o.metrics);
+            out += &line(format!("g1 latency {} {scheme}", kind.name()), &m, &(&m, &o.latency));
         }
+    }
+    for scheme in SchemeKind::ALL {
+        let two_crashes = FaultPlan::none().crash(3, 4_000).crash(2, 7_000);
+        for (label, structure, cfg) in [
+            ("stall", Structure::Set(SetKind::LazyList), stall_cfg()),
+            ("two_crash", Structure::Queue, crash_cfg(two_crashes)),
+        ] {
+            let m = run(structure, scheme, &cfg, Instrument::None).metrics;
+            out += &line(format!("g1 {label} {} {scheme}", structure.name()), &m, &m);
+        }
+        let restart = FaultPlan::none().crash(3, 5_000).restart(3, 40_000);
+        let o = run(Structure::Queue, scheme, &crash_cfg(restart), Instrument::None);
+        let all = (&o.metrics, &o.stats, &o.recovery);
+        out += &line(format!("g1 recover queue {scheme}"), &o.metrics, &all);
     }
     out
 }
@@ -151,7 +148,7 @@ fn run_set_under_a_stall_plan_returns_what_the_robust_runner_returned() {
     // the prefill (and an injected crash escaped as a panic); only
     // `run_set_robust` disarmed it. The discipline now follows from the
     // plan, so `run_set` must reproduce the robust runner's pinned line.
-    let m = run_set(SetKind::LazyList, SchemeKind::Qsbr, &stall_cfg(1));
+    let m = run_set(SetKind::LazyList, SchemeKind::Qsbr, &stall_cfg());
     let pinned = line("g1 stall lazylist qsbr".to_string(), &m, &m);
     assert!(golden("runner_pin.txt").contains(&pinned), "{pinned}");
     assert!(pinned.contains(" = ops=300 cycles=90520 peak_garbage=4928 "), "{pinned}");

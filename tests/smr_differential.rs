@@ -40,18 +40,13 @@ use conditional_access::smr::{
 /// `(op kind, key, result)`: 0 = insert, 1 = delete, 2 = contains.
 type Op = (u8, u64, bool);
 
-/// Build the battery's machine. `gangs > 1` splits the simulated machine
-/// across host threads with deterministic epoch barriers (and, on the
-/// spawn driver, banked parallel barrier merges) — the soak battery runs
-/// the whole differential obligation through that path.
-fn machine_g(cores: usize, uaf: UafMode, gangs: usize) -> Machine {
+/// Build the battery's machine.
+fn machine(cores: usize, uaf: UafMode) -> Machine {
     Machine::new(MachineConfig {
         cores,
         mem_bytes: 32 << 20,
         static_lines: 2048,
         uaf_mode: uaf,
-        gangs,
-        gang_window: 4096,
         ..Default::default()
     })
 }
@@ -111,19 +106,7 @@ fn lazylist_run(
     seed: u64,
     uaf: UafMode,
 ) -> (Vec<Vec<Op>>, Vec<u64>, usize) {
-    lazylist_run_g(scheme, threads, ops, range, seed, uaf, 1)
-}
-
-fn lazylist_run_g(
-    scheme: SchemeKind,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-    uaf: UafMode,
-    gangs: usize,
-) -> (Vec<Vec<Op>>, Vec<u64>, usize) {
-    let m = machine_g(threads, uaf, gangs);
+    let m = machine(threads, uaf);
     let (history, keys) = match scheme {
         SchemeKind::Ca => {
             let ds = CaLazyList::new(&m);
@@ -175,19 +158,7 @@ fn extbst_run(
     seed: u64,
     uaf: UafMode,
 ) -> (Vec<Vec<Op>>, Vec<u64>, usize) {
-    extbst_run_g(scheme, threads, ops, range, seed, uaf, 1)
-}
-
-fn extbst_run_g(
-    scheme: SchemeKind,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-    uaf: UafMode,
-    gangs: usize,
-) -> (Vec<Vec<Op>>, Vec<u64>, usize) {
-    let m = machine_g(threads, uaf, gangs);
+    let m = machine(threads, uaf);
     let (history, keys) = match scheme {
         SchemeKind::Ca => {
             let ds = CaExtBst::new(&m);
@@ -252,19 +223,7 @@ fn stack_run(
     seed: u64,
     uaf: UafMode,
 ) -> (Vec<Vec<StackOp>>, Vec<u64>, usize) {
-    stack_run_g(scheme, threads, ops, range, seed, uaf, 1)
-}
-
-fn stack_run_g(
-    scheme: SchemeKind,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-    uaf: UafMode,
-    gangs: usize,
-) -> (Vec<Vec<StackOp>>, Vec<u64>, usize) {
-    let m = machine_g(threads, uaf, gangs);
+    let m = machine(threads, uaf);
     let (history, drained) = match scheme {
         SchemeKind::Ca => {
             let ds = CaStack::new(&m);
@@ -356,19 +315,7 @@ fn queue_run(
     seed: u64,
     uaf: UafMode,
 ) -> (Vec<Vec<QueueOp>>, Vec<u64>, usize) {
-    queue_run_g(scheme, threads, ops, range, seed, uaf, 1)
-}
-
-fn queue_run_g(
-    scheme: SchemeKind,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-    uaf: UafMode,
-    gangs: usize,
-) -> (Vec<Vec<QueueOp>>, Vec<u64>, usize) {
-    let m = machine_g(threads, uaf, gangs);
+    let m = machine(threads, uaf);
     let (history, drained) = match scheme {
         SchemeKind::Ca => {
             let ds = CaQueue::new(&m);
@@ -812,77 +759,5 @@ fn queue_crash_adoption_is_leak_free_hp() {
 fn queue_crash_adoption_is_leak_free_he() {
     for seed in SEEDS {
         queue_crash_recovery_leg(|m| He::new(m, 4, tight_smr()), "he", seed);
-    }
-}
-
-// ---------------------------------------------------------------------
-// Multi-seed gang-machine soak (ROADMAP open item).
-// ---------------------------------------------------------------------
-
-/// Soak seeds: disjoint from [`SEEDS`] so the soak explores fresh
-/// interleavings rather than re-running the smoke battery.
-const SOAK_SEEDS: [u64; 8] = [
-    0x0BAD_5EED,
-    0x1234_5678,
-    0x2B3C_4D5E,
-    0x3141_5926,
-    0x4A4A_4A4A,
-    0x5CA1_AB1E,
-    0x6D6D_6D6D,
-    0x7EED_BEEF,
-];
-
-/// The full stack/queue/lazy-list differential battery, over 8 seeds, on a
-/// `gangs = 2` machine: every deferred event crosses an epoch barrier and
-/// (on the spawn driver) the banked multi-writer merge, with the UAF oracle
-/// recording. Minutes of simulated work — `#[ignore]`d locally; CI runs it
-/// in a dedicated non-blocking soak leg (`cargo test --release --test
-/// smr_differential -- --ignored`).
-#[test]
-#[ignore = "multi-seed soak: run explicitly with --ignored (dedicated CI leg)"]
-fn soak_gang_machine_battery_over_many_seeds() {
-    const GANGS: usize = 2;
-    for seed in SOAK_SEEDS {
-        for scheme in SchemeKind::ALL {
-            let (h, drained, faults) =
-                stack_run_g(scheme, 4, 250, 48, seed, UafMode::Record, GANGS);
-            assert_eq!(
-                faults, 0,
-                "{scheme}: stack UAF violation(s) on gang machine (seed {seed:#x})"
-            );
-            check_flow_accounting(&h, &drained);
-
-            let (h, drained, faults) =
-                queue_run_g(scheme, 4, 250, 48, seed, UafMode::Record, GANGS);
-            assert_eq!(
-                faults, 0,
-                "{scheme}: queue UAF violation(s) on gang machine (seed {seed:#x})"
-            );
-            check_flow_accounting(&h, &drained);
-
-            let (h, keys, faults) =
-                lazylist_run_g(scheme, 4, 250, 48, seed, UafMode::Record, GANGS);
-            assert_eq!(
-                faults, 0,
-                "{scheme}: lazy-list UAF violation(s) on gang machine (seed {seed:#x})"
-            );
-            check_set_accounting(&accounting(&h), &keys);
-        }
-    }
-}
-
-/// Same soak shape in `Panic` mode on the external BST: the banked merge
-/// classifier is only active under `UafMode::Panic`, so this leg drives the
-/// parallel-merge path itself (Record mode serializes every barrier).
-#[test]
-#[ignore = "multi-seed soak: run explicitly with --ignored (dedicated CI leg)"]
-fn soak_gang_machine_extbst_panic_mode() {
-    for seed in SOAK_SEEDS {
-        for scheme in SchemeKind::ALL {
-            let (h, keys, faults) =
-                extbst_run_g(scheme, 4, 250, 64, seed, UafMode::Panic, 2);
-            assert_eq!(faults, 0, "{scheme}: seed {seed:#x}");
-            check_set_accounting(&accounting(&h), &keys);
-        }
     }
 }
