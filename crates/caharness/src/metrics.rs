@@ -47,15 +47,6 @@ pub struct Metrics {
     /// Simulator host-path: scheduler turn handoffs (lock release + thread
     /// wake). `batched / (batched + handoffs)` is the batching hit rate.
     pub turn_handoffs: u64,
-    /// Gang runs: events deferred to epoch barriers (0 at gangs=1).
-    pub deferred_events: u64,
-    /// Gang runs: epoch barriers crossed (0 at gangs=1).
-    pub epoch_barriers: u64,
-    /// Gang runs: deferred events the barrier classifier proved bank-local
-    /// (executable concurrently, one lane per L2-bank component).
-    pub banked_merge_events: u64,
-    /// Gang runs: barrier items replayed in the serial merge epilogue.
-    pub serial_epilogue_events: u64,
     // --- event-cost micro-profile (see mcsim::stats::CoreStats) --------
     /// Cycles charged on L1-hit fast paths.
     pub l1_hit_cycles: u64,
@@ -131,10 +122,6 @@ impl Metrics {
             tx_aborts: stats.sum(|c| c.tx_aborts),
             batched_events: stats.sum(|c| c.batched_events),
             turn_handoffs: stats.sum(|c| c.turn_handoffs),
-            deferred_events: stats.sum(|c| c.deferred_events),
-            epoch_barriers: stats.epoch_barriers,
-            banked_merge_events: stats.banked_merge_events,
-            serial_epilogue_events: stats.serial_epilogue_events,
             l1_hit_cycles: stats.sum(|c| c.l1_hit_cycles),
             l2_hit_cycles: stats.sum(|c| c.l2_hit_cycles),
             mem_fill_cycles: stats.sum(|c| c.mem_fill_cycles),
@@ -182,10 +169,6 @@ impl Metrics {
             tx_aborts: 0,
             batched_events: 0,
             turn_handoffs: 0,
-            deferred_events: 0,
-            epoch_barriers: 0,
-            banked_merge_events: 0,
-            serial_epilogue_events: 0,
             l1_hit_cycles: 0,
             l2_hit_cycles: 0,
             mem_fill_cycles: 0,
@@ -248,7 +231,6 @@ mod tests {
             peak_allocated: 9,
             total_ops: 50,
             max_cycles: 1_000_000,
-            epoch_barriers: 0,
             ..Default::default()
         };
         let m = Metrics::from_stats("ca", 1, &stats, vec![]);

@@ -144,11 +144,6 @@ impl BankedL2 {
         }
     }
 
-    /// Number of banks.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     /// Which bank a line's directory entry lives in.
     #[inline]
     pub fn bank_of(&self, line: Line) -> usize {
@@ -247,11 +242,6 @@ impl CoherenceHub {
     /// Hardware threads per physical core.
     pub fn smt(&self) -> usize {
         self.smt
-    }
-
-    /// Number of L2/directory banks.
-    pub fn l2_bank_count(&self) -> usize {
-        self.l2.bank_count()
     }
 
     /// Physical core of hardware thread `t`.
@@ -1674,10 +1664,10 @@ mod tests {
             LatencyModel::default(),
             1 << 20,
         );
-        assert_eq!(h.l2.bank_count(), 8);
+        assert_eq!(h.l2.banks.len(), 8);
         // Power-of-two rounding.
         let h = CoherenceHub::new(1, 1, &CacheConfig { l2_banks: 3, ..CacheConfig::default() }, LatencyModel::default(), 1 << 20);
-        assert_eq!(h.l2.bank_count(), 4);
+        assert_eq!(h.l2.banks.len(), 4);
     }
 
     // --- MESI -----------------------------------------------------------

@@ -793,10 +793,6 @@ impl Machine {
             peak_allocated: st.alloc.peak,
             total_ops: st.global_ops,
             max_cycles: st.sched.max_clock(),
-            epoch_barriers: 0,
-            banked_merge_events: 0,
-            serial_epilogue_events: 0,
-            bank_occupancy: vec![0; st.hub.l2_bank_count()],
             crashed: st.fault.crashed.clone(),
         }
     }

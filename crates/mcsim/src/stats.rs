@@ -94,11 +94,6 @@ pub struct CoreStats {
     /// Events after which the turn moved to another core (lock release +
     /// wake-up — the expensive path the quantum amortizes).
     pub turn_handoffs: u64,
-    /// Gang runs only: events this core had to defer to an epoch barrier
-    /// (the event touched shared L2/directory/allocator state, so it was
-    /// queued and merged in deterministic `(clock, core)` order instead of
-    /// executing on the gang's parallel fast path).
-    pub deferred_events: u64,
     // --- Event-cost micro-profile --------------------------------------
     // Cycle attribution per coherence hot path, alongside the event counts
     // above. A scripted-workload test pins these exactly (see
@@ -162,23 +157,6 @@ pub struct MachineStats {
     pub total_ops: u64,
     /// Max per-core cycle count (the machine's finish time).
     pub max_cycles: u64,
-    /// Gang runs only: epoch barriers crossed (0 on single-gang runs).
-    pub epoch_barriers: u64,
-    /// Gang runs only: deferred events the barrier-merge classifier proved
-    /// bank-local (executable concurrently, one lane per L2-bank component).
-    /// A pure function of `(program, seeds, quantum, gangs, gang_window,
-    /// l2_banks)` — identical across exec backends, gang drivers and
-    /// `--jobs`, but *not* across different bank or gang counts.
-    pub banked_merge_events: u64,
-    /// Gang runs only: barrier items replayed in the serial epilogue
-    /// (allocator ops, tx ops, fault recording, freed-line conflicts, and
-    /// everything behind them in merge order). Same determinism contract as
-    /// [`Self::banked_merge_events`].
-    pub serial_epilogue_events: u64,
-    /// Gang runs only: bank-classified deferred events per L2 bank
-    /// (`len == l2_banks`). Same determinism contract as
-    /// [`Self::banked_merge_events`].
-    pub bank_occupancy: Vec<u64>,
     /// Per-core crash flags (`mcsim::fault`): true where an injected
     /// `CrashFault` fired during the run. Empty-plan runs are all-false.
     pub crashed: Vec<bool>,
