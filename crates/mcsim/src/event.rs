@@ -4,8 +4,8 @@
 //! implementing [`Event`]; its `exec` body is the **single semantic
 //! definition** of that operation. [`crate::machine::Ctx`] runs typed events
 //! directly, so a result travels back in registers and the whole hit path
-//! inlines into the caller. Nothing queues or replays an operation; the only
-//! reified form is the race analyzer's trace record ([`crate::hb::Op`]).
+//! inlines into the caller. Nothing queues, replays or reifies an operation;
+//! an event that the race analyzer models says so itself ([`Event::trace`]).
 //!
 //! Where an operation validates its target against the allocator is part of
 //! its semantics: plain accesses validate *before* touching the hub;
@@ -13,16 +13,24 @@
 //! (a failed cread/cwrite touches no memory).
 
 use crate::addr::{Addr, CoreId};
-use crate::hb::{Op, OutVal};
+use crate::hb::Kind;
 use crate::machine::SimState;
 
 /// One statically typed architectural operation.
 pub(crate) trait Event: Copy {
     /// What the operation hands back to the program.
-    type R: OutVal;
+    type R: Copy;
 
-    /// The reified form, built only when the `hb` trace records the event.
-    fn op(self) -> Op;
+    /// What the `hb` trace records for this event once it executed with
+    /// result `out` (asked only while the analyzer is armed). Failed
+    /// conditional accesses touch no memory and allocation failures return
+    /// no line, so they record nothing; tag maintenance, tx ops and
+    /// `op_completed` are outside the analyzed model (the CA structures'
+    /// `cread`/`cwrite` carry the sync semantics) and keep this default.
+    #[inline]
+    fn trace(self, _out: &Self::R) -> Option<(Kind, Addr)> {
+        None
+    }
 
     /// Execute against the simulator state under the turn; returns the
     /// result and the cycle cost. This body is the operation's one
@@ -37,8 +45,8 @@ pub(crate) struct ReadOp(pub Addr);
 impl Event for ReadOp {
     type R = u64;
     #[inline]
-    fn op(self) -> Op {
-        Op::Read(self.0)
+    fn trace(self, _out: &u64) -> Option<(Kind, Addr)> {
+        Some((Kind::Read, self.0))
     }
     #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> (u64, u64) {
@@ -54,8 +62,8 @@ pub(crate) struct WriteOp(pub Addr, pub u64);
 impl Event for WriteOp {
     type R = ();
     #[inline]
-    fn op(self) -> Op {
-        Op::Write(self.0, self.1)
+    fn trace(self, _out: &()) -> Option<(Kind, Addr)> {
+        Some((Kind::Write, self.0))
     }
     #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> ((), u64) {
@@ -71,8 +79,8 @@ pub(crate) struct CasOp(pub Addr, pub u64, pub u64);
 impl Event for CasOp {
     type R = Result<u64, u64>;
     #[inline]
-    fn op(self) -> Op {
-        Op::Cas(self.0, self.1, self.2)
+    fn trace(self, out: &Result<u64, u64>) -> Option<(Kind, Addr)> {
+        Some((if out.is_ok() { Kind::CasOk } else { Kind::CasFail }, self.0))
     }
     #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> (Result<u64, u64>, u64) {
@@ -88,8 +96,8 @@ pub(crate) struct CreadOp(pub Addr);
 impl Event for CreadOp {
     type R = Option<u64>;
     #[inline]
-    fn op(self) -> Op {
-        Op::Cread(self.0)
+    fn trace(self, out: &Option<u64>) -> Option<(Kind, Addr)> {
+        out.map(|_| (Kind::CreadOk, self.0))
     }
     #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> (Option<u64>, u64) {
@@ -109,8 +117,8 @@ pub(crate) struct CwriteOp(pub Addr, pub u64);
 impl Event for CwriteOp {
     type R = bool;
     #[inline]
-    fn op(self) -> Op {
-        Op::Cwrite(self.0, self.1)
+    fn trace(self, out: &bool) -> Option<(Kind, Addr)> {
+        out.then_some((Kind::CwriteOk, self.0))
     }
     #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> (bool, u64) {
@@ -131,8 +139,8 @@ pub(crate) struct FenceOp;
 impl Event for FenceOp {
     type R = ();
     #[inline]
-    fn op(self) -> Op {
-        Op::Fence
+    fn trace(self, _out: &()) -> Option<(Kind, Addr)> {
+        Some((Kind::Fence, Addr::NULL))
     }
     #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> ((), u64) {
@@ -140,15 +148,19 @@ impl Event for FenceOp {
     }
 }
 
-/// The trace-only SMR ordering fence (see [`Op::SmrFence`]).
+/// The SMR protocols' uncosted ordering fence, issued **only** when
+/// `MachineConfig::race_check` is armed: it exists purely so the analyzer
+/// sees the edge (zero cycles, no stats), and a run with the analyzer off
+/// never creates one, keeping schedule and stats byte-identical to
+/// pre-analyzer goldens.
 #[derive(Copy, Clone)]
 pub(crate) struct SmrFenceOp;
 
 impl Event for SmrFenceOp {
     type R = ();
     #[inline]
-    fn op(self) -> Op {
-        Op::SmrFence
+    fn trace(self, _out: &()) -> Option<(Kind, Addr)> {
+        Some((Kind::SmrFence, Addr::NULL))
     }
     #[inline]
     fn exec(self, _st: &mut SimState, _c: CoreId) -> ((), u64) {
@@ -163,10 +175,6 @@ pub(crate) struct UntagOneOp(pub Addr);
 impl Event for UntagOneOp {
     type R = ();
     #[inline]
-    fn op(self) -> Op {
-        Op::UntagOne(self.0)
-    }
-    #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> ((), u64) {
         ((), st.hub.untag_one(c, self.0))
     }
@@ -178,10 +186,6 @@ pub(crate) struct UntagAllOp;
 
 impl Event for UntagAllOp {
     type R = ();
-    #[inline]
-    fn op(self) -> Op {
-        Op::UntagAll
-    }
     #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> ((), u64) {
         ((), st.hub.untag_all(c))
@@ -195,8 +199,8 @@ pub(crate) struct AllocOp;
 impl Event for AllocOp {
     type R = Addr;
     #[inline]
-    fn op(self) -> Op {
-        Op::Alloc
+    fn trace(self, out: &Addr) -> Option<(Kind, Addr)> {
+        (*out != Addr::NULL).then_some((Kind::Alloc, *out))
     }
     #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> (Addr, u64) {
@@ -223,8 +227,8 @@ pub(crate) struct FreeOp(pub Addr);
 impl Event for FreeOp {
     type R = ();
     #[inline]
-    fn op(self) -> Op {
-        Op::Free(self.0)
+    fn trace(self, _out: &()) -> Option<(Kind, Addr)> {
+        Some((Kind::Free, self.0))
     }
     #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> ((), u64) {
@@ -240,10 +244,6 @@ pub(crate) struct TxBeginOp;
 impl Event for TxBeginOp {
     type R = ();
     #[inline]
-    fn op(self) -> Op {
-        Op::TxBegin
-    }
-    #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> ((), u64) {
         ((), st.hub.tx_begin(c))
     }
@@ -255,10 +255,6 @@ pub(crate) struct TxReadOp(pub Addr);
 
 impl Event for TxReadOp {
     type R = Option<u64>;
-    #[inline]
-    fn op(self) -> Op {
-        Op::TxRead(self.0)
-    }
     #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> (Option<u64>, u64) {
         let (v, cost) = st.hub.tx_read(c, self.0);
@@ -276,10 +272,6 @@ pub(crate) struct TxWriteOp(pub Addr, pub u64);
 impl Event for TxWriteOp {
     type R = bool;
     #[inline]
-    fn op(self) -> Op {
-        Op::TxWrite(self.0, self.1)
-    }
-    #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> (bool, u64) {
         st.hub.tx_write(c, self.0, self.1)
     }
@@ -291,10 +283,6 @@ pub(crate) struct TxCommitOp;
 
 impl Event for TxCommitOp {
     type R = bool;
-    #[inline]
-    fn op(self) -> Op {
-        Op::TxCommit
-    }
     fn exec(self, st: &mut SimState, c: CoreId) -> (bool, u64) {
         let (writes, abort_cost) = st.hub.tx_commit_begin(c);
         match writes {
@@ -316,10 +304,6 @@ pub(crate) struct TxAbortOp;
 impl Event for TxAbortOp {
     type R = ();
     #[inline]
-    fn op(self) -> Op {
-        Op::TxAbort
-    }
-    #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> ((), u64) {
         ((), st.hub.tx_abort(c))
     }
@@ -331,10 +315,6 @@ pub(crate) struct OpCompletedOp;
 
 impl Event for OpCompletedOp {
     type R = ();
-    #[inline]
-    fn op(self) -> Op {
-        Op::OpCompleted
-    }
     #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> ((), u64) {
         st.hub.stats.core(c).ops += 1;

@@ -70,78 +70,6 @@ use crate::Addr;
 /// Words per line (the conflict granule is the 8-byte word).
 const WORDS_PER_LINE: u64 = crate::LINE_BYTES / 8;
 
-/// One architectural operation in reified form: what the event pipeline
-/// hands [`TraceBank::record`] (built from a typed `crate::event::Event`
-/// only while the analyzer is armed).
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-#[allow(clippy::enum_variant_names)] // OpCompleted mirrors Ctx::op_completed
-pub(crate) enum Op {
-    Read(Addr),
-    Write(Addr, u64),
-    Cas(Addr, u64, u64),
-    Fence,
-    /// The SMR protocols' uncosted ordering fence, issued **only** when
-    /// `MachineConfig::race_check` is armed (it exists purely so the
-    /// analyzer sees the edge; zero cycles, no stats — a run with the
-    /// analyzer off never creates one, keeping the schedule and the stats
-    /// byte-identical to pre-analyzer goldens).
-    SmrFence,
-    Cread(Addr),
-    Cwrite(Addr, u64),
-    UntagOne(Addr),
-    UntagAll,
-    Alloc,
-    Free(Addr),
-    TxBegin,
-    TxRead(Addr),
-    TxWrite(Addr, u64),
-    TxCommit,
-    TxAbort,
-    OpCompleted,
-}
-
-/// Result of an [`Op`].
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub(crate) enum Out {
-    Unit,
-    Val(u64),
-    A(Addr),
-    Opt(Option<u64>),
-    CasR(Result<u64, u64>),
-    Flag(bool),
-}
-
-/// A typed event result and its reified [`Out`] form.
-pub(crate) trait OutVal: Copy {
-    fn to_out(self) -> Out;
-}
-
-impl OutVal for () {
-    #[inline]
-    fn to_out(self) -> Out {
-        Out::Unit
-    }
-}
-
-macro_rules! out_val {
-    ($($t:ty => $variant:ident),* $(,)?) => {$(
-        impl OutVal for $t {
-            #[inline]
-            fn to_out(self) -> Out {
-                Out::$variant(self)
-            }
-        }
-    )*};
-}
-
-out_val! {
-    u64 => Val,
-    Addr => A,
-    Option<u64> => Opt,
-    Result<u64, u64> => CasR,
-    bool => Flag,
-}
-
 /// What a trace entry did to memory — the analyzer's event alphabet.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Kind {
@@ -212,11 +140,11 @@ impl TraceBank {
         }
     }
 
-    /// Record one *executed* event (see [`record_into`]).
+    /// Record one *executed* event (what `Event::trace` reported for it).
     #[inline]
-    pub fn record(&mut self, core: usize, clock: u64, op: Op, out: &Out) {
+    pub fn record(&mut self, core: usize, clock: u64, kind: Kind, addr: Addr) {
         debug_assert!(self.enabled, "record() called with tracing disabled");
-        record_into(&mut self.cores[core], clock, op, out);
+        self.cores[core].push(TraceEv { clock, kind, addr });
     }
 
     /// Mark a completed `Machine` run: the analyzer joins all cores'
@@ -230,45 +158,6 @@ impl TraceBank {
     pub fn label(&mut self, a: Addr, lines: u64, name: &'static str) {
         self.labels.push((a.0 / crate::LINE_BYTES, lines, name));
     }
-}
-
-/// Append one *executed* event to a core's trace. Failed conditional
-/// accesses touch no memory and allocation failures return no line, so
-/// they record nothing; tag maintenance and tx ops are outside the
-/// analyzed model (the CA structures' `cread`/`cwrite` carry the sync
-/// semantics).
-#[inline]
-fn record_into(trace: &mut Vec<TraceEv>, clock: u64, op: Op, out: &Out) {
-    let (kind, addr) = match (op, out) {
-        (Op::Read(a), _) => (Kind::Read, a),
-        (Op::Write(a, _), _) => (Kind::Write, a),
-        (Op::Cas(a, _, _), Out::CasR(r)) => {
-            (if r.is_ok() { Kind::CasOk } else { Kind::CasFail }, a)
-        }
-        (Op::Fence, _) => (Kind::Fence, Addr::NULL),
-        (Op::SmrFence, _) => (Kind::SmrFence, Addr::NULL),
-        (Op::Cread(a), Out::Opt(o)) => {
-            if o.is_none() {
-                return;
-            }
-            (Kind::CreadOk, a)
-        }
-        (Op::Cwrite(a, _), Out::Flag(ok)) => {
-            if !ok {
-                return;
-            }
-            (Kind::CwriteOk, a)
-        }
-        (Op::Alloc, Out::A(a)) => {
-            if *a == Addr::NULL {
-                return;
-            }
-            (Kind::Alloc, *a)
-        }
-        (Op::Free(a), _) => (Kind::Free, a),
-        _ => return,
-    };
-    trace.push(TraceEv { clock, kind, addr });
 }
 
 /// One aggregated race signature: all unsynchronized conflicting pairs

@@ -62,7 +62,6 @@ use crate::event::{
     AllocOp, CasOp, CreadOp, CwriteOp, Event, FenceOp, FreeOp, OpCompletedOp, ReadOp, SmrFenceOp,
     TxAbortOp, TxBeginOp, TxCommitOp, TxReadOp, TxWriteOp, UntagAllOp, UntagOneOp, WriteOp,
 };
-use crate::hb::OutVal;
 use crate::fault::{CoreOutcome, FaultPlan, FaultState, FaultStop, Restart, WedgeProbe};
 use crate::latency::LatencyModel;
 use crate::sched::{Sched, NO_TURN};
@@ -282,7 +281,7 @@ std::thread_local! {
     not(mcsim_coop),
     allow(dead_code)
 )]
-pub(crate) struct StateHoldMark {
+struct StateHoldMark {
     prev: *const (),
 }
 
@@ -461,7 +460,7 @@ impl Machine {
     /// Determinism: the crash fires at an event-issue boundary with the
     /// core still owning its scheduling turn on every backend (the
     /// `FaultStop` unwind is caught here, *inside* the workload-closure
-    /// boundary the drivers wrap), pending ticks already committed to the
+    /// boundary the backends wrap), pending ticks already committed to the
     /// core's local clock, and `FaultState::crashed` already set (so the
     /// trigger cannot re-fire during recovery). The gap to the restart
     /// clock is charged as plain local ticks; from there the recovery
@@ -544,7 +543,7 @@ impl Machine {
 
     /// Backend dispatch: run the closures and collect each core's result
     /// *or* caught panic, in core order. Panics that escaped a workload
-    /// closure's own frame (driver failures) still propagate.
+    /// closure's own frame (backend failures) still propagate.
     fn run_results<'env, R: Send + 'env>(
         &'env self,
         fns: Vec<CoreFn<'env, R>>,
@@ -1040,8 +1039,9 @@ fn run_event_on<T: Event>(
     let issue_clock = st.sched.clocks[c];
     let (out, cost) = ev.exec(st, c);
     if st.hub.trace.enabled {
-        // The only place an event is reified (see `hb::Op`).
-        st.hub.trace.record(c, issue_clock, ev.op(), &out.to_out());
+        if let Some((kind, addr)) = ev.trace(&out) {
+            st.hub.trace.record(c, issue_clock, kind, addr);
+        }
     }
     st.sched.clocks[c] += cost;
     if st.fault.hot {
@@ -1237,7 +1237,7 @@ impl<'m> Ctx<'m> {
     /// sequentially consistent simulator and absent from the pinned cost
     /// model, so by default it issues nothing at all; with
     /// [`MachineConfig::race_check`] armed it issues a zero-cost
-    /// `Op::SmrFence` event so the happens-before analyzer
+    /// `SmrFenceOp` event so the happens-before analyzer
     /// ([`crate::hb`]) sees the ordering edge the native backend's real
     /// fence provides.
     pub fn smr_fence(&mut self) {
