@@ -1597,53 +1597,91 @@ mod tests {
         h.check_invariants();
     }
 
+    // --- scripted workload pin --------------------------------------------
+
+    type ScriptOutcome = (Vec<crate::stats::CoreStats>, Vec<bool>, Vec<u64>, u64);
+
+    /// 4 hardware threads over 256 B direct-mapped L1s and a 1 KiB 2-way L2
+    /// driving 4000 LCG-chosen `read`/`write`/`cread`/`cwrite`/`untag_all`
+    /// steps over 64 lines: misses, upgrades, downgrades, L1 evictions and
+    /// L2 back-invalidations all occur. Returns per-thread stats, ARBs, the
+    /// 64 memory words and the summed cost.
+    fn scripted_run(protocol: Protocol, smt: usize, l2_banks: usize) -> ScriptOutcome {
+        let mut h = CoherenceHub::new(
+            4,
+            smt,
+            &CacheConfig {
+                l1_bytes: 256,
+                l1_assoc: 1,
+                l2_bytes: 1024,
+                l2_assoc: 2,
+                l2_banks,
+                protocol,
+            },
+            LatencyModel::default(),
+            1 << 20,
+        );
+        let mut lcg: u64 = 0xDEADBEEF;
+        let mut step = || {
+            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            lcg >> 33
+        };
+        let mut costs = 0u64;
+        for _ in 0..4000 {
+            let c = (step() % 4) as usize;
+            let a = Line(step() % 64).base();
+            match step() % 5 {
+                0 => costs += h.read(c, a).1,
+                1 => costs += h.write(c, a, step()),
+                2 => costs += h.cread(c, a).1,
+                3 => costs += h.cwrite(c, a, step()).1,
+                _ => costs += h.untag_all(c),
+            }
+        }
+        h.check_invariants();
+        let words: Vec<u64> = (0..64).map(|l| h.host_read(Line(l).base())).collect();
+        (h.stats.cores.clone(), h.arb.clone(), words, costs)
+    }
+
+    /// FNV-1a over the outcome's `Debug` rendering.
+    fn digest(outcome: &ScriptOutcome) -> u64 {
+        format!("{outcome:?}")
+            .bytes()
+            .fold(0xcbf29ce484222325, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3))
+    }
+
+    #[test]
+    fn scripted_hub_workload_is_pinned() {
+        // Any change to a coherence transition, a latency charge, the LRU
+        // order or a revoke rule moves one of these digests; a refactor of
+        // the hub must leave all three untouched.
+        for (protocol, smt, pinned) in [
+            (Protocol::Msi, 1, 0xd66c52515defa177u64),
+            (Protocol::Mesi, 1, 0xe2a686c69a934a11),
+            (Protocol::Msi, 2, 0x6bbfa0aa8a4ef7b1),
+        ] {
+            let got = digest(&scripted_run(protocol, smt, 8));
+            assert_eq!(
+                got, pinned,
+                "{protocol:?} smt={smt}: scripted hub outcome changed (digest {got:#018x})"
+            );
+        }
+    }
+
     // --- banked L2 -------------------------------------------------------
 
     #[test]
     fn banked_l2_is_bit_identical_to_flat() {
-        // Bank decomposition must be exactly set-preserving: a scripted
-        // workload with misses, upgrades, evictions and back-invalidations
-        // produces identical per-core stats, ARBs and memory contents for
-        // every bank count.
-        let run = |banks: usize| {
-            let mut h = CoherenceHub::new(
-                4,
-                1,
-                &CacheConfig {
-                    l1_bytes: 256,
-                    l1_assoc: 1,
-                    l2_bytes: 1024,
-                    l2_assoc: 2,
-                    l2_banks: banks,
-                    protocol: Protocol::Msi,
-                },
-                LatencyModel::default(),
-                1 << 20,
-            );
-            let mut lcg: u64 = 0xDEADBEEF;
-            let mut step = || {
-                lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                lcg >> 33
-            };
-            let mut costs = 0u64;
-            for _ in 0..4000 {
-                let c = (step() % 4) as usize;
-                let a = Line(step() % 64).base();
-                match step() % 5 {
-                    0 => costs += h.read(c, a).1,
-                    1 => costs += h.write(c, a, step()),
-                    2 => costs += h.cread(c, a).1,
-                    3 => costs += h.cwrite(c, a, step()).1,
-                    _ => costs += h.untag_all(c),
-                }
-            }
-            h.check_invariants();
-            let words: Vec<u64> = (0..64).map(|l| h.host_read(Line(l).base())).collect();
-            (h.stats.cores.clone(), h.arb.clone(), words, costs)
-        };
-        let flat = run(1);
+        // Bank decomposition must be exactly set-preserving: the scripted
+        // workload produces identical per-core stats, ARBs and memory
+        // contents for every bank count.
+        let flat = scripted_run(Protocol::Msi, 1, 1);
         for banks in [2, 4, 8, 64] {
-            assert_eq!(run(banks), flat, "banks={banks} diverged from flat L2");
+            assert_eq!(
+                scripted_run(Protocol::Msi, 1, banks),
+                flat,
+                "banks={banks} diverged from flat L2"
+            );
         }
     }
 
