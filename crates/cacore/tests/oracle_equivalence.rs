@@ -79,7 +79,6 @@ fn hub_with(smt: usize, protocol: Protocol, threads: usize) -> CoherenceHub {
             l2_bytes: 512, // 8 lines: constant back-invalidations
             l2_assoc: 2,
             protocol,
-            ..CacheConfig::default()
         },
         LatencyModel::uniform(),
         1 << 16,

@@ -8,7 +8,7 @@ use caharness::experiments::{ablation_associativity, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     eprintln!("[ablation_assoc at {scale:?} scale]");
     let (tput, spurious) = ablation_associativity(scale);
     tput.emit("ablation_assoc_throughput.csv");

@@ -7,7 +7,7 @@ use caharness::experiments::{ablation_ctx_switch, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     eprintln!("[ablation_ctxswitch at {scale:?} scale]");
     ablation_ctx_switch(scale).emit("ablation_ctxswitch.csv");
     caharness::finish();

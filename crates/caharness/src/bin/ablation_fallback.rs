@@ -8,7 +8,7 @@ use caharness::experiments::{ablation_fallback, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     eprintln!("[ablation_fallback at {scale:?} scale]");
     let (overhead, hostile) = ablation_fallback(scale);
     overhead.emit("ablation_fallback_overhead.csv");

@@ -8,7 +8,7 @@ use caharness::experiments::{ablation_reclaim_freq, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     eprintln!("[ablation_freq at {scale:?} scale]");
     let (tput, peak) = ablation_reclaim_freq(scale);
     tput.emit("ablation_freq_throughput.csv");

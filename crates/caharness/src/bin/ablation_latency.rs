@@ -9,7 +9,7 @@ use caharness::experiments::{ablation_latency, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     eprintln!("[ablation_latency at {scale:?} scale]");
     ablation_latency(scale).emit("ablation_latency.csv");
     caharness::finish();

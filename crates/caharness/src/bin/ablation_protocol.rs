@@ -8,7 +8,7 @@ use caharness::experiments::{ablation_protocol, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     eprintln!("[ablation_protocol at {scale:?} scale]");
     let (tput, mesi) = ablation_protocol(scale);
     tput.emit("ablation_protocol_throughput.csv");

@@ -7,7 +7,7 @@ use caharness::experiments::{ablation_quantum, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     eprintln!("[ablation_quantum at {scale:?} scale]");
     ablation_quantum(scale).emit("ablation_quantum.csv");
     caharness::finish();

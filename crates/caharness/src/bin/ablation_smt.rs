@@ -8,7 +8,7 @@ use caharness::experiments::{ablation_smt, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     eprintln!("[ablation_smt at {scale:?} scale]");
     let (tput, revokes) = ablation_smt(scale);
     tput.emit("ablation_smt_throughput.csv");

@@ -9,7 +9,7 @@ use caharness::experiments::*;
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     eprintln!("[all_figures at {scale:?} scale]");
     // All 12 throughput panels (Fig 1 top/bottom, Fig 2 top/bottom) run as
     // ONE flat sweep so the --jobs pool stays saturated across panel

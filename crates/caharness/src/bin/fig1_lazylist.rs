@@ -7,7 +7,7 @@ use caharness::experiments::{fig1_lazylist, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     eprintln!("[fig1_lazylist at {scale:?} scale]");
     for (i, table) in fig1_lazylist(scale).into_iter().enumerate() {
         table.emit(&format!("fig1_lazylist_panel{i}.csv"));

@@ -8,7 +8,7 @@ use caharness::experiments::{fig3_memory, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     eprintln!("[fig3_memory at {scale:?} scale]");
     fig3_memory(scale).emit("fig3_memory.csv");
     caharness::finish();

@@ -20,7 +20,7 @@ use caharness::experiments::{fig_recovery, Scale};
 fn main() {
     let scale = Scale::from_args();
     let recover = std::env::args().any(|a| a == "--recover");
-    caharness::init_from_args();
+    caharness::init_from_args(&["--recover"]);
     eprintln!("[fig_recovery at {scale:?} scale, recover={recover}]");
     let (trace, summary) = fig_recovery(scale, recover);
     let suffix = if recover { "_adopt" } else { "" };

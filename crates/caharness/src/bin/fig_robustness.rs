@@ -20,7 +20,7 @@ use caharness::experiments::{fig_robustness_with, Scale};
 fn main() {
     let scale = Scale::from_args();
     let recover = std::env::args().any(|a| a == "--recover");
-    caharness::init_from_args();
+    caharness::init_from_args(&["--recover"]);
     eprintln!("[fig_robustness at {scale:?} scale, recover={recover}]");
     let names = ["robustness_tput.csv", "robustness_footprint.csv", "robustness_garbage.csv"];
     for (table, name) in fig_robustness_with(scale, recover).into_iter().zip(names) {

@@ -8,7 +8,7 @@ use caharness::experiments::{harris_bench, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     eprintln!("[harris_bench at {scale:?} scale]");
     harris_bench(scale).emit("harris_bench.csv");
     caharness::finish();

@@ -9,7 +9,7 @@ use caharness::experiments::{htm_bench, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     eprintln!("[htm_bench at {scale:?} scale]");
     let (read_only, updates, aborts) = htm_bench(scale);
     read_only.emit("htm_bench_readonly.csv");

@@ -8,7 +8,7 @@ use caharness::experiments::{lfbst_bench, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     eprintln!("[lfbst_bench at {scale:?} scale]");
     lfbst_bench(scale).emit("lfbst_bench.csv");
     caharness::finish();

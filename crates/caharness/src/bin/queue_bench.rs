@@ -7,7 +7,7 @@ use caharness::experiments::{queue_bench, Scale};
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     eprintln!("[queue_bench at {scale:?} scale]");
     queue_bench(scale).emit("queue_bench.csv");
     caharness::finish();

@@ -14,7 +14,7 @@
 //! and the grid has 39 cells: the paper's five structures under all seven
 //! schemes, the four CA-only extensions as `ca`) and pinned to quantum 0,
 //! where the analyzer's linearization `(clock, core, seq)` is exact, so the
-//! report is byte-identical across bank counts and backends.
+//! report is byte-identical across backends.
 //!
 //! Usage: `cargo run --release -p caharness --bin race_audit [--quick]`
 //!
@@ -61,7 +61,7 @@ fn audit_cfg(updates_only: bool) -> RunConfig {
             }
         },
         // Quantum 0 keeps the analyzer's linearization exact, which makes
-        // the report byte-identical across banks / backends.
+        // the report byte-identical across backends.
         quantum: 0,
         race_check: true,
         ..Default::default()
@@ -69,7 +69,7 @@ fn audit_cfg(updates_only: bool) -> RunConfig {
 }
 
 fn main() {
-    caharness::init_from_args();
+    caharness::init_from_args(&[]);
     let quick = std::env::args().any(|a| a == "--quick");
     let allow = whitelist();
 

@@ -49,7 +49,7 @@ fn tie(a: f64, b: f64) -> bool {
 
 fn main() {
     let scale = Scale::from_args();
-    caharness::init_from_args();
+    caharness::init_from_args(&["--min_agreement X"]);
     let min_agreement = arg_value("--min_agreement").unwrap_or(0.2);
     eprintln!("[validate at {scale:?} scale, agreement floor {min_agreement}]");
 

@@ -175,19 +175,68 @@ pub fn set_race_check_from_args() {
 pub const GANGS_RETIRED: &str =
     "`--gangs`/`--l2_banks` were retired in PR 18 (see history/README.md)";
 
-/// `Err(`[`GANGS_RETIRED`]`)` if `args` carries `--gangs` or `--l2_banks`
-/// (either `<flag> N` or `<flag>=N`).
-pub fn reject_retired_flags(args: impl IntoIterator<Item = String>) -> Result<(), &'static str> {
-    let retired = |a: &str| {
-        ["--gangs", "--l2_banks"]
-            .iter()
-            .any(|f| a == *f || a.strip_prefix(f).is_some_and(|rest| rest.starts_with('=')))
-    };
-    if args.into_iter().any(|a| retired(&a)) {
-        Err(GANGS_RETIRED)
-    } else {
-        Ok(())
+/// The flags every harness bin accepts, spelled as usage text: a name
+/// followed by ` N` takes a value (`<flag> N` or `<flag>=N`), a bare name
+/// is a presence flag. `-jN` is also accepted.
+pub const SHARED_FLAGS: &[&str] = &[
+    "--quick",
+    "--paper",
+    "--jobs N",
+    "-j N",
+    "--max_cycles N",
+    "--fail-fast",
+    "--native",
+    "--race_check",
+];
+
+/// Check a whole command line (`args[0]` is the program name) against
+/// [`SHARED_FLAGS`] plus the calling bin's `extra` flags, spelled the same
+/// way. The flag parsers each scan argv for their own name and ignore the
+/// rest, so without this a typo (`--quik`, `--job 4`) silently runs the
+/// default table. The error names the first offending argument and lists
+/// what is accepted; the retired `--gangs`/`--l2_banks` get
+/// [`GANGS_RETIRED`] as a hint.
+pub fn reject_unknown_flags(
+    args: impl IntoIterator<Item = String>,
+    extra: &[&str],
+) -> Result<(), String> {
+    let accepted = || SHARED_FLAGS.iter().chain(extra).copied();
+    let mut it = args.into_iter().skip(1);
+    while let Some(arg) = it.next() {
+        let (name, inline_value) = match arg.split_once('=') {
+            Some((name, _)) => (name, true),
+            None => (arg.as_str(), false),
+        };
+        let takes_value = accepted().find_map(|usage| {
+            let (flag, value) = usage.split_once(' ').map_or((usage, false), |(f, _)| (f, true));
+            (flag == name).then_some(value)
+        });
+        let ok = match takes_value {
+            Some(true) => {
+                if !inline_value {
+                    // Skip the value; its own parser reports a missing or bad one.
+                    it.next();
+                }
+                true
+            }
+            Some(false) => !inline_value,
+            None => arg
+                .strip_prefix("-j")
+                .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit())),
+        };
+        if !ok {
+            let hint = if ["--gangs", "--l2_banks"].contains(&name) {
+                format!(" ({GANGS_RETIRED})")
+            } else {
+                String::new()
+            };
+            return Err(format!(
+                "unrecognized argument `{arg}`{hint}; accepted: {}",
+                accepted().collect::<Vec<_>>().join(" ")
+            ));
+        }
     }
+    Ok(())
 }
 
 /// Scan argv for a `<flag> N` / `<flag>=N` pair, returning the raw value.
@@ -342,16 +391,47 @@ mod tests {
 
     #[test]
     fn retired_flags_are_rejected_not_ignored() {
-        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let check = |a: &[&str], extra: &[&str]| {
+            reject_unknown_flags(a.iter().map(|s| s.to_string()), extra)
+        };
         for old in [
             &["fig1_lazylist", "--quick", "--gangs", "4"][..],
             &["fig1_lazylist", "--gangs=2"],
             &["fig1_lazylist", "--jobs", "4", "--l2_banks", "8"],
             &["fig1_lazylist", "--l2_banks=1"],
         ] {
-            assert_eq!(reject_retired_flags(args(old)), Err(GANGS_RETIRED), "{old:?}");
+            let err = check(old, &[]).expect_err("retired flag accepted");
+            assert!(err.contains(GANGS_RETIRED), "{old:?}: {err}");
         }
-        assert_eq!(reject_retired_flags(args(&["fig1_lazylist", "--quick", "--jobs", "4"])), Ok(()));
+        for (bad, offender) in [
+            (&["fig1_lazylist", "--quik"][..], "`--quik`"),
+            (&["fig1_lazylist", "--quick", "--job", "4"], "`--job`"),
+            (&["fig1_lazylist", "--quick", "--recover"], "`--recover`"),
+            (&["fig1_lazylist", "--quick=1"], "`--quick=1`"),
+            (&["fig1_lazylist", "-jx"], "`-jx`"),
+            (&["fig1_lazylist", "4"], "`4`"),
+        ] {
+            let err = check(bad, &[]).expect_err("unknown argument accepted");
+            assert!(err.contains(offender), "{bad:?}: {err}");
+            assert!(err.contains("--quick --paper --jobs N"), "lists the accepted flags: {err}");
+            assert!(!err.contains(GANGS_RETIRED), "{bad:?}: {err}");
+        }
+        for ok in [
+            &["fig1_lazylist"][..],
+            &["fig1_lazylist", "--quick", "--jobs", "4"],
+            &["fig1_lazylist", "--paper", "--jobs=4", "--fail-fast", "--native", "--race_check"],
+            &["fig1_lazylist", "-j4"],
+            &["fig1_lazylist", "-j", "4"],
+            &["fig1_lazylist", "--max_cycles", "10"],
+            &["fig1_lazylist", "--max_cycles=10"],
+        ] {
+            assert_eq!(check(ok, &[]), Ok(()), "{ok:?}");
+        }
+        assert_eq!(check(&["fig_robustness", "--quick", "--recover"], &["--recover"]), Ok(()));
+        assert_eq!(
+            check(&["validate", "--min_agreement", "0.3", "--min_agreement=0.3"], &["--min_agreement X"]),
+            Ok(())
+        );
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! Each `fig*` function reproduces one figure of the paper's §V; the
 //! `ablation_*` functions cover claims the paper makes in prose (§I batch
 //! tradeoffs, §III associativity insensitivity) plus one simulator-fidelity
-//! check. See DESIGN.md §4 for the experiment index and EXPERIMENTS.md for
-//! recorded paper-vs-measured results.
+//! check. See EXPERIMENTS.md for the experiment index and the recorded
+//! paper-vs-measured results.
 //!
 //! Every function builds its cell cross-product as a task list and executes
 //! it on the [`crate::sweep`] work-stealing pool (`--jobs N` in the bins).
@@ -27,7 +27,7 @@ use crate::table::SeriesTable;
 /// against wall-clock time on the host.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum Scale {
-    /// Smoke scale for CI and Criterion: 4 threads max, 300 ops/thread.
+    /// Smoke scale for CI: 4 threads max, 300 ops/thread.
     Quick,
     /// Default: full thread sweep, 1000 ops/thread.
     Standard,

@@ -102,13 +102,13 @@ pub use runner::{
 };
 pub use table::SeriesTable;
 
-/// Parse the shared harness CLI flags (`--jobs`, `--max_cycles`,
-/// `--fail-fast`, `--native`, `--race_check`) and install them as process
-/// defaults. Every figure binary calls this first. Unknown flags are
-/// otherwise ignored, so the retired `--gangs`/`--l2_banks` are rejected
-/// here: an old command line must not quietly produce a different table.
-pub fn init_from_args() {
-    if let Err(msg) = config::reject_retired_flags(std::env::args()) {
+/// Parse the shared harness CLI flags ([`config::SHARED_FLAGS`]) and
+/// install them as process defaults. Every figure binary calls this first,
+/// passing the flags only it takes (spelled like `SHARED_FLAGS`). Anything
+/// else on the command line exits 2: a typo or a retired flag must not
+/// quietly produce a different table.
+pub fn init_from_args(extra: &[&str]) {
+    if let Err(msg) = config::reject_unknown_flags(std::env::args(), extra) {
         eprintln!("error: {msg}");
         std::process::exit(2);
     }

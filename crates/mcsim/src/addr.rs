@@ -4,6 +4,8 @@
 //! word at a word-aligned byte address. Cache lines are 64 bytes (8 words),
 //! matching the configuration the paper uses for Graphite.
 
+#![forbid(unsafe_code)]
+
 /// Bytes per cache line (fixed at 64, as in the paper's Graphite setup).
 pub const LINE_BYTES: u64 = 64;
 /// Words per cache line.

@@ -21,6 +21,8 @@
 //! [heap_base, heap_end)   node heap, tracked by the allocation bitmap
 //! ```
 
+#![forbid(unsafe_code)]
+
 use crate::addr::{Addr, CoreId, Line, LINE_BYTES};
 
 /// Validity of a line for data access.

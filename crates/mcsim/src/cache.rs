@@ -5,6 +5,8 @@
 //! tag bit, paper §III) and as the shared inclusive L2 whose per-line payload
 //! is the full-map directory entry.
 
+#![forbid(unsafe_code)]
+
 use crate::addr::{CoreId, Line, LINE_BYTES};
 
 /// Coherence state of a line in a private L1. Absence from the cache is `I`.
@@ -43,12 +45,6 @@ pub struct SetAssoc<P> {
     sets: usize,
     /// `sets - 1`; valid because `sets` is a power of two.
     set_mask: usize,
-    /// Bits of the line index skipped before set selection (0 for a flat
-    /// cache). A banked L2 uses the low `shift` bits as the bank index and
-    /// hands each bank `set = (line >> shift) & mask`, so that
-    /// `(bank, bank-set)` is exactly the flat cache's `line & (sets*banks-1)`
-    /// — bank decomposition never changes which lines conflict.
-    set_shift: u32,
     assoc: usize,
     ways: Vec<Option<Entry<P>>>,
     stamp: u64,
@@ -61,13 +57,6 @@ impl<P> SetAssoc<P> {
     /// two (growing the capacity), so that set indexing can use a bitmask;
     /// [`Self::capacity_lines`] reflects the rounded geometry.
     pub fn new(size_bytes: usize, assoc: usize) -> Self {
-        Self::with_shift(size_bytes, assoc, 0)
-    }
-
-    /// [`Self::new`] with a set-index shift: the low `shift` bits of the
-    /// line index are skipped when selecting the set (they select the bank
-    /// in a banked hierarchy; see the `set_shift` field docs).
-    pub fn with_shift(size_bytes: usize, assoc: usize, shift: u32) -> Self {
         assert!(assoc >= 1, "associativity must be at least 1");
         let lines = size_bytes / LINE_BYTES as usize;
         assert!(
@@ -90,7 +79,6 @@ impl<P> SetAssoc<P> {
         Self {
             sets,
             set_mask: sets - 1,
-            set_shift: shift,
             assoc,
             ways: (0..sets * assoc).map(|_| None).collect(),
             stamp: 0,
@@ -114,7 +102,7 @@ impl<P> SetAssoc<P> {
 
     #[inline]
     fn set_range(&self, line: Line) -> std::ops::Range<usize> {
-        let set = ((line.0 >> self.set_shift) as usize) & self.set_mask;
+        let set = (line.0 as usize) & self.set_mask;
         set * self.assoc..(set + 1) * self.assoc
     }
 

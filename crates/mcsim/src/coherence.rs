@@ -25,6 +25,8 @@
 //!   valid);
 //! * `untagAll` clears the calling hardware thread's tag bits and its ARB.
 
+#![forbid(unsafe_code)]
+
 use crate::addr::{Addr, CoreId, Line};
 use crate::cache::{DirMeta, L1Meta, MsiState, SetAssoc, L1};
 use crate::latency::LatencyModel;
@@ -73,12 +75,6 @@ pub struct CacheConfig {
     pub l2_bytes: usize,
     /// L2 associativity.
     pub l2_assoc: usize,
-    /// L2/directory banks (paper §V: Graphite's L2 is banked). Rounded to a
-    /// power of two and clamped to the set count. Banking is **exactly
-    /// set-preserving** (see [`BankedL2`]), so simulated results are
-    /// bit-identical for every bank count — the banks model a banked
-    /// directory.
-    pub l2_banks: usize,
     /// Coherence protocol (paper: MSI).
     pub protocol: Protocol,
 }
@@ -90,83 +86,8 @@ impl Default for CacheConfig {
             l1_assoc: 8,
             l2_bytes: 256 * 1024,
             l2_assoc: 8,
-            l2_banks: 8,
             protocol: Protocol::Msi,
         }
-    }
-}
-
-/// The shared inclusive L2 (directory) as independent banks selected by the
-/// low bits of the line index.
-///
-/// Bank decomposition is *exactly* equivalent to the flat array: with
-/// `sets` total sets and `B = 2^b` banks, the flat structure groups lines
-/// by `line & (sets-1)`, and the banked one by the pair
-/// `(line & (B-1), (line >> b) & (sets/B - 1))` — the same bits, split.
-/// Each set lives entirely inside one bank, per-set LRU order follows the
-/// (monotone per-bank) stamp order, so every lookup, hit, eviction and
-/// back-invalidation decision is identical. `l2_banks = 1` degenerates to
-/// the original flat array.
-pub(crate) struct BankedL2 {
-    banks: Vec<SetAssoc<DirMeta>>,
-    bank_mask: u64,
-}
-
-impl BankedL2 {
-    /// Build a banked L2 of `size_bytes` capacity. `banks` is rounded to a
-    /// power of two and clamped to `[1, sets]` so every bank keeps at least
-    /// one whole set.
-    pub fn new(size_bytes: usize, assoc: usize, banks: usize) -> Self {
-        assert!(assoc >= 1, "associativity must be at least 1");
-        let lines = size_bytes / crate::addr::LINE_BYTES as usize;
-        assert!(
-            lines >= assoc && lines.is_multiple_of(assoc),
-            "L2 of {size_bytes} bytes cannot hold {assoc}-way sets of 64B lines"
-        );
-        let sets = (lines / assoc).next_power_of_two();
-        if sets != lines / assoc {
-            eprintln!(
-                "mcsim: warning: {size_bytes}-byte {assoc}-way L2 has {} sets; \
-                 rounding up to {sets} (power-of-two set indexing) — simulated \
-                 capacity grows to {} bytes",
-                lines / assoc,
-                sets * assoc * crate::addr::LINE_BYTES as usize,
-            );
-        }
-        let banks = banks.max(1).next_power_of_two().min(sets);
-        let bank_bits = banks.trailing_zeros();
-        let per_bank_bytes = (sets / banks) * assoc * crate::addr::LINE_BYTES as usize;
-        Self {
-            banks: (0..banks)
-                .map(|_| SetAssoc::with_shift(per_bank_bytes, assoc, bank_bits))
-                .collect(),
-            bank_mask: banks as u64 - 1,
-        }
-    }
-
-    /// Which bank a line's directory entry lives in.
-    #[inline]
-    pub fn bank_of(&self, line: Line) -> usize {
-        (line.0 & self.bank_mask) as usize
-    }
-
-    #[inline]
-    pub fn lookup(&self, line: Line) -> Option<&crate::cache::Entry<DirMeta>> {
-        self.banks[self.bank_of(line)].lookup(line)
-    }
-
-    /// Iterate over all resident entries, bank by bank (order differs from
-    /// the flat array; all consumers are order-insensitive).
-    pub fn iter(&self) -> impl Iterator<Item = &crate::cache::Entry<DirMeta>> {
-        self.banks.iter().flat_map(|b| b.iter())
-    }
-
-    /// Raw view of the bank array for the [`BankParts`] projection: base
-    /// pointer, bank count and the line→bank selection mask. Each element is
-    /// one whole `SetAssoc` bank (sets and per-bank LRU stamps included), so
-    /// disjoint bank indices give disjoint `&mut` access.
-    pub(crate) fn raw_parts(&mut self) -> (*mut SetAssoc<DirMeta>, usize, u64) {
-        (self.banks.as_mut_ptr(), self.banks.len(), self.bank_mask)
     }
 }
 
@@ -183,7 +104,8 @@ pub(crate) struct TxState {
 pub struct CoherenceHub {
     /// One private L1 per *physical core* (shared by its hyperthreads).
     pub(crate) l1s: Vec<L1>,
-    pub(crate) l2: BankedL2,
+    /// The shared inclusive L2; each line's payload is its directory entry.
+    pub(crate) l2: SetAssoc<DirMeta>,
     pub(crate) mem: Memory,
     pub(crate) lat: LatencyModel,
     /// Hardware threads per physical core (1 = no SMT).
@@ -222,7 +144,7 @@ impl CoherenceHub {
             l1s: (0..pcores)
                 .map(|_| L1::new(cache.l1_bytes, cache.l1_assoc))
                 .collect(),
-            l2: BankedL2::new(cache.l2_bytes, cache.l2_assoc, cache.l2_banks),
+            l2: SetAssoc::new(cache.l2_bytes, cache.l2_assoc),
             mem: Memory::new(mem_bytes),
             lat,
             smt,
@@ -256,33 +178,6 @@ impl CoherenceHub {
         t % self.smt
     }
 
-    /// Project the hub into raw per-part pointers ([`BankParts`]).
-    ///
-    /// The projection is how *every* mutable coherence transition executes:
-    /// the hub's own `read`/`write`/… methods materialize a transient
-    /// projection under `&mut self` (trivially exclusive).
-    #[inline]
-    pub(crate) fn parts(&mut self) -> BankParts {
-        let (banks, n_banks, bank_mask) = self.l2.raw_parts();
-        let (mem, mem_words) = self.mem.raw_words();
-        BankParts {
-            l1s: self.l1s.as_mut_ptr(),
-            n_pcores: self.l1s.len(),
-            banks,
-            n_banks,
-            bank_mask,
-            mem,
-            mem_words,
-            arb: self.arb.as_mut_ptr(),
-            tx: self.tx.as_mut_ptr(),
-            stats: self.stats.cores.as_mut_ptr(),
-            n_threads: self.arb.len(),
-            smt: self.smt,
-            protocol: self.protocol,
-            lat: &self.lat,
-        }
-    }
-
     #[inline]
     fn assert_outside_tx(&self, t: CoreId, what: &str) {
         assert!(
@@ -293,27 +188,318 @@ impl CoherenceHub {
     }
 
     // ------------------------------------------------------------------
+    // Coherence transitions shared by the architectural operations.
+    // ------------------------------------------------------------------
+
+    #[inline]
+    fn set_arb(&mut self, t: CoreId, cause: RevokeCause) {
+        if !self.arb[t] {
+            self.arb[t] = true;
+            self.stats.core(t).record_revoke(cause);
+        }
+    }
+
+    /// Set the ARB of every hardware thread named in `mask` (tag bits of a
+    /// line on physical core `pcore`).
+    #[inline]
+    fn revoke_mask(&mut self, pcore: usize, mask: u8, cause: RevokeCause) {
+        let mut m = mask;
+        while m != 0 {
+            let h = m.trailing_zeros() as usize;
+            m &= m - 1;
+            self.set_arb(pcore * self.smt + h, cause);
+        }
+    }
+
+    /// Kill `holder`'s L1 copy of `line` (directory-initiated). Sets the
+    /// ARB of every hyperthread that tagged the copy. Returns the removed
+    /// entry's state, if the copy was actually present (stale sharer bits
+    /// make no-op invalidations legal).
+    fn invalidate_l1_copy(
+        &mut self,
+        holder: usize,
+        line: Line,
+        cause: RevokeCause,
+    ) -> Option<MsiState> {
+        let entry = self.l1s[holder].array.remove(line)?;
+        // Structural L1 events are attributed to the core's primary thread.
+        self.stats.core(holder * self.smt).invalidations_received += 1;
+        self.revoke_mask(holder, entry.payload.tags, cause);
+        Some(entry.payload.state)
+    }
+
+    /// Insert `line` into thread `t`'s physical core's L1, handling the
+    /// victim: a Modified victim writes back to the L2 (directory drops
+    /// ownership); an Exclusive victim notifies the directory (clean drop);
+    /// a tagged victim sets its taggers' ARBs (associativity-conflict
+    /// spurious revoke, paper §III).
+    fn l1_insert(&mut self, t: CoreId, line: Line, state: MsiState) {
+        let pcore = self.pc(t);
+        let victim = self.l1s[pcore].array.insert(line, L1Meta::clean(state));
+        if let Some(v) = victim {
+            self.revoke_mask(pcore, v.payload.tags, RevokeCause::L1Eviction);
+            match v.payload.state {
+                MsiState::Modified => {
+                    let d = self
+                        .l2
+                        .lookup_mut(v.line)
+                        .expect("inclusion: L1 victim must be resident in L2");
+                    debug_assert_eq!(d.payload.owner, Some(pcore), "M victim must be owned");
+                    d.payload.owner = None;
+                    d.payload.dirty = true;
+                }
+                MsiState::Exclusive => {
+                    // Clean drop, but the directory must forget the owner so
+                    // the invariant "owner holds the line" is preserved.
+                    let d = self
+                        .l2
+                        .lookup_mut(v.line)
+                        .expect("inclusion: L1 victim must be resident in L2");
+                    debug_assert_eq!(d.payload.owner, Some(pcore), "E victim must be owned");
+                    d.payload.owner = None;
+                }
+                MsiState::Shared => {
+                    // Silent drop: the directory keeps a (now stale) sharer
+                    // bit; later invalidations to it are harmless no-ops.
+                }
+            }
+        }
+    }
+
+    /// Ensure `line` is resident in the L2, evicting (and back-invalidating)
+    /// an L2 victim if necessary. Returns the cycle cost.
+    fn l2_get_or_fill(&mut self, t: CoreId, line: Line) -> u64 {
+        if self.l2.lookup_touch(line).is_some() {
+            let c = self.lat.l2_hit;
+            let s = self.stats.core(t);
+            s.l2_hits += 1;
+            s.l2_hit_cycles += c;
+            return c;
+        }
+        let fill = self.lat.l2_hit + self.lat.mem;
+        let s = self.stats.core(t);
+        s.mem_accesses += 1;
+        s.mem_fill_cycles += fill;
+        let mut cost = fill;
+        // Fill; the inclusive L2 back-invalidates every L1 copy of its victim.
+        if let Some(v) = self.l2.insert(line, DirMeta::default()) {
+            for h in bits(v.payload.holders()) {
+                if let Some(state) =
+                    self.invalidate_l1_copy(h, v.line, RevokeCause::L2BackInvalidation)
+                {
+                    if state == MsiState::Modified {
+                        // Writeback forwarded to memory along with the victim.
+                        cost += self.lat.dirty_supply;
+                    }
+                }
+            }
+        }
+        cost
+    }
+
+    /// Account an access served by `t`'s local L1; returns its cost.
+    #[inline]
+    fn l1_hit(&mut self, t: CoreId) -> u64 {
+        let c = self.lat.l1_hit;
+        let s = self.stats.core(t);
+        s.l1_hits += 1;
+        s.l1_hit_cycles += c;
+        c
+    }
+
+    /// Obtain `line` with read permission in `t`'s L1 (Shared, or Exclusive
+    /// when MESI finds no other holder). Returns cost. The L1-hit check is
+    /// the only part that inlines into the event pipeline; everything that
+    /// involves the directory is [`Self::acquire_shared_miss`].
+    #[inline]
+    fn acquire_shared(&mut self, t: CoreId, line: Line) -> u64 {
+        let pcore = self.pc(t);
+        if self.l1s[pcore].array.lookup_touch(line).is_some() {
+            return self.l1_hit(t);
+        }
+        self.acquire_shared_miss(t, line)
+    }
+
+    /// L1-miss half of [`Self::acquire_shared`]: fill from the L2 (or
+    /// memory), downgrade a remote owner, insert into `t`'s L1.
+    #[cold]
+    #[inline(never)]
+    fn acquire_shared_miss(&mut self, t: CoreId, line: Line) -> u64 {
+        let pcore = self.pc(t);
+        let mut cost = self.l2_get_or_fill(t, line);
+        // One directory probe: the entry is edited in place while the
+        // owner's L1 (a different field) is downgraded, and every directory
+        // edit is finished before `l1_insert`, whose victim writeback probes
+        // the L2 again.
+        let d = &mut self.l2.lookup_mut(line).expect("just filled").payload;
+        if let Some(o) = d.owner {
+            debug_assert_ne!(o, pcore, "owner with an L1 miss is impossible");
+            // Downgrade the owner to S: its copy stays valid, tags unaffected.
+            let e = self.l1s[o]
+                .array
+                .lookup_mut(line)
+                .expect("directory owner must hold the line");
+            let was_modified = e.payload.state == MsiState::Modified;
+            debug_assert!(e.payload.state != MsiState::Shared, "owner cannot be S");
+            e.payload.state = MsiState::Shared;
+            d.owner = None;
+            d.add_sharer(o);
+            if was_modified {
+                // Dirty cache-to-cache supply plus writeback.
+                d.dirty = true;
+                cost += self.lat.dirty_supply;
+            }
+        }
+        if self.protocol == Protocol::Mesi && d.holders() == 0 {
+            // MESI: sole reader is granted Exclusive.
+            d.owner = Some(pcore);
+            self.stats.core(t).e_grants += 1;
+            self.l1_insert(t, line, MsiState::Exclusive);
+        } else {
+            d.add_sharer(pcore);
+            self.l1_insert(t, line, MsiState::Shared);
+        }
+        cost
+    }
+
+    /// Obtain `line` in Modified state in `t`'s L1, invalidating every other
+    /// copy (setting tagged holders' ARBs). Returns cost. Inline: the L1
+    /// hits that need no directory traffic (an M copy, or MESI's silent E→M
+    /// promotion); a Shared copy goes to [`Self::upgrade_shared`] and a miss
+    /// to [`Self::acquire_exclusive_miss`].
+    #[inline]
+    fn acquire_exclusive(&mut self, t: CoreId, line: Line) -> u64 {
+        let pcore = self.pc(t);
+        let Some(e) = self.l1s[pcore].array.lookup_touch(line) else {
+            return self.acquire_exclusive_miss(t, line);
+        };
+        match e.payload.state {
+            MsiState::Modified => self.l1_hit(t),
+            MsiState::Exclusive => {
+                // MESI silent promotion: no directory traffic at all.
+                e.payload.state = MsiState::Modified;
+                self.stats.core(t).silent_upgrades += 1;
+                self.l1_hit(t)
+            }
+            MsiState::Shared => self.upgrade_shared(t, line),
+        }
+    }
+
+    /// S→M upgrade of a line resident in `t`'s L1: the directory
+    /// invalidates the other sharers.
+    #[cold]
+    #[inline(never)]
+    fn upgrade_shared(&mut self, t: CoreId, line: Line) -> u64 {
+        let pcore = self.pc(t);
+        let mut cost = self.lat.upgrade;
+        // One directory probe: claim ownership in place, then deliver the
+        // invalidations (which only touch the L1s, ARBs and stats).
+        let d = &mut self
+            .l2
+            .lookup_mut(line)
+            .expect("inclusion: S line resident in L2")
+            .payload;
+        debug_assert!(d.owner.is_none(), "S copy cannot coexist with an owner");
+        let others = d.sharers & !(1u64 << pcore);
+        d.sharers = 0;
+        d.owner = Some(pcore);
+        if others != 0 {
+            let inv = self.lat.invalidation;
+            cost += inv;
+            let s = self.stats.core(t);
+            s.invalidations_sent += 1;
+            s.invalidation_cycles += inv;
+            for h in bits(others) {
+                self.invalidate_l1_copy(h, line, RevokeCause::RemoteInvalidation);
+            }
+        }
+        self.l1s[pcore]
+            .array
+            .lookup_mut(line)
+            .expect("still resident")
+            .payload
+            .state = MsiState::Modified;
+        cost
+    }
+
+    /// L1-miss half of [`Self::acquire_exclusive`]: fill, claim the line in
+    /// the directory, invalidate every previous holder, insert in M.
+    #[cold]
+    #[inline(never)]
+    fn acquire_exclusive_miss(&mut self, t: CoreId, line: Line) -> u64 {
+        let pcore = self.pc(t);
+        let mut cost = self.l2_get_or_fill(t, line);
+        // Claim the line in one directory probe; the previous holders are
+        // snapshot before the edit, and only a dirty writeback probes again.
+        let d = &mut self.l2.lookup_mut(line).expect("resident").payload;
+        let owner = d.owner;
+        let others = d.sharers & !(1u64 << pcore);
+        d.sharers = 0;
+        d.owner = Some(pcore);
+        let mut sent = false;
+        if let Some(o) = owner {
+            debug_assert_ne!(o, pcore);
+            let removed = self.invalidate_l1_copy(o, line, RevokeCause::RemoteInvalidation);
+            if removed == Some(MsiState::Modified) {
+                self.l2.lookup_mut(line).expect("resident").payload.dirty = true;
+                cost += self.lat.dirty_supply;
+            }
+            sent = true;
+        }
+        if others != 0 {
+            cost += self.lat.invalidation;
+            self.stats.core(t).invalidation_cycles += self.lat.invalidation;
+            sent = true;
+            for h in bits(others) {
+                self.invalidate_l1_copy(h, line, RevokeCause::RemoteInvalidation);
+            }
+        }
+        if sent {
+            self.stats.core(t).invalidations_sent += 1;
+        }
+        self.l1_insert(t, line, MsiState::Modified);
+        cost
+    }
+
+    /// Apply the paper's SMT rule (§III): after thread `t` stores to `line`,
+    /// every *sibling* hyperthread whose tag bit is set on that line has its
+    /// ARB set. No coherence traffic is involved — the modification is
+    /// visible inside the shared L1.
+    #[inline]
+    fn revoke_siblings_on_store(&mut self, t: CoreId, line: Line) {
+        if self.smt == 1 {
+            return;
+        }
+        let pcore = self.pc(t);
+        let mask = self.l1s[pcore].tag_mask(line) & !(1u8 << self.ht(t));
+        self.revoke_mask(pcore, mask, RevokeCause::SiblingWrite);
+    }
+
+    // ------------------------------------------------------------------
     // Architectural operations (called via the machine, which performs the
     // allocator validity checks before letting data reach the program).
-    // The bodies of the plain and conditional accesses — and of every
-    // helper transition they share — live on [`BankParts`]; the hub methods
-    // are delegates whose `&mut self` receiver makes the projection
-    // trivially exclusive, inlined so the event pipeline's L1-hit path
-    // stays one straight-line body.
+    // The plain and conditional accesses are `#[inline]` so the event
+    // pipeline's L1-hit path stays one straight-line body.
     // ------------------------------------------------------------------
 
     /// Plain load.
     #[inline]
     pub fn read(&mut self, t: CoreId, a: Addr) -> (u64, u64) {
-        // Safety: `&mut self` is exclusive over every projected part.
-        unsafe { self.parts().read(t, a) }
+        self.assert_outside_tx(t, "read");
+        self.stats.core(t).accesses += 1;
+        let cost = self.acquire_shared(t, a.line());
+        (self.mem.read(a), cost)
     }
 
     /// Plain store.
     #[inline]
     pub fn write(&mut self, t: CoreId, a: Addr, v: u64) -> u64 {
-        // Safety: `&mut self` is exclusive over every projected part.
-        unsafe { self.parts().write(t, a, v) }
+        self.assert_outside_tx(t, "write");
+        self.stats.core(t).accesses += 1;
+        let cost = self.acquire_exclusive(t, a.line());
+        self.revoke_siblings_on_store(t, a.line());
+        self.mem.write(a, v);
+        cost
     }
 
     /// Compare-and-swap. Returns `Ok(expected)` on success or `Err(actual)`
@@ -322,8 +508,20 @@ impl CoherenceHub {
     /// value is actually modified.
     #[inline]
     pub fn cas(&mut self, t: CoreId, a: Addr, expected: u64, new: u64) -> (Result<u64, u64>, u64) {
-        // Safety: `&mut self` is exclusive over every projected part.
-        unsafe { self.parts().cas(t, a, expected, new) }
+        self.assert_outside_tx(t, "cas");
+        let s = self.stats.core(t);
+        s.accesses += 1;
+        s.cas_ops += 1;
+        let cost = self.acquire_exclusive(t, a.line()) + self.lat.cas_extra;
+        let cur = self.mem.read(a);
+        if cur == expected {
+            self.revoke_siblings_on_store(t, a.line());
+            self.mem.write(a, new);
+            (Ok(expected), cost)
+        } else {
+            self.stats.core(t).cas_failures += 1;
+            (Err(cur), cost)
+        }
     }
 
     /// Memory fence (latency only; the simulator is sequentially consistent).
@@ -340,8 +538,23 @@ impl CoherenceHub {
     /// invalidated since it was tagged).
     #[inline]
     pub fn cread(&mut self, t: CoreId, a: Addr) -> (Option<u64>, u64) {
-        // Safety: `&mut self` is exclusive over every projected part.
-        unsafe { self.parts().cread(t, a) }
+        self.assert_outside_tx(t, "cread");
+        self.stats.core(t).accesses += 1;
+        if self.arb[t] {
+            self.stats.core(t).cread_fail += 1;
+            return (None, self.lat.ca_fail);
+        }
+        let cost = self.acquire_shared(t, a.line());
+        let ht = self.ht(t);
+        let pcore = self.pc(t);
+        let tagged = self.l1s[pcore].set_tag(a.line(), ht);
+        debug_assert!(tagged, "line must be resident right after the fill");
+        if self.arb[t] {
+            self.stats.core(t).cread_fail += 1;
+            return (None, cost + self.lat.ca_fail);
+        }
+        self.stats.core(t).cread_ok += 1;
+        (Some(self.mem.read(a)), cost + self.lat.ca_check)
     }
 
     /// `cwrite` (paper §II-B): fails if the ARB is set **or the target line
@@ -351,8 +564,23 @@ impl CoherenceHub {
     /// revoking their tags) and revoking sibling hyperthreads' tags.
     #[inline]
     pub fn cwrite(&mut self, t: CoreId, a: Addr, v: u64) -> (bool, u64) {
-        // Safety: `&mut self` is exclusive over every projected part.
-        unsafe { self.parts().cwrite(t, a, v) }
+        self.assert_outside_tx(t, "cwrite");
+        self.stats.core(t).accesses += 1;
+        let pcore = self.pc(t);
+        let ht = self.ht(t);
+        if self.arb[t] || !self.l1s[pcore].is_tagged(a.line(), ht) {
+            self.stats.core(t).cwrite_fail += 1;
+            return (false, self.lat.ca_fail);
+        }
+        let cost = self.acquire_exclusive(t, a.line());
+        debug_assert!(
+            !self.arb[t],
+            "upgrading a resident line cannot revoke the writer's own tags"
+        );
+        self.revoke_siblings_on_store(t, a.line());
+        self.mem.write(a, v);
+        self.stats.core(t).cwrite_ok += 1;
+        (true, cost + self.lat.ca_check)
     }
 
     /// `untagOne`: drop one line from the calling hardware thread's tag set.
@@ -389,8 +617,11 @@ impl CoherenceHub {
     /// fails and its operation restarts. An in-flight hardware transaction
     /// is aborted, as on every commercial HTM.
     pub fn preempt(&mut self, t: CoreId) {
-        // Safety: `&mut self` is exclusive over every projected part.
-        unsafe { self.parts().preempt(t) }
+        self.stats.core(t).ctx_switches += 1;
+        if self.tx[t].active {
+            self.tx_rollback(t);
+        }
+        self.set_arb(t, RevokeCause::ContextSwitch);
     }
 
     // ------------------------------------------------------------------
@@ -422,8 +653,13 @@ impl CoherenceHub {
 
     /// Discard all speculative state of `t` (abort path).
     fn tx_rollback(&mut self, t: CoreId) {
-        // Safety: `&mut self` is exclusive over every projected part.
-        unsafe { self.parts().tx_rollback(t) }
+        let ht = self.ht(t);
+        let pcore = self.pc(t);
+        self.l1s[pcore].clear_all_tags(ht);
+        self.arb[t] = false;
+        self.tx[t].writes.clear();
+        self.tx[t].active = false;
+        self.stats.core(t).tx_aborts += 1;
     }
 
     /// Speculative load: joins the read set (tags the line). Returns `None`
@@ -436,8 +672,7 @@ impl CoherenceHub {
             self.tx_rollback(t);
             return (None, self.lat.tx_abort);
         }
-        // Safety: `&mut self` is exclusive over every projected part.
-        let cost = unsafe { self.parts().acquire_shared(t, a.line()) };
+        let cost = self.acquire_shared(t, a.line());
         let ht = self.ht(t);
         let pcore = self.pc(t);
         let tagged = self.l1s[pcore].set_tag(a.line(), ht);
@@ -467,8 +702,7 @@ impl CoherenceHub {
             self.tx_rollback(t);
             return (false, self.lat.tx_abort);
         }
-        // Safety: `&mut self` is exclusive over every projected part.
-        let cost = unsafe { self.parts().acquire_shared(t, a.line()) };
+        let cost = self.acquire_shared(t, a.line());
         let ht = self.ht(t);
         let pcore = self.pc(t);
         self.l1s[pcore].set_tag(a.line(), ht);
@@ -500,12 +734,8 @@ impl CoherenceHub {
     pub fn tx_commit_apply(&mut self, t: CoreId, writes: &[(Addr, u64)]) -> u64 {
         let mut cost = self.lat.tx_commit;
         for &(a, v) in writes {
-            // Safety: `&mut self` is exclusive over every projected part.
-            unsafe {
-                let mut p = self.parts();
-                cost += p.acquire_exclusive(t, a.line());
-                p.revoke_siblings_on_store(t, a.line());
-            }
+            cost += self.acquire_exclusive(t, a.line());
+            self.revoke_siblings_on_store(t, a.line());
             self.mem.write(a, v);
         }
         let ht = self.ht(t);
@@ -594,638 +824,6 @@ impl CoherenceHub {
     }
 }
 
-// ---------------------------------------------------------------------------
-// BankParts: the raw per-part projection of the hub.
-// ---------------------------------------------------------------------------
-
-/// Raw-pointer projection of [`CoherenceHub`] into independently writable
-/// parts: per-pcore L1s, per-bank directory shards (sets **and** per-bank
-/// LRU stamps — each `SetAssoc` bank is one element), the memory words, and
-/// the per-hardware-thread ARB/tx/stats arrays. Every mutable coherence
-/// transition's body lives here; the hub's safe methods delegate through a
-/// transient projection.
-///
-/// # Safety contract
-///
-/// A projection is a claim of exclusivity over the parts it *touches*, not
-/// over the hub: concurrent projections are sound iff their footprints are
-/// disjoint. The only user is the hub's own delegates — `&mut self` makes
-/// the whole footprint trivially exclusive, and the projection dies inside
-/// the call.
-///
-/// All pointers are derived from one `&mut CoherenceHub` and are stable for
-/// the projection's lifetime (no container on the projected path grows or
-/// shrinks: cache geometry is fixed at construction).
-#[derive(Clone, Copy)]
-pub(crate) struct BankParts {
-    l1s: *mut L1,
-    n_pcores: usize,
-    banks: *mut SetAssoc<DirMeta>,
-    n_banks: usize,
-    bank_mask: u64,
-    mem: *mut u64,
-    mem_words: usize,
-    arb: *mut bool,
-    tx: *mut TxState,
-    stats: *mut crate::stats::CoreStats,
-    n_threads: usize,
-    smt: usize,
-    protocol: Protocol,
-    lat: *const LatencyModel,
-}
-
-impl BankParts {
-    #[inline]
-    fn pcore(&self, t: CoreId) -> usize {
-        t / self.smt
-    }
-
-    #[inline]
-    fn ht_of(&self, t: CoreId) -> usize {
-        t % self.smt
-    }
-
-    #[inline]
-    fn bank_of(&self, line: Line) -> usize {
-        (line.0 & self.bank_mask) as usize
-    }
-
-    #[inline]
-    fn lat(&self) -> &LatencyModel {
-        // Safety: derived from the hub's `lat` field; never mutated while
-        // any projection is live.
-        unsafe { &*self.lat }
-    }
-
-    #[inline]
-    fn l1(&mut self, p: usize) -> &mut L1 {
-        debug_assert!(p < self.n_pcores, "pcore {p} out of bounds");
-        // Safety: in bounds (checked above); exclusivity per the contract.
-        unsafe { &mut *self.l1s.add(p) }
-    }
-
-    /// Raw pointer to the directory bank holding `line`, for the probes
-    /// whose entry edit must span L1 edits (the same L1/L2 field split the
-    /// hub's former safe code exploited, spelled with raw derivation). The
-    /// derived `&mut` must die before the bank is probed again.
-    #[inline]
-    fn bank_ptr(&mut self, line: Line) -> *mut SetAssoc<DirMeta> {
-        let b = self.bank_of(line);
-        debug_assert!(b < self.n_banks, "bank {b} out of bounds");
-        // Safety: in bounds (checked above).
-        unsafe { self.banks.add(b) }
-    }
-
-    #[inline]
-    fn dir_mut(&mut self, line: Line) -> Option<&mut crate::cache::Entry<DirMeta>> {
-        let b = self.bank_of(line);
-        debug_assert!(b < self.n_banks, "bank {b} out of bounds");
-        // Safety: in bounds; exclusivity per the contract.
-        unsafe { (*self.banks.add(b)).lookup_mut(line) }
-    }
-
-    #[inline]
-    fn arb_at(&self, t: CoreId) -> bool {
-        debug_assert!(t < self.n_threads);
-        // Safety: in bounds; exclusivity per the contract.
-        unsafe { *self.arb.add(t) }
-    }
-
-    #[inline]
-    fn arb_write(&mut self, t: CoreId, v: bool) {
-        debug_assert!(t < self.n_threads);
-        // Safety: in bounds; exclusivity per the contract.
-        unsafe { *self.arb.add(t) = v }
-    }
-
-    #[inline]
-    fn tx_at(&mut self, t: CoreId) -> &mut TxState {
-        debug_assert!(t < self.n_threads);
-        // Safety: in bounds; exclusivity per the contract.
-        unsafe { &mut *self.tx.add(t) }
-    }
-
-    #[inline]
-    fn tx_active_at(&self, t: CoreId) -> bool {
-        debug_assert!(t < self.n_threads);
-        // Safety: in bounds; exclusivity per the contract.
-        unsafe { (*self.tx.add(t)).active }
-    }
-
-    /// Mutable per-thread stats.
-    #[inline]
-    fn core_stats(&mut self, t: CoreId) -> &mut crate::stats::CoreStats {
-        debug_assert!(t < self.n_threads);
-        // Safety: in bounds; exclusivity per the contract.
-        unsafe { &mut *self.stats.add(t) }
-    }
-
-    #[inline]
-    fn mem_read(&self, a: Addr) -> u64 {
-        let i = a.word_index();
-        assert!(i < self.mem_words, "simulated read out of bounds: {a:?}");
-        // Safety: in bounds; exclusivity per the contract.
-        unsafe { self.mem.add(i).read() }
-    }
-
-    #[inline]
-    fn mem_write(&mut self, a: Addr, v: u64) {
-        let i = a.word_index();
-        assert!(i < self.mem_words, "simulated write out of bounds: {a:?}");
-        // Safety: in bounds; exclusivity per the contract.
-        unsafe { self.mem.add(i).write(v) }
-    }
-
-    #[inline]
-    fn assert_outside_tx(&self, t: CoreId, what: &str) {
-        assert!(
-            !self.tx_active_at(t),
-            "{what} issued inside a hardware transaction on thread {t}: \
-             only tx_read/tx_write are transactional"
-        );
-    }
-
-    // --- shared transitions (bodies moved verbatim from the hub) ----------
-
-    #[inline]
-    fn set_arb(&mut self, t: CoreId, cause: RevokeCause) {
-        if !self.arb_at(t) {
-            self.arb_write(t, true);
-            self.core_stats(t).record_revoke(cause);
-        }
-    }
-
-    /// Set the ARB of every hardware thread named in `mask` (tag bits of a
-    /// line on physical core `pcore`).
-    #[inline]
-    fn revoke_mask(&mut self, pcore: usize, mask: u8, cause: RevokeCause) {
-        let mut m = mask;
-        while m != 0 {
-            let h = m.trailing_zeros() as usize;
-            m &= m - 1;
-            self.set_arb(pcore * self.smt + h, cause);
-        }
-    }
-
-    /// Kill `holder`'s L1 copy of `line` (directory-initiated). Sets the
-    /// ARB of every hyperthread that tagged the copy. Returns the removed
-    /// entry's state, if the copy was actually present (stale sharer bits
-    /// make no-op invalidations legal).
-    fn invalidate_l1_copy(
-        &mut self,
-        holder: usize,
-        line: Line,
-        cause: RevokeCause,
-    ) -> Option<MsiState> {
-        let entry = self.l1(holder).array.remove(line)?;
-        // Structural L1 events are attributed to the core's primary thread.
-        self.core_stats(holder * self.smt).invalidations_received += 1;
-        self.revoke_mask(holder, entry.payload.tags, cause);
-        Some(entry.payload.state)
-    }
-
-    /// Insert `line` into thread `t`'s physical core's L1, handling the
-    /// victim: a Modified victim writes back to the L2 (directory drops
-    /// ownership); an Exclusive victim notifies the directory (clean drop);
-    /// a tagged victim sets its taggers' ARBs (associativity-conflict
-    /// spurious revoke, paper §III).
-    fn l1_insert(&mut self, t: CoreId, line: Line, state: MsiState) {
-        let pcore = self.pcore(t);
-        let victim = self.l1(pcore).array.insert(line, L1Meta::clean(state));
-        if let Some(v) = victim {
-            self.revoke_mask(pcore, v.payload.tags, RevokeCause::L1Eviction);
-            match v.payload.state {
-                MsiState::Modified => {
-                    let d = self
-                        .dir_mut(v.line)
-                        .expect("inclusion: L1 victim must be resident in L2");
-                    debug_assert_eq!(d.payload.owner, Some(pcore), "M victim must be owned");
-                    d.payload.owner = None;
-                    d.payload.dirty = true;
-                }
-                MsiState::Exclusive => {
-                    // Clean drop, but the directory must forget the owner so
-                    // the invariant "owner holds the line" is preserved.
-                    let d = self
-                        .dir_mut(v.line)
-                        .expect("inclusion: L1 victim must be resident in L2");
-                    debug_assert_eq!(d.payload.owner, Some(pcore), "E victim must be owned");
-                    d.payload.owner = None;
-                }
-                MsiState::Shared => {
-                    // Silent drop: the directory keeps a (now stale) sharer
-                    // bit; later invalidations to it are harmless no-ops.
-                }
-            }
-        }
-    }
-
-    /// Ensure `line` is resident in the L2, evicting (and back-invalidating)
-    /// an L2 victim if necessary. Returns the cycle cost. The victim shares
-    /// the set (hence the bank) of `line`.
-    fn l2_get_or_fill(&mut self, t: CoreId, line: Line) -> u64 {
-        let b = self.bank_of(line);
-        if self.bank_lookup_touch(b, line) {
-            let c = self.lat().l2_hit;
-            let s = self.core_stats(t);
-            s.l2_hits += 1;
-            s.l2_hit_cycles += c;
-            return c;
-        }
-        let fill = self.lat().l2_hit + self.lat().mem;
-        let s = self.core_stats(t);
-        s.mem_accesses += 1;
-        s.mem_fill_cycles += fill;
-        let mut cost = fill;
-        // Fill; the inclusive L2 back-invalidates every L1 copy of its victim.
-        if let Some(v) = self.bank_insert(b, line) {
-            for h in bits(v.payload.holders()) {
-                if let Some(state) =
-                    self.invalidate_l1_copy(h, v.line, RevokeCause::L2BackInvalidation)
-                {
-                    if state == MsiState::Modified {
-                        // Writeback forwarded to memory along with the victim.
-                        cost += self.lat().dirty_supply;
-                    }
-                }
-            }
-        }
-        cost
-    }
-
-    #[inline]
-    fn bank_lookup_touch(&mut self, b: usize, line: Line) -> bool {
-        debug_assert!(b < self.n_banks, "bank {b} out of bounds");
-        // Safety: in bounds; exclusivity per the contract.
-        unsafe { (*self.banks.add(b)).lookup_touch(line).is_some() }
-    }
-
-    #[inline]
-    fn bank_insert(&mut self, b: usize, line: Line) -> Option<crate::cache::Entry<DirMeta>> {
-        debug_assert!(b < self.n_banks, "bank {b} out of bounds");
-        // Safety: in bounds; exclusivity per the contract.
-        unsafe { (*self.banks.add(b)).insert(line, DirMeta::default()) }
-    }
-
-    /// Account an access served by `t`'s local L1; returns its cost.
-    #[inline]
-    fn l1_hit(&mut self, t: CoreId) -> u64 {
-        let c = self.lat().l1_hit;
-        let s = self.core_stats(t);
-        s.l1_hits += 1;
-        s.l1_hit_cycles += c;
-        c
-    }
-
-    /// Obtain `line` with read permission in `t`'s L1 (Shared, or Exclusive
-    /// when MESI finds no other holder). Returns cost. The L1-hit check is
-    /// the only part that inlines into the event pipeline; everything that
-    /// involves the directory is [`Self::acquire_shared_miss`].
-    ///
-    /// # Safety
-    /// The projection's footprint-exclusivity contract (see the type docs)
-    /// must hold for `line`'s bank and every pcore in its set-holder union.
-    #[inline]
-    pub(crate) unsafe fn acquire_shared(&mut self, t: CoreId, line: Line) -> u64 {
-        let pcore = self.pcore(t);
-        if self.l1(pcore).array.lookup_touch(line).is_some() {
-            return self.l1_hit(t);
-        }
-        // SAFETY: forwards this fn's own footprint contract.
-        unsafe { self.acquire_shared_miss(t, line) }
-    }
-
-    /// L1-miss half of [`Self::acquire_shared`]: fill from the L2 (or
-    /// memory), downgrade a remote owner, insert into `t`'s L1.
-    ///
-    /// Takes the (`Copy`) projection **by value**, like the other two
-    /// out-of-line transitions below: the copy is made in the cold branch,
-    /// so on the inlined hit path the caller's projection never has its
-    /// address taken and only the fields the hit reads are ever loaded
-    /// (−1.5 ns/event on `list_read` against `&mut self`).
-    ///
-    /// # Safety
-    /// As for [`Self::acquire_shared`].
-    #[cold]
-    #[inline(never)]
-    unsafe fn acquire_shared_miss(mut self, t: CoreId, line: Line) -> u64 {
-        let pcore = self.pcore(t);
-        let mut cost = self.l2_get_or_fill(t, line);
-        // SAFETY: one directory probe — edit the entry in place (the L1s are
-        // a disjoint allocation, so the owner downgrade can happen while it
-        // is borrowed — derived raw to let the borrow span the accessor
-        // calls), and finish every directory edit before `l1_insert`, whose
-        // victim writeback re-probes the bank (invalidating `d`).
-        let d = unsafe {
-            &mut (*self.bank_ptr(line))
-                .lookup_mut(line)
-                .expect("just filled")
-                .payload
-        };
-        if let Some(o) = d.owner {
-            debug_assert_ne!(o, pcore, "owner with an L1 miss is impossible");
-            // Downgrade the owner to S: its copy stays valid, tags unaffected.
-            let e = self
-                .l1(o)
-                .array
-                .lookup_mut(line)
-                .expect("directory owner must hold the line");
-            let was_modified = e.payload.state == MsiState::Modified;
-            debug_assert!(e.payload.state != MsiState::Shared, "owner cannot be S");
-            e.payload.state = MsiState::Shared;
-            d.owner = None;
-            d.add_sharer(o);
-            if was_modified {
-                // Dirty cache-to-cache supply plus writeback.
-                d.dirty = true;
-                cost += self.lat().dirty_supply;
-            }
-        }
-        if self.protocol == Protocol::Mesi && d.holders() == 0 {
-            // MESI: sole reader is granted Exclusive.
-            d.owner = Some(pcore);
-            self.core_stats(t).e_grants += 1;
-            self.l1_insert(t, line, MsiState::Exclusive);
-        } else {
-            d.add_sharer(pcore);
-            self.l1_insert(t, line, MsiState::Shared);
-        }
-        cost
-    }
-
-    /// Obtain `line` in Modified state in `t`'s L1, invalidating every other
-    /// copy (setting tagged holders' ARBs). Returns cost. Inline: the L1
-    /// hits that need no directory traffic (an M copy, or MESI's silent E→M
-    /// promotion); a Shared copy goes to [`Self::upgrade_shared`] and a miss
-    /// to [`Self::acquire_exclusive_miss`].
-    ///
-    /// # Safety
-    /// As for [`Self::acquire_shared`].
-    #[inline]
-    pub(crate) unsafe fn acquire_exclusive(&mut self, t: CoreId, line: Line) -> u64 {
-        let pcore = self.pcore(t);
-        let Some(e) = self.l1(pcore).array.lookup_touch(line) else {
-            // SAFETY: forwards this fn's own footprint contract.
-            return unsafe { self.acquire_exclusive_miss(t, line) };
-        };
-        match e.payload.state {
-            MsiState::Modified => self.l1_hit(t),
-            MsiState::Exclusive => {
-                // MESI silent promotion: no directory traffic at all.
-                e.payload.state = MsiState::Modified;
-                self.core_stats(t).silent_upgrades += 1;
-                self.l1_hit(t)
-            }
-            // SAFETY: forwards this fn's own footprint contract.
-            MsiState::Shared => unsafe { self.upgrade_shared(t, line) },
-        }
-    }
-
-    /// S→M upgrade of a line resident in `t`'s L1: the directory
-    /// invalidates the other sharers.
-    ///
-    /// # Safety
-    /// As for [`Self::acquire_shared`].
-    #[cold]
-    #[inline(never)]
-    unsafe fn upgrade_shared(mut self, t: CoreId, line: Line) -> u64 {
-        let pcore = self.pcore(t);
-        let mut cost = self.lat().upgrade;
-        let inv = self.lat().invalidation;
-        // SAFETY: one directory probe — claim ownership in place, then
-        // deliver the invalidations (which only touch the L1s and stats,
-        // disjoint from the borrowed bank entry).
-        let d = unsafe {
-            &mut (*self.bank_ptr(line))
-                .lookup_mut(line)
-                .expect("inclusion: S line resident in L2")
-                .payload
-        };
-        debug_assert!(d.owner.is_none(), "S copy cannot coexist with an owner");
-        let others = d.sharers & !(1u64 << pcore);
-        d.sharers = 0;
-        d.owner = Some(pcore);
-        if others != 0 {
-            cost += inv;
-            let s = self.core_stats(t);
-            s.invalidations_sent += 1;
-            s.invalidation_cycles += inv;
-            for h in bits(others) {
-                self.invalidate_l1_copy(h, line, RevokeCause::RemoteInvalidation);
-            }
-        }
-        self.l1(pcore)
-            .array
-            .lookup_mut(line)
-            .expect("still resident")
-            .payload
-            .state = MsiState::Modified;
-        cost
-    }
-
-    /// L1-miss half of [`Self::acquire_exclusive`]: fill, claim the line in
-    /// the directory, invalidate every previous holder, insert in M.
-    ///
-    /// # Safety
-    /// As for [`Self::acquire_shared`].
-    #[cold]
-    #[inline(never)]
-    unsafe fn acquire_exclusive_miss(mut self, t: CoreId, line: Line) -> u64 {
-        let pcore = self.pcore(t);
-        let mut cost = self.l2_get_or_fill(t, line);
-        // SAFETY: claim the line in one directory probe; the previous
-        // holders were snapshot before the edit, and only a dirty writeback
-        // needs a second probe (re-derived after the borrow of `d` is dead).
-        let d = unsafe {
-            &mut (*self.bank_ptr(line))
-                .lookup_mut(line)
-                .expect("resident")
-                .payload
-        };
-        let owner = d.owner;
-        let others = d.sharers & !(1u64 << pcore);
-        d.sharers = 0;
-        d.owner = Some(pcore);
-        let mut sent = false;
-        if let Some(o) = owner {
-            debug_assert_ne!(o, pcore);
-            let removed = self.invalidate_l1_copy(o, line, RevokeCause::RemoteInvalidation);
-            if removed == Some(MsiState::Modified) {
-                self.dir_mut(line).expect("resident").payload.dirty = true;
-                cost += self.lat().dirty_supply;
-            }
-            sent = true;
-        }
-        if others != 0 {
-            cost += self.lat().invalidation;
-            self.core_stats(t).invalidation_cycles += self.lat().invalidation;
-            sent = true;
-            for h in bits(others) {
-                self.invalidate_l1_copy(h, line, RevokeCause::RemoteInvalidation);
-            }
-        }
-        if sent {
-            self.core_stats(t).invalidations_sent += 1;
-        }
-        self.l1_insert(t, line, MsiState::Modified);
-        cost
-    }
-
-    /// Apply the paper's SMT rule (§III): after thread `t` stores to `line`,
-    /// every *sibling* hyperthread whose tag bit is set on that line has its
-    /// ARB set. No coherence traffic is involved — the modification is
-    /// visible inside the shared L1.
-    ///
-    /// # Safety
-    /// Footprint exclusivity over `t`'s pcore.
-    #[inline]
-    pub(crate) unsafe fn revoke_siblings_on_store(&mut self, t: CoreId, line: Line) {
-        if self.smt == 1 {
-            return;
-        }
-        let pcore = self.pcore(t);
-        let ht = self.ht_of(t);
-        let mask = self.l1(pcore).tag_mask(line) & !(1u8 << ht);
-        self.revoke_mask(pcore, mask, RevokeCause::SiblingWrite);
-    }
-
-    /// Discard all speculative state of `t` (HTM abort path).
-    ///
-    /// # Safety
-    /// Footprint exclusivity over `t`'s pcore.
-    pub(crate) unsafe fn tx_rollback(&mut self, t: CoreId) {
-        let ht = self.ht_of(t);
-        let pcore = self.pcore(t);
-        self.l1(pcore).clear_all_tags(ht);
-        self.arb_write(t, false);
-        let tx = self.tx_at(t);
-        tx.writes.clear();
-        tx.active = false;
-        self.core_stats(t).tx_aborts += 1;
-    }
-
-    // --- architectural operations (single-sourced op bodies) --------------
-
-    /// Plain load. See [`CoherenceHub::read`].
-    ///
-    /// # Safety
-    /// Footprint exclusivity over `a`'s bank and its set-holder pcores.
-    #[inline]
-    pub(crate) unsafe fn read(&mut self, t: CoreId, a: Addr) -> (u64, u64) {
-        self.assert_outside_tx(t, "read");
-        self.core_stats(t).accesses += 1;
-        let cost = unsafe { self.acquire_shared(t, a.line()) };
-        (self.mem_read(a), cost)
-    }
-
-    /// Plain store. See [`CoherenceHub::write`].
-    ///
-    /// # Safety
-    /// As for [`Self::read`].
-    #[inline]
-    pub(crate) unsafe fn write(&mut self, t: CoreId, a: Addr, v: u64) -> u64 {
-        self.assert_outside_tx(t, "write");
-        self.core_stats(t).accesses += 1;
-        let cost = unsafe { self.acquire_exclusive(t, a.line()) };
-        unsafe { self.revoke_siblings_on_store(t, a.line()) };
-        self.mem_write(a, v);
-        cost
-    }
-
-    /// Compare-and-swap. See [`CoherenceHub::cas`].
-    ///
-    /// # Safety
-    /// As for [`Self::read`].
-    #[inline]
-    pub(crate) unsafe fn cas(
-        &mut self,
-        t: CoreId,
-        a: Addr,
-        expected: u64,
-        new: u64,
-    ) -> (Result<u64, u64>, u64) {
-        self.assert_outside_tx(t, "cas");
-        self.core_stats(t).accesses += 1;
-        self.core_stats(t).cas_ops += 1;
-        // SAFETY: the caller's footprint exclusivity over `t`'s pcore (this
-        // fn's contract) is exactly what both probes below require.
-        let cost = unsafe { self.acquire_exclusive(t, a.line()) } + self.lat().cas_extra;
-        let cur = self.mem_read(a);
-        if cur == expected {
-            unsafe { self.revoke_siblings_on_store(t, a.line()) };
-            self.mem_write(a, new);
-            (Ok(expected), cost)
-        } else {
-            self.core_stats(t).cas_failures += 1;
-            (Err(cur), cost)
-        }
-    }
-
-    /// `cread`. See [`CoherenceHub::cread`].
-    ///
-    /// # Safety
-    /// As for [`Self::read`].
-    #[inline]
-    pub(crate) unsafe fn cread(&mut self, t: CoreId, a: Addr) -> (Option<u64>, u64) {
-        self.assert_outside_tx(t, "cread");
-        self.core_stats(t).accesses += 1;
-        if self.arb_at(t) {
-            self.core_stats(t).cread_fail += 1;
-            return (None, self.lat().ca_fail);
-        }
-        let cost = unsafe { self.acquire_shared(t, a.line()) };
-        let ht = self.ht_of(t);
-        let pcore = self.pcore(t);
-        let tagged = self.l1(pcore).set_tag(a.line(), ht);
-        debug_assert!(tagged, "line must be resident right after the fill");
-        if self.arb_at(t) {
-            self.core_stats(t).cread_fail += 1;
-            return (None, cost + self.lat().ca_fail);
-        }
-        self.core_stats(t).cread_ok += 1;
-        (Some(self.mem_read(a)), cost + self.lat().ca_check)
-    }
-
-    /// `cwrite`. See [`CoherenceHub::cwrite`].
-    ///
-    /// # Safety
-    /// As for [`Self::read`].
-    #[inline]
-    pub(crate) unsafe fn cwrite(&mut self, t: CoreId, a: Addr, v: u64) -> (bool, u64) {
-        self.assert_outside_tx(t, "cwrite");
-        self.core_stats(t).accesses += 1;
-        let pcore = self.pcore(t);
-        let ht = self.ht_of(t);
-        if self.arb_at(t) || !self.l1(pcore).is_tagged(a.line(), ht) {
-            self.core_stats(t).cwrite_fail += 1;
-            return (false, self.lat().ca_fail);
-        }
-        // SAFETY: the caller's footprint exclusivity over `t`'s pcore (this
-        // fn's contract) is exactly what both probes below require.
-        let cost = unsafe { self.acquire_exclusive(t, a.line()) };
-        debug_assert!(
-            !self.arb_at(t),
-            "upgrading a resident line cannot revoke the writer's own tags"
-        );
-        unsafe { self.revoke_siblings_on_store(t, a.line()) };
-        self.mem_write(a, v);
-        self.core_stats(t).cwrite_ok += 1;
-        (true, cost + self.lat().ca_check)
-    }
-
-    /// Model an OS context switch. See [`CoherenceHub::preempt`].
-    ///
-    /// # Safety
-    /// Footprint exclusivity over `t`'s pcore.
-    pub(crate) unsafe fn preempt(&mut self, t: CoreId) {
-        self.core_stats(t).ctx_switches += 1;
-        if self.tx_active_at(t) {
-            unsafe { self.tx_rollback(t) };
-        }
-        self.set_arb(t, RevokeCause::ContextSwitch);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1275,7 +873,6 @@ mod tests {
                 l1_assoc: 1,
                 l2_bytes: 512,
                 l2_assoc: 2,
-                l2_banks: 1,
                 protocol: Protocol::Msi,
             },
             LatencyModel::default(),
@@ -1606,7 +1203,7 @@ mod tests {
     /// steps over 64 lines: misses, upgrades, downgrades, L1 evictions and
     /// L2 back-invalidations all occur. Returns per-thread stats, ARBs, the
     /// 64 memory words and the summed cost.
-    fn scripted_run(protocol: Protocol, smt: usize, l2_banks: usize) -> ScriptOutcome {
+    fn scripted_run(protocol: Protocol, smt: usize) -> ScriptOutcome {
         let mut h = CoherenceHub::new(
             4,
             smt,
@@ -1615,7 +1212,6 @@ mod tests {
                 l1_assoc: 1,
                 l2_bytes: 1024,
                 l2_assoc: 2,
-                l2_banks,
                 protocol,
             },
             LatencyModel::default(),
@@ -1660,52 +1256,12 @@ mod tests {
             (Protocol::Mesi, 1, 0xe2a686c69a934a11),
             (Protocol::Msi, 2, 0x6bbfa0aa8a4ef7b1),
         ] {
-            let got = digest(&scripted_run(protocol, smt, 8));
+            let got = digest(&scripted_run(protocol, smt));
             assert_eq!(
                 got, pinned,
                 "{protocol:?} smt={smt}: scripted hub outcome changed (digest {got:#018x})"
             );
         }
-    }
-
-    // --- banked L2 -------------------------------------------------------
-
-    #[test]
-    fn banked_l2_is_bit_identical_to_flat() {
-        // Bank decomposition must be exactly set-preserving: the scripted
-        // workload produces identical per-core stats, ARBs and memory
-        // contents for every bank count.
-        let flat = scripted_run(Protocol::Msi, 1, 1);
-        for banks in [2, 4, 8, 64] {
-            assert_eq!(
-                scripted_run(Protocol::Msi, 1, banks),
-                flat,
-                "banks={banks} diverged from flat L2"
-            );
-        }
-    }
-
-    #[test]
-    fn bank_count_is_clamped_to_sets() {
-        // 1024B 2-way = 8 sets: requests beyond that clamp.
-        let h = CoherenceHub::new(
-            1,
-            1,
-            &CacheConfig {
-                l1_bytes: 256,
-                l1_assoc: 1,
-                l2_bytes: 1024,
-                l2_assoc: 2,
-                l2_banks: 64,
-                protocol: Protocol::Msi,
-            },
-            LatencyModel::default(),
-            1 << 20,
-        );
-        assert_eq!(h.l2.banks.len(), 8);
-        // Power-of-two rounding.
-        let h = CoherenceHub::new(1, 1, &CacheConfig { l2_banks: 3, ..CacheConfig::default() }, LatencyModel::default(), 1 << 20);
-        assert_eq!(h.l2.banks.len(), 4);
     }
 
     // --- MESI -----------------------------------------------------------
@@ -1795,7 +1351,6 @@ mod tests {
                 l1_assoc: 1,
                 l2_bytes: 1024,
                 l2_assoc: 4,
-                l2_banks: 1,
                 protocol: Protocol::Mesi,
             },
             LatencyModel::default(),

@@ -12,6 +12,8 @@
 //! conditional accesses validate only *after* the hardware reports success
 //! (a failed cread/cwrite touches no memory).
 
+#![forbid(unsafe_code)]
+
 use crate::addr::{Addr, CoreId};
 use crate::hb::Kind;
 use crate::machine::SimState;

@@ -7,9 +7,8 @@
 //! pins every epoch-based scheme's garbage, while hazard/interval schemes
 //! and Conditional Access stay bounded. This module provides that model as
 //! a **pure function of each core's local clock**, so faults fire at
-//! identical simulated cycles on every execution backend and every
-//! `l2_banks` layout — the same determinism contract the rest of the
-//! simulator keeps.
+//! identical simulated cycles on every execution backend — the same
+//! determinism contract the rest of the simulator keeps.
 //!
 //! Three fault kinds (see [`FaultPlan`]):
 //!
@@ -45,6 +44,8 @@
 //! not consume trigger clocks meant for the measured run;
 //! `Machine::reset_timing` rewinds the plan's cursors along with the
 //! clocks.
+
+#![forbid(unsafe_code)]
 
 use crate::addr::{Addr, CoreId};
 

@@ -16,8 +16,8 @@
 //! ([`TraceBank`], one `Vec` per core). Each entry carries the core's
 //! **issue clock** (its local clock when the event started, before the op's
 //! cost), so the analyzer's linearization `(clock, core, seq)` reproduces
-//! the simulated interleaving on every backend and bank width, and the
-//! reports are byte-identical across all of them (pinned by
+//! the simulated interleaving on every backend, and the
+//! reports are byte-identical across them (pinned by
 //! `tests/race_check.rs`). When disabled, nothing records and no `SmrFence`
 //! events are issued: runs are byte-identical to the pre-analyzer goldens.
 //!
@@ -61,6 +61,8 @@
 //! fallbacks — and each signature keeps its first instance (word, cores,
 //! clocks) plus a count. `ANALYSIS.md` documents every signature the
 //! `race_audit` harness expects and why each whitelisted one is benign.
+
+#![forbid(unsafe_code)]
 
 // castatic: allow(nondet) — lookup-only maps; reports aggregate via BTreeMap
 use std::collections::HashMap;
@@ -206,7 +208,7 @@ impl RaceReport {
     }
 
     /// Stable text rendering: one header line, one line per signature.
-    /// Byte-identical across backends and bank counts for the same
+    /// Byte-identical across backends and reruns for the same
     /// simulated program (the determinism pin hashes this).
     pub fn render(&self) -> String {
         let mut s = format!(

@@ -11,6 +11,8 @@
 //! All costs are in core clock cycles. Reported throughput is
 //! operations per million cycles, i.e. Mops/s at a nominal 1 GHz.
 
+#![forbid(unsafe_code)]
+
 /// Latency (in cycles) of every event class the simulator charges for.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LatencyModel {

@@ -33,9 +33,8 @@
 //! * **Deterministic fault injection** ([`fault`]): seeded plans that
 //!   stall, burst-deschedule or crash chosen cores mid-operation and
 //!   inject allocation pressure, firing at identical simulated clocks on
-//!   every backend and bank layout — the substrate of the
-//!   robustness experiments (one stalled thread pins epoch-based
-//!   reclamation; CA stays bounded).
+//!   every backend — the substrate of the robustness experiments (one
+//!   stalled thread pins epoch-based reclamation; CA stays bounded).
 //!
 //! ## Quick start
 //!

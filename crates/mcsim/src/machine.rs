@@ -167,8 +167,8 @@ pub struct MachineConfig {
     pub exec: ExecBackend,
     /// Deterministic fault-injection plan (see [`crate::fault`]): stalls,
     /// burst deschedules, crashes and allocation pressure, all triggered by
-    /// per-core local clocks so they fire identically on every backend and
-    /// `l2_banks` layout. Empty by default.
+    /// per-core local clocks so they fire identically on every backend.
+    /// Empty by default.
     pub fault_plan: FaultPlan,
     /// Wedge watchdog: panic with a diagnostic if any core's local clock
     /// exceeds this many cycles in one run — so a livelocked or
@@ -466,7 +466,7 @@ impl Machine {
     /// clock is charged as plain local ticks; from there the recovery
     /// closure's events are an ordinary continuation of the core's event
     /// stream — a pure function of its local clock, byte-identical across
-    /// backends and bank layouts like every other fault trigger (pinned by
+    /// backends like every other fault trigger (pinned by
     /// `fault_determinism`).
     ///
     /// Restarts recover *injected crashes only*: any other panic (workload

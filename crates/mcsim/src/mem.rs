@@ -8,6 +8,8 @@
 //! (This is the standard "functional backing store + timing model" simulator
 //! construction; Graphite does the same split.)
 
+#![forbid(unsafe_code)]
+
 use crate::addr::Addr;
 
 /// Flat word-addressable simulated memory.
@@ -39,13 +41,6 @@ impl Memory {
             self.size_bytes()
         );
         self.words[i]
-    }
-
-    /// Raw view of the word array, for the hub's `BankParts` projection
-    /// (`CoherenceHub::parts`), which bounds-checks every index and is only
-    /// ever materialized under `&mut CoherenceHub`.
-    pub(crate) fn raw_words(&mut self) -> (*mut u64, usize) {
-        (self.words.as_mut_ptr(), self.words.len())
     }
 
     /// Write the word at `a`.

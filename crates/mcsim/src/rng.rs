@@ -4,6 +4,8 @@
 //! allocator addresses, so workloads are driven by an explicitly seeded
 //! SplitMix64 / Lehmer generator pair rather than by `rand`'s thread RNG.
 
+#![forbid(unsafe_code)]
+
 /// SplitMix64: used for seeding and for cheap, high-quality 64-bit streams.
 #[derive(Clone, Debug)]
 pub struct SplitMix64 {

@@ -33,6 +33,8 @@
 //! toward the lowest core id exactly as the full scan did (the scan visits
 //! cores in id order and replaces only on strictly smaller clocks).
 
+#![forbid(unsafe_code)]
+
 use crate::addr::CoreId;
 
 /// Sentinel for "no core holds the turn" (all retired).

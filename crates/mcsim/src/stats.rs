@@ -3,6 +3,8 @@
 //! Counters are updated under the machine lock (every simulated memory event
 //! is serialized), so plain integers suffice — no atomics needed.
 
+#![forbid(unsafe_code)]
+
 use crate::addr::CoreId;
 
 /// Why a core's access-revoked bit (ARB) was set.

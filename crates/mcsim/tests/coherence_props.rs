@@ -58,7 +58,6 @@ fn geometries() -> Vec<CacheConfig> {
             l2_bytes: 512,
             l2_assoc: 2,
             protocol,
-            ..CacheConfig::default()
         });
         // Small set-associative.
         geoms.push(CacheConfig {
@@ -67,7 +66,6 @@ fn geometries() -> Vec<CacheConfig> {
             l2_bytes: 2048,
             l2_assoc: 4,
             protocol,
-            ..CacheConfig::default()
         });
         // Roomy: everything fits.
         geoms.push(CacheConfig {
@@ -76,7 +74,6 @@ fn geometries() -> Vec<CacheConfig> {
             l2_bytes: 16384,
             l2_assoc: 8,
             protocol,
-            ..CacheConfig::default()
         });
     }
     geoms

@@ -1,10 +1,7 @@
 //! The fault-injection determinism contract (PR 6 tentpole), end to end:
 //! a `FaultPlan` — stalls, a crash, allocation pressure, plus the wedge
-//! watchdog ceiling — must fire at *identical simulated clocks* on
-//!
-//! * both host execution backends (threads, coop), and
-//! * every L2 bank count in {1, 8} (banking is set-preserving, so bank
-//!   count must never shift a trigger by a single cycle).
+//! watchdog ceiling — must fire at *identical simulated clocks* on both
+//! host execution backends (threads, coop) and on every rerun.
 //!
 //! The signature compared is deliberately fat — per-core clocks, stall and
 //! alloc-failure counters, crash verdicts, final shared state — so a
@@ -30,17 +27,13 @@ struct Signature {
 /// CAS contention (so stalls and the crash land inside read/CAS retry
 /// loops) plus alloc/free churn against a shrunken heap (so allocation
 /// pressure produces recoverable verdicts on some cores).
-fn run_cell(exec: ExecBackend, l2_banks: usize) -> Signature {
+fn run_cell(exec: ExecBackend) -> Signature {
     let m = Machine::new(MachineConfig {
         cores: CORES,
         mem_bytes: 1 << 20,
         static_lines: 64,
         quantum: 0,
         exec,
-        cache: mcsim::CacheConfig {
-            l2_banks,
-            ..Default::default()
-        },
         fault_plan: FaultPlan::none()
             .stall(1, 800, 25_000)
             .stall(5, 2_000, 10_000)
@@ -111,7 +104,7 @@ const BACKENDS: [ExecBackend; 2] = [ExecBackend::Threads, ExecBackend::Coop];
 
 #[test]
 fn fault_plan_fires_identically_across_backends_and_layouts() {
-    let reference = run_cell(ExecBackend::Threads, 1);
+    let reference = run_cell(ExecBackend::Threads);
 
     // The plan actually bit: the crash landed, at least one stall
     // fired, and the pressured heap produced recoverable verdicts.
@@ -133,16 +126,9 @@ fn fault_plan_fires_identically_across_backends_and_layouts() {
         "allocation pressure must produce recoverable failures"
     );
 
-    // Byte-identity across every backend × bank layout, and across
-    // repeats.
+    // Byte-identity across both backends, and across repeats.
     for exec in BACKENDS {
-        for l2_banks in [1usize, 8] {
-            let got = run_cell(exec, l2_banks);
-            assert_eq!(
-                got, reference,
-                "fault schedule diverged: {exec:?} l2_banks={l2_banks}"
-            );
-        }
+        assert_eq!(run_cell(exec), reference, "fault schedule diverged: {exec:?}");
     }
 }
 
@@ -162,18 +148,14 @@ struct RestartSignature {
 /// recovery closure that rejoins the shared-counter contention. Both the
 /// crash clock and the restart clock are part of the compared signature,
 /// so a recovery resuming one event early or late anywhere in the
-/// backend × banks grid fails loudly.
-fn run_restart_cell(exec: ExecBackend, l2_banks: usize) -> RestartSignature {
+/// backend grid fails loudly.
+fn run_restart_cell(exec: ExecBackend) -> RestartSignature {
     let m = Machine::new(MachineConfig {
         cores: CORES,
         mem_bytes: 1 << 20,
         static_lines: 64,
         quantum: 0,
         exec,
-        cache: mcsim::CacheConfig {
-            l2_banks,
-            ..Default::default()
-        },
         fault_plan: FaultPlan::none()
             .stall(1, 800, 25_000)
             .crash(6, 3_000)
@@ -235,7 +217,7 @@ fn run_restart_cell(exec: ExecBackend, l2_banks: usize) -> RestartSignature {
 
 #[test]
 fn restart_faults_fire_identically_across_backends_and_layouts() {
-    let reference = run_restart_cell(ExecBackend::Threads, 1);
+    let reference = run_restart_cell(ExecBackend::Threads);
 
     // The plan bit as designed: core 6 crashed AND recovered (its
     // recovery closure returned), core 3 crashed for good, everyone
@@ -267,63 +249,54 @@ fn restart_faults_fire_identically_across_backends_and_layouts() {
         assert!(reference.returns[c].is_some());
     }
 
-    // Byte-identity across backends × bank layouts — recovery clocks
-    // included.
+    // Byte-identity across backends — recovery clocks included.
     for exec in BACKENDS {
-        for l2_banks in [1usize, 8] {
-            let got = run_restart_cell(exec, l2_banks);
-            assert_eq!(
-                got, reference,
-                "restart schedule diverged: {exec:?} l2_banks={l2_banks}"
-            );
-        }
+        assert_eq!(
+            run_restart_cell(exec),
+            reference,
+            "restart schedule diverged: {exec:?}"
+        );
     }
 }
 
 #[test]
 fn watchdog_verdict_is_layout_invariant() {
     // A plan that wedges core 2 far past the ceiling must trip the wedge
-    // watchdog — with the same diagnostic — on every backend and layout,
+    // watchdog — with the same diagnostic — on every backend,
     // rather than hanging the run.
     for exec in BACKENDS {
-        for l2_banks in [1usize, 8] {
-            let res = std::panic::catch_unwind(|| {
-                let m = Machine::new(MachineConfig {
-                    cores: 4,
-                    mem_bytes: 1 << 20,
-                    static_lines: 64,
-                    quantum: 0,
-                    exec,
-                    cache: mcsim::CacheConfig {
-                        l2_banks,
-                        ..Default::default()
-                    },
-                    fault_plan: FaultPlan::none().stall(2, 1_000, 10_000_000),
-                    max_cycles: Some(100_000),
-                    ..Default::default()
-                });
-                let a = m.alloc_static(1);
-                m.run_on(4, |_, ctx| {
-                    for _ in 0..50 {
-                        loop {
-                            let cur = ctx.read(a);
-                            if ctx.cas(a, cur, cur + 1).is_ok() {
-                                break;
-                            }
+        let res = std::panic::catch_unwind(|| {
+            let m = Machine::new(MachineConfig {
+                cores: 4,
+                mem_bytes: 1 << 20,
+                static_lines: 64,
+                quantum: 0,
+                exec,
+                fault_plan: FaultPlan::none().stall(2, 1_000, 10_000_000),
+                max_cycles: Some(100_000),
+                ..Default::default()
+            });
+            let a = m.alloc_static(1);
+            m.run_on(4, |_, ctx| {
+                for _ in 0..50 {
+                    loop {
+                        let cur = ctx.read(a);
+                        if ctx.cas(a, cur, cur + 1).is_ok() {
+                            break;
                         }
                     }
-                });
+                }
             });
-            let err = res.expect_err("wedged run must trip the watchdog");
-            let msg = err
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-                .unwrap_or_default();
-            assert!(
-                msg.contains("wedge watchdog: core 2"),
-                "exec={exec:?} l2_banks={l2_banks}: unexpected panic payload {msg:?}"
-            );
-        }
+        });
+        let err = res.expect_err("wedged run must trip the watchdog");
+        let msg = err
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default();
+        assert!(
+            msg.contains("wedge watchdog: core 2"),
+            "exec={exec:?}: unexpected panic payload {msg:?}"
+        );
     }
 }

@@ -4,10 +4,10 @@
 //! inherits the machine's determinism contract: simulated results are a
 //! pure function of `(program, seeds, quantum)`, and everything about the
 //! host must be invisible — the rendered report is **byte-identical**
-//! across bank counts, repeated runs, and host execution backends. And the
-//! analyzer must be free when disabled (the
-//! `race_check = false` identity is pinned by `tests/env_pin.rs`, whose
-//! goldens predate the analyzer and still pass unmodified).
+//! across repeated runs and host execution backends. And the analyzer
+//! must be free when disabled (the `race_check = false` identity is pinned
+//! by `tests/env_pin.rs`, whose goldens predate the analyzer and still pass
+//! unmodified).
 //!
 //! Cross-backend identity is pinned by the golden digest file
 //! (`tests/goldens/race_report.txt`): CI runs this test on both
@@ -34,8 +34,8 @@ fn race_report(structure: Structure, scheme: SchemeKind, cfg: &RunConfig) -> (Me
     (out.metrics, out.race.expect("race_check was armed"))
 }
 
-fn cfg(l2_banks: usize) -> RunConfig {
-    let mut c = RunConfig {
+fn cfg() -> RunConfig {
+    RunConfig {
         threads: 4,
         key_range: 64,
         prefill: 32,
@@ -46,28 +46,21 @@ fn cfg(l2_banks: usize) -> RunConfig {
         },
         quantum: 0,
         ..Default::default()
-    };
-    c.cache.l2_banks = l2_banks;
-    c
+    }
 }
 
 #[test]
-fn report_is_byte_identical_across_banks_and_reruns() {
-    // The trace is recorded per core and linearized by issue clock, so the
-    // directory's bank partitioning and run-to-run scheduling must be
-    // invisible: every (l2_banks, rerun) cell renders the same bytes.
+fn report_is_byte_identical_across_reruns() {
+    // The trace is recorded per core and linearized by issue clock, so
+    // run-to-run host scheduling must be invisible: a rerun renders the
+    // same bytes.
     for (kind, scheme) in [
         (SetKind::LazyList, SchemeKind::Hp),
         (SetKind::LazyList, SchemeKind::Ca),
     ] {
-        let reference = race_report(Structure::Set(kind), scheme, &cfg(1)).1.render();
-        for l2_banks in [1usize, 8] {
-            let r = race_report(Structure::Set(kind), scheme, &cfg(l2_banks)).1.render();
-            assert_eq!(
-                reference, r,
-                "{kind:?}/{scheme:?} banks={l2_banks}: report diverged"
-            );
-        }
+        let reference = race_report(Structure::Set(kind), scheme, &cfg()).1.render();
+        let rerun = race_report(Structure::Set(kind), scheme, &cfg()).1.render();
+        assert_eq!(reference, rerun, "{kind:?}/{scheme:?}: report diverged");
     }
 }
 
@@ -76,7 +69,7 @@ fn race_check_does_not_perturb_simulated_time() {
     // SmrFence events cost zero cycles and the trace is recorded off the
     // critical path, so arming the analyzer may not move a single clock.
     for scheme in [SchemeKind::Hp, SchemeKind::Qsbr, SchemeKind::Ca] {
-        let c = cfg(1);
+        let c = cfg();
         let plain = run_set(SetKind::LazyList, scheme, &c);
         let (armed, _) = race_report(Structure::Set(SetKind::LazyList), scheme, &c);
         assert_eq!(
@@ -95,14 +88,14 @@ fn reports_match_goldens_across_backends() {
     for (label, report) in [
         (
             "lazylist/hp",
-            race_report(Structure::Set(SetKind::LazyList), SchemeKind::Hp, &cfg(8)).1,
+            race_report(Structure::Set(SetKind::LazyList), SchemeKind::Hp, &cfg()).1,
         ),
         (
             "lazylist/ca",
-            race_report(Structure::Set(SetKind::LazyList), SchemeKind::Ca, &cfg(8)).1,
+            race_report(Structure::Set(SetKind::LazyList), SchemeKind::Ca, &cfg()).1,
         ),
         ("queue/qsbr", {
-            let mut c = cfg(8);
+            let mut c = cfg();
             c.mix = Mix {
                 insert_pct: 50,
                 delete_pct: 50,
