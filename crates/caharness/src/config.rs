@@ -226,7 +226,7 @@ pub fn reject_unknown_flags(
         };
         if !ok {
             let hint = if ["--gangs", "--l2_banks"].contains(&name) {
-                format!(" ({GANGS_RETIRED})")
+                format!(": {GANGS_RETIRED}")
             } else {
                 String::new()
             };
