@@ -21,27 +21,12 @@
 //! Usage: `cargo run -p caharness --release --bin validate
 //!         [--quick|--paper] [--jobs N] [--min_agreement X]`
 
-use caharness::experiments::Scale;
-use caharness::{sweep, Mix, RunConfig, SeriesTable, SetKind};
+use caharness::experiments::{render, Plan, Scale};
+use caharness::{RunConfig, SeriesTable, SetKind, Structure};
 use casmr::SchemeKind;
 
 /// Relative gap below which two throughputs count as a tie.
 const TIE_TOLERANCE: f64 = 0.15;
-
-fn arg_value(flag: &str) -> Option<f64> {
-    let args: Vec<String> = std::env::args().collect();
-    let eq = format!("{flag}=");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            let v = it.next().unwrap_or_else(|| panic!("{flag} requires a value"));
-            return Some(v.parse().unwrap_or_else(|_| panic!("{flag}: bad value {v}")));
-        } else if let Some(v) = a.strip_prefix(&eq) {
-            return Some(v.parse().unwrap_or_else(|_| panic!("{flag}: bad value {v}")));
-        }
-    }
-    None
-}
 
 fn tie(a: f64, b: f64) -> bool {
     (a - b).abs() <= TIE_TOLERANCE * a.max(b)
@@ -50,7 +35,8 @@ fn tie(a: f64, b: f64) -> bool {
 fn main() {
     let scale = Scale::from_args();
     caharness::init_from_args(&["--min_agreement X"]);
-    let min_agreement = arg_value("--min_agreement").unwrap_or(0.2);
+    let min_agreement: f64 = caharness::config::flag_value_from_args("--min_agreement")
+        .map_or(0.2, |v| v.parse().unwrap_or_else(|_| panic!("--min_agreement: bad value {v}")));
     eprintln!("[validate at {scale:?} scale, agreement floor {min_agreement}]");
 
     let threads = scale.threads();
@@ -59,70 +45,35 @@ fn main() {
         .copied()
         .filter(|&s| s != SchemeKind::Ca)
         .collect();
-
-    // One flat task list: the sim leg first, then the native leg. A
-    // simulated cell occupies one host thread (weight 1); a native cell
-    // spawns `t` real threads (weight t), so the weighted pool never
-    // oversubscribes the host.
-    let mut tasks: Vec<(usize, sweep::Task<f64>)> = Vec::new();
-    for native in [false, true] {
-        for &scheme in &schemes {
-            for &t in &threads {
-                let cfg = RunConfig {
-                    threads: t,
-                    key_range: 1000,
-                    prefill: 500,
-                    ops_per_thread: scale.ops(),
-                    mix: Mix {
-                        insert_pct: 50,
-                        delete_pct: 50,
-                    },
-                    native,
-                    ..Default::default()
-                };
-                let weight = if native { t } else { 1 };
-                tasks.push((
-                    weight,
-                    Box::new(move || {
-                        caharness::run_set(SetKind::LazyList, scheme, &cfg).throughput
-                    }),
-                ));
-            }
-        }
-    }
-    let mut flat = sweep::run_results_weighted("validate", tasks)
-        .into_iter()
-        .map(|r| r.unwrap_or(sweep::ERR_CELL));
-
-    // Reassemble: rows[leg][scheme][thread-idx].
-    let mut legs: Vec<Vec<Vec<f64>>> = Vec::new();
-    for _ in 0..2 {
-        legs.push(
-            schemes
-                .iter()
-                .map(|_| threads.iter().map(|_| flat.next().expect("cell")).collect())
-                .collect(),
-        );
-    }
-    let (sim, native) = (&legs[0], &legs[1]);
-
     let cols: Vec<String> = threads.iter().map(|t| t.to_string()).collect();
-    let mut sim_table = SeriesTable::new(
-        "Validation — simulated lazy list 50i-50d (ops/Mcycle)",
-        "scheme\\threads",
-        cols.clone(),
-    );
-    let mut native_table = SeriesTable::new(
-        "Validation — native lazy list 50i-50d (ops/µs wall-clock)",
-        "scheme\\threads",
-        cols.clone(),
-    );
-    for (i, scheme) in schemes.iter().enumerate() {
-        sim_table.push_series(scheme.name(), sim[i].clone());
-        native_table.push_series(scheme.name(), native[i].clone());
+
+    // Both legs are one plan, so they run as one sweep; the executor gives
+    // a native cell the occupancy of the `t` real threads it spawns, so
+    // the pool never oversubscribes the host.
+    let mut plan = Plan::default();
+    for (native, csv, title) in [
+        (false, "validate_sim.csv", "Validation — simulated lazy list 50i-50d (ops/Mcycle)"),
+        (true, "validate_native.csv", "Validation — native lazy list 50i-50d (ops/µs wall-clock)"),
+    ] {
+        let cfgs: Vec<RunConfig> = threads
+            .iter()
+            .map(|&t| RunConfig {
+                threads: t,
+                ops_per_thread: scale.ops(),
+                native,
+                ..Default::default()
+            })
+            .collect();
+        let rows = plan.by_scheme(Structure::Set(SetKind::LazyList), &schemes, &cfgs);
+        plan.table(csv, title, "scheme\\threads", cols.clone())
+            .rows(&rows, |o| o.metrics.throughput);
     }
-    sim_table.emit("validate_sim.csv");
-    native_table.emit("validate_native.csv");
+    let tables = render("validate", &[plan]);
+    for (csv, table) in &tables {
+        table.emit(csv);
+    }
+    // leg[scheme].1[thread-idx]
+    let (sim, native) = (&tables[0].1.series, &tables[1].1.series);
 
     // Pairwise rank agreement per thread count.
     let mut agreement_row: Vec<f64> = Vec::new();
@@ -131,8 +82,8 @@ fn main() {
         let mut agreements = 0u32;
         for i in 0..schemes.len() {
             for j in (i + 1)..schemes.len() {
-                let (a, b) = (sim[i][k], sim[j][k]);
-                let (c, d) = (native[i][k], native[j][k]);
+                let (a, b) = (sim[i].1[k], sim[j].1[k]);
+                let (c, d) = (native[i].1[k], native[j].1[k]);
                 if a.is_nan() || b.is_nan() || c.is_nan() || d.is_nan() {
                     continue; // ERR cell: not scoreable
                 }

@@ -196,13 +196,23 @@ pub const SHARED_FLAGS: &[&str] = &[
 /// default table. The error names the first offending argument and lists
 /// what is accepted; the retired `--gangs`/`--l2_banks` get
 /// [`GANGS_RETIRED`] as a hint.
+///
+/// An `extra` entry that does not start with `-` (say `FIGURE...`) is usage
+/// text for positional arguments: the bin takes them, and they are returned
+/// in order for it to check. Without one a bare word is an error.
 pub fn reject_unknown_flags(
     args: impl IntoIterator<Item = String>,
     extra: &[&str],
-) -> Result<(), String> {
+) -> Result<Vec<String>, String> {
     let accepted = || SHARED_FLAGS.iter().chain(extra).copied();
+    let takes_positionals = extra.iter().any(|usage| !usage.starts_with('-'));
+    let mut positionals = Vec::new();
     let mut it = args.into_iter().skip(1);
     while let Some(arg) = it.next() {
+        if takes_positionals && !arg.starts_with('-') {
+            positionals.push(arg);
+            continue;
+        }
         let (name, inline_value) = match arg.split_once('=') {
             Some((name, _)) => (name, true),
             None => (arg.as_str(), false),
@@ -236,13 +246,13 @@ pub fn reject_unknown_flags(
             ));
         }
     }
-    Ok(())
+    Ok(positionals)
 }
 
 /// Scan argv for a `<flag> N` / `<flag>=N` pair, returning the raw value.
-/// Shared by the numeric CLI flags below so the parsing (and its
+/// Shared by every value-taking CLI flag so the parsing (and its
 /// edge-case handling) lives in exactly one place.
-fn flag_value_from_args(flag: &str) -> Option<String> {
+pub fn flag_value_from_args(flag: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
     let eq = format!("{flag}=");
     let mut it = args.iter();
@@ -425,13 +435,22 @@ mod tests {
             &["fig1_lazylist", "--max_cycles", "10"],
             &["fig1_lazylist", "--max_cycles=10"],
         ] {
-            assert_eq!(check(ok, &[]), Ok(()), "{ok:?}");
+            assert_eq!(check(ok, &[]), Ok(vec![]), "{ok:?}");
         }
-        assert_eq!(check(&["fig_robustness", "--quick", "--recover"], &["--recover"]), Ok(()));
         assert_eq!(
             check(&["validate", "--min_agreement", "0.3", "--min_agreement=0.3"], &["--min_agreement X"]),
-            Ok(())
+            Ok(vec![])
         );
+        // `fig` declares positionals: they come back in order, flag values
+        // are not mistaken for them, and flags are checked as everywhere.
+        let fig = &["--recover", "FIGURE..."];
+        assert_eq!(
+            check(&["fig", "--quick", "fig_robustness", "--jobs", "4", "--recover", "fig9"], fig),
+            Ok(vec!["fig_robustness".to_string(), "fig9".to_string()])
+        );
+        assert_eq!(check(&["fig", "--quick"], fig), Ok(vec![]));
+        let err = check(&["fig", "all", "--quik"], fig).expect_err("unknown flag accepted");
+        assert!(err.contains("`--quik`") && err.contains("FIGURE..."), "{err}");
     }
 
     #[test]

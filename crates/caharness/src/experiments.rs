@@ -1,25 +1,31 @@
-//! The paper's experiments, parameterized by scale.
+//! The paper's experiments, as data.
 //!
-//! Each `fig*` function reproduces one figure of the paper's §V; the
-//! `ablation_*` functions cover claims the paper makes in prose (§I batch
-//! tradeoffs, §III associativity insensitivity) plus one simulator-fidelity
-//! check. See EXPERIMENTS.md for the experiment index and the recorded
-//! paper-vs-measured results.
+//! Every figure is an entry of [`FIGURES`]: a name, a one-line description
+//! and a pure builder from a [`Scale`] to a [`Plan`] — a flat list of
+//! [`Cell`]s (exactly [`run`]'s arguments) plus the [`Layout`] of each
+//! table the figure writes, whose rows say which cell feeds which entry
+//! through which extractor. The `fig*` entries reproduce the figures of the
+//! paper's §V; the `ablation_*` entries cover claims the paper makes in
+//! prose (§I batch tradeoffs, §III associativity insensitivity) plus one
+//! simulator-fidelity check. See EXPERIMENTS.md for the experiment index and
+//! the recorded paper-vs-measured results.
 //!
-//! Every function builds its cell cross-product as a task list and executes
-//! it on the [`crate::sweep`] work-stealing pool (`--jobs N` in the bins).
-//! Cells are independent (one `Machine` each, per-config seeds), so the
-//! tables are byte-identical for every worker count.
+//! One executor, [`render`], runs the cells of any number of plans as a
+//! single flat task list on the [`crate::sweep`] work-stealing pool
+//! (`--jobs N`), so the pool stays saturated across table and figure
+//! boundaries instead of draining to a straggler at each. Cells are
+//! independent (one `Machine` each, per-config seeds), so the tables are
+//! byte-identical for every worker count and for every grouping of figures
+//! into sweeps. A cell that panics costs its own entries, rendered `ERR`,
+//! and nothing else.
 
 use casmr::{SchemeKind, SmrConfig};
 use mcsim::coherence::Protocol;
 use mcsim::{CacheConfig, FaultPlan};
 
 use crate::config::{Mix, RunConfig};
-use crate::metrics::Metrics;
-use crate::runner::{
-    run, run_queue, run_set, run_set_latency, run_stack, Instrument, SetKind, Structure,
-};
+use crate::hist::Histogram;
+use crate::runner::{run, Instrument, Outcome, SetKind, Structure};
 use crate::sweep;
 use crate::table::SeriesTable;
 
@@ -65,231 +71,472 @@ impl Scale {
             Scale::Paper => 3000,
         }
     }
+
+    /// Thread count of the figures that hold it fixed.
+    fn fixed_threads(self) -> usize {
+        match self {
+            Scale::Quick => 4,
+            _ => 16,
+        }
+    }
 }
 
-fn base_config(scale: Scale) -> RunConfig {
+/// One experiment: exactly [`run`]'s arguments.
+pub struct Cell {
+    /// Structure under test.
+    pub structure: Structure,
+    /// Reclamation scheme.
+    pub scheme: SchemeKind,
+    /// Everything else about the run.
+    pub cfg: RunConfig,
+    /// Per-operation instrument.
+    pub instrument: Instrument,
+}
+
+/// Reads one table entry out of a finished cell.
+pub type Extract = fn(&Outcome) -> f64;
+
+/// How one table row is filled from the plan's cells (by index).
+pub enum Row {
+    /// One entry per x label: `Some((i, f))` is cell `i` through `f`;
+    /// `None` is a combination that does not exist (plain `NaN`, not `ERR`).
+    Each(Vec<Option<(usize, Extract)>>),
+    /// Cell `i`'s allocated-not-freed samples, one per x label. A run that
+    /// completes fewer operations (a victim crashed for good) legitimately
+    /// ends early and is padded with plain `NaN`.
+    Trace(usize),
+}
+
+/// One table a figure writes.
+pub struct Layout {
+    /// File name under `results/`.
+    pub csv: String,
+    /// Caption.
+    pub title: String,
+    /// Corner label (`rows\columns`).
+    pub corner: &'static str,
+    /// Column labels.
+    pub x_labels: Vec<String>,
+    /// Named rows, top to bottom.
+    pub rows: Vec<(String, Row)>,
+}
+
+impl Layout {
+    /// Append a row reading every cell of `cells` through `f`.
+    pub fn row(&mut self, name: impl Into<String>, cells: &[usize], f: Extract) -> &mut Self {
+        let entries = cells.iter().map(|&i| Some((i, f))).collect();
+        self.rows.push((name.into(), Row::Each(entries)));
+        self
+    }
+
+    /// [`Self::row`] for each `(name, cells)` of `rows`.
+    pub fn rows(&mut self, rows: &[(String, Vec<usize>)], f: Extract) -> &mut Self {
+        for (name, cells) in rows {
+            self.row(name.as_str(), cells, f);
+        }
+        self
+    }
+
+    /// Append a row reading the one cell `cell` through each of `fs`.
+    pub fn across(&mut self, name: impl Into<String>, cell: usize, fs: &[Extract]) -> &mut Self {
+        let entries = fs.iter().map(|&f| Some((cell, f))).collect();
+        self.rows.push((name.into(), Row::Each(entries)));
+        self
+    }
+
+    /// Append a [`Row::Trace`] for the first cell of each of `rows`.
+    fn traces(&mut self, rows: &[(String, Vec<usize>)]) -> &mut Self {
+        for (name, cells) in rows {
+            self.rows.push((name.clone(), Row::Trace(cells[0])));
+        }
+        self
+    }
+}
+
+/// What one figure runs and writes.
+#[derive(Default)]
+pub struct Plan {
+    /// The experiments, in no significant order.
+    pub cells: Vec<Cell>,
+    /// The tables, in emission order.
+    pub tables: Vec<Layout>,
+}
+
+impl Plan {
+    /// Add a cell; returns its index.
+    pub fn push(&mut self, cell: Cell) -> usize {
+        self.cells.push(cell);
+        self.cells.len() - 1
+    }
+
+    /// Add one uninstrumented cell per configuration (usually one per x
+    /// label); returns their indices.
+    pub fn cells(&mut self, structure: Structure, scheme: SchemeKind, cfgs: &[RunConfig]) -> Vec<usize> {
+        let cell = |cfg: &RunConfig| Cell {
+            structure,
+            scheme,
+            cfg: cfg.clone(),
+            instrument: Instrument::None,
+        };
+        cfgs.iter().map(|cfg| self.push(cell(cfg))).collect()
+    }
+
+    /// [`Self::cells`] once per scheme; returns `(scheme name, indices)` rows.
+    pub fn by_scheme(
+        &mut self,
+        structure: Structure,
+        schemes: &[SchemeKind],
+        cfgs: &[RunConfig],
+    ) -> Vec<(String, Vec<usize>)> {
+        schemes
+            .iter()
+            .map(|&s| (s.name().to_string(), self.cells(structure, s, cfgs)))
+            .collect()
+    }
+
+    /// Start a table; fill it through the returned layout.
+    pub fn table(
+        &mut self,
+        csv: impl Into<String>,
+        title: impl Into<String>,
+        corner: &'static str,
+        x_labels: Vec<String>,
+    ) -> &mut Layout {
+        self.tables.push(Layout {
+            csv: csv.into(),
+            title: title.into(),
+            corner,
+            x_labels,
+            rows: Vec::new(),
+        });
+        self.tables.last_mut().expect("just pushed")
+    }
+}
+
+/// Run every cell of `plans` as **one** flat sweep and assemble their
+/// tables, returned as `(csv name, table)` in plan order then table order.
+///
+/// A cell occupies the host threads it runs on — its workload threads when
+/// native, one when simulated — so `--jobs N` bounds host threads whatever
+/// the mix. A cell that panics (a livelock ceiling, the wedge watchdog)
+/// yields [`sweep::ERR_CELL`] in every entry that reads it and lands in the
+/// sweep's failure registry; all other entries keep their values. Under
+/// `--fail-fast` the first panic propagates instead.
+pub fn render(label: &str, plans: &[Plan]) -> Vec<(String, SeriesTable)> {
+    let tasks = plans
+        .iter()
+        .flat_map(|plan| &plan.cells)
+        .map(|c| {
+            let weight = if c.cfg.native { c.cfg.threads } else { 1 };
+            let task = move || run(c.structure, c.scheme, &c.cfg, c.instrument);
+            (weight, Box::new(task) as sweep::Task<Outcome>)
+        })
+        .collect();
+    let outcomes = sweep::run_results_weighted(label, tasks);
+    // One flat index space over many figures: say which cell a failure was.
+    for (cell, outcome) in plans.iter().flat_map(|plan| &plan.cells).zip(&outcomes) {
+        if let Err(f) = outcome {
+            let (structure, threads) = (cell.structure.name(), cell.cfg.threads);
+            eprintln!("[sweep {} #{}] is {structure} under {}, {threads} threads", f.label, f.index, cell.scheme);
+        }
+    }
+    let mut outcomes = outcomes.into_iter();
+    let mut out = Vec::new();
+    for plan in plans {
+        let cells: Vec<_> = outcomes.by_ref().take(plan.cells.len()).collect();
+        for layout in &plan.tables {
+            let width = layout.x_labels.len();
+            let mut table = SeriesTable::new(&*layout.title, layout.corner, layout.x_labels.clone());
+            for (name, row) in &layout.rows {
+                let values = match row {
+                    Row::Each(entries) => entries
+                        .iter()
+                        .map(|entry| match entry {
+                            Some((i, f)) => cells[*i].as_ref().map_or(sweep::ERR_CELL, f),
+                            None => f64::NAN,
+                        })
+                        .collect(),
+                    Row::Trace(i) => match &cells[*i] {
+                        Ok(o) => {
+                            let samples = o.metrics.footprint.iter().map(|&(_, live)| live as f64);
+                            let mut values: Vec<f64> = samples.collect();
+                            values.resize(width, f64::NAN);
+                            values
+                        }
+                        Err(_) => vec![sweep::ERR_CELL; width],
+                    },
+                };
+                table.push_series(name.as_str(), values);
+            }
+            out.push((layout.csv.clone(), table));
+        }
+    }
+    out
+}
+
+/// One registry entry.
+pub struct Figure {
+    /// What `fig <name>` selects.
+    pub name: &'static str,
+    /// What it reproduces, in one line.
+    pub about: &'static str,
+    /// `None`: the figure has no `--recover` variant. `Some(d)`: it has,
+    /// and `fig all` renders it with `recover = d` when the flag is absent
+    /// (naming the figure renders the plain variant).
+    pub recover: Option<bool>,
+    /// The builder: `(scale, recover)` to the figure's cells and tables.
+    pub plan: fn(Scale, bool) -> Plan,
+}
+
+/// Resolve `fig`'s positional arguments (`all`, or figure names) to plans.
+/// `--recover` is an error unless a requested figure takes it.
+pub fn select(names: &[String], scale: Scale, recover: bool) -> Result<Vec<Plan>, String> {
+    let mut picked: Vec<(&Figure, bool)> = Vec::new();
+    for name in names {
+        if name == "all" {
+            picked.extend(FIGURES.iter().map(|f| (f, recover || f.recover == Some(true))));
+        } else {
+            let fig = FIGURES
+                .iter()
+                .find(|f| f.name == name)
+                .ok_or_else(|| format!("unknown figure `{name}`"))?;
+            picked.push((fig, recover));
+        }
+    }
+    if picked.is_empty() {
+        return Err("name at least one figure, or `all`".into());
+    }
+    if recover && picked.iter().all(|(f, _)| f.recover.is_none()) {
+        return Err("unrecognized argument `--recover`: no requested figure takes it".into());
+    }
+    Ok(picked.iter().map(|(f, r)| (f.plan)(scale, *r)).collect())
+}
+
+/// Every figure, in the order `fig all` emits them.
+pub static FIGURES: [Figure; 19] = [
+    Figure {
+        name: "fig1_lazylist",
+        about: "Fig. 1 top: lazy list, keys 0..1K, three workload panels",
+        recover: None,
+        plan: |s, _| throughput("fig1_lazylist", LAZY_LIST, 1000, "Fig 1 (top) lazy list, size ~500", s),
+    },
+    Figure {
+        name: "fig1_extbst",
+        about: "Fig. 1 bottom: external BST, keys 0..10K",
+        recover: None,
+        plan: |s, _| throughput("fig1_extbst", EXT_BST, 10_000, "Fig 1 (bottom) external BST, size ~5K", s),
+    },
+    Figure {
+        name: "fig2_hashtable",
+        about: "Fig. 2 top: 128-bucket chaining hash table, keys 0..1K",
+        recover: None,
+        plan: |s, _| {
+            let table = Structure::Set(SetKind::HashTable);
+            throughput("fig2_hashtable", table, 1000, "Fig 2 (top) hash table, 128 buckets", s)
+        },
+    },
+    Figure {
+        name: "fig2_stack",
+        about: "Fig. 2 bottom: Treiber stack (reads are peeks)",
+        recover: None,
+        plan: |s, _| throughput("fig2_stack", Structure::Stack, 1000, "Fig 2 (bottom) stack", s),
+    },
+    Figure {
+        name: "fig3_memory",
+        about: "Fig. 3: unreclaimed nodes over time, 100% updates",
+        recover: None,
+        plan: fig3_memory,
+    },
+    Figure {
+        name: "ablation_assoc",
+        about: "§III claim: L1 associativity does not hurt CA progress",
+        recover: None,
+        plan: ablation_assoc,
+    },
+    Figure {
+        name: "ablation_freq",
+        about: "§I batch-size/epoch-frequency tradeoff (CA has no such knob)",
+        recover: None,
+        plan: ablation_freq,
+    },
+    Figure {
+        name: "ablation_quantum",
+        about: "simulator fidelity: throughput vs scheduler lookahead quantum",
+        recover: None,
+        plan: ablation_quantum,
+    },
+    Figure {
+        name: "ablation_ctxswitch",
+        about: "§III multiuser claim: OS preemption sets the ARB",
+        recover: None,
+        plan: ablation_ctxswitch,
+    },
+    Figure {
+        name: "ablation_latency",
+        about: "§I claim: batch reclamation inflates tail latency",
+        recover: None,
+        plan: ablation_latency,
+    },
+    Figure {
+        name: "ablation_smt",
+        about: "§III SMT rules: 1, 2 and 4 hyperthreads per physical core",
+        recover: None,
+        plan: ablation_smt,
+    },
+    Figure {
+        name: "ablation_protocol",
+        about: "§IV claim: CA's standing is the same on MSI and MESI",
+        recover: None,
+        plan: ablation_protocol,
+    },
+    Figure {
+        name: "ablation_fallback",
+        about: "§IV fallback path: fast-path overhead, progress on a hostile L1",
+        recover: None,
+        plan: ablation_fallback,
+    },
+    Figure {
+        name: "queue_bench",
+        about: "§IV-A MS queue, 50% enqueue / 50% dequeue (implemented, not plotted, in the paper)",
+        recover: None,
+        plan: queue_bench,
+    },
+    Figure {
+        name: "harris_bench",
+        about: "extension: lock-free CA Harris list vs the lock-based lists",
+        recover: None,
+        plan: |s, _| {
+            lockfree_bench(
+                "harris_bench.csv",
+                "Lock-free CA Harris list vs lock-based lists — 50i-50d",
+                ("ca-harris (lock-free)", Structure::Harris),
+                ("lazy", LAZY_LIST),
+                1000,
+                s,
+            )
+        },
+    },
+    Figure {
+        name: "lfbst_bench",
+        about: "extension: lock-free CA external BST vs the lock-based BSTs",
+        recover: None,
+        plan: |s, _| {
+            lockfree_bench(
+                "lfbst_bench.csv",
+                "Lock-free CA external BST vs lock-based BSTs — 50i-50d, keys 0..10K",
+                ("ca-lf-bst (lock-free)", Structure::LfBst),
+                ("bst", EXT_BST),
+                10_000,
+                s,
+            )
+        },
+    },
+    Figure {
+        name: "htm_bench",
+        about: "§VI comparator: hand-over-hand transactions (Zhou et al.) vs CA",
+        recover: None,
+        plan: htm_bench,
+    },
+    Figure {
+        name: "fig_robustness",
+        about: "extension: throughput and garbage bounds with 0/1/2 cores fail-stopped; \
+                --recover adds the restart+adopt columns",
+        recover: Some(false),
+        plan: fig_robustness,
+    },
+    Figure {
+        name: "fig_recovery",
+        about: "extension: garbage over time through crash, detection and (--recover) adoption",
+        recover: Some(true),
+        plan: fig_recovery,
+    },
+];
+
+const LAZY_LIST: Structure = Structure::Set(SetKind::LazyList);
+const EXT_BST: Structure = Structure::Set(SetKind::ExtBst);
+
+/// [`RunConfig::default`] (keys 0..1K half full, 50i-50d) at `scale`'s
+/// operation count.
+fn base(scale: Scale) -> RunConfig {
     RunConfig {
         ops_per_thread: scale.ops(),
         ..Default::default()
     }
 }
 
-/// One throughput panel of a multi-panel figure: the structure, workload
-/// mix, key range and caption. Panels are just data so any number of them
-/// can be flattened into a single sweep (see [`throughput_panels`]).
-#[derive(Copy, Clone)]
-pub struct PanelSpec<'a> {
-    /// Structure under test.
-    pub structure: Structure,
-    /// Workload mix.
-    pub mix: Mix,
-    /// Key range (prefill is half of it).
-    pub key_range: u64,
-    /// Figure caption prefix (the workload label is appended).
-    pub title: &'a str,
-}
-
-/// Throughput sweep over any number of figure panels: threads on the x
-/// axis, one series per scheme, cells in ops/Mcycle. Every
-/// `panel × scheme × threads` cell goes into **one** flat task list, so the
-/// `--jobs` pool stays saturated across panel boundaries — the tail of one
-/// panel overlaps the head of the next instead of draining to a straggler
-/// per panel. A panicked cell degrades to an `ERR` cell (the failure still
-/// lands in the sweep registry), matching [`sweep::grid_cells`].
-pub fn throughput_panels(sweep_label: &str, specs: &[PanelSpec], scale: Scale) -> Vec<SeriesTable> {
-    let threads = scale.threads();
-    let mut tasks: Vec<sweep::Task<f64>> = Vec::new();
-    for spec in specs {
-        let structure = spec.structure;
-        for &scheme in SchemeKind::ALL.iter() {
-            for &t in &threads {
-                let cfg = RunConfig {
-                    threads: t,
-                    key_range: spec.key_range,
-                    prefill: spec.key_range / 2,
-                    mix: spec.mix,
-                    ..base_config(scale)
-                };
-                tasks.push(Box::new(move || {
-                    run(structure, scheme, &cfg, Instrument::None).metrics.throughput
-                }));
-            }
-        }
-    }
-    let mut flat = sweep::run_results(sweep_label, tasks)
-        .into_iter()
-        .map(|r| r.unwrap_or(sweep::ERR_CELL));
-    specs
-        .iter()
-        .map(|spec| {
-            let mut table = SeriesTable::new(
-                format!("{} — workload {}", spec.title, spec.mix.label()),
-                "scheme\\threads",
-                threads.iter().map(|t| t.to_string()).collect(),
-            );
-            for scheme in SchemeKind::ALL {
-                let row: Vec<f64> = threads.iter().map(|_| flat.next().expect("cell")).collect();
-                table.push_series(scheme.name(), row);
-            }
-            table
-        })
-        .collect()
-}
-
-/// Single-panel convenience form of [`throughput_panels`].
-pub fn throughput_panel(
-    structure: Structure,
-    mix: Mix,
-    scale: Scale,
-    key_range: u64,
-    title: &str,
-) -> SeriesTable {
-    let label = format!("{} {}", structure.name(), mix.label());
-    let spec = PanelSpec {
-        structure,
-        mix,
-        key_range,
-        title,
+/// `cfg` at each thread count of `threads`.
+fn at_threads(threads: &[usize], cfg: RunConfig) -> Vec<RunConfig> {
+    let at = |&t: &usize| RunConfig {
+        threads: t,
+        ..cfg.clone()
     };
-    throughput_panels(&label, &[spec], scale)
-        .pop()
-        .expect("one panel in, one table out")
+    threads.iter().map(at).collect()
 }
 
-/// One throughput figure row: its CSV/bin name plus the panel parameters
-/// shared by its three workload panels ([`Mix::PAPER`]).
-struct FigSpec {
-    name: &'static str,
-    structure: Structure,
-    key_range: u64,
-    title: &'static str,
+fn labels<T: ToString>(xs: &[T]) -> Vec<String> {
+    xs.iter().map(T::to_string).collect()
 }
 
-/// The four throughput figure rows, in emission order.
-const THROUGHPUT_FIGS: [FigSpec; 4] = [
-    FigSpec {
-        name: "fig1_lazylist",
-        structure: Structure::Set(SetKind::LazyList),
-        key_range: 1000,
-        title: "Fig 1 (top) lazy list, size ~500",
-    },
-    FigSpec {
-        name: "fig1_extbst",
-        structure: Structure::Set(SetKind::ExtBst),
-        key_range: 10_000,
-        title: "Fig 1 (bottom) external BST, size ~5K",
-    },
-    FigSpec {
-        name: "fig2_hashtable",
-        structure: Structure::Set(SetKind::HashTable),
-        key_range: 1000,
-        title: "Fig 2 (top) hash table, 128 buckets",
-    },
-    FigSpec {
-        name: "fig2_stack",
-        structure: Structure::Stack,
-        key_range: 1000,
-        title: "Fig 2 (bottom) stack",
-    },
-];
+/// Column labels of a [`Row::Trace`] table: the global operation count at
+/// each of the `total_ops / every` samples.
+fn sample_labels(total_ops: u64, every: u64) -> Vec<String> {
+    (1..=total_ops / every).map(|i| (i * every).to_string()).collect()
+}
 
-/// The three workload panels of one figure row.
-fn fig_panels(fig: &FigSpec) -> Vec<PanelSpec<'static>> {
-    Mix::PAPER
-        .iter()
-        .map(|&mix| PanelSpec {
-            structure: fig.structure,
+fn throughput_of(o: &Outcome) -> f64 {
+    o.metrics.throughput
+}
+
+/// A throughput figure row: one panel per workload of [`Mix::PAPER`],
+/// threads on the x axis, one series per scheme, cells in ops/Mcycle
+/// (prefill is half the key range).
+fn throughput(name: &str, structure: Structure, key_range: u64, title: &str, scale: Scale) -> Plan {
+    let threads = scale.threads();
+    let mut plan = Plan::default();
+    for (i, mix) in Mix::PAPER.into_iter().enumerate() {
+        let panel = RunConfig {
+            key_range,
+            prefill: key_range / 2,
             mix,
-            key_range: fig.key_range,
-            title: fig.title,
-        })
-        .collect()
-}
-
-fn one_fig(fig: &FigSpec, scale: Scale) -> Vec<SeriesTable> {
-    throughput_panels(fig.name, &fig_panels(fig), scale)
-}
-
-/// Figure 1 (top row): lazy list, keys 0..1K, three workload panels.
-pub fn fig1_lazylist(scale: Scale) -> Vec<SeriesTable> {
-    one_fig(&THROUGHPUT_FIGS[0], scale)
-}
-
-/// Figure 1 (bottom row): external BST, keys 0..10K.
-pub fn fig1_extbst(scale: Scale) -> Vec<SeriesTable> {
-    one_fig(&THROUGHPUT_FIGS[1], scale)
-}
-
-/// Figure 2 (top row): 128-bucket chaining hash table, keys 0..1K.
-pub fn fig2_hashtable(scale: Scale) -> Vec<SeriesTable> {
-    one_fig(&THROUGHPUT_FIGS[2], scale)
-}
-
-/// Figure 2 (bottom row): Treiber stack (reads are peeks).
-pub fn fig2_stack(scale: Scale) -> Vec<SeriesTable> {
-    one_fig(&THROUGHPUT_FIGS[3], scale)
-}
-
-/// All four throughput figures (Fig 1 top/bottom, Fig 2 top/bottom) as one
-/// flat cross-panel sweep — 12 panels, `4 × 3 × schemes × threads` cells in
-/// a single task list. `all_figures` uses this instead of running the
-/// figure functions back to back, which would drain the `--jobs` pool to a
-/// straggler at each of the 12 panel boundaries. Returns `(csv name,
-/// table)` pairs in the order the per-figure bins emit them.
-pub fn throughput_figures(scale: Scale) -> Vec<(String, SeriesTable)> {
-    let specs: Vec<PanelSpec> = THROUGHPUT_FIGS.iter().flat_map(fig_panels).collect();
-    let names = THROUGHPUT_FIGS.iter().flat_map(|fig| {
-        (0..Mix::PAPER.len()).map(|i| format!("{}_panel{i}.csv", fig.name))
-    });
-    names
-        .zip(throughput_panels("throughput_figures", &specs, scale))
-        .collect()
+            ..base(scale)
+        };
+        let rows = plan.by_scheme(structure, &SchemeKind::ALL, &at_threads(&threads, panel));
+        plan.table(
+            format!("{name}_panel{i}.csv"),
+            format!("{title} — workload {}", mix.label()),
+            "scheme\\threads",
+            labels(&threads),
+        )
+        .rows(&rows, throughput_of);
+    }
+    plan
 }
 
 /// Figure 3: nodes allocated-but-not-freed over time. Lazy list of ~500
 /// nodes, 16 threads, 100% updates, 5000 ops/thread, sampled every 1000
 /// global operations (all parameters straight from the paper).
-pub fn fig3_memory(scale: Scale) -> SeriesTable {
+fn fig3_memory(scale: Scale, _: bool) -> Plan {
     let (threads, ops) = match scale {
         Scale::Quick => (4, 1500),
         _ => (16, 5000),
     };
     let sample_every = 1000;
-    let total_ops = threads as u64 * ops;
-    let n_samples = (total_ops / sample_every) as usize;
-    let mut table = SeriesTable::new(
-        format!(
-            "Fig 3 — unreclaimed nodes over time (lazy list ~500, {threads} threads, 50i-50d)"
-        ),
+    let cfg = RunConfig {
+        threads,
+        ops_per_thread: ops,
+        sample_every: Some(sample_every),
+        ..Default::default()
+    };
+    let mut plan = Plan::default();
+    let rows = plan.by_scheme(LAZY_LIST, &SchemeKind::ALL, &[cfg]);
+    plan.table(
+        "fig3_memory.csv",
+        format!("Fig 3 — unreclaimed nodes over time (lazy list ~500, {threads} threads, 50i-50d)"),
         "scheme\\ops",
-        (1..=n_samples)
-            .map(|i| (i as u64 * sample_every).to_string())
-            .collect(),
-    );
-    let tasks: Vec<sweep::Task<Metrics>> = SchemeKind::ALL
-        .iter()
-        .map(|&scheme| {
-            let cfg = RunConfig {
-                threads,
-                key_range: 1000,
-                prefill: 500,
-                ops_per_thread: ops,
-                mix: Mix {
-                    insert_pct: 50,
-                    delete_pct: 50,
-                },
-                sample_every: Some(sample_every),
-                ..Default::default()
-            };
-            Box::new(move || run_set(SetKind::LazyList, scheme, &cfg)) as sweep::Task<Metrics>
-        })
-        .collect();
-    for (scheme, m) in SchemeKind::ALL.iter().zip(sweep::run("fig3", tasks)) {
-        let mut row: Vec<f64> = m.footprint.iter().map(|(_, live)| *live as f64).collect();
-        row.resize(n_samples, f64::NAN);
-        table.push_series(scheme.name(), row);
-    }
-    table
+        sample_labels(threads as u64 * ops, sample_every),
+    )
+    .traces(&rows);
+    plan
 }
 
 /// §III ablation: L1 associativity must not meaningfully hurt CA progress.
@@ -302,317 +549,484 @@ pub fn fig3_memory(scale: Scale) -> SeriesTable {
 /// fallback. Our reproduction surfaces that boundary faithfully (the
 /// `ca_loop` retry ceiling turns it into a loud failure); see
 /// EXPERIMENTS.md.
-pub fn ablation_associativity(scale: Scale) -> (SeriesTable, SeriesTable) {
-    let threads = match scale {
-        Scale::Quick => 4,
-        _ => 16,
-    };
+fn ablation_assoc(scale: Scale, _: bool) -> Plan {
+    let threads = scale.fixed_threads();
     let assocs = [2usize, 4, 8, 16];
-    let mut tput = SeriesTable::new(
+    let cfgs = assocs.map(|l1_assoc| RunConfig {
+        threads,
+        cache: CacheConfig {
+            l1_assoc,
+            ..CacheConfig::default()
+        },
+        ..base(scale)
+    });
+    let mut plan = Plan::default();
+    let cells = plan.cells(LAZY_LIST, SchemeKind::Ca, &cfgs);
+    plan.table(
+        "ablation_assoc_throughput.csv",
         format!("Associativity ablation — CA lazy list, {threads} threads, 50i-50d"),
         "metric\\assoc",
-        assocs.iter().map(|a| a.to_string()).collect(),
-    );
-    let mut spurious = SeriesTable::new(
+        labels(&assocs),
+    )
+    .row("ca ops/Mcycle", &cells, throughput_of);
+    plan.table(
+        "ablation_assoc_spurious.csv",
         "Associativity ablation — ARB sets from evictions (spurious sources)",
         "metric\\assoc",
-        assocs.iter().map(|a| a.to_string()).collect(),
-    );
-    let tasks: Vec<sweep::Task<Metrics>> = assocs
-        .iter()
-        .map(|&assoc| {
-            let cfg = RunConfig {
-                threads,
-                key_range: 1000,
-                prefill: 500,
-                mix: Mix {
-                    insert_pct: 50,
-                    delete_pct: 50,
-                },
-                cache: CacheConfig {
-                    l1_assoc: assoc,
-                    ..CacheConfig::default()
-                },
-                ..base_config(scale)
-            };
-            Box::new(move || run_set(SetKind::LazyList, SchemeKind::Ca, &cfg))
-                as sweep::Task<Metrics>
-        })
-        .collect();
-    let ms = sweep::run("ablation_assoc", tasks);
-    tput.push_series("ca ops/Mcycle", ms.iter().map(|m| m.throughput).collect());
-    spurious.push_series("cread failures", ms.iter().map(|m| m.cread_fail as f64).collect());
-    spurious.push_series(
-        "eviction revokes",
-        ms.iter().map(|m| m.spurious_revokes as f64).collect(),
-    );
-    (tput, spurious)
+        labels(&assocs),
+    )
+    .row("cread failures", &cells, |o| o.metrics.cread_fail as f64)
+    .row("eviction revokes", &cells, |o| o.metrics.spurious_revokes as f64);
+    plan
 }
 
 /// §I ablation: the batch-size/epoch-frequency tradeoff that motivates the
 /// paper. Sweeps the reclamation frequency for qsbr and ibr; CA needs no
 /// such parameter (its row is flat by construction).
-pub fn ablation_reclaim_freq(scale: Scale) -> (SeriesTable, SeriesTable) {
-    let threads = match scale {
-        Scale::Quick => 4,
-        _ => 16,
-    };
-    let schemes = [SchemeKind::Qsbr, SchemeKind::Ibr, SchemeKind::Ca];
+fn ablation_freq(scale: Scale, _: bool) -> Plan {
+    let threads = scale.fixed_threads();
     let freqs = [1u64, 10, 30, 100, 1000];
-    let labels: Vec<String> = freqs.iter().map(|f| f.to_string()).collect();
-    let mut tput = SeriesTable::new(
+    let cfgs = freqs.map(|f| RunConfig {
+        threads,
+        smr: SmrConfig {
+            reclaim_freq: f,
+            epoch_freq: 5 * f,
+            ..Default::default()
+        },
+        ..base(scale)
+    });
+    let mut plan = Plan::default();
+    let rows = plan.by_scheme(LAZY_LIST, &[SchemeKind::Qsbr, SchemeKind::Ibr, SchemeKind::Ca], &cfgs);
+    plan.table(
+        "ablation_freq_throughput.csv",
         format!("Reclamation-frequency ablation — lazy list, {threads} threads, 50i-50d"),
         "scheme\\freq",
-        labels.clone(),
-    );
-    let mut peak = SeriesTable::new(
+        labels(&freqs),
+    )
+    .rows(&rows, throughput_of);
+    plan.table(
+        "ablation_freq_peak.csv",
         "Reclamation-frequency ablation — peak unreclaimed nodes",
         "scheme\\freq",
-        labels,
-    );
-    let cells = sweep::grid("ablation_freq", &schemes, &freqs, |&scheme, &f| {
-        let cfg = RunConfig {
-            threads,
-            key_range: 1000,
-            prefill: 500,
-            mix: Mix {
-                insert_pct: 50,
-                delete_pct: 50,
-            },
-            smr: SmrConfig {
-                reclaim_freq: f,
-                epoch_freq: 5 * f,
-                ..Default::default()
-            },
-            ..base_config(scale)
-        };
-        run_set(SetKind::LazyList, scheme, &cfg)
-    });
-    for (scheme, row) in schemes.iter().zip(cells) {
-        tput.push_series(scheme.name(), row.iter().map(|m| m.throughput).collect());
-        peak.push_series(
-            scheme.name(),
-            row.iter().map(|m| m.peak_allocated as f64).collect(),
-        );
-    }
-    (tput, peak)
+        labels(&freqs),
+    )
+    .rows(&rows, |o| o.metrics.peak_allocated as f64);
+    plan
 }
 
 /// Simulator-fidelity ablation: scheduler lookahead quantum. Throughput
 /// estimates should drift only mildly with the quantum; this bounds the
 /// modeling error introduced by lax synchronization.
-pub fn ablation_quantum(scale: Scale) -> SeriesTable {
-    let threads = match scale {
-        Scale::Quick => 4,
-        _ => 16,
-    };
-    let schemes = [SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::Hp];
+fn ablation_quantum(scale: Scale, _: bool) -> Plan {
+    let threads = scale.fixed_threads();
     let quanta = [0u64, 16, 64, 256, 1024];
-    let mut table = SeriesTable::new(
+    let cfgs = quanta.map(|quantum| RunConfig {
+        threads,
+        quantum,
+        ..base(scale)
+    });
+    let mut plan = Plan::default();
+    let rows = plan.by_scheme(LAZY_LIST, &[SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::Hp], &cfgs);
+    plan.table(
+        "ablation_quantum.csv",
         format!("Scheduler-quantum ablation — lazy list, {threads} threads, 50i-50d"),
         "scheme\\quantum",
-        quanta.iter().map(|q| q.to_string()).collect(),
-    );
-    let cells = sweep::grid_cells("ablation_quantum", &schemes, &quanta, |&scheme, &q| {
-        let cfg = RunConfig {
-            threads,
-            key_range: 1000,
-            prefill: 500,
-            mix: Mix {
-                insert_pct: 50,
-                delete_pct: 50,
-            },
-            quantum: q,
-            ..base_config(scale)
-        };
-        run_set(SetKind::LazyList, scheme, &cfg).throughput
-    });
-    for (scheme, row) in schemes.iter().zip(cells) {
-        table.push_series(scheme.name(), row);
-    }
-    table
+        labels(&quanta),
+    )
+    .rows(&rows, throughput_of);
+    plan
 }
 
 /// §III multiuser extension: OS preemption sets the ARB of switched-out
 /// threads. Sweeps the context-switch interval and reports CA throughput,
 /// switch-induced revokes, and a qsbr baseline (which only pays the switch
 /// cost itself). Demonstrates CA degrades gracefully in multiuser systems.
-pub fn ablation_ctx_switch(scale: Scale) -> SeriesTable {
-    let threads = match scale {
-        Scale::Quick => 4,
-        _ => 16,
-    };
+fn ablation_ctxswitch(scale: Scale, _: bool) -> Plan {
+    let threads = scale.fixed_threads();
     // Interval in cycles; a 1 GHz core with HZ=1000 switches every ~1M
     // cycles, so even the harshest point here (20k) is pessimistic.
-    let intervals: [Option<u64>; 4] = [None, Some(500_000), Some(100_000), Some(20_000)];
-    let labels = ["never", "500k", "100k", "20k"];
-    let schemes = [SchemeKind::Ca, SchemeKind::Qsbr];
-    let mut table = SeriesTable::new(
+    let intervals = [None, Some(500_000), Some(100_000), Some(20_000)];
+    let cfgs = intervals.map(|interval| RunConfig {
+        threads,
+        ctx_switch: interval.map(|i| (i, 2000)),
+        ..base(scale)
+    });
+    let mut plan = Plan::default();
+    let ca = plan.cells(LAZY_LIST, SchemeKind::Ca, &cfgs);
+    let qsbr = plan.cells(LAZY_LIST, SchemeKind::Qsbr, &cfgs);
+    plan.table(
+        "ablation_ctxswitch.csv",
         format!("Context-switch ablation — lazy list, {threads} threads, 50i-50d"),
         "metric\\interval",
-        labels.iter().map(|l| l.to_string()).collect(),
-    );
-    // Rows are intervals so each (interval, scheme) cell is one task.
-    let cells = sweep::grid("ablation_ctxswitch", &intervals, &schemes, |&iv, &scheme| {
-        let cfg = RunConfig {
-            threads,
-            key_range: 1000,
-            prefill: 500,
-            mix: Mix {
-                insert_pct: 50,
-                delete_pct: 50,
-            },
-            ctx_switch: iv.map(|i| (i, 2000)),
-            ..base_config(scale)
-        };
-        run_set(SetKind::LazyList, scheme, &cfg)
-    });
-    table.push_series(
-        "ca ops/Mcycle",
-        cells.iter().map(|row| row[0].throughput).collect(),
-    );
-    table.push_series(
-        "qsbr ops/Mcycle",
-        cells.iter().map(|row| row[1].throughput).collect(),
-    );
-    table.push_series(
-        "ca spurious revokes",
-        cells.iter().map(|row| row[0].spurious_revokes as f64).collect(),
-    );
-    table
+        labels(&["never", "500k", "100k", "20k"]),
+    )
+    .row("ca ops/Mcycle", &ca, throughput_of)
+    .row("qsbr ops/Mcycle", &qsbr, throughput_of)
+    .row("ca spurious revokes", &ca, |o| o.metrics.spurious_revokes as f64);
+    plan
 }
 
-/// Labels of a [`lockfree_vs_baselines`] panel.
-struct LfLabels {
-    /// Table caption.
-    title: &'static str,
-    /// Sweep progress label.
-    sweep: &'static str,
-    /// Series name of the lock-free variant row.
-    variant: &'static str,
-    /// Suffix of the baseline series names (`{scheme}-{suffix}`).
-    suffix: &'static str,
+fn latency_of(o: &Outcome) -> &Histogram {
+    o.latency.as_ref().expect("the cell ran with Instrument::Latency")
 }
 
-/// Shared scaffold of the lock-free-extension benches ([`harris_bench`],
-/// [`lfbst_bench`]): one lock-free variant row, then the lock-based
-/// baselines for `kind`, all cells in one flat sweep (variant row first,
-/// then one row per scheme, reassembled by `chunks(threads.len())`).
-fn lockfree_vs_baselines(
-    labels: LfLabels,
-    scale: Scale,
-    kind: SetKind,
-    variant: Structure,
-    cfg_for: impl Fn(usize) -> RunConfig + Sync,
-) -> SeriesTable {
-    let threads = scale.threads();
-    let mut table = SeriesTable::new(
-        labels.title,
-        "variant\\threads",
-        threads.iter().map(|t| t.to_string()).collect(),
-    );
-    let schemes = [SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::None];
-    let cfg_for = &cfg_for;
-    let mut tasks: Vec<sweep::Task<f64>> = Vec::new();
-    for &t in &threads {
-        tasks.push(Box::new(move || {
-            run(variant, SchemeKind::Ca, &cfg_for(t), Instrument::None).metrics.throughput
-        }));
-    }
-    for &scheme in &schemes {
-        for &t in &threads {
-            tasks.push(Box::new(move || run_set(kind, scheme, &cfg_for(t)).throughput));
+/// §I claim: batch reclamation causes "long program interruptions and
+/// dramatically increases tail latency". Records per-operation latency
+/// (simulated cycles) and reports the distribution per scheme; the second
+/// group re-runs the epoch schemes with a 10× larger batch to show the tail
+/// scaling with the tuning knob while CA has no knob and no tail.
+fn ablation_latency(scale: Scale, _: bool) -> Plan {
+    let threads = scale.fixed_threads();
+    let columns: [(&str, Extract); 5] = [
+        ("p50", |o| latency_of(o).quantile(0.50) as f64),
+        ("p90", |o| latency_of(o).quantile(0.90) as f64),
+        ("p99", |o| latency_of(o).quantile(0.99) as f64),
+        ("p99.9", |o| latency_of(o).quantile(0.999) as f64),
+        ("max", |o| latency_of(o).max() as f64),
+    ];
+    let paper_batch = RunConfig {
+        threads,
+        // Enough deletes per thread that even the 300-deep batches of the
+        // second group actually fill and flush (a thread retires roughly
+        // ops/4 nodes in this mix).
+        ops_per_thread: match scale {
+            Scale::Quick => scale.ops(),
+            _ => scale.ops().max(2500),
+        },
+        ..base(scale)
+    };
+    // The knob turned up: reclaim batches of 300 (epoch bump every 1500).
+    let big_batch = RunConfig {
+        smr: SmrConfig {
+            reclaim_freq: 300,
+            epoch_freq: 1500,
+            ..Default::default()
+        },
+        ..paper_batch.clone()
+    };
+    let mut plan = Plan::default();
+    let mut rows = Vec::new();
+    for (cfg, schemes, suffix) in [
+        (&paper_batch, &SchemeKind::ALL[..], ""),
+        (&big_batch, &[SchemeKind::Qsbr, SchemeKind::Ibr, SchemeKind::He], "@300"),
+    ] {
+        for &scheme in schemes {
+            let cell = plan.push(Cell {
+                structure: LAZY_LIST,
+                scheme,
+                cfg: cfg.clone(),
+                instrument: Instrument::Latency,
+            });
+            rows.push((format!("{}{suffix}", scheme.name()), cell));
         }
     }
-    let flat = sweep::run(labels.sweep, tasks);
-    let mut rows = flat.chunks(threads.len());
-    table.push_series(labels.variant, rows.next().expect("variant row").to_vec());
-    for scheme in schemes {
-        table.push_series(
-            format!("{}-{}", scheme.name(), labels.suffix),
-            rows.next().expect("baseline row").to_vec(),
+    let table = plan.table(
+        "ablation_latency.csv",
+        format!("Tail-latency ablation — lazy list, {threads} threads, 50i-50d (cycles)"),
+        "scheme\\quantile",
+        labels(&columns.map(|(name, _)| name)),
+    );
+    for (name, cell) in rows {
+        table.across(name, cell, &columns.map(|(_, f)| f));
+    }
+    plan
+}
+
+/// §III SMT rules: the same workload threads packed 2 (and 4) hyperthreads
+/// per physical core. Sibling stores revoke tags without coherence traffic;
+/// shared L1 capacity halves. Reports CA and qsbr throughput per packing,
+/// plus CA's sibling-revoke counts. A thread count that is not a multiple
+/// of the packing has no cell.
+fn ablation_smt(scale: Scale, _: bool) -> Plan {
+    let threads: Vec<usize> = match scale {
+        Scale::Quick => vec![2, 4],
+        _ => vec![4, 8, 16, 32],
+    };
+    let each = |cells: &[Option<usize>], f: Extract| {
+        Row::Each(cells.iter().map(|c| c.map(|i| (i, f))).collect())
+    };
+    let mut plan = Plan::default();
+    let mut packings = Vec::new();
+    // The (2, ca) row also feeds the revocation table.
+    let mut ca2 = Vec::new();
+    for smt in [1usize, 2, 4] {
+        for scheme in [SchemeKind::Ca, SchemeKind::Qsbr] {
+            let cells: Vec<Option<usize>> = threads
+                .iter()
+                .map(|&t| {
+                    let cfg = RunConfig {
+                        threads: t,
+                        smt,
+                        ..base(scale)
+                    };
+                    (t % smt == 0).then(|| plan.cells(LAZY_LIST, scheme, &[cfg])[0])
+                })
+                .collect();
+            packings.push((format!("{} smt={smt}", scheme.name()), each(&cells, throughput_of)));
+            if (smt, scheme) == (2, SchemeKind::Ca) {
+                ca2 = cells;
+            }
+        }
+    }
+    let throughput = plan.table(
+        "ablation_smt_throughput.csv",
+        "SMT ablation — lazy list, 50i-50d, threads packed k per core",
+        "variant\\threads",
+        labels(&threads),
+    );
+    throughput.rows = packings;
+    let revokes = plan.table(
+        "ablation_smt_revokes.csv",
+        "SMT ablation — CA revocation sources (k=2 packing)",
+        "metric\\threads",
+        labels(&threads),
+    );
+    revokes.rows = vec![
+        (
+            "sibling-store revokes".into(),
+            each(&ca2, |o| o.metrics.sibling_revokes as f64),
+        ),
+        (
+            "conditional-access failures".into(),
+            each(&ca2, |o| (o.metrics.cread_fail + o.metrics.cwrite_fail) as f64),
+        ),
+    ];
+    plan
+}
+
+/// §IV claim: CA only assumes "MSI, MESI or other such equivalent
+/// mechanisms". Runs the lazy list and stack under both protocols; CA's
+/// relative standing must be protocol-independent (the MESI columns get
+/// faster in absolute terms from E-grants and silent upgrades, for every
+/// scheme alike).
+fn ablation_protocol(scale: Scale, _: bool) -> Plan {
+    let threads = scale.fixed_threads();
+    let mut plan = Plan::default();
+    let mut rows = Vec::new();
+    for scheme in [SchemeKind::Ca, SchemeKind::None, SchemeKind::Qsbr] {
+        for (prefix, structure) in [("list", LAZY_LIST), ("stack", Structure::Stack)] {
+            let cfgs = [Protocol::Msi, Protocol::Mesi].map(|protocol| RunConfig {
+                threads,
+                cache: CacheConfig {
+                    protocol,
+                    ..CacheConfig::default()
+                },
+                ..base(scale)
+            });
+            rows.push((format!("{prefix}/{}", scheme.name()), plan.cells(structure, scheme, &cfgs)));
+        }
+    }
+    plan.table(
+        "ablation_protocol_throughput.csv",
+        format!("Protocol ablation — {threads} threads, 50i-50d"),
+        "structure/scheme\\protocol",
+        labels(&["msi", "mesi"]),
+    )
+    .rows(&rows, throughput_of);
+    let mesi_events = plan.table(
+        "ablation_protocol_mesi_events.csv",
+        "Protocol ablation — MESI-only event counts",
+        "structure/scheme\\counter",
+        labels(&["e_grants", "silent_upgrades"]),
+    );
+    for (name, cells) in rows {
+        mesi_events.across(
+            name,
+            cells[1],
+            &[|o| o.metrics.e_grants as f64, |o| o.metrics.silent_upgrades as f64],
         );
     }
-    table
+    plan
 }
 
-/// Extension: the lock-free CA Harris list (paper future work) vs. the
-/// lock-based CA lazy list and the fastest baselines, 100% updates.
-pub fn harris_bench(scale: Scale) -> SeriesTable {
-    lockfree_vs_baselines(
-        LfLabels {
-            title: "Lock-free CA Harris list vs lock-based lists — 50i-50d",
-            sweep: "harris_bench",
-            variant: "ca-harris (lock-free)",
-            suffix: "lazy",
-        },
-        scale,
-        SetKind::LazyList,
-        Structure::Harris,
-        move |t| RunConfig {
-            threads: t,
-            key_range: 1000,
-            prefill: 500,
-            mix: Mix {
-                insert_pct: 50,
-                delete_pct: 50,
-            },
-            ..base_config(scale)
-        },
-    )
-}
+/// §IV "facilitating progress": the elision-style fallback path. Table 1
+/// measures its fast-path overhead (two stores + one fence per op) on the
+/// paper's geometry, where the fallback never triggers. Table 2 runs a
+/// hostile geometry — a 16-line direct-mapped L1, where bare CA livelocks
+/// deterministically — and shows operations completing via the sequential
+/// path instead.
+fn ablation_fallback(scale: Scale, _: bool) -> Plan {
+    let fallbacks: Extract = |o| o.fallbacks as f64;
+    let mut plan = Plan::default();
 
-/// Extension: the lock-free CA external BST (future work, tree half) vs
-/// the paper's lock-based CA BST and the fastest baselines, 100% updates.
-pub fn lfbst_bench(scale: Scale) -> SeriesTable {
-    lockfree_vs_baselines(
-        LfLabels {
-            title: "Lock-free CA external BST vs lock-based BSTs — 50i-50d, keys 0..10K",
-            sweep: "lfbst_bench",
-            variant: "ca-lf-bst (lock-free)",
-            suffix: "bst",
-        },
-        scale,
-        SetKind::ExtBst,
-        Structure::LfBst,
-        move |t| RunConfig {
-            threads: t,
-            key_range: 10_000,
-            prefill: 5_000,
-            mix: Mix {
-                insert_pct: 50,
-                delete_pct: 50,
-            },
-            ..base_config(scale)
-        },
+    let threads: Vec<usize> = match scale {
+        Scale::Quick => vec![1, 2, 4],
+        _ => vec![1, 4, 16, 32],
+    };
+    let cfgs = at_threads(&threads, base(scale));
+    let bare = plan.cells(LAZY_LIST, SchemeKind::Ca, &cfgs);
+    let guarded = plan.cells(Structure::FallbackList { max_attempts: 32 }, SchemeKind::Ca, &cfgs);
+    plan.table(
+        "ablation_fallback_overhead.csv",
+        "Fallback ablation — fast-path overhead on the paper geometry (lazy list, 50i-50d)",
+        "variant\\threads",
+        labels(&threads),
     )
+    .row("ca (bare)", &bare, throughput_of)
+    .row("ca+fallback", &guarded, throughput_of)
+    .row("fallbacks taken", &guarded, fallbacks);
+
+    // Hostile geometry: a 16-line direct-mapped L1. Bare CA livelocks here
+    // (the ca_loop ceiling turns that into a panic), so only the fallback
+    // variant is run.
+    let threads: Vec<usize> = match scale {
+        Scale::Quick => vec![1, 2],
+        _ => vec![1, 2, 4],
+    };
+    let geometry = RunConfig {
+        key_range: 64,
+        prefill: 32,
+        ops_per_thread: scale.ops().min(300),
+        cache: CacheConfig {
+            l1_bytes: 1024,
+            l1_assoc: 1,
+            l2_bytes: 64 * 1024,
+            l2_assoc: 8,
+            ..CacheConfig::default()
+        },
+        ..base(scale)
+    };
+    let cfgs = at_threads(&threads, geometry);
+    let hostile = plan.cells(Structure::FallbackList { max_attempts: 8 }, SchemeKind::Ca, &cfgs);
+    plan.table(
+        "ablation_fallback_hostile.csv",
+        "Fallback ablation — hostile geometry (1 KiB direct-mapped L1); bare CA livelocks",
+        "metric\\threads",
+        labels(&threads),
+    )
+    .row("ca+fallback ops/Mcycle", &hostile, throughput_of)
+    .row("fallbacks taken", &hostile, fallbacks)
+    .row("fallback share of ops", &hostile, |o| {
+        o.fallbacks as f64 / o.metrics.total_ops as f64
+    });
+    plan
 }
 
 /// §IV-A extra: MS queue, 50% enqueue / 50% dequeue.
-pub fn queue_bench(scale: Scale) -> SeriesTable {
+fn queue_bench(scale: Scale, _: bool) -> Plan {
     let threads = scale.threads();
-    let mut table = SeriesTable::new(
-        "MS queue — 50enq-50deq",
-        "scheme\\threads",
-        threads.iter().map(|t| t.to_string()).collect(),
-    );
-    let rows = sweep::grid_cells("queue_bench", &SchemeKind::ALL, &threads, |&scheme, &t| {
-        let cfg = RunConfig {
-            threads: t,
-            key_range: 1000,
-            prefill: 256,
-            mix: Mix {
-                insert_pct: 50,
-                delete_pct: 50,
-            },
-            ..base_config(scale)
-        };
-        run_queue(scheme, &cfg).throughput
-    });
-    for (scheme, row) in SchemeKind::ALL.iter().zip(rows) {
-        table.push_series(scheme.name(), row);
+    let queue = RunConfig {
+        prefill: 256,
+        ..base(scale)
+    };
+    let cfgs = at_threads(&threads, queue);
+    let mut plan = Plan::default();
+    let rows = plan.by_scheme(Structure::Queue, &SchemeKind::ALL, &cfgs);
+    plan.table("queue_bench.csv", "MS queue — 50enq-50deq", "scheme\\threads", labels(&threads))
+        .rows(&rows, throughput_of);
+    plan
+}
+
+/// The lock-free extensions (paper future work), 100% updates: one
+/// lock-free CA `variant` row, then the lock-based structure of the same
+/// shape under CA and the fastest baselines, as `{scheme}-{suffix}` rows.
+fn lockfree_bench(
+    csv: &str,
+    title: &str,
+    (variant_row, variant): (&str, Structure),
+    (suffix, lock_based): (&str, Structure),
+    key_range: u64,
+    scale: Scale,
+) -> Plan {
+    let threads = scale.threads();
+    let keys = RunConfig {
+        key_range,
+        prefill: key_range / 2,
+        ..base(scale)
+    };
+    let cfgs = at_threads(&threads, keys);
+    let mut plan = Plan::default();
+    let lock_free = plan.cells(variant, SchemeKind::Ca, &cfgs);
+    let baselines =
+        plan.by_scheme(lock_based, &[SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::None], &cfgs);
+    let table = plan.table(csv, title, "variant\\threads", labels(&threads));
+    table.row(variant_row, &lock_free, throughput_of);
+    for (scheme, cells) in &baselines {
+        table.row(format!("{scheme}-{suffix}"), cells, throughput_of);
     }
-    table
+    plan
+}
+
+/// §VI comparator: the hand-over-hand transactional list (Zhou et al.) vs
+/// CA and the fastest epoch baseline, on the read-only and 100%-update
+/// workloads, then the HTM abort rates of the update workload's cells.
+fn htm_bench(scale: Scale, _: bool) -> Plan {
+    let threads = scale.threads();
+    let mut plan = Plan::default();
+    let mut htm = Vec::new();
+    for (csv, mix) in [
+        ("htm_bench_readonly.csv", Mix::PAPER[0]),
+        ("htm_bench_updates.csv", Mix::PAPER[2]),
+    ] {
+        let cfgs = at_threads(&threads, RunConfig { mix, ..base(scale) });
+        let baselines =
+            plan.by_scheme(LAZY_LIST, &[SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::None], &cfgs);
+        htm = [256usize, 16]
+            .map(|slots| {
+                let cells = plan.cells(Structure::HtmList { slots }, SchemeKind::Ca, &cfgs);
+                (format!("htm-hoh/{slots}"), cells)
+            })
+            .into();
+        plan.table(
+            csv,
+            format!("HTM comparator — lazy list, {}", mix.label()),
+            "variant\\threads",
+            labels(&threads),
+        )
+        .rows(&baselines, throughput_of)
+        .rows(&htm, throughput_of);
+    }
+    let aborts = plan.table(
+        "htm_bench_aborts.csv",
+        "HTM comparator — aborts per operation and transactions per operation, 50i-50d",
+        "metric\\threads",
+        labels(&threads),
+    );
+    for (name, cells) in &htm {
+        aborts.row(format!("{name} aborts/op"), cells, |o| {
+            o.metrics.tx_aborts as f64 / o.metrics.total_ops.max(1) as f64
+        });
+        aborts.row(format!("{name} tx/op"), cells, |o| {
+            o.metrics.tx_begins as f64 / o.metrics.total_ops.max(1) as f64
+        });
+    }
+    plan
+}
+
+/// What the two fault figures share: the lock-free MS queue, and a cadence
+/// that makes a fault-pinned backlog visible.
+///
+/// The queue (not the lazy list) because crash-robustness is only a
+/// meaningful measurement for nonblocking structures: a lock holder that
+/// fail-stops wedges lock-based survivors — which the `max_cycles`
+/// watchdog would report as an `ERR` cell, not a data point.
+fn faulted_queue(scale: Scale, threads: usize, fault_plan: FaultPlan) -> RunConfig {
+    RunConfig {
+        threads,
+        // Small prefill and early crashes: a frozen he/ibr reservation
+        // pins every node born before the fail-stop (for a FIFO queue
+        // that includes the whole prefill as it drains), so the
+        // pre-crash population IS those schemes' garbage bound — keep
+        // it small relative to the survivors' post-crash work, which is
+        // what the unbounded schemes' backlog grows with.
+        prefill: 64,
+        fault_plan,
+        // Aggressive reclamation cadence: with the lazy paper defaults
+        // a short healthy run barely reclaims at all, which would mask
+        // the fault-pinned backlog these figures exist to show. Scanning
+        // every 4 retires makes the no-fault garbage small, so any growth
+        // under fail-stopped cores is attributable to the fault, not the
+        // batch size.
+        smr: SmrConfig {
+            reclaim_freq: 4,
+            epoch_freq: 8,
+            ..Default::default()
+        },
+        // Backstop: if fault handling ever wedged a run, the watchdog
+        // turns it into an attributable ERR cell instead of a hang.
+        max_cycles: crate::config::default_max_cycles().or(Some(2_000_000_000)),
+        ..base(scale)
+    }
 }
 
 /// The robustness figure (PR 6): every scheme on the **lock-free** MS
@@ -629,143 +1043,86 @@ pub fn queue_bench(scale: Scale) -> SeriesTable {
 ///    ([`casmr::GarbageStats`]; CA has no such backlog by construction and
 ///    is omitted).
 ///
-/// The queue (not the lazy list) because crash-robustness is only a
-/// meaningful measurement for nonblocking structures: a lock holder that
-/// fail-stops wedges lock-based survivors — which the `max_cycles`
-/// watchdog would report as an `ERR` cell, not a data point.
-pub fn fig_robustness(scale: Scale) -> Vec<SeriesTable> {
-    fig_robustness_with(scale, false)
-}
-
-/// [`fig_robustness`] with optional `+adopt` columns (the bin's
-/// `--recover` flag): each crashed column re-runs under a
-/// **restart-bearing** plan — the victims
-/// come back, certify their own fail-stop, adopt their orphans (forcible
-/// retraction + merge + scan) and finish their quota — so the three tables
-/// show the pinned-backlog blowup and its repair side by side.
-pub fn fig_robustness_with(scale: Scale, recover: bool) -> Vec<SeriesTable> {
+/// With `recover`, each crashed column is re-run as an `N+adopt` column
+/// under a **restart-bearing** plan — the victims come back, certify their
+/// own fail-stop, adopt their orphans (forcible retraction + merge + scan)
+/// and finish their quota — so the three tables show the pinned-backlog
+/// blowup and its repair side by side.
+fn fig_robustness(scale: Scale, recover: bool) -> Plan {
     let threads = match scale {
         Scale::Quick => 4,
         _ => 8,
     };
     // Columns: (label, crashed cores, restart-bearing?).
-    let mut cols: Vec<(String, usize, bool)> = [0usize, 1, 2]
-        .iter()
-        .map(|&s| (s.to_string(), s, false))
-        .collect();
+    let mut cols: Vec<(String, usize, bool)> = vec![
+        ("0".into(), 0, false),
+        ("1".into(), 1, false),
+        ("2".into(), 2, false),
+    ];
     if recover {
-        for s in [1usize, 2] {
-            cols.push((format!("{s}+adopt"), s, true));
-        }
+        cols.extend([1, 2].map(|s| (format!("{s}+adopt"), s, true)));
     }
-    let labels: Vec<String> = cols.iter().map(|(l, _, _)| l.clone()).collect();
-    let cfg_for = |s: usize, restart: bool| {
-        let mut plan = FaultPlan::none();
-        for i in 0..s {
-            // Victims are the highest-numbered cores, staggered so the
-            // two-victim column exercises two distinct trigger clocks.
-            let (core, at) = (threads - 1 - i, 4_000 + 3_000 * i as u64);
-            plan = plan.crash(core, at);
-            if restart {
-                // Long enough past the crash that the survivors pile up a
-                // visible pinned backlog before the adoption repairs it.
-                plan = plan.restart(core, at + 30_000);
-            }
-        }
-        RunConfig {
-            threads,
-            key_range: 1000,
-            // Small prefill and early crashes: a frozen he/ibr reservation
-            // pins every node born before the fail-stop (for a FIFO queue
-            // that includes the whole prefill as it drains), so the
-            // pre-crash population IS those schemes' garbage bound — keep
-            // it small relative to the survivors' post-crash work, which is
-            // what the unbounded schemes' backlog grows with.
-            prefill: 64,
-            mix: Mix {
-                insert_pct: 50,
-                delete_pct: 50,
-            },
-            fault_plan: plan,
-            // Aggressive reclamation cadence: with the lazy paper defaults
-            // a short healthy run barely reclaims at all, which would mask
-            // the fault-pinned backlog this figure exists to show. Scanning
-            // every 4 retires makes the no-fault column's garbage small, so
-            // any growth under fail-stopped cores is attributable to the
-            // fault, not the batch size.
-            smr: SmrConfig {
-                reclaim_freq: 4,
-                epoch_freq: 8,
-                ..Default::default()
-            },
-            // Backstop: if fault handling ever wedged a run, the watchdog
-            // turns it into an attributable ERR cell instead of a hang.
-            max_cycles: crate::config::default_max_cycles().or(Some(2_000_000_000)),
-            ..base_config(scale)
-        }
-    };
-    let cfg_for = &cfg_for;
-    let cols = &cols;
-    let tasks: Vec<sweep::Task<Metrics>> = SchemeKind::ALL
+    let cfgs: Vec<RunConfig> = cols
         .iter()
-        .flat_map(|&scheme| {
-            cols.iter().map(move |&(_, s, restart)| {
-                Box::new(move || run_queue(scheme, &cfg_for(s, restart))) as sweep::Task<Metrics>
-            })
+        .map(|&(_, crashed, restart)| {
+            let mut faults = FaultPlan::none();
+            for i in 0..crashed {
+                // Victims are the highest-numbered cores, staggered so the
+                // two-victim column exercises two distinct trigger clocks.
+                let (core, at) = (threads - 1 - i, 4_000 + 3_000 * i as u64);
+                faults = faults.crash(core, at);
+                if restart {
+                    // Long enough past the crash that the survivors pile up a
+                    // visible pinned backlog before the adoption repairs it.
+                    faults = faults.restart(core, at + 30_000);
+                }
+            }
+            faulted_queue(scale, threads, faults)
         })
         .collect();
-    let flat = sweep::run_results("fig_robustness", tasks);
-
-    let mut tput = SeriesTable::new(
+    let x_labels: Vec<String> = cols.iter().map(|(label, _, _)| label.clone()).collect();
+    let mut plan = Plan::default();
+    let rows = plan.by_scheme(Structure::Queue, &SchemeKind::ALL, &cfgs);
+    plan.table(
+        "robustness_tput.csv",
         format!(
             "Robustness — MS queue 50enq-50deq, {threads} threads, N cores \
              fail-stopped (ops/Mcycle)"
         ),
         "scheme\\stalled",
-        labels.clone(),
-    );
-    let mut footprint = SeriesTable::new(
+        x_labels.clone(),
+    )
+    .rows(&rows, throughput_of);
+    plan.table(
+        "robustness_footprint.csv",
         "Robustness — peak allocated-not-freed nodes under fail-stopped cores",
         "scheme\\stalled",
-        labels.clone(),
-    );
-    let mut garbage = SeriesTable::new(
+        x_labels.clone(),
+    )
+    .rows(&rows, |o| o.metrics.peak_allocated as f64);
+    let garbage = plan.table(
+        "robustness_garbage.csv",
         "Robustness — peak retired-but-unfreed bytes held by the scheme \
          (CA holds none by construction)",
         "scheme\\stalled",
-        labels,
+        x_labels,
     );
-    for (scheme, row) in SchemeKind::ALL.iter().zip(flat.chunks(cols.len())) {
-        let pick = |f: &dyn Fn(&Metrics) -> f64| -> Vec<f64> {
-            row.iter()
-                .map(|r| r.as_ref().map_or(sweep::ERR_CELL, f))
-                .collect()
-        };
-        tput.push_series(scheme.name(), pick(&|m| m.throughput));
-        footprint.push_series(scheme.name(), pick(&|m| m.peak_allocated as f64));
-        if *scheme != SchemeKind::Ca {
-            // The `+adopt` columns report the *final* backlog: the peak
-            // still shows the pre-adoption pileup, the final shows the
-            // repair (near zero for every scheme once the orphan's
-            // publications are retracted).
-            garbage.push_series(
-                scheme.name(),
-                row.iter()
-                    .zip(cols)
-                    .map(|(r, &(_, _, restart))| {
-                        r.as_ref().map_or(sweep::ERR_CELL, |m| {
-                            if restart {
-                                m.final_garbage_bytes as f64
-                            } else {
-                                m.peak_garbage_bytes as f64
-                            }
-                        })
-                    })
-                    .collect(),
-            );
-        }
+    for (name, cells) in rows.iter().filter(|(name, _)| name != SchemeKind::Ca.name()) {
+        // The `+adopt` columns report the *final* backlog: the peak still
+        // shows the pre-adoption pileup, the final shows the repair (near
+        // zero for every scheme once the orphan's publications are
+        // retracted).
+        let entries = cells.iter().zip(&cols).map(|(&cell, &(_, _, restart))| {
+            let f: Extract = if restart {
+                |o| o.metrics.final_garbage_bytes as f64
+            } else {
+                |o| o.metrics.peak_garbage_bytes as f64
+            };
+            Some((cell, f))
+        });
+        garbage.rows.push((name.clone(), Row::Each(entries.collect())));
     }
-    vec![tput, footprint, garbage]
+    plan
 }
 
 /// The crash-recovery figure (PR 10, extension): every scheme on the MS
@@ -781,7 +1138,7 @@ pub fn fig_robustness_with(scale: Scale, recover: bool) -> Vec<SeriesTable> {
 /// 2. **recovery summary** — per scheme: orphans detected, adoptions,
 ///    adopted backlog bytes, and the crash→adoption-complete latency in
 ///    simulated cycles.
-pub fn fig_recovery(scale: Scale, recover: bool) -> (SeriesTable, SeriesTable) {
+fn fig_recovery(scale: Scale, recover: bool) -> Plan {
     let threads = match scale {
         Scale::Quick => 4,
         _ => 8,
@@ -793,543 +1150,190 @@ pub fn fig_recovery(scale: Scale, recover: bool) -> (SeriesTable, SeriesTable) {
     };
     let total_ops = threads as u64 * ops;
     let sample_every = (total_ops / 24).max(1);
-    let n_samples = (total_ops / sample_every) as usize;
     let victim = threads - 1;
-    let mut plan = FaultPlan::none().crash(victim, 6_000);
+    let mut faults = FaultPlan::none().crash(victim, 6_000);
     if recover {
-        plan = plan.restart(victim, 60_000);
+        faults = faults.restart(victim, 60_000);
     }
     let cfg = RunConfig {
-        threads,
-        key_range: 1000,
-        // Small prefill + early crash, as in fig_robustness: the bounded
-        // schemes' pinned set is the pre-crash population, so keep it
-        // small relative to the survivors' post-crash churn.
-        prefill: 64,
         ops_per_thread: ops,
-        mix: Mix {
-            insert_pct: 50,
-            delete_pct: 50,
-        },
-        fault_plan: plan,
-        smr: SmrConfig {
-            reclaim_freq: 4,
-            epoch_freq: 8,
-            ..Default::default()
-        },
         sample_every: Some(sample_every),
-        max_cycles: crate::config::default_max_cycles().or(Some(2_000_000_000)),
-        ..base_config(scale)
+        ..faulted_queue(scale, threads, faults)
     };
-    let cfg = &cfg;
-    let tasks: Vec<sweep::Task<Metrics>> = SchemeKind::ALL
-        .iter()
-        .map(|&scheme| Box::new(move || run_queue(scheme, cfg)) as sweep::Task<Metrics>)
-        .collect();
-    let results = sweep::run_results("fig_recovery", tasks);
-
-    let mode = if recover {
-        "crash at 6k cycles, restart+adopt at 60k"
+    let (mode, suffix) = if recover {
+        ("crash at 6k cycles, restart+adopt at 60k", "_adopt")
     } else {
-        "crash at 6k cycles, no recovery"
+        ("crash at 6k cycles, no recovery", "")
     };
-    let mut trace = SeriesTable::new(
+    let mut plan = Plan::default();
+    let rows = plan.by_scheme(Structure::Queue, &SchemeKind::ALL, &[cfg]);
+    plan.table(
+        format!("recovery_trace{suffix}.csv"),
         format!(
             "Recovery — allocated-not-freed lines over time (MS queue \
              50enq-50deq, {threads} threads, {mode})"
         ),
         "scheme\\ops",
-        (1..=n_samples)
-            .map(|i| (i as u64 * sample_every).to_string())
-            .collect(),
-    );
-    let mut summary = SeriesTable::new(
-        format!(
-            "Recovery — detection/adoption summary (MS queue, {threads} \
-             threads, {mode})"
-        ),
-        "scheme\\counter",
-        ["orphans", "adoptions", "adopted_bytes", "latency_cycles", "final_garbage_bytes"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect(),
-    );
-    for (scheme, r) in SchemeKind::ALL.iter().zip(results) {
-        match r {
-            Ok(m) => {
-                let mut row: Vec<f64> =
-                    m.footprint.iter().map(|&(_, live)| live as f64).collect();
-                // A crashed-for-good victim completes fewer ops, so its
-                // trace legitimately ends early: pad with plain NaN (not
-                // ERR) like fig3 does.
-                row.truncate(n_samples);
-                row.resize(n_samples, f64::NAN);
-                trace.push_series(scheme.name(), row);
-                summary.push_series(
-                    scheme.name(),
-                    vec![
-                        m.orphans_detected as f64,
-                        m.adoptions as f64,
-                        m.adopted_bytes as f64,
-                        m.recovery_cycles as f64,
-                        m.final_garbage_bytes as f64,
-                    ],
-                );
-            }
-            Err(_) => {
-                trace.push_series(scheme.name(), vec![sweep::ERR_CELL; n_samples]);
-                summary.push_series(scheme.name(), vec![sweep::ERR_CELL; 5]);
-            }
-        }
-    }
-    (trace, summary)
-}
-
-/// §I claim: batch reclamation causes "long program interruptions and
-/// dramatically increases tail latency". Records per-operation latency
-/// (simulated cycles) and reports the distribution per scheme; the second
-/// group re-runs the epoch schemes with a 10× larger batch to show the tail
-/// scaling with the tuning knob while CA has no knob and no tail.
-pub fn ablation_latency(scale: Scale) -> SeriesTable {
-    let threads = match scale {
-        Scale::Quick => 4,
-        _ => 16,
-    };
-    let quantiles: [(&str, f64); 4] = [("p50", 0.50), ("p90", 0.90), ("p99", 0.99), ("p99.9", 0.999)];
-    let mut cols: Vec<String> = quantiles.iter().map(|(n, _)| n.to_string()).collect();
-    cols.push("max".into());
-    let mut table = SeriesTable::new(
-        format!("Tail-latency ablation — lazy list, {threads} threads, 50i-50d (cycles)"),
-        "scheme\\quantile",
-        cols,
-    );
-    let base = RunConfig {
-        threads,
-        key_range: 1000,
-        prefill: 500,
-        mix: Mix {
-            insert_pct: 50,
-            delete_pct: 50,
-        },
-        // Enough deletes per thread that even the 300-deep batches of the
-        // second group actually fill and flush (a thread retires roughly
-        // ops/4 nodes in this mix).
-        ops_per_thread: match scale {
-            Scale::Quick => scale.ops(),
-            _ => scale.ops().max(2500),
-        },
-        ..base_config(scale)
-    };
-    let big_batch = [SchemeKind::Qsbr, SchemeKind::Ibr, SchemeKind::He];
-    let mut tasks: Vec<sweep::Task<Vec<f64>>> = Vec::new();
-    let quantile_row = move |h: &crate::hist::Histogram| -> Vec<f64> {
-        let mut row: Vec<f64> = quantiles.iter().map(|&(_, q)| h.quantile(q) as f64).collect();
-        row.push(h.max() as f64);
-        row
-    };
-    for scheme in SchemeKind::ALL {
-        let cfg = base.clone();
-        tasks.push(Box::new(move || {
-            let (_, h) = run_set_latency(SetKind::LazyList, scheme, &cfg);
-            quantile_row(&h)
-        }));
-    }
-    // The knob turned up: reclaim batches of 300 (epoch bump every 1500).
-    for &scheme in &big_batch {
-        let cfg = RunConfig {
-            smr: SmrConfig {
-                reclaim_freq: 300,
-                epoch_freq: 1500,
-                ..Default::default()
-            },
-            ..base.clone()
-        };
-        tasks.push(Box::new(move || {
-            let (_, h) = run_set_latency(SetKind::LazyList, scheme, &cfg);
-            quantile_row(&h)
-        }));
-    }
-    let rows = sweep::run("ablation_latency", tasks);
-    let mut rows = rows.into_iter();
-    for scheme in SchemeKind::ALL {
-        table.push_series(scheme.name(), rows.next().expect("base row"));
-    }
-    for scheme in big_batch {
-        table.push_series(format!("{}@300", scheme.name()), rows.next().expect("batch row"));
-    }
-    table
-}
-
-/// §III SMT rules: the same workload threads packed 2 (and 4) hyperthreads
-/// per physical core. Sibling stores revoke tags without coherence traffic;
-/// shared L1 capacity halves. Reports CA and qsbr throughput per packing,
-/// plus CA's sibling-revoke counts.
-pub fn ablation_smt(scale: Scale) -> (SeriesTable, SeriesTable) {
-    let threads: Vec<usize> = match scale {
-        Scale::Quick => vec![2, 4],
-        _ => vec![4, 8, 16, 32],
-    };
-    let labels: Vec<String> = threads.iter().map(|t| t.to_string()).collect();
-    let mut tput = SeriesTable::new(
-        "SMT ablation — lazy list, 50i-50d, threads packed k per core",
-        "variant\\threads",
-        labels.clone(),
-    );
-    let mut revokes = SeriesTable::new(
-        "SMT ablation — CA revocation sources (k=2 packing)",
-        "metric\\threads",
-        labels,
-    );
-    // One task per (packing, scheme, threads) cell; the (2, ca) row is
-    // reused for the revocation table instead of re-running it.
-    let combos: Vec<(usize, SchemeKind)> = [1usize, 2, 4]
-        .iter()
-        .flat_map(|&smt| {
-            [SchemeKind::Ca, SchemeKind::Qsbr]
-                .iter()
-                .map(move |&s| (smt, s))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let cells = sweep::grid("ablation_smt", &combos, &threads, |&(smt, scheme), &t| {
-        if t % smt != 0 {
-            return None;
-        }
-        let cfg = RunConfig {
-            threads: t,
-            smt,
-            key_range: 1000,
-            prefill: 500,
-            mix: Mix {
-                insert_pct: 50,
-                delete_pct: 50,
-            },
-            ..base_config(scale)
-        };
-        Some(run_set(SetKind::LazyList, scheme, &cfg))
-    });
-    for (&(smt, scheme), row) in combos.iter().zip(&cells) {
-        tput.push_series(
-            format!("{} smt={smt}", scheme.name()),
-            row.iter()
-                .map(|m| m.as_ref().map_or(f64::NAN, |m| m.throughput))
-                .collect(),
-        );
-    }
-    let ca2 = combos
-        .iter()
-        .position(|&(smt, s)| smt == 2 && s == SchemeKind::Ca)
-        .expect("(2, ca) combo exists");
-    revokes.push_series(
-        "sibling-store revokes",
-        cells[ca2]
-            .iter()
-            .map(|m| m.as_ref().map_or(f64::NAN, |m| m.sibling_revokes as f64))
-            .collect(),
-    );
-    revokes.push_series(
-        "conditional-access failures",
-        cells[ca2]
-            .iter()
-            .map(|m| {
-                m.as_ref()
-                    .map_or(f64::NAN, |m| (m.cread_fail + m.cwrite_fail) as f64)
-            })
-            .collect(),
-    );
-    (tput, revokes)
-}
-
-/// §IV claim: CA only assumes "MSI, MESI or other such equivalent
-/// mechanisms". Runs the lazy list and stack under both protocols; CA's
-/// relative standing must be protocol-independent (the MESI columns get
-/// faster in absolute terms from E-grants and silent upgrades, for every
-/// scheme alike).
-pub fn ablation_protocol(scale: Scale) -> (SeriesTable, SeriesTable) {
-    let threads = match scale {
-        Scale::Quick => 4,
-        _ => 16,
-    };
-    let mut tput = SeriesTable::new(
-        format!("Protocol ablation — {threads} threads, 50i-50d"),
-        "structure/scheme\\protocol",
-        vec!["msi".into(), "mesi".into()],
-    );
-    let mut mesi_stats = SeriesTable::new(
-        "Protocol ablation — MESI-only event counts",
-        "structure/scheme\\counter",
-        vec!["e_grants".into(), "silent_upgrades".into()],
-    );
-    let schemes = [SchemeKind::Ca, SchemeKind::None, SchemeKind::Qsbr];
-    // Columns: (protocol, is_stack) — four cells per scheme.
-    let variants: [(Protocol, bool); 4] = [
-        (Protocol::Msi, false),
-        (Protocol::Mesi, false),
-        (Protocol::Msi, true),
-        (Protocol::Mesi, true),
+        sample_labels(total_ops, sample_every),
+    )
+    .traces(&rows);
+    let counters: [(&str, Extract); 5] = [
+        ("orphans", |o| o.metrics.orphans_detected as f64),
+        ("adoptions", |o| o.metrics.adoptions as f64),
+        ("adopted_bytes", |o| o.metrics.adopted_bytes as f64),
+        ("latency_cycles", |o| o.metrics.recovery_cycles as f64),
+        ("final_garbage_bytes", |o| o.metrics.final_garbage_bytes as f64),
     ];
-    let cells = sweep::grid(
-        "ablation_protocol",
-        &schemes,
-        &variants,
-        |&scheme, &(protocol, is_stack)| {
-            let cfg = RunConfig {
-                threads,
-                key_range: 1000,
-                prefill: 500,
-                mix: Mix {
-                    insert_pct: 50,
-                    delete_pct: 50,
-                },
-                cache: CacheConfig {
-                    protocol,
-                    ..CacheConfig::default()
-                },
-                ..base_config(scale)
-            };
-            if is_stack {
-                run_stack(scheme, &cfg)
-            } else {
-                run_set(SetKind::LazyList, scheme, &cfg)
-            }
-        },
+    let summary = plan.table(
+        format!("recovery_summary{suffix}.csv"),
+        format!("Recovery — detection/adoption summary (MS queue, {threads} threads, {mode})"),
+        "scheme\\counter",
+        labels(&counters.map(|(name, _)| name)),
     );
-    for (scheme, row) in schemes.iter().zip(&cells) {
-        let [list_msi, list_mesi, stack_msi, stack_mesi] = &row[..] else {
-            unreachable!("four variants per scheme");
-        };
-        tput.push_series(
-            format!("list/{}", scheme.name()),
-            vec![list_msi.throughput, list_mesi.throughput],
-        );
-        mesi_stats.push_series(
-            format!("list/{}", scheme.name()),
-            vec![list_mesi.e_grants as f64, list_mesi.silent_upgrades as f64],
-        );
-        tput.push_series(
-            format!("stack/{}", scheme.name()),
-            vec![stack_msi.throughput, stack_mesi.throughput],
-        );
-        mesi_stats.push_series(
-            format!("stack/{}", scheme.name()),
-            vec![stack_mesi.e_grants as f64, stack_mesi.silent_upgrades as f64],
-        );
+    for (name, cells) in rows {
+        summary.across(name, cells[0], &counters.map(|(_, f)| f));
     }
-    (tput, mesi_stats)
-}
-
-/// §IV "facilitating progress": the elision-style fallback path. Table 1
-/// measures its fast-path overhead (two stores + one fence per op) on the
-/// paper's geometry, where the fallback never triggers. Table 2 runs a
-/// hostile geometry — a 16-line direct-mapped L1, where bare CA livelocks
-/// deterministically — and shows operations completing via the sequential
-/// path instead.
-pub fn ablation_fallback(scale: Scale) -> (SeriesTable, SeriesTable) {
-    let threads: Vec<usize> = match scale {
-        Scale::Quick => vec![1, 2, 4],
-        _ => vec![1, 4, 16, 32],
-    };
-    let labels: Vec<String> = threads.iter().map(|t| t.to_string()).collect();
-    let mut overhead = SeriesTable::new(
-        "Fallback ablation — fast-path overhead on the paper geometry (lazy list, 50i-50d)",
-        "variant\\threads",
-        labels,
-    );
-    let mix = Mix {
-        insert_pct: 50,
-        delete_pct: 50,
-    };
-    // Two tasks per thread count (bare CA; CA+fallback), flattened so the
-    // heavyweight 32-thread cells run concurrently with everything else.
-    let mut tasks: Vec<sweep::Task<(f64, f64)>> = Vec::new();
-    for &t in &threads {
-        let cfg = RunConfig {
-            threads: t,
-            key_range: 1000,
-            prefill: 500,
-            mix,
-            ..base_config(scale)
-        };
-        let cfg2 = cfg.clone();
-        tasks.push(Box::new(move || {
-            (run_set(SetKind::LazyList, SchemeKind::Ca, &cfg).throughput, f64::NAN)
-        }));
-        tasks.push(Box::new(move || {
-            let fb = Structure::FallbackList { max_attempts: 32 };
-            let out = run(fb, SchemeKind::Ca, &cfg2, Instrument::None);
-            (out.metrics.throughput, out.fallbacks as f64)
-        }));
-    }
-    let flat = sweep::run("ablation_fallback", tasks);
-    overhead.push_series("ca (bare)", flat.iter().step_by(2).map(|c| c.0).collect());
-    overhead.push_series(
-        "ca+fallback",
-        flat.iter().skip(1).step_by(2).map(|c| c.0).collect(),
-    );
-    overhead.push_series(
-        "fallbacks taken",
-        flat.iter().skip(1).step_by(2).map(|c| c.1).collect(),
-    );
-
-    // Hostile geometry: a 16-line direct-mapped L1. Bare CA livelocks here
-    // (the ca_loop ceiling turns that into a panic), so only the fallback
-    // variant is run.
-    let hostile_threads: Vec<usize> = match scale {
-        Scale::Quick => vec![1, 2],
-        _ => vec![1, 2, 4],
-    };
-    let mut hostile = SeriesTable::new(
-        "Fallback ablation — hostile geometry (1 KiB direct-mapped L1); bare CA livelocks",
-        "metric\\threads",
-        hostile_threads.iter().map(|t| t.to_string()).collect(),
-    );
-    let tasks: Vec<sweep::Task<(f64, f64, f64)>> = hostile_threads
-        .iter()
-        .map(|&t| {
-            let cfg = RunConfig {
-                threads: t,
-                key_range: 64,
-                prefill: 32,
-                ops_per_thread: scale.ops().min(300),
-                mix,
-                cache: CacheConfig {
-                    l1_bytes: 1024,
-                    l1_assoc: 1,
-                    l2_bytes: 64 * 1024,
-                    l2_assoc: 8,
-                    ..CacheConfig::default()
-                },
-                ..base_config(scale)
-            };
-            Box::new(move || {
-                let fb = Structure::FallbackList { max_attempts: 8 };
-                let out = run(fb, SchemeKind::Ca, &cfg, Instrument::None);
-                let (m, k) = (out.metrics, out.fallbacks as f64);
-                (m.throughput, k, k / m.total_ops as f64)
-            }) as sweep::Task<(f64, f64, f64)>
-        })
-        .collect();
-    let cells = sweep::run("ablation_fallback_hostile", tasks);
-    hostile.push_series("ca+fallback ops/Mcycle", cells.iter().map(|c| c.0).collect());
-    hostile.push_series("fallbacks taken", cells.iter().map(|c| c.1).collect());
-    hostile.push_series("fallback share of ops", cells.iter().map(|c| c.2).collect());
-    (overhead, hostile)
-}
-
-/// §VI comparator: the hand-over-hand transactional list (Zhou et al.) vs
-/// CA and the fastest epoch baseline, on the read-only and 100%-update
-/// workloads. Returns (read-only panel, update panel, HTM abort-rate table).
-pub fn htm_bench(scale: Scale) -> (SeriesTable, SeriesTable, SeriesTable) {
-    let threads = scale.threads();
-    let labels: Vec<String> = threads.iter().map(|t| t.to_string()).collect();
-    let cfg_for = |t: usize, mix: Mix| RunConfig {
-        threads: t,
-        key_range: 1000,
-        prefill: 500,
-        mix,
-        ..base_config(scale)
-    };
-    let read_only = Mix {
-        insert_pct: 0,
-        delete_pct: 0,
-    };
-    let updates = Mix {
-        insert_pct: 50,
-        delete_pct: 50,
-    };
-    let schemes = [SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::None];
-    let slot_sizes = [256usize, 16];
-    let mut panels = Vec::new();
-    let mut update_htm: Vec<Vec<Metrics>> = Vec::new();
-    for (mix, title) in [
-        (read_only, "HTM comparator — lazy list, 0i-0d"),
-        (updates, "HTM comparator — lazy list, 50i-50d"),
-    ] {
-        let mut table = SeriesTable::new(title, "variant\\threads", labels.clone());
-        let srows = sweep::grid_cells("htm_baselines", &schemes, &threads, |&scheme, &t| {
-            run_set(SetKind::LazyList, scheme, &cfg_for(t, mix)).throughput
-        });
-        for (scheme, row) in schemes.iter().zip(srows) {
-            table.push_series(scheme.name(), row);
-        }
-        let hrows = sweep::grid("htm_hoh", &slot_sizes, &threads, |&slots, &t| {
-            let htm = Structure::HtmList { slots };
-            run(htm, SchemeKind::Ca, &cfg_for(t, mix), Instrument::None).metrics
-        });
-        for (&slots, row) in slot_sizes.iter().zip(&hrows) {
-            table.push_series(
-                format!("htm-hoh/{slots}"),
-                row.iter().map(|m| m.throughput).collect(),
-            );
-        }
-        if mix == updates {
-            // Reused below for the abort-rate table (no re-run).
-            update_htm = hrows;
-        }
-        panels.push(table);
-    }
-    let mut aborts = SeriesTable::new(
-        "HTM comparator — aborts per operation and transactions per operation, 50i-50d",
-        "metric\\threads",
-        labels,
-    );
-    for (&slots, row) in slot_sizes.iter().zip(&update_htm) {
-        aborts.push_series(
-            format!("htm-hoh/{slots} aborts/op"),
-            row.iter()
-                .map(|m| m.tx_aborts as f64 / m.total_ops.max(1) as f64)
-                .collect(),
-        );
-        aborts.push_series(
-            format!("htm-hoh/{slots} tx/op"),
-            row.iter()
-                .map(|m| m.tx_begins as f64 / m.total_ops.max(1) as f64)
-                .collect(),
-        );
-    }
-    let updates_panel = panels.pop().expect("two panels built");
-    let read_panel = panels.pop().expect("two panels built");
-    (read_panel, updates_panel, aborts)
+    plan
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
+    /// Render the named figures at `--quick` as one sweep; the tables come
+    /// back in emission order.
+    fn quick(names: &[&str], recover: bool) -> Vec<SeriesTable> {
+        let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        let plans = select(&names, Scale::Quick, recover).expect("registry names");
+        render("test", &plans).into_iter().map(|(_, table)| table).collect()
+    }
+
+    fn row(t: &SeriesTable, name: &str) -> Vec<f64> {
+        t.series.iter().find(|(n, _)| n == name).unwrap().1.clone()
+    }
+
+    #[test]
+    fn registry_plans_are_well_formed() {
+        let names: BTreeSet<&str> = FIGURES.iter().map(|f| f.name).collect();
+        assert_eq!(names.len(), FIGURES.len(), "figure names are unique");
+        for scale in [Scale::Quick, Scale::Standard, Scale::Paper] {
+            for recover in [false, true] {
+                let mut csvs = BTreeSet::new();
+                for fig in &FIGURES {
+                    let plan = (fig.plan)(scale, recover);
+                    for c in &plan.cells {
+                        assert!(
+                            c.structure.supports(c.scheme),
+                            "{}: {} under {}",
+                            fig.name,
+                            c.structure.name(),
+                            c.scheme
+                        );
+                        if c.structure == Structure::Queue {
+                            assert_eq!(c.cfg.mix.updates(), 100, "{}: queues have no reads", fig.name);
+                        }
+                    }
+                    assert!(!plan.tables.is_empty(), "{} writes nothing", fig.name);
+                    for t in &plan.tables {
+                        assert!(csvs.insert(t.csv.clone()), "{} is written twice", t.csv);
+                        assert!(!t.rows.is_empty(), "{} has no rows", t.csv);
+                        for (name, row) in &t.rows {
+                            match row {
+                                Row::Each(entries) => {
+                                    assert_eq!(entries.len(), t.x_labels.len(), "{} row {name}", t.csv);
+                                    for (i, _) in entries.iter().flatten() {
+                                        assert!(*i < plan.cells.len(), "{} row {name}", t.csv);
+                                    }
+                                }
+                                Row::Trace(i) => assert!(*i < plan.cells.len(), "{} row {name}", t.csv),
+                            }
+                        }
+                    }
+                }
+                assert_eq!(csvs.len(), 37, "tables per full run ({scale:?}, recover={recover})");
+            }
+        }
+    }
+
+    #[test]
+    fn select_resolves_names_and_the_recover_flag() {
+        let names = |ns: &[&str]| ns.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        let csvs = |ns: &[&str], recover: bool| -> Vec<String> {
+            select(&names(ns), Scale::Quick, recover)
+                .expect("valid selection")
+                .iter()
+                .flat_map(|p| p.tables.iter().map(|t| t.csv.clone()))
+                .collect()
+        };
+        // `all`: robustness plain, recovery with adoption — the registry's
+        // `recover` column, not a special case in the bin.
+        let all = csvs(&["all"], false);
+        assert_eq!(all.len(), 37);
+        assert_eq!(all.iter().filter(|csv| csv.ends_with("_adopt.csv")).count(), 2);
+        let plans = select(&names(&["all"]), Scale::Quick, false).unwrap();
+        let robustness = &plans[FIGURES.iter().position(|f| f.name == "fig_robustness").unwrap()];
+        assert_eq!(robustness.tables[0].x_labels, ["0", "1", "2"]);
+        // A named figure takes the flag as given.
+        assert!(csvs(&["fig_recovery"], false).iter().all(|csv| !csv.ends_with("_adopt.csv")));
+        assert!(csvs(&["fig_recovery", "queue_bench"], true)[..2].iter().all(|csv| csv.ends_with("_adopt.csv")));
+
+        let err = |ns: &[&str], recover: bool| {
+            select(&names(ns), Scale::Quick, recover).err().expect("rejected")
+        };
+        assert!(err(&[], false).contains("at least one figure"));
+        assert!(err(&["fig9"], false).contains("unknown figure `fig9`"));
+        assert!(err(&["fig3_memory"], true).contains("`--recover`"));
+    }
 
     #[test]
     fn cross_panel_flattening_is_a_pure_reordering() {
-        // The flattened multi-panel sweep must produce tables byte-identical
-        // to running each panel as its own sweep: flattening only changes
-        // host scheduling (task-list shape), never cell values or table
-        // assembly order.
-        let a = PanelSpec {
-            structure: Structure::Set(SetKind::LazyList),
-            mix: Mix {
-                insert_pct: 50,
-                delete_pct: 50,
-            },
-            key_range: 64,
-            title: "flatten A",
-        };
-        let b = PanelSpec {
-            structure: Structure::Stack,
-            mix: Mix {
-                insert_pct: 30,
-                delete_pct: 30,
-            },
-            key_range: 64,
-            title: "flatten B",
-        };
-        let flat = throughput_panels("flatten", &[a, b], Scale::Quick);
-        assert_eq!(flat.len(), 2);
-        let solo = [
-            throughput_panel(a.structure, a.mix, Scale::Quick, a.key_range, a.title),
-            throughput_panel(b.structure, b.mix, Scale::Quick, b.key_range, b.title),
-        ];
-        for (f, s) in flat.iter().zip(&solo) {
-            assert_eq!(f.render(), s.render());
-            assert_eq!(f.to_csv(), s.to_csv());
+        // Rendering figures {A, B} in one sweep must produce tables
+        // byte-identical to rendering A and B alone: flattening only
+        // changes host scheduling (task-list shape), never cell values or
+        // table assembly order.
+        let together = quick(&["ablation_assoc", "queue_bench"], false);
+        let mut alone = quick(&["ablation_assoc"], false);
+        alone.extend(quick(&["queue_bench"], false));
+        assert_eq!(together.len(), 3);
+        for (t, a) in together.iter().zip(&alone) {
+            assert_eq!(t.render(), a.render());
+            assert_eq!(t.to_csv(), a.to_csv());
         }
+    }
+
+    #[test]
+    fn a_failed_cell_is_err_and_every_other_cell_completes() {
+        // The failure registry and the fail-fast switch are process-wide
+        // and the sweep tests drain and flip them: hold their lock.
+        let _serial = crate::sweep::tests::JobsLock::take();
+        let names = ["ablation_assoc".to_string(), "queue_bench".to_string()];
+        let mut plans = select(&names, Scale::Quick, false).unwrap();
+        // The 4-way cell of the associativity sweep trips the watchdog.
+        plans[0].cells[1].cfg.max_cycles = Some(1);
+        let tables = render("test-failed-cell", &plans);
+        let [assoc_tput, assoc_spurious, queue] = &tables[..] else {
+            panic!("two associativity tables and the queue's");
+        };
+
+        let failures = sweep::take_failures();
+        let ours: Vec<_> = failures.iter().filter(|f| f.label == "test-failed-cell").collect();
+        assert_eq!(ours.len(), 1, "{failures:?}");
+        assert_eq!(ours[0].index, 1);
+
+        for (csv, t) in [assoc_tput, assoc_spurious] {
+            for (name, values) in &t.series {
+                assert!(sweep::is_err_cell(values[1]), "{csv} {name}: {values:?}");
+                for v in [values[0], values[2], values[3]] {
+                    assert!(v.is_finite(), "{csv} {name}: {values:?}");
+                }
+            }
+            assert!(t.render().contains("ERR"));
+            assert!(t.to_csv().lines().skip(1).all(|l| l.split(',').nth(2) == Some("ERR")));
+        }
+        // ERR is one specific NaN; a not-applicable cell's plain NaN is not.
+        assert!(!sweep::is_err_cell(f64::NAN));
+        assert_eq!(queue.1.to_csv(), quick(&["queue_bench"], false)[0].to_csv());
     }
 
     #[test]
@@ -1344,12 +1348,9 @@ mod tests {
         // per-op epoch schemes' retired-but-unfreed backlog grows with the
         // survivors' work, while the per-read schemes stay near their
         // no-fault footprint and CA stays at the live set.
-        let tables = fig_robustness(Scale::Quick);
+        let tables = quick(&["fig_robustness"], false);
         let [tput, footprint, garbage] = &tables[..] else {
             panic!("three robustness tables");
-        };
-        let row = |t: &SeriesTable, name: &str| -> Vec<f64> {
-            t.series.iter().find(|(n, _)| n == name).unwrap().1.clone()
         };
         for (name, vals) in &tput.series {
             assert!(
@@ -1391,11 +1392,9 @@ mod tests {
         // The PR-10 acceptance claim: with restart+adoption, qsbr/rcu
         // post-crash garbage returns under the pre-crash bound; without
         // it, the backlog only grows with the survivors' work.
-        let (trace_rec, summary) = fig_recovery(Scale::Quick, true);
-        let (trace_no, _) = fig_recovery(Scale::Quick, false);
-        let row = |t: &SeriesTable, name: &str| -> Vec<f64> {
-            t.series.iter().find(|(n, _)| n == name).unwrap().1.clone()
-        };
+        let recovered = quick(&["fig_recovery"], true);
+        let (trace_rec, summary) = (&recovered[0], &recovered[1]);
+        let trace_no = &quick(&["fig_recovery"], false)[0];
         let last_finite = |r: &[f64]| -> f64 {
             *r.iter().rev().find(|v| v.is_finite()).expect("a finite sample")
         };
@@ -1406,10 +1405,10 @@ mod tests {
         // first sample of the scheme's own trace. A recovered scheme may
         // end above it only by its bounded tail of not-yet-scanned
         // retires.
-        let ca_final = last_finite(&row(&trace_rec, "ca"));
+        let ca_final = last_finite(&row(trace_rec, "ca"));
         for name in ["qsbr", "rcu"] {
-            let rec = row(&trace_rec, name);
-            let no = row(&trace_no, name);
+            let rec = row(trace_rec, name);
+            let no = row(trace_no, name);
             assert!(
                 last_finite(&rec) <= ca_final + 128.0,
                 "{name}: adoption must return the trace to the live-set \
@@ -1424,20 +1423,20 @@ mod tests {
                 last_finite(&no),
                 last_finite(&rec)
             );
-            let s = row(&summary, name);
+            let s = row(summary, name);
             assert_eq!(s[0], 1.0, "{name}: one orphan detected");
             assert_eq!(s[1], 1.0, "{name}: one adoption");
             assert!(s[3] > 0.0, "{name}: recovery latency on the clock");
         }
         // CA needs no adoption and stays near the live set either way.
-        let ca = row(&trace_rec, "ca");
+        let ca = row(trace_rec, "ca");
         assert!(last_finite(&ca) < 400.0, "ca stays at the live set: {ca:?}");
-        assert_eq!(row(&summary, "ca")[1], 0.0, "ca adopts nothing");
+        assert_eq!(row(summary, "ca")[1], 0.0, "ca adopts nothing");
     }
 
     #[test]
     fn fig_robustness_recover_columns_repair_the_backlog() {
-        let tables = fig_robustness_with(Scale::Quick, true);
+        let tables = quick(&["fig_robustness"], true);
         let garbage = &tables[2];
         assert_eq!(garbage.x_labels, ["0", "1", "2", "1+adopt", "2+adopt"]);
         for (name, g) in &garbage.series {
@@ -1465,7 +1464,7 @@ mod tests {
                 g[1]
             );
         }
-        let qsbr = garbage.series.iter().find(|(n, _)| n == "qsbr").unwrap().1.clone();
+        let qsbr = row(garbage, "qsbr");
         assert!(
             qsbr[3] < qsbr[1] / 2.0,
             "qsbr: the adopted column must repair most of the pinned \
@@ -1477,11 +1476,11 @@ mod tests {
 
     #[test]
     fn fig3_quick_has_all_schemes() {
-        let t = fig3_memory(Scale::Quick);
+        let t = &quick(&["fig3_memory"], false)[0];
         assert_eq!(t.series.len(), 7);
         // CA stays near the live-set size throughout; none only grows.
-        let ca = &t.series.iter().find(|(n, _)| n == "ca").unwrap().1;
-        let none = &t.series.iter().find(|(n, _)| n == "none").unwrap().1;
+        let ca = row(t, "ca");
+        let none = row(t, "none");
         assert!(ca.iter().all(|&v| v.is_nan() || v < 700.0), "ca flat: {ca:?}");
         assert!(
             none.last().unwrap() > ca.last().unwrap(),

@@ -1,32 +1,18 @@
 //! # caharness — workload generation and the paper's experiments
 //!
 //! Reproduces every figure of the paper's §V evaluation plus the prose
-//! claims, at three scales (`--quick`, default, `--paper`). Each figure has
-//! a binary (`cargo run -p caharness --release --bin fig1_lazylist`) that
-//! prints the series as text tables and writes CSVs under `results/`.
+//! claims, at three scales (`--quick`, default, `--paper`). The figures are
+//! data — the registry [`experiments::FIGURES`], one entry per figure: what
+//! cells to run and how their outcomes fill its tables — and one binary
+//! renders any of them
+//! (`cargo run -p caharness --release --bin fig -- fig1_lazylist`),
+//! printing the series as text tables and writing CSVs under `results/`.
 //!
-//! | binary | reproduces |
+//! | binary | does |
 //! |---|---|
-//! | `fig1_lazylist` | Fig. 1 top (lazy list, 3 workload panels) |
-//! | `fig1_extbst` | Fig. 1 bottom (external BST) |
-//! | `fig2_hashtable` | Fig. 2 top (128-bucket hash table) |
-//! | `fig2_stack` | Fig. 2 bottom (Treiber stack) |
-//! | `fig3_memory` | Fig. 3 (unreclaimed nodes over time) |
-//! | `ablation_assoc` | §III associativity-insensitivity claim |
-//! | `ablation_freq` | §I batch-size/epoch-frequency tradeoff |
-//! | `ablation_quantum` | simulator lax-sync fidelity check |
-//! | `ablation_ctxswitch` | §III multiuser claim: preemption sets the ARB |
-//! | `ablation_latency` | §I claim: batch reclamation inflates tail latency |
-//! | `ablation_smt` | §III SMT rules: 2-way hyperthreading vs dedicated cores |
-//! | `ablation_protocol` | §IV claim: CA works identically on MSI and MESI |
-//! | `ablation_fallback` | §IV fallback path: progress on hostile geometries |
-//! | `queue_bench` | §IV-A MS queue (implemented, not plotted, in paper) |
-//! | `harris_bench` | extension: lock-free CA Harris list (paper future work) |
-//! | `lfbst_bench` | extension: lock-free CA external BST (paper future work) |
-//! | `htm_bench` | §VI comparator: hand-over-hand transactions (Zhou et al.) |
-//! | `fig_robustness` | extension: throughput + garbage bounds under fail-stopped cores |
-//! | `fig_recovery` | extension: garbage over time through crash → adoption → reclaim, plus recovery latency |
-//! | `all_figures` | everything above, sequentially |
+//! | `fig <figure>... \| all` | renders the named figures (all 19 for `all`) as one flat sweep; with no name it lists the registry, one line per figure |
+//! | `validate` | runs one panel on the simulator and on real host threads and scores the agreement of their scheme orderings |
+//! | `race_audit` | happens-before race audit over the scheme × structure grid, diffed against a whitelist |
 //!
 //! Every binary accepts `--jobs N`: experiment configurations are
 //! independent (one simulated machine each, per-config seeds), so the
@@ -40,8 +26,8 @@
 //! first failed task. Without it, failed tasks render as `ERR` cells and
 //! the binary exits nonzero after completing everything else.
 //!
-//! Crash recovery (PR 10): `fig_recovery` (and the `--recover` flag of
-//! `fig_robustness`) put restart-bearing fault plans in
+//! Crash recovery (PR 10): `fig fig_recovery --recover` (and
+//! `fig fig_robustness --recover`) put restart-bearing fault plans in
 //! [`RunConfig::fault_plan`] — a crashed core's state is parked in a
 //! [`casmr::TlsVault`], its fail-stop certified by a
 //! [`casmr::CrashToken`], its orphan adopted on restart (forcible
@@ -57,8 +43,9 @@
 //!
 //! ## The runner
 //!
-//! Every figure cell is one call of [`run`]`(structure, scheme, &cfg,
-//! instrument) -> `[`Outcome`]: one prefill and one operation loop per
+//! Every figure cell ([`experiments::Cell`]) is one call of
+//! [`run`]`(structure, scheme, &cfg, instrument) -> `[`Outcome`], made by the
+//! one executor [`experiments::render`]: one prefill and one operation loop per
 //! structure family, shared by Conditional Access and every SMR baseline, on
 //! both hosts. [`Structure`] names what is driven ([`Structure::ALL`] ×
 //! `SchemeKind::ALL`, filtered by [`Structure::supports`], is the whole
@@ -70,7 +57,9 @@
 //! `run_set_native` / `run_set_latency` are one-line delegations kept for the
 //! frozen `perfbench/` workspace.
 //!
-//! To extend it, touch exactly these places in [`runner`]:
+//! A new **figure** is one entry of [`experiments::FIGURES`] (a builder of
+//! cells and table layouts; nothing else names it). To extend the runner,
+//! touch exactly these places in [`runner`]:
 //!
 //! * **a scheme** — one arm of `with_scheme!` (plus the `SchemeKind` variant
 //!   in `casmr`);
@@ -103,24 +92,27 @@ pub use runner::{
 pub use table::SeriesTable;
 
 /// Parse the shared harness CLI flags ([`config::SHARED_FLAGS`]) and
-/// install them as process defaults. Every figure binary calls this first,
+/// install them as process defaults. Every harness binary calls this first,
 /// passing the flags only it takes (spelled like `SHARED_FLAGS`). Anything
 /// else on the command line exits 2: a typo or a retired flag must not
-/// quietly produce a different table.
-pub fn init_from_args(extra: &[&str]) {
-    if let Err(msg) = config::reject_unknown_flags(std::env::args(), extra) {
+/// quietly produce a different table. Returns the positional arguments, for
+/// a bin whose `extra` declares that it takes them (see
+/// [`config::reject_unknown_flags`]).
+pub fn init_from_args(extra: &[&str]) -> Vec<String> {
+    let positionals = config::reject_unknown_flags(std::env::args(), extra).unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
         std::process::exit(2);
-    }
+    });
     sweep::set_jobs_from_args();
     sweep::set_fail_fast_from_args();
     config::set_max_cycles_from_args();
     config::set_native_from_args();
     config::set_race_check_from_args();
+    positionals
 }
 
 /// Report sweep tasks that failed (collecting mode) and exit nonzero if
-/// there were any. Every figure binary calls this last; with `--fail-fast`
+/// there were any. `fig` and `validate` call this last; with `--fail-fast`
 /// the process never gets here on failure (the panic aborts it instead).
 pub fn finish() {
     if sweep::report_failures() != 0 {

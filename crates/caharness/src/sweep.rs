@@ -55,7 +55,7 @@ static JOBS: AtomicUsize = AtomicUsize::new(0);
 
 /// Fail-fast knob: `true` restores the pre-PR6 behaviour where the first
 /// panicking task aborts the whole sweep. Default `false`: failures are
-/// collected per cell (see [`run_results`]) so one wedged or faulted
+/// collected per cell (see [`run_results_weighted`]) so one wedged or faulted
 /// configuration costs one `ERR` cell, not the entire figure run.
 static FAIL_FAST: AtomicBool = AtomicBool::new(false);
 
@@ -285,20 +285,14 @@ impl Occupancy {
 /// result. Under [`set_fail_fast`]`(true)` the first panic instead aborts
 /// the sweep promptly: workers finish their in-flight tasks, abandon the
 /// queues, and the panic propagates to the caller.
-pub fn run_results<'env, T: Send + 'env>(
-    label: &str,
-    tasks: Vec<Task<'env, T>>,
-) -> Vec<Result<T, TaskFailure>> {
-    run_results_weighted(label, tasks.into_iter().map(|t| (1, t)).collect())
-}
-
-/// [`run_results`] for tasks that are themselves multi-threaded on the
-/// host: each task declares an **occupancy weight** — the number of host
-/// threads it runs (1 for a simulated cell; the workload thread count for a
-/// native cell, which spawns that many real threads). The pool admits tasks
-/// through a budget of [`jobs`] units (weights clamp into `1..=jobs`), so
-/// `--jobs N` bounds *host threads*, not merely concurrent tasks, and a
-/// native 8-thread cell is not time-sliced against 7 simulated cells.
+///
+/// Tasks may themselves be multi-threaded on the host, so each declares an
+/// **occupancy weight** — the number of host threads it runs (1 for a
+/// simulated cell; the workload thread count for a native cell, which
+/// spawns that many real threads). The pool admits tasks through a budget
+/// of [`jobs`] units (weights clamp into `1..=jobs`), so `--jobs N` bounds
+/// *host threads*, not merely concurrent tasks, and a native 8-thread cell
+/// is not time-sliced against 7 simulated cells.
 ///
 /// Weights change host scheduling only; the determinism contract (results
 /// in submission order, values independent of worker count) is unchanged.
@@ -409,9 +403,10 @@ pub fn run_results_weighted<'env, T: Send + 'env>(
         .collect()
 }
 
-/// Run every task and return their results **in submission order** — the
-/// all-or-nothing form of [`run_results`] for callers whose result type has
-/// no natural `ERR` value (e.g. [`crate::Metrics`] tables).
+/// Run every task, one host thread each, and return their results **in
+/// submission order** — the all-or-nothing form of [`run_results_weighted`]
+/// for callers whose result type has no natural `ERR` value (e.g.
+/// [`crate::Metrics`] tables).
 ///
 /// Any task failure still panics out of this call, but in the default
 /// collecting mode the panic fires only *after* every task has run (so a
@@ -420,8 +415,7 @@ pub fn run_results_weighted<'env, T: Send + 'env>(
 /// the registry either way). Under fail-fast the first panic propagates
 /// immediately, mid-sweep.
 pub fn run<'env, T: Send + 'env>(label: &str, tasks: Vec<Task<'env, T>>) -> Vec<T> {
-    let results = run_results(label, tasks);
-    results
+    run_results_weighted(label, tasks.into_iter().map(|t| (1, t)).collect())
         .into_iter()
         .map(|r| match r {
             Ok(t) => t,
@@ -431,10 +425,8 @@ pub fn run<'env, T: Send + 'env>(label: &str, tasks: Vec<Task<'env, T>>) -> Vec<
 }
 
 /// Sweep a rows × cols cross-product: one task per cell, results returned
-/// as one `Vec` per row (row-major, same order as the inputs). The shape
-/// every figure panel uses (schemes × thread counts). Shares [`run`]'s
-/// all-or-nothing failure behaviour; figures with `f64` cells should use
-/// [`grid_cells`], which degrades per cell instead.
+/// as one `Vec` per row (row-major, same order as the inputs). Shares
+/// [`run`]'s all-or-nothing failure behaviour.
 pub fn grid<T, R, C, F>(label: &str, rows: &[R], cols: &[C], cell: F) -> Vec<Vec<T>>
 where
     T: Send,
@@ -442,63 +434,19 @@ where
     C: Sync,
     F: Fn(&R, &C) -> T + Sync,
 {
-    let flat = grid_tasks(label, rows, cols, &cell)
-        .into_iter()
-        .map(|r| match r {
-            Ok(t) => t,
-            Err(f) => panic!("[sweep {} #{}] task failed: {}", f.label, f.index, f.message),
-        });
-    reshape(rows, cols, flat)
-}
-
-/// [`grid`] for `f64`-valued figures, degrading gracefully: a cell whose
-/// task panicked comes back as [`ERR_CELL`] (rendered `ERR` by
-/// [`crate::SeriesTable`], written as `ERR` in the CSV) while every other
-/// cell keeps its value. The failures land in the process registry, so the
-/// bin still exits nonzero via [`report_failures`].
-pub fn grid_cells<R, C, F>(label: &str, rows: &[R], cols: &[C], cell: F) -> Vec<Vec<f64>>
-where
-    R: Sync,
-    C: Sync,
-    F: Fn(&R, &C) -> f64 + Sync,
-{
-    let flat = grid_tasks(label, rows, cols, &cell)
-        .into_iter()
-        .map(|r| r.unwrap_or(ERR_CELL));
-    reshape(rows, cols, flat)
-}
-
-/// Shared cross-product driver for [`grid`] / [`grid_cells`].
-fn grid_tasks<'env, T, R, C, F>(
-    label: &str,
-    rows: &'env [R],
-    cols: &'env [C],
-    cell: &'env F,
-) -> Vec<Result<T, TaskFailure>>
-where
-    T: Send + 'env,
-    R: Sync,
-    C: Sync,
-    F: Fn(&R, &C) -> T + Sync,
-{
-    let tasks: Vec<Task<'env, T>> = rows
+    let cell = &cell;
+    let tasks: Vec<Task<T>> = rows
         .iter()
-        .flat_map(|r| {
-            cols.iter()
-                .map(move |c| Box::new(move || cell(r, c)) as Task<'env, T>)
-        })
+        .flat_map(|r| cols.iter().map(move |c| Box::new(move || cell(r, c)) as Task<T>))
         .collect();
-    run_results(label, tasks)
-}
-
-fn reshape<T, R, C>(rows: &[R], cols: &[C], mut flat: impl Iterator<Item = T>) -> Vec<Vec<T>> {
+    let mut flat = run(label, tasks).into_iter();
     rows.iter()
         .map(|_| cols.iter().map(|_| flat.next().expect("grid shape")).collect())
         .collect()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::MutexGuard;
@@ -507,11 +455,13 @@ mod tests {
     /// concurrent threads; serialize them so each actually executes at the
     /// worker count it sets (results never depend on it — that's the
     /// engine's contract — but the *coverage* of specific pool widths
-    /// does). Restores auto on drop, even on panic.
-    struct JobsLock(#[allow(dead_code)] MutexGuard<'static, ()>);
+    /// does). Restores auto on drop, even on panic. Also held by any test
+    /// elsewhere in the crate that makes a task fail: these tests drain the
+    /// failure registry and flip fail-fast, both process-global too.
+    pub(crate) struct JobsLock(#[allow(dead_code)] MutexGuard<'static, ()>);
 
     impl JobsLock {
-        fn take() -> Self {
+        pub(crate) fn take() -> Self {
             static LOCK: Mutex<()> = Mutex::new(());
             JobsLock(LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
         }
@@ -648,7 +598,8 @@ mod tests {
         set_jobs(2);
         set_fail_fast(false);
         take_failures();
-        let out = run_results("test-collect", panicky_tasks(2));
+        let tasks = panicky_tasks(2).into_iter().map(|t| (1, t)).collect();
+        let out = run_results_weighted("test-collect", tasks);
         assert_eq!(out.len(), 4);
         assert_eq!(*out[0].as_ref().unwrap(), 0);
         assert_eq!(*out[1].as_ref().unwrap(), 1);
@@ -662,30 +613,6 @@ mod tests {
             1,
             "the failure must land in the process registry"
         );
-    }
-
-    #[test]
-    fn grid_cells_renders_failures_as_err_cells() {
-        let _jobs = JobsLock::take();
-        set_jobs(4);
-        set_fail_fast(false);
-        take_failures();
-        let rows = [1.0f64, 2.0];
-        let cols = [10.0f64, 20.0];
-        let g = grid_cells("test-cells", &rows, &cols, |r, c| {
-            if *r == 2.0 && *c == 10.0 {
-                panic!("cell blew up");
-            }
-            r * c
-        });
-        assert_eq!(g[0], vec![10.0, 20.0]);
-        assert!(is_err_cell(g[1][0]), "failed cell must carry ERR_CELL");
-        assert_eq!(g[1][1], 40.0);
-        // ERR_CELL is a specific NaN: ordinary NaN is NOT an error cell
-        // (figures use plain NaN for legitimately-skipped cells).
-        assert!(!is_err_cell(f64::NAN));
-        assert!(!is_err_cell(0.0));
-        take_failures();
     }
 
     #[test]

@@ -66,7 +66,7 @@ impl SeriesTable {
             let _ = write!(out, "{name:<name_w$}");
             for &v in vals {
                 if crate::sweep::is_err_cell(v) {
-                    // This cell's sweep task failed (see sweep::grid_cells);
+                    // This cell's sweep task failed (see experiments::render);
                     // plain NaN still renders as NaN — it means "not
                     // applicable", not "crashed".
                     let _ = write!(out, " {:>col_w$}", "ERR");

@@ -1,13 +1,15 @@
 //! Byte-identity pin for the figure tables.
 //!
-//! `tests/goldens/figure_pin.txt` holds one digest per table the figure
-//! binaries write at `--quick`: the 37 CSVs of a full run, plus the two flag
-//! variants a full run never takes (`fig_robustness --recover`, three
-//! tables with the `1+adopt`/`2+adopt` columns; `fig_recovery` without
-//! `--recover`, two tables). Each digest covers the rendered text table
-//! (title, corner label, alignment) and the CSV bytes, so a refactor of the
-//! experiments layer that moves a title, reorders a series or changes one
-//! cell's configuration shows up as a named line.
+//! `tests/goldens/figure_pin.txt` holds one digest per table the `fig`
+//! binary writes at `--quick`: the 37 CSVs of `fig all`, plus the two flag
+//! variants `all` never takes (`fig_robustness --recover`, three tables
+//! with the `1+adopt`/`2+adopt` columns; `fig_recovery` without
+//! `--recover`, two tables). The file was generated from the per-figure
+//! functions the registry replaced (PR 20) and has not changed since. Each
+//! digest covers the rendered text table (title, corner label, alignment)
+//! and the CSV bytes, so a refactor of the experiments layer that moves a
+//! title, reorders a series or changes one cell's configuration shows up as
+//! a named line.
 //!
 //! Simulated results are bit-identical across host execution backends and
 //! `--jobs` values, so one golden file serves every leg.
@@ -18,63 +20,26 @@
 mod common;
 
 use common::{check_golden, Digest};
-use conditional_access::harness::experiments::*;
-use conditional_access::harness::SeriesTable;
+use conditional_access::harness::experiments::{render, select, Scale};
 
 #[test]
 fn quick_figures_match_the_goldens() {
-    let scale = Scale::Quick;
-    let mut tables: Vec<(String, SeriesTable)> = throughput_figures(scale);
-    let mut push = |name: &str, t: SeriesTable| tables.push((name.to_string(), t));
-    push("fig3_memory.csv", fig3_memory(scale));
-    let (t1, t2) = ablation_associativity(scale);
-    push("ablation_assoc_throughput.csv", t1);
-    push("ablation_assoc_spurious.csv", t2);
-    let (t1, t2) = ablation_reclaim_freq(scale);
-    push("ablation_freq_throughput.csv", t1);
-    push("ablation_freq_peak.csv", t2);
-    push("ablation_quantum.csv", ablation_quantum(scale));
-    push("ablation_ctxswitch.csv", ablation_ctx_switch(scale));
-    push("ablation_latency.csv", ablation_latency(scale));
-    let (t1, t2) = ablation_smt(scale);
-    push("ablation_smt_throughput.csv", t1);
-    push("ablation_smt_revokes.csv", t2);
-    let (t1, t2) = ablation_protocol(scale);
-    push("ablation_protocol_throughput.csv", t1);
-    push("ablation_protocol_mesi_events.csv", t2);
-    let (t1, t2) = ablation_fallback(scale);
-    push("ablation_fallback_overhead.csv", t1);
-    push("ablation_fallback_hostile.csv", t2);
-    push("queue_bench.csv", queue_bench(scale));
-    push("harris_bench.csv", harris_bench(scale));
-    push("lfbst_bench.csv", lfbst_bench(scale));
-    let (t1, t2, t3) = htm_bench(scale);
-    push("htm_bench_readonly.csv", t1);
-    push("htm_bench_updates.csv", t2);
-    push("htm_bench_aborts.csv", t3);
-    let names = ["robustness_tput.csv", "robustness_footprint.csv", "robustness_garbage.csv"];
-    for (t, name) in fig_robustness(scale).into_iter().zip(names) {
-        push(name, t);
-    }
-    let (trace, summary) = fig_recovery(scale, true);
-    push("recovery_trace_adopt.csv", trace);
-    push("recovery_summary_adopt.csv", summary);
-    assert_eq!(tables.len(), 37, "a full run writes 37 tables");
-
+    let names = |ns: &[&str]| ns.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+    let mut plans = select(&names(&["all"]), Scale::Quick, false).expect("the registry");
+    let full_run: usize = plans.iter().map(|p| p.tables.len()).sum();
+    assert_eq!(full_run, 37, "a full run writes 37 tables");
     // The flag variants a full run does not take.
-    let mut push = |name: &str, t: SeriesTable| tables.push((name.to_string(), t));
-    for (t, name) in fig_robustness_with(scale, true).into_iter().zip(names) {
-        push(&format!("{name} --recover"), t);
-    }
-    let (trace, summary) = fig_recovery(scale, false);
-    push("recovery_trace.csv", trace);
-    push("recovery_summary.csv", summary);
+    plans.extend(select(&names(&["fig_robustness"]), Scale::Quick, true).expect("in the registry"));
+    plans.extend(select(&names(&["fig_recovery"]), Scale::Quick, false).expect("in the registry"));
 
-    let rendered: String = tables
+    let rendered: String = render("figure_pin", &plans)
         .iter()
-        .map(|(name, t)| {
+        .enumerate()
+        .map(|(i, (csv, t))| {
+            // Robustness writes the same three files with and without the flag.
+            let flag = if (full_run..full_run + 3).contains(&i) { " --recover" } else { "" };
             let digest = Digest::of(&format!("{}\n{}", t.render(), t.to_csv()));
-            format!("{name} = {digest:#018x}\n")
+            format!("{csv}{flag} = {digest:#018x}\n")
         })
         .collect();
     check_golden(

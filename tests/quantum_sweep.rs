@@ -101,25 +101,18 @@ fn larger_quanta_batch_more_events() {
 fn parallel_sweep_is_byte_identical_across_jobs() {
     // The caharness sweep engine runs experiment configurations on a
     // work-stealing pool of host threads. Host parallelism must be
-    // invisible in the output: a 21-configuration grid (7 schemes × 3
-    // thread counts) rendered with --jobs 1, 4 and 8 must produce
-    // byte-identical metrics tables — same cells, same order, same
+    // invisible in the output: a 21-configuration plan (the queue figure:
+    // 7 schemes × 3 thread counts) rendered with --jobs 1, 4 and 8 must
+    // produce byte-identical metrics tables — same cells, same order, same
     // formatting — regardless of completion order.
-    use caharness::experiments::{throughput_panel, Scale};
+    use caharness::experiments::{self, Scale};
     use caharness::sweep;
+    let plans = experiments::select(&["queue_bench".to_string()], Scale::Quick, false).unwrap();
     let render = |jobs: usize| {
         sweep::set_jobs(jobs);
-        let t = throughput_panel(
-            Structure::Set(SetKind::LazyList),
-            Mix {
-                insert_pct: 50,
-                delete_pct: 50,
-            },
-            Scale::Quick,
-            64,
-            "jobs determinism",
-        );
+        let tables = experiments::render("jobs determinism", &plans);
         sweep::set_jobs(0);
+        let (_, t) = &tables[0];
         format!("{}\n{}", t.render(), t.to_csv())
     };
     let serial = render(1);
