@@ -27,7 +27,9 @@ use conditional_access::ds::smr::{SmrExtBst, SmrLazyList, SmrQueue, SmrStack};
 use conditional_access::ds::{QueueDs, SetDs, StackDs};
 use conditional_access::harness::{run_set, Mix, RunConfig, SetKind};
 use conditional_access::sim::{Machine, MachineConfig, Rng, UafMode};
-use conditional_access::smr::{He, Hp, Ibr, Leaky, Qsbr, Rcu, SchemeKind, SmrConfig};
+use conditional_access::smr::{
+    CrashToken, He, Hp, Ibr, Leaky, Orphan, Qsbr, Rcu, SchemeKind, Smr, SmrBase, SmrConfig,
+};
 
 fn machine(cores: usize, uaf: UafMode) -> Machine {
     Machine::new(MachineConfig {
@@ -168,6 +170,40 @@ fn drive_queue_ops<D: for<'m> QueueDs<Ctx<'m>>>(
     d.slice(&drained[0]);
 }
 
+/// Build `$scheme`'s object over `$m` for `$threads` threads at the
+/// battery cadence and run `$body` with it.
+macro_rules! with_smr {
+    ($scheme:expr, $m:expr, $threads:expr, |$s:ident| $body:expr) => {
+        match $scheme {
+            SchemeKind::Ca => unreachable!("CA has no scheme object"),
+            SchemeKind::None => {
+                let $s = Leaky::new();
+                $body
+            }
+            SchemeKind::Qsbr => {
+                let $s = Qsbr::new($m, $threads, tight_smr());
+                $body
+            }
+            SchemeKind::Rcu => {
+                let $s = Rcu::new($m, $threads, tight_smr());
+                $body
+            }
+            SchemeKind::Ibr => {
+                let $s = Ibr::new($m, $threads, tight_smr());
+                $body
+            }
+            SchemeKind::Hp => {
+                let $s = Hp::new($m, $threads, tight_smr());
+                $body
+            }
+            SchemeKind::He => {
+                let $s = He::new($m, $threads, tight_smr());
+                $body
+            }
+        }
+    };
+}
+
 /// One battery cell: `(structure, scheme, threads, seed, uaf)` → digest of
 /// every simulated result the differential battery would compare.
 fn battery_digest(
@@ -181,44 +217,13 @@ fn battery_digest(
 ) -> u64 {
     let m = machine(threads, uaf);
     let mut d = Digest::new();
-    macro_rules! with_smr {
-        (|$s:ident| $body:expr) => {
-            match scheme {
-                SchemeKind::Ca => unreachable!("CA handled per structure"),
-                SchemeKind::None => {
-                    let $s = Leaky::new();
-                    $body
-                }
-                SchemeKind::Qsbr => {
-                    let $s = Qsbr::new(&m, threads, tight_smr());
-                    $body
-                }
-                SchemeKind::Rcu => {
-                    let $s = Rcu::new(&m, threads, tight_smr());
-                    $body
-                }
-                SchemeKind::Ibr => {
-                    let $s = Ibr::new(&m, threads, tight_smr());
-                    $body
-                }
-                SchemeKind::Hp => {
-                    let $s = Hp::new(&m, threads, tight_smr());
-                    $body
-                }
-                SchemeKind::He => {
-                    let $s = He::new(&m, threads, tight_smr());
-                    $body
-                }
-            }
-        };
-    }
     match (structure, scheme) {
         ("lazylist", SchemeKind::Ca) => {
             let ds = CaLazyList::new(&m);
             drive_set_ops(&m, &ds, threads, ops, range, seed, &mut d);
             d.slice(&walk_list(&m, ds.head_node()));
         }
-        ("lazylist", _) => with_smr!(|s| {
+        ("lazylist", _) => with_smr!(scheme, &m, threads, |s| {
             let ds = SmrLazyList::new(&m, s);
             drive_set_ops(&m, &ds, threads, ops, range, seed, &mut d);
             d.slice(&walk_list(&m, ds.head_node()));
@@ -228,7 +233,7 @@ fn battery_digest(
             drive_set_ops(&m, &ds, threads, ops, range, seed, &mut d);
             d.slice(&walk_bst(&m, ds.root_node()));
         }
-        ("extbst", _) => with_smr!(|s| {
+        ("extbst", _) => with_smr!(scheme, &m, threads, |s| {
             let ds = SmrExtBst::new(&m, s);
             drive_set_ops(&m, &ds, threads, ops, range, seed, &mut d);
             d.slice(&walk_bst(&m, ds.root_node()));
@@ -237,7 +242,7 @@ fn battery_digest(
             let ds = CaStack::new(&m);
             drive_stack_ops(&m, &ds, threads, ops, range, seed, &mut d);
         }
-        ("stack", _) => with_smr!(|s| {
+        ("stack", _) => with_smr!(scheme, &m, threads, |s| {
             let ds = SmrStack::new(&m, s);
             drive_stack_ops(&m, &ds, threads, ops, range, seed, &mut d);
         }),
@@ -245,7 +250,7 @@ fn battery_digest(
             let ds = CaQueue::new(&m);
             drive_queue_ops(&m, &ds, threads, ops, range, seed, &mut d);
         }
-        ("queue", _) => with_smr!(|s| {
+        ("queue", _) => with_smr!(scheme, &m, threads, |s| {
             let ds = SmrQueue::new(&m, s);
             drive_queue_ops(&m, &ds, threads, ops, range, seed, &mut d);
         }),
@@ -285,6 +290,80 @@ fn panel_digest(kind: SetKind, scheme: SchemeKind, threads: usize) -> u64 {
     d.0
 }
 
+/// One retire/scan alloc→retire operation by logical thread `tls`, `n` times.
+fn churn<S: for<'m> Smr<Ctx<'m>>>(s: &S, ctx: &mut Ctx<'_>, tls: &mut S::Tls, n: u64) {
+    for _ in 0..n {
+        s.begin_op(ctx, tls);
+        let node = ctx.alloc();
+        s.on_alloc(ctx, tls, node);
+        ctx.write(node, 1);
+        s.retire(ctx, tls, node);
+        s.end_op(ctx, tls);
+    }
+}
+
+/// One scheme's whole membership lifecycle, as a fixed script on one core
+/// acting for three logical threads (the shape of `casmr`'s
+/// `crash_adopt_drains`): a victim protects a node mid-operation and
+/// fail-stops with a non-empty retire list, a writer churns past
+/// `reclaim_freq` behind that protection and crash-adopts the victim with a
+/// token, a third thread `join`s, the writer `depart`s gracefully and the
+/// third adopts it, slot 0 is re-`join`ed, departs again, and the last
+/// member's depart drains. The battery and panel rows above reach
+/// `begin_op`/`read_ptr`/`retire`/scan only; this is the one cycle-level
+/// pin of `depart`, both `adopt` legs and `join`.
+fn lifecycle_digest(scheme: SchemeKind) -> u64 {
+    let m = machine(1, UafMode::Panic);
+    let mailbox = m.alloc_static(1);
+    let garbage = with_smr!(scheme, &m, 3, |s| {
+        m.run_on(1, |_, ctx| {
+            let mut writer = s.register(0);
+            let mut victim = s.register(1);
+            // Below reclaim_freq: the victim dies holding three retires.
+            churn(&s, ctx, &mut victim, 3);
+            let a = ctx.alloc();
+            s.on_alloc(ctx, &mut writer, a);
+            ctx.write(a, 7);
+            ctx.write(mailbox, a.0);
+            s.begin_op(ctx, &mut victim);
+            assert_eq!(s.read_ptr(ctx, &mut victim, 0, mailbox), a.0);
+            churn(&s, ctx, &mut writer, 20);
+            // SAFETY: `victim` is a logical thread driven only by this
+            // closure and never driven again — the fail-stop fact itself.
+            let token = unsafe { CrashToken::assert_fail_stop(1) };
+            s.adopt(ctx, &mut writer, Orphan::crashed(victim, token));
+            ctx.write(mailbox, 0);
+            s.begin_op(ctx, &mut writer);
+            s.retire(ctx, &mut writer, a);
+            s.end_op(ctx, &mut writer);
+            let mut third = s.join(ctx, 2);
+            churn(&s, ctx, &mut third, 6);
+            let departed = s.depart(ctx, writer);
+            s.adopt(ctx, &mut third, departed);
+            let mut back = s.join(ctx, 0);
+            churn(&s, ctx, &mut back, 5);
+            churn(&s, ctx, &mut third, 3);
+            let departed = s.depart(ctx, back);
+            s.adopt(ctx, &mut third, departed);
+            let last = s.depart(ctx, third);
+            s.garbage(last.tls())
+        })
+    });
+    let stats = m.stats();
+    let mut d = Digest::new();
+    d.u64(stats.max_cycles);
+    for core in &stats.cores {
+        d.u64(core.fences);
+    }
+    d.u64(stats.allocated_not_freed);
+    d.u64(stats.peak_allocated);
+    let g = &garbage[0];
+    for v in [g.retired, g.freed, g.live, g.peak] {
+        d.u64(v);
+    }
+    d.0
+}
+
 const SEEDS: [u64; 3] = [0xD1FF, 0x5EED5, 0xFACADE];
 const STRUCTURES: [&str; 4] = ["lazylist", "extbst", "stack", "queue"];
 
@@ -313,6 +392,10 @@ fn all_digests() -> Vec<(String, u64)> {
             let h = panel_digest(SetKind::LazyList, scheme, threads);
             out.push((format!("panel lazylist {scheme} t{threads}"), h));
         }
+    }
+    // Membership lifecycle, one row per scheme object (CA has none).
+    for scheme in SchemeKind::ALL.into_iter().filter(|&s| s != SchemeKind::Ca) {
+        out.push((format!("lifecycle {scheme}"), lifecycle_digest(scheme)));
     }
     out
 }
