@@ -249,7 +249,7 @@ impl<E: Env + ?Sized, S: Smr<E>> SetDs<E> for SmrExtBst<S> {
 mod tests {
     use super::*;
     use crate::seqcheck::walk_bst;
-    use casmr::{He, Hp, Ibr, Leaky, Qsbr, Rcu, SmrConfig};
+    use casmr::{with_scheme, He, Hp, Rcu, SchemeKind, SmrConfig};
     use mcsim::{Machine, MachineConfig};
 
     fn machine(cores: usize) -> Machine {
@@ -280,40 +280,11 @@ mod tests {
 
     #[test]
     fn smoke_all_schemes() {
-        {
+        for kind in SchemeKind::ALL.into_iter().filter(|&k| k != SchemeKind::Ca) {
             let m = machine(1);
-            let b = SmrExtBst::new(&m, Leaky::new());
-            smoke(&m, &b);
-        }
-        {
-            let m = machine(1);
-            let s = Qsbr::new(&m, 1, SmrConfig::default());
-            let b = SmrExtBst::new(&m, s);
-            smoke(&m, &b);
-        }
-        {
-            let m = machine(1);
-            let s = Rcu::new(&m, 1, SmrConfig::default());
-            let b = SmrExtBst::new(&m, s);
-            smoke(&m, &b);
-        }
-        {
-            let m = machine(1);
-            let s = Ibr::new(&m, 1, SmrConfig::default());
-            let b = SmrExtBst::new(&m, s);
-            smoke(&m, &b);
-        }
-        {
-            let m = machine(1);
-            let s = Hp::new(&m, 1, SmrConfig::default());
-            let b = SmrExtBst::new(&m, s);
-            smoke(&m, &b);
-        }
-        {
-            let m = machine(1);
-            let s = He::new(&m, 1, SmrConfig::default());
-            let b = SmrExtBst::new(&m, s);
-            smoke(&m, &b);
+            with_scheme!(kind, &m, 1, SmrConfig::default(), |s| {
+                smoke(&m, &SmrExtBst::new(&m, s))
+            });
         }
     }
 

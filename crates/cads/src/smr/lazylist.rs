@@ -216,7 +216,7 @@ impl<E: Env + ?Sized, S: Smr<E>> SetDs<E> for SmrLazyList<S> {
 mod tests {
     use super::*;
     use crate::seqcheck::walk_list;
-    use casmr::{Hp, Ibr, Leaky, Qsbr, Rcu, SmrConfig};
+    use casmr::{with_scheme, Hp, Ibr, Leaky, Qsbr, SchemeKind, SmrConfig};
     use mcsim::{Machine, MachineConfig};
 
     fn machine(cores: usize) -> Machine {
@@ -247,40 +247,11 @@ mod tests {
 
     #[test]
     fn basic_semantics_all_schemes() {
-        {
+        for kind in SchemeKind::ALL.into_iter().filter(|&k| k != SchemeKind::Ca) {
             let m = machine(1);
-            let l = SmrLazyList::new(&m, Leaky::new());
-            exercise_basic(&m, &l);
-        }
-        {
-            let m = machine(1);
-            let s = Qsbr::new(&m, 1, SmrConfig::default());
-            let l = SmrLazyList::new(&m, s);
-            exercise_basic(&m, &l);
-        }
-        {
-            let m = machine(1);
-            let s = Rcu::new(&m, 1, SmrConfig::default());
-            let l = SmrLazyList::new(&m, s);
-            exercise_basic(&m, &l);
-        }
-        {
-            let m = machine(1);
-            let s = Ibr::new(&m, 1, SmrConfig::default());
-            let l = SmrLazyList::new(&m, s);
-            exercise_basic(&m, &l);
-        }
-        {
-            let m = machine(1);
-            let s = Hp::new(&m, 1, SmrConfig::default());
-            let l = SmrLazyList::new(&m, s);
-            exercise_basic(&m, &l);
-        }
-        {
-            let m = machine(1);
-            let s = casmr::He::new(&m, 1, SmrConfig::default());
-            let l = SmrLazyList::new(&m, s);
-            exercise_basic(&m, &l);
+            with_scheme!(kind, &m, 1, SmrConfig::default(), |s| {
+                exercise_basic(&m, &SmrLazyList::new(&m, s))
+            });
         }
     }
 

@@ -129,7 +129,7 @@ impl<E: Env + ?Sized, S: Smr<E>> QueueDs<E> for SmrQueue<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use casmr::{He, Hp, Ibr, Leaky, Qsbr, Rcu, SmrConfig};
+    use casmr::{with_scheme, Hp, Leaky, Qsbr, SchemeKind, SmrConfig};
     use mcsim::{Machine, MachineConfig, Rng};
 
     fn machine(cores: usize) -> Machine {
@@ -158,40 +158,11 @@ mod tests {
 
     #[test]
     fn fifo_all_schemes() {
-        {
+        for kind in SchemeKind::ALL.into_iter().filter(|&k| k != SchemeKind::Ca) {
             let m = machine(1);
-            let q = SmrQueue::new(&m, Leaky::new());
-            fifo_smoke(&m, &q);
-        }
-        {
-            let m = machine(1);
-            let s = Qsbr::new(&m, 1, SmrConfig::default());
-            let q = SmrQueue::new(&m, s);
-            fifo_smoke(&m, &q);
-        }
-        {
-            let m = machine(1);
-            let s = Rcu::new(&m, 1, SmrConfig::default());
-            let q = SmrQueue::new(&m, s);
-            fifo_smoke(&m, &q);
-        }
-        {
-            let m = machine(1);
-            let s = Ibr::new(&m, 1, SmrConfig::default());
-            let q = SmrQueue::new(&m, s);
-            fifo_smoke(&m, &q);
-        }
-        {
-            let m = machine(1);
-            let s = Hp::new(&m, 1, SmrConfig::default());
-            let q = SmrQueue::new(&m, s);
-            fifo_smoke(&m, &q);
-        }
-        {
-            let m = machine(1);
-            let s = He::new(&m, 1, SmrConfig::default());
-            let q = SmrQueue::new(&m, s);
-            fifo_smoke(&m, &q);
+            with_scheme!(kind, &m, 1, SmrConfig::default(), |s| {
+                fifo_smoke(&m, &SmrQueue::new(&m, s))
+            });
         }
     }
 

@@ -11,7 +11,7 @@
 //! scheme runs the same workload at K and 2K survivor iterations, and the
 //! verdict is whether peak garbage tracked the extra work.
 
-use casmr::{GarbageStats, He, Hp, Ibr, Leaky, Qsbr, Rcu, Smr, SmrConfig};
+use casmr::{with_scheme, GarbageStats, SchemeKind, Smr, SmrConfig};
 use cads::ca::stack::CaStack;
 use cads::traits::{DsShared, StackDs};
 use mcsim::machine::Ctx;
@@ -89,19 +89,19 @@ fn run_scheme<S: for<'m> Smr<Ctx<'m>>>(m: &Machine, s: &S, iters: u64) -> Garbag
 fn crashed_thread_pins_epoch_schemes_but_not_hazard_schemes() {
     const K: u64 = 300;
 
-    let probe = |build: &dyn Fn(&Machine) -> Box<dyn ProbeScheme>| {
+    // Peak garbage after K and after 2K survivor iterations per thread.
+    let probe = |kind: SchemeKind| {
         let at = |iters: u64| {
             let m = machine();
-            let s = build(&m);
-            s.run(&m, iters)
+            with_scheme!(kind, &m, THREADS, cfg(), |s| run_scheme(&m, &s, iters))
         };
         (at(K), at(2 * K))
     };
 
     // qsbr / rcu / none: the crashed thread pins everything retired after
     // it went silent, so peak garbage grows with the survivors' work.
-    for (name, build) in unbounded_schemes() {
-        let (k, k2) = probe(&build);
+    for name in [SchemeKind::Qsbr, SchemeKind::Rcu, SchemeKind::None] {
+        let (k, k2) = probe(name);
         assert!(
             k2.peak >= k.peak + K / 2,
             "{name}: expected unbounded growth, peak {} -> {} over {K} extra iters/thread",
@@ -120,8 +120,8 @@ fn crashed_thread_pins_epoch_schemes_but_not_hazard_schemes() {
     // hp / he / ibr: protection is per-read, so the crashed thread pins
     // only what it could actually have been reading — peak garbage is
     // (near-)independent of how long the survivors run.
-    for (name, build) in bounded_schemes() {
-        let (k, k2) = probe(&build);
+    for name in [SchemeKind::Hp, SchemeKind::He, SchemeKind::Ibr] {
+        let (k, k2) = probe(name);
         let slack = 32; // scan cadence (reclaim_freq per thread) + pinned window
         assert!(
             k2.peak <= k.peak + slack,
@@ -171,67 +171,4 @@ fn crashed_thread_leaves_ca_footprint_bounded() {
         "ca: immediate reclamation must keep the footprint O(1) even with \
          a crashed thread (got {small} then {large})"
     );
-}
-
-// --- scheme registry ------------------------------------------------------
-//
-// `Smr` has an associated `Tls` type, so the schemes cannot share a dyn
-// object directly; this small adapter erases it for the probe loop.
-
-trait ProbeScheme {
-    fn run(&self, m: &Machine, iters: u64) -> GarbageStats;
-}
-
-struct Probe<S: for<'m> Smr<Ctx<'m>>>(S);
-
-impl<S: for<'m> Smr<Ctx<'m>>> ProbeScheme for Probe<S> {
-    fn run(&self, m: &Machine, iters: u64) -> GarbageStats {
-        run_scheme(m, &self.0, iters)
-    }
-}
-
-type SchemeBuilder = Box<dyn Fn(&Machine) -> Box<dyn ProbeScheme>>;
-
-fn unbounded_schemes() -> Vec<(&'static str, SchemeBuilder)> {
-    vec![
-        (
-            "qsbr",
-            Box::new(|m: &Machine| {
-                Box::new(Probe(Qsbr::new(m, THREADS, cfg()))) as Box<dyn ProbeScheme>
-            }),
-        ),
-        (
-            "rcu",
-            Box::new(|m: &Machine| {
-                Box::new(Probe(Rcu::new(m, THREADS, cfg()))) as Box<dyn ProbeScheme>
-            }),
-        ),
-        (
-            "none",
-            Box::new(|_m: &Machine| Box::new(Probe(Leaky::new())) as Box<dyn ProbeScheme>),
-        ),
-    ]
-}
-
-fn bounded_schemes() -> Vec<(&'static str, SchemeBuilder)> {
-    vec![
-        (
-            "hp",
-            Box::new(|m: &Machine| {
-                Box::new(Probe(Hp::new(m, THREADS, cfg()))) as Box<dyn ProbeScheme>
-            }),
-        ),
-        (
-            "he",
-            Box::new(|m: &Machine| {
-                Box::new(Probe(He::new(m, THREADS, cfg()))) as Box<dyn ProbeScheme>
-            }),
-        ),
-        (
-            "ibr",
-            Box::new(|m: &Machine| {
-                Box::new(Probe(Ibr::new(m, THREADS, cfg()))) as Box<dyn ProbeScheme>
-            }),
-        ),
-    ]
 }

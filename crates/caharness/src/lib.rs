@@ -58,11 +58,13 @@
 //! frozen `perfbench/` workspace.
 //!
 //! A new **figure** is one entry of [`experiments::FIGURES`] (a builder of
-//! cells and table layouts; nothing else names it). To extend the runner,
+//! cells and table layouts; nothing else names it). A new **scheme** needs
+//! no edit in this crate: [`run`] builds the scheme object through
+//! [`casmr::with_scheme!`], so a scheme is its file in `casmr`, a
+//! `SchemeKind` variant and one arm of that macro (see [`casmr::api::Smr`]
+//! for what the file supplies and what it inherits). To extend the runner,
 //! touch exactly these places in [`runner`]:
 //!
-//! * **a scheme** — one arm of `with_scheme!` (plus the `SchemeKind` variant
-//!   in `casmr`);
 //! * **a structure** — a [`Structure`] variant with its `ALL` / `name` /
 //!   `supports` entries, and one arm of `with_smr_structure!` and/or of the
 //!   CA `match` at the end of [`run`], wrapped in the family newtype

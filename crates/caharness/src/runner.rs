@@ -26,8 +26,8 @@ use cads::htm::HtmLazyList;
 use cads::smr::{SmrExtBst, SmrLazyList, SmrQueue, SmrStack};
 use cads::{DsShared, HashTable, QueueDs, SetDs, StackDs};
 use casmr::{
-    CrashToken, Env, GarbageStats, He, Hp, Ibr, Leaky, NativeEnv, NativeMachine, Orphan, Qsbr, Rcu,
-    SchemeKind, Smr, SmrBase, TlsVault,
+    with_scheme, CrashToken, Env, GarbageStats, NativeEnv, NativeMachine, Orphan, SchemeKind, Smr,
+    SmrBase, TlsVault,
 };
 use mcsim::machine::Ctx;
 use mcsim::{Machine, MachineStats, RaceReport, Rng};
@@ -499,41 +499,6 @@ where
     )
 }
 
-/// Instantiate a baseline scheme over `$host` (either machine) and run
-/// `$body` with it. `Ca` has no scheme object and is handled before this.
-/// **Adding a scheme is one arm here.**
-macro_rules! with_scheme {
-    ($host:expr, $cfg:expr, $scheme:expr, |$s:ident| $body:expr) => {
-        match $scheme {
-            SchemeKind::None => {
-                let $s = Leaky::new();
-                $body
-            }
-            SchemeKind::Qsbr => {
-                let $s = Qsbr::new($host, $cfg.threads, $cfg.smr.clone());
-                $body
-            }
-            SchemeKind::Rcu => {
-                let $s = Rcu::new($host, $cfg.threads, $cfg.smr.clone());
-                $body
-            }
-            SchemeKind::Ibr => {
-                let $s = Ibr::new($host, $cfg.threads, $cfg.smr.clone());
-                $body
-            }
-            SchemeKind::Hp => {
-                let $s = Hp::new($host, $cfg.threads, $cfg.smr.clone());
-                $body
-            }
-            SchemeKind::He => {
-                let $s = He::new($host, $cfg.threads, $cfg.smr.clone());
-                $body
-            }
-            SchemeKind::Ca => unreachable!("CA is handled before dispatch"),
-        }
-    };
-}
-
 /// Build the SMR variant of `$structure` over `$host` (either machine: the
 /// SMR structures are `EnvHost`-generic) around the shared scheme `$sch`,
 /// and run `$body` with it. **Adding an SMR structure is one arm here.**
@@ -611,7 +576,7 @@ pub fn run(
         );
         reject_native(!cfg.fault_plan.is_empty(), "a fault plan");
         let mut m = NativeMachine::new(cfg.native_pool_lines());
-        return with_scheme!(&m, cfg, scheme, |sch| {
+        return with_scheme!(scheme, &m, cfg.threads, cfg.smr.clone(), |sch| {
             with_smr_structure!(&m, cfg, structure, &sch, |w| {
                 run_native(&mut m, &w, |tls| sch.garbage(tls), job)
             })
@@ -619,7 +584,9 @@ pub fn run(
     }
     let m = Machine::new(cfg.machine_config());
     if scheme != SchemeKind::Ca {
-        return with_scheme!(&m, cfg, scheme, |sch| {
+        // The scheme object comes from `casmr::with_scheme!`, the one
+        // enumeration of the constructors: a new scheme needs no edit here.
+        return with_scheme!(scheme, &m, cfg.threads, cfg.smr.clone(), |sch| {
             with_smr_structure!(&m, cfg, structure, &sch, |w| {
                 // Adopt the crash orphan: forcibly retract the victim's
                 // stale publications, merge its retire backlog, scan.

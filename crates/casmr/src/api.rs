@@ -1,5 +1,9 @@
 //! The reclamation-scheme interface shared by every baseline, plus the
-//! machinery they have in common (global era, retire lists, scan cadence).
+//! machinery they have in common: the global era, and the whole retire-list
+//! lifecycle — [`RetireBag`] (per-thread list, scan cadence, meter), its
+//! sweep, and the provided [`Smr::retire`] / [`Smr::depart`] /
+//! [`Smr::adopt`] / [`Smr::join`]. A scheme's own file supplies only what
+//! differs; [`Smr`] lists it.
 //!
 //! Design rule of this crate: **all cross-thread SMR metadata lives in
 //! simulated shared memory** — global epoch/era counters, per-thread
@@ -45,7 +49,7 @@
 //! instantiation (`for<'m> Smr<SimEnv<'m>>` vs `for<'p> Smr<NativeEnv<'p>>`).
 
 use crate::env::{Env, EnvHost};
-use crate::recovery::Orphan;
+use crate::recovery::{CrashToken, Orphan};
 use mcsim::Addr;
 
 /// Sentinel published by inactive threads (no reservation/announcement).
@@ -203,6 +207,88 @@ pub struct Retired {
     pub retire: u64,
 }
 
+/// The per-thread half every scheme shares, embedded in its `Tls`: who the
+/// thread is, what it has retired and not yet freed, how far it is from its
+/// next scan, and the [`GarbageMeter`]. Host-side only (a real
+/// implementation keeps it in thread-private memory); the one simulated
+/// charge is the sweep's [`Env::tick`] per examined entry.
+#[derive(Debug)]
+pub struct RetireBag {
+    pub(crate) tid: usize,
+    retired: Vec<Retired>,
+    /// Scan once this many retires have accumulated
+    /// ([`SmrConfig::reclaim_freq`]).
+    scan_every: u64,
+    retires_since_scan: u64,
+    meter: GarbageMeter,
+}
+
+impl RetireBag {
+    /// Thread `tid`'s empty bag, scanning every `scan_every` retires.
+    pub(crate) fn new(tid: usize, scan_every: u64) -> Self {
+        Self {
+            tid,
+            retired: Vec::new(),
+            scan_every,
+            retires_since_scan: 0,
+            meter: GarbageMeter::new(),
+        }
+    }
+
+    /// Count a retire that is never listed (leaky: nothing will free it).
+    #[inline]
+    pub(crate) fn leak(&mut self) {
+        self.meter.on_retire();
+    }
+
+    /// List a stamped node; true when the scan cadence is due.
+    #[inline]
+    fn push(&mut self, r: Retired) -> bool {
+        self.retired.push(r);
+        self.meter.on_retire();
+        self.retires_since_scan += 1;
+        self.retires_since_scan >= self.scan_every
+    }
+
+    /// The sweep every [`Smr::scan`] ends in: examine each listed node once
+    /// (one tick each), free those `blocked` lets go, restart the cadence.
+    /// `swap_remove` moves the last entry into slot `i`, so `i` only
+    /// advances past an entry that stays.
+    #[inline]
+    pub(crate) fn sweep<E: Env + ?Sized>(
+        &mut self,
+        env: &mut E,
+        mut blocked: impl FnMut(&Retired) -> bool,
+    ) {
+        self.retires_since_scan = 0;
+        let mut i = 0;
+        while i < self.retired.len() {
+            env.tick(1);
+            if blocked(&self.retired[i]) {
+                i += 1;
+            } else {
+                let r = self.retired.swap_remove(i);
+                env.free(r.addr);
+                self.meter.on_free();
+            }
+        }
+    }
+
+    /// Take over `estate`'s retire list and meter. A `token` marks the
+    /// estate as a crash victim's: it must name the estate's thread — the
+    /// one place a [`CrashToken`] is checked, before anything is touched —
+    /// and that thread is returned for the caller to [`Smr::revoke`].
+    fn inherit(&mut self, estate: &mut RetireBag, token: Option<CrashToken>) -> Option<usize> {
+        let victim = token.map(|t| {
+            assert_eq!(t.tid(), estate.tid, "crash token must name the orphan");
+            estate.tid
+        });
+        self.retired.append(&mut estate.retired);
+        self.meter.merge(&estate.meter);
+        victim
+    }
+}
+
 /// The environment-independent half of a reclamation scheme: per-thread
 /// state management, capability flags, accounting, and naming. See [`Smr`]
 /// for the shared-memory operations.
@@ -213,6 +299,12 @@ pub trait SmrBase: Sync {
     /// Create thread `tid`'s state (call once per worker thread).
     fn register(&self, tid: usize) -> Self::Tls;
 
+    /// The [`RetireBag`] embedded in that state.
+    fn bag(tls: &Self::Tls) -> &RetireBag;
+
+    /// The same bag, to list, sweep and inherit into.
+    fn bag_mut(tls: &mut Self::Tls) -> &mut RetireBag;
+
     /// Whether traversals must re-validate reachability (mark checks +
     /// restart) after protecting a node. True for hazard-based schemes
     /// (hp/he), whose protection does not retroactively cover nodes retired
@@ -221,10 +313,10 @@ pub trait SmrBase: Sync {
         false
     }
 
-    /// This thread's retired-but-unfreed accounting (see [`GarbageStats`]).
-    /// Host-side only; schemes that never retire report zeros.
-    fn garbage(&self, _tls: &Self::Tls) -> GarbageStats {
-        GarbageStats::default()
+    /// This thread's retired-but-unfreed accounting (see [`GarbageStats`]),
+    /// read off its bag's meter. Host-side only.
+    fn garbage(&self, tls: &Self::Tls) -> GarbageStats {
+        Self::bag(tls).meter.stats()
     }
 
     /// Scheme name as used in the paper's figures.
@@ -239,39 +331,102 @@ pub trait SmrBase: Sync {
 /// nodes that may be concurrently retired, bracketed by
 /// [`Smr::begin_op`]/[`Smr::end_op`]; unlinked nodes go to [`Smr::retire`]
 /// instead of being freed.
+///
+/// # What a scheme file supplies
+///
+/// Its shared-metadata layout and constructor, [`SmrBase`], the five
+/// protection methods it needs ([`Smr::begin_op`], [`Smr::end_op`],
+/// [`Smr::read_ptr`], [`Smr::clear_slot`], [`Smr::on_alloc`] — the defaults
+/// are the unprotected `none`), and its free rule as three hooks:
+/// [`Smr::stamp`], [`Smr::scan`], [`Smr::revoke`] (plus [`Smr::withdraw`]
+/// where a graceful leave can do less). It inherits the retire-list
+/// lifecycle — [`Smr::retire`], [`Smr::depart`], [`Smr::adopt`],
+/// [`Smr::join`] — written once below in terms of those hooks and the
+/// [`RetireBag`], and overrides a lifecycle method only where its
+/// obligation really differs (leaky never lists; qsbr joins online).
 pub trait Smr<E: Env + ?Sized>: SmrBase {
     /// Operation prologue (rcu: pin; ibr: open reservation; others: no-op).
-    fn begin_op(&self, env: &mut E, tls: &mut Self::Tls);
+    #[inline]
+    fn begin_op(&self, _env: &mut E, _tls: &mut Self::Tls) {}
 
     /// Operation epilogue (qsbr: quiescent announcement; rcu: unpin;
     /// ibr: close reservation; hp/he: clear slots).
-    fn end_op(&self, env: &mut E, tls: &mut Self::Tls);
+    #[inline]
+    fn end_op(&self, _env: &mut E, _tls: &mut Self::Tls) {}
 
     /// Protected read of the pointer-sized word at `field`, whose value
     /// names a node. On return the named node is protected (per the
     /// scheme's rules) under `slot` until the slot is reused, cleared, or
-    /// the operation ends. Null results need no protection.
-    fn read_ptr(&self, env: &mut E, tls: &mut Self::Tls, slot: usize, field: Addr) -> u64;
+    /// the operation ends. Null results need no protection. The default is
+    /// the plain load of the schemes that pay per operation, not per read.
+    #[inline]
+    fn read_ptr(&self, env: &mut E, _tls: &mut Self::Tls, _slot: usize, field: Addr) -> u64 {
+        env.read(field)
+    }
 
     /// Release one protection slot early (hp/he; no-op elsewhere).
+    #[inline]
     fn clear_slot(&self, _env: &mut E, _tls: &mut Self::Tls, _slot: usize) {}
 
     /// Hook invoked right after a node is allocated (ibr/he stamp the birth
     /// era into [`NODE_BIRTH_WORD`]; also drives era advancement).
-    fn on_alloc(&self, env: &mut E, tls: &mut Self::Tls, node: Addr);
+    #[inline]
+    fn on_alloc(&self, _env: &mut E, _tls: &mut Self::Tls, _node: Addr) {}
 
-    /// Hand an unlinked node to the scheme. The scheme frees it once no
-    /// thread can hold a protected reference (leaky: never).
-    fn retire(&self, env: &mut E, tls: &mut Self::Tls, node: Addr);
+    /// Stamp an unlinked node for the retire list, issuing whatever fence
+    /// and birth/era reads the scheme's free rule needs, in its order. The
+    /// default is the address alone, for a rule that compares no era (hp).
+    #[inline]
+    fn stamp(&self, _env: &mut E, node: Addr) -> Retired {
+        Retired {
+            addr: node,
+            birth: 0,
+            retire: 0,
+        }
+    }
+
+    /// Snapshot the shared metadata and [`RetireBag::sweep`] the bag with
+    /// the predicate "this snapshot still blocks this node".
+    fn scan(&self, env: &mut E, tls: &mut Self::Tls);
+
+    /// Retract thread `tid`'s publications from shared memory without its
+    /// `Tls` — the crash leg of [`Smr::adopt`], where whatever a host-side
+    /// mirror last recorded cannot be trusted.
+    fn revoke(&self, env: &mut E, tid: usize);
+
+    /// Retract this thread's own publications for a graceful leave. The
+    /// same stores as [`Smr::revoke`] unless the scheme mirrors what it
+    /// published and can skip the slots it never used.
+    fn withdraw(&self, env: &mut E, tls: &mut Self::Tls) {
+        let tid = Self::bag(tls).tid;
+        self.revoke(env, tid);
+    }
+
+    /// Hand an unlinked node to the scheme, which frees it once no thread
+    /// can hold a protected reference (leaky: never): stamp it, list it,
+    /// and scan when [`SmrConfig::reclaim_freq`] retires have accumulated.
+    #[inline]
+    fn retire(&self, env: &mut E, tls: &mut Self::Tls, node: Addr) {
+        let r = self.stamp(env, node);
+        if Self::bag_mut(tls).push(r) {
+            self.scan(env, tls);
+        }
+    }
 
     /// Graceful leave. Must be called between operations (the thread holds
     /// no protected references). The scheme retracts the thread's own
     /// publications (clears hazard/era slots, closes the reservation,
-    /// announces terminal quiescence), drains whatever the retire list
-    /// allows, and hands back the residue as an [`Orphan`] for a successor
-    /// to [`Smr::adopt`] — so a departing member never strands garbage and
-    /// never wedges the survivors.
-    fn depart(&self, env: &mut E, tls: Self::Tls) -> Orphan<Self::Tls>;
+    /// announces terminal quiescence), orders that before the scan's
+    /// snapshot, drains whatever the retire list allows, and hands back the
+    /// residue as an [`Orphan`] for a successor to [`Smr::adopt`] — so a
+    /// departing member never strands garbage and never wedges the
+    /// survivors.
+    fn depart(&self, env: &mut E, mut tls: Self::Tls) -> Orphan<Self::Tls> {
+        self.withdraw(env, &mut tls);
+        env.smr_fence();
+        self.scan(env, &mut tls);
+        Orphan::departed(tls)
+    }
 
     /// Take over an orphan's reclamation obligations.
     ///
@@ -284,9 +439,16 @@ pub trait Smr<E: Env + ?Sized>: SmrBase {
     /// orphan carries a [`crate::recovery::CrashToken`]: the environment
     /// has declared the thread fail-stop, so no protection it published
     /// can ever be exercised again (see the [`crate::recovery`] module
-    /// docs for the full argument). Implementations must verify the token
-    /// names the orphan's thread.
-    fn adopt(&self, env: &mut E, tls: &mut Self::Tls, orphan: Orphan<Self::Tls>);
+    /// docs for the full argument). The token must name the orphan's
+    /// thread; [`RetireBag`] checks it, here and nowhere else.
+    fn adopt(&self, env: &mut E, tls: &mut Self::Tls, orphan: Orphan<Self::Tls>) {
+        let (mut estate, token) = orphan.into_parts();
+        if let Some(victim) = Self::bag_mut(tls).inherit(Self::bag_mut(&mut estate), token) {
+            self.revoke(env, victim);
+            env.smr_fence();
+        }
+        self.scan(env, tls);
+    }
 
     /// (Re)join the run as thread `tid`, coming online in the scheme's
     /// metadata. Equivalent to [`SmrBase::register`] for most schemes
@@ -308,6 +470,12 @@ impl<S: SmrBase> SmrBase for &S {
 
     fn register(&self, tid: usize) -> Self::Tls {
         (**self).register(tid)
+    }
+    fn bag(tls: &Self::Tls) -> &RetireBag {
+        S::bag(tls)
+    }
+    fn bag_mut(tls: &mut Self::Tls) -> &mut RetireBag {
+        S::bag_mut(tls)
     }
     fn needs_validation(&self) -> bool {
         (**self).needs_validation()
@@ -335,6 +503,18 @@ impl<E: Env + ?Sized, S: Smr<E>> Smr<E> for &S {
     }
     fn on_alloc(&self, env: &mut E, tls: &mut Self::Tls, node: Addr) {
         (**self).on_alloc(env, tls, node)
+    }
+    fn stamp(&self, env: &mut E, node: Addr) -> Retired {
+        (**self).stamp(env, node)
+    }
+    fn scan(&self, env: &mut E, tls: &mut Self::Tls) {
+        (**self).scan(env, tls)
+    }
+    fn revoke(&self, env: &mut E, tid: usize) {
+        (**self).revoke(env, tid)
+    }
+    fn withdraw(&self, env: &mut E, tls: &mut Self::Tls) {
+        (**self).withdraw(env, tls)
     }
     fn retire(&self, env: &mut E, tls: &mut Self::Tls, node: Addr) {
         (**self).retire(env, tls, node)
@@ -383,18 +563,24 @@ impl EraClock {
     }
 }
 
-/// Allocate one static line per thread, returning their base addresses.
-/// One line each avoids false sharing between threads' metadata — standard
-/// practice in real SMR implementations, and necessary here so one thread's
-/// publishes don't invalidate another's cached metadata. `name` labels the
-/// lines in race-analyzer reports (e.g. `hp.hazards`).
+/// Allocate one static line per thread, every word set to `init`, and
+/// return their base addresses. One line each avoids false sharing between
+/// threads' metadata — standard practice in real SMR implementations, and
+/// necessary here so one thread's publishes don't invalidate another's
+/// cached metadata. `name` labels the lines in race-analyzer reports (e.g.
+/// `hp.hazards`) and in the wedge watchdog's attribution probe over them
+/// (see [`mcsim::WedgeProbe`]): when a run wedges, the watchdog names the
+/// thread holding the oldest of the first `probe_slots` words of its line
+/// that is not `idle`. No probe on hosts without a watchdog (native).
 pub(crate) fn per_thread_lines<H: EnvHost + ?Sized>(
     host: &H,
     threads: usize,
-    init: u64,
     name: &'static str,
+    init: u64,
+    probe_slots: u64,
+    idle: u64,
 ) -> Vec<Addr> {
-    (0..threads)
+    let lines: Vec<Addr> = (0..threads)
         .map(|_| {
             let a = host.alloc_static(1);
             for w in 0..crate::env::WORDS_PER_LINE {
@@ -403,23 +589,10 @@ pub(crate) fn per_thread_lines<H: EnvHost + ?Sized>(
             host.label_static(a, 1, name);
             a
         })
-        .collect()
-}
-
-/// Register a wedge-watchdog attribution probe over a scheme's per-thread
-/// reservation lines (see [`mcsim::WedgeProbe`]): when a run wedges, the
-/// watchdog names the oldest outstanding reservation holder in its panic.
-/// `per_thread_lines` allocates from the static bump allocator, so the
-/// lines are contiguous — the probe's `base + t × LINE_BYTES` addressing
-/// is checked here. No-op on hosts without a watchdog (native).
-pub(crate) fn register_probe<H: EnvHost + ?Sized>(
-    host: &H,
-    lines: &[Addr],
-    name: &'static str,
-    slots: u64,
-    sentinel: u64,
-) {
+        .collect();
     if let Some(&base) = lines.first() {
+        // The probe addresses thread t's line as `base + t × LINE_BYTES`;
+        // the static bump allocator hands out contiguous lines.
         debug_assert!(
             lines
                 .windows(2)
@@ -429,17 +602,89 @@ pub(crate) fn register_probe<H: EnvHost + ?Sized>(
         host.register_wedge_probe(mcsim::WedgeProbe {
             name,
             base,
-            threads: lines.len(),
-            slots,
-            sentinel,
+            threads,
+            slots: probe_slots,
+            sentinel: idle,
         });
     }
+    lines
+}
+
+/// The lowest word-0 value published on `lines`. [`INACTIVE`] is
+/// `u64::MAX`, so departed, unpinned and adopted threads fall out of the
+/// minimum — they constrain nothing — and the result is `u64::MAX` when
+/// nobody is active. One simulated load per thread: these lines are
+/// write-mostly by their owners, so the loads are usually misses — the scan
+/// cost the paper charges the epoch schemes with.
+pub(crate) fn oldest_active<E: Env + ?Sized>(env: &mut E, lines: &[Addr]) -> u64 {
+    lines
+        .iter()
+        .fold(INACTIVE, |oldest, &line| oldest.min(env.read(line)))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::env::SimEnv;
     use mcsim::{Machine, MachineConfig};
+
+    /// PR-4 audit pin for the sweep's `swap_remove` index discipline,
+    /// shared by every scheme's `scan_revisits_the_swapped_in_element`:
+    /// freeing `retired[i]` swaps the LAST entry into slot `i`, which must
+    /// be re-examined before advancing. The classic off-by-one (`i += 1`
+    /// after the removal) leaks exactly one freeable node per scan; with
+    /// two freeable nodes and exactly one scan, that bug leaves a node
+    /// behind. The one scan is the second retire's (cadence 2) — or, with
+    /// `scan_at_depart`, the departing one (cadence 3, never due), for a
+    /// scheme whose own thread blocks its retires until it leaves (qsbr:
+    /// the fresh stamp is never below the thread's own announcement).
+    pub(crate) fn one_scan_frees_both_of_two<S>(
+        build: impl FnOnce(&Machine, SmrConfig) -> S,
+        scan_at_depart: bool,
+    ) where
+        S: for<'m> Smr<SimEnv<'m>>,
+    {
+        let m = Machine::new(MachineConfig {
+            cores: 1,
+            mem_bytes: 1 << 20,
+            static_lines: 128,
+            quantum: 0,
+            ..Default::default()
+        });
+        let s = build(
+            &m,
+            SmrConfig {
+                reclaim_freq: if scan_at_depart { 3 } else { 2 },
+                epoch_freq: 1,
+                ..Default::default()
+            },
+        );
+        m.run_on(1, |_, ctx| {
+            let mut tls = s.register(0);
+            let a = ctx.alloc();
+            s.on_alloc(ctx, &mut tls, a);
+            let b = ctx.alloc();
+            s.on_alloc(ctx, &mut tls, b);
+            // Nothing is protected, pinned or reserved: both are freeable.
+            s.retire(ctx, &mut tls, a);
+            s.retire(ctx, &mut tls, b);
+            if scan_at_depart {
+                let _ = s.depart(ctx, tls);
+            }
+        });
+        assert_eq!(
+            m.stats().allocated_not_freed,
+            0,
+            "{}: one scan over [A, B] must free both (swap_remove revisit)",
+            s.name()
+        );
+    }
+
+    #[test]
+    fn epoch_scans_revisit_the_swapped_in_element() {
+        one_scan_frees_both_of_two(|m, cfg| crate::Rcu::new(m, 1, cfg), false);
+        one_scan_frees_both_of_two(|m, cfg| crate::Qsbr::new(m, 1, cfg), true);
+    }
 
     #[test]
     fn defaults_match_paper() {
@@ -483,7 +728,7 @@ mod tests {
             static_lines: 64,
             ..Default::default()
         });
-        let lines = per_thread_lines(&m, 3, INACTIVE, "test.lines");
+        let lines = per_thread_lines(&m, 3, "test.lines", INACTIVE, 1, INACTIVE);
         assert_eq!(lines.len(), 3);
         for (i, a) in lines.iter().enumerate() {
             for (j, b) in lines.iter().enumerate() {

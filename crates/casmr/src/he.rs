@@ -19,11 +19,10 @@
 use mcsim::Addr;
 
 use crate::api::{
-    per_thread_lines, register_probe, EraClock, GarbageMeter, GarbageStats, Retired, Smr, SmrBase,
-    SmrConfig, NODE_BIRTH_WORD,
+    per_thread_lines, EraClock, RetireBag, Retired, Smr, SmrBase, SmrConfig,
+    NODE_BIRTH_WORD,
 };
 use crate::env::{Env, EnvHost};
-use crate::recovery::Orphan;
 
 /// Hazard-eras scheme state.
 pub struct He {
@@ -32,18 +31,14 @@ pub struct He {
     /// empty; real eras start at 1).
     slots: Vec<Addr>,
     cfg: SmrConfig,
-    threads: usize,
 }
 
 /// Per-thread hazard-eras state.
 pub struct HeTls {
-    tid: usize,
+    bag: RetireBag,
     alloc_count: u64,
     /// Host-side mirror of published slot eras.
     published: Vec<u64>,
-    retired: Vec<Retired>,
-    retires_since_scan: u64,
-    garbage: GarbageMeter,
 }
 
 impl He {
@@ -51,46 +46,16 @@ impl He {
     pub fn new<H: EnvHost + ?Sized>(host: &H, threads: usize, cfg: SmrConfig) -> Self {
         assert!(cfg.slots_per_thread <= crate::env::WORDS_PER_LINE as usize);
         let clock = EraClock::new(host);
-        let slots = per_thread_lines(host, threads, 0, "he.eras");
         // Wedge attribution: the lowest published era is the oldest hazard
         // era — the thread whose protection pins the most intervals.
-        register_probe(host, &slots, "he.eras", cfg.slots_per_thread as u64, 0);
-        Self {
-            clock,
-            slots,
-            cfg,
-            threads,
-        }
+        let k = cfg.slots_per_thread as u64;
+        let slots = per_thread_lines(host, threads, "he.eras", 0, k, 0);
+        Self { clock, slots, cfg }
     }
 
     fn slot_addr(&self, tid: usize, slot: usize) -> Addr {
         debug_assert!(slot < self.cfg.slots_per_thread);
         self.slots[tid].word(slot as u64)
-    }
-
-    fn scan<E: Env + ?Sized>(&self, ctx: &mut E, tls: &mut HeTls) {
-        // Snapshot every published era.
-        let mut eras: Vec<u64> = Vec::with_capacity(self.threads * self.cfg.slots_per_thread);
-        for t in 0..self.threads {
-            for s in 0..self.cfg.slots_per_thread {
-                let e = ctx.read(self.slots[t].word(s as u64));
-                if e != 0 {
-                    eras.push(e);
-                }
-            }
-        }
-        let mut i = 0;
-        while i < tls.retired.len() {
-            ctx.tick(1);
-            let r = tls.retired[i];
-            if eras.iter().any(|&e| r.birth <= e && e <= r.retire) {
-                i += 1;
-            } else {
-                tls.retired.swap_remove(i);
-                ctx.free(r.addr);
-                tls.garbage.on_free();
-            }
-        }
     }
 }
 
@@ -99,12 +64,9 @@ impl SmrBase for He {
 
     fn register(&self, tid: usize) -> HeTls {
         HeTls {
-            tid,
+            bag: RetireBag::new(tid, self.cfg.reclaim_freq),
             alloc_count: 0,
             published: vec![0; self.cfg.slots_per_thread],
-            retired: Vec::new(),
-            retires_since_scan: 0,
-            garbage: GarbageMeter::new(),
         }
     }
 
@@ -112,8 +74,12 @@ impl SmrBase for He {
         true
     }
 
-    fn garbage(&self, tls: &Self::Tls) -> GarbageStats {
-        tls.garbage.stats()
+    fn bag(tls: &HeTls) -> &RetireBag {
+        &tls.bag
+    }
+
+    fn bag_mut(tls: &mut HeTls) -> &mut RetireBag {
+        &mut tls.bag
     }
 
     fn name(&self) -> &'static str {
@@ -122,15 +88,9 @@ impl SmrBase for He {
 }
 
 impl<E: Env + ?Sized> Smr<E> for He {
-    #[inline]
-    fn begin_op(&self, _ctx: &mut E, _tls: &mut Self::Tls) {}
-
     fn end_op(&self, ctx: &mut E, tls: &mut Self::Tls) {
         for s in 0..self.cfg.slots_per_thread {
-            if tls.published[s] != 0 {
-                ctx.write(self.slot_addr(tls.tid, s), 0);
-                tls.published[s] = 0;
-            }
+            self.clear_slot(ctx, tls, s);
         }
     }
 
@@ -140,7 +100,7 @@ impl<E: Env + ?Sized> Smr<E> for He {
         let mut e = self.clock.read(ctx);
         loop {
             if tls.published[slot] != e {
-                ctx.write(self.slot_addr(tls.tid, slot), e);
+                ctx.write(self.slot_addr(tls.bag.tid, slot), e);
                 ctx.fence();
                 tls.published[slot] = e;
             }
@@ -155,7 +115,7 @@ impl<E: Env + ?Sized> Smr<E> for He {
 
     fn clear_slot(&self, ctx: &mut E, tls: &mut Self::Tls, slot: usize) {
         if tls.published[slot] != 0 {
-            ctx.write(self.slot_addr(tls.tid, slot), 0);
+            ctx.write(self.slot_addr(tls.bag.tid, slot), 0);
             tls.published[slot] = 0;
         }
     }
@@ -168,7 +128,7 @@ impl<E: Env + ?Sized> Smr<E> for He {
         ctx.write(node.word(NODE_BIRTH_WORD), e);
     }
 
-    fn retire(&self, ctx: &mut E, tls: &mut Self::Tls, node: Addr) {
+    fn stamp(&self, ctx: &mut E, node: Addr) -> Retired {
         // The retire era must be read after the caller's unlink store is
         // globally visible; a stamp read while the unlink sits in the store
         // buffer can be too old, making the node look dead across an era a
@@ -177,52 +137,43 @@ impl<E: Env + ?Sized> Smr<E> for He {
         // this call). No-op in the simulator — see `Env::smr_fence`.
         ctx.smr_fence();
         let birth = ctx.read(node.word(NODE_BIRTH_WORD));
-        let stamp = self.clock.read(ctx);
-        tls.retired.push(Retired {
+        Retired {
             addr: node,
             birth,
-            retire: stamp,
-        });
-        tls.garbage.on_retire();
-        tls.retires_since_scan += 1;
-        if tls.retires_since_scan >= self.cfg.reclaim_freq {
-            tls.retires_since_scan = 0;
-            self.scan(ctx, tls);
+            retire: self.clock.read(ctx),
         }
     }
 
-    /// Graceful leave: clear this thread's published eras, then drain.
-    fn depart(&self, ctx: &mut E, mut tls: Self::Tls) -> Orphan<Self::Tls> {
-        for s in 0..self.cfg.slots_per_thread {
-            if tls.published[s] != 0 {
-                ctx.write(self.slot_addr(tls.tid, s), 0);
-                tls.published[s] = 0;
-            }
-        }
-        ctx.smr_fence();
-        self.scan(ctx, &mut tls);
-        tls.retires_since_scan = 0;
-        Orphan::departed(tls)
-    }
-
-    /// Adopt. The crashed leg caps the victim's era reservations the way
-    /// fail-stop allows: full retraction (all slots zeroed — the mirror
-    /// in the orphan's host state is only accurate up to the crash, so
-    /// every word is cleared unconditionally). A published era nobody
-    /// will ever protect-read under again blocks no interval.
-    fn adopt(&self, ctx: &mut E, tls: &mut Self::Tls, orphan: Orphan<Self::Tls>) {
-        let (o, token) = orphan.into_parts();
-        if let Some(t) = token {
-            assert_eq!(t.tid(), o.tid, "crash token must name the orphan");
+    /// Snapshot every published era; a node stays while one falls inside
+    /// its `[birth, retire]`.
+    fn scan(&self, ctx: &mut E, tls: &mut HeTls) {
+        let mut eras: Vec<u64> = Vec::with_capacity(self.slots.len() * self.cfg.slots_per_thread);
+        for line in &self.slots {
             for s in 0..self.cfg.slots_per_thread {
-                ctx.write(self.slot_addr(o.tid, s), 0);
+                let e = ctx.read(line.word(s as u64));
+                if e != 0 {
+                    eras.push(e);
+                }
             }
-            ctx.smr_fence();
         }
-        tls.retired.extend(o.retired);
-        tls.garbage.merge(&o.garbage);
-        self.scan(ctx, tls);
-        tls.retires_since_scan = 0;
+        tls.bag
+            .sweep(ctx, |r| eras.iter().any(|&e| r.birth <= e && e <= r.retire));
+    }
+
+    /// Cap the victim's era reservations the way fail-stop allows: full
+    /// retraction (all slots zeroed — the mirror in the orphan's host
+    /// state is only accurate up to the crash, so every word is cleared
+    /// unconditionally). A published era nobody will ever protect-read
+    /// under again blocks no interval.
+    fn revoke(&self, ctx: &mut E, tid: usize) {
+        for s in 0..self.cfg.slots_per_thread {
+            ctx.write(self.slot_addr(tid, s), 0);
+        }
+    }
+
+    /// Clear the eras this thread knows it published.
+    fn withdraw(&self, ctx: &mut E, tls: &mut HeTls) {
+        self.end_op(ctx, tls);
     }
 }
 
@@ -331,30 +282,7 @@ mod tests {
 
     #[test]
     fn scan_revisits_the_swapped_in_element() {
-        // PR-4 audit pin (same shape as ibr's): one scan over two
-        // freeable retired nodes must free both — `swap_remove(i)` swaps
-        // the last element into slot i, which the loop must re-examine.
-        let m = machine(1);
-        let cfg = SmrConfig {
-            reclaim_freq: 2,
-            epoch_freq: 1,
-            ..Default::default()
-        };
-        let s = He::new(&m, 1, cfg);
-        m.run_on(1, |_, ctx| {
-            let mut tls = s.register(0);
-            let a = ctx.alloc();
-            s.on_alloc(ctx, &mut tls, a);
-            let b = ctx.alloc();
-            s.on_alloc(ctx, &mut tls, b);
-            s.retire(ctx, &mut tls, a);
-            s.retire(ctx, &mut tls, b); // second retire → one scan
-        });
-        assert_eq!(
-            m.stats().allocated_not_freed,
-            0,
-            "one scan over [A, B] must free both (swap_remove revisit)"
-        );
+        crate::api::tests::one_scan_frees_both_of_two(|m, cfg| He::new(m, 1, cfg), false);
     }
 
     #[test]

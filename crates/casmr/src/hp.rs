@@ -20,11 +20,8 @@ use std::collections::HashSet;
 
 use mcsim::Addr;
 
-use crate::api::{
-    per_thread_lines, register_probe, GarbageMeter, GarbageStats, Retired, Smr, SmrBase, SmrConfig,
-};
+use crate::api::{per_thread_lines, RetireBag, Smr, SmrBase, SmrConfig};
 use crate::env::{Env, EnvHost};
-use crate::recovery::Orphan;
 
 /// Hazard-pointer scheme state.
 pub struct Hp {
@@ -32,7 +29,6 @@ pub struct Hp {
     /// empty).
     slots: Vec<Addr>,
     cfg: SmrConfig,
-    threads: usize,
     /// Test-only fault: skip the scan's `smr_fence` (the exact PR-8 fence
     /// hole), so the race-analyzer self-test can assert the analyzer
     /// reports precisely that missing edge. Never set outside tests.
@@ -41,14 +37,11 @@ pub struct Hp {
 
 /// Per-thread hazard-pointer state.
 pub struct HpTls {
-    tid: usize,
+    bag: RetireBag,
     /// Host-side mirror of the published slots (skip redundant publishes).
     published: Vec<u64>,
-    retired: Vec<Retired>,
-    retires_since_scan: u64,
     /// Workhorse set reused by scans.
     hazard_set: HashSet<u64>,
-    garbage: GarbageMeter,
 }
 
 impl Hp {
@@ -58,15 +51,14 @@ impl Hp {
             cfg.slots_per_thread <= crate::env::WORDS_PER_LINE as usize,
             "hazard slots must fit the thread's line"
         );
-        let slots = per_thread_lines(host, threads, 0, "hp.hazards");
         // Wedge attribution: hazards are addresses, not eras, so "oldest"
         // has no temporal meaning — but any non-zero slot deterministically
         // names a thread still holding protections.
-        register_probe(host, &slots, "hp.hazards", cfg.slots_per_thread as u64, 0);
+        let k = cfg.slots_per_thread as u64;
+        let slots = per_thread_lines(host, threads, "hp.hazards", 0, k, 0);
         Self {
             slots,
             cfg,
-            threads,
             skip_scan_fence: false,
         }
     }
@@ -81,40 +73,6 @@ impl Hp {
         debug_assert!(slot < self.cfg.slots_per_thread);
         self.slots[tid].word(slot as u64)
     }
-
-    fn scan<E: Env + ?Sized>(&self, ctx: &mut E, tls: &mut HpTls) {
-        // Order every retired node's unlink store before the hazard loads
-        // below: without this a weakly-ordered host can satisfy the loads
-        // while the unlink still sits in the store buffer, missing a hazard
-        // whose owner still observed the node linked (no-op in the
-        // sequentially consistent simulator — see `Env::smr_fence`).
-        if !self.skip_scan_fence {
-            ctx.smr_fence();
-        }
-        // Collect every published hazard (simulated loads of all threads'
-        // hazard lines — N*K shared reads, the scan cost the paper charges
-        // hp with).
-        tls.hazard_set.clear();
-        for t in 0..self.threads {
-            for s in 0..self.cfg.slots_per_thread {
-                let h = ctx.read(self.slots[t].word(s as u64));
-                if h != 0 {
-                    tls.hazard_set.insert(h);
-                }
-            }
-        }
-        let mut i = 0;
-        while i < tls.retired.len() {
-            ctx.tick(1);
-            if tls.hazard_set.contains(&tls.retired[i].addr.0) {
-                i += 1;
-            } else {
-                let r = tls.retired.swap_remove(i);
-                ctx.free(r.addr);
-                tls.garbage.on_free();
-            }
-        }
-    }
 }
 
 impl SmrBase for Hp {
@@ -122,11 +80,8 @@ impl SmrBase for Hp {
 
     fn register(&self, tid: usize) -> HpTls {
         HpTls {
-            tid,
+            bag: RetireBag::new(tid, self.cfg.reclaim_freq),
             published: vec![0; self.cfg.slots_per_thread],
-            retired: Vec::new(),
-            retires_since_scan: 0,
-            garbage: GarbageMeter::new(),
             hazard_set: HashSet::new(),
         }
     }
@@ -135,8 +90,12 @@ impl SmrBase for Hp {
         true
     }
 
-    fn garbage(&self, tls: &Self::Tls) -> GarbageStats {
-        tls.garbage.stats()
+    fn bag(tls: &HpTls) -> &RetireBag {
+        &tls.bag
+    }
+
+    fn bag_mut(tls: &mut HpTls) -> &mut RetireBag {
+        &mut tls.bag
     }
 
     fn name(&self) -> &'static str {
@@ -145,16 +104,10 @@ impl SmrBase for Hp {
 }
 
 impl<E: Env + ?Sized> Smr<E> for Hp {
-    #[inline]
-    fn begin_op(&self, _ctx: &mut E, _tls: &mut Self::Tls) {}
-
     /// Clear the slots that were used this operation.
     fn end_op(&self, ctx: &mut E, tls: &mut Self::Tls) {
         for s in 0..self.cfg.slots_per_thread {
-            if tls.published[s] != 0 {
-                ctx.write(self.slot_addr(tls.tid, s), 0);
-                tls.published[s] = 0;
-            }
+            self.clear_slot(ctx, tls, s);
         }
     }
 
@@ -167,7 +120,7 @@ impl<E: Env + ?Sized> Smr<E> for Hp {
                 return 0; // null needs no protection
             }
             if tls.published[slot] != v {
-                ctx.write(self.slot_addr(tls.tid, slot), v);
+                ctx.write(self.slot_addr(tls.bag.tid, slot), v);
                 ctx.fence();
                 tls.published[slot] = v;
             }
@@ -180,60 +133,52 @@ impl<E: Env + ?Sized> Smr<E> for Hp {
 
     fn clear_slot(&self, ctx: &mut E, tls: &mut Self::Tls, slot: usize) {
         if tls.published[slot] != 0 {
-            ctx.write(self.slot_addr(tls.tid, slot), 0);
+            ctx.write(self.slot_addr(tls.bag.tid, slot), 0);
             tls.published[slot] = 0;
         }
     }
 
-    #[inline]
-    fn on_alloc(&self, _ctx: &mut E, _tls: &mut Self::Tls, _node: Addr) {}
-
-    fn retire(&self, ctx: &mut E, tls: &mut Self::Tls, node: Addr) {
-        tls.retired.push(Retired {
-            addr: node,
-            birth: 0,
-            retire: 0,
-        });
-        tls.garbage.on_retire();
-        tls.retires_since_scan += 1;
-        if tls.retires_since_scan >= self.cfg.reclaim_freq {
-            tls.retires_since_scan = 0;
-            self.scan(ctx, tls);
-        }
-    }
-
-    /// Graceful leave: clear this thread's published hazards, then drain.
-    fn depart(&self, ctx: &mut E, mut tls: Self::Tls) -> Orphan<Self::Tls> {
-        for s in 0..self.cfg.slots_per_thread {
-            if tls.published[s] != 0 {
-                ctx.write(self.slot_addr(tls.tid, s), 0);
-                tls.published[s] = 0;
-            }
-        }
-        ctx.smr_fence();
-        self.scan(ctx, &mut tls);
-        tls.retires_since_scan = 0;
-        Orphan::departed(tls)
-    }
-
-    /// Adopt. The crashed leg clears *every* slot of the victim's hazard
-    /// line (its host-side `published` mirror is only accurate up to the
-    /// crash point, so all `slots_per_thread` words are zeroed
-    /// unconditionally). Sound only under the fail-stop declaration: a
-    /// hazard nobody will ever dereference again guards nothing.
-    fn adopt(&self, ctx: &mut E, tls: &mut Self::Tls, orphan: Orphan<Self::Tls>) {
-        let (o, token) = orphan.into_parts();
-        if let Some(t) = token {
-            assert_eq!(t.tid(), o.tid, "crash token must name the orphan");
-            for s in 0..self.cfg.slots_per_thread {
-                ctx.write(self.slot_addr(o.tid, s), 0);
-            }
+    fn scan(&self, ctx: &mut E, tls: &mut HpTls) {
+        // Order every retired node's unlink store before the hazard loads
+        // below: without this a weakly-ordered host can satisfy the loads
+        // while the unlink still sits in the store buffer, missing a hazard
+        // whose owner still observed the node linked (no-op in the
+        // sequentially consistent simulator — see `Env::smr_fence`).
+        if !self.skip_scan_fence {
             ctx.smr_fence();
         }
-        tls.retired.extend(o.retired);
-        tls.garbage.merge(&o.garbage);
-        self.scan(ctx, tls);
-        tls.retires_since_scan = 0;
+        // Collect every published hazard (simulated loads of all threads'
+        // hazard lines — N*K shared reads, the scan cost the paper charges
+        // hp with).
+        let HpTls {
+            bag, hazard_set, ..
+        } = tls;
+        hazard_set.clear();
+        for line in &self.slots {
+            for s in 0..self.cfg.slots_per_thread {
+                let h = ctx.read(line.word(s as u64));
+                if h != 0 {
+                    hazard_set.insert(h);
+                }
+            }
+        }
+        bag.sweep(ctx, |r| hazard_set.contains(&r.addr.0));
+    }
+
+    /// Clear *every* slot of the victim's hazard line (its host-side
+    /// `published` mirror is only accurate up to the crash point, so all
+    /// `slots_per_thread` words are zeroed unconditionally). Sound only
+    /// under the fail-stop declaration: a hazard nobody will ever
+    /// dereference again guards nothing.
+    fn revoke(&self, ctx: &mut E, tid: usize) {
+        for s in 0..self.cfg.slots_per_thread {
+            ctx.write(self.slot_addr(tid, s), 0);
+        }
+    }
+
+    /// Clear the hazards this thread knows it published.
+    fn withdraw(&self, ctx: &mut E, tls: &mut HpTls) {
+        self.end_op(ctx, tls);
     }
 }
 
@@ -306,28 +251,7 @@ mod tests {
 
     #[test]
     fn scan_revisits_the_swapped_in_element() {
-        // PR-4 audit pin (same shape as ibr/he's): one scan over two
-        // unprotected retired nodes must free both — the classic
-        // `i += 1`-after-`swap_remove` off-by-one would skip the element
-        // swapped into slot i and leak one node per scan.
-        let m = machine(1);
-        let cfg = SmrConfig {
-            reclaim_freq: 2,
-            ..Default::default()
-        };
-        let s = Hp::new(&m, 1, cfg);
-        m.run_on(1, |_, ctx| {
-            let mut tls = s.register(0);
-            let a = ctx.alloc();
-            let b = ctx.alloc();
-            s.retire(ctx, &mut tls, a);
-            s.retire(ctx, &mut tls, b); // second retire → one scan
-        });
-        assert_eq!(
-            m.stats().allocated_not_freed,
-            0,
-            "one scan over [A, B] must free both (swap_remove revisit)"
-        );
+        crate::api::tests::one_scan_frees_both_of_two(|m, cfg| Hp::new(m, 1, cfg), false);
     }
 
     #[test]

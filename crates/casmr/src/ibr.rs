@@ -21,11 +21,10 @@
 use mcsim::Addr;
 
 use crate::api::{
-    per_thread_lines, register_probe, EraClock, GarbageMeter, GarbageStats, Retired, Smr, SmrBase,
-    SmrConfig, INACTIVE, NODE_BIRTH_WORD,
+    per_thread_lines, EraClock, RetireBag, Retired, Smr, SmrBase, SmrConfig,
+    INACTIVE, NODE_BIRTH_WORD,
 };
 use crate::env::{Env, EnvHost};
-use crate::recovery::Orphan;
 
 /// 2GE-IBR scheme state.
 pub struct Ibr {
@@ -33,59 +32,24 @@ pub struct Ibr {
     /// Per-thread reservation lines: word 0 = lo, word 1 = hi.
     res: Vec<Addr>,
     cfg: SmrConfig,
-    threads: usize,
 }
 
 /// Per-thread IBR state.
 pub struct IbrTls {
-    tid: usize,
+    bag: RetireBag,
     alloc_count: u64,
     /// Host-side cache of the published `hi` (avoids re-reading own line).
     hi: u64,
-    retired: Vec<Retired>,
-    retires_since_scan: u64,
-    garbage: GarbageMeter,
 }
 
 impl Ibr {
     /// Build the scheme, allocating its shared metadata.
     pub fn new<H: EnvHost + ?Sized>(host: &H, threads: usize, cfg: SmrConfig) -> Self {
         let clock = EraClock::new(host);
-        let res = per_thread_lines(host, threads, INACTIVE, "ibr.res");
         // Wedge attribution: probe word 0 (`lo`) only — the oldest open
         // reservation's lower bound names the thread pinning intervals.
-        register_probe(host, &res, "ibr.res", 1, INACTIVE);
-        Self {
-            clock,
-            res,
-            cfg,
-            threads,
-        }
-    }
-
-    fn scan<E: Env + ?Sized>(&self, ctx: &mut E, tls: &mut IbrTls) {
-        // Snapshot all reservations.
-        let mut lo = vec![0u64; self.threads];
-        let mut hi = vec![0u64; self.threads];
-        for t in 0..self.threads {
-            lo[t] = ctx.read(self.res[t]);
-            hi[t] = ctx.read(self.res[t].word(1));
-        }
-        let mut i = 0;
-        'outer: while i < tls.retired.len() {
-            ctx.tick(1);
-            let r = tls.retired[i];
-            for t in 0..self.threads {
-                let reserved = lo[t] != INACTIVE && r.retire >= lo[t] && r.birth <= hi[t];
-                if reserved {
-                    i += 1;
-                    continue 'outer;
-                }
-            }
-            tls.retired.swap_remove(i);
-            ctx.free(r.addr);
-            tls.garbage.on_free();
-        }
+        let res = per_thread_lines(host, threads, "ibr.res", INACTIVE, 1, INACTIVE);
+        Self { clock, res, cfg }
     }
 }
 
@@ -94,17 +58,18 @@ impl SmrBase for Ibr {
 
     fn register(&self, tid: usize) -> IbrTls {
         IbrTls {
-            tid,
+            bag: RetireBag::new(tid, self.cfg.reclaim_freq),
             alloc_count: 0,
             hi: 0,
-            retired: Vec::new(),
-            retires_since_scan: 0,
-            garbage: GarbageMeter::new(),
         }
     }
 
-    fn garbage(&self, tls: &Self::Tls) -> GarbageStats {
-        tls.garbage.stats()
+    fn bag(tls: &IbrTls) -> &RetireBag {
+        &tls.bag
+    }
+
+    fn bag_mut(tls: &mut IbrTls) -> &mut RetireBag {
+        &mut tls.bag
     }
 
     fn name(&self) -> &'static str {
@@ -116,7 +81,7 @@ impl<E: Env + ?Sized> Smr<E> for Ibr {
     /// Open the reservation `[e, e]` at the current era.
     fn begin_op(&self, ctx: &mut E, tls: &mut Self::Tls) {
         let e = self.clock.read(ctx);
-        let line = self.res[tls.tid];
+        let line = self.res[tls.bag.tid];
         ctx.write(line, e);
         ctx.write(line.word(1), e);
         ctx.fence();
@@ -125,7 +90,7 @@ impl<E: Env + ?Sized> Smr<E> for Ibr {
 
     /// Close the reservation.
     fn end_op(&self, ctx: &mut E, tls: &mut Self::Tls) {
-        ctx.write(self.res[tls.tid], INACTIVE);
+        ctx.write(self.res[tls.bag.tid], INACTIVE);
     }
 
     /// The 2GE protected read: read the pointer, confirm the era did not
@@ -138,7 +103,7 @@ impl<E: Env + ?Sized> Smr<E> for Ibr {
             if e == tls.hi {
                 return v;
             }
-            ctx.write(self.res[tls.tid].word(1), e);
+            ctx.write(self.res[tls.bag.tid].word(1), e);
             ctx.fence();
             tls.hi = e;
         }
@@ -152,7 +117,7 @@ impl<E: Env + ?Sized> Smr<E> for Ibr {
         ctx.write(node.word(NODE_BIRTH_WORD), e);
     }
 
-    fn retire(&self, ctx: &mut E, tls: &mut Self::Tls, node: Addr) {
+    fn stamp(&self, ctx: &mut E, node: Addr) -> Retired {
         // Order the caller's unlink store before the retire-era read and
         // the reservation snapshot in `scan` (po-after this call): a stamp
         // read while the unlink is still store-buffered can be too old,
@@ -161,47 +126,37 @@ impl<E: Env + ?Sized> Smr<E> for Ibr {
         // `Env::smr_fence`.
         ctx.smr_fence();
         let birth = ctx.read(node.word(NODE_BIRTH_WORD));
-        let stamp = self.clock.read(ctx);
-        tls.retired.push(Retired {
+        Retired {
             addr: node,
             birth,
-            retire: stamp,
+            retire: self.clock.read(ctx),
+        }
+    }
+
+    /// Snapshot all reservations; a node stays while its `[birth, retire]`
+    /// overlaps an active `[lo, hi]`.
+    fn scan(&self, ctx: &mut E, tls: &mut IbrTls) {
+        let reservations: Vec<(u64, u64)> = self
+            .res
+            .iter()
+            .map(|line| (ctx.read(*line), ctx.read(line.word(1))))
+            .collect();
+        tls.bag.sweep(ctx, |r| {
+            reservations
+                .iter()
+                .any(|&(lo, hi)| lo != INACTIVE && r.retire >= lo && r.birth <= hi)
         });
-        tls.garbage.on_retire();
-        tls.retires_since_scan += 1;
-        if tls.retires_since_scan >= self.cfg.reclaim_freq {
-            tls.retires_since_scan = 0;
-            self.scan(ctx, tls);
-        }
     }
 
-    /// Graceful leave: deactivate the reservation (idempotent between
-    /// operations), then drain.
-    fn depart(&self, ctx: &mut E, mut tls: Self::Tls) -> Orphan<Self::Tls> {
-        ctx.write(self.res[tls.tid], INACTIVE);
-        ctx.smr_fence();
-        self.scan(ctx, &mut tls);
-        tls.retires_since_scan = 0;
-        Orphan::departed(tls)
-    }
-
-    /// Adopt. A thread that crashed mid-operation leaves `[lo, hi]` open
-    /// forever, holding every node whose lifetime overlaps it. The crashed
-    /// leg caps the orphaned reservation in the strongest way the
-    /// fail-stop declaration allows: full deactivation (`lo := INACTIVE`)
-    /// — the dead thread will never dereference anything inside the
-    /// interval, so no cap short of retraction is needed.
-    fn adopt(&self, ctx: &mut E, tls: &mut Self::Tls, orphan: Orphan<Self::Tls>) {
-        let (o, token) = orphan.into_parts();
-        if let Some(t) = token {
-            assert_eq!(t.tid(), o.tid, "crash token must name the orphan");
-            ctx.write(self.res[o.tid], INACTIVE);
-            ctx.smr_fence();
-        }
-        tls.retired.extend(o.retired);
-        tls.garbage.merge(&o.garbage);
-        self.scan(ctx, tls);
-        tls.retires_since_scan = 0;
+    /// Deactivate `tid`'s reservation (idempotent between operations). A
+    /// thread that crashed mid-operation leaves `[lo, hi]` open forever,
+    /// holding every node whose lifetime overlaps it; the crash leg caps
+    /// the orphaned reservation in the strongest way the fail-stop
+    /// declaration allows: full deactivation (`lo := INACTIVE`) — the dead
+    /// thread will never dereference anything inside the interval, so no
+    /// cap short of retraction is needed.
+    fn revoke(&self, ctx: &mut E, tid: usize) {
+        ctx.write(self.res[tid], INACTIVE);
     }
 }
 
@@ -377,34 +332,7 @@ mod tests {
 
     #[test]
     fn scan_revisits_the_swapped_in_element() {
-        // PR-4 audit pin for the swap_remove index discipline: freeing
-        // retired[i] swaps the LAST element into slot i, which must be
-        // re-examined before advancing. The classic off-by-one (`i += 1`
-        // after the removal) leaks exactly one freeable node per scan;
-        // with two freeable nodes and one scan, that bug leaves a node
-        // behind.
-        let m = machine(1);
-        let cfg = SmrConfig {
-            reclaim_freq: 2, // exactly one scan, with retired = [A, B]
-            epoch_freq: 1,
-            ..Default::default()
-        };
-        let s = Ibr::new(&m, 1, cfg);
-        m.run_on(1, |_, ctx| {
-            let mut tls = s.register(0);
-            let a = ctx.alloc();
-            s.on_alloc(ctx, &mut tls, a);
-            let b = ctx.alloc();
-            s.on_alloc(ctx, &mut tls, b);
-            // No reservation is open: both are freeable at the scan.
-            s.retire(ctx, &mut tls, a);
-            s.retire(ctx, &mut tls, b); // second retire → scan
-        });
-        assert_eq!(
-            m.stats().allocated_not_freed,
-            0,
-            "one scan over [A, B] must free both (swap_remove revisit)"
-        );
+        crate::api::tests::one_scan_frees_both_of_two(|m, cfg| Ibr::new(m, 1, cfg), false);
     }
 
     #[test]

@@ -7,9 +7,8 @@
 
 use mcsim::Addr;
 
-use crate::api::{GarbageMeter, GarbageStats, Smr, SmrBase};
+use crate::api::{RetireBag, Smr, SmrBase};
 use crate::env::Env;
-use crate::recovery::Orphan;
 
 /// The leaking non-scheme.
 pub struct Leaky;
@@ -28,17 +27,23 @@ impl Default for Leaky {
 }
 
 impl SmrBase for Leaky {
-    /// Just the garbage meter: `none` has no real per-thread state, but it
-    /// is the canonical *unbounded* scheme, so its leak must be measurable
-    /// on the same axis as everyone else's backlog.
-    type Tls = GarbageMeter;
+    /// A bag whose retire list stays empty: `none` has no real per-thread
+    /// state, but it is the canonical *unbounded* scheme, so its leak must
+    /// be measurable on the same axis as everyone else's backlog — and its
+    /// orphans must name their thread like everyone else's.
+    type Tls = RetireBag;
 
-    fn register(&self, _tid: usize) -> Self::Tls {
-        GarbageMeter::new()
+    fn register(&self, tid: usize) -> Self::Tls {
+        // Nothing is ever listed, so the scan cadence never comes due.
+        RetireBag::new(tid, u64::MAX)
     }
 
-    fn garbage(&self, tls: &Self::Tls) -> GarbageStats {
-        tls.stats()
+    fn bag(tls: &RetireBag) -> &RetireBag {
+        tls
+    }
+
+    fn bag_mut(tls: &mut RetireBag) -> &mut RetireBag {
+        tls
     }
 
     fn name(&self) -> &'static str {
@@ -46,38 +51,21 @@ impl SmrBase for Leaky {
     }
 }
 
+/// No per-read cost, no per-op cost (the protection defaults), and a
+/// lifecycle that is pure accounting: with nothing published and nothing
+/// listed, `depart` hands over the meter and `adopt` merges it — the leak
+/// changes owners, not size — after the same token check as everyone's.
 impl<E: Env + ?Sized> Smr<E> for Leaky {
-    #[inline]
-    fn begin_op(&self, _ctx: &mut E, _tls: &mut Self::Tls) {}
-
-    #[inline]
-    fn end_op(&self, _ctx: &mut E, _tls: &mut Self::Tls) {}
-
-    #[inline]
-    fn read_ptr(&self, ctx: &mut E, _tls: &mut Self::Tls, _slot: usize, field: Addr) -> u64 {
-        ctx.read(field)
-    }
-
-    #[inline]
-    fn on_alloc(&self, _ctx: &mut E, _tls: &mut Self::Tls, _node: Addr) {}
-
     #[inline]
     fn retire(&self, _ctx: &mut E, tls: &mut Self::Tls, _node: Addr) {
         // Leak: never freed. The footprint counter keeps growing, which is
         // exactly what Figure 3 shows for `none`.
-        tls.on_retire();
+        tls.leak();
     }
 
-    /// Nothing published, nothing to drain: the meter is the whole estate.
-    fn depart(&self, _ctx: &mut E, tls: Self::Tls) -> Orphan<Self::Tls> {
-        Orphan::departed(tls)
-    }
+    fn scan(&self, _ctx: &mut E, _tls: &mut Self::Tls) {}
 
-    /// Adoption is pure accounting — the leak changes owners, not size.
-    fn adopt(&self, _ctx: &mut E, tls: &mut Self::Tls, orphan: Orphan<Self::Tls>) {
-        let (o, _token) = orphan.into_parts();
-        tls.merge(&o);
-    }
+    fn revoke(&self, _ctx: &mut E, _tid: usize) {}
 }
 
 #[cfg(test)]

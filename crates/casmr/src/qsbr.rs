@@ -19,11 +19,10 @@
 use mcsim::Addr;
 
 use crate::api::{
-    per_thread_lines, register_probe, EraClock, GarbageMeter, GarbageStats, Retired, Smr, SmrBase,
+    oldest_active, per_thread_lines, EraClock, RetireBag, Retired, Smr, SmrBase,
     SmrConfig, INACTIVE,
 };
 use crate::env::{Env, EnvHost};
-use crate::recovery::Orphan;
 
 /// QSBR scheme state (shared across threads).
 pub struct Qsbr {
@@ -31,16 +30,12 @@ pub struct Qsbr {
     /// Per-thread announcement lines (word 0 = last announced epoch).
     announce: Vec<Addr>,
     cfg: SmrConfig,
-    threads: usize,
 }
 
 /// Per-thread QSBR state.
 pub struct QsbrTls {
-    tid: usize,
+    bag: RetireBag,
     alloc_count: u64,
-    retired: Vec<Retired>,
-    retires_since_scan: u64,
-    garbage: GarbageMeter,
 }
 
 impl Qsbr {
@@ -48,41 +43,14 @@ impl Qsbr {
     /// metadata (one epoch line + one announcement line per thread).
     pub fn new<H: EnvHost + ?Sized>(host: &H, threads: usize, cfg: SmrConfig) -> Self {
         let clock = EraClock::new(host);
-        let announce = per_thread_lines(host, threads, 0, "qsbr.announce");
         // Wedge attribution: a never-announcing thread holds announce = 0,
         // the oldest possible value — exactly the thread pinning everyone.
         // INACTIVE marks departed members, which constrain nothing.
-        register_probe(host, &announce, "qsbr.announce", 1, INACTIVE);
+        let announce = per_thread_lines(host, threads, "qsbr.announce", 0, 1, INACTIVE);
         Self {
             clock,
             announce,
             cfg,
-            threads,
-        }
-    }
-
-    fn scan<E: Env + ?Sized>(&self, ctx: &mut E, tls: &mut QsbrTls) {
-        // Snapshot every thread's announcement (simulated loads: these lines
-        // are write-mostly by their owners, so these are usually misses).
-        // INACTIVE means the thread departed (or its crash was adopted):
-        // it holds nothing and constrains nothing.
-        let mut min_announce = u64::MAX;
-        for t in 0..self.threads {
-            let a = ctx.read(self.announce[t]);
-            if a != INACTIVE {
-                min_announce = min_announce.min(a);
-            }
-        }
-        let mut i = 0;
-        while i < tls.retired.len() {
-            ctx.tick(1);
-            if tls.retired[i].retire < min_announce {
-                let r = tls.retired.swap_remove(i);
-                ctx.free(r.addr);
-                tls.garbage.on_free();
-            } else {
-                i += 1;
-            }
         }
     }
 }
@@ -92,16 +60,17 @@ impl SmrBase for Qsbr {
 
     fn register(&self, tid: usize) -> QsbrTls {
         QsbrTls {
-            tid,
+            bag: RetireBag::new(tid, self.cfg.reclaim_freq),
             alloc_count: 0,
-            retired: Vec::new(),
-            retires_since_scan: 0,
-            garbage: GarbageMeter::new(),
         }
     }
 
-    fn garbage(&self, tls: &Self::Tls) -> GarbageStats {
-        tls.garbage.stats()
+    fn bag(tls: &QsbrTls) -> &RetireBag {
+        &tls.bag
+    }
+
+    fn bag_mut(tls: &mut QsbrTls) -> &mut RetireBag {
+        &mut tls.bag
     }
 
     fn name(&self) -> &'static str {
@@ -110,9 +79,6 @@ impl SmrBase for Qsbr {
 }
 
 impl<E: Env + ?Sized> Smr<E> for Qsbr {
-    #[inline]
-    fn begin_op(&self, _ctx: &mut E, _tls: &mut Self::Tls) {}
-
     /// Quiescent-state announcement: observe the epoch, publish it. No
     /// fence is *charged* (QSBR's zero-per-read claim in the figures), but
     /// on real hardware the announcement must be ordered before the next
@@ -124,13 +90,8 @@ impl<E: Env + ?Sized> Smr<E> for Qsbr {
     #[inline]
     fn end_op(&self, ctx: &mut E, tls: &mut Self::Tls) {
         let e = self.clock.read(ctx);
-        ctx.write(self.announce[tls.tid], e);
+        ctx.write(self.announce[tls.bag.tid], e);
         ctx.smr_fence();
-    }
-
-    #[inline]
-    fn read_ptr(&self, ctx: &mut E, _tls: &mut Self::Tls, _slot: usize, field: Addr) -> u64 {
-        ctx.read(field)
     }
 
     #[inline]
@@ -139,56 +100,36 @@ impl<E: Env + ?Sized> Smr<E> for Qsbr {
             .on_alloc(ctx, &mut tls.alloc_count, self.cfg.epoch_freq);
     }
 
-    fn retire(&self, ctx: &mut E, tls: &mut Self::Tls, node: Addr) {
+    fn stamp(&self, ctx: &mut E, node: Addr) -> Retired {
         // Order the caller's unlink store before the retire-epoch read and
         // the announcement snapshot in `scan` (po-after this call); a
         // store-buffered unlink would otherwise yield a too-old stamp that
         // the free rule clears while a reader can still reach the node.
         // No-op in the simulator — see `Env::smr_fence`.
         ctx.smr_fence();
-        let stamp = self.clock.read(ctx);
-        tls.retired.push(Retired {
+        Retired {
             addr: node,
             birth: 0,
-            retire: stamp,
-        });
-        tls.garbage.on_retire();
-        tls.retires_since_scan += 1;
-        if tls.retires_since_scan >= self.cfg.reclaim_freq {
-            tls.retires_since_scan = 0;
-            self.scan(ctx, tls);
+            retire: self.clock.read(ctx),
         }
     }
 
-    /// Graceful leave: announce terminal quiescence ([`INACTIVE`], which
-    /// scans skip — the member no longer gates the epoch ratchet), then
-    /// drain whatever the updated minimum allows.
-    fn depart(&self, ctx: &mut E, mut tls: Self::Tls) -> Orphan<Self::Tls> {
-        ctx.write(self.announce[tls.tid], INACTIVE);
-        ctx.smr_fence();
-        self.scan(ctx, &mut tls);
-        tls.retires_since_scan = 0;
-        Orphan::departed(tls)
+    /// Free what was retired before the oldest announcement.
+    fn scan(&self, ctx: &mut E, tls: &mut QsbrTls) {
+        let min_announce = oldest_active(ctx, &self.announce);
+        tls.bag.sweep(ctx, |r| r.retire >= min_announce);
     }
 
-    /// Adopt. The crashed leg forcibly deregisters the victim — writes
-    /// [`INACTIVE`] over an announcement the thread never made. This is
-    /// qsbr's deepest recovery obligation (a silent member otherwise pins
-    /// *every* retire forever) and is sound only under the fail-stop
-    /// declaration the [`crate::recovery::CrashToken`] certifies: the dead
-    /// thread will never read again, so the quiescence being asserted on
-    /// its behalf is vacuously true.
-    fn adopt(&self, ctx: &mut E, tls: &mut Self::Tls, orphan: Orphan<Self::Tls>) {
-        let (o, token) = orphan.into_parts();
-        if let Some(t) = token {
-            assert_eq!(t.tid(), o.tid, "crash token must name the orphan");
-            ctx.write(self.announce[o.tid], INACTIVE);
-            ctx.smr_fence();
-        }
-        tls.retired.extend(o.retired);
-        tls.garbage.merge(&o.garbage);
-        self.scan(ctx, tls);
-        tls.retires_since_scan = 0;
+    /// Deregister `tid`: [`INACTIVE`] is terminal quiescence, which scans
+    /// skip — the member no longer gates the epoch ratchet. On the crash
+    /// leg this writes over an announcement the thread never made: qsbr's
+    /// deepest recovery obligation (a silent member otherwise pins *every*
+    /// retire forever), sound only under the fail-stop declaration the
+    /// [`crate::recovery::CrashToken`] certifies: the dead thread will
+    /// never read again, so the quiescence being asserted on its behalf
+    /// is vacuously true.
+    fn revoke(&self, ctx: &mut E, tid: usize) {
+        ctx.write(self.announce[tid], INACTIVE);
     }
 
     /// Come online: announce the current epoch *before* the first

@@ -14,11 +14,10 @@
 use mcsim::Addr;
 
 use crate::api::{
-    per_thread_lines, register_probe, EraClock, GarbageMeter, GarbageStats, Retired, Smr, SmrBase,
+    oldest_active, per_thread_lines, EraClock, RetireBag, Retired, Smr, SmrBase,
     SmrConfig, INACTIVE,
 };
 use crate::env::{Env, EnvHost};
-use crate::recovery::Orphan;
 
 /// RCU/EBR scheme state.
 pub struct Rcu {
@@ -26,56 +25,22 @@ pub struct Rcu {
     /// Per-thread pin lines (word 0 = pinned epoch, or [`INACTIVE`]).
     pins: Vec<Addr>,
     cfg: SmrConfig,
-    threads: usize,
 }
 
 /// Per-thread RCU state.
 pub struct RcuTls {
-    tid: usize,
+    bag: RetireBag,
     alloc_count: u64,
-    retired: Vec<Retired>,
-    retires_since_scan: u64,
-    garbage: GarbageMeter,
 }
 
 impl Rcu {
     /// Build the scheme, allocating its shared metadata.
     pub fn new<H: EnvHost + ?Sized>(host: &H, threads: usize, cfg: SmrConfig) -> Self {
         let clock = EraClock::new(host);
-        let pins = per_thread_lines(host, threads, INACTIVE, "rcu.pins");
         // Wedge attribution: the oldest (lowest) pinned epoch is the reader
         // blocking reclamation; INACTIVE threads hold nothing.
-        register_probe(host, &pins, "rcu.pins", 1, INACTIVE);
-        Self {
-            clock,
-            pins,
-            cfg,
-            threads,
-        }
-    }
-
-    fn scan<E: Env + ?Sized>(&self, ctx: &mut E, tls: &mut RcuTls) {
-        // Snapshot all pins; compute the oldest epoch any thread could be
-        // reading in. INACTIVE threads don't constrain reclamation.
-        let mut min_pinned = u64::MAX;
-        for t in 0..self.threads {
-            let p = ctx.read(self.pins[t]);
-            if p != INACTIVE {
-                min_pinned = min_pinned.min(p);
-            }
-        }
-        let mut i = 0;
-        while i < tls.retired.len() {
-            ctx.tick(1);
-            // Freeable iff every pinned thread started at retire+1 or later.
-            if min_pinned == u64::MAX || tls.retired[i].retire < min_pinned {
-                let r = tls.retired.swap_remove(i);
-                ctx.free(r.addr);
-                tls.garbage.on_free();
-            } else {
-                i += 1;
-            }
-        }
+        let pins = per_thread_lines(host, threads, "rcu.pins", INACTIVE, 1, INACTIVE);
+        Self { clock, pins, cfg }
     }
 }
 
@@ -84,16 +49,17 @@ impl SmrBase for Rcu {
 
     fn register(&self, tid: usize) -> RcuTls {
         RcuTls {
-            tid,
+            bag: RetireBag::new(tid, self.cfg.reclaim_freq),
             alloc_count: 0,
-            retired: Vec::new(),
-            retires_since_scan: 0,
-            garbage: GarbageMeter::new(),
         }
     }
 
-    fn garbage(&self, tls: &Self::Tls) -> GarbageStats {
-        tls.garbage.stats()
+    fn bag(tls: &RcuTls) -> &RetireBag {
+        &tls.bag
+    }
+
+    fn bag_mut(tls: &mut RcuTls) -> &mut RetireBag {
+        &mut tls.bag
     }
 
     fn name(&self) -> &'static str {
@@ -107,19 +73,14 @@ impl<E: Env + ?Sized> Smr<E> for Rcu {
     #[inline]
     fn begin_op(&self, ctx: &mut E, tls: &mut Self::Tls) {
         let e = self.clock.read(ctx);
-        ctx.write(self.pins[tls.tid], e);
+        ctx.write(self.pins[tls.bag.tid], e);
         ctx.fence();
     }
 
     /// Unpin (plain store; release ordering suffices in a real machine).
     #[inline]
     fn end_op(&self, ctx: &mut E, tls: &mut Self::Tls) {
-        ctx.write(self.pins[tls.tid], INACTIVE);
-    }
-
-    #[inline]
-    fn read_ptr(&self, ctx: &mut E, _tls: &mut Self::Tls, _slot: usize, field: Addr) -> u64 {
-        ctx.read(field)
+        ctx.write(self.pins[tls.bag.tid], INACTIVE);
     }
 
     #[inline]
@@ -128,53 +89,36 @@ impl<E: Env + ?Sized> Smr<E> for Rcu {
             .on_alloc(ctx, &mut tls.alloc_count, self.cfg.epoch_freq);
     }
 
-    fn retire(&self, ctx: &mut E, tls: &mut Self::Tls, node: Addr) {
+    fn stamp(&self, ctx: &mut E, node: Addr) -> Retired {
         // Order the caller's unlink store before the retire-epoch read and
         // the pin snapshot in `scan` (po-after this call): a stamp read
         // while the unlink is still store-buffered can be too old, letting
         // the free rule clear a node a pinned reader can still reach.
         // No-op in the simulator — see `Env::smr_fence`.
         ctx.smr_fence();
-        let stamp = self.clock.read(ctx);
-        tls.retired.push(Retired {
+        Retired {
             addr: node,
             birth: 0,
-            retire: stamp,
-        });
-        tls.garbage.on_retire();
-        tls.retires_since_scan += 1;
-        if tls.retires_since_scan >= self.cfg.reclaim_freq {
-            tls.retires_since_scan = 0;
-            self.scan(ctx, tls);
+            retire: self.clock.read(ctx),
         }
     }
 
-    /// Graceful leave: unpin (idempotent — depart is called between
-    /// operations, where the pin is already [`INACTIVE`]), then drain.
-    fn depart(&self, ctx: &mut E, mut tls: Self::Tls) -> Orphan<Self::Tls> {
-        ctx.write(self.pins[tls.tid], INACTIVE);
-        ctx.smr_fence();
-        self.scan(ctx, &mut tls);
-        tls.retires_since_scan = 0;
-        Orphan::departed(tls)
+    /// Freeable iff every pinned thread started at retire+1 or later: the
+    /// oldest epoch any thread could be reading in bounds the sweep.
+    fn scan(&self, ctx: &mut E, tls: &mut RcuTls) {
+        let min_pinned = oldest_active(ctx, &self.pins);
+        tls.bag.sweep(ctx, |r| r.retire >= min_pinned);
     }
 
-    /// Adopt. A thread that crashed *inside* a critical section leaves its
-    /// pin published forever — the epoch-based analogue of qsbr's silent
-    /// member — so the crashed leg forcibly unpins it. Sound only under
-    /// the fail-stop declaration ([`crate::recovery::CrashToken`]): the
-    /// dead reader will never dereference anything its pin was guarding.
-    fn adopt(&self, ctx: &mut E, tls: &mut Self::Tls, orphan: Orphan<Self::Tls>) {
-        let (o, token) = orphan.into_parts();
-        if let Some(t) = token {
-            assert_eq!(t.tid(), o.tid, "crash token must name the orphan");
-            ctx.write(self.pins[o.tid], INACTIVE);
-            ctx.smr_fence();
-        }
-        tls.retired.extend(o.retired);
-        tls.garbage.merge(&o.garbage);
-        self.scan(ctx, tls);
-        tls.retires_since_scan = 0;
+    /// Unpin `tid`. Idempotent for a graceful leave (depart is called
+    /// between operations, where the pin is already [`INACTIVE`]); a
+    /// thread that crashed *inside* a critical section leaves its pin
+    /// published forever — the epoch-based analogue of qsbr's silent
+    /// member — so the crash leg forcibly unpins it. Sound only under the
+    /// fail-stop declaration ([`crate::recovery::CrashToken`]): the dead
+    /// reader will never dereference anything its pin was guarding.
+    fn revoke(&self, ctx: &mut E, tid: usize) {
+        ctx.write(self.pins[tid], INACTIVE);
     }
 }
 

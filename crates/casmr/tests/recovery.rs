@@ -16,7 +16,7 @@
 use casmr::api::{Smr, SmrBase, SmrConfig};
 use casmr::qsbr::QsbrTls;
 use casmr::recovery::{CrashToken, Orphan, TlsVault};
-use casmr::{He, Hp, Ibr, Leaky, Qsbr, Rcu, SimEnv};
+use casmr::{with_scheme, Leaky, Qsbr, SchemeKind, SimEnv};
 use mcsim::{Addr, CoreOutcome, FaultPlan, Machine, MachineConfig};
 
 /// Crash-survivable per-thread worker state, parked in a [`TlsVault`].
@@ -87,12 +87,15 @@ fn tight() -> SmrConfig {
 /// that protection is pinned until a survivor adopts with a fail-stop
 /// token; after adoption plus a departing drain, *everything* is freed and
 /// the merged meter balances to zero live garbage.
-fn crash_adopt_drains<S>(build: impl FnOnce(&Machine) -> S)
+fn crash_adopt_drains(kind: SchemeKind) {
+    let m = machine(1);
+    with_scheme!(kind, &m, 2, tight(), |s| crash_adopt_drains_on(&m, &s));
+}
+
+fn crash_adopt_drains_on<S>(m: &Machine, s: &S)
 where
     S: for<'m> Smr<SimEnv<'m>> + Sync,
 {
-    let m = machine(1);
-    let s = build(&m);
     let mailbox = m.alloc_static(1);
     let final_stats = m.run_on(1, |_, ctx| {
         let mut writer = s.register(0);
@@ -149,27 +152,27 @@ where
 
 #[test]
 fn crash_adopt_drains_qsbr() {
-    crash_adopt_drains(|m| Qsbr::new(m, 2, tight()));
+    crash_adopt_drains(SchemeKind::Qsbr);
 }
 
 #[test]
 fn crash_adopt_drains_rcu() {
-    crash_adopt_drains(|m| Rcu::new(m, 2, tight()));
+    crash_adopt_drains(SchemeKind::Rcu);
 }
 
 #[test]
 fn crash_adopt_drains_ibr() {
-    crash_adopt_drains(|m| Ibr::new(m, 2, tight()));
+    crash_adopt_drains(SchemeKind::Ibr);
 }
 
 #[test]
 fn crash_adopt_drains_hp() {
-    crash_adopt_drains(|m| Hp::new(m, 2, tight()));
+    crash_adopt_drains(SchemeKind::Hp);
 }
 
 #[test]
 fn crash_adopt_drains_he() {
-    crash_adopt_drains(|m| He::new(m, 2, tight()));
+    crash_adopt_drains(SchemeKind::He);
 }
 
 /// `none` adopts accounting only: the leak changes owners, not size.
@@ -376,32 +379,36 @@ fn sim_restart_adopts_and_rebounds() {
     );
 }
 
-/// A token only certifies the thread it names: `adopt` rejects a token for
-/// the wrong thread before touching any scheme state.
+/// A token only certifies the thread it names: every scheme's `adopt`
+/// rejects a token for the wrong thread before touching any scheme state.
 #[test]
 fn adopt_rejects_a_mismatched_token() {
-    let m = machine(1);
-    let s = Qsbr::new(&m, 2, SmrConfig::default());
-    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        m.run_on(1, |_, ctx| {
-            let mut writer = s.register(0);
-            let victim = s.register(1);
-            // SAFETY (of the mint itself): thread 9 does not exist; the
-            // adopt below must reject the mismatch before acting on it.
-            let token = unsafe { CrashToken::assert_fail_stop(9) };
-            s.adopt(ctx, &mut writer, Orphan::crashed(victim, token));
-        });
-    }))
-    .expect_err("token/orphan tid mismatch must panic");
-    let msg = err
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| err.downcast_ref::<&str>().copied())
-        .unwrap_or("");
-    assert!(
-        msg.contains("crash token must name the orphan"),
-        "unexpected panic: {msg}"
-    );
+    for kind in SchemeKind::ALL.into_iter().filter(|&k| k != SchemeKind::Ca) {
+        let m = machine(1);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            with_scheme!(kind, &m, 2, SmrConfig::default(), |s| {
+                m.run_on(1, |_, ctx| {
+                    let mut writer = s.register(0);
+                    let victim = s.register(1);
+                    // SAFETY (of the mint itself): thread 9 does not exist;
+                    // the adopt below must reject the mismatch before acting
+                    // on it.
+                    let token = unsafe { CrashToken::assert_fail_stop(9) };
+                    s.adopt(ctx, &mut writer, Orphan::crashed(victim, token));
+                });
+            })
+        }))
+        .expect_err(&format!("{kind}: token/orphan tid mismatch must panic"));
+        let msg = err
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| err.downcast_ref::<&str>().copied())
+            .unwrap_or("");
+        assert!(
+            msg.contains("crash token must name the orphan"),
+            "{kind}: unexpected panic: {msg}"
+        );
+    }
 }
 
 /// A crash without a restart stays `Crashed`, the orphan's stranded

@@ -28,7 +28,7 @@ use conditional_access::ds::{QueueDs, SetDs, StackDs};
 use conditional_access::harness::{run_set, Mix, RunConfig, SetKind};
 use conditional_access::sim::{Machine, MachineConfig, Rng, UafMode};
 use conditional_access::smr::{
-    CrashToken, He, Hp, Ibr, Leaky, Orphan, Qsbr, Rcu, SchemeKind, Smr, SmrBase, SmrConfig,
+    with_scheme, CrashToken, Orphan, SchemeKind, Smr, SmrBase, SmrConfig,
 };
 
 fn machine(cores: usize, uaf: UafMode) -> Machine {
@@ -170,40 +170,6 @@ fn drive_queue_ops<D: for<'m> QueueDs<Ctx<'m>>>(
     d.slice(&drained[0]);
 }
 
-/// Build `$scheme`'s object over `$m` for `$threads` threads at the
-/// battery cadence and run `$body` with it.
-macro_rules! with_smr {
-    ($scheme:expr, $m:expr, $threads:expr, |$s:ident| $body:expr) => {
-        match $scheme {
-            SchemeKind::Ca => unreachable!("CA has no scheme object"),
-            SchemeKind::None => {
-                let $s = Leaky::new();
-                $body
-            }
-            SchemeKind::Qsbr => {
-                let $s = Qsbr::new($m, $threads, tight_smr());
-                $body
-            }
-            SchemeKind::Rcu => {
-                let $s = Rcu::new($m, $threads, tight_smr());
-                $body
-            }
-            SchemeKind::Ibr => {
-                let $s = Ibr::new($m, $threads, tight_smr());
-                $body
-            }
-            SchemeKind::Hp => {
-                let $s = Hp::new($m, $threads, tight_smr());
-                $body
-            }
-            SchemeKind::He => {
-                let $s = He::new($m, $threads, tight_smr());
-                $body
-            }
-        }
-    };
-}
-
 /// One battery cell: `(structure, scheme, threads, seed, uaf)` → digest of
 /// every simulated result the differential battery would compare.
 fn battery_digest(
@@ -223,7 +189,7 @@ fn battery_digest(
             drive_set_ops(&m, &ds, threads, ops, range, seed, &mut d);
             d.slice(&walk_list(&m, ds.head_node()));
         }
-        ("lazylist", _) => with_smr!(scheme, &m, threads, |s| {
+        ("lazylist", _) => with_scheme!(scheme, &m, threads, tight_smr(), |s| {
             let ds = SmrLazyList::new(&m, s);
             drive_set_ops(&m, &ds, threads, ops, range, seed, &mut d);
             d.slice(&walk_list(&m, ds.head_node()));
@@ -233,7 +199,7 @@ fn battery_digest(
             drive_set_ops(&m, &ds, threads, ops, range, seed, &mut d);
             d.slice(&walk_bst(&m, ds.root_node()));
         }
-        ("extbst", _) => with_smr!(scheme, &m, threads, |s| {
+        ("extbst", _) => with_scheme!(scheme, &m, threads, tight_smr(), |s| {
             let ds = SmrExtBst::new(&m, s);
             drive_set_ops(&m, &ds, threads, ops, range, seed, &mut d);
             d.slice(&walk_bst(&m, ds.root_node()));
@@ -242,7 +208,7 @@ fn battery_digest(
             let ds = CaStack::new(&m);
             drive_stack_ops(&m, &ds, threads, ops, range, seed, &mut d);
         }
-        ("stack", _) => with_smr!(scheme, &m, threads, |s| {
+        ("stack", _) => with_scheme!(scheme, &m, threads, tight_smr(), |s| {
             let ds = SmrStack::new(&m, s);
             drive_stack_ops(&m, &ds, threads, ops, range, seed, &mut d);
         }),
@@ -250,7 +216,7 @@ fn battery_digest(
             let ds = CaQueue::new(&m);
             drive_queue_ops(&m, &ds, threads, ops, range, seed, &mut d);
         }
-        ("queue", _) => with_smr!(scheme, &m, threads, |s| {
+        ("queue", _) => with_scheme!(scheme, &m, threads, tight_smr(), |s| {
             let ds = SmrQueue::new(&m, s);
             drive_queue_ops(&m, &ds, threads, ops, range, seed, &mut d);
         }),
@@ -315,7 +281,7 @@ fn churn<S: for<'m> Smr<Ctx<'m>>>(s: &S, ctx: &mut Ctx<'_>, tls: &mut S::Tls, n:
 fn lifecycle_digest(scheme: SchemeKind) -> u64 {
     let m = machine(1, UafMode::Panic);
     let mailbox = m.alloc_static(1);
-    let garbage = with_smr!(scheme, &m, 3, |s| {
+    let garbage = with_scheme!(scheme, &m, 3, tight_smr(), |s| {
         m.run_on(1, |_, ctx| {
             let mut writer = s.register(0);
             let mut victim = s.register(1);

@@ -28,7 +28,7 @@ use conditional_access::ds::smr::SmrLazyList;
 use conditional_access::ds::{DsShared, SetDs};
 use conditional_access::sim::Rng;
 use conditional_access::smr::{
-    He, HeartbeatBoard, Hp, Ibr, Leaky, NativeEnv, NativeMachine, Orphan, Qsbr, Rcu, Smr, SmrBase,
+    with_scheme, HeartbeatBoard, NativeEnv, NativeMachine, Orphan, Qsbr, SchemeKind, Smr, SmrBase,
     SmrConfig, TlsVault,
 };
 
@@ -77,22 +77,22 @@ where
     })
 }
 
-/// One native lazy-list run under the scheme `build` constructs. Returns
-/// (per-thread histories, final sorted contents, pool stats).
-fn run_with<S>(
-    build: impl FnOnce(&NativeMachine) -> S,
+/// One native lazy-list run under scheme `kind`, sized to the run's thread
+/// count: qsbr/rcu epochs only advance once every *registered* thread
+/// quiesces, so spare slots would (correctly) pin reclamation forever.
+/// Returns (per-thread histories, final sorted contents, pool stats).
+fn run_with(
+    kind: SchemeKind,
     threads: usize,
     seed: u64,
-) -> (Vec<Vec<Op>>, Vec<u64>, casmr::NativeStats)
-where
-    S: for<'p> casmr::Smr<NativeEnv<'p>>,
-{
+) -> (Vec<Vec<Op>>, Vec<u64>, casmr::NativeStats) {
     let m = pool();
-    let ds = SmrLazyList::new(&m, build(&m));
-    let h = drive(&m, &ds, threads, seed);
-    let keys = walk_list(&m, ds.head_node());
-    let stats = m.stats();
-    (h, keys, stats)
+    with_scheme!(kind, &m, threads, tight_smr(), |s| {
+        let ds = SmrLazyList::new(&m, s);
+        let h = drive(&m, &ds, threads, seed);
+        let keys = walk_list(&m, ds.head_node());
+        (h, keys, m.stats())
+    })
 }
 
 /// Net successful inserts − deletes per key over the whole history.
@@ -124,23 +124,9 @@ fn check_accounting(name: &str, history: &[Vec<Op>], keys: &[u64]) {
     assert_eq!(keys, &expect[..], "{name}: final contents don't balance");
 }
 
-/// The software schemes under test, as named builders. A macro-free
-/// registry needs a dyn-compatible probe, so each entry is run through
-/// a closure that owns the whole run.
-type SchemeRun = Box<dyn Fn(usize, u64) -> (Vec<Vec<Op>>, Vec<u64>, casmr::NativeStats)>;
-
-fn schemes() -> Vec<(&'static str, SchemeRun)> {
-    // Schemes are sized to the run's thread count: qsbr/rcu epochs only
-    // advance once every *registered* thread quiesces, so spare slots
-    // would (correctly) pin reclamation forever.
-    vec![
-        ("none", Box::new(|th, s| run_with(|_| Leaky::new(), th, s)) as SchemeRun),
-        ("qsbr", Box::new(|th, s| run_with(|m| Qsbr::new(m, th, tight_smr()), th, s))),
-        ("rcu", Box::new(|th, s| run_with(|m| Rcu::new(m, th, tight_smr()), th, s))),
-        ("ibr", Box::new(|th, s| run_with(|m| Ibr::new(m, th, tight_smr()), th, s))),
-        ("hp", Box::new(|th, s| run_with(|m| Hp::new(m, th, tight_smr()), th, s))),
-        ("he", Box::new(|th, s| run_with(|m| He::new(m, th, tight_smr()), th, s))),
-    ]
+/// The software schemes under test: every scheme object.
+fn schemes() -> impl Iterator<Item = SchemeKind> {
+    SchemeKind::ALL.into_iter().filter(|&k| k != SchemeKind::Ca)
 }
 
 const SEEDS: [u64; 2] = [0xBEE5, 0xCAB1E];
@@ -148,10 +134,10 @@ const SEEDS: [u64; 2] = [0xBEE5, 0xCAB1E];
 #[test]
 fn single_threaded_native_histories_match_the_leaky_oracle() {
     for seed in SEEDS {
-        let (oracle_h, oracle_keys, oracle_stats) = run_with(|_| Leaky::new(), 1, seed);
+        let (oracle_h, oracle_keys, oracle_stats) = run_with(SchemeKind::None, 1, seed);
         assert_eq!(oracle_stats.freed, 0, "the leaky oracle must never free");
-        for (name, run) in schemes() {
-            let (h, keys, _) = run_with_probe(&run, 1, seed);
+        for name in schemes() {
+            let (h, keys, _) = run_with(name, 1, seed);
             assert_eq!(
                 h, oracle_h,
                 "{name}: native single-threaded history diverged (seed {seed:#x})"
@@ -162,14 +148,6 @@ fn single_threaded_native_histories_match_the_leaky_oracle() {
             );
         }
     }
-}
-
-fn run_with_probe(
-    run: &SchemeRun,
-    threads: usize,
-    seed: u64,
-) -> (Vec<Vec<Op>>, Vec<u64>, casmr::NativeStats) {
-    run(threads, seed)
 }
 
 // ---------------------------------------------------------------------
@@ -353,8 +331,9 @@ fn native_crashed_worker_is_detected_and_adopted_with_the_structure() {
 fn concurrent_native_runs_balance_accounting_and_allocator() {
     for threads in [2usize, 4] {
         for seed in SEEDS {
-            for (name, run) in schemes() {
-                let (h, keys, stats) = run_with_probe(&run, threads, seed);
+            for kind in schemes() {
+                let name = kind.name();
+                let (h, keys, stats) = run_with(kind, threads, seed);
                 check_accounting(name, &h, &keys);
                 assert_eq!(
                     stats.allocated_not_freed,
@@ -365,15 +344,15 @@ fn concurrent_native_runs_balance_accounting_and_allocator() {
                     stats.peak_allocated >= stats.allocated_not_freed,
                     "{name}: peak below final at {threads} threads"
                 );
-                match name {
-                    "none" => assert_eq!(stats.freed, 0, "leaky oracle freed memory"),
+                match kind {
+                    SchemeKind::None => assert_eq!(stats.freed, 0, "leaky oracle freed memory"),
                     // qsbr/rcu may legitimately free nothing here: on a
                     // small host the threads can run near-sequentially,
                     // and a peer's stale final announcement pins every
                     // later retire — the paper's §V epoch weakness,
                     // observed on real threads. Only the ledger is
                     // checked for them.
-                    "qsbr" | "rcu" => {}
+                    SchemeKind::Qsbr | SchemeKind::Rcu => {}
                     // Per-read protection frees regardless of host
                     // scheduling: a finished peer's slots are cleared, so
                     // the later thread's scans must reclaim.

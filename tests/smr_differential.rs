@@ -33,8 +33,7 @@ use conditional_access::ds::smr::{SmrExtBst, SmrLazyList, SmrQueue, SmrStack};
 use conditional_access::ds::{DsShared, QueueDs, SetDs, StackDs};
 use conditional_access::sim::{CoreOutcome, FaultPlan, Machine, MachineConfig, Rng, UafMode};
 use conditional_access::smr::{
-    CrashToken, He, Hp, Ibr, Leaky, Orphan, Qsbr, Rcu, SchemeKind, Smr, SmrBase, SmrConfig,
-    TlsVault,
+    with_scheme, CrashToken, Orphan, SchemeKind, Smr, SmrBase, SmrConfig, TlsVault,
 };
 
 /// `(op kind, key, result)`: 0 = insert, 1 = delete, 2 = contains.
@@ -114,39 +113,15 @@ fn lazylist_run(
             let keys = walk_list(&m, ds.head_node());
             (h, keys)
         }
-        SchemeKind::None => smr_lazylist_run(&m, Leaky::new(), threads, ops, range, seed),
-        SchemeKind::Qsbr => {
-            smr_lazylist_run(&m, Qsbr::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::Rcu => {
-            smr_lazylist_run(&m, Rcu::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::Ibr => {
-            smr_lazylist_run(&m, Ibr::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::Hp => {
-            smr_lazylist_run(&m, Hp::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::He => {
-            smr_lazylist_run(&m, He::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
+        kind => with_scheme!(kind, &m, threads, tight_smr(), |s| {
+            let ds = SmrLazyList::new(&m, s);
+            let h = drive(&m, &ds, threads, ops, range, seed);
+            let keys = walk_list(&m, ds.head_node());
+            (h, keys)
+        }),
     };
     let faults = m.faults().len();
     (history, keys, faults)
-}
-
-fn smr_lazylist_run<S: for<'m> conditional_access::smr::Smr<Ctx<'m>>>(
-    m: &Machine,
-    s: S,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-) -> (Vec<Vec<Op>>, Vec<u64>) {
-    let ds = SmrLazyList::new(m, s);
-    let h = drive(m, &ds, threads, ops, range, seed);
-    let keys = walk_list(m, ds.head_node());
-    (h, keys)
 }
 
 /// Same shape for the external BST.
@@ -166,39 +141,15 @@ fn extbst_run(
             let keys = walk_bst(&m, ds.root_node());
             (h, keys)
         }
-        SchemeKind::None => smr_extbst_run(&m, Leaky::new(), threads, ops, range, seed),
-        SchemeKind::Qsbr => {
-            smr_extbst_run(&m, Qsbr::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::Rcu => {
-            smr_extbst_run(&m, Rcu::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::Ibr => {
-            smr_extbst_run(&m, Ibr::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::Hp => {
-            smr_extbst_run(&m, Hp::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::He => {
-            smr_extbst_run(&m, He::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
+        kind => with_scheme!(kind, &m, threads, tight_smr(), |s| {
+            let ds = SmrExtBst::new(&m, s);
+            let h = drive(&m, &ds, threads, ops, range, seed);
+            let keys = walk_bst(&m, ds.root_node());
+            (h, keys)
+        }),
     };
     let faults = m.faults().len();
     (history, keys, faults)
-}
-
-fn smr_extbst_run<S: for<'m> conditional_access::smr::Smr<Ctx<'m>>>(
-    m: &Machine,
-    s: S,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-) -> (Vec<Vec<Op>>, Vec<u64>) {
-    let ds = SmrExtBst::new(m, s);
-    let h = drive(m, &ds, threads, ops, range, seed);
-    let keys = walk_bst(m, ds.root_node());
-    (h, keys)
 }
 
 // ---------------------------------------------------------------------
@@ -229,37 +180,13 @@ fn stack_run(
             let ds = CaStack::new(&m);
             (drive_stack(&m, &ds, threads, ops, range, seed), drain_stack(&m, &ds))
         }
-        SchemeKind::None => smr_stack_run(&m, Leaky::new(), threads, ops, range, seed),
-        SchemeKind::Qsbr => {
-            smr_stack_run(&m, Qsbr::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::Rcu => {
-            smr_stack_run(&m, Rcu::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::Ibr => {
-            smr_stack_run(&m, Ibr::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::Hp => {
-            smr_stack_run(&m, Hp::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::He => {
-            smr_stack_run(&m, He::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
+        kind => with_scheme!(kind, &m, threads, tight_smr(), |s| {
+            let ds = SmrStack::new(&m, s);
+            (drive_stack(&m, &ds, threads, ops, range, seed), drain_stack(&m, &ds))
+        }),
     };
     let faults = m.faults().len();
     (history, drained, faults)
-}
-
-fn smr_stack_run<S: for<'m> Smr<Ctx<'m>>>(
-    m: &Machine,
-    s: S,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-) -> (Vec<Vec<StackOp>>, Vec<u64>) {
-    let ds = SmrStack::new(m, s);
-    (drive_stack(m, &ds, threads, ops, range, seed), drain_stack(m, &ds))
 }
 
 fn drive_stack<D: for<'m> StackDs<Ctx<'m>>>(
@@ -321,37 +248,13 @@ fn queue_run(
             let ds = CaQueue::new(&m);
             (drive_queue(&m, &ds, threads, ops, range, seed), drain_queue(&m, &ds))
         }
-        SchemeKind::None => smr_queue_run(&m, Leaky::new(), threads, ops, range, seed),
-        SchemeKind::Qsbr => {
-            smr_queue_run(&m, Qsbr::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::Rcu => {
-            smr_queue_run(&m, Rcu::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::Ibr => {
-            smr_queue_run(&m, Ibr::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::Hp => {
-            smr_queue_run(&m, Hp::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
-        SchemeKind::He => {
-            smr_queue_run(&m, He::new(&m, threads, tight_smr()), threads, ops, range, seed)
-        }
+        kind => with_scheme!(kind, &m, threads, tight_smr(), |s| {
+            let ds = SmrQueue::new(&m, s);
+            (drive_queue(&m, &ds, threads, ops, range, seed), drain_queue(&m, &ds))
+        }),
     };
     let faults = m.faults().len();
     (history, drained, faults)
-}
-
-fn smr_queue_run<S: for<'m> Smr<Ctx<'m>>>(
-    m: &Machine,
-    s: S,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-) -> (Vec<Vec<QueueOp>>, Vec<u64>) {
-    let ds = SmrQueue::new(m, s);
-    (drive_queue(m, &ds, threads, ops, range, seed), drain_queue(m, &ds))
 }
 
 fn drive_queue<D: for<'m> QueueDs<Ctx<'m>>>(
@@ -595,27 +498,41 @@ struct RecWorker<T> {
     hanging: bool,
 }
 
-fn queue_crash_recovery_leg<S>(build: impl FnOnce(&Machine) -> S, name: &str, seed: u64)
+const CRASH_THREADS: usize = 4;
+const CRASH_VICTIM: usize = 3;
+
+/// The crash + adoption leg under scheme `kind`, on every seed.
+fn queue_crash_adoption_is_leak_free(kind: SchemeKind) {
+    for seed in SEEDS {
+        let m = Machine::new(MachineConfig {
+            cores: CRASH_THREADS,
+            mem_bytes: 32 << 20,
+            static_lines: 2048,
+            uaf_mode: UafMode::Record,
+            // The crash clock is far past the whole workload: the victim is
+            // guaranteed to be in its hang loop (a non-responsive member, the
+            // shape the native detector declares crashed), never mid-op.
+            fault_plan: FaultPlan::none()
+                .crash(CRASH_VICTIM, 500_000)
+                .restart(CRASH_VICTIM, 520_000),
+            ..Default::default()
+        });
+        with_scheme!(kind, &m, CRASH_THREADS, tight_smr(), |s| {
+            queue_crash_recovery_leg(&m, s, kind.name(), seed)
+        });
+    }
+}
+
+fn queue_crash_recovery_leg<S>(m: &Machine, s: S, name: &str, seed: u64)
 where
     S: for<'m> Smr<Ctx<'m>> + Sync,
     <S as SmrBase>::Tls: Send,
 {
-    const THREADS: usize = 4;
+    const THREADS: usize = CRASH_THREADS;
     const OPS: u64 = 200;
     const HALF: u64 = 100;
-    const VICTIM: usize = 3;
-    let m = Machine::new(MachineConfig {
-        cores: THREADS,
-        mem_bytes: 32 << 20,
-        static_lines: 2048,
-        uaf_mode: UafMode::Record,
-        // The crash clock is far past the whole workload: the victim is
-        // guaranteed to be in its hang loop (a non-responsive member, the
-        // shape the native detector declares crashed), never mid-op.
-        fault_plan: FaultPlan::none().crash(VICTIM, 500_000).restart(VICTIM, 520_000),
-        ..Default::default()
-    });
-    let q = SmrQueue::new(&m, build(&m));
+    const VICTIM: usize = CRASH_VICTIM;
+    let q = SmrQueue::new(m, s);
     let scratch = m.alloc_static(1);
     let vault: TlsVault<RecWorker<S::Tls>> = TlsVault::new(THREADS);
     for t in 0..THREADS {
@@ -729,35 +646,25 @@ where
 
 #[test]
 fn queue_crash_adoption_is_leak_free_qsbr() {
-    for seed in SEEDS {
-        queue_crash_recovery_leg(|m| Qsbr::new(m, 4, tight_smr()), "qsbr", seed);
-    }
+    queue_crash_adoption_is_leak_free(SchemeKind::Qsbr);
 }
 
 #[test]
 fn queue_crash_adoption_is_leak_free_rcu() {
-    for seed in SEEDS {
-        queue_crash_recovery_leg(|m| Rcu::new(m, 4, tight_smr()), "rcu", seed);
-    }
+    queue_crash_adoption_is_leak_free(SchemeKind::Rcu);
 }
 
 #[test]
 fn queue_crash_adoption_is_leak_free_ibr() {
-    for seed in SEEDS {
-        queue_crash_recovery_leg(|m| Ibr::new(m, 4, tight_smr()), "ibr", seed);
-    }
+    queue_crash_adoption_is_leak_free(SchemeKind::Ibr);
 }
 
 #[test]
 fn queue_crash_adoption_is_leak_free_hp() {
-    for seed in SEEDS {
-        queue_crash_recovery_leg(|m| Hp::new(m, 4, tight_smr()), "hp", seed);
-    }
+    queue_crash_adoption_is_leak_free(SchemeKind::Hp);
 }
 
 #[test]
 fn queue_crash_adoption_is_leak_free_he() {
-    for seed in SEEDS {
-        queue_crash_recovery_leg(|m| He::new(m, 4, tight_smr()), "he", seed);
-    }
+    queue_crash_adoption_is_leak_free(SchemeKind::He);
 }

@@ -9,12 +9,11 @@
 mod common;
 
 use common::{check_set_accounting, machine, run_mixed_set};
-use conditional_access::sim::machine::Ctx;
 use conditional_access::ds::ca::{CaExtBst, CaLazyList};
 use conditional_access::ds::seqcheck::{walk_bst, walk_list};
 use conditional_access::ds::smr::{SmrExtBst, SmrLazyList};
 use conditional_access::ds::HashTable;
-use conditional_access::smr::{He, Hp, Ibr, Leaky, Qsbr, Rcu, Smr, SmrConfig};
+use conditional_access::smr::{with_scheme, Hp, SchemeKind, SmrConfig};
 
 const THREADS: usize = 4;
 const OPS: u64 = 250;
@@ -69,77 +68,79 @@ fn ca_hashtable_stress() {
     check_set_accounting(&acct, &keys);
 }
 
-fn lazylist_with<S: for<'m> Smr<Ctx<'m>>>(scheme_of: impl Fn(&conditional_access::sim::Machine) -> S, seed: u64) {
+fn lazylist_with(kind: SchemeKind, seed: u64) {
     let m = machine(THREADS, 0);
-    let s = scheme_of(&m);
-    let ds = SmrLazyList::new(&m, s);
-    let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, seed);
-    check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+    with_scheme!(kind, &m, THREADS, tight_smr(), |s| {
+        let ds = SmrLazyList::new(&m, s);
+        let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, seed);
+        check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+    });
     m.check_invariants();
 }
 
 #[test]
 fn smr_lazylist_stress_leaky() {
-    lazylist_with(|_| Leaky::new(), 1);
+    lazylist_with(SchemeKind::None, 1);
 }
 
 #[test]
 fn smr_lazylist_stress_qsbr() {
-    lazylist_with(|m| Qsbr::new(m, THREADS, tight_smr()), 2);
+    lazylist_with(SchemeKind::Qsbr, 2);
 }
 
 #[test]
 fn smr_lazylist_stress_rcu() {
-    lazylist_with(|m| Rcu::new(m, THREADS, tight_smr()), 3);
+    lazylist_with(SchemeKind::Rcu, 3);
 }
 
 #[test]
 fn smr_lazylist_stress_ibr() {
-    lazylist_with(|m| Ibr::new(m, THREADS, tight_smr()), 4);
+    lazylist_with(SchemeKind::Ibr, 4);
 }
 
 #[test]
 fn smr_lazylist_stress_hp() {
-    lazylist_with(|m| Hp::new(m, THREADS, tight_smr()), 5);
+    lazylist_with(SchemeKind::Hp, 5);
 }
 
 #[test]
 fn smr_lazylist_stress_he() {
-    lazylist_with(|m| He::new(m, THREADS, tight_smr()), 6);
+    lazylist_with(SchemeKind::He, 6);
 }
 
-fn extbst_with<S: for<'m> Smr<Ctx<'m>>>(scheme_of: impl Fn(&conditional_access::sim::Machine) -> S, seed: u64) {
+fn extbst_with(kind: SchemeKind, seed: u64) {
     let m = machine(THREADS, 0);
-    let s = scheme_of(&m);
-    let ds = SmrExtBst::new(&m, s);
-    let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, seed);
-    check_set_accounting(&acct, &walk_bst(&m, ds.root_node()));
+    with_scheme!(kind, &m, THREADS, tight_smr(), |s| {
+        let ds = SmrExtBst::new(&m, s);
+        let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, seed);
+        check_set_accounting(&acct, &walk_bst(&m, ds.root_node()));
+    });
     m.check_invariants();
 }
 
 #[test]
 fn smr_extbst_stress_qsbr() {
-    extbst_with(|m| Qsbr::new(m, THREADS, tight_smr()), 7);
+    extbst_with(SchemeKind::Qsbr, 7);
 }
 
 #[test]
 fn smr_extbst_stress_rcu() {
-    extbst_with(|m| Rcu::new(m, THREADS, tight_smr()), 8);
+    extbst_with(SchemeKind::Rcu, 8);
 }
 
 #[test]
 fn smr_extbst_stress_ibr() {
-    extbst_with(|m| Ibr::new(m, THREADS, tight_smr()), 9);
+    extbst_with(SchemeKind::Ibr, 9);
 }
 
 #[test]
 fn smr_extbst_stress_hp() {
-    extbst_with(|m| Hp::new(m, THREADS, tight_smr()), 10);
+    extbst_with(SchemeKind::Hp, 10);
 }
 
 #[test]
 fn smr_extbst_stress_he() {
-    extbst_with(|m| He::new(m, THREADS, tight_smr()), 11);
+    extbst_with(SchemeKind::He, 11);
 }
 
 #[test]

@@ -14,7 +14,7 @@ use conditional_access::ds::ca::{CaQueue, CaStack};
 use conditional_access::ds::smr::{SmrQueue, SmrStack};
 use conditional_access::ds::{QueueDs, StackDs};
 use conditional_access::sim::{Machine, Rng};
-use conditional_access::smr::{He, Hp, Ibr, Leaky, Qsbr, Rcu, Smr, SmrConfig};
+use conditional_access::smr::{with_scheme, SchemeKind, SmrConfig};
 
 const THREADS: usize = 4;
 const OPS: u64 = 300;
@@ -124,38 +124,29 @@ fn ca_queue_conserves() {
     assert_eq!(m.stats().allocated_not_freed, 1, "only the dummy remains");
 }
 
-fn stack_with<S: for<'m> Smr<Ctx<'m>>>(scheme_of: impl Fn(&Machine) -> S, seed: u64) {
-    let m = machine(THREADS, 0);
-    let s = scheme_of(&m);
-    let ds = SmrStack::new(&m, s);
-    conserve_stack(&m, &ds, seed);
-}
-
-fn queue_with<S: for<'m> Smr<Ctx<'m>>>(scheme_of: impl Fn(&Machine) -> S, seed: u64) {
-    let m = machine(THREADS, 0);
-    let s = scheme_of(&m);
-    let ds = SmrQueue::new(&m, s);
-    conserve_queue(&m, &ds, seed);
+/// Every scheme object (CA has none; its structures are tested above).
+fn scheme_objects() -> impl Iterator<Item = SchemeKind> {
+    SchemeKind::ALL.into_iter().filter(|&k| k != SchemeKind::Ca)
 }
 
 #[test]
 fn smr_stack_conserves_all_schemes() {
-    stack_with(|_| Leaky::new(), 1);
-    stack_with(|m| Qsbr::new(m, THREADS, tight_smr()), 2);
-    stack_with(|m| Rcu::new(m, THREADS, tight_smr()), 3);
-    stack_with(|m| Ibr::new(m, THREADS, tight_smr()), 4);
-    stack_with(|m| Hp::new(m, THREADS, tight_smr()), 5);
-    stack_with(|m| He::new(m, THREADS, tight_smr()), 6);
+    for (kind, seed) in scheme_objects().zip(1..) {
+        let m = machine(THREADS, 0);
+        with_scheme!(kind, &m, THREADS, tight_smr(), |s| {
+            conserve_stack(&m, &SmrStack::new(&m, s), seed)
+        });
+    }
 }
 
 #[test]
 fn smr_queue_conserves_all_schemes() {
-    queue_with(|_| Leaky::new(), 11);
-    queue_with(|m| Qsbr::new(m, THREADS, tight_smr()), 12);
-    queue_with(|m| Rcu::new(m, THREADS, tight_smr()), 13);
-    queue_with(|m| Ibr::new(m, THREADS, tight_smr()), 14);
-    queue_with(|m| Hp::new(m, THREADS, tight_smr()), 15);
-    queue_with(|m| He::new(m, THREADS, tight_smr()), 16);
+    for (kind, seed) in scheme_objects().zip(11..) {
+        let m = machine(THREADS, 0);
+        with_scheme!(kind, &m, THREADS, tight_smr(), |s| {
+            conserve_queue(&m, &SmrQueue::new(&m, s), seed)
+        });
+    }
 }
 
 #[test]
