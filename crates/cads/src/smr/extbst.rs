@@ -280,7 +280,7 @@ mod tests {
 
     #[test]
     fn smoke_all_schemes() {
-        for kind in SchemeKind::ALL.into_iter().filter(|&k| k != SchemeKind::Ca) {
+        for kind in SchemeKind::objects() {
             let m = machine(1);
             with_scheme!(kind, &m, 1, SmrConfig::default(), |s| {
                 smoke(&m, &SmrExtBst::new(&m, s))

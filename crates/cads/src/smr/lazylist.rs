@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn basic_semantics_all_schemes() {
-        for kind in SchemeKind::ALL.into_iter().filter(|&k| k != SchemeKind::Ca) {
+        for kind in SchemeKind::objects() {
             let m = machine(1);
             with_scheme!(kind, &m, 1, SmrConfig::default(), |s| {
                 exercise_basic(&m, &SmrLazyList::new(&m, s))

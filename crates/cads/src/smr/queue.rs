@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn fifo_all_schemes() {
-        for kind in SchemeKind::ALL.into_iter().filter(|&k| k != SchemeKind::Ca) {
+        for kind in SchemeKind::objects() {
             let m = machine(1);
             with_scheme!(kind, &m, 1, SmrConfig::default(), |s| {
                 fifo_smoke(&m, &SmrQueue::new(&m, s))

@@ -40,11 +40,7 @@ fn main() {
     eprintln!("[validate at {scale:?} scale, agreement floor {min_agreement}]");
 
     let threads = scale.threads();
-    let schemes: Vec<SchemeKind> = SchemeKind::ALL
-        .iter()
-        .copied()
-        .filter(|&s| s != SchemeKind::Ca)
-        .collect();
+    let schemes: Vec<SchemeKind> = SchemeKind::objects().collect();
     let cols: Vec<String> = threads.iter().map(|t| t.to_string()).collect();
 
     // Both legs are one plan, so they run as one sweep; the executor gives

@@ -88,6 +88,12 @@ impl SchemeKind {
         SchemeKind::He,
     ];
 
+    /// The kinds [`with_scheme!`] can build: all but [`SchemeKind::Ca`],
+    /// which has no scheme object.
+    pub fn objects() -> impl Iterator<Item = SchemeKind> {
+        Self::ALL.into_iter().filter(|&k| k != SchemeKind::Ca)
+    }
+
     /// Figure-legend name.
     pub fn name(self) -> &'static str {
         match self {
@@ -186,7 +192,7 @@ mod tests {
             ..Default::default()
         });
         let native = NativeMachine::new(256);
-        for kind in SchemeKind::ALL.into_iter().filter(|&k| k != SchemeKind::Ca) {
+        for kind in SchemeKind::objects() {
             let on_sim = with_scheme!(kind, &sim, 2, SmrConfig::default(), |s| s.name());
             let on_native = with_scheme!(kind, &native, 2, SmrConfig::default(), |s| s.name());
             assert_eq!(on_sim, kind.name());

@@ -383,7 +383,7 @@ fn sim_restart_adopts_and_rebounds() {
 /// rejects a token for the wrong thread before touching any scheme state.
 #[test]
 fn adopt_rejects_a_mismatched_token() {
-    for kind in SchemeKind::ALL.into_iter().filter(|&k| k != SchemeKind::Ca) {
+    for kind in SchemeKind::objects() {
         let m = machine(1);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             with_scheme!(kind, &m, 2, SmrConfig::default(), |s| {

@@ -360,7 +360,7 @@ fn all_digests() -> Vec<(String, u64)> {
         }
     }
     // Membership lifecycle, one row per scheme object (CA has none).
-    for scheme in SchemeKind::ALL.into_iter().filter(|&s| s != SchemeKind::Ca) {
+    for scheme in SchemeKind::objects() {
         out.push((format!("lifecycle {scheme}"), lifecycle_digest(scheme)));
     }
     out

@@ -124,11 +124,6 @@ fn check_accounting(name: &str, history: &[Vec<Op>], keys: &[u64]) {
     assert_eq!(keys, &expect[..], "{name}: final contents don't balance");
 }
 
-/// The software schemes under test: every scheme object.
-fn schemes() -> impl Iterator<Item = SchemeKind> {
-    SchemeKind::ALL.into_iter().filter(|&k| k != SchemeKind::Ca)
-}
-
 const SEEDS: [u64; 2] = [0xBEE5, 0xCAB1E];
 
 #[test]
@@ -136,7 +131,7 @@ fn single_threaded_native_histories_match_the_leaky_oracle() {
     for seed in SEEDS {
         let (oracle_h, oracle_keys, oracle_stats) = run_with(SchemeKind::None, 1, seed);
         assert_eq!(oracle_stats.freed, 0, "the leaky oracle must never free");
-        for name in schemes() {
+        for name in SchemeKind::objects() {
             let (h, keys, _) = run_with(name, 1, seed);
             assert_eq!(
                 h, oracle_h,
@@ -331,7 +326,7 @@ fn native_crashed_worker_is_detected_and_adopted_with_the_structure() {
 fn concurrent_native_runs_balance_accounting_and_allocator() {
     for threads in [2usize, 4] {
         for seed in SEEDS {
-            for kind in schemes() {
+            for kind in SchemeKind::objects() {
                 let name = kind.name();
                 let (h, keys, stats) = run_with(kind, threads, seed);
                 check_accounting(name, &h, &keys);

@@ -528,14 +528,12 @@ where
     S: for<'m> Smr<Ctx<'m>> + Sync,
     <S as SmrBase>::Tls: Send,
 {
-    const THREADS: usize = CRASH_THREADS;
     const OPS: u64 = 200;
     const HALF: u64 = 100;
-    const VICTIM: usize = CRASH_VICTIM;
     let q = SmrQueue::new(m, s);
     let scratch = m.alloc_static(1);
-    let vault: TlsVault<RecWorker<S::Tls>> = TlsVault::new(THREADS);
-    for t in 0..THREADS {
+    let vault: TlsVault<RecWorker<S::Tls>> = TlsVault::new(CRASH_THREADS);
+    for t in 0..CRASH_THREADS {
         vault.put(
             t,
             RecWorker {
@@ -559,15 +557,15 @@ where
         w.done += 1;
     };
     let outs = m.run_recover_on(
-        THREADS,
+        CRASH_THREADS,
         |tid, ctx| {
             let mut guard = vault.lock(tid);
             let w = guard.as_mut().expect("worker parked before run");
-            let quota = if tid == VICTIM { HALF } else { OPS };
+            let quota = if tid == CRASH_VICTIM { HALF } else { OPS };
             while w.done < quota {
                 step(ctx, w);
             }
-            if tid == VICTIM {
+            if tid == CRASH_VICTIM {
                 w.hanging = true;
                 // Hang at a quiescent point. Reads are events, so the
                 // injected crash fires here; the loop bound is never hit.
@@ -592,7 +590,7 @@ where
         },
     );
     for (t, o) in outs.iter().enumerate() {
-        if t == VICTIM {
+        if t == CRASH_VICTIM {
             assert!(o.recovered().is_some(), "{name}: victim must recover");
         } else {
             assert!(matches!(o, CoreOutcome::Done(())), "{name}: survivor {t}");
@@ -600,7 +598,7 @@ where
     }
     // Histories out (tls stays parked for the drain + departs below).
     let mut logs = Vec::new();
-    for t in 0..THREADS {
+    for t in 0..CRASH_THREADS {
         let mut w = vault.take(t).expect("worker parked after run");
         assert_eq!(w.done, OPS, "{name}: worker {t} finished its quota");
         logs.push(std::mem::take(&mut w.log));
@@ -616,7 +614,7 @@ where
             while let Some(v) = q.dequeue(ctx, &mut w0.tls) {
                 out.push(v);
             }
-            for t in 1..THREADS {
+            for t in 1..CRASH_THREADS {
                 let w = vault.take(t).expect("worker parked");
                 let o = q.smr().depart(ctx, w.tls);
                 q.smr().adopt(ctx, &mut w0.tls, o);

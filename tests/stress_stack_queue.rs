@@ -124,14 +124,9 @@ fn ca_queue_conserves() {
     assert_eq!(m.stats().allocated_not_freed, 1, "only the dummy remains");
 }
 
-/// Every scheme object (CA has none; its structures are tested above).
-fn scheme_objects() -> impl Iterator<Item = SchemeKind> {
-    SchemeKind::ALL.into_iter().filter(|&k| k != SchemeKind::Ca)
-}
-
 #[test]
 fn smr_stack_conserves_all_schemes() {
-    for (kind, seed) in scheme_objects().zip(1..) {
+    for (kind, seed) in SchemeKind::objects().zip(1..) {
         let m = machine(THREADS, 0);
         with_scheme!(kind, &m, THREADS, tight_smr(), |s| {
             conserve_stack(&m, &SmrStack::new(&m, s), seed)
@@ -141,7 +136,7 @@ fn smr_stack_conserves_all_schemes() {
 
 #[test]
 fn smr_queue_conserves_all_schemes() {
-    for (kind, seed) in scheme_objects().zip(11..) {
+    for (kind, seed) in SchemeKind::objects().zip(11..) {
         let m = machine(THREADS, 0);
         with_scheme!(kind, &m, THREADS, tight_smr(), |s| {
             conserve_queue(&m, &SmrQueue::new(&m, s), seed)
