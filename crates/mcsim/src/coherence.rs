@@ -1198,12 +1198,20 @@ mod tests {
 
     type ScriptOutcome = (Vec<crate::stats::CoreStats>, Vec<bool>, Vec<u64>, u64);
 
+    /// What is resident where after a scripted run, in an order that does
+    /// not depend on way placement: per L1 the sorted `(line, lru, state,
+    /// tags)`, and the L2's sorted `(line, lru, sharers, owner, dirty)`.
+    type Residency = (
+        Vec<Vec<(u64, u64, MsiState, u8)>>,
+        Vec<(u64, u64, u64, Option<CoreId>, bool)>,
+    );
+
     /// 4 hardware threads over 256 B direct-mapped L1s and a 1 KiB 2-way L2
     /// driving 4000 LCG-chosen `read`/`write`/`cread`/`cwrite`/`untag_all`
     /// steps over 64 lines: misses, upgrades, downgrades, L1 evictions and
     /// L2 back-invalidations all occur. Returns per-thread stats, ARBs, the
-    /// 64 memory words and the summed cost.
-    fn scripted_run(protocol: Protocol, smt: usize) -> ScriptOutcome {
+    /// 64 memory words and the summed cost, plus the final cache contents.
+    fn scripted_run(protocol: Protocol, smt: usize) -> (ScriptOutcome, Residency) {
         let mut h = CoherenceHub::new(
             4,
             smt,
@@ -1236,12 +1244,32 @@ mod tests {
         }
         h.check_invariants();
         let words: Vec<u64> = (0..64).map(|l| h.host_read(Line(l).base())).collect();
-        (h.stats.cores.clone(), h.arb.clone(), words, costs)
+        let mut l1s: Vec<Vec<_>> = h
+            .l1s
+            .iter()
+            .map(|l1| {
+                l1.array
+                    .iter()
+                    .map(|e| (e.line.0, e.lru, e.payload.state, e.payload.tags))
+                    .collect()
+            })
+            .collect();
+        l1s.iter_mut().for_each(|l1| l1.sort_unstable_by_key(|e| e.0));
+        let mut l2: Vec<_> = h
+            .l2
+            .iter()
+            .map(|e| {
+                let d = e.payload;
+                (e.line.0, e.lru, d.sharers, d.owner, d.dirty)
+            })
+            .collect();
+        l2.sort_unstable_by_key(|e| e.0);
+        ((h.stats.cores.clone(), h.arb.clone(), words, costs), (l1s, l2))
     }
 
-    /// FNV-1a over the outcome's `Debug` rendering.
-    fn digest(outcome: &ScriptOutcome) -> u64 {
-        format!("{outcome:?}")
+    /// FNV-1a over a value's `Debug` rendering.
+    fn digest(v: &impl std::fmt::Debug) -> u64 {
+        format!("{v:?}")
             .bytes()
             .fold(0xcbf29ce484222325, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3))
     }
@@ -1250,18 +1278,26 @@ mod tests {
     fn scripted_hub_workload_is_pinned() {
         // Any change to a coherence transition, a latency charge, the LRU
         // order or a revoke rule moves one of these digests; a refactor of
-        // the hub must leave all three untouched.
-        for (protocol, smt, pinned) in [
-            (Protocol::Msi, 1, 0xd66c52515defa177u64),
-            (Protocol::Mesi, 1, 0xe2a686c69a934a11),
-            (Protocol::Msi, 2, 0x6bbfa0aa8a4ef7b1),
+        // the hub must leave every one untouched. The first digest covers
+        // what the program and the stats can see; the second the final
+        // cache contents (lines, LRU stamps, states, tag masks, directory
+        // entries), so a wrong victim cannot hide behind equal stats. The
+        // `smt > 1` rows cover the sibling-tag and core-placement paths.
+        let mut moved = Vec::new();
+        for (protocol, smt, pinned, pinned_residency) in [
+            (Protocol::Msi, 1, 0xd66c52515defa177u64, 0x65499206603271a3u64),
+            (Protocol::Mesi, 1, 0xe2a686c69a934a11, 0x230942eb922bebcd),
+            (Protocol::Msi, 2, 0x6bbfa0aa8a4ef7b1, 0xbe82f3bd6dfeb212),
+            (Protocol::Mesi, 2, 0x245f88b514a28fc4, 0x12891d3551e007a7),
+            (Protocol::Msi, 4, 0xd878799880529036, 0xb91f170f1ecb6010),
         ] {
-            let got = digest(&scripted_run(protocol, smt));
-            assert_eq!(
-                got, pinned,
-                "{protocol:?} smt={smt}: scripted hub outcome changed (digest {got:#018x})"
-            );
+            let (outcome, residency) = scripted_run(protocol, smt);
+            let got = (digest(&outcome), digest(&residency));
+            if got != (pinned, pinned_residency) {
+                moved.push(format!("({protocol:?}, {smt}, {:#018x}, {:#018x})", got.0, got.1));
+            }
         }
+        assert!(moved.is_empty(), "scripted hub outcome changed; now:\n{}", moved.join("\n"));
     }
 
     // --- MESI -----------------------------------------------------------
