@@ -24,11 +24,33 @@
 //! * downgrading M→S (or E→S) does **not** revoke tags (the copy stays
 //!   valid);
 //! * `untagAll` clears the calling hardware thread's tag bits and its ARB.
+//!
+//! # One probe per access
+//!
+//! The caches are [`SetAssoc`]s, whose probe visits every way of a set and
+//! answers with a [`Way`] (see the `cache` module docs for the layout and
+//! why the probe has no early exit). Each architectural operation probes
+//! its L1 **once** and hands the way to everything that follows: `cread`
+//! touches LRU and sets the tag bit on the way `acquire_shared` found (or
+//! the way the miss path inserted into); `cwrite` reads the tag bit,
+//! upgrades and collects the sibling mask on one way; `write`/`cas` reuse
+//! `acquire_exclusive`'s way for the sibling mask; `upgrade_shared` writes
+//! the new state through the way it was called with. An L1 miss probes the
+//! L2 once: `l2_get_or_fill` returns the directory entry's way and the miss
+//! paths edit the entry through it (a Modified or Exclusive L1 *victim*
+//! costs one more L2 probe, for a different line). A way stays valid until
+//! the next insert or remove on the same cache, so a transition may keep
+//! one only across edits of *other* caches — the invalidations a store
+//! sends go to other cores' L1s, a fill's back-invalidations to L1s only.
+//! Unit tests count probes per operation and hold these numbers.
+//!
+//! Which physical core and hyperthread a hardware thread is comes from a
+//! table built by [`CoherenceHub::new`], not from a division per access.
 
 #![forbid(unsafe_code)]
 
 use crate::addr::{Addr, CoreId, Line};
-use crate::cache::{DirMeta, L1Meta, MsiState, SetAssoc, L1};
+use crate::cache::{DirMeta, L1Meta, MsiState, SetAssoc, Way, L1};
 use crate::latency::LatencyModel;
 use crate::mem::Memory;
 use crate::stats::{RevokeCause, StatsBank};
@@ -110,6 +132,9 @@ pub struct CoherenceHub {
     pub(crate) lat: LatencyModel,
     /// Hardware threads per physical core (1 = no SMT).
     smt: usize,
+    /// `(physical core, hyperthread index)` of every hardware thread:
+    /// `(t / smt, t % smt)`, divided once here instead of on every access.
+    placement: Vec<(u8, u8)>,
     protocol: Protocol,
     /// Per-hardware-thread access-revoked bit.
     pub(crate) arb: Vec<bool>,
@@ -148,6 +173,9 @@ impl CoherenceHub {
             mem: Memory::new(mem_bytes),
             lat,
             smt,
+            placement: (0..threads)
+                .map(|t| ((t / smt) as u8, (t % smt) as u8))
+                .collect(),
             protocol: cache.protocol,
             arb: vec![false; threads],
             tx: (0..threads).map(|_| TxState::default()).collect(),
@@ -166,16 +194,18 @@ impl CoherenceHub {
         self.smt
     }
 
+    /// Physical core of hardware thread `t` and its hyperthread index
+    /// within that core.
+    #[inline]
+    fn place(&self, t: CoreId) -> (usize, usize) {
+        let (pcore, ht) = self.placement[t];
+        (pcore as usize, ht as usize)
+    }
+
     /// Physical core of hardware thread `t`.
     #[inline]
     pub(crate) fn pc(&self, t: CoreId) -> usize {
-        t / self.smt
-    }
-
-    /// Hyperthread index of hardware thread `t` within its physical core.
-    #[inline]
-    fn ht(&self, t: CoreId) -> usize {
-        t % self.smt
+        self.place(t).0
     }
 
     #[inline]
@@ -228,14 +258,13 @@ impl CoherenceHub {
         Some(entry.payload.state)
     }
 
-    /// Insert `line` into thread `t`'s physical core's L1, handling the
-    /// victim: a Modified victim writes back to the L2 (directory drops
-    /// ownership); an Exclusive victim notifies the directory (clean drop);
-    /// a tagged victim sets its taggers' ARBs (associativity-conflict
-    /// spurious revoke, paper §III).
-    fn l1_insert(&mut self, t: CoreId, line: Line, state: MsiState) {
-        let pcore = self.pc(t);
-        let victim = self.l1s[pcore].array.insert(line, L1Meta::clean(state));
+    /// Insert `line` into physical core `pcore`'s L1 and return its way,
+    /// handling the victim: a Modified victim writes back to the L2
+    /// (directory drops ownership); an Exclusive victim notifies the
+    /// directory (clean drop); a tagged victim sets its taggers' ARBs
+    /// (associativity-conflict spurious revoke, paper §III).
+    fn l1_insert(&mut self, pcore: usize, line: Line, state: MsiState) -> Way {
+        let (way, victim) = self.l1s[pcore].array.insert(line, L1Meta::clean(state));
         if let Some(v) = victim {
             self.revoke_mask(pcore, v.payload.tags, RevokeCause::L1Eviction);
             match v.payload.state {
@@ -244,9 +273,9 @@ impl CoherenceHub {
                         .l2
                         .lookup_mut(v.line)
                         .expect("inclusion: L1 victim must be resident in L2");
-                    debug_assert_eq!(d.payload.owner, Some(pcore), "M victim must be owned");
-                    d.payload.owner = None;
-                    d.payload.dirty = true;
+                    debug_assert_eq!(d.owner, Some(pcore), "M victim must be owned");
+                    d.owner = None;
+                    d.dirty = true;
                 }
                 MsiState::Exclusive => {
                     // Clean drop, but the directory must forget the owner so
@@ -255,8 +284,8 @@ impl CoherenceHub {
                         .l2
                         .lookup_mut(v.line)
                         .expect("inclusion: L1 victim must be resident in L2");
-                    debug_assert_eq!(d.payload.owner, Some(pcore), "E victim must be owned");
-                    d.payload.owner = None;
+                    debug_assert_eq!(d.owner, Some(pcore), "E victim must be owned");
+                    d.owner = None;
                 }
                 MsiState::Shared => {
                     // Silent drop: the directory keeps a (now stale) sharer
@@ -264,17 +293,20 @@ impl CoherenceHub {
                 }
             }
         }
+        way
     }
 
     /// Ensure `line` is resident in the L2, evicting (and back-invalidating)
-    /// an L2 victim if necessary. Returns the cycle cost.
-    fn l2_get_or_fill(&mut self, t: CoreId, line: Line) -> u64 {
-        if self.l2.lookup_touch(line).is_some() {
+    /// an L2 victim if necessary. Returns the cycle cost and the way of the
+    /// line's directory entry: the one L2 probe of a miss, which the caller
+    /// edits the entry through.
+    fn l2_get_or_fill(&mut self, t: CoreId, line: Line) -> (u64, Way) {
+        if let Some(way) = self.l2.lookup_touch(line) {
             let c = self.lat.l2_hit;
             let s = self.stats.core(t);
             s.l2_hits += 1;
             s.l2_hit_cycles += c;
-            return c;
+            return (c, way);
         }
         let fill = self.lat.l2_hit + self.lat.mem;
         let s = self.stats.core(t);
@@ -282,7 +314,8 @@ impl CoherenceHub {
         s.mem_fill_cycles += fill;
         let mut cost = fill;
         // Fill; the inclusive L2 back-invalidates every L1 copy of its victim.
-        if let Some(v) = self.l2.insert(line, DirMeta::default()) {
+        let (way, victim) = self.l2.insert(line, DirMeta::default());
+        if let Some(v) = victim {
             for h in bits(v.payload.holders()) {
                 if let Some(state) =
                     self.invalidate_l1_copy(h, v.line, RevokeCause::L2BackInvalidation)
@@ -294,7 +327,7 @@ impl CoherenceHub {
                 }
             }
         }
-        cost
+        (cost, way)
     }
 
     /// Account an access served by `t`'s local L1; returns its cost.
@@ -307,31 +340,31 @@ impl CoherenceHub {
         c
     }
 
-    /// Obtain `line` with read permission in `t`'s L1 (Shared, or Exclusive
-    /// when MESI finds no other holder). Returns cost. The L1-hit check is
-    /// the only part that inlines into the event pipeline; everything that
-    /// involves the directory is [`Self::acquire_shared_miss`].
+    /// Obtain `line` with read permission in the L1 of `t`'s physical core
+    /// `pcore` (Shared, or Exclusive when MESI finds no other holder).
+    /// Returns the cost and the line's L1 way, found by the access's one L1
+    /// probe. The L1-hit check is the only part that inlines into the event
+    /// pipeline; everything that involves the directory is
+    /// [`Self::acquire_shared_miss`].
     #[inline]
-    fn acquire_shared(&mut self, t: CoreId, line: Line) -> u64 {
-        let pcore = self.pc(t);
-        if self.l1s[pcore].array.lookup_touch(line).is_some() {
-            return self.l1_hit(t);
+    fn acquire_shared(&mut self, t: CoreId, pcore: usize, line: Line) -> (u64, Way) {
+        match self.l1s[pcore].array.lookup_touch(line) {
+            Some(way) => (self.l1_hit(t), way),
+            None => self.acquire_shared_miss(t, pcore, line),
         }
-        self.acquire_shared_miss(t, line)
     }
 
     /// L1-miss half of [`Self::acquire_shared`]: fill from the L2 (or
     /// memory), downgrade a remote owner, insert into `t`'s L1.
     #[cold]
     #[inline(never)]
-    fn acquire_shared_miss(&mut self, t: CoreId, line: Line) -> u64 {
-        let pcore = self.pc(t);
-        let mut cost = self.l2_get_or_fill(t, line);
-        // One directory probe: the entry is edited in place while the
-        // owner's L1 (a different field) is downgraded, and every directory
-        // edit is finished before `l1_insert`, whose victim writeback probes
-        // the L2 again.
-        let d = &mut self.l2.lookup_mut(line).expect("just filled").payload;
+    fn acquire_shared_miss(&mut self, t: CoreId, pcore: usize, line: Line) -> (u64, Way) {
+        let (mut cost, dir_way) = self.l2_get_or_fill(t, line);
+        // The fill's way is the directory entry: it is edited in place while
+        // the owner's L1 (a different field) is downgraded, and every
+        // directory edit is finished before `l1_insert`, whose victim
+        // writeback probes the L2 for another line.
+        let d = self.l2.at_mut(dir_way);
         if let Some(o) = d.owner {
             debug_assert_ne!(o, pcore, "owner with an L1 miss is impossible");
             // Downgrade the owner to S: its copy stays valid, tags unaffected.
@@ -339,9 +372,9 @@ impl CoherenceHub {
                 .array
                 .lookup_mut(line)
                 .expect("directory owner must hold the line");
-            let was_modified = e.payload.state == MsiState::Modified;
-            debug_assert!(e.payload.state != MsiState::Shared, "owner cannot be S");
-            e.payload.state = MsiState::Shared;
+            let was_modified = e.state == MsiState::Modified;
+            debug_assert!(e.state != MsiState::Shared, "owner cannot be S");
+            e.state = MsiState::Shared;
             d.owner = None;
             d.add_sharer(o);
             if was_modified {
@@ -350,55 +383,62 @@ impl CoherenceHub {
                 cost += self.lat.dirty_supply;
             }
         }
-        if self.protocol == Protocol::Mesi && d.holders() == 0 {
+        let way = if self.protocol == Protocol::Mesi && d.holders() == 0 {
             // MESI: sole reader is granted Exclusive.
             d.owner = Some(pcore);
             self.stats.core(t).e_grants += 1;
-            self.l1_insert(t, line, MsiState::Exclusive);
+            self.l1_insert(pcore, line, MsiState::Exclusive)
         } else {
             d.add_sharer(pcore);
-            self.l1_insert(t, line, MsiState::Shared);
-        }
-        cost
+            self.l1_insert(pcore, line, MsiState::Shared)
+        };
+        (cost, way)
     }
 
-    /// Obtain `line` in Modified state in `t`'s L1, invalidating every other
-    /// copy (setting tagged holders' ARBs). Returns cost. Inline: the L1
-    /// hits that need no directory traffic (an M copy, or MESI's silent E→M
-    /// promotion); a Shared copy goes to [`Self::upgrade_shared`] and a miss
-    /// to [`Self::acquire_exclusive_miss`].
+    /// Obtain `line` in Modified state in the L1 of `t`'s physical core
+    /// `pcore`, invalidating every other copy (setting tagged holders'
+    /// ARBs). Returns the cost and the line's L1 way, found by the access's
+    /// one L1 probe; a miss goes to [`Self::acquire_exclusive_miss`].
     #[inline]
-    fn acquire_exclusive(&mut self, t: CoreId, line: Line) -> u64 {
-        let pcore = self.pc(t);
-        let Some(e) = self.l1s[pcore].array.lookup_touch(line) else {
-            return self.acquire_exclusive_miss(t, line);
-        };
-        match e.payload.state {
+    fn acquire_exclusive(&mut self, t: CoreId, pcore: usize, line: Line) -> (u64, Way) {
+        match self.l1s[pcore].array.lookup_touch(line) {
+            Some(way) => (self.make_exclusive(t, pcore, line, way), way),
+            None => self.acquire_exclusive_miss(t, pcore, line),
+        }
+    }
+
+    /// Bring the copy of `line` resident in `way` of `pcore`'s L1 to
+    /// Modified. Returns cost. Inline: the states that need no directory
+    /// traffic (an M copy, or MESI's silent E→M promotion); a Shared copy
+    /// goes to [`Self::upgrade_shared`].
+    #[inline]
+    fn make_exclusive(&mut self, t: CoreId, pcore: usize, line: Line, way: Way) -> u64 {
+        let meta = self.l1s[pcore].array.at_mut(way);
+        match meta.state {
             MsiState::Modified => self.l1_hit(t),
             MsiState::Exclusive => {
                 // MESI silent promotion: no directory traffic at all.
-                e.payload.state = MsiState::Modified;
+                meta.state = MsiState::Modified;
                 self.stats.core(t).silent_upgrades += 1;
                 self.l1_hit(t)
             }
-            MsiState::Shared => self.upgrade_shared(t, line),
+            MsiState::Shared => self.upgrade_shared(t, pcore, line, way),
         }
     }
 
-    /// S→M upgrade of a line resident in `t`'s L1: the directory
-    /// invalidates the other sharers.
+    /// S→M upgrade of the copy of `line` in `way` of `pcore`'s L1: the
+    /// directory invalidates the other sharers.
     #[cold]
     #[inline(never)]
-    fn upgrade_shared(&mut self, t: CoreId, line: Line) -> u64 {
-        let pcore = self.pc(t);
+    fn upgrade_shared(&mut self, t: CoreId, pcore: usize, line: Line, way: Way) -> u64 {
         let mut cost = self.lat.upgrade;
         // One directory probe: claim ownership in place, then deliver the
-        // invalidations (which only touch the L1s, ARBs and stats).
-        let d = &mut self
+        // invalidations (which only touch the other L1s, ARBs and stats, so
+        // `way` still names our copy afterwards).
+        let d = self
             .l2
             .lookup_mut(line)
-            .expect("inclusion: S line resident in L2")
-            .payload;
+            .expect("inclusion: S line resident in L2");
         debug_assert!(d.owner.is_none(), "S copy cannot coexist with an owner");
         let others = d.sharers & !(1u64 << pcore);
         d.sharers = 0;
@@ -413,12 +453,8 @@ impl CoherenceHub {
                 self.invalidate_l1_copy(h, line, RevokeCause::RemoteInvalidation);
             }
         }
-        self.l1s[pcore]
-            .array
-            .lookup_mut(line)
-            .expect("still resident")
-            .payload
-            .state = MsiState::Modified;
+        debug_assert_eq!(self.l1s[pcore].array.line_at(way), Some(line));
+        self.l1s[pcore].array.at_mut(way).state = MsiState::Modified;
         cost
     }
 
@@ -426,12 +462,12 @@ impl CoherenceHub {
     /// the directory, invalidate every previous holder, insert in M.
     #[cold]
     #[inline(never)]
-    fn acquire_exclusive_miss(&mut self, t: CoreId, line: Line) -> u64 {
-        let pcore = self.pc(t);
-        let mut cost = self.l2_get_or_fill(t, line);
-        // Claim the line in one directory probe; the previous holders are
-        // snapshot before the edit, and only a dirty writeback probes again.
-        let d = &mut self.l2.lookup_mut(line).expect("resident").payload;
+    fn acquire_exclusive_miss(&mut self, t: CoreId, pcore: usize, line: Line) -> (u64, Way) {
+        let (mut cost, dir_way) = self.l2_get_or_fill(t, line);
+        // Claim the line through the fill's way; the previous holders are
+        // snapshot before the edit, and the invalidations below only touch
+        // L1s, so a dirty writeback finds the entry in the same way.
+        let d = self.l2.at_mut(dir_way);
         let owner = d.owner;
         let others = d.sharers & !(1u64 << pcore);
         d.sharers = 0;
@@ -441,7 +477,7 @@ impl CoherenceHub {
             debug_assert_ne!(o, pcore);
             let removed = self.invalidate_l1_copy(o, line, RevokeCause::RemoteInvalidation);
             if removed == Some(MsiState::Modified) {
-                self.l2.lookup_mut(line).expect("resident").payload.dirty = true;
+                self.l2.at_mut(dir_way).dirty = true;
                 cost += self.lat.dirty_supply;
             }
             sent = true;
@@ -457,21 +493,20 @@ impl CoherenceHub {
         if sent {
             self.stats.core(t).invalidations_sent += 1;
         }
-        self.l1_insert(t, line, MsiState::Modified);
-        cost
+        (cost, self.l1_insert(pcore, line, MsiState::Modified))
     }
 
-    /// Apply the paper's SMT rule (§III): after thread `t` stores to `line`,
-    /// every *sibling* hyperthread whose tag bit is set on that line has its
-    /// ARB set. No coherence traffic is involved — the modification is
-    /// visible inside the shared L1.
+    /// Apply the paper's SMT rule (§III): after hyperthread `ht` of `pcore`
+    /// stores to the line in `way` of its L1, every *sibling* hyperthread
+    /// whose tag bit is set on that line has its ARB set. No coherence
+    /// traffic is involved — the modification is visible inside the shared
+    /// L1.
     #[inline]
-    fn revoke_siblings_on_store(&mut self, t: CoreId, line: Line) {
+    fn revoke_siblings_on_store(&mut self, pcore: usize, ht: usize, way: Way) {
         if self.smt == 1 {
             return;
         }
-        let pcore = self.pc(t);
-        let mask = self.l1s[pcore].tag_mask(line) & !(1u8 << self.ht(t));
+        let mask = self.l1s[pcore].array.at(way).tags & !(1u8 << ht);
         self.revoke_mask(pcore, mask, RevokeCause::SiblingWrite);
     }
 
@@ -487,7 +522,7 @@ impl CoherenceHub {
     pub fn read(&mut self, t: CoreId, a: Addr) -> (u64, u64) {
         self.assert_outside_tx(t, "read");
         self.stats.core(t).accesses += 1;
-        let cost = self.acquire_shared(t, a.line());
+        let (cost, _) = self.acquire_shared(t, self.pc(t), a.line());
         (self.mem.read(a), cost)
     }
 
@@ -496,8 +531,9 @@ impl CoherenceHub {
     pub fn write(&mut self, t: CoreId, a: Addr, v: u64) -> u64 {
         self.assert_outside_tx(t, "write");
         self.stats.core(t).accesses += 1;
-        let cost = self.acquire_exclusive(t, a.line());
-        self.revoke_siblings_on_store(t, a.line());
+        let (pcore, ht) = self.place(t);
+        let (cost, way) = self.acquire_exclusive(t, pcore, a.line());
+        self.revoke_siblings_on_store(pcore, ht, way);
         self.mem.write(a, v);
         cost
     }
@@ -512,10 +548,12 @@ impl CoherenceHub {
         let s = self.stats.core(t);
         s.accesses += 1;
         s.cas_ops += 1;
-        let cost = self.acquire_exclusive(t, a.line()) + self.lat.cas_extra;
+        let (pcore, ht) = self.place(t);
+        let (cost, way) = self.acquire_exclusive(t, pcore, a.line());
+        let cost = cost + self.lat.cas_extra;
         let cur = self.mem.read(a);
         if cur == expected {
-            self.revoke_siblings_on_store(t, a.line());
+            self.revoke_siblings_on_store(pcore, ht, way);
             self.mem.write(a, new);
             (Ok(expected), cost)
         } else {
@@ -544,11 +582,9 @@ impl CoherenceHub {
             self.stats.core(t).cread_fail += 1;
             return (None, self.lat.ca_fail);
         }
-        let cost = self.acquire_shared(t, a.line());
-        let ht = self.ht(t);
-        let pcore = self.pc(t);
-        let tagged = self.l1s[pcore].set_tag(a.line(), ht);
-        debug_assert!(tagged, "line must be resident right after the fill");
+        let (pcore, ht) = self.place(t);
+        let (cost, way) = self.acquire_shared(t, pcore, a.line());
+        self.l1s[pcore].tag_way(way, ht);
         if self.arb[t] {
             self.stats.core(t).cread_fail += 1;
             return (None, cost + self.lat.ca_fail);
@@ -566,18 +602,27 @@ impl CoherenceHub {
     pub fn cwrite(&mut self, t: CoreId, a: Addr, v: u64) -> (bool, u64) {
         self.assert_outside_tx(t, "cwrite");
         self.stats.core(t).accesses += 1;
-        let pcore = self.pc(t);
-        let ht = self.ht(t);
-        if self.arb[t] || !self.l1s[pcore].is_tagged(a.line(), ht) {
-            self.stats.core(t).cwrite_fail += 1;
-            return (false, self.lat.ca_fail);
-        }
-        let cost = self.acquire_exclusive(t, a.line());
+        let (pcore, ht) = self.place(t);
+        // One probe answers "tagged by me?" and names the way the store
+        // then upgrades: a tagged line is a resident line.
+        let l1 = &mut self.l1s[pcore].array;
+        let tagged = l1
+            .probe(a.line())
+            .filter(|&way| l1.at(way).tags & (1u8 << ht) != 0);
+        let way = match tagged {
+            Some(way) if !self.arb[t] => way,
+            _ => {
+                self.stats.core(t).cwrite_fail += 1;
+                return (false, self.lat.ca_fail);
+            }
+        };
+        l1.touch(way);
+        let cost = self.make_exclusive(t, pcore, a.line(), way);
         debug_assert!(
             !self.arb[t],
             "upgrading a resident line cannot revoke the writer's own tags"
         );
-        self.revoke_siblings_on_store(t, a.line());
+        self.revoke_siblings_on_store(pcore, ht, way);
         self.mem.write(a, v);
         self.stats.core(t).cwrite_ok += 1;
         (true, cost + self.lat.ca_check)
@@ -588,8 +633,7 @@ impl CoherenceHub {
     pub fn untag_one(&mut self, t: CoreId, a: Addr) -> u64 {
         self.assert_outside_tx(t, "untag_one");
         self.stats.core(t).untag_ones += 1;
-        let ht = self.ht(t);
-        let pcore = self.pc(t);
+        let (pcore, ht) = self.place(t);
         self.l1s[pcore].clear_tag(a.line(), ht);
         1
     }
@@ -598,8 +642,7 @@ impl CoherenceHub {
     pub fn untag_all(&mut self, t: CoreId) -> u64 {
         self.assert_outside_tx(t, "untag_all");
         self.stats.core(t).untag_alls += 1;
-        let ht = self.ht(t);
-        let pcore = self.pc(t);
+        let (pcore, ht) = self.place(t);
         self.l1s[pcore].clear_all_tags(ht);
         self.arb[t] = false;
         1
@@ -638,8 +681,7 @@ impl CoherenceHub {
         debug_assert!(self.tx[t].writes.is_empty());
         self.tx[t].active = true;
         // Start from a clean conflict-tracking state.
-        let ht = self.ht(t);
-        let pcore = self.pc(t);
+        let (pcore, ht) = self.place(t);
         self.l1s[pcore].clear_all_tags(ht);
         self.arb[t] = false;
         self.stats.core(t).tx_begins += 1;
@@ -653,8 +695,7 @@ impl CoherenceHub {
 
     /// Discard all speculative state of `t` (abort path).
     fn tx_rollback(&mut self, t: CoreId) {
-        let ht = self.ht(t);
-        let pcore = self.pc(t);
+        let (pcore, ht) = self.place(t);
         self.l1s[pcore].clear_all_tags(ht);
         self.arb[t] = false;
         self.tx[t].writes.clear();
@@ -672,11 +713,9 @@ impl CoherenceHub {
             self.tx_rollback(t);
             return (None, self.lat.tx_abort);
         }
-        let cost = self.acquire_shared(t, a.line());
-        let ht = self.ht(t);
-        let pcore = self.pc(t);
-        let tagged = self.l1s[pcore].set_tag(a.line(), ht);
-        debug_assert!(tagged, "line must be resident right after the fill");
+        let (pcore, ht) = self.place(t);
+        let (cost, way) = self.acquire_shared(t, pcore, a.line());
+        self.l1s[pcore].tag_way(way, ht);
         if self.arb[t] {
             // The fill evicted part of our own read set: capacity abort.
             self.tx_rollback(t);
@@ -702,10 +741,9 @@ impl CoherenceHub {
             self.tx_rollback(t);
             return (false, self.lat.tx_abort);
         }
-        let cost = self.acquire_shared(t, a.line());
-        let ht = self.ht(t);
-        let pcore = self.pc(t);
-        self.l1s[pcore].set_tag(a.line(), ht);
+        let (pcore, ht) = self.place(t);
+        let (cost, way) = self.acquire_shared(t, pcore, a.line());
+        self.l1s[pcore].tag_way(way, ht);
         if self.arb[t] {
             self.tx_rollback(t);
             return (false, cost + self.lat.tx_abort);
@@ -733,13 +771,13 @@ impl CoherenceHub {
     /// revoking their tags, then dissolve the transaction.
     pub fn tx_commit_apply(&mut self, t: CoreId, writes: &[(Addr, u64)]) -> u64 {
         let mut cost = self.lat.tx_commit;
+        let (pcore, ht) = self.place(t);
         for &(a, v) in writes {
-            cost += self.acquire_exclusive(t, a.line());
-            self.revoke_siblings_on_store(t, a.line());
+            let (c, way) = self.acquire_exclusive(t, pcore, a.line());
+            cost += c;
+            self.revoke_siblings_on_store(pcore, ht, way);
             self.mem.write(a, v);
         }
-        let ht = self.ht(t);
-        let pcore = self.pc(t);
         self.l1s[pcore].clear_all_tags(ht);
         self.arb[t] = false;
         self.tx[t].active = false;
@@ -1192,6 +1230,105 @@ mod tests {
             assert_eq!(h.stats.core(c).invalidations_received, 1);
         }
         h.check_invariants();
+    }
+
+    #[test]
+    fn placement_table_is_div_and_mod_by_smt() {
+        for smt in 1..=8 {
+            for pcores in [1, 2, 3, 7, 64] {
+                let threads = pcores * smt;
+                let h = CoherenceHub::new(
+                    threads,
+                    smt,
+                    &CacheConfig::default(),
+                    LatencyModel::default(),
+                    1 << 12,
+                );
+                for t in 0..threads {
+                    assert_eq!(h.place(t), (t / smt, t % smt), "smt {smt}, thread {t}");
+                    assert_eq!(h.pc(t), t / smt);
+                }
+            }
+        }
+    }
+
+    /// Probes of `cache` made by `op`.
+    fn probes<P, R>(
+        h: &mut CoherenceHub,
+        cache: fn(&CoherenceHub) -> &SetAssoc<P>,
+        op: impl FnOnce(&mut CoherenceHub) -> R,
+    ) -> u64 {
+        let before = cache(h).probes.get();
+        op(h);
+        cache(h).probes.get() - before
+    }
+
+    #[test]
+    fn one_l1_probe_per_access() {
+        // Warmed: core 0 holds A in M and tagged, so every access below is
+        // an L1 hit. Each must find its way once and carry it through the
+        // LRU touch, the tag edit, the state check and the sibling mask.
+        let l1: fn(&CoherenceHub) -> &SetAssoc<L1Meta> = |h| &h.l1s[0].array;
+        for mut h in [hub(2), mesi_hub(2), smt_hub(4)] {
+            h.cread(0, A);
+            h.cwrite(0, A, 1);
+            assert_eq!(probes(&mut h, l1, |h| h.read(0, A)), 1, "read");
+            assert_eq!(probes(&mut h, l1, |h| h.write(0, A, 2)), 1, "write");
+            assert_eq!(probes(&mut h, l1, |h| h.cas(0, A, 2, 3)), 1, "cas");
+            assert_eq!(probes(&mut h, l1, |h| h.cread(0, A)), 1, "cread");
+            assert_eq!(
+                probes(&mut h, l1, |h| assert!(h.cwrite(0, A, 4).0)),
+                1,
+                "cwrite"
+            );
+            assert_eq!(probes(&mut h, l1, |h| h.untag_one(0, A)), 1, "untag_one");
+            assert_eq!(
+                probes(&mut h, l1, |h| assert!(!h.cwrite(0, A, 5).0)),
+                1,
+                "untagged cwrite"
+            );
+            assert_eq!(probes(&mut h, l1, |h| h.untag_all(0)), 0, "untag_all");
+        }
+    }
+
+    #[test]
+    fn one_probe_per_level_per_miss() {
+        let l1: fn(&CoherenceHub) -> &SetAssoc<L1Meta> = |h| &h.l1s[1].array;
+        let l2: fn(&CoherenceHub) -> &SetAssoc<DirMeta> = |h| &h.l2;
+        for mk in [hub as fn(usize) -> CoherenceHub, mesi_hub] {
+            // Read miss served by the L2, the owner downgraded on the way.
+            let mut h = mk(2);
+            h.write(0, A, 1);
+            assert_eq!(probes(&mut h, l2, |h| h.read(1, A)), 1, "read miss, L2");
+            // S→M upgrade: the copy's way is carried, the directory found once.
+            assert_eq!(probes(&mut h, l1, |h| h.write(1, A, 2)), 1, "upgrade, L1");
+            h.read(0, A);
+            assert_eq!(probes(&mut h, l2, |h| h.write(1, A, 3)), 1, "upgrade, L2");
+            // Write miss that invalidates a Modified owner: its dirty bit
+            // lands through the way the fill found.
+            assert_eq!(
+                probes(&mut h, l2, |h| h.write(0, A, 4)),
+                1,
+                "write miss, L2"
+            );
+            // Cold misses (the L2 fills from memory), conditional or not.
+            assert_eq!(
+                probes(&mut h, l2, |h| h.cread(1, B)),
+                1,
+                "cread cold miss, L2"
+            );
+            let mut h = mk(2);
+            assert_eq!(
+                probes(&mut h, l1, |h| h.cread(1, B)),
+                1,
+                "cread cold miss, L1"
+            );
+            assert_eq!(
+                probes(&mut h, l1, |h| h.cas(1, A, 0, 1)),
+                1,
+                "cas cold miss, L1"
+            );
+        }
     }
 
     // --- scripted workload pin --------------------------------------------
