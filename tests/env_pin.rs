@@ -9,6 +9,8 @@
 //! figure-style throughput panel, hashes every simulated result (op logs,
 //! final contents, fault counts, `f64` throughput bit patterns, cycle
 //! counts), and compares the digests against `tests/goldens/env_pin.txt`.
+//! The `width` rows pin the scheduler at thread counts nothing else runs
+//! (non-powers of two, 16 and 32) before its rewrite as a winner tree.
 //!
 //! Simulated results are bit-identical across host execution backends
 //! (`tests/quantum_sweep.rs` asserts it), so one golden file serves both
@@ -25,7 +27,7 @@ use conditional_access::ds::ca::{CaExtBst, CaLazyList, CaQueue, CaStack};
 use conditional_access::ds::seqcheck::{walk_bst, walk_list};
 use conditional_access::ds::smr::{SmrExtBst, SmrLazyList, SmrQueue, SmrStack};
 use conditional_access::ds::{QueueDs, SetDs, StackDs};
-use conditional_access::harness::{run_set, Mix, RunConfig, SetKind};
+use conditional_access::harness::{run, Instrument, Mix, RunConfig, SetKind, Structure};
 use conditional_access::sim::{Machine, MachineConfig, Rng, UafMode};
 use conditional_access::smr::{
     with_scheme, CrashToken, Orphan, SchemeKind, Smr, SmrBase, SmrConfig,
@@ -230,10 +232,9 @@ fn battery_digest(
     d.0
 }
 
-/// One figure-panel cell through the public harness runner: every simulated
-/// metric that feeds the figures, bit-exact (`f64::to_bits`).
-fn panel_digest(kind: SetKind, scheme: SchemeKind, threads: usize) -> u64 {
-    let cfg = RunConfig {
+/// The figure-panel cell shape: 50i-50d over 128 keys, 300 ops/thread.
+fn panel_cfg(threads: usize) -> RunConfig {
+    RunConfig {
         threads,
         key_range: 128,
         prefill: 64,
@@ -243,8 +244,13 @@ fn panel_digest(kind: SetKind, scheme: SchemeKind, threads: usize) -> u64 {
             delete_pct: 50,
         },
         ..Default::default()
-    };
-    let m = run_set(kind, scheme, &cfg);
+    }
+}
+
+/// One figure-panel cell through the public harness runner: every simulated
+/// metric that feeds the figures, bit-exact (`f64::to_bits`).
+fn panel_digest(structure: Structure, scheme: SchemeKind, cfg: &RunConfig) -> u64 {
+    let m = run(structure, scheme, cfg, Instrument::None).metrics;
     let mut d = Digest::new();
     d.u64(m.total_ops);
     d.u64(m.cycles);
@@ -355,13 +361,33 @@ fn all_digests() -> Vec<(String, u64)> {
     // Figure panel: lazy list 50i-50d, all schemes × {1, 2, 4} threads.
     for scheme in SchemeKind::ALL {
         for threads in [1usize, 2, 4] {
-            let h = panel_digest(SetKind::LazyList, scheme, threads);
+            let h = panel_digest(Structure::Set(SetKind::LazyList), scheme, &panel_cfg(threads));
             out.push((format!("panel lazylist {scheme} t{threads}"), h));
         }
     }
     // Membership lifecycle, one row per scheme object (CA has none).
     for scheme in SchemeKind::objects() {
         out.push((format!("lifecycle {scheme}"), lifecycle_digest(scheme)));
+    }
+    // Scheduler widths the rows above and the benchmark (8 cores) never
+    // reach: non-powers of two and more than 8 cores, at quantum 0 (a turn
+    // move per event) and 64, on the panel shape and a Treiber stack.
+    for threads in [3usize, 5, 16, 32] {
+        let ops_per_thread = if threads > 8 { 100 } else { 300 };
+        for quantum in [0u64, 64] {
+            for scheme in [SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::Hp] {
+                for structure in [Structure::Set(SetKind::LazyList), Structure::Stack] {
+                    let cfg = RunConfig {
+                        quantum,
+                        ops_per_thread,
+                        ..panel_cfg(threads)
+                    };
+                    let h = panel_digest(structure, scheme, &cfg);
+                    let name = structure.name();
+                    out.push((format!("width {name} {scheme} t{threads} q{quantum}"), h));
+                }
+            }
+        }
     }
     out
 }
