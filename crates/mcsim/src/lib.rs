@@ -19,7 +19,8 @@
 //! * **A deterministic scheduler** ([`sched`]): all memory events are
 //!   serialized in min-clock order with a configurable lookahead quantum,
 //!   making every run a pure function of (program, seeds, quantum). The
-//!   handoff decision is O(1) (two-min clock tracking), and the turn owner
+//!   keep-turn decision is one comparison and a turn move O(log cores) (a
+//!   winner tree over packed `(clock, core)` keys), and the turn owner
 //!   executes runs of events without touching a lock ([`machine`] batching).
 //! * **Two host execution backends** ([`machine::ExecBackend`]): stackful
 //!   coroutines on one OS thread ([`coop`], x86-64 Linux; turn handoffs are

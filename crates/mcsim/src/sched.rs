@@ -15,23 +15,36 @@
 //! deterministic function of (program, seeds, quantum). The determinism
 //! integration test relies on this.
 //!
-//! ## Two-min bookkeeping
+//! ## Winner tree
 //!
 //! The handoff decision needs the minimum clock over the *other* active
-//! cores. Rescanning all cores per event made every simulated memory access
-//! O(cores); instead the scheduler tracks the two smallest active
-//! `(clock, id)` keys, refreshed by a full scan only when the turn moves,
-//! a run starts, or a core retires. The refresh points are sufficient
-//! because **only the turn owner's clock ever advances**: between refreshes
-//! every other core's key is frozen, so
+//! cores. The scheduler keeps it in a winner (tournament) tree: each core
+//! has a leaf holding its packed `(clock, id)` key ([`EMPTY`] when the
+//! core is inactive, and for the padding leaves up to the next power of
+//! two), and each inner node holds the smaller of its two children. Ties
+//! break toward the lowest core id for free: the id sits in the key's low
+//! bits, so equal clocks compare by id.
 //!
-//! * if `min1` is not the owner, `min1` is still the minimum over the
-//!   others (their clocks are unchanged and the owner is excluded);
-//! * if `min1` *is* the owner, the minimum over the others is `min2`.
+//! **Only the turn owner's leaf is ever stale.** Only the owner's clock
+//! advances, and it advances without touching the tree, so every other
+//! leaf — and every subtree not containing the owner's leaf — is exact.
+//! The minimum over the others is the minimum of the sibling subtrees
+//! along the owner's leaf-to-root path, which are exactly those subtrees;
+//! it is computed once when the turn arrives and cached, so the keep-turn
+//! test — the hot path — is one comparison and touches no tree node. When
+//! the turn moves, one climb of log2 cores branch-free `min`s refreshes
+//! the old owner's path bottom-up (which restores the invariant for the
+//! new owner) and, in lockstep, reads the new owner's siblings. Starting a
+//! run rebuilds the tree, and retiring empties the owner's leaf; both then
+//! walk the siblings of whichever core the root names next.
 //!
-//! Hence the keep-turn case — the hot path — is O(1), and ties still break
-//! toward the lowest core id exactly as the full scan did (the scan visits
-//! cores in id order and replaces only on strictly smaller clocks).
+//! The trade is width against wall time: a turn move costs log2 cores
+//! steps, where the two smallest keys this tree replaced were refreshed by
+//! rescanning all cores with data-dependent branches. At 8 cores and
+//! quantum 0 (the benchmark's `stack_handoff`) the move fell from 22–25 %
+//! of the host samples to 7–10 %; a wider machine still pays one more step
+//! per doubling, and a quantum that batches events (most figures) hides the
+//! move whatever its cost.
 
 #![forbid(unsafe_code)]
 
@@ -40,43 +53,74 @@ use crate::addr::CoreId;
 /// Sentinel for "no core holds the turn" (all retired).
 pub const NO_TURN: usize = usize::MAX;
 
-/// An empty two-min key: no core, and a clock no comparison reads.
-const NONE: (CoreId, u64) = (NO_TURN, u64::MAX);
+/// Low bits of a packed key that hold the core id.
+const ID_BITS: u32 = 10;
+/// Mask of the id field; also the one id no core may have, so no real key
+/// equals [`EMPTY`].
+const ID_MASK: u64 = (1 << ID_BITS) - 1;
+/// First clock a key cannot hold: 2^54 cycles, about 208 days at 1 GHz.
+const CLOCK_LIMIT: u64 = 1 << (64 - ID_BITS);
+/// The key of an inactive or padding leaf, above every real key.
+const EMPTY: u64 = u64::MAX;
+
+/// Core `core` at `clock` as one comparable key: clock first, then id.
+#[inline]
+fn pack(clock: u64, core: CoreId) -> u64 {
+    assert!(
+        clock < CLOCK_LIMIT,
+        "core {core}'s clock {clock} reached 2^54 cycles (about 208 days at \
+         1 GHz), the limit of the scheduler's packed (clock, core) keys"
+    );
+    (clock << ID_BITS) | core as u64
+}
 
 /// Scheduler state (owned by the machine, mutated under its lock).
 #[derive(Debug)]
 pub struct Sched {
     /// Per-core local clocks, in cycles. Persist across runs until
     /// explicitly reset. Only the turn owner's clock may advance mid-run
-    /// (the two-min bookkeeping depends on this).
+    /// (the winner tree depends on this).
     pub clocks: Vec<u64>,
     /// Which cores are currently executing a workload closure.
     pub active: Vec<bool>,
     /// Current turn owner, or [`NO_TURN`].
     pub turn: usize,
     /// Lookahead quantum in cycles.
-    pub quantum: u64,
-    /// Smallest active `(core, clock)` as of the last rescan (ties →
-    /// lowest id); the core is [`NO_TURN`] when no core is active.
-    min1: (CoreId, u64),
-    /// Second-smallest active `(core, clock)` as of the last rescan
-    /// ([`NO_TURN`] when fewer than two cores are active).
-    min2: (CoreId, u64),
-    /// Full O(cores) rescans performed (introspection: unit tests assert
-    /// the keep-turn path never rescans).
-    pub rescans: u64,
+    quantum: u64,
+    /// The winner tree, heap-ordered: `tree[1]` is the root, node `n` has
+    /// children `2n` and `2n + 1`, and core `c`'s leaf is
+    /// `tree[leaves + c]`. `tree[0]` is unused.
+    tree: Vec<u64>,
+    /// Leaf count: `cores` rounded up to a power of two.
+    leaves: usize,
+    /// The turn owner's handoff target: the minimum-clock active core
+    /// other than `turn`, as of the turn's arrival.
+    next: CoreId,
+    /// The clock past which the owner hands the turn to `next`: `next`'s
+    /// clock plus the quantum (`u64::MAX` when no other core is active).
+    limit: u64,
+    /// Tree refreshes — one per turn move, run start or retirement
+    /// (introspection: unit tests assert the keep-turn path does none).
+    pub refreshes: u64,
 }
 
 impl Sched {
     pub fn new(cores: usize, quantum: u64) -> Self {
+        assert!(
+            cores as u64 <= ID_MASK,
+            "{cores} cores: the scheduler's {ID_BITS}-bit key id field holds at most {ID_MASK}"
+        );
+        let leaves = cores.next_power_of_two();
         Self {
             clocks: vec![0; cores],
             active: vec![false; cores],
             turn: NO_TURN,
             quantum,
-            min1: NONE,
-            min2: NONE,
-            rescans: 0,
+            tree: vec![EMPTY; 2 * leaves],
+            leaves,
+            next: NO_TURN,
+            limit: u64::MAX,
+            refreshes: 0,
         }
     }
 
@@ -85,42 +129,64 @@ impl Sched {
         self.active.iter().filter(|&&a| a).count()
     }
 
-    /// Recompute the two smallest active `(clock, id)` keys. O(cores);
-    /// called only on turn moves, activation and retirement — which at
-    /// quantum 0 is most events, so the scan keeps both keys in plain
-    /// scalars.
-    fn rescan(&mut self) {
-        self.rescans += 1;
-        let (mut i1, mut c1) = NONE;
-        let (mut i2, mut c2) = NONE;
-        for (i, (&a, &clk)) in self.active.iter().zip(&self.clocks).enumerate() {
-            if !a {
-                continue;
-            }
-            // Strict `<` with id-ordered iteration keeps the lowest id in
-            // front on clock ties — the documented tie-break.
-            if i1 == NO_TURN || clk < c1 {
-                (i2, c2) = (i1, c1);
-                (i1, c1) = (i, clk);
-            } else if i2 == NO_TURN || clk < c2 {
-                (i2, c2) = (i, clk);
-            }
+    /// Set `core`'s leaf to `key` and recompute its path to the root, the
+    /// running minimum held in a register. The same climb walks `watch`'s
+    /// leaf-to-root path in lockstep (all leaves sit at one depth) and
+    /// returns the minimum over every leaf but `watch`'s: where the two
+    /// paths meet, `watch`'s sibling is the node this climb wrote one step
+    /// earlier, so it reads fresh.
+    #[inline]
+    fn refresh_leaf(&mut self, core: CoreId, key: u64, watch: CoreId) -> u64 {
+        self.refreshes += 1;
+        let (mut pos, mut at) = (self.leaves + core, self.leaves + watch);
+        let (mut min, mut other) = (key, EMPTY);
+        self.tree[pos] = key;
+        while pos > 1 {
+            min = min.min(self.tree[pos ^ 1]);
+            other = other.min(self.tree[at ^ 1]);
+            pos >>= 1;
+            at >>= 1;
+            self.tree[pos] = min;
         }
-        self.min1 = (i1, c1);
-        self.min2 = (i2, c2);
+        other
     }
 
-    /// Min-clock active core other than `me` (ties → lowest id), or
-    /// [`NO_TURN`] if there is none. O(1): served from the two-min
-    /// bookkeeping, which is valid because only `me` (the turn owner) can
-    /// have advanced its clock since the last rescan.
-    #[inline]
-    fn min_other(&self, me: CoreId) -> (CoreId, u64) {
-        if self.min1.0 == me {
-            self.min2
-        } else {
-            self.min1
+    /// The minimum over every leaf but `core`'s: the sibling subtrees
+    /// along its path. Exact whenever `core` owns the turn, or is about to
+    /// (see the module docs).
+    fn min_except(&self, core: CoreId) -> u64 {
+        let mut pos = self.leaves + core;
+        let mut min = EMPTY;
+        while pos > 1 {
+            min = min.min(self.tree[pos ^ 1]);
+            pos >>= 1;
         }
+        min
+    }
+
+    /// Give the turn to `owner` and cache its handoff target and limit from
+    /// `other`, the minimum over the other active cores.
+    fn turn_to(&mut self, owner: CoreId, other: u64) {
+        self.turn = owner;
+        self.next = (other & ID_MASK) as CoreId;
+        self.limit = if other == EMPTY {
+            u64::MAX
+        } else {
+            (other >> ID_BITS).saturating_add(self.quantum)
+        };
+    }
+
+    /// Give the turn to the root's core — the minimum over the active
+    /// cores — or to [`NO_TURN`] when none is active.
+    fn turn_to_root(&mut self) -> usize {
+        let root = self.tree[1];
+        if root == EMPTY {
+            self.turn = NO_TURN;
+        } else {
+            let owner = (root & ID_MASK) as CoreId;
+            self.turn_to(owner, self.min_except(owner));
+        }
+        self.turn
     }
 
     /// Activate cores `0..n` for a run. Panics if a previous run left cores
@@ -128,42 +194,44 @@ impl Sched {
     pub fn start_run(&mut self, n: usize) -> CoreId {
         assert_eq!(self.n_active(), 0, "previous run still active");
         assert!(n >= 1 && n <= self.active.len());
-        for c in 0..n {
-            self.active[c] = true;
+        self.refreshes += 1;
+        for (c, a) in self.active.iter_mut().enumerate() {
+            *a = c < n;
+            self.tree[self.leaves + c] = if *a { pack(self.clocks[c], c) } else { EMPTY };
         }
-        self.rescan();
-        self.turn = self.min1.0;
-        self.turn
+        for i in (1..self.leaves).rev() {
+            self.tree[i] = self.tree[2 * i].min(self.tree[2 * i + 1]);
+        }
+        self.turn_to_root()
     }
 
     /// After `me` (the turn owner) finishes an event, decide whether to keep
     /// the turn. Returns the core to wake if the turn moves. The keep-turn
-    /// case is O(1).
+    /// case is one comparison against the limit cached when the turn
+    /// arrived.
     ///
     /// **Invariant (callers):** `me` must be the current turn owner. The
     /// keep-turn fast path deliberately carries no release-mode assert — it
     /// runs once per simulated memory event and mutates nothing but the
     /// decision — but the turn-move branch below *does* assert, because a
-    /// wrong owner there would rewrite `turn` and rescan from a foreign
-    /// core's clock, silently corrupting the two-min bookkeeping into a
-    /// wrong-but-plausible interleaving.
+    /// wrong owner there would rewrite `turn` and refresh a foreign core's
+    /// leaf, silently corrupting the tree into a wrong-but-plausible
+    /// interleaving.
     #[inline]
     pub fn after_event(&mut self, me: CoreId) -> Option<CoreId> {
         debug_assert_eq!(self.turn, me);
-        let (next, min) = self.min_other(me);
         // Keep running while within the lookahead window; the window is
         // measured from the minimum of the *other* cores.
-        if next != NO_TURN && self.clocks[me] > min.saturating_add(self.quantum) {
-            self.move_turn(me, next);
-            return Some(next);
+        if self.clocks[me] > self.limit {
+            return Some(self.move_turn(me));
         }
         None
     }
 
     /// The turn-move half of [`Self::after_event`] (out of line: the
-    /// quantum amortizes it, and it ends in the O(cores) rescan).
+    /// quantum amortizes it, and it climbs the tree).
     #[inline(never)]
-    fn move_turn(&mut self, me: CoreId, next: CoreId) {
+    fn move_turn(&mut self, me: CoreId) -> CoreId {
         // A real assert here costs nothing measurable and turns
         // release-mode misuse into a loud panic instead of schedule
         // corruption.
@@ -172,10 +240,13 @@ impl Sched {
             "after_event by core {me} without the turn (owner: {})",
             self.turn
         );
-        self.turn = next;
-        // `me`'s clock is now final until the turn returns to it: refresh
-        // the two-min keys for the new owner's decisions.
-        self.rescan();
+        // `me`'s clock is now final until the turn returns to it: its leaf
+        // is the only stale one, so refresh it, walking the new owner's
+        // siblings on the way up.
+        let next = self.next;
+        let other = self.refresh_leaf(me, pack(self.clocks[me], me), next);
+        self.turn_to(next, other);
+        next
     }
 
     /// Retire `me` (must hold the turn). Returns the next turn owner, if any
@@ -190,17 +261,15 @@ impl Sched {
         );
         assert!(self.active[me], "retire of inactive core {me}");
         self.active[me] = false;
-        self.rescan();
-        self.turn = self.min1.0;
-        (self.turn != NO_TURN).then_some(self.turn)
+        self.refresh_leaf(me, EMPTY, me);
+        let next = self.turn_to_root();
+        (next != NO_TURN).then_some(next)
     }
 
     /// Zero all clocks (between the prefill run and the measured run).
     pub fn reset_clocks(&mut self) {
         assert_eq!(self.n_active(), 0, "cannot reset clocks mid-run");
         self.clocks.fill(0);
-        self.min1 = NONE;
-        self.min2 = NONE;
     }
 
     /// The machine's finish time: max clock over all cores.
@@ -322,34 +391,65 @@ mod tests {
         s.retire(0);
     }
 
-    // --- two-min bookkeeping --------------------------------------------
+    // --- packed keys ----------------------------------------------------
+
+    #[test]
+    #[should_panic(expected = "reached 2^54 cycles")]
+    fn pack_rejects_clocks_past_the_key_limit() {
+        let mut s = Sched::new(2, 0);
+        s.clocks[1] = CLOCK_LIMIT;
+        s.start_run(2);
+    }
+
+    #[test]
+    fn keys_order_ties_at_the_clock_limit() {
+        // The largest clock a key holds, on the highest id a machine can
+        // have, still sorts below an empty leaf and ties toward lower ids.
+        let top = ID_MASK as usize - 1;
+        let mut s = Sched::new(top + 1, 0);
+        s.clocks.fill(CLOCK_LIMIT - 1);
+        assert_eq!(s.start_run(top + 1), 0);
+        for c in 0..top {
+            assert_eq!(s.retire(c), Some(c + 1));
+        }
+        assert!(pack(CLOCK_LIMIT - 1, top) < EMPTY);
+        assert_eq!(s.retire(top), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "id field holds at most 1023")]
+    fn new_rejects_more_cores_than_the_id_field_holds() {
+        Sched::new(1 << ID_BITS, 0);
+    }
+
+    // --- winner tree ----------------------------------------------------
 
     #[test]
     fn keep_turn_case_never_rescans() {
         let mut s = Sched::new(8, 1_000);
         s.start_run(8);
-        let scans = s.rescans;
+        let refreshes = s.refreshes;
         for _ in 0..1_000 {
             s.clocks[0] += 1;
             assert_eq!(s.after_event(0), None, "within quantum: keep turn");
         }
-        assert_eq!(s.rescans, scans, "keep-turn decisions must be O(1)");
+        assert_eq!(s.refreshes, refreshes, "keep-turn decisions must not touch the tree");
     }
 
     #[test]
     fn rescans_only_on_structural_events() {
         let mut s = Sched::new(4, 0);
-        s.start_run(4); // rescan #1
-        assert_eq!(s.rescans, 1);
+        s.start_run(4); // refresh #1
+        assert_eq!(s.refreshes, 1);
         s.clocks[0] += 10;
-        assert_eq!(s.after_event(0), Some(1)); // move → rescan #2
-        assert_eq!(s.rescans, 2);
-        assert_eq!(s.retire(1), Some(2)); // retire → rescan #3
-        assert_eq!(s.rescans, 3);
+        assert_eq!(s.after_event(0), Some(1)); // move → refresh #2
+        assert_eq!(s.refreshes, 2);
+        assert_eq!(s.retire(1), Some(2)); // retire → refresh #3
+        assert_eq!(s.refreshes, 3);
     }
 
     /// Reference implementation: the seed's O(cores) full-scan scheduler.
-    /// The incremental scheduler must make byte-identical decisions.
+    /// The winner tree must make byte-identical decisions.
     struct RefSched {
         clocks: Vec<u64>,
         active: Vec<bool>,
@@ -366,6 +466,14 @@ mod tests {
                 }
             }
             best
+        }
+
+        fn start_run(&mut self, n: usize) -> usize {
+            for (c, a) in self.active.iter_mut().enumerate() {
+                *a = c < n;
+            }
+            self.turn = self.min_other(NO_TURN).expect("n >= 1").0;
+            self.turn
         }
 
         fn after_event(&mut self, me: usize) -> Option<usize> {
@@ -395,51 +503,57 @@ mod tests {
 
     #[test]
     fn two_min_matches_full_scan_reference() {
-        for quantum in [0u64, 3, 17, 1_000] {
-            let cores = 6;
-            let mut s = Sched::new(cores, quantum);
-            let mut r = RefSched {
-                clocks: vec![0; cores],
-                active: vec![false; cores],
-                turn: 0,
-                quantum,
-            };
-            s.start_run(cores);
-            for c in 0..cores {
-                r.active[c] = true;
-            }
-            r.turn = 0;
-            assert_eq!(s.turn, r.turn);
-
-            // Deterministic pseudo-random event costs; occasionally retire
-            // the owner, until all cores are done.
-            let mut lcg: u64 = 0x1234_5678 ^ quantum;
-            let mut step = || {
-                lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                lcg >> 33
-            };
-            let mut events = 0u32;
-            while s.turn != NO_TURN {
-                let me = s.turn;
-                assert_eq!(me, r.turn, "turn diverged (quantum {quantum})");
-                events += 1;
-                if events > 20_000 {
-                    panic!("runaway");
+        for cores in [1usize, 2, 3, 5, 8, 9, 16, 33, 64] {
+            for quantum in [0u64, 1, 3, 17, 1_000] {
+                let mut s = Sched::new(cores, quantum);
+                let mut r = RefSched {
+                    clocks: vec![0; cores],
+                    active: vec![false; cores],
+                    turn: NO_TURN,
+                    quantum,
+                };
+                // Deterministic pseudo-random choices.
+                let mut lcg: u64 = 0x1234_5678 ^ quantum ^ ((cores as u64) << 40);
+                let mut step = || {
+                    lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    lcg >> 33
+                };
+                let at = format!("cores {cores}, quantum {quantum}");
+                for run in 0..4 {
+                    // Every other run starts from the clocks the last one
+                    // left; the others reset them. Runs 1 and 3 leave the
+                    // top cores idle (partial activation).
+                    if run % 2 == 0 {
+                        s.reset_clocks();
+                        r.clocks.fill(0);
+                    }
+                    let n = if run % 2 == 1 { 1 + step() as usize % cores } else { cores };
+                    assert_eq!(s.start_run(n), r.start_run(n), "start {run} ({at})");
+                    let mut events = 0u32;
+                    while s.turn != NO_TURN {
+                        let me = s.turn;
+                        assert_eq!(me, r.turn, "turn diverged in run {run} ({at})");
+                        events += 1;
+                        assert!(events < 100_000, "runaway ({at})");
+                        if step() % 37 == 0 {
+                            assert_eq!(s.retire(me), r.retire(me), "retire in run {run} ({at})");
+                            continue;
+                        }
+                        // Tie-heavy: mostly 0, 1 or 2 cycles, sometimes a
+                        // jump past small quanta.
+                        let cost = if step() % 8 == 0 { step() % 40 } else { step() % 3 };
+                        s.clocks[me] += cost;
+                        r.clocks[me] += cost;
+                        assert_eq!(
+                            s.after_event(me),
+                            r.after_event(me),
+                            "handoff decision diverged at event {events} of run {run} ({at})"
+                        );
+                    }
+                    assert_eq!(r.turn, NO_TURN);
+                    assert_eq!(s.clocks, r.clocks);
                 }
-                if step() % 37 == 0 {
-                    assert_eq!(s.retire(me), r.retire(me), "retire (quantum {quantum})");
-                    continue;
-                }
-                let cost = step() % 23;
-                s.clocks[me] += cost;
-                r.clocks[me] += cost;
-                assert_eq!(
-                    s.after_event(me),
-                    r.after_event(me),
-                    "handoff decision diverged at event {events} (quantum {quantum})"
-                );
             }
-            assert_eq!(r.turn, NO_TURN);
         }
     }
 }
