@@ -19,7 +19,7 @@
 //!
 //! The handoff decision needs the minimum clock over the *other* active
 //! cores. The scheduler keeps it in a winner (tournament) tree: each core
-//! has a leaf holding its packed `(clock, id)` key ([`EMPTY`] when the
+//! has a leaf holding its packed `(clock, id)` key (`EMPTY` when the
 //! core is inactive, and for the padding leaves up to the next power of
 //! two), and each inner node holds the smaller of its two children. Ties
 //! break toward the lowest core id for free: the id sits in the key's low
