@@ -562,6 +562,88 @@ mod tests {
     }
 
     #[test]
+    fn peak_allocated_is_exact_for_a_scripted_sequence() {
+        let m = NativeMachine::new(64);
+        m.run_on(1, |_, env| {
+            let mut held: Vec<Addr> = (0..5).map(|_| env.alloc()).collect();
+            for a in held.drain(..3) {
+                env.free(a);
+            }
+            held.extend((0..2).map(|_| env.alloc()));
+            held.extend((0..2).map(|_| env.alloc()));
+        });
+        let st = m.stats();
+        assert_eq!(st.allocated, 9);
+        assert_eq!(st.freed, 3);
+        assert_eq!(st.allocated_not_freed, 6);
+        assert_eq!(st.peak_allocated, 6, "live went 5, 2, 4, 6");
+    }
+
+    #[test]
+    fn ledger_is_exact_after_multi_thread_churn() {
+        for threads in [2u64, 4] {
+            let m = NativeMachine::new(16 * 1024);
+            m.run_on(threads as usize, |_, env| {
+                // Keep every third line, free the rest right away.
+                for i in 0..3000u64 {
+                    let a = env.alloc();
+                    if i % 3 != 0 {
+                        env.free(a);
+                    }
+                }
+            });
+            let st = m.stats();
+            assert_eq!(st.allocated, threads * 3000, "{threads} threads");
+            assert_eq!(st.freed, threads * 2000, "{threads} threads");
+            assert_eq!(st.allocated_not_freed, threads * 1000, "{threads} threads");
+            assert!(st.peak_allocated >= threads * 1000, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn every_line_sits_on_a_cache_line() {
+        let m = NativeMachine::new(300);
+        for l in 1..m.capacity_lines() as u64 {
+            let base = m.word(Addr(l * LINE_BYTES)).as_ptr() as usize;
+            assert_eq!(base % 64, 0, "line {l} starts at {base:#x}");
+            for w in 1..WORDS_PER_LINE {
+                let p = m.word(Addr(l * LINE_BYTES + 8 * w)).as_ptr() as usize;
+                assert_eq!(p, base + 8 * w as usize, "line {l} word {w}");
+            }
+        }
+    }
+
+    #[test]
+    fn access_past_the_last_line_panics() {
+        let m = NativeMachine::new(16);
+        let end = m.capacity_lines() as u64 * LINE_BYTES;
+        for a in [end, end + 8, end + LINE_BYTES - 8] {
+            let r = std::panic::catch_unwind(|| m.host_read(Addr(a)));
+            assert!(r.is_err(), "a read at {a:#x} is past the pool and must panic");
+        }
+    }
+
+    #[test]
+    fn never_used_lines_read_zero() {
+        let m = NativeMachine::new(256);
+        let field = m.alloc_static(2);
+        m.host_write(field, u64::MAX);
+        m.run_on(1, |_, env| {
+            for _ in 0..4 {
+                let a = env.alloc();
+                env.write(a.word(WORDS_PER_LINE - 1), u64::MAX);
+            }
+        });
+        let first_unused = m.next.load(Ordering::Relaxed);
+        assert!(first_unused < m.capacity_lines() as u64);
+        for l in first_unused..m.capacity_lines() as u64 {
+            for w in 0..WORDS_PER_LINE {
+                assert_eq!(m.host_read(Addr(l * LINE_BYTES + 8 * w)), 0, "line {l} word {w}");
+            }
+        }
+    }
+
+    #[test]
     fn ops_and_threads_are_counted() {
         let m = NativeMachine::new(16);
         m.run_on(4, |tid, env| {
