@@ -292,8 +292,8 @@ impl HeartbeatBoard {
     /// Probe worker `tid` until it either beats (→ `None`, it is alive) or
     /// a full `deadline` passes with no movement (→ a [`CrashToken`]
     /// declaring it fail-stop). Probing backs off exponentially — 1 ms,
-    /// 2 ms, 4 ms, … — so a healthy worker costs a handful of loads while
-    /// a dead one costs only O(log(deadline)) wakeups.
+    /// 2 ms, 4 ms, … up to 50 ms — so a healthy worker costs a handful of
+    /// loads while a dead one costs one wakeup per 50 ms of `deadline`.
     ///
     /// # Safety
     ///
@@ -311,7 +311,7 @@ impl HeartbeatBoard {
         let mut backoff = Duration::from_millis(1);
         loop {
             // castatic: allow(nondet) — lease-deadline probe interval
-            std::thread::sleep(backoff.min(Duration::from_millis(50)));
+            std::thread::sleep(backoff);
             if self.read(tid) != snapshot {
                 return None; // it moved: alive
             }
@@ -320,7 +320,9 @@ impl HeartbeatBoard {
                 // safety obligation) now makes the fail-stop declaration.
                 return Some(unsafe { CrashToken::assert_fail_stop(tid) });
             }
-            backoff *= 2;
+            // Capped where it is stored: doubling without bound overflows
+            // `Duration` after ~3.5 s of probing.
+            backoff = (backoff * 2).min(Duration::from_millis(50));
         }
     }
 }
@@ -673,6 +675,17 @@ mod tests {
             assert!(verdict.is_none(), "a beating worker must not be declared dead");
             stop.store(1, Ordering::Release);
         });
+    }
+
+    #[test]
+    fn heartbeat_board_declares_a_silent_worker_after_a_long_lease() {
+        // Regression: the probe interval doubled without bound, and the
+        // 74th doubling (~3.5 s of probing) overflowed `Duration`, so any
+        // lease longer than that panicked instead of minting the token.
+        let board = HeartbeatBoard::new(2);
+        // SAFETY: worker 1 never runs, so it can touch no scheme state.
+        let verdict = unsafe { board.detect(1, Duration::from_secs(4)) };
+        assert!(verdict.is_some(), "a silent worker must be declared crashed");
     }
 
     /// Native churn, fail-stop leg: a worker goes silent mid-run without
