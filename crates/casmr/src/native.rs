@@ -1,13 +1,18 @@
-//! Real-hardware execution environment: host threads over a pool of
-//! cache-line-aligned atomic words.
+//! Real-hardware execution environment: host threads over one flat array
+//! of atomic words.
 //!
-//! [`NativeMachine`] owns a fixed-capacity pool of 64-byte lines (one
-//! [`AtomicU64`] per word, `#[repr(align(64))]` so simulated false-sharing
-//! structure carries over to real cache lines). [`NativeEnv`] is one host
-//! thread's handle: [`crate::env::Env`] reads/writes/CAS map to real atomic
-//! operations (Acquire / Release / AcqRel), `fence` to a real `SeqCst`
-//! fence, and `alloc`/`free` to a thread-cached free-list allocator over
-//! the pool.
+//! [`NativeMachine`]'s pool is one zeroed `[AtomicU64]` from a 64-byte
+//! boundary: line `l` (words `8l..8l + 8`) is one real cache line, so
+//! simulated false sharing carries over, and address `a` is word `a / 8`.
+//! Pages are committed on first touch, so capacity sized for the leaky
+//! worst case costs address space and only touched lines cost memory.
+//! [`NativeEnv`] is one host thread's handle and holds the word slice:
+//! [`crate::env::Env`] reads/writes/CAS map to real atomic operations
+//! (Acquire / Release / AcqRel), `fence` to a real `SeqCst` fence, and
+//! `alloc`/`free` to a thread-cached free-list allocator over the pool.
+//! Live and peak lines are exact at any time; lines allocated and freed and
+//! ops completed are per-thread tallies each `NativeEnv` adds in when it
+//! drops, so they are exact once [`NativeMachine::run_on`] returns.
 //!
 //! What the native environment does **not** do:
 //!
@@ -44,37 +49,44 @@ const CACHE_MAX: usize = 2 * CACHE_BATCH;
 /// oversubscribed host).
 const SPIN_YIELD_AFTER: u64 = 64;
 
-/// One 64-byte allocation line of real memory.
-#[repr(align(64))]
-struct Line([AtomicU64; WORDS_PER_LINE as usize]);
+/// Words per line, as a slice length.
+const WPL: usize = WORDS_PER_LINE as usize;
 
-impl Line {
-    fn new() -> Self {
-        Line(std::array::from_fn(|_| AtomicU64::new(0)))
-    }
+/// The word at address `a` of the pool `words`: word `a / 8`.
+#[inline]
+fn word_at(words: &[AtomicU64], a: Addr) -> &AtomicU64 {
+    debug_assert!(a.0 >= LINE_BYTES, "word access through NULL line: {a:?}");
+    &words[(a.0 / 8) as usize]
+}
+
+/// Run-wide counters, on a cache line of their own. `live` and `peak` are
+/// exact at any time; the rest are flushed by dropped [`NativeEnv`]s.
+#[derive(Default)]
+#[repr(align(64))]
+struct Counts {
+    /// Lines live (a counter of its own: a torn `allocated - freed` wraps).
+    live: AtomicU64,
+    /// High-water mark of `live`.
+    peak: AtomicU64,
+    /// Lines ever allocated (static + dynamic) and freed; operations done.
+    allocated: AtomicU64,
+    freed: AtomicU64,
+    ops: AtomicU64,
 }
 
 /// A pool of real cache lines plus run-wide counters: the native
 /// counterpart of `mcsim::Machine`.
 pub struct NativeMachine {
-    lines: Box<[Line]>,
+    /// The zeroed allocation, and the range of it that is the pool:
+    /// `capacity_lines() * 8` words from the first 64-byte boundary.
+    alloc: Box<[AtomicU64]>,
+    pool: std::ops::Range<usize>,
     /// Bump allocator over never-yet-used lines. Line 0 is reserved so that
     /// `Addr(0)` stays NULL, exactly as in the simulator.
     next: AtomicU64,
     /// Recycled lines, fed by thread-cache flushes.
     free_list: Mutex<Vec<u64>>,
-    /// Total lines ever allocated (static + dynamic).
-    allocated: AtomicU64,
-    /// Total lines freed.
-    freed: AtomicU64,
-    /// Lines currently live. Kept as its own counter (alloc increments,
-    /// free decrements) so the peak below never sees a torn
-    /// `allocated - freed` snapshot, which could wrap under concurrency.
-    live: AtomicU64,
-    /// High-water mark of `live`.
-    peak_live: AtomicU64,
-    /// Completed high-level operations across all threads.
-    ops: AtomicU64,
+    counts: Counts,
     start: Instant,
 }
 
@@ -101,15 +113,18 @@ impl NativeMachine {
     /// reserved for NULL, so the usable capacity is `lines - 1`).
     pub fn new(lines: usize) -> Self {
         assert!(lines >= 2, "pool needs at least one usable line");
+        // At 8-byte alignment `alloc_zeroed` is `calloc`, which maps zero
+        // pages (at 64 std would `memset` them): align the start by hand.
+        let alloc = Box::<[AtomicU64]>::new_zeroed_slice((lines + 1) * WPL - 1);
+        // SAFETY: all-zero bytes are a valid `AtomicU64` (the value 0).
+        let alloc = unsafe { alloc.assume_init() };
+        let base = alloc.as_ptr().addr().wrapping_neg() % LINE_BYTES as usize / 8;
         NativeMachine {
-            lines: (0..lines).map(|_| Line::new()).collect(),
+            alloc,
+            pool: base..base + lines * WPL,
             next: AtomicU64::new(1),
             free_list: Mutex::new(Vec::new()),
-            allocated: AtomicU64::new(0),
-            freed: AtomicU64::new(0),
-            live: AtomicU64::new(0),
-            peak_live: AtomicU64::new(0),
-            ops: AtomicU64::new(0),
+            counts: Counts::default(),
             // castatic: allow(nondet) — the native backend measures wall clock by design
             start: Instant::now(),
         }
@@ -117,51 +132,39 @@ impl NativeMachine {
 
     /// Pool capacity in lines (including the reserved NULL line).
     pub fn capacity_lines(&self) -> usize {
-        self.lines.len()
+        self.pool.len() / WPL
     }
 
-    #[inline]
-    fn word(&self, a: Addr) -> &AtomicU64 {
-        let line = (a.0 / LINE_BYTES) as usize;
-        let word = ((a.0 % LINE_BYTES) / 8) as usize;
-        debug_assert!(line != 0, "word access through NULL line: {a:?}");
-        &self.lines[line].0[word]
+    /// The pool, cut to length: past the last line is a bounds-check panic.
+    fn words(&self) -> &[AtomicU64] {
+        &self.alloc[self.pool.clone()]
     }
 
-    fn take_lines(&self, out: &mut Vec<u64>, want: usize) {
-        {
-            let mut fl = self.free_list.lock().unwrap();
-            while out.len() < want {
-                match fl.pop() {
-                    Some(l) => out.push(l),
-                    None => break,
-                }
-            }
-        }
-        // Recycled lines batch; never-used lines come off the bump pointer
-        // one at a time (a fetch_add is already cheap, and grabbing a whole
-        // batch would strand capacity other threads need).
+    /// Refill an empty thread cache: a batch of recycled lines, else one
+    /// never-used line (a whole batch would strand capacity others need).
+    fn take_lines(&self, out: &mut Vec<u64>) {
+        let mut fl = self.free_list.lock().expect("free list lock poisoned");
+        let keep = fl.len().saturating_sub(CACHE_BATCH);
+        out.extend(fl.drain(keep..).rev()); // the order `pop` would give
+        drop(fl);
         if out.is_empty() {
             let l = self.next.fetch_add(1, Ordering::Relaxed);
             assert!(
-                (l as usize) < self.lines.len(),
+                (l as usize) < self.capacity_lines(),
                 "native line pool exhausted ({} lines) — size the pool for \
                  the leaky worst case",
-                self.lines.len()
+                self.capacity_lines()
             );
             out.push(l);
         }
     }
 
-    fn count_alloc(&self) {
-        self.allocated.fetch_add(1, Ordering::Relaxed);
-        let live = self.live.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak_live.fetch_max(live, Ordering::Relaxed);
-    }
-
-    fn count_free(&self) {
-        self.freed.fetch_add(1, Ordering::Relaxed);
-        self.live.fetch_sub(1, Ordering::Relaxed);
+    /// `lines` more are live; the peak's line is written only on a new high.
+    fn count_alloc(&self, lines: u64) {
+        let live = self.counts.live.fetch_add(lines, Ordering::Relaxed) + lines;
+        if live > self.counts.peak.load(Ordering::Relaxed) {
+            self.counts.peak.fetch_max(live, Ordering::Relaxed);
+        }
     }
 
     /// Restart the wall clock and the operation counter (call between the
@@ -169,19 +172,18 @@ impl NativeMachine {
     pub fn reset_timing(&mut self) {
         // castatic: allow(nondet) — wall-clock restart between prefill and timed phase
         self.start = Instant::now();
-        self.ops.store(0, Ordering::Relaxed);
+        self.counts.ops.store(0, Ordering::Relaxed);
     }
 
     /// Counters snapshot.
     pub fn stats(&self) -> NativeStats {
-        let allocated = self.allocated.load(Ordering::Relaxed);
-        let freed = self.freed.load(Ordering::Relaxed);
+        let c = &self.counts;
         NativeStats {
-            allocated,
-            freed,
-            allocated_not_freed: self.live.load(Ordering::Relaxed),
-            peak_allocated: self.peak_live.load(Ordering::Relaxed),
-            total_ops: self.ops.load(Ordering::Relaxed),
+            allocated: c.allocated.load(Ordering::Relaxed),
+            freed: c.freed.load(Ordering::Relaxed),
+            allocated_not_freed: c.live.load(Ordering::Relaxed),
+            peak_allocated: c.peak.load(Ordering::Relaxed),
+            total_ops: c.ops.load(Ordering::Relaxed),
             wall_ns: self.start.elapsed().as_nanos() as u64,
         }
     }
@@ -193,17 +195,11 @@ impl NativeMachine {
         n: usize,
         f: impl Fn(usize, &mut NativeEnv<'_>) -> R + Sync,
     ) -> Vec<R> {
+        let f = &f;
         std::thread::scope(|s| {
-            let handles: Vec<_> = (0..n)
-                .map(|tid| {
-                    let f = &f;
-                    s.spawn(move || {
-                        let mut env = NativeEnv::new(self, tid, n);
-                        f(tid, &mut env)
-                    })
-                })
-                .collect();
-            handles
+            (0..n)
+                .map(|tid| s.spawn(move || f(tid, &mut NativeEnv::new(self, tid, n))))
+                .collect::<Vec<_>>() // spawn them all before joining any
                 .into_iter()
                 .map(|h| h.join().expect("native worker panicked"))
                 .collect()
@@ -217,28 +213,26 @@ impl EnvHost for NativeMachine {
         // the bump pointer (recycled lines are not necessarily contiguous).
         let first = self.next.fetch_add(lines, Ordering::Relaxed);
         assert!(
-            (first + lines) as usize <= self.lines.len(),
+            (first + lines) as usize <= self.capacity_lines(),
             "native line pool exhausted by static allocation"
         );
-        for _ in 0..lines {
-            self.count_alloc();
-        }
+        self.counts.allocated.fetch_add(lines, Ordering::Relaxed);
+        self.count_alloc(lines);
         Addr(first * LINE_BYTES)
     }
 
     #[inline]
     fn host_read(&self, a: Addr) -> u64 {
-        self.word(a).load(Ordering::Acquire)
+        word_at(self.words(), a).load(Ordering::Acquire)
     }
 
     #[inline]
     fn host_write(&self, a: Addr, v: u64) {
-        self.word(a).store(v, Ordering::Release)
+        word_at(self.words(), a).store(v, Ordering::Release)
     }
 
     fn run_init<R: Send>(&self, f: impl FnOnce(&mut dyn Env) -> R + Send) -> R {
-        let mut env = NativeEnv::new(self, 0, 1);
-        f(&mut env)
+        f(&mut NativeEnv::new(self, 0, 1))
     }
 }
 
@@ -320,8 +314,6 @@ impl HeartbeatBoard {
                 // safety obligation) now makes the fail-stop declaration.
                 return Some(unsafe { CrashToken::assert_fail_stop(tid) });
             }
-            // Capped where it is stored: doubling without bound overflows
-            // `Duration` after ~3.5 s of probing.
             backoff = (backoff * 2).min(Duration::from_millis(50));
         }
     }
@@ -330,33 +322,40 @@ impl HeartbeatBoard {
 /// One host thread's handle onto a [`NativeMachine`].
 pub struct NativeEnv<'p> {
     mach: &'p NativeMachine,
+    /// The pool, held here so accesses never load through `mach`.
+    words: &'p [AtomicU64],
     tid: usize,
     threads: usize,
     /// Thread-local cache of free lines.
     cache: Vec<u64>,
-    /// Locally-counted completed operations, flushed on drop.
+    /// Completed operations, allocs and frees counted here, flushed on drop.
     ops: u64,
+    allocated: u64,
+    freed: u64,
 }
 
 impl<'p> NativeEnv<'p> {
     fn new(mach: &'p NativeMachine, tid: usize, threads: usize) -> Self {
         NativeEnv {
             mach,
+            words: mach.words(),
             tid,
             threads,
             cache: Vec::with_capacity(CACHE_MAX + 1),
             ops: 0,
+            allocated: 0,
+            freed: 0,
         }
     }
 }
 
 impl Drop for NativeEnv<'_> {
     fn drop(&mut self) {
-        self.mach.ops.fetch_add(self.ops, Ordering::Relaxed);
-        if !self.cache.is_empty() {
-            let mut fl = self.mach.free_list.lock().unwrap();
-            fl.append(&mut self.cache);
-        }
+        let c = &self.mach.counts;
+        c.ops.fetch_add(self.ops, Ordering::Relaxed);
+        c.allocated.fetch_add(self.allocated, Ordering::Relaxed);
+        c.freed.fetch_add(self.freed, Ordering::Relaxed);
+        self.mach.free_list.lock().unwrap().append(&mut self.cache);
     }
 }
 
@@ -373,19 +372,17 @@ impl Env for NativeEnv<'_> {
 
     #[inline]
     fn read(&mut self, a: Addr) -> u64 {
-        self.mach.word(a).load(Ordering::Acquire)
+        word_at(self.words, a).load(Ordering::Acquire)
     }
 
     #[inline]
     fn write(&mut self, a: Addr, v: u64) {
-        self.mach.word(a).store(v, Ordering::Release)
+        word_at(self.words, a).store(v, Ordering::Release)
     }
 
     #[inline]
     fn cas(&mut self, a: Addr, expected: u64, new: u64) -> Result<u64, u64> {
-        self.mach
-            .word(a)
-            .compare_exchange(expected, new, Ordering::AcqRel, Ordering::Acquire)
+        word_at(self.words, a).compare_exchange(expected, new, Ordering::AcqRel, Ordering::Acquire)
     }
 
     #[inline]
@@ -400,27 +397,28 @@ impl Env for NativeEnv<'_> {
 
     fn alloc(&mut self) -> Addr {
         if self.cache.is_empty() {
-            self.mach.take_lines(&mut self.cache, CACHE_BATCH);
+            self.mach.take_lines(&mut self.cache);
         }
-        let l = self.cache.pop().expect("take_lines fills or panics");
-        let a = Addr(l * LINE_BYTES);
+        let l = self.cache.pop().expect("take_lines fills or panics") as usize;
         // Zero the line. Relaxed suffices: the line is published to other
         // threads only by a later Release store/CAS of its address.
-        for w in 0..WORDS_PER_LINE {
-            self.mach.word(a.word(w)).store(0, Ordering::Relaxed);
+        for w in &self.words[l * WPL..(l + 1) * WPL] {
+            w.store(0, Ordering::Relaxed);
         }
-        self.mach.count_alloc();
-        a
+        self.allocated += 1;
+        self.mach.count_alloc(1);
+        Addr(l as u64 * LINE_BYTES)
     }
 
     fn free(&mut self, a: Addr) {
         debug_assert!(a.0.is_multiple_of(LINE_BYTES), "free of a non-line address");
         self.cache.push(a.0 / LINE_BYTES);
-        self.mach.count_free();
+        self.freed += 1;
+        self.mach.counts.live.fetch_sub(1, Ordering::Relaxed);
         if self.cache.len() >= CACHE_MAX {
-            let spill = self.cache.split_off(self.cache.len() - CACHE_BATCH);
+            let spill = self.cache.len() - CACHE_BATCH;
             let mut fl = self.mach.free_list.lock().unwrap();
-            fl.extend(spill);
+            fl.extend(self.cache.drain(spill..));
         }
     }
 
@@ -606,10 +604,10 @@ mod tests {
     fn every_line_sits_on_a_cache_line() {
         let m = NativeMachine::new(300);
         for l in 1..m.capacity_lines() as u64 {
-            let base = m.word(Addr(l * LINE_BYTES)).as_ptr() as usize;
+            let base = word_at(m.words(), Addr(l * LINE_BYTES)).as_ptr() as usize;
             assert_eq!(base % 64, 0, "line {l} starts at {base:#x}");
             for w in 1..WORDS_PER_LINE {
-                let p = m.word(Addr(l * LINE_BYTES + 8 * w)).as_ptr() as usize;
+                let p = word_at(m.words(), Addr(l * LINE_BYTES + 8 * w)).as_ptr() as usize;
                 assert_eq!(p, base + 8 * w as usize, "line {l} word {w}");
             }
         }
@@ -621,7 +619,7 @@ mod tests {
         let end = m.capacity_lines() as u64 * LINE_BYTES;
         for a in [end, end + 8, end + LINE_BYTES - 8] {
             let r = std::panic::catch_unwind(|| m.host_read(Addr(a)));
-            assert!(r.is_err(), "a read at {a:#x} is past the pool and must panic");
+            assert!(r.is_err(), "a read at {a:#x} must panic");
         }
     }
 
@@ -640,7 +638,8 @@ mod tests {
         assert!(first_unused < m.capacity_lines() as u64);
         for l in first_unused..m.capacity_lines() as u64 {
             for w in 0..WORDS_PER_LINE {
-                assert_eq!(m.host_read(Addr(l * LINE_BYTES + 8 * w)), 0, "line {l} word {w}");
+                let v = m.host_read(Addr(l * LINE_BYTES + 8 * w));
+                assert_eq!(v, 0, "line {l} word {w}");
             }
         }
     }
@@ -685,7 +684,7 @@ mod tests {
         let board = HeartbeatBoard::new(2);
         // SAFETY: worker 1 never runs, so it can touch no scheme state.
         let verdict = unsafe { board.detect(1, Duration::from_secs(4)) };
-        assert!(verdict.is_some(), "a silent worker must be declared crashed");
+        assert!(verdict.is_some(), "a silent worker must be declared");
     }
 
     /// Native churn, fail-stop leg: a worker goes silent mid-run without
