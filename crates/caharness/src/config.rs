@@ -361,7 +361,9 @@ impl RunConfig {
 
     /// Line-pool capacity for a native run of this config: the same leaky
     /// worst case [`Self::machine_config`] sizes the simulated heap for,
-    /// plus the static-allocation budget and the reserved NULL line.
+    /// plus the static-allocation budget and the reserved NULL line. The
+    /// capacity is address space: the pool's pages are committed on first
+    /// touch, so only the lines a run actually touches cost memory.
     pub fn native_pool_lines(&self) -> usize {
         let worst_nodes = 2 * self.prefill + 2 * self.ops_per_thread * self.threads as u64 + 4096;
         (worst_nodes + 4096 + 1) as usize
