@@ -1959,4 +1959,119 @@ mod tests {
         };
         assert_eq!(run(ExecBackend::Threads), run(ExecBackend::Coop));
     }
+
+    // --- the recovery contract's edge cases, on every backend ------------
+
+    fn backends() -> Vec<ExecBackend> {
+        let mut v = vec![ExecBackend::Threads];
+        if COOP_SUPPORTED {
+            v.push(ExecBackend::Coop);
+        }
+        v
+    }
+
+    fn recover_machine(exec: ExecBackend, plan: FaultPlan) -> Machine {
+        Machine::new(MachineConfig {
+            cores: 4,
+            mem_bytes: 1 << 20,
+            static_lines: 64,
+            quantum: 0,
+            exec,
+            fault_plan: plan,
+            ..Default::default()
+        })
+    }
+
+    fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
+        e.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn uaf_panic_in_restart_bearing_run_propagates() {
+        for exec in backends() {
+            let m = recover_machine(exec, FaultPlan::none().crash(0, 1_000_000).restart(0, 0));
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                m.run_recover_on(
+                    2,
+                    |i, ctx| {
+                        if i == 0 {
+                            let a = ctx.alloc();
+                            ctx.free(a);
+                            ctx.read(a); // use-after-free, not an injected crash
+                        }
+                        i
+                    },
+                    |_, _| panic!("{exec:?}: a UAF panic must not be recovered"),
+                )
+            }));
+            let payload = caught.expect_err("UAF panic must propagate");
+            assert!(payload.downcast_ref::<FaultStop>().is_none(), "{exec:?}");
+            assert!(
+                !panic_message(&*payload).contains("must not be recovered"),
+                "{exec:?}: recover ran"
+            );
+            assert_eq!(m.stats().crashed, vec![false; 4], "{exec:?}");
+        }
+    }
+
+    #[test]
+    fn panic_inside_recover_propagates() {
+        for exec in backends() {
+            let m = recover_machine(exec, FaultPlan::none().crash(1, 100).restart(1, 500));
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let a = m.alloc_static(1);
+                m.run_recover_on(
+                    2,
+                    |_, ctx| {
+                        for _ in 0..200 {
+                            ctx.read(a);
+                        }
+                    },
+                    |_, _| panic!("deliberate recovery panic"),
+                )
+            }));
+            let payload = caught.expect_err("a panic out of recover must propagate");
+            assert_eq!(panic_message(&*payload), "deliberate recovery panic", "{exec:?}");
+            assert_eq!(m.stats().crashed, vec![false, true, false, false], "{exec:?}");
+        }
+    }
+
+    #[test]
+    fn restart_without_a_crash_yields_done() {
+        for exec in backends() {
+            let m = recover_machine(exec, FaultPlan::none().restart(1, 50));
+            let a = m.alloc_static(1);
+            let outs = m.run_recover_on(
+                2,
+                |i, ctx| {
+                    for _ in 0..100 {
+                        ctx.read(a);
+                    }
+                    i
+                },
+                |_, _| unreachable!("no core crashes"),
+            );
+            assert_eq!(outs, vec![CoreOutcome::Done(0), CoreOutcome::Done(1)], "{exec:?}");
+        }
+    }
+
+    #[test]
+    fn restart_on_a_core_outside_the_run_is_ignored() {
+        for exec in backends() {
+            let m = recover_machine(exec, FaultPlan::none().crash(3, 0).restart(3, 10));
+            let outs = m.run_recover_on(
+                2,
+                |i, ctx| {
+                    ctx.fence();
+                    i
+                },
+                |_, _| unreachable!("cores 0..2 never crash"),
+            );
+            assert_eq!(outs, vec![CoreOutcome::Done(0), CoreOutcome::Done(1)], "{exec:?}");
+            assert_eq!(m.stats().crashed, vec![false; 4], "{exec:?}");
+        }
+    }
 }
