@@ -337,10 +337,7 @@ pub fn jobs_from_args() -> usize {
 impl RunConfig {
     /// Build the simulated machine for this run.
     pub fn machine_config(&self) -> MachineConfig {
-        // Heap must fit the leaky worst case: prefill (×2 for the BST's
-        // internal nodes) plus one node per op (×2 again), plus slack.
-        let worst_nodes = 2 * self.prefill + 2 * self.ops_per_thread * self.threads as u64 + 4096;
-        let mem_bytes = (worst_nodes * 64).next_power_of_two().max(1 << 22);
+        let mem_bytes = (self.leaky_worst_nodes() * 64).next_power_of_two().max(1 << 22);
         MachineConfig {
             cores: self.threads,
             smt: self.smt,
@@ -365,8 +362,14 @@ impl RunConfig {
     /// capacity is address space: the pool's pages are committed on first
     /// touch, so only the lines a run actually touches cost memory.
     pub fn native_pool_lines(&self) -> usize {
-        let worst_nodes = 2 * self.prefill + 2 * self.ops_per_thread * self.threads as u64 + 4096;
-        (worst_nodes + 4096 + 1) as usize
+        (self.leaky_worst_nodes() + 4096 + 1) as usize
+    }
+
+    /// Nodes a run can hold if nothing is ever freed: prefill (×2 for the
+    /// BST's internal nodes) plus one node per op (×2 again), plus slack.
+    /// Both the simulated heap and the native pool are sized to fit it.
+    fn leaky_worst_nodes(&self) -> u64 {
+        2 * self.prefill + 2 * self.ops_per_thread * self.threads as u64 + 4096
     }
 
     /// Per-thread workload seed.
@@ -399,6 +402,11 @@ mod tests {
         let mc = cfg.machine_config();
         let heap_lines = mc.mem_bytes / 64 - mc.static_lines - 1;
         assert!(heap_lines > 2 * 32 * 3000, "heap fits all-insert leaky run");
+        let pool_heap = cfg.native_pool_lines() as u64 - mc.static_lines - 1;
+        assert!(pool_heap > 2 * 32 * 3000, "native pool fits it too");
+        // Both sizes are pinned by goldens and the native pool tests.
+        assert_eq!(mc.mem_bytes, 1 << 24);
+        assert_eq!(cfg.native_pool_lines(), 2 * cfg.prefill as usize + 2 * 32 * 3000 + 8193);
     }
 
     #[test]
