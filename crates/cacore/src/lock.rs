@@ -105,8 +105,8 @@ mod tests {
         let lock = node.word(1);
         let mark = node.word(2);
 
-        let outs = m.run(vec![
-            Box::new(move |ctx: &mut mcsim::machine::Ctx| {
+        let outs = m.run_on(2, |tid, ctx| match tid {
+            0 => {
                 ctx.cread(node); // tag
                 // Spin until the other thread has marked the node.
                 while ctx.read(mark) == 0 {
@@ -115,12 +115,12 @@ mod tests {
                 let out = try_lock_detailed(ctx, lock);
                 ctx.untag_all();
                 Some(out)
-            }) as Box<dyn FnOnce(&mut mcsim::machine::Ctx) -> Option<TryLockOutcome> + Send>,
-            Box::new(move |ctx: &mut mcsim::machine::Ctx| {
+            }
+            _ => {
                 ctx.write(mark, 1); // "delete" the node
                 None
-            }),
-        ]);
+            }
+        });
         assert_eq!(outs[0], Some(TryLockOutcome::Revoked));
     }
 

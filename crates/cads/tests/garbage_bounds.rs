@@ -50,31 +50,35 @@ fn cfg() -> SmrConfig {
 /// — it is mid-operation when the injected crash fires.
 fn run_scheme<S: for<'m> Smr<Ctx<'m>>>(m: &Machine, s: &S, iters: u64) -> GarbageStats {
     let mailboxes = [m.alloc_static(1), m.alloc_static(1)];
-    let outs = m.run_outcomes_on(THREADS, |tid, ctx| {
-        let mut tls = s.register(tid);
-        if tid == VICTIM {
-            s.begin_op(ctx, &mut tls);
-            loop {
-                let _ = s.read_ptr(ctx, &mut tls, 0, mailboxes[0]);
+    let outs = m.run_recover_on(
+        THREADS,
+        |tid, ctx| {
+            let mut tls = s.register(tid);
+            if tid == VICTIM {
+                s.begin_op(ctx, &mut tls);
+                loop {
+                    let _ = s.read_ptr(ctx, &mut tls, 0, mailboxes[0]);
+                }
             }
-        }
-        let mailbox = mailboxes[tid];
-        let mut prev = Addr::NULL;
-        for i in 0..iters {
-            s.begin_op(ctx, &mut tls);
-            let n = ctx.alloc();
-            s.on_alloc(ctx, &mut tls, n);
-            ctx.write(n, i);
-            ctx.write(mailbox, n.0);
-            if !prev.is_null() {
-                s.retire(ctx, &mut tls, prev);
+            let mailbox = mailboxes[tid];
+            let mut prev = Addr::NULL;
+            for i in 0..iters {
+                s.begin_op(ctx, &mut tls);
+                let n = ctx.alloc();
+                s.on_alloc(ctx, &mut tls, n);
+                ctx.write(n, i);
+                ctx.write(mailbox, n.0);
+                if !prev.is_null() {
+                    s.retire(ctx, &mut tls, prev);
+                }
+                prev = n;
+                s.end_op(ctx, &mut tls);
+                ctx.op_completed();
             }
-            prev = n;
-            s.end_op(ctx, &mut tls);
-            ctx.op_completed();
-        }
-        s.garbage(&tls)
-    });
+            s.garbage(&tls)
+        },
+        |_, _| unreachable!("plan has no restarts"),
+    );
     assert!(outs[VICTIM].crashed(), "{}: victim must crash", s.name());
     let mut total = GarbageStats::default();
     for o in outs {
@@ -147,20 +151,24 @@ fn crashed_thread_leaves_ca_footprint_bounded() {
     let footprint = |iters: u64| {
         let m = machine();
         let stack = CaStack::new(&m);
-        let outs = m.run_outcomes_on(THREADS, |tid, ctx| {
-            stack.register(tid);
-            if tid == VICTIM {
-                loop {
-                    stack.push(ctx, &mut (), 7);
-                    let _ = stack.pop(ctx, &mut ());
+        let outs = m.run_recover_on(
+            THREADS,
+            |tid, ctx| {
+                stack.register(tid);
+                if tid == VICTIM {
+                    loop {
+                        stack.push(ctx, &mut (), 7);
+                        let _ = stack.pop(ctx, &mut ());
+                    }
                 }
-            }
-            for i in 0..iters {
-                stack.push(ctx, &mut (), i);
-                let _ = stack.pop(ctx, &mut ());
-                ctx.op_completed();
-            }
-        });
+                for i in 0..iters {
+                    stack.push(ctx, &mut (), i);
+                    let _ = stack.pop(ctx, &mut ());
+                    ctx.op_completed();
+                }
+            },
+            |_, _| unreachable!("plan has no restarts"),
+        );
         assert!(outs[VICTIM].crashed(), "ca: victim must crash");
         m.stats().allocated_not_freed
     };

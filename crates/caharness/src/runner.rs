@@ -398,8 +398,9 @@ impl Outcome {
 /// the core), takes the wreck out of the vault, lets `rejoin` turn it into
 /// fresh thread-local state (adopting the orphan, for schemes that have
 /// one), and finishes the interrupted quota. The vault, the probes and the
-/// `catch_unwind` inside [`Machine::run_recover_on`] are host-side only:
-/// with an empty plan the simulated schedule is the plain one.
+/// `catch_unwind` [`Machine::run_recover_on`] puts around each core's body
+/// are host-side only: with an empty plan the simulated schedule is the
+/// one [`Machine::run_on`] would produce.
 ///
 /// Crash plans are a *measurement* only on nonblocking structures (the
 /// queue, the stack): a victim that fail-stops while holding a node lock

@@ -229,28 +229,33 @@ fn wedge_watchdog_names_the_crashed_qsbr_reader() {
     );
     let mailbox = m.alloc_static(1);
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let _ = m.run_outcomes_on(2, |tid, ctx| {
-            let mut tls = s.register(tid);
-            if tid == 1 {
-                // Reader: never announces; crashes at clock ~2000. The
-                // bound is never reached — the crash cuts the loop short.
-                for _ in 0..u64::MAX {
-                    let _ = s.read_ptr(ctx, &mut tls, 0, mailbox);
-                    ctx.tick(20);
+        let _ = m.run_recover_on(
+            2,
+            |tid, ctx| {
+                let mut tls = s.register(tid);
+                if tid == 1 {
+                    // Reader: never announces; crashes at clock ~2000. The
+                    // bound is never reached — the crash cuts the loop short.
+                    for _ in 0..u64::MAX {
+                        let _ = s.read_ptr(ctx, &mut tls, 0, mailbox);
+                        ctx.tick(20);
+                    }
+                    return;
                 }
-                return;
-            }
-            // Survivor: churns until the watchdog trips — every retire is
-            // pinned by the dead reader's announce = 0, so the run wedges.
-            for _ in 0..u64::MAX {
-                s.begin_op(ctx, &mut tls);
-                let n = ctx.alloc();
-                s.on_alloc(ctx, &mut tls, n);
-                ctx.write(n, 1);
-                s.retire(ctx, &mut tls, n);
-                s.end_op(ctx, &mut tls);
-            }
-        });
+                // Survivor: churns until the watchdog trips — every retire
+                // is pinned by the dead reader's announce = 0, so the run
+                // wedges.
+                for _ in 0..u64::MAX {
+                    s.begin_op(ctx, &mut tls);
+                    let n = ctx.alloc();
+                    s.on_alloc(ctx, &mut tls, n);
+                    ctx.write(n, 1);
+                    s.retire(ctx, &mut tls, n);
+                    s.end_op(ctx, &mut tls);
+                }
+            },
+            |_, _| unreachable!("plan has no restarts"),
+        );
     }))
     .expect_err("the survivor must wedge");
     let msg = err
@@ -436,14 +441,18 @@ fn orphaned_retires_stay_valid_until_adopted() {
             },
         );
     }
-    let outs = m.run_outcomes_on(2, |tid, ctx| {
-        let mut guard = vault.lock(tid);
-        let w = guard.as_mut().expect("state parked before run");
-        let rounds = if tid == 1 { 2_000 } else { 50 };
-        while w.done < rounds {
-            qsbr_churn(&s, ctx, w);
-        }
-    });
+    let outs = m.run_recover_on(
+        2,
+        |tid, ctx| {
+            let mut guard = vault.lock(tid);
+            let w = guard.as_mut().expect("state parked before run");
+            let rounds = if tid == 1 { 2_000 } else { 50 };
+            while w.done < rounds {
+                qsbr_churn(&s, ctx, w);
+            }
+        },
+        |_, _| unreachable!("plan has no restarts"),
+    );
     assert!(matches!(outs[0], CoreOutcome::Done(())));
     assert!(outs[1].crashed() && outs[1].recovered().is_none());
     let leaked_before = m.stats().allocated_not_freed;

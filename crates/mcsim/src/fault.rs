@@ -26,8 +26,9 @@
 //!   crashed core pin qsbr/rcu reclamation forever: an **indefinite
 //!   stall** and a crash are indistinguishable to the surviving cores, so
 //!   this is also the "stalled forever" fault. Use
-//!   [`crate::machine::Machine::run_outcomes`] to observe crashes as
-//!   values ([`CoreOutcome::Crashed`]) instead of panics.
+//!   [`crate::machine::Machine::run_recover_on`] to observe crashes as
+//!   values ([`CoreOutcome::Crashed`]) instead of panics, and to resume a
+//!   crashed core that a [`RestartFault`] names.
 //! * **Allocation pressure**: [`FaultPlan::heap_limit_lines`] shrinks the
 //!   heap and [`FaultPlan::oom_recoverable`] turns heap exhaustion into a
 //!   recoverable per-op verdict (`Ctx::try_alloc` returns `None`, the
@@ -75,11 +76,14 @@ pub struct CrashFault {
 /// A scheduled recovery of a crashed core (see [`FaultPlan::restart`]):
 /// the core resumes at simulated clock `max(at, crash clock)` running a
 /// recovery closure instead of staying retired. Only meaningful through
-/// [`crate::machine::Machine::run_recover_on`]; the plain outcome APIs
-/// ignore restarts and report the crash as final.
+/// [`crate::machine::Machine::run_recover_on`]; under
+/// [`crate::machine::Machine::run_on`] the crash still propagates as a
+/// panic. A restart on a core outside the run, or on one that never
+/// crashes, does nothing.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct RestartFault {
-    /// Core to restart (must also have a [`CrashFault`] to recover from).
+    /// Core to restart (`< MachineConfig::cores`, checked at
+    /// `Machine::new`); it needs a [`CrashFault`] to recover from.
     pub core: CoreId,
     /// Trigger clock: the recovery closure starts at local clock
     /// `max(at, crash clock)` — a restart cannot predate its crash.
@@ -150,9 +154,9 @@ impl FaultPlan {
 }
 
 /// The unwind payload of a [`CrashFault`] firing. Thrown with
-/// `resume_unwind` (no panic-hook noise); `Machine::run_outcomes` catches
-/// it and reports [`CoreOutcome::Crashed`], while plain `Machine::run`
-/// re-raises it.
+/// `resume_unwind` (no panic-hook noise); `Machine::run_recover_on`
+/// catches it and reports [`CoreOutcome::Crashed`] (or recovers the core),
+/// while `Machine::run_on` re-raises it.
 #[derive(Copy, Clone, Debug)]
 pub struct FaultStop {
     /// The crashed core.
@@ -189,7 +193,7 @@ impl Restart {
     }
 }
 
-/// Per-core outcome of [`crate::machine::Machine::run_outcomes`].
+/// Per-core outcome of [`crate::machine::Machine::run_recover_on`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CoreOutcome<R> {
     /// The workload closure ran to completion.
@@ -202,8 +206,7 @@ pub enum CoreOutcome<R> {
         clock: u64,
     },
     /// A [`CrashFault`] stopped the core, then a [`RestartFault`] resumed
-    /// it (`Machine::run_recover_on` only) and its recovery closure ran to
-    /// completion.
+    /// it and its recovery closure ran to completion.
     Recovered {
         /// The crashed-then-restarted core.
         core: CoreId,
@@ -262,6 +265,9 @@ pub(crate) struct FaultState {
     pub cursor: Vec<usize>,
     /// Per-core crash trigger (`u64::MAX` = none).
     pub crash_at: Vec<u64>,
+    /// Per-core restart trigger (`u64::MAX` = none), read by
+    /// `Machine::run_recover_on` when the core's crash fires.
+    pub restart_at: Vec<u64>,
     /// Set once a core's crash fired (it fires at most once).
     pub crashed: Vec<bool>,
     /// Wedge-watchdog ceiling (`u64::MAX` = none): a core whose clock
@@ -296,10 +302,16 @@ impl FaultState {
             assert!(c.core < cores, "FaultPlan crash on core {} of {cores}", c.core);
             crash_at[c.core] = crash_at[c.core].min(c.at);
         }
+        let mut restart_at = vec![u64::MAX; cores];
+        for r in &plan.restarts {
+            assert!(r.core < cores, "FaultPlan restart on core {} of {cores}", r.core);
+            restart_at[r.core] = restart_at[r.core].min(r.at);
+        }
         let mut s = Self {
             stalls,
             cursor: vec![0; cores],
             crash_at,
+            restart_at,
             crashed: vec![false; cores],
             max_cycles: max_cycles.unwrap_or(u64::MAX),
             armed: true,
@@ -437,11 +449,14 @@ mod tests {
             .stall(0, 300, 1)
             .stall(0, 100, 2)
             .crash(1, 900)
-            .crash(1, 400);
+            .crash(1, 400)
+            .restart(1, 2_000)
+            .restart(1, 1_500);
         let st = FaultState::new(&p, 2, None);
         assert_eq!(st.stalls[0], vec![(100, 2), (300, 1)]);
         assert_eq!(st.crash_at[1], 400);
         assert_eq!(st.crash_at[0], u64::MAX);
+        assert_eq!(st.restart_at, vec![u64::MAX, 1_500]);
         assert!(st.active());
     }
 

@@ -2,13 +2,16 @@
 //! [`Ctx`] handle through which simulated programs touch memory.
 //!
 //! A [`Machine`] owns the coherence hub, the allocator and the scheduler.
-//! [`Machine::run`] executes one closure per simulated core — as stackful
-//! coroutines on the calling thread where supported, or on one OS thread
-//! per core elsewhere (see [`ExecBackend`]); every memory event is
+//! [`Machine::run_on`] runs one closure on each of cores `0..n` — as
+//! stackful coroutines on the calling thread where supported, or on one OS
+//! thread per core elsewhere (see [`ExecBackend`]); every memory event is
 //! serialized and deterministically ordered by the min-clock scheduler
 //! (see [`crate::sched`]), identically on either backend.
+//! [`Machine::run_recover_on`] is the same run with injected crashes
+//! reported (and optionally recovered) as values; both go through one
+//! private backend driver.
 //!
-//! A machine can be `run` multiple times (e.g. a single-core prefill run
+//! A machine can be run multiple times (e.g. a single-core prefill run
 //! followed by [`Machine::reset_timing`] and a measured multi-core run);
 //! memory, cache and allocator state persist across runs.
 //!
@@ -97,7 +100,7 @@ impl ExecBackend {
     /// default resolves to (the CI matrix runs the test suite once per
     /// value). Explicit `Threads`/`Coop` configs are never overridden.
     ///
-    /// Re-read on every resolution (a cold path: once per `Machine::run`).
+    /// Re-read on every resolution (a cold path: once per run).
     /// An earlier version cached the first read in a `OnceLock`, so a test
     /// or embedder setting the variable after the first machine ran
     /// silently kept the stale backend — the regression test below pins
@@ -228,9 +231,6 @@ impl MachineConfig {
 /// A sample of the allocation footprint: (completed ops, allocated-not-freed).
 pub type FootprintSample = (u64, u64);
 
-/// A boxed per-core program, as passed to [`Machine::run`].
-pub type CoreFn<'env, R> = Box<dyn FnOnce(&mut Ctx) -> R + Send + 'env>;
-
 pub(crate) struct SimState {
     pub hub: CoherenceHub,
     pub alloc: Allocator,
@@ -317,7 +317,7 @@ impl Shared {
              cannot be called from inside this machine's run closures: the \
              calling core holds the machine's state lock (for the whole run on \
              the coop backend, while it owns the turn on the threads backend). \
-             Use the Ctx API, or move the call outside Machine::run."
+             Use the Ctx API, or move the call outside the run."
         );
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
@@ -389,73 +389,28 @@ impl Machine {
         self.shared.lock().alloc.alloc_static(lines)
     }
 
-    /// Run one closure per core, on cores `0..fns.len()`. Blocks until every
-    /// simulated thread finishes and returns their outputs in core order.
+    /// Run `f` on cores `0..n`; the closure receives the core id. Blocks
+    /// until every simulated thread finishes and returns their outputs in
+    /// core order.
     ///
     /// If a closure panics (including the use-after-free detector firing),
     /// its core is retired first — so the other simulated threads keep being
-    /// scheduled — and the panic then propagates out of `run`. This includes
-    /// injected [`crate::fault::CrashFault`]s; use [`Self::run_outcomes`] to
-    /// observe those as values instead.
-    pub fn run<'env, R: Send + 'env>(
-        &'env self,
-        fns: Vec<CoreFn<'env, R>>,
-    ) -> Vec<R> {
-        self.run_results(fns)
+    /// scheduled — and the panic then propagates out of `run_on`. This
+    /// includes injected [`crate::fault::CrashFault`]s; use
+    /// [`Self::run_recover_on`] to observe those as values instead.
+    pub fn run_on<R: Send>(&self, n: usize, f: impl Fn(usize, &mut Ctx) -> R + Sync) -> Vec<R> {
+        self.run_cores(n, &f)
             .into_iter()
-            .map(|r| match r {
-                Ok(r) => r,
-                Err(e) => std::panic::resume_unwind(e),
-            })
+            .map(|r| r.unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
     }
 
-    /// [`Self::run`], with injected crashes reported as
-    /// [`CoreOutcome::Crashed`] values instead of panics. Panics that are
-    /// *not* a fired [`crate::fault::CrashFault`] (a workload bug, the
-    /// use-after-free detector, the wedge watchdog) still propagate.
-    pub fn run_outcomes<'env, R: Send + 'env>(
-        &'env self,
-        fns: Vec<CoreFn<'env, R>>,
-    ) -> Vec<CoreOutcome<R>> {
-        self.run_results(fns)
-            .into_iter()
-            .map(|r| match r {
-                Ok(r) => CoreOutcome::Done(r),
-                Err(e) => match e.downcast::<FaultStop>() {
-                    Ok(fs) => CoreOutcome::Crashed {
-                        core: fs.core,
-                        clock: fs.clock,
-                    },
-                    Err(e) => std::panic::resume_unwind(e),
-                },
-            })
-            .collect()
-    }
-
-    /// Convenience: [`Self::run_outcomes`] over the same closure on `n`
-    /// cores (the fault-tolerant sibling of [`Self::run_on`]).
-    pub fn run_outcomes_on<R: Send>(
-        &self,
-        n: usize,
-        f: impl Fn(usize, &mut Ctx) -> R + Sync,
-    ) -> Vec<CoreOutcome<R>> {
-        let f = &f;
-        self.run_outcomes(
-            (0..n)
-                .map(|i| {
-                    Box::new(move |ctx: &mut Ctx| f(i, ctx))
-                        as Box<dyn FnOnce(&mut Ctx) -> R + Send + '_>
-                })
-                .collect(),
-        )
-    }
-
-    /// [`Self::run_outcomes_on`] with crash **recovery**: a crashed core
-    /// whose [`crate::fault::RestartFault`] names it resumes at simulated
-    /// clock `max(restart.at, crash clock)` running `recover` instead of
-    /// staying retired, and reports [`CoreOutcome::Recovered`]. Cores
-    /// without a restart trigger stay [`CoreOutcome::Crashed`].
+    /// [`Self::run_on`], with injected crashes reported as values: a core
+    /// stopped by a [`crate::fault::CrashFault`] yields
+    /// [`CoreOutcome::Crashed`], unless a [`crate::fault::RestartFault`]
+    /// names it — then it resumes at simulated clock
+    /// `max(restart.at, crash clock)` running `recover` instead of staying
+    /// retired, and reports [`CoreOutcome::Recovered`].
     ///
     /// Determinism: the crash fires at an event-issue boundary with the
     /// core still owning its scheduling turn on every backend (the
@@ -469,86 +424,68 @@ impl Machine {
     /// backends like every other fault trigger (pinned by
     /// `fault_determinism`).
     ///
-    /// Restarts recover *injected crashes only*: any other panic (workload
-    /// bug, UAF detector, wedge watchdog) still propagates, and a panic
-    /// out of `recover` itself is not caught.
+    /// Only injected crashes are caught: any other panic (workload bug,
+    /// UAF detector, wedge watchdog) still propagates, and so does a panic
+    /// out of `recover` itself.
     pub fn run_recover_on<R: Send>(
         &self,
         n: usize,
         f: impl Fn(usize, &mut Ctx) -> R + Sync,
         recover: impl Fn(&Restart, &mut Ctx) -> R + Sync,
     ) -> Vec<CoreOutcome<R>> {
-        let mut restart_at = vec![u64::MAX; n];
-        for r in &self.cfg.fault_plan.restarts {
-            assert!(
-                r.core < self.cfg.cores,
-                "FaultPlan restart on core {} of {}",
-                r.core,
-                self.cfg.cores
-            );
-            if r.core < n {
-                restart_at[r.core] = restart_at[r.core].min(r.at);
+        self.run_on(n, |i, ctx| {
+            let payload =
+                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i, &mut *ctx))) {
+                    Ok(r) => return CoreOutcome::Done(r),
+                    Err(e) => e,
+                };
+            let crash = match payload.downcast::<FaultStop>() {
+                Ok(fs) => *fs,
+                Err(e) => std::panic::resume_unwind(e),
+            };
+            let restart_at = ctx.with_state(|st| st.fault.restart_at[i]);
+            if restart_at == u64::MAX {
+                return CoreOutcome::Crashed {
+                    core: crash.core,
+                    clock: crash.clock,
+                };
             }
-        }
-        let f = &f;
-        let recover = &recover;
-        let restart_at = &restart_at;
-        self.run_outcomes(
-            (0..n)
-                .map(|i| {
-                    Box::new(move |ctx: &mut Ctx| {
-                        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || f(i, &mut *ctx),
-                        ));
-                        match out {
-                            Ok(r) => CoreOutcome::Done(r),
-                            Err(e) => match e.downcast::<FaultStop>() {
-                                Ok(fs) if restart_at[i] != u64::MAX => {
-                                    // Idle until the restart trigger (a
-                                    // restart cannot predate its crash),
-                                    // then run the recovery body on the
-                                    // same core/Ctx.
-                                    let target = restart_at[i].max(fs.clock);
-                                    ctx.tick(target - fs.clock);
-                                    let info = Restart::new(i, fs.clock, target);
-                                    let result = recover(&info, ctx);
-                                    CoreOutcome::Recovered {
-                                        core: i,
-                                        crash_clock: fs.clock,
-                                        restart_clock: target,
-                                        result,
-                                    }
-                                }
-                                Ok(fs) => std::panic::resume_unwind(fs),
-                                Err(e) => std::panic::resume_unwind(e),
-                            },
-                        }
-                    }) as Box<dyn FnOnce(&mut Ctx) -> CoreOutcome<R> + Send + '_>
-                })
-                .collect(),
-        )
-        .into_iter()
-        .map(|o| match o {
-            // The wrapper already folded recovery into the inner outcome;
-            // an outer Crashed is a core whose restart trigger was absent
-            // (the re-raised FaultStop above).
-            CoreOutcome::Done(inner) => inner,
-            CoreOutcome::Crashed { core, clock } => CoreOutcome::Crashed { core, clock },
-            CoreOutcome::Recovered { .. } => {
-                unreachable!("outer run_outcomes never recovers")
+            // Idle until the restart trigger (a restart cannot predate its
+            // crash), then run the recovery body on the same core and Ctx.
+            let target = restart_at.max(crash.clock);
+            ctx.tick(target - crash.clock);
+            let result = recover(&Restart::new(i, crash.clock, target), ctx);
+            CoreOutcome::Recovered {
+                core: i,
+                crash_clock: crash.clock,
+                restart_clock: target,
+                result,
             }
         })
-        .collect()
     }
 
-    /// Backend dispatch: run the closures and collect each core's result
-    /// *or* caught panic, in core order. Panics that escaped a workload
-    /// closure's own frame (backend failures) still propagate.
-    fn run_results<'env, R: Send + 'env>(
-        &'env self,
-        fns: Vec<CoreFn<'env, R>>,
+    /// The one backend driver: run `body` on cores `0..n` and collect each
+    /// core's result *or* caught panic, in core order. Panics that escaped
+    /// a body's own frame (backend failures) still propagate.
+    fn run_cores<R: Send>(
+        &self,
+        n: usize,
+        body: &(dyn Fn(usize, &mut Ctx) -> R + Sync),
     ) -> Vec<std::thread::Result<R>> {
-        let results = self.run_results_inner(fns);
+        assert!(
+            n >= 1 && n <= self.cfg.cores,
+            "need 1..={} cores, got {n}",
+            self.cfg.cores
+        );
+        let exec = match self.cfg.exec {
+            ExecBackend::Auto => ExecBackend::env_override().unwrap_or(ExecBackend::Auto),
+            explicit => explicit,
+        };
+        let results = match exec {
+            #[cfg(mcsim_coop)]
+            ExecBackend::Auto | ExecBackend::Coop => self.run_coop(n, body),
+            _ => self.run_threads(n, body),
+        };
         if self.cfg.race_check {
             // Close the trace segment: the host observes every core's
             // result here, so consecutive runs (prefill, measured) are
@@ -559,41 +496,16 @@ impl Machine {
         results
     }
 
-    fn run_results_inner<'env, R: Send + 'env>(
-        &'env self,
-        fns: Vec<CoreFn<'env, R>>,
-    ) -> Vec<std::thread::Result<R>> {
-        let n = fns.len();
-        assert!(
-            n >= 1 && n <= self.cfg.cores,
-            "need 1..={} closures, got {n}",
-            self.cfg.cores
-        );
-        let effective = match self.cfg.exec {
-            ExecBackend::Auto => ExecBackend::env_override().unwrap_or(ExecBackend::Auto),
-            explicit => explicit,
-        };
-        let coop = match effective {
-            ExecBackend::Threads => false,
-            ExecBackend::Auto | ExecBackend::Coop => COOP_SUPPORTED,
-        };
-        if coop {
-            #[cfg(mcsim_coop)]
-            return self.run_coop(fns);
-        }
-        self.run_threads(fns)
-    }
-
     /// Coroutine backend: all simulated cores on the calling OS thread,
     /// with the state lock held once for the whole run. Turn handoffs are
     /// user-space stack switches (see [`crate::coop`]).
     #[cfg(mcsim_coop)]
-    fn run_coop<'env, R: Send + 'env>(
-        &'env self,
-        fns: Vec<CoreFn<'env, R>>,
+    fn run_coop<R: Send>(
+        &self,
+        n: usize,
+        body: &(dyn Fn(usize, &mut Ctx) -> R + Sync),
     ) -> Vec<std::thread::Result<R>> {
         use crate::coop;
-        let n = fns.len();
         let mut guard = self.shared.lock();
         // From here until the run ends, any host-side call on this machine
         // from this thread would deadlock on the held lock; make it panic
@@ -607,12 +519,10 @@ impl Machine {
         let ctxs_ptr = ctxs.as_mut_ptr();
         let mut outs: Vec<Option<std::thread::Result<R>>> = (0..n).map(|_| None).collect();
         let race_check = self.cfg.race_check;
-        let mut payloads: Vec<Box<coop::CoroPayload>> = fns
-            .into_iter()
-            .enumerate()
-            .map(|(core, f)| {
+        let mut payloads: Vec<Box<coop::CoroPayload>> = (0..n)
+            .map(|core| {
                 let out_slot: *mut Option<std::thread::Result<R>> = &mut outs[core];
-                let body: Box<dyn FnOnce() -> usize + 'env> = Box::new(move || {
+                let entry: Box<dyn FnOnce() -> usize + '_> = Box::new(move || {
                     let mut ctx = Ctx {
                         core,
                         threads: n,
@@ -625,9 +535,9 @@ impl Machine {
                             retire_target: None,
                         }),
                     };
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                        || f(&mut ctx),
-                    ));
+                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        body(core, &mut ctx)
+                    }));
                     // SAFETY: `outs[core]` is written only by core `core`'s
                     // own coroutine; `outs` outlives every coroutine.
                     unsafe { *out_slot = Some(out) };
@@ -643,12 +553,13 @@ impl Machine {
                         CtxBackend::Threads(_) => unreachable!("coop body on a threads ctx"),
                     }
                 });
-                // SAFETY: erase 'env — every coroutine is fully consumed
-                // before this function returns, so the closure cannot
-                // outlive its borrows (only the lifetime is erased).
-                let body: Box<dyn FnOnce() -> usize> = unsafe { std::mem::transmute(body) };
+                // SAFETY: erase the borrow lifetime — every coroutine is
+                // fully consumed before this function returns, so the
+                // closure cannot outlive its borrows (only the lifetime is
+                // erased).
+                let entry: Box<dyn FnOnce() -> usize> = unsafe { std::mem::transmute(entry) };
                 Box::new(coop::CoroPayload {
-                    f: Some(body),
+                    f: Some(entry),
                     ctxs: ctxs_ptr,
                     own_slot: core,
                 })
@@ -674,21 +585,19 @@ impl Machine {
     /// OS-thread backend: one thread per simulated core, park/unpark
     /// handoffs. The portable fallback, and the only option when workload
     /// closures are not safe to multiplex on one stack.
-    fn run_threads<'env, R: Send + 'env>(
-        &'env self,
-        fns: Vec<CoreFn<'env, R>>,
+    fn run_threads<R: Send>(
+        &self,
+        n: usize,
+        body: &(dyn Fn(usize, &mut Ctx) -> R + Sync),
     ) -> Vec<std::thread::Result<R>> {
-        let n = fns.len();
         let shared = &self.shared;
         // Every worker registers its OS thread handle (the unpark target)
         // before the run starts; the barrier guarantees registration is
         // complete before the first handoff can happen.
         let barrier = &Barrier::new(n + 1);
         std::thread::scope(|scope| {
-            let handles: Vec<_> = fns
-                .into_iter()
-                .enumerate()
-                .map(|(core, f)| {
+            let handles: Vec<_> = (0..n)
+                .map(|core| {
                     scope.spawn(move || {
                         shared.lock().threads[core] = Some(std::thread::current());
                         barrier.wait();
@@ -707,9 +616,9 @@ impl Machine {
                                 peers,
                             }),
                         };
-                        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(
-                            || f(&mut ctx),
-                        ));
+                        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                            body(core, &mut ctx)
+                        }));
                         // Retire even on panic, so the other simulated
                         // threads are not left waiting for a dead core.
                         ctx.retire();
@@ -738,20 +647,6 @@ impl Machine {
                 })
                 .collect()
         })
-    }
-
-    /// Convenience: run the same closure on `n` cores; the closure receives
-    /// the core id.
-    pub fn run_on<R: Send>(&self, n: usize, f: impl Fn(usize, &mut Ctx) -> R + Sync) -> Vec<R> {
-        let f = &f;
-        self.run(
-            (0..n)
-                .map(|i| {
-                    Box::new(move |ctx: &mut Ctx| f(i, ctx))
-                        as Box<dyn FnOnce(&mut Ctx) -> R + Send + '_>
-                })
-                .collect(),
-        )
     }
 
     /// Zero clocks, statistics, the op counter and footprint samples.
@@ -1339,14 +1234,7 @@ impl<'m> Ctx<'m> {
     /// no cycles are charged.)
     pub fn tx_active(&mut self) -> bool {
         let c = self.core;
-        match &self.backend {
-            CtxBackend::Threads(tb) => match tb.turn_guard.as_deref() {
-                Some(st) => st.hub.tx_active(c),
-                None => tb.shared.lock().hub.tx_active(c),
-            },
-            // SAFETY: a running coroutine owns the turn (state is idle).
-            CtxBackend::Coop(cb) => unsafe { (&*cb.state).hub.tx_active(c) },
-        }
+        self.with_state(|st| st.hub.tx_active(c))
     }
 
     /// Record one completed data-structure operation (throughput numerator,
@@ -1358,14 +1246,20 @@ impl<'m> Ctx<'m> {
     /// This core's current simulated clock (cycles).
     pub fn now(&mut self) -> u64 {
         let c = self.core;
-        let pending = self.pending_ticks;
+        self.with_state(|st| st.sched.clocks[c]) + self.pending_ticks
+    }
+
+    /// Read the machine state without issuing an event (no cycles, no
+    /// scheduling point).
+    #[inline]
+    fn with_state<T>(&self, f: impl FnOnce(&SimState) -> T) -> T {
         match &self.backend {
             CtxBackend::Threads(tb) => match tb.turn_guard.as_deref() {
-                Some(st) => st.sched.clocks[c] + pending,
-                None => tb.shared.lock().sched.clocks[c] + pending,
+                Some(st) => f(st),
+                None => f(&tb.shared.lock()),
             },
             // SAFETY: a running coroutine owns the turn (state is idle).
-            CtxBackend::Coop(cb) => unsafe { (&*cb.state).sched.clocks[c] + pending },
+            CtxBackend::Coop(cb) => f(unsafe { &*cb.state }),
         }
     }
 }
@@ -1791,17 +1685,21 @@ mod tests {
     /// A shared-counter workload long enough for mid-run triggers.
     fn cas_work(m: &Machine, n: usize, iters: usize) -> Vec<CoreOutcome<u64>> {
         let a = m.alloc_static(1);
-        m.run_outcomes_on(n, move |_, ctx| {
-            for _ in 0..iters {
-                loop {
-                    let cur = ctx.read(a);
-                    if ctx.cas(a, cur, cur + 1).is_ok() {
-                        break;
+        m.run_recover_on(
+            n,
+            move |_, ctx| {
+                for _ in 0..iters {
+                    loop {
+                        let cur = ctx.read(a);
+                        if ctx.cas(a, cur, cur + 1).is_ok() {
+                            break;
+                        }
                     }
                 }
-            }
-            ctx.now()
-        })
+                ctx.now()
+            },
+            |_, _| unreachable!("plan has no restarts"),
+        )
     }
 
     #[test]
@@ -2056,6 +1954,12 @@ mod tests {
             );
             assert_eq!(outs, vec![CoreOutcome::Done(0), CoreOutcome::Done(1)], "{exec:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "FaultPlan restart on core 4 of 4")]
+    fn restart_on_a_core_the_machine_lacks_is_rejected_at_build() {
+        fault_machine(FaultPlan::none().restart(4, 0));
     }
 
     #[test]

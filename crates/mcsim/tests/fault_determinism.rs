@@ -43,49 +43,45 @@ fn run_cell(exec: ExecBackend) -> Signature {
         ..Default::default()
     });
     let counter = m.alloc_static(1);
-    let outs = m.run_outcomes_on(CORES, move |i, ctx| {
-        let mut held: Vec<Addr> = Vec::new();
-        let mut got = 0u64;
-        for _round in 0..60u64 {
-            loop {
-                let cur = ctx.read(counter);
-                if ctx.cas(counter, cur, cur.wrapping_mul(31) + i as u64 + 1).is_ok() {
-                    break;
+    let outs = m.run_recover_on(
+        CORES,
+        move |i, ctx| {
+            let mut held: Vec<Addr> = Vec::new();
+            let mut got = 0u64;
+            for _round in 0..60u64 {
+                loop {
+                    let cur = ctx.read(counter);
+                    if ctx.cas(counter, cur, cur.wrapping_mul(31) + i as u64 + 1).is_ok() {
+                        break;
+                    }
                 }
+                // Churn the pressured heap: each core keeps up to 3 lines
+                // live, so the steady-state demand (8 cores × 3 lines)
+                // oversubscribes the 6-line heap and some allocations fail
+                // recoverably.
+                if held.len() == 3 {
+                    ctx.free(held.remove(0));
+                }
+                if let Some(a) = ctx.try_alloc() {
+                    ctx.write(a, i as u64);
+                    held.push(a);
+                    got += 1;
+                }
+                ctx.op_completed();
             }
-            // Churn the pressured heap: each core keeps up to 3 lines live,
-            // so the steady-state demand (8 cores × 3 lines) oversubscribes
-            // the 6-line heap and some allocations fail recoverably.
-            if held.len() == 3 {
-                ctx.free(held.remove(0));
+            for a in held {
+                ctx.free(a);
             }
-            if let Some(a) = ctx.try_alloc() {
-                ctx.write(a, i as u64);
-                held.push(a);
-                got += 1;
-            }
-            ctx.op_completed();
-        }
-        for a in held {
-            ctx.free(a);
-        }
-        got
-    });
+            got
+        },
+        |_, _| unreachable!("plan has no restarts"),
+    );
     let st = m.stats();
     m.check_invariants();
     Signature {
         crashed_outcomes: outs.iter().map(|o| o.crashed()).collect(),
         crashed_stats: st.crashed.clone(),
-        returns: outs
-            .into_iter()
-            .map(|o| match o {
-                CoreOutcome::Done(v) => Some(v),
-                CoreOutcome::Crashed { .. } => None,
-                CoreOutcome::Recovered { .. } => {
-                    unreachable!("run_outcomes_on never recovers")
-                }
-            })
-            .collect(),
+        returns: outs.into_iter().map(CoreOutcome::done).collect(),
         per_core: st
             .cores
             .iter()
