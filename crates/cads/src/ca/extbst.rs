@@ -127,9 +127,8 @@ impl CaExtBst {
 }
 
 impl CaExtBst {
-    /// One optimistic attempt of `contains` (exposed at crate level for the
-    /// fallback wrapper).
-    pub(crate) fn contains_attempt(&self, ctx: &mut Ctx, key: u64) -> CaStep<bool> {
+    /// One optimistic attempt of `contains`.
+    fn contains_attempt(&self, ctx: &mut Ctx, key: u64) -> CaStep<bool> {
         let f = match self.search(ctx, key) {
             CaStep::Done(f) => f,
             CaStep::Retry => return CaStep::Retry,
@@ -138,7 +137,7 @@ impl CaExtBst {
     }
 
     /// One optimistic attempt of `insert`.
-    pub(crate) fn insert_attempt(&self, ctx: &mut Ctx, key: u64) -> CaStep<bool> {
+    fn insert_attempt(&self, ctx: &mut Ctx, key: u64) -> CaStep<bool> {
         let f = match self.search(ctx, key) {
             CaStep::Done(f) => f,
             CaStep::Retry => return CaStep::Retry,
@@ -174,7 +173,7 @@ impl CaExtBst {
 
     /// One optimistic attempt of `delete`; on success returns the unlinked
     /// (parent, leaf) pair, which the caller frees after its `untagAll`.
-    pub(crate) fn delete_attempt(&self, ctx: &mut Ctx, key: u64) -> CaStep<Option<(Addr, Addr)>> {
+    fn delete_attempt(&self, ctx: &mut Ctx, key: u64) -> CaStep<Option<(Addr, Addr)>> {
         let f = match self.search(ctx, key) {
             CaStep::Done(f) => f,
             CaStep::Retry => return CaStep::Retry,

@@ -2,7 +2,6 @@
 //! scheme, no per-thread reclamation state.
 
 pub mod extbst;
-pub mod fallback_bst;
 pub mod fallback_list;
 pub mod harrislist;
 pub mod lazylist;
@@ -11,7 +10,6 @@ pub mod queue;
 pub mod stack;
 
 pub use extbst::CaExtBst;
-pub use fallback_bst::FbCaExtBst;
 pub use fallback_list::FbCaLazyList;
 pub use harrislist::CaHarrisList;
 pub use lazylist::CaLazyList;

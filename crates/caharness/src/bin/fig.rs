@@ -14,7 +14,7 @@
 //! unbounded: run both to see the contrast.
 //!
 //! Usage: `cargo run -p caharness --release --bin fig -- <figure>... | all \
-//!     [--quick|--paper] [--recover] [--jobs N] [--max_cycles N] [--fail-fast]`
+//!     [--quick|--paper] [--recover] [--jobs N] [--max_cycles N]`
 
 use caharness::experiments::{render, select, Scale, FIGURES};
 

@@ -17,6 +17,7 @@
 //! report is byte-identical across backends.
 //!
 //! Usage: `cargo run --release -p caharness --bin race_audit [--quick]`
+//! (simulator only: `--native` exits 2).
 //!
 //! `--quick` runs a 6-cell subset as a CI smoke (one list, one tree, the
 //! stack and the queue, covering the CAS-heavy and fence-heavy schemes).
@@ -70,6 +71,13 @@ fn audit_cfg(updates_only: bool) -> RunConfig {
 
 fn main() {
     caharness::init_from_args(&[]);
+    if caharness::config::default_native() {
+        eprintln!(
+            "error: race_audit runs only on the simulator (the analyzer watches simulated \
+             memory events); drop `--native`"
+        );
+        std::process::exit(2);
+    }
     let quick = std::env::args().any(|a| a == "--quick");
     let allow = whitelist();
 

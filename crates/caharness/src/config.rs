@@ -184,7 +184,6 @@ pub const SHARED_FLAGS: &[&str] = &[
     "--jobs N",
     "-j N",
     "--max_cycles N",
-    "--fail-fast",
     "--native",
     "--race_check",
 ];
@@ -430,6 +429,7 @@ mod tests {
             (&["fig1_lazylist", "--quick=1"], "`--quick=1`"),
             (&["fig1_lazylist", "-jx"], "`-jx`"),
             (&["fig1_lazylist", "4"], "`4`"),
+            (&["fig1_lazylist", "--quick", "--fail-fast"], "`--fail-fast`"),
         ] {
             let err = check(bad, &[]).expect_err("unknown argument accepted");
             assert!(err.contains(offender), "{bad:?}: {err}");
@@ -439,7 +439,7 @@ mod tests {
         for ok in [
             &["fig1_lazylist"][..],
             &["fig1_lazylist", "--quick", "--jobs", "4"],
-            &["fig1_lazylist", "--paper", "--jobs=4", "--fail-fast", "--native", "--race_check"],
+            &["fig1_lazylist", "--paper", "--jobs=4", "--native", "--race_check"],
             &["fig1_lazylist", "-j4"],
             &["fig1_lazylist", "-j", "4"],
             &["fig1_lazylist", "--max_cycles", "10"],

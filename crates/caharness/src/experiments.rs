@@ -220,8 +220,7 @@ impl Plan {
 /// native, one when simulated — so `--jobs N` bounds host threads whatever
 /// the mix. A cell that panics (a livelock ceiling, the wedge watchdog)
 /// yields [`sweep::ERR_CELL`] in every entry that reads it and lands in the
-/// sweep's failure registry; all other entries keep their values. Under
-/// `--fail-fast` the first panic propagates instead.
+/// sweep's failure registry; all other entries keep their values.
 pub fn render(label: &str, plans: &[Plan]) -> Vec<(String, SeriesTable)> {
     let tasks = plans
         .iter()
@@ -1304,8 +1303,8 @@ mod tests {
 
     #[test]
     fn a_failed_cell_is_err_and_every_other_cell_completes() {
-        // The failure registry and the fail-fast switch are process-wide
-        // and the sweep tests drain and flip them: hold their lock.
+        // The failure registry is process-wide and the sweep tests drain
+        // it: hold their lock.
         let _serial = crate::sweep::tests::JobsLock::take();
         let names = ["ablation_assoc".to_string(), "queue_bench".to_string()];
         let mut plans = select(&names, Scale::Quick, false).unwrap();

@@ -19,12 +19,10 @@
 //! [`sweep`] engine runs them concurrently on `N` host threads with
 //! bit-identical results for every `N` (0/default = one per host CPU).
 //!
-//! Robustness flags (PR 6): `--max_cycles N` arms the per-core wedge
-//! watchdog (a run that passes `N` simulated cycles panics instead of
-//! spinning forever — turns a CI hang into a red test), and `--fail-fast`
-//! restores the old sweep behavior of aborting the whole binary on the
-//! first failed task. Without it, failed tasks render as `ERR` cells and
-//! the binary exits nonzero after completing everything else.
+//! Robustness: `--max_cycles N` arms the per-core wedge watchdog (a
+//! run that passes `N` simulated cycles panics instead of spinning forever
+//! — turns a CI hang into a red test). Failed tasks render as `ERR` cells
+//! and the binary exits nonzero after completing everything else.
 //!
 //! Crash recovery (PR 10): `fig fig_recovery --recover` (and
 //! `fig fig_robustness --recover`) put restart-bearing fault plans in
@@ -106,16 +104,14 @@ pub fn init_from_args(extra: &[&str]) -> Vec<String> {
         std::process::exit(2);
     });
     sweep::set_jobs_from_args();
-    sweep::set_fail_fast_from_args();
     config::set_max_cycles_from_args();
     config::set_native_from_args();
     config::set_race_check_from_args();
     positionals
 }
 
-/// Report sweep tasks that failed (collecting mode) and exit nonzero if
-/// there were any. `fig` and `validate` call this last; with `--fail-fast`
-/// the process never gets here on failure (the panic aborts it instead).
+/// Report sweep tasks that failed and exit nonzero if there were any. `fig`
+/// and `validate` call this last.
 pub fn finish() {
     if sweep::report_failures() != 0 {
         std::process::exit(1);

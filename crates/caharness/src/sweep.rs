@@ -40,7 +40,7 @@
 
 use std::collections::VecDeque;
 use std::io::{IsTerminal, Write as _};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -52,12 +52,6 @@ type WorkQueue<'env, T> = Mutex<VecDeque<(usize, usize, Task<'env, T>)>>;
 
 /// Global worker-count knob. 0 = auto (one worker per host CPU).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Fail-fast knob: `true` restores the pre-PR6 behaviour where the first
-/// panicking task aborts the whole sweep. Default `false`: failures are
-/// collected per cell (see [`run_results_weighted`]) so one wedged or faulted
-/// configuration costs one `ERR` cell, not the entire figure run.
-static FAIL_FAST: AtomicBool = AtomicBool::new(false);
 
 /// Process-wide registry of collected task failures (see
 /// [`report_failures`]). A `Mutex<Vec>` rather than a counter so the final
@@ -73,22 +67,6 @@ pub struct TaskFailure {
     pub index: usize,
     /// The panic message (or a placeholder for non-string payloads).
     pub message: String,
-}
-
-/// Turn sweep-level failure collection off/on (see [`FAIL_FAST`]).
-pub fn set_fail_fast(on: bool) {
-    FAIL_FAST.store(on, Ordering::Relaxed);
-}
-
-/// Whether a panicking task aborts the sweep immediately.
-pub fn fail_fast() -> bool {
-    FAIL_FAST.load(Ordering::Relaxed)
-}
-
-/// Parse `--fail-fast` from the CLI and install it — called by every
-/// harness bin next to [`set_jobs_from_args`].
-pub fn set_fail_fast_from_args() {
-    set_fail_fast(std::env::args().any(|a| a == "--fail-fast"));
 }
 
 /// Number of task failures collected so far in this process.
@@ -255,18 +233,14 @@ impl Occupancy {
         }
     }
 
-    /// Block until `w` units are available (or the sweep aborted; returns
-    /// `false` then). `w` must already be clamped to `1..=capacity`.
-    fn acquire(&self, w: usize, aborted: &AtomicUsize) -> bool {
+    /// Block until `w` units are available. `w` must already be clamped to
+    /// `1..=capacity`.
+    fn acquire(&self, w: usize) {
         let mut used = self.in_use.lock().unwrap();
         while *used + w > self.capacity {
-            if aborted.load(Ordering::Relaxed) != 0 {
-                return false;
-            }
             used = self.freed.wait(used).unwrap();
         }
         *used += w;
-        true
     }
 
     fn release(&self, w: usize) {
@@ -282,9 +256,7 @@ impl Occupancy {
 /// inside one configuration) becomes an `Err(TaskFailure)` for that slot —
 /// the sweep keeps going, the failure is also pushed into the process-wide
 /// registry ([`report_failures`]), and every other cell still produces its
-/// result. Under [`set_fail_fast`]`(true)` the first panic instead aborts
-/// the sweep promptly: workers finish their in-flight tasks, abandon the
-/// queues, and the panic propagates to the caller.
+/// result.
 ///
 /// Tasks may themselves be multi-threaded on the host, so each declares an
 /// **occupancy weight** — the number of host threads it runs (1 for a
@@ -303,25 +275,14 @@ pub fn run_results_weighted<'env, T: Send + 'env>(
     let total = tasks.len();
     let workers = jobs().clamp(1, total.max(1));
     let progress = Progress::new(label, total, workers);
-    let fail_fast = fail_fast();
-    let execute = |i: usize, task: Task<'env, T>| -> Result<Result<T, TaskFailure>, Box<dyn std::any::Any + Send>> {
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)) {
-            Ok(r) => Ok(Ok(r)),
-            Err(e) if fail_fast => Err(e),
-            Err(e) => Ok(Err(record_failure(label, i, panic_message(&*e)))),
-        }
+    let execute = |i: usize, task: Task<'env, T>| -> Result<T, TaskFailure> {
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task))
+            .map_err(|e| record_failure(label, i, panic_message(&*e)));
+        progress.bump();
+        r
     };
     if workers <= 1 {
-        let mut out = Vec::with_capacity(total);
-        for (i, (_, t)) in tasks.into_iter().enumerate() {
-            match execute(i, t) {
-                Ok(r) => {
-                    out.push(r);
-                    progress.bump();
-                }
-                Err(e) => std::panic::resume_unwind(e),
-            }
-        }
+        let out = tasks.into_iter().enumerate().map(|(i, (_, t))| execute(i, t)).collect();
         progress.finish();
         return out;
     }
@@ -336,24 +297,15 @@ pub fn run_results_weighted<'env, T: Send + 'env>(
     // order (the determinism contract above).
     let slots: Vec<Mutex<Option<Result<T, TaskFailure>>>> =
         (0..total).map(|_| Mutex::new(None)).collect();
-    // Raised by a panicking worker (fail-fast mode only) so its peers stop
-    // pulling queued work instead of draining a doomed sweep;
-    // `thread::scope` re-raises the panic once every worker has returned.
-    let aborted = AtomicUsize::new(0);
     let occupancy = Occupancy::new(workers);
 
     std::thread::scope(|scope| {
         for w in 0..workers {
             let queues = &queues;
             let slots = &slots;
-            let progress = &progress;
-            let aborted = &aborted;
             let execute = &execute;
             let occupancy = &occupancy;
             scope.spawn(move || loop {
-                if aborted.load(Ordering::Relaxed) != 0 {
-                    break;
-                }
                 // Own work first (front), then steal from a victim (back):
                 // stolen tasks are the ones their owner would reach last.
                 // Two statements on purpose: the own-deque guard must be
@@ -370,25 +322,10 @@ pub fn run_results_weighted<'env, T: Send + 'env>(
                         // This worker thread is itself one unit of the
                         // budget, so every task acquires at least 1.
                         let units = weight.clamp(1, workers);
-                        if !occupancy.acquire(units, aborted) {
-                            break; // sweep aborted while waiting
-                        }
+                        occupancy.acquire(units);
                         let r = execute(i, task);
                         occupancy.release(units);
-                        match r {
-                            Ok(r) => {
-                                *slots[i].lock().unwrap() = Some(r);
-                                progress.bump();
-                            }
-                            Err(e) => {
-                                aborted.store(1, Ordering::Relaxed);
-                                // Wake any peer blocked in acquire so it can
-                                // observe the abort instead of waiting out a
-                                // budget that will never free.
-                                occupancy.freed.notify_all();
-                                std::panic::resume_unwind(e);
-                            }
-                        }
+                        *slots[i].lock().unwrap() = Some(r);
                     }
                     // All deques empty and no task spawns tasks: done.
                     None => break,
@@ -408,12 +345,10 @@ pub fn run_results_weighted<'env, T: Send + 'env>(
 /// for callers whose result type has no natural `ERR` value (e.g.
 /// [`crate::Metrics`] tables).
 ///
-/// Any task failure still panics out of this call, but in the default
-/// collecting mode the panic fires only *after* every task has run (so a
-/// multi-figure bin loses one figure, not the whole batch, when it catches
-/// the unwind or runs figures in separate sweeps — and the failure is in
-/// the registry either way). Under fail-fast the first panic propagates
-/// immediately, mid-sweep.
+/// Any task failure still panics out of this call, but only *after* every
+/// task has run (so a multi-figure bin loses one figure, not the whole
+/// batch, when it catches the unwind or runs figures in separate sweeps —
+/// and the failure is in the registry either way).
 pub fn run<'env, T: Send + 'env>(label: &str, tasks: Vec<Task<'env, T>>) -> Vec<T> {
     run_results_weighted(label, tasks.into_iter().map(|t| (1, t)).collect())
         .into_iter()
@@ -457,7 +392,7 @@ pub(crate) mod tests {
     /// engine's contract — but the *coverage* of specific pool widths
     /// does). Restores auto on drop, even on panic. Also held by any test
     /// elsewhere in the crate that makes a task fail: these tests drain the
-    /// failure registry and flip fail-fast, both process-global too.
+    /// failure registry, which is process-global too.
     pub(crate) struct JobsLock(#[allow(dead_code)] MutexGuard<'static, ()>);
 
     impl JobsLock {
@@ -574,21 +509,18 @@ pub(crate) mod tests {
 
     #[test]
     fn task_panic_propagates() {
-        // `run` is all-or-nothing in BOTH modes: a failed task panics out
-        // of the call (immediately under --fail-fast, after the sweep
-        // drains in the default collecting mode).
+        // `run` is all-or-nothing: a failed task panics out of the call
+        // once the sweep has drained, on one worker or several.
         let _jobs = JobsLock::take();
-        set_jobs(2);
-        for ff in [false, true] {
-            set_fail_fast(ff);
+        for jobs in [1, 2] {
+            set_jobs(jobs);
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run("test-propagate", panicky_tasks(2))
             }));
-            assert!(r.is_err(), "a task panic must propagate out of run (fail_fast={ff})");
+            assert!(r.is_err(), "a task panic must propagate out of run (jobs={jobs})");
         }
-        set_fail_fast(false);
-        // Collected-mode failures also landed in the registry; drop them so
-        // other tests (and the harness process) aren't polluted.
+        // The failures also landed in the registry; drop them so other
+        // tests (and the harness process) aren't polluted.
         take_failures();
     }
 
@@ -596,7 +528,6 @@ pub(crate) mod tests {
     fn collecting_mode_degrades_per_cell() {
         let _jobs = JobsLock::take();
         set_jobs(2);
-        set_fail_fast(false);
         take_failures();
         let tasks = panicky_tasks(2).into_iter().map(|t| (1, t)).collect();
         let out = run_results_weighted("test-collect", tasks);

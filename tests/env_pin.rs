@@ -4,11 +4,15 @@
 //! *invisible* to the simulator path: routing every shared-memory access of
 //! the SMR schemes and structures through the trait may not change a single
 //! simulated event. This test pins that contract against goldens captured
-//! **before** the refactor: it runs the differential SMR battery shapes
-//! (single-threaded histories, concurrent UAF-recorded runs) and a
+//! **before** the refactor: it runs the shared differential battery
+//! (`common::battery`, the cells `smr_differential` asserts on:
+//! single-threaded histories, concurrent UAF-recorded runs) and a
 //! figure-style throughput panel, hashes every simulated result (op logs,
 //! final contents, fault counts, `f64` throughput bit patterns, cycle
 //! counts), and compares the digests against `tests/goldens/env_pin.txt`.
+//! The `battery1`/`battery4` rows were recorded from hand-written op loops
+//! that the shared battery replaced, so they also prove it replays the
+//! same op streams.
 //! The `width` rows pin the scheduler at thread counts nothing else runs
 //! (non-powers of two, 16 and 32) before its rewrite as a winner tree.
 //!
@@ -21,159 +25,15 @@
 
 mod common;
 
-use common::{check_golden, Digest};
-use conditional_access::sim::machine::Ctx;
-use conditional_access::ds::ca::{CaExtBst, CaLazyList, CaQueue, CaStack};
-use conditional_access::ds::seqcheck::{walk_bst, walk_list};
-use conditional_access::ds::smr::{SmrExtBst, SmrLazyList, SmrQueue, SmrStack};
-use conditional_access::ds::{QueueDs, SetDs, StackDs};
+use common::{battery, battery_machine, check_golden, tight_smr, Digest};
 use conditional_access::harness::{run, Instrument, Mix, RunConfig, SetKind, Structure};
-use conditional_access::sim::{Machine, MachineConfig, Rng, UafMode};
-use conditional_access::smr::{
-    with_scheme, CrashToken, Orphan, SchemeKind, Smr, SmrBase, SmrConfig,
-};
+use conditional_access::sim::machine::Ctx;
+use conditional_access::sim::UafMode;
+use conditional_access::smr::{with_scheme, CrashToken, Orphan, SchemeKind, Smr, SmrBase};
 
-fn machine(cores: usize, uaf: UafMode) -> Machine {
-    Machine::new(MachineConfig {
-        cores,
-        mem_bytes: 32 << 20,
-        static_lines: 2048,
-        uaf_mode: uaf,
-        ..Default::default()
-    })
-}
-
-fn tight_smr() -> SmrConfig {
-    SmrConfig {
-        reclaim_freq: 4,
-        epoch_freq: 6,
-        ..Default::default()
-    }
-}
-
-// --- battery drivers (same workload shapes as tests/smr_differential.rs) --
-
-fn drive_set_ops<D: for<'m> SetDs<Ctx<'m>>>(
-    m: &Machine,
-    ds: &D,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-    d: &mut Digest,
-) {
-    let logs = m.run_on(threads, |tid, ctx| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(seed ^ ((tid as u64) << 32));
-        let mut log = Vec::with_capacity(ops as usize);
-        for _ in 0..ops {
-            let key = 1 + rng.below(range);
-            let entry = match rng.below(3) {
-                0 => (0u64, key, ds.insert(ctx, &mut tls, key)),
-                1 => (1, key, ds.delete(ctx, &mut tls, key)),
-                _ => (2, key, ds.contains(ctx, &mut tls, key)),
-            };
-            log.push(entry);
-        }
-        log
-    });
-    for log in logs {
-        for (kind, key, ok) in log {
-            d.u64(kind);
-            d.u64(key);
-            d.u64(ok as u64);
-        }
-    }
-}
-
-fn drive_stack_ops<D: for<'m> StackDs<Ctx<'m>>>(
-    m: &Machine,
-    ds: &D,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-    d: &mut Digest,
-) {
-    let logs = m.run_on(threads, |tid, ctx| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(seed ^ ((tid as u64) << 32));
-        let mut log = Vec::with_capacity(ops as usize);
-        for _ in 0..ops {
-            let entry = match rng.below(3) {
-                0 => {
-                    let v = 1 + rng.below(range);
-                    ds.push(ctx, &mut tls, v);
-                    (0u64, v)
-                }
-                1 => (1, ds.pop(ctx, &mut tls).map_or(0, |v| v + 1)),
-                _ => (2, ds.peek(ctx, &mut tls).map_or(0, |v| v + 1)),
-            };
-            log.push(entry);
-        }
-        log
-    });
-    for log in logs {
-        for (kind, v) in log {
-            d.u64(kind);
-            d.u64(v);
-        }
-    }
-    let drained = m.run_on(1, |_, ctx| {
-        let mut tls = ds.register(0);
-        let mut out = Vec::new();
-        while let Some(v) = ds.pop(ctx, &mut tls) {
-            out.push(v);
-        }
-        out
-    });
-    d.slice(&drained[0]);
-}
-
-fn drive_queue_ops<D: for<'m> QueueDs<Ctx<'m>>>(
-    m: &Machine,
-    ds: &D,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-    d: &mut Digest,
-) {
-    let logs = m.run_on(threads, |tid, ctx| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(seed ^ ((tid as u64) << 32));
-        let mut log = Vec::with_capacity(ops as usize);
-        for _ in 0..ops {
-            let entry = if rng.below(2) == 0 {
-                let v = 1 + rng.below(range);
-                ds.enqueue(ctx, &mut tls, v);
-                (0u64, v)
-            } else {
-                (1, ds.dequeue(ctx, &mut tls).map_or(0, |v| v + 1))
-            };
-            log.push(entry);
-        }
-        log
-    });
-    for log in logs {
-        for (kind, v) in log {
-            d.u64(kind);
-            d.u64(v);
-        }
-    }
-    let drained = m.run_on(1, |_, ctx| {
-        let mut tls = ds.register(0);
-        let mut out = Vec::new();
-        while let Some(v) = ds.dequeue(ctx, &mut tls) {
-            out.push(v);
-        }
-        out
-    });
-    d.slice(&drained[0]);
-}
-
-/// One battery cell: `(structure, scheme, threads, seed, uaf)` → digest of
-/// every simulated result the differential battery would compare.
+/// One battery cell → digest of everything it returns: every op with its
+/// result, the final contents, the fault count and the machine's
+/// allocation and cycle totals.
 fn battery_digest(
     structure: &str,
     scheme: SchemeKind,
@@ -183,52 +43,16 @@ fn battery_digest(
     seed: u64,
     uaf: UafMode,
 ) -> u64 {
-    let m = machine(threads, uaf);
+    let cell = battery(&battery_machine(threads, uaf), structure, scheme, threads, ops, range, seed);
     let mut d = Digest::new();
-    match (structure, scheme) {
-        ("lazylist", SchemeKind::Ca) => {
-            let ds = CaLazyList::new(&m);
-            drive_set_ops(&m, &ds, threads, ops, range, seed, &mut d);
-            d.slice(&walk_list(&m, ds.head_node()));
-        }
-        ("lazylist", _) => with_scheme!(scheme, &m, threads, tight_smr(), |s| {
-            let ds = SmrLazyList::new(&m, s);
-            drive_set_ops(&m, &ds, threads, ops, range, seed, &mut d);
-            d.slice(&walk_list(&m, ds.head_node()));
-        }),
-        ("extbst", SchemeKind::Ca) => {
-            let ds = CaExtBst::new(&m);
-            drive_set_ops(&m, &ds, threads, ops, range, seed, &mut d);
-            d.slice(&walk_bst(&m, ds.root_node()));
-        }
-        ("extbst", _) => with_scheme!(scheme, &m, threads, tight_smr(), |s| {
-            let ds = SmrExtBst::new(&m, s);
-            drive_set_ops(&m, &ds, threads, ops, range, seed, &mut d);
-            d.slice(&walk_bst(&m, ds.root_node()));
-        }),
-        ("stack", SchemeKind::Ca) => {
-            let ds = CaStack::new(&m);
-            drive_stack_ops(&m, &ds, threads, ops, range, seed, &mut d);
-        }
-        ("stack", _) => with_scheme!(scheme, &m, threads, tight_smr(), |s| {
-            let ds = SmrStack::new(&m, s);
-            drive_stack_ops(&m, &ds, threads, ops, range, seed, &mut d);
-        }),
-        ("queue", SchemeKind::Ca) => {
-            let ds = CaQueue::new(&m);
-            drive_queue_ops(&m, &ds, threads, ops, range, seed, &mut d);
-        }
-        ("queue", _) => with_scheme!(scheme, &m, threads, tight_smr(), |s| {
-            let ds = SmrQueue::new(&m, s);
-            drive_queue_ops(&m, &ds, threads, ops, range, seed, &mut d);
-        }),
-        _ => unreachable!("unknown structure {structure}"),
+    for &op in cell.history.iter().flatten() {
+        op.digest(&mut d);
     }
-    d.u64(m.faults().len() as u64);
-    let stats = m.stats();
-    d.u64(stats.allocated_not_freed);
-    d.u64(stats.peak_allocated);
-    d.u64(stats.max_cycles);
+    d.slice(&cell.contents);
+    d.u64(cell.faults as u64);
+    d.u64(cell.stats.allocated_not_freed);
+    d.u64(cell.stats.peak_allocated);
+    d.u64(cell.stats.max_cycles);
     d.0
 }
 
@@ -285,7 +109,7 @@ fn churn<S: for<'m> Smr<Ctx<'m>>>(s: &S, ctx: &mut Ctx<'_>, tls: &mut S::Tls, n:
 /// `begin_op`/`read_ptr`/`retire`/scan only; this is the one cycle-level
 /// pin of `depart`, both `adopt` legs and `join`.
 fn lifecycle_digest(scheme: SchemeKind) -> u64 {
-    let m = machine(1, UafMode::Panic);
+    let m = battery_machine(1, UafMode::Panic);
     let mailbox = m.alloc_static(1);
     let garbage = with_scheme!(scheme, &m, 3, tight_smr(), |s| {
         m.run_on(1, |_, ctx| {

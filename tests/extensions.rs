@@ -1,19 +1,21 @@
 //! Integration stress tests for the reproduction's extension axes: the
 //! MESI protocol option, SMT tag sharing (paper §III), the hand-over-hand
 //! HTM comparator (paper §VI), and the §IV fallback path — all with the
-//! use-after-free detector armed.
+//! use-after-free detector armed, all driven by the shared differential
+//! battery (`tests/common`).
 
 mod common;
 
-use common::{check_set_accounting, machine, run_mixed_set};
-use conditional_access::ds::ca::{CaLazyList, CaStack, FbCaLazyList};
+use common::{
+    battery, check_distinct_adds, check_set_accounting, config, histories, machine, tight_smr, Sets,
+};
+use conditional_access::ds::ca::{CaLazyList, FbCaLazyList};
 use conditional_access::ds::htm::HtmLazyList;
 use conditional_access::ds::seqcheck::walk_list;
 use conditional_access::ds::smr::SmrLazyList;
-use conditional_access::ds::{DsShared, StackDs};
 use conditional_access::sim::coherence::{CacheConfig, Protocol};
-use conditional_access::smr::{Qsbr, SmrConfig};
 use conditional_access::sim::{Machine, MachineConfig};
+use conditional_access::smr::{Qsbr, SchemeKind};
 
 const THREADS: usize = 4;
 const OPS: u64 = 250;
@@ -22,16 +24,13 @@ const RANGE: u64 = 48;
 /// A machine with explicit SMT packing and protocol.
 fn machine_with(threads: usize, smt: usize, protocol: Protocol) -> Machine {
     Machine::new(MachineConfig {
-        cores: threads,
         smt,
         cache: CacheConfig {
             protocol,
             ..CacheConfig::default()
         },
-        mem_bytes: 32 << 20,
-        static_lines: 2048,
         quantum: 0,
-        ..Default::default()
+        ..config(threads)
     })
 }
 
@@ -41,8 +40,8 @@ fn machine_with(threads: usize, smt: usize, protocol: Protocol) -> Machine {
 fn htm_lazylist_stress() {
     let m = machine(THREADS, 0);
     let ds = HtmLazyList::new(&m);
-    let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, 0x7A0);
-    check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+    let h = histories(&m, &Sets(&ds), THREADS, OPS, RANGE, 0x7A0);
+    check_set_accounting("htm", &h, &walk_list(&m, ds.head_node()));
     m.check_invariants();
     assert_eq!(
         m.stats().allocated_not_freed as usize,
@@ -58,8 +57,8 @@ fn htm_lazylist_stress_single_meta_slot() {
     // must cost retries, never correctness.
     let m = machine(THREADS, 0);
     let ds = HtmLazyList::with_slots(&m, 1);
-    let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, 0x7A1);
-    check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+    let h = histories(&m, &Sets(&ds), THREADS, OPS, RANGE, 0x7A1);
+    check_set_accounting("htm 1 slot", &h, &walk_list(&m, ds.head_node()));
     m.check_invariants();
 }
 
@@ -67,8 +66,8 @@ fn htm_lazylist_stress_single_meta_slot() {
 fn htm_lazylist_on_mesi_and_smt() {
     let m = machine_with(4, 2, Protocol::Mesi);
     let ds = HtmLazyList::new(&m);
-    let acct = run_mixed_set(&m, &ds, 4, OPS, RANGE, 0x7A2);
-    check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+    let h = histories(&m, &Sets(&ds), 4, OPS, RANGE, 0x7A2);
+    check_set_accounting("htm mesi smt2", &h, &walk_list(&m, ds.head_node()));
     m.check_invariants();
 }
 
@@ -79,9 +78,12 @@ fn htm_aborts_appear_under_contention() {
     // must be accounted for.
     let m = machine(THREADS, 0);
     let ds = HtmLazyList::with_slots(&m, 2);
-    run_mixed_set(&m, &ds, THREADS, OPS, 4, 0x7A3);
+    histories(&m, &Sets(&ds), THREADS, OPS, 4, 0x7A3);
     let s = m.stats();
-    assert!(s.sum(|c| c.tx_aborts) > 0, "contention must abort something");
+    assert!(
+        s.sum(|c| c.tx_aborts) > 0,
+        "contention must abort something"
+    );
     assert_eq!(
         s.sum(|c| c.tx_begins),
         s.sum(|c| c.tx_commits) + s.sum(|c| c.tx_aborts),
@@ -95,8 +97,8 @@ fn htm_aborts_appear_under_contention() {
 fn fb_lazylist_stress_roomy_geometry() {
     let m = machine(THREADS, 0);
     let ds = FbCaLazyList::new(&m, THREADS);
-    let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, 0xFB0);
-    check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+    let h = histories(&m, &Sets(&ds), THREADS, OPS, RANGE, 0xFB0);
+    check_set_accounting("fallback list", &h, &walk_list(&m, ds.head_node()));
     m.check_invariants();
     assert_eq!(
         ds.fallbacks_taken(),
@@ -110,7 +112,6 @@ fn fb_lazylist_stress_hostile_geometry() {
     // 16-line direct-mapped L1: the bare CA list livelocks here; the
     // fallback list must complete with exact accounting.
     let m = Machine::new(MachineConfig {
-        cores: THREADS,
         cache: CacheConfig {
             l1_bytes: 1024,
             l1_assoc: 1,
@@ -118,14 +119,16 @@ fn fb_lazylist_stress_hostile_geometry() {
             l2_assoc: 8,
             ..CacheConfig::default()
         },
-        mem_bytes: 32 << 20,
-        static_lines: 2048,
         quantum: 0,
-        ..Default::default()
+        ..config(THREADS)
     });
     let ds = FbCaLazyList::with_max_attempts(&m, THREADS, 8);
-    let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, 0xFB1);
-    check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+    let h = histories(&m, &Sets(&ds), THREADS, OPS, RANGE, 0xFB1);
+    check_set_accounting(
+        "fallback list, hostile L1",
+        &h,
+        &walk_list(&m, ds.head_node()),
+    );
     m.check_invariants();
     assert!(
         ds.fallbacks_taken() > 0,
@@ -139,8 +142,8 @@ fn fb_lazylist_stress_hostile_geometry() {
 fn ca_lazylist_stress_on_mesi() {
     let m = machine_with(THREADS, 1, Protocol::Mesi);
     let ds = CaLazyList::new(&m);
-    let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, 0x3E51);
-    check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+    let h = histories(&m, &Sets(&ds), THREADS, OPS, RANGE, 0x3E51);
+    check_set_accounting("ca mesi", &h, &walk_list(&m, ds.head_node()));
     m.check_invariants();
     assert!(
         m.stats().sum(|c| c.e_grants) > 0,
@@ -155,39 +158,24 @@ fn ca_lazylist_stress_on_mesi() {
 #[test]
 fn smr_lazylist_stress_on_mesi() {
     let m = machine_with(THREADS, 1, Protocol::Mesi);
-    let scheme = Qsbr::new(&m, THREADS, SmrConfig {
-        reclaim_freq: 4,
-        epoch_freq: 6,
-        ..Default::default()
-    });
+    let scheme = Qsbr::new(&m, THREADS, tight_smr());
     let ds = SmrLazyList::new(&m, &scheme);
-    let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, 0x3E52);
-    check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+    let h = histories(&m, &Sets(&ds), THREADS, OPS, RANGE, 0x3E52);
+    check_set_accounting("qsbr mesi", &h, &walk_list(&m, ds.head_node()));
     m.check_invariants();
 }
 
 #[test]
 fn mesi_and_msi_agree_on_results() {
-    // Timing differs (E-grants, silent upgrades), but the logical outcome
-    // of a deterministic workload must be identical under both protocols.
-    let run = |protocol: Protocol| {
+    // Timing differs (E-grants, silent upgrades), so per-op outcomes may
+    // differ; the *invariants* of a deterministic workload must hold under
+    // both protocols.
+    for protocol in [Protocol::Msi, Protocol::Mesi] {
         let m = machine_with(2, 1, protocol);
         let ds = CaLazyList::new(&m);
-        let acct = run_mixed_set(&m, &ds, 2, 150, 32, 0x3E53);
-        (walk_list(&m, ds.head_node()), acct.net)
-    };
-    let (msi_keys, msi_net) = run(Protocol::Msi);
-    let (mesi_keys, mesi_net) = run(Protocol::Mesi);
-    // The schedule is timing-dependent, so per-op outcomes may differ; the
-    // *invariants* must hold in both. Compare only self-consistency here.
-    check_set_accounting(
-        &common::SetAccounting { net: msi_net },
-        &msi_keys,
-    );
-    check_set_accounting(
-        &common::SetAccounting { net: mesi_net },
-        &mesi_keys,
-    );
+        let h = histories(&m, &Sets(&ds), 2, 150, 32, 0x3E53);
+        check_set_accounting(&format!("{protocol:?}"), &h, &walk_list(&m, ds.head_node()));
+    }
 }
 
 // --- SMT ----------------------------------------------------------------
@@ -198,8 +186,8 @@ fn ca_lazylist_stress_on_smt2() {
     // shared-L1 capacity pressure, full accounting.
     let m = machine_with(8, 2, Protocol::Msi);
     let ds = CaLazyList::new(&m);
-    let acct = run_mixed_set(&m, &ds, 8, OPS, RANGE, 0x5A72);
-    check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+    let h = histories(&m, &Sets(&ds), 8, OPS, RANGE, 0x5A72);
+    check_set_accounting("ca smt2", &h, &walk_list(&m, ds.head_node()));
     m.check_invariants();
     assert!(
         m.stats().sum(|c| c.revoke_sibling) > 0,
@@ -210,51 +198,15 @@ fn ca_lazylist_stress_on_smt2() {
 #[test]
 fn ca_stack_exact_on_smt4() {
     // 8 hardware threads on 2 physical cores; Algorithm 1 must stay exact
-    // (every pushed value popped at most once) — ABA safety through sibling
-    // revocation instead of coherence traffic.
+    // (every pushed value popped exactly once, distinct values so each node
+    // is tracked alone) — ABA safety through sibling revocation instead of
+    // coherence traffic.
     let m = machine_with(8, 4, Protocol::Msi);
-    let ds = CaStack::new(&m);
-    let results = m.run_on(8, |tid, ctx| {
-        ds.register(tid);
-        let mut pushed: u64 = 0;
-        let mut popped: u64 = 0;
-        let mut sum_pushed: u64 = 0;
-        let mut sum_popped: u64 = 0;
-        for i in 0..200u64 {
-            let v = 1 + (tid as u64) * 1000 + i;
-            if i % 2 == 0 {
-                ds.push(ctx, &mut (), v);
-                pushed += 1;
-                sum_pushed += v;
-            } else if let Some(got) = ds.pop(ctx, &mut ()) {
-                popped += 1;
-                sum_popped += got;
-            }
-        }
-        (pushed, popped, sum_pushed, sum_popped)
-    });
-    let pushed: u64 = results.iter().map(|r| r.0).sum();
-    let push_sum: u64 = results.iter().map(|r| r.2).sum();
-    let pop_sum: u64 = results.iter().map(|r| r.3).sum();
-    // Drain what remains and finish conservation accounting.
-    let rest = m.run_on(1, |_, ctx| {
-        ds.register(0);
-        let mut sum = 0u64;
-        let mut n = 0u64;
-        while let Some(v) = ds.pop(ctx, &mut ()) {
-            sum += v;
-            n += 1;
-        }
-        (n, sum)
-    });
-    let (rest_n, rest_sum) = rest[0];
-    assert_eq!(
-        results.iter().map(|r| r.1).sum::<u64>() + rest_n,
-        pushed,
-        "every pushed node popped exactly once"
-    );
-    assert_eq!(pop_sum + rest_sum, push_sum, "value conservation (no ABA)");
+    let cell = battery(&m, "stack", SchemeKind::Ca, 8, 200, 1 << 40, 0x5A74);
+    check_distinct_adds(&cell.label, &cell.history);
+    cell.check_conservation();
     m.check_invariants();
+    assert_eq!(cell.stats.allocated_not_freed, 0, "every node freed");
 }
 
 #[test]
@@ -262,7 +214,7 @@ fn smt_packing_is_deterministic() {
     let run = || {
         let m = machine_with(4, 2, Protocol::Msi);
         let ds = CaLazyList::new(&m);
-        run_mixed_set(&m, &ds, 4, 100, 24, 0x5A73);
+        histories(&m, &Sets(&ds), 4, 100, 24, 0x5A73);
         (m.stats().max_cycles, m.stats().sum(|c| c.revoke_sibling))
     };
     assert_eq!(run(), run());

@@ -11,7 +11,7 @@ mod common;
 
 use std::collections::BTreeSet;
 
-use common::{check_set_accounting, machine, run_mixed_set};
+use common::{check_set_accounting, histories, machine, Sets};
 use conditional_access::sim::machine::Ctx;
 use conditional_access::ds::ca::{CaExtBst, CaHarrisList, CaLazyList, CaLfExtBst, FbCaLazyList};
 use conditional_access::ds::htm::HtmLazyList;
@@ -98,30 +98,30 @@ proptest! {
     fn concurrent_ca_list_accounting(seed in 0u64..1_000_000, quantum in 0u64..256) {
         let m = machine(3, quantum);
         let ds = CaLazyList::new(&m);
-        let acct = run_mixed_set(&m, &ds, 3, 120, 16, seed);
-        check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+        let h = histories(&m, &Sets(&ds), 3, 120, 16, seed);
+        check_set_accounting("concurrent", &h, &walk_list(&m, ds.head_node()));
     }
 
     #[test]
     fn concurrent_harris_accounting(seed in 0u64..1_000_000) {
         let m = machine(3, 0);
         let ds = CaHarrisList::new(&m);
-        let acct = run_mixed_set(&m, &ds, 3, 120, 16, seed);
+        let h = histories(&m, &Sets(&ds), 3, 120, 16, seed);
         // Quiesce (helping unlinks the marked backlog) before walking.
         m.run_on(1, |_, ctx| {
             use conditional_access::ds::SetDs;
             let mut t = ();
             ds.contains(ctx, &mut t, 1000);
         });
-        check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+        check_set_accounting("concurrent", &h, &walk_list(&m, ds.head_node()));
     }
 
     #[test]
     fn concurrent_ca_bst_accounting(seed in 0u64..1_000_000) {
         let m = machine(3, 0);
         let ds = CaExtBst::new(&m);
-        let acct = run_mixed_set(&m, &ds, 3, 120, 16, seed);
-        check_set_accounting(&acct, &walk_bst(&m, ds.root_node()));
+        let h = histories(&m, &Sets(&ds), 3, 120, 16, seed);
+        check_set_accounting("concurrent", &h, &walk_bst(&m, ds.root_node()));
     }
 
     #[test]
@@ -129,8 +129,8 @@ proptest! {
         let m = machine(3, 0);
         let s = Hp::new(&m, 3, SmrConfig { reclaim_freq: 3, ..Default::default() });
         let ds = SmrLazyList::new(&m, s);
-        let acct = run_mixed_set(&m, &ds, 3, 120, 16, seed);
-        check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+        let h = histories(&m, &Sets(&ds), 3, 120, 16, seed);
+        check_set_accounting("concurrent", &h, &walk_list(&m, ds.head_node()));
     }
 
     #[test]
@@ -147,8 +147,8 @@ proptest! {
     fn concurrent_htm_list_accounting(seed in 0u64..1_000_000, slots in 1usize..64) {
         let m = machine(3, 0);
         let ds = HtmLazyList::with_slots(&m, slots);
-        let acct = run_mixed_set(&m, &ds, 3, 120, 16, seed);
-        check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+        let h = histories(&m, &Sets(&ds), 3, 120, 16, seed);
+        check_set_accounting("concurrent", &h, &walk_list(&m, ds.head_node()));
     }
 
     #[test]
@@ -160,7 +160,7 @@ proptest! {
     fn concurrent_lf_bst_accounting(seed in 0u64..1_000_000, quantum in 0u64..256) {
         let m = machine(3, quantum);
         let ds = CaLfExtBst::new(&m);
-        let acct = run_mixed_set(&m, &ds, 3, 120, 16, seed);
+        let h = histories(&m, &Sets(&ds), 3, 120, 16, seed);
         // Quiesce: help every pending unlink before walking host-side.
         m.run_on(1, |_, ctx| {
             let mut t = ();
@@ -168,7 +168,7 @@ proptest! {
                 ds.contains(ctx, &mut t, k);
             }
         });
-        check_set_accounting(&acct, &walk_bst(&m, ds.root_node()));
+        check_set_accounting("concurrent", &h, &walk_bst(&m, ds.root_node()));
     }
 
     #[test]
@@ -177,7 +177,7 @@ proptest! {
         // geometry; accounting must hold across the path mix.
         let m = machine(3, 0);
         let ds = FbCaLazyList::with_max_attempts(&m, 3, max_attempts);
-        let acct = run_mixed_set(&m, &ds, 3, 120, 16, seed);
-        check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+        let h = histories(&m, &Sets(&ds), 3, 120, 16, seed);
+        check_set_accounting("concurrent", &h, &walk_list(&m, ds.head_node()));
     }
 }

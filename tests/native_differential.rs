@@ -1,8 +1,9 @@
-//! Differential battery for the **native** execution environment: the
-//! same obligations `smr_differential` discharges on the simulator, on
-//! real host threads (`casmr::NativeMachine`). CI-sized — a few hundred
-//! ops per scheme — because unlike the simulator the native environment
-//! has no UAF oracle; what it *can* check is:
+//! The shared differential battery (`tests/common`: the same set op body,
+//! per-thread log loop and accounting check `smr_differential` runs on the
+//! simulator) on the **native** execution environment — real host threads
+//! (`casmr::NativeMachine`). CI-sized — a few hundred ops per scheme —
+//! because unlike the simulator the native environment has no UAF oracle;
+//! what it *can* check is:
 //!
 //! * **Identical logical histories** (single-threaded): with one thread
 //!   the op sequence is a pure function of the seed on any backend, so
@@ -20,66 +21,32 @@
 //! Conditional Access is absent by design: it needs the simulated cache
 //! hardware (see `casmr`'s env docs for why there is no native CA).
 
-use std::collections::BTreeMap;
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use common::{check_set_accounting, histories, thread_rng, tight_smr, Family, Op, Sets};
 use conditional_access::ds::seqcheck::walk_list;
 use conditional_access::ds::smr::SmrLazyList;
-use conditional_access::ds::{DsShared, SetDs};
-use conditional_access::sim::Rng;
+use conditional_access::ds::DsShared;
 use conditional_access::smr::{
-    with_scheme, HeartbeatBoard, NativeEnv, NativeMachine, Orphan, Qsbr, SchemeKind, Smr, SmrBase,
-    SmrConfig, TlsVault,
+    with_scheme, HeartbeatBoard, NativeMachine, Orphan, Qsbr, SchemeKind, Smr, SmrBase,
+    TlsVault,
 };
-
-/// `(op kind, key, result)`: 0 = insert, 1 = delete, 2 = contains.
-type Op = (u8, u64, bool);
 
 const RANGE: u64 = 48;
 const OPS: u64 = 150;
-
-/// Aggressive frequencies so reclamation actually happens inside a
-/// CI-sized run (same rationale as `smr_differential::tight_smr`).
-fn tight_smr() -> SmrConfig {
-    SmrConfig {
-        reclaim_freq: 4,
-        epoch_freq: 6,
-        ..Default::default()
-    }
-}
 
 /// Pool sized for the worst case of this battery: every op allocates.
 fn pool() -> NativeMachine {
     NativeMachine::new(64 * 1024)
 }
 
-/// The shared randomized workload on `threads` real host threads. The op
-/// *stream* is a pure function of (seed, tid); with more than one thread
-/// the *results* depend on real interleaving.
-fn drive<D>(m: &NativeMachine, ds: &D, threads: usize, seed: u64) -> Vec<Vec<Op>>
-where
-    D: for<'p> SetDs<NativeEnv<'p>>,
-{
-    m.run_on(threads, |tid, env| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(seed ^ ((tid as u64) << 32));
-        let mut log = Vec::with_capacity(OPS as usize);
-        for _ in 0..OPS {
-            let key = 1 + rng.below(RANGE);
-            let entry = match rng.below(3) {
-                0 => (0, key, ds.insert(env, &mut tls, key)),
-                1 => (1, key, ds.delete(env, &mut tls, key)),
-                _ => (2, key, ds.contains(env, &mut tls, key)),
-            };
-            log.push(entry);
-        }
-        log
-    })
-}
-
-/// One native lazy-list run under scheme `kind`, sized to the run's thread
-/// count: qsbr/rcu epochs only advance once every *registered* thread
-/// quiesces, so spare slots would (correctly) pin reclamation forever.
+/// One native lazy-list run of the shared battery under scheme `kind`,
+/// sized to the run's thread count: qsbr/rcu epochs only advance once every
+/// *registered* thread quiesces, so spare slots would (correctly) pin
+/// reclamation forever. The op *stream* is a pure function of (seed, tid);
+/// with more than one thread the *results* depend on real interleaving.
 /// Returns (per-thread histories, final sorted contents, pool stats).
 fn run_with(
     kind: SchemeKind,
@@ -89,39 +56,10 @@ fn run_with(
     let m = pool();
     with_scheme!(kind, &m, threads, tight_smr(), |s| {
         let ds = SmrLazyList::new(&m, s);
-        let h = drive(&m, &ds, threads, seed);
+        let h = histories(&m, &Sets(&ds), threads, OPS, RANGE, seed);
         let keys = walk_list(&m, ds.head_node());
         (h, keys, m.stats())
     })
-}
-
-/// Net successful inserts − deletes per key over the whole history.
-fn net_counts(history: &[Vec<Op>]) -> BTreeMap<u64, i64> {
-    let mut net: BTreeMap<u64, i64> = BTreeMap::new();
-    for log in history {
-        for &(kind, key, ok) in log {
-            match (kind, ok) {
-                (0, true) => *net.entry(key).or_default() += 1,
-                (1, true) => *net.entry(key).or_default() -= 1,
-                _ => {}
-            }
-        }
-    }
-    net
-}
-
-/// Accounting: the final contents must be exactly the keys with net +1
-/// (a linearizable set never has net outside {0, 1}).
-fn check_accounting(name: &str, history: &[Vec<Op>], keys: &[u64]) {
-    let net = net_counts(history);
-    let expect: Vec<u64> = net
-        .iter()
-        .filter_map(|(&k, &n)| {
-            assert!((0..=1).contains(&n), "{name}: key {k} net count {n}");
-            (n == 1).then_some(k)
-        })
-        .collect();
-    assert_eq!(keys, &expect[..], "{name}: final contents don't balance");
 }
 
 const SEEDS: [u64; 2] = [0xBEE5, 0xCAB1E];
@@ -156,29 +94,12 @@ fn single_threaded_native_histories_match_the_leaky_oracle() {
 
 type QsbrTls = <Qsbr as casmr::SmrBase>::Tls;
 
-/// Run one randomized lazy-list op, appending to the log.
-fn one_op(
-    ds: &SmrLazyList<Qsbr>,
-    env: &mut NativeEnv<'_>,
-    tls: &mut QsbrTls,
-    rng: &mut Rng,
-    log: &mut Vec<Op>,
-) {
-    let key = 1 + rng.below(RANGE);
-    let entry = match rng.below(3) {
-        0 => (0, key, ds.insert(env, tls, key)),
-        1 => (1, key, ds.delete(env, tls, key)),
-        _ => (2, key, ds.contains(env, tls, key)),
-    };
-    log.push(entry);
-}
-
 /// Post-churn drain: every surviving member departs and the last one
 /// adopts all the graceful orphans, so nothing stays pinned; then the
 /// heap must hold exactly the list's linked nodes.
 fn drain_and_check(name: &str, m: &NativeMachine, ds: &SmrLazyList<Qsbr>, logs: &[Vec<Op>]) {
     let keys = walk_list(m, ds.head_node());
-    check_accounting(name, logs, &keys);
+    check_set_accounting(name, logs, &keys);
     let stats = m.stats();
     assert_eq!(
         stats.allocated_not_freed,
@@ -206,11 +127,11 @@ fn native_graceful_churn_balances_accounting() {
         let departed = AtomicU64::new(0);
         let logs: Vec<Vec<Op>> = m.run_on(3, |tid, env| {
             let mut tls = ds.register(tid);
-            let mut rng = Rng::new(seed ^ ((tid as u64) << 32));
+            let mut rng = thread_rng(seed, tid);
             let mut log = Vec::new();
             let quota = if tid == 2 { OPS / 2 } else { OPS };
             for _ in 0..quota {
-                one_op(&ds, env, &mut tls, &mut rng, &mut log);
+                log.push(Sets(&ds).op(env, &mut tls, &mut rng, RANGE));
             }
             if tid == 2 {
                 // Graceful leave mid-run: retract publications, drain what
@@ -230,7 +151,7 @@ fn native_graceful_churn_balances_accounting() {
                 // Keep operating after the adoption: the membership change
                 // must be invisible to the structure's semantics.
                 for _ in 0..20 {
-                    one_op(&ds, env, &mut tls, &mut rng, &mut log);
+                    log.push(Sets(&ds).op(env, &mut tls, &mut rng, RANGE));
                 }
             }
             final_vault.put(tid, tls);
@@ -259,7 +180,7 @@ fn native_crashed_worker_is_detected_and_adopted_with_the_structure() {
         }
         let crashed = AtomicU64::new(0);
         let logs: Vec<Vec<Vec<Op>>> = m.run_on(3, |tid, env| {
-            let mut rng = Rng::new(seed ^ ((tid as u64) << 32));
+            let mut rng = thread_rng(seed, tid);
             if tid == 2 {
                 // Victim: operates through the vault guard, beating per
                 // op, then fail-stops at a quiescent point — no depart, no
@@ -268,7 +189,7 @@ fn native_crashed_worker_is_detected_and_adopted_with_the_structure() {
                 let (tls, log) = guard.as_mut().expect("victim state parked");
                 for _ in 0..OPS / 2 {
                     board.beat(2);
-                    one_op(&ds, env, tls, &mut rng, log);
+                    log.push(Sets(&ds).op(env, tls, &mut rng, RANGE));
                 }
                 crashed.store(1, Ordering::Release);
                 return Vec::new();
@@ -277,7 +198,7 @@ fn native_crashed_worker_is_detected_and_adopted_with_the_structure() {
             let (tls, log) = guard.as_mut().expect("worker state parked");
             for _ in 0..OPS {
                 board.beat(tid);
-                one_op(&ds, env, tls, &mut rng, log);
+                log.push(Sets(&ds).op(env, tls, &mut rng, RANGE));
             }
             if tid == 0 {
                 while crashed.load(Ordering::Acquire) == 0 {
@@ -298,7 +219,7 @@ fn native_crashed_worker_is_detected_and_adopted_with_the_structure() {
                 let (tls, log) = guard.as_mut().expect("adopter state parked");
                 ds.smr().adopt(env, tls, Orphan::crashed(orphan_tls, token));
                 for _ in 0..20 {
-                    one_op(&ds, env, tls, &mut rng, log);
+                    log.push(Sets(&ds).op(env, tls, &mut rng, RANGE));
                 }
                 return vec![victim_log];
             }
@@ -329,7 +250,7 @@ fn concurrent_native_runs_balance_accounting_and_allocator() {
             for kind in SchemeKind::objects() {
                 let name = kind.name();
                 let (h, keys, stats) = run_with(kind, threads, seed);
-                check_accounting(name, &h, &keys);
+                check_set_accounting(name, &h, &keys);
                 assert_eq!(
                     stats.allocated_not_freed,
                     stats.allocated - stats.freed,

@@ -8,470 +8,122 @@
 //! is the same obligation VBR (Sheffi et al.) and Brown's "there has to be
 //! a better way" discharge by comparison against unreclaimed baselines.
 //!
-//! Two instruments, one shared harness:
+//! Two instruments over the shared battery (`common::battery`, whose
+//! digests `env_pin` pins), on the lazy list, external BST, hash table,
+//! Treiber stack and Michael–Scott queue:
 //!
 //! * **Identical logical histories** (single-threaded): with one thread
 //!   the operation sequence is a pure function of the seed, so every
-//!   scheme must return bit-identical `(op, key, result)` logs and final
-//!   contents. Any scheme whose protection machinery perturbs a logical
-//!   outcome (skipped node, resurrected key, phantom delete) diverges.
+//!   scheme must return bit-identical op logs and final contents. Any
+//!   scheme whose protection machinery perturbs a logical outcome (skipped
+//!   node, resurrected key, phantom delete) diverges.
 //! * **Zero use-after-reclaim oracle violations** (multi-threaded): the
 //!   simulator's allocator knows the exact lifetime of every node; in
 //!   [`UafMode::Record`] every access to freed or recycled memory is
 //!   recorded. Concurrent runs under aggressive reclamation frequencies
-//!   must record none, and the per-key accounting must still balance.
+//!   must record none, and the results must still conserve exactly.
 
 mod common;
 
-use std::collections::BTreeMap;
-
-use common::{check_set_accounting, SetAccounting};
+use common::{
+    battery, battery_machine, check_flow, config, thread_rng, tight_smr, Cell, Drain, Family, Op,
+    Queues,
+};
+use conditional_access::ds::smr::SmrQueue;
+use conditional_access::ds::DsShared;
 use conditional_access::sim::machine::Ctx;
-use conditional_access::ds::ca::{CaExtBst, CaLazyList, CaQueue, CaStack};
-use conditional_access::ds::seqcheck::{walk_bst, walk_list};
-use conditional_access::ds::smr::{SmrExtBst, SmrLazyList, SmrQueue, SmrStack};
-use conditional_access::ds::{DsShared, QueueDs, SetDs, StackDs};
 use conditional_access::sim::{CoreOutcome, FaultPlan, Machine, MachineConfig, Rng, UafMode};
 use conditional_access::smr::{
-    with_scheme, CrashToken, Orphan, SchemeKind, Smr, SmrBase, SmrConfig, TlsVault,
+    with_scheme, CrashToken, Orphan, SchemeKind, Smr, SmrBase, TlsVault,
 };
-
-/// `(op kind, key, result)`: 0 = insert, 1 = delete, 2 = contains.
-type Op = (u8, u64, bool);
-
-/// Build the battery's machine.
-fn machine(cores: usize, uaf: UafMode) -> Machine {
-    Machine::new(MachineConfig {
-        cores,
-        mem_bytes: 32 << 20,
-        static_lines: 2048,
-        uaf_mode: uaf,
-        ..Default::default()
-    })
-}
-
-/// Aggressive frequencies: more reclamation events = more chances for a
-/// protection hole to surface as a UAF fault or a history divergence.
-fn tight_smr() -> SmrConfig {
-    SmrConfig {
-        reclaim_freq: 4,
-        epoch_freq: 6,
-        ..Default::default()
-    }
-}
-
-/// Run the shared randomized workload and return one op log per thread.
-/// The op stream is a pure function of (seed, tid), never of the scheme.
-fn drive<D: for<'m> SetDs<Ctx<'m>>>(m: &Machine, ds: &D, threads: usize, ops: u64, range: u64, seed: u64) -> Vec<Vec<Op>> {
-    m.run_on(threads, |tid, ctx| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(seed ^ ((tid as u64) << 32));
-        let mut log = Vec::with_capacity(ops as usize);
-        for _ in 0..ops {
-            let key = 1 + rng.below(range);
-            let entry = match rng.below(3) {
-                0 => (0, key, ds.insert(ctx, &mut tls, key)),
-                1 => (1, key, ds.delete(ctx, &mut tls, key)),
-                _ => (2, key, ds.contains(ctx, &mut tls, key)),
-            };
-            log.push(entry);
-        }
-        log
-    })
-}
-
-/// Per-key net successful inserts − deletes, summed over the whole history.
-fn accounting(history: &[Vec<Op>]) -> SetAccounting {
-    let mut net: BTreeMap<u64, i64> = BTreeMap::new();
-    for log in history {
-        for &(kind, key, ok) in log {
-            match (kind, ok) {
-                (0, true) => *net.entry(key).or_default() += 1,
-                (1, true) => *net.entry(key).or_default() -= 1,
-                _ => {}
-            }
-        }
-    }
-    SetAccounting { net }
-}
-
-/// One lazy-list run of the shared workload under `scheme`. Returns the
-/// history, the final (sorted) contents, and any recorded UAF faults.
-fn lazylist_run(
-    scheme: SchemeKind,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-    uaf: UafMode,
-) -> (Vec<Vec<Op>>, Vec<u64>, usize) {
-    let m = machine(threads, uaf);
-    let (history, keys) = match scheme {
-        SchemeKind::Ca => {
-            let ds = CaLazyList::new(&m);
-            let h = drive(&m, &ds, threads, ops, range, seed);
-            let keys = walk_list(&m, ds.head_node());
-            (h, keys)
-        }
-        kind => with_scheme!(kind, &m, threads, tight_smr(), |s| {
-            let ds = SmrLazyList::new(&m, s);
-            let h = drive(&m, &ds, threads, ops, range, seed);
-            let keys = walk_list(&m, ds.head_node());
-            (h, keys)
-        }),
-    };
-    let faults = m.faults().len();
-    (history, keys, faults)
-}
-
-/// Same shape for the external BST.
-fn extbst_run(
-    scheme: SchemeKind,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-    uaf: UafMode,
-) -> (Vec<Vec<Op>>, Vec<u64>, usize) {
-    let m = machine(threads, uaf);
-    let (history, keys) = match scheme {
-        SchemeKind::Ca => {
-            let ds = CaExtBst::new(&m);
-            let h = drive(&m, &ds, threads, ops, range, seed);
-            let keys = walk_bst(&m, ds.root_node());
-            (h, keys)
-        }
-        kind => with_scheme!(kind, &m, threads, tight_smr(), |s| {
-            let ds = SmrExtBst::new(&m, s);
-            let h = drive(&m, &ds, threads, ops, range, seed);
-            let keys = walk_bst(&m, ds.root_node());
-            (h, keys)
-        }),
-    };
-    let faults = m.faults().len();
-    (history, keys, faults)
-}
-
-// ---------------------------------------------------------------------
-// Treiber stack & Michael–Scott queue (ROADMAP open item): same battery.
-// Stacks/queues have no final-contents walker, so the quiesced structure
-// is drained through the structure's own ops at the end of the run; the
-// drained sequence is part of the compared history.
-// ---------------------------------------------------------------------
-
-/// Stack op log entry: (op kind, value) — 0 = push(v), 1 = pop → v+1
-/// (0 = empty), 2 = peek → v+1 (0 = empty).
-type StackOp = (u8, u64);
-
-/// One stack run: randomized push/pop/peek per thread, then a
-/// single-threaded drain. Returns per-thread logs, the drain order, and
-/// recorded faults.
-fn stack_run(
-    scheme: SchemeKind,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-    uaf: UafMode,
-) -> (Vec<Vec<StackOp>>, Vec<u64>, usize) {
-    let m = machine(threads, uaf);
-    let (history, drained) = match scheme {
-        SchemeKind::Ca => {
-            let ds = CaStack::new(&m);
-            (drive_stack(&m, &ds, threads, ops, range, seed), drain_stack(&m, &ds))
-        }
-        kind => with_scheme!(kind, &m, threads, tight_smr(), |s| {
-            let ds = SmrStack::new(&m, s);
-            (drive_stack(&m, &ds, threads, ops, range, seed), drain_stack(&m, &ds))
-        }),
-    };
-    let faults = m.faults().len();
-    (history, drained, faults)
-}
-
-fn drive_stack<D: for<'m> StackDs<Ctx<'m>>>(
-    m: &Machine,
-    ds: &D,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-) -> Vec<Vec<StackOp>> {
-    m.run_on(threads, |tid, ctx| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(seed ^ ((tid as u64) << 32));
-        let mut log = Vec::with_capacity(ops as usize);
-        for _ in 0..ops {
-            let entry = match rng.below(3) {
-                0 => {
-                    let v = 1 + rng.below(range);
-                    ds.push(ctx, &mut tls, v);
-                    (0, v)
-                }
-                1 => (1, ds.pop(ctx, &mut tls).map_or(0, |v| v + 1)),
-                _ => (2, ds.peek(ctx, &mut tls).map_or(0, |v| v + 1)),
-            };
-            log.push(entry);
-        }
-        log
-    })
-}
-
-fn drain_stack<D: for<'m> StackDs<Ctx<'m>>>(m: &Machine, ds: &D) -> Vec<u64> {
-    m.run_on(1, |_, ctx| {
-        let mut tls = ds.register(0);
-        let mut out = Vec::new();
-        while let Some(v) = ds.pop(ctx, &mut tls) {
-            out.push(v);
-        }
-        out
-    })
-    .pop()
-    .unwrap()
-}
-
-/// Queue op log entry: (op kind, value) — 0 = enqueue(v), 1 = dequeue →
-/// v+1 (0 = empty).
-type QueueOp = (u8, u64);
-
-fn queue_run(
-    scheme: SchemeKind,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-    uaf: UafMode,
-) -> (Vec<Vec<QueueOp>>, Vec<u64>, usize) {
-    let m = machine(threads, uaf);
-    let (history, drained) = match scheme {
-        SchemeKind::Ca => {
-            let ds = CaQueue::new(&m);
-            (drive_queue(&m, &ds, threads, ops, range, seed), drain_queue(&m, &ds))
-        }
-        kind => with_scheme!(kind, &m, threads, tight_smr(), |s| {
-            let ds = SmrQueue::new(&m, s);
-            (drive_queue(&m, &ds, threads, ops, range, seed), drain_queue(&m, &ds))
-        }),
-    };
-    let faults = m.faults().len();
-    (history, drained, faults)
-}
-
-fn drive_queue<D: for<'m> QueueDs<Ctx<'m>>>(
-    m: &Machine,
-    ds: &D,
-    threads: usize,
-    ops: u64,
-    range: u64,
-    seed: u64,
-) -> Vec<Vec<QueueOp>> {
-    m.run_on(threads, |tid, ctx| {
-        let mut tls = ds.register(tid);
-        let mut rng = Rng::new(seed ^ ((tid as u64) << 32));
-        let mut log = Vec::with_capacity(ops as usize);
-        for _ in 0..ops {
-            let entry = if rng.below(2) == 0 {
-                let v = 1 + rng.below(range);
-                ds.enqueue(ctx, &mut tls, v);
-                (0, v)
-            } else {
-                (1, ds.dequeue(ctx, &mut tls).map_or(0, |v| v + 1))
-            };
-            log.push(entry);
-        }
-        log
-    })
-}
-
-fn drain_queue<D: for<'m> QueueDs<Ctx<'m>>>(m: &Machine, ds: &D) -> Vec<u64> {
-    m.run_on(1, |_, ctx| {
-        let mut tls = ds.register(0);
-        let mut out = Vec::new();
-        while let Some(v) = ds.dequeue(ctx, &mut tls) {
-            out.push(v);
-        }
-        out
-    })
-    .pop()
-    .unwrap()
-}
-
-/// Flow conservation for stacks/queues: every successfully inserted value
-/// is either removed during the run or comes out in the drain — as
-/// multisets (values repeat).
-fn check_flow_accounting(history: &[Vec<(u8, u64)>], drained: &[u64]) {
-    let mut net: BTreeMap<u64, i64> = BTreeMap::new();
-    for log in history {
-        for &(kind, v) in log {
-            match kind {
-                0 => *net.entry(v).or_default() += 1,
-                // Successful pop/dequeue (kind 1, v = value + 1); peeks
-                // (kind 2) and empty results (v == 0) don't move values.
-                1 if v != 0 => *net.entry(v - 1).or_default() -= 1,
-                _ => {}
-            }
-        }
-    }
-    for &v in drained {
-        *net.entry(v).or_default() -= 1;
-    }
-    for (v, n) in net {
-        assert_eq!(n, 0, "value {v}: {n} copies lost or duplicated");
-    }
-}
 
 const SEEDS: [u64; 3] = [0xD1FF, 0x5EED5, 0xFACADE];
 
-#[test]
-fn lazylist_histories_match_the_leaky_oracle() {
-    // Single-threaded: identical op logs AND identical final contents, for
-    // every scheme, on every seed. The leaky baseline is the oracle.
+/// Single-threaded: with one thread the op sequence is a pure function of
+/// the seed, so every scheme must return the leaky oracle's op log AND its
+/// final contents (a set's keys, a stack's or queue's drain order), on
+/// every seed, with no UAF fault.
+fn histories_match_the_leaky_oracle(structure: &str, range: u64) {
+    let run = |scheme, seed| {
+        battery(&battery_machine(1, UafMode::Panic), structure, scheme, 1, 400, range, seed)
+    };
     for seed in SEEDS {
-        let (oracle_h, oracle_keys, f) =
-            lazylist_run(SchemeKind::None, 1, 400, 48, seed, UafMode::Panic);
-        assert_eq!(f, 0);
+        let oracle = run(SchemeKind::None, seed);
+        assert_eq!(oracle.faults, 0);
         for scheme in SchemeKind::ALL.into_iter().filter(|&s| s != SchemeKind::None) {
-            let (h, keys, faults) = lazylist_run(scheme, 1, 400, 48, seed, UafMode::Panic);
-            assert_eq!(
-                h, oracle_h,
-                "{scheme} lazy-list history diverged from leaky oracle (seed {seed:#x})"
-            );
-            assert_eq!(
-                keys, oracle_keys,
-                "{scheme} lazy-list final contents diverged (seed {seed:#x})"
-            );
-            assert_eq!(faults, 0, "{scheme}: UAF oracle violation");
+            let Cell { label, history, contents, faults, .. } = run(scheme, seed);
+            assert_eq!(history, oracle.history, "{label}: history diverged from the leaky oracle");
+            assert_eq!(contents, oracle.contents, "{label}: final contents diverged");
+            assert_eq!(faults, 0, "{label}: UAF oracle violation");
         }
     }
+}
+
+/// Multi-threaded: histories legitimately differ across schemes (timing
+/// differs, so interleavings differ); what must NOT differ is safety. The
+/// allocator oracle records every access to freed or recycled memory, and
+/// the results must conserve exactly against the final contents.
+fn concurrent_runs_have_zero_uaf_violations(structure: &str, range: u64) {
+    for scheme in SchemeKind::ALL {
+        for seed in SEEDS {
+            let m = battery_machine(4, UafMode::Record);
+            let cell = battery(&m, structure, scheme, 4, 250, range, seed);
+            assert_eq!(cell.faults, 0, "{}: use-after-reclaim oracle violation(s)", cell.label);
+            cell.check_conservation();
+        }
+    }
+}
+
+#[test]
+fn lazylist_histories_match_the_leaky_oracle() {
+    histories_match_the_leaky_oracle("lazylist", 48);
 }
 
 #[test]
 fn extbst_histories_match_the_leaky_oracle() {
-    for seed in SEEDS {
-        let (oracle_h, oracle_keys, f) =
-            extbst_run(SchemeKind::None, 1, 400, 64, seed, UafMode::Panic);
-        assert_eq!(f, 0);
-        for scheme in SchemeKind::ALL.into_iter().filter(|&s| s != SchemeKind::None) {
-            let (h, keys, faults) = extbst_run(scheme, 1, 400, 64, seed, UafMode::Panic);
-            assert_eq!(
-                h, oracle_h,
-                "{scheme} BST history diverged from leaky oracle (seed {seed:#x})"
-            );
-            assert_eq!(
-                keys, oracle_keys,
-                "{scheme} BST final contents diverged (seed {seed:#x})"
-            );
-            assert_eq!(faults, 0, "{scheme}: UAF oracle violation");
-        }
-    }
+    histories_match_the_leaky_oracle("extbst", 64);
+}
+
+#[test]
+fn hashtable_histories_match_the_leaky_oracle() {
+    histories_match_the_leaky_oracle("hashtable", 48);
 }
 
 #[test]
 fn stack_histories_match_the_leaky_oracle() {
-    // Single-threaded: bit-identical push/pop/peek logs AND an identical
-    // drain order for every scheme, on every seed.
-    for seed in SEEDS {
-        let (oracle_h, oracle_drain, f) =
-            stack_run(SchemeKind::None, 1, 400, 48, seed, UafMode::Panic);
-        assert_eq!(f, 0);
-        for scheme in SchemeKind::ALL.into_iter().filter(|&s| s != SchemeKind::None) {
-            let (h, drain, faults) = stack_run(scheme, 1, 400, 48, seed, UafMode::Panic);
-            assert_eq!(
-                h, oracle_h,
-                "{scheme} stack history diverged from leaky oracle (seed {seed:#x})"
-            );
-            assert_eq!(
-                drain, oracle_drain,
-                "{scheme} stack final contents diverged (seed {seed:#x})"
-            );
-            assert_eq!(faults, 0, "{scheme}: UAF oracle violation");
-        }
-    }
+    histories_match_the_leaky_oracle("stack", 48);
 }
 
 #[test]
 fn queue_histories_match_the_leaky_oracle() {
-    for seed in SEEDS {
-        let (oracle_h, oracle_drain, f) =
-            queue_run(SchemeKind::None, 1, 400, 48, seed, UafMode::Panic);
-        assert_eq!(f, 0);
-        for scheme in SchemeKind::ALL.into_iter().filter(|&s| s != SchemeKind::None) {
-            let (h, drain, faults) = queue_run(scheme, 1, 400, 48, seed, UafMode::Panic);
-            assert_eq!(
-                h, oracle_h,
-                "{scheme} queue history diverged from leaky oracle (seed {seed:#x})"
-            );
-            assert_eq!(
-                drain, oracle_drain,
-                "{scheme} queue final contents diverged (seed {seed:#x})"
-            );
-            assert_eq!(faults, 0, "{scheme}: UAF oracle violation");
-        }
-    }
+    histories_match_the_leaky_oracle("queue", 48);
 }
 
 #[test]
 fn concurrent_stack_runs_have_zero_uaf_violations() {
-    // Multi-threaded histories legitimately differ across schemes; safety
-    // must not: zero oracle violations and exact flow conservation (this
-    // is the structure the paper's §IV-A ABA discussion centres on — the
-    // popped-and-freed node that reappears at the same address).
-    for scheme in SchemeKind::ALL {
-        for seed in SEEDS {
-            let (h, drained, faults) = stack_run(scheme, 4, 250, 48, seed, UafMode::Record);
-            assert_eq!(
-                faults, 0,
-                "{scheme}: stack use-after-reclaim violation(s) on seed {seed:#x}"
-            );
-            check_flow_accounting(&h, &drained);
-        }
-    }
+    // The structure the paper's §IV-A ABA discussion centres on: the
+    // popped-and-freed node that reappears at the same address.
+    concurrent_runs_have_zero_uaf_violations("stack", 48);
 }
 
 #[test]
 fn concurrent_queue_runs_have_zero_uaf_violations() {
-    for scheme in SchemeKind::ALL {
-        for seed in SEEDS {
-            let (h, drained, faults) = queue_run(scheme, 4, 250, 48, seed, UafMode::Record);
-            assert_eq!(
-                faults, 0,
-                "{scheme}: queue use-after-reclaim violation(s) on seed {seed:#x}"
-            );
-            check_flow_accounting(&h, &drained);
-        }
-    }
+    concurrent_runs_have_zero_uaf_violations("queue", 48);
 }
 
 #[test]
 fn concurrent_lazylist_runs_have_zero_uaf_violations() {
-    // Multi-threaded histories legitimately differ across schemes (timing
-    // differs, so interleavings differ); what must NOT differ is safety:
-    // the allocator oracle records every access to freed/recycled memory,
-    // and the per-key accounting must balance against the final contents.
-    for scheme in SchemeKind::ALL {
-        for seed in SEEDS {
-            let (h, keys, faults) = lazylist_run(scheme, 4, 250, 48, seed, UafMode::Record);
-            assert_eq!(
-                faults, 0,
-                "{scheme}: use-after-reclaim oracle violation(s) on seed {seed:#x}"
-            );
-            check_set_accounting(&accounting(&h), &keys);
-        }
-    }
+    concurrent_runs_have_zero_uaf_violations("lazylist", 48);
 }
 
 #[test]
 fn concurrent_extbst_runs_have_zero_uaf_violations() {
-    for scheme in SchemeKind::ALL {
-        for seed in SEEDS {
-            let (h, keys, faults) = extbst_run(scheme, 4, 250, 64, seed, UafMode::Record);
-            assert_eq!(
-                faults, 0,
-                "{scheme}: use-after-reclaim oracle violation(s) on seed {seed:#x}"
-            );
-            check_set_accounting(&accounting(&h), &keys);
-        }
-    }
+    concurrent_runs_have_zero_uaf_violations("extbst", 64);
+}
+
+#[test]
+fn concurrent_hashtable_runs_have_zero_uaf_violations() {
+    concurrent_runs_have_zero_uaf_violations("hashtable", 48);
 }
 
 // ---------------------------------------------------------------------
@@ -489,7 +141,7 @@ fn concurrent_extbst_runs_have_zero_uaf_violations() {
 struct RecWorker<T> {
     tls: T,
     rng: Rng,
-    log: Vec<QueueOp>,
+    log: Vec<Op>,
     done: u64,
     /// Set when the victim reaches its hang window. The injected crash is
     /// clock-triggered; asserting this flag in the recovery closure proves
@@ -505,9 +157,6 @@ const CRASH_VICTIM: usize = 3;
 fn queue_crash_adoption_is_leak_free(kind: SchemeKind) {
     for seed in SEEDS {
         let m = Machine::new(MachineConfig {
-            cores: CRASH_THREADS,
-            mem_bytes: 32 << 20,
-            static_lines: 2048,
             uaf_mode: UafMode::Record,
             // The crash clock is far past the whole workload: the victim is
             // guaranteed to be in its hang loop (a non-responsive member, the
@@ -515,7 +164,7 @@ fn queue_crash_adoption_is_leak_free(kind: SchemeKind) {
             fault_plan: FaultPlan::none()
                 .crash(CRASH_VICTIM, 500_000)
                 .restart(CRASH_VICTIM, 520_000),
-            ..Default::default()
+            ..config(CRASH_THREADS)
         });
         with_scheme!(kind, &m, CRASH_THREADS, tight_smr(), |s| {
             queue_crash_recovery_leg(&m, s, kind.name(), seed)
@@ -538,7 +187,7 @@ where
             t,
             RecWorker {
                 tls: q.register(t),
-                rng: Rng::new(seed ^ ((t as u64) << 32)),
+                rng: thread_rng(seed, t),
                 log: Vec::new(),
                 done: 0,
                 hanging: false,
@@ -546,14 +195,7 @@ where
         );
     }
     let step = |ctx: &mut Ctx<'_>, w: &mut RecWorker<S::Tls>| {
-        let entry = if w.rng.below(2) == 0 {
-            let v = 1 + w.rng.below(48);
-            q.enqueue(ctx, &mut w.tls, v);
-            (0, v)
-        } else {
-            (1, q.dequeue(ctx, &mut w.tls).map_or(0, |v| v + 1))
-        };
-        w.log.push(entry);
+        w.log.push(Queues(&q).op(ctx, &mut w.tls, &mut w.rng, 48));
         w.done += 1;
     };
     let outs = m.run_recover_on(
@@ -610,10 +252,7 @@ where
     let drained = m
         .run_on(1, |_, ctx| {
             let mut w0 = vault.take(0).expect("worker 0 parked");
-            let mut out = Vec::new();
-            while let Some(v) = q.dequeue(ctx, &mut w0.tls) {
-                out.push(v);
-            }
+            let out = Queues(&q).drain(ctx, &mut w0.tls);
             for t in 1..CRASH_THREADS {
                 let w = vault.take(t).expect("worker parked");
                 let o = q.smr().depart(ctx, w.tls);
@@ -629,7 +268,7 @@ where
         })
         .pop()
         .unwrap();
-    check_flow_accounting(&logs, &drained);
+    check_flow(name, &logs, &drained);
     assert_eq!(
         m.faults().len(),
         0,

@@ -1,6 +1,7 @@
 //! Cross-crate stress tests: every set structure × every reclamation
-//! configuration, under concurrent mixed workloads, with the simulator's
-//! use-after-free detector armed throughout.
+//! configuration through the shared differential battery
+//! (`common::battery`), under concurrent mixed workloads, with the
+//! simulator's use-after-free detector armed throughout.
 //!
 //! Each test checks *exact accounting*: the multiset of successful inserts
 //! minus successful deletes per key must equal the final contents. Any lost
@@ -8,155 +9,103 @@
 
 mod common;
 
-use common::{check_set_accounting, machine, run_mixed_set};
-use conditional_access::ds::ca::{CaExtBst, CaLazyList};
-use conditional_access::ds::seqcheck::{walk_bst, walk_list};
-use conditional_access::ds::smr::{SmrExtBst, SmrLazyList};
-use conditional_access::ds::HashTable;
-use conditional_access::smr::{with_scheme, Hp, SchemeKind, SmrConfig};
+use common::{battery, machine, Cell};
+use conditional_access::smr::SchemeKind;
 
 const THREADS: usize = 4;
 const OPS: u64 = 250;
 const RANGE: u64 = 48;
 
-fn tight_smr() -> SmrConfig {
-    // Aggressive frequencies: more reclamation events = more chances to
-    // catch a protection hole.
-    SmrConfig {
-        reclaim_freq: 4,
-        epoch_freq: 6,
-        ..Default::default()
-    }
+/// One battery cell at lookahead `quantum`, conservation and invariants
+/// checked.
+fn stress(structure: &str, scheme: SchemeKind, quantum: u64, seed: u64) -> Cell {
+    let m = machine(THREADS, quantum);
+    let cell = battery(&m, structure, scheme, THREADS, OPS, RANGE, seed);
+    cell.check_conservation();
+    m.check_invariants();
+    cell
 }
 
 #[test]
 fn ca_lazylist_stress() {
-    let m = machine(THREADS, 0);
-    let ds = CaLazyList::new(&m);
-    let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, 0xA11CE);
-    check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
-    m.check_invariants();
+    let cell = stress("lazylist", SchemeKind::Ca, 0, 0xA11CE);
     // Immediate reclamation: allocated == live.
-    assert_eq!(
-        m.stats().allocated_not_freed as usize,
-        walk_list(&m, ds.head_node()).len()
-    );
+    assert_eq!(cell.stats.allocated_not_freed as usize, cell.contents.len());
 }
 
 #[test]
 fn ca_extbst_stress() {
-    let m = machine(THREADS, 0);
-    let ds = CaExtBst::new(&m);
-    let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, 0xBEE);
-    let keys = walk_bst(&m, ds.root_node());
-    check_set_accounting(&acct, &keys);
-    m.check_invariants();
-    assert_eq!(m.stats().allocated_not_freed as usize, 2 * keys.len());
+    let cell = stress("extbst", SchemeKind::Ca, 0, 0xBEE);
+    assert_eq!(
+        cell.stats.allocated_not_freed as usize,
+        2 * cell.contents.len()
+    );
 }
 
 #[test]
 fn ca_hashtable_stress() {
-    let m = machine(THREADS, 0);
-    let ds = HashTable::new(&m, 8, CaLazyList::new);
-    let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, 0xCAFE);
-    let mut keys: Vec<u64> = ds
-        .buckets()
-        .iter()
-        .flat_map(|b| walk_list(&m, b.head_node()))
-        .collect();
-    keys.sort_unstable();
-    check_set_accounting(&acct, &keys);
-}
-
-fn lazylist_with(kind: SchemeKind, seed: u64) {
-    let m = machine(THREADS, 0);
-    with_scheme!(kind, &m, THREADS, tight_smr(), |s| {
-        let ds = SmrLazyList::new(&m, s);
-        let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, seed);
-        check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
-    });
-    m.check_invariants();
+    stress("hashtable", SchemeKind::Ca, 0, 0xCAFE);
 }
 
 #[test]
 fn smr_lazylist_stress_leaky() {
-    lazylist_with(SchemeKind::None, 1);
+    stress("lazylist", SchemeKind::None, 0, 1);
 }
 
 #[test]
 fn smr_lazylist_stress_qsbr() {
-    lazylist_with(SchemeKind::Qsbr, 2);
+    stress("lazylist", SchemeKind::Qsbr, 0, 2);
 }
 
 #[test]
 fn smr_lazylist_stress_rcu() {
-    lazylist_with(SchemeKind::Rcu, 3);
+    stress("lazylist", SchemeKind::Rcu, 0, 3);
 }
 
 #[test]
 fn smr_lazylist_stress_ibr() {
-    lazylist_with(SchemeKind::Ibr, 4);
+    stress("lazylist", SchemeKind::Ibr, 0, 4);
 }
 
 #[test]
 fn smr_lazylist_stress_hp() {
-    lazylist_with(SchemeKind::Hp, 5);
+    stress("lazylist", SchemeKind::Hp, 0, 5);
 }
 
 #[test]
 fn smr_lazylist_stress_he() {
-    lazylist_with(SchemeKind::He, 6);
-}
-
-fn extbst_with(kind: SchemeKind, seed: u64) {
-    let m = machine(THREADS, 0);
-    with_scheme!(kind, &m, THREADS, tight_smr(), |s| {
-        let ds = SmrExtBst::new(&m, s);
-        let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, seed);
-        check_set_accounting(&acct, &walk_bst(&m, ds.root_node()));
-    });
-    m.check_invariants();
+    stress("lazylist", SchemeKind::He, 0, 6);
 }
 
 #[test]
 fn smr_extbst_stress_qsbr() {
-    extbst_with(SchemeKind::Qsbr, 7);
+    stress("extbst", SchemeKind::Qsbr, 0, 7);
 }
 
 #[test]
 fn smr_extbst_stress_rcu() {
-    extbst_with(SchemeKind::Rcu, 8);
+    stress("extbst", SchemeKind::Rcu, 0, 8);
 }
 
 #[test]
 fn smr_extbst_stress_ibr() {
-    extbst_with(SchemeKind::Ibr, 9);
+    stress("extbst", SchemeKind::Ibr, 0, 9);
 }
 
 #[test]
 fn smr_extbst_stress_hp() {
-    extbst_with(SchemeKind::Hp, 10);
+    stress("extbst", SchemeKind::Hp, 0, 10);
 }
 
 #[test]
 fn smr_extbst_stress_he() {
-    extbst_with(SchemeKind::He, 11);
+    stress("extbst", SchemeKind::He, 0, 11);
 }
 
 #[test]
 fn smr_hashtable_stress_shared_scheme() {
-    // 8 buckets sharing one hp instance through the &S blanket impl.
-    let m = machine(THREADS, 0);
-    let s = Hp::new(&m, THREADS, tight_smr());
-    let ds = HashTable::new(&m, 8, |mm| SmrLazyList::new(mm, &s));
-    let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, 0xD00D);
-    let mut keys: Vec<u64> = ds
-        .buckets()
-        .iter()
-        .flat_map(|b| walk_list(&m, b.head_node()))
-        .collect();
-    keys.sort_unstable();
-    check_set_accounting(&acct, &keys);
+    // The table's buckets share one hp instance through the &S blanket impl.
+    stress("hashtable", SchemeKind::Hp, 0, 0xD00D);
 }
 
 #[test]
@@ -164,9 +113,6 @@ fn quantum_does_not_change_correctness() {
     // Different lookahead quanta yield different interleavings; every one
     // of them must still satisfy exact accounting.
     for quantum in [0, 32, 512] {
-        let m = machine(THREADS, quantum);
-        let ds = CaLazyList::new(&m);
-        let acct = run_mixed_set(&m, &ds, THREADS, OPS, RANGE, 0x5EED ^ quantum);
-        check_set_accounting(&acct, &walk_list(&m, ds.head_node()));
+        stress("lazylist", SchemeKind::Ca, quantum, 0x5EED ^ quantum);
     }
 }
