@@ -13,25 +13,42 @@
 //! victim stays dead and the same trace grows with the survivors' work,
 //! unbounded: run both to see the contrast.
 //!
+//! `--native` runs every cell on host threads; `--max_cycles N` (N > 0)
+//! bounds every simulated cell, replacing the fault figures' own backstop.
+//!
 //! Usage: `cargo run -p caharness --release --bin fig -- <figure>... | all \
-//!     [--quick|--paper] [--recover] [--jobs N] [--max_cycles N]`
+//!     [--quick|--paper] [--recover] [--jobs N] [--max_cycles N] [--native]`
 
-use caharness::experiments::{render, select, Scale, FIGURES};
+use caharness::config::{Cli, Flag};
+use caharness::experiments::{render, select, FIGURES};
 
 fn main() {
-    let scale = Scale::from_args();
-    let names = caharness::init_from_args(&["--recover", "FIGURE...|all"]);
-    let recover = std::env::args().any(|a| a == "--recover");
-    let plans = select(&names, scale, recover).unwrap_or_else(|msg| {
+    let cli = Cli::from_env(&[
+        Flag::Figures,
+        Flag::Quick,
+        Flag::Paper,
+        Flag::Recover,
+        Flag::Jobs,
+        Flag::MaxCycles,
+        Flag::Native,
+    ]);
+    let (names, scale, recover) = (&cli.positionals, cli.scale, cli.recover);
+    let mut plans = select(names, scale, recover).unwrap_or_else(|msg| {
         eprintln!("error: {msg}\n\nfigures:");
         for fig in &FIGURES {
             eprintln!("  {:<20}{}", fig.name, fig.about);
         }
         std::process::exit(2);
     });
+    for cell in plans.iter_mut().flat_map(|plan| &mut plan.cells) {
+        cell.cfg.native = cli.native;
+        cell.cfg.max_cycles = cli.max_cycles.or(cell.cfg.max_cycles);
+    }
+    caharness::sweep::set_jobs(cli.jobs);
     eprintln!("[fig {} at {scale:?} scale, recover={recover}]", names.join(" "));
-    for (csv, table) in render(&names.join("+"), &plans) {
+    let (tables, failures) = render(&names.join("+"), &plans);
+    for (csv, table) in tables {
         table.emit(&csv);
     }
-    caharness::finish();
+    caharness::finish(&failures);
 }

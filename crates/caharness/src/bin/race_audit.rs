@@ -16,13 +16,15 @@
 //! where the analyzer's linearization `(clock, core, seq)` is exact, so the
 //! report is byte-identical across backends.
 //!
-//! Usage: `cargo run --release -p caharness --bin race_audit [--quick]`
-//! (simulator only: `--native` exits 2).
+//! Usage: `cargo run --release -p caharness --bin race_audit [--quick]
+//! [--max_cycles N]` (simulator only: `--native` exits 2; the cells run one
+//! after another, so there is no `--jobs`).
 //!
 //! `--quick` runs a 6-cell subset as a CI smoke (one list, one tree, the
 //! stack and the queue, covering the CAS-heavy and fence-heavy schemes).
 
-use caharness::{run, Instrument, Mix, RunConfig, SetKind, Structure};
+use caharness::config::{Cli, Flag};
+use caharness::{run, Instrument, Mix, RunConfig, Scale, SetKind, Structure};
 use casmr::SchemeKind;
 
 /// Whitelisted benign signatures, one `region prior later # why` per line.
@@ -44,7 +46,7 @@ fn whitelist() -> Vec<(String, String, String)> {
         .collect()
 }
 
-fn audit_cfg(updates_only: bool) -> RunConfig {
+fn audit_cfg(updates_only: bool, max_cycles: Option<u64>) -> RunConfig {
     RunConfig {
         threads: 4,
         key_range: 64,
@@ -65,20 +67,21 @@ fn audit_cfg(updates_only: bool) -> RunConfig {
         // the report byte-identical across backends.
         quantum: 0,
         race_check: true,
+        max_cycles,
         ..Default::default()
     }
 }
 
 fn main() {
-    caharness::init_from_args(&[]);
-    if caharness::config::default_native() {
+    let cli = Cli::from_env(&[Flag::Quick, Flag::MaxCycles, Flag::Native]);
+    if cli.native {
         eprintln!(
             "error: race_audit runs only on the simulator (the analyzer watches simulated \
              memory events); drop `--native`"
         );
         std::process::exit(2);
     }
-    let quick = std::env::args().any(|a| a == "--quick");
+    let quick = cli.scale == Scale::Quick;
     let allow = whitelist();
 
     let mut unexplained = 0u64;
@@ -105,7 +108,7 @@ fn main() {
                     continue;
                 }
             }
-            let cfg = audit_cfg(structure == Structure::Queue);
+            let cfg = audit_cfg(structure == Structure::Queue, cli.max_cycles);
             let report = run(structure, scheme, &cfg, Instrument::None)
                 .race
                 .expect("audit_cfg arms race_check");

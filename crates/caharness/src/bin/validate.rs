@@ -18,10 +18,13 @@
 //! real contention effects into noise. On a many-core host, expect far
 //! higher agreement and raise the floor accordingly.)
 //!
+//! Each leg sets `native` itself, so there is no `--native` flag.
+//!
 //! Usage: `cargo run -p caharness --release --bin validate
-//!         [--quick|--paper] [--jobs N] [--min_agreement X]`
+//!         [--quick|--paper] [--jobs N] [--max_cycles N] [--min_agreement X]`
 
-use caharness::experiments::{render, Plan, Scale};
+use caharness::config::{Cli, Flag};
+use caharness::experiments::{render, Plan};
 use caharness::{RunConfig, SeriesTable, SetKind, Structure};
 use casmr::SchemeKind;
 
@@ -33,10 +36,9 @@ fn tie(a: f64, b: f64) -> bool {
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    caharness::init_from_args(&["--min_agreement X"]);
-    let min_agreement: f64 = caharness::config::flag_value_from_args("--min_agreement")
-        .map_or(0.2, |v| v.parse().unwrap_or_else(|_| panic!("--min_agreement: bad value {v}")));
+    let cli = Cli::from_env(&[Flag::Quick, Flag::Paper, Flag::Jobs, Flag::MaxCycles, Flag::MinAgreement]);
+    let (scale, min_agreement) = (cli.scale, cli.min_agreement.unwrap_or(0.2));
+    caharness::sweep::set_jobs(cli.jobs);
     eprintln!("[validate at {scale:?} scale, agreement floor {min_agreement}]");
 
     let threads = scale.threads();
@@ -57,6 +59,7 @@ fn main() {
                 threads: t,
                 ops_per_thread: scale.ops(),
                 native,
+                max_cycles: cli.max_cycles,
                 ..Default::default()
             })
             .collect();
@@ -64,7 +67,7 @@ fn main() {
         plan.table(csv, title, "scheme\\threads", cols.clone())
             .rows(&rows, |o| o.metrics.throughput);
     }
-    let tables = render("validate", &[plan]);
+    let (tables, failures) = render("validate", &[plan]);
     for (csv, table) in &tables {
         table.emit(csv);
     }
@@ -112,7 +115,7 @@ fn main() {
     let overall = scored.iter().sum::<f64>() / scored.len() as f64;
     println!("overall rank agreement: {overall:.3} (floor {min_agreement})");
 
-    caharness::finish();
+    caharness::finish(&failures);
     if overall < min_agreement {
         eprintln!("FAIL: sim↔native rank agreement {overall:.3} below floor {min_agreement}");
         std::process::exit(2);

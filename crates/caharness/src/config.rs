@@ -1,7 +1,10 @@
-//! Experiment configuration.
+//! Experiment configuration, and the one parser of the harness bins'
+//! command lines ([`Cli`]).
 
 use casmr::SmrConfig;
 use mcsim::{CacheConfig, ExecBackend, FaultPlan, LatencyModel, MachineConfig, UafMode};
+
+use crate::experiments::Scale;
 
 /// Operation mix, in percent. The paper's three workloads are
 /// `0i-0d` (read-only), `5i-5d` (10% updates) and `50i-50d` (100% updates);
@@ -79,22 +82,22 @@ pub struct RunConfig {
     /// an injected crash as an outcome, and recovers cores the plan restarts.
     pub fault_plan: FaultPlan,
     /// Wedge watchdog: panic if any simulated core's clock passes this
-    /// bound (`--max_cycles`). `None` = no bound (the default).
+    /// bound (the bins' `--max_cycles`). `None` = no bound (the default).
     pub max_cycles: Option<u64>,
     /// Execute on real host threads over a [`casmr::NativeMachine`] instead
-    /// of the simulator (`--native`). Same workloads and seeds; cycles
+    /// of the simulator (`fig --native`). Same workloads and seeds; cycles
     /// become wall-clock nanoseconds and throughput ops/µs. Conditional
     /// Access cannot run natively (the primitive exists only in the
     /// simulator) — CA cells panic, degrading to `ERR` in collecting
     /// sweeps. See the `validate` bin for the sim↔native comparison.
     pub native: bool,
     /// Arm the simulator's happens-before race analyzer
-    /// (`--race_check` / [`mcsim::MachineConfig::race_check`]): trace every
-    /// memory event and have [`crate::run`] return the report of
-    /// unsynchronized conflicting accesses in [`crate::Outcome::race`] (the
-    /// `race_audit` bin diffs it against the whitelist). Off
-    /// by default (zero cost, byte-identical schedules). Ignored by native
-    /// runs (the analyzer is a simulator instrument).
+    /// ([`mcsim::MachineConfig::race_check`]): trace every memory event and
+    /// have [`crate::run`] return the report of unsynchronized conflicting
+    /// accesses in [`crate::Outcome::race`] (the `race_audit` bin arms it
+    /// and diffs the report against the whitelist). Off by default (zero
+    /// cost, byte-identical schedules). Ignored by native runs (the
+    /// analyzer is a simulator instrument).
     pub race_check: bool,
 }
 
@@ -121,52 +124,11 @@ impl Default for RunConfig {
             exec: ExecBackend::Auto,
             gangs: 1,
             fault_plan: FaultPlan::none(),
-            max_cycles: default_max_cycles(),
-            native: default_native(),
-            race_check: default_race_check(),
+            max_cycles: None,
+            native: false,
+            race_check: false,
         }
     }
-}
-
-/// Process-wide default for [`RunConfig::native`], installed by the bins'
-/// `--native` flag.
-static DEFAULT_NATIVE: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Set whether newly-built [`RunConfig`]s default to native execution.
-pub fn set_default_native(on: bool) {
-    DEFAULT_NATIVE.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current native-execution default.
-pub fn default_native() -> bool {
-    DEFAULT_NATIVE.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Parse the `--native` presence flag and install it as the process
-/// default — called by every harness bin via [`crate::init_from_args`].
-pub fn set_native_from_args() {
-    set_default_native(std::env::args().any(|a| a == "--native"));
-}
-
-/// Process-wide default for [`RunConfig::race_check`], installed by the
-/// bins' `--race_check` flag.
-static DEFAULT_RACE_CHECK: std::sync::atomic::AtomicBool =
-    std::sync::atomic::AtomicBool::new(false);
-
-/// Set whether newly-built [`RunConfig`]s arm the race analyzer.
-pub fn set_default_race_check(on: bool) {
-    DEFAULT_RACE_CHECK.store(on, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current race-analyzer default.
-pub fn default_race_check() -> bool {
-    DEFAULT_RACE_CHECK.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Parse the `--race_check` presence flag and install it as the process
-/// default — called by every harness bin via [`crate::init_from_args`].
-pub fn set_race_check_from_args() {
-    set_default_race_check(std::env::args().any(|a| a == "--race_check"));
 }
 
 /// The error for an old command line or config that still asks for
@@ -175,162 +137,154 @@ pub fn set_race_check_from_args() {
 pub const GANGS_RETIRED: &str =
     "`--gangs`/`--l2_banks` were retired in PR 18 (see history/README.md)";
 
-/// The flags every harness bin accepts, spelled as usage text: a name
-/// followed by ` N` takes a value (`<flag> N` or `<flag>=N`), a bare name
-/// is a presence flag. `-jN` is also accepted.
-pub const SHARED_FLAGS: &[&str] = &[
-    "--quick",
-    "--paper",
-    "--jobs N",
-    "-j N",
-    "--max_cycles N",
-    "--native",
-    "--race_check",
-];
+/// A command-line flag of the harness bins. Each bin hands [`Cli::parse`]
+/// the ones it honours; any other argument is an error, so a typo
+/// (`--quik`, `--job 4`) or a flag the bin would ignore cannot quietly
+/// produce a different table.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum Flag {
+    /// Bare words are positional arguments (`fig`'s figure names).
+    Figures,
+    /// `--quick`: [`Scale::Quick`].
+    Quick,
+    /// `--paper`: [`Scale::Paper`].
+    Paper,
+    /// `--jobs N` (also `-j N`, `-jN`): sweep workers, 0 = one per host CPU.
+    /// A host-performance knob only — tables are bit-identical for every
+    /// value (see [`crate::sweep`]).
+    Jobs,
+    /// `--max_cycles N`: the wedge watchdog ([`RunConfig::max_cycles`]),
+    /// 0 = no bound. A configuration that livelocks, or stalls forever under
+    /// an injected fault, becomes one attributable `ERR` cell instead of a
+    /// hung process.
+    MaxCycles,
+    /// `--native`: run on host threads ([`RunConfig::native`]).
+    Native,
+    /// `--recover`: the fault figures' restart-and-adopt variant.
+    Recover,
+    /// `--min_agreement X`: `validate`'s rank-agreement floor.
+    MinAgreement,
+}
 
-/// Check a whole command line (`args[0]` is the program name) against
-/// [`SHARED_FLAGS`] plus the calling bin's `extra` flags, spelled the same
-/// way. The flag parsers each scan argv for their own name and ignore the
-/// rest, so without this a typo (`--quik`, `--job 4`) silently runs the
-/// default table. The error names the first offending argument and lists
-/// what is accepted; the retired `--gangs`/`--l2_banks` get
-/// [`GANGS_RETIRED`] as a hint.
-///
-/// An `extra` entry that does not start with `-` (say `FIGURE...`) is usage
-/// text for positional arguments: the bin takes them, and they are returned
-/// in order for it to check. Without one a bare word is an error.
-pub fn reject_unknown_flags(
-    args: impl IntoIterator<Item = String>,
-    extra: &[&str],
-) -> Result<Vec<String>, String> {
-    let accepted = || SHARED_FLAGS.iter().chain(extra).copied();
-    let takes_positionals = extra.iter().any(|usage| !usage.starts_with('-'));
-    let mut positionals = Vec::new();
-    let mut it = args.into_iter().skip(1);
-    while let Some(arg) = it.next() {
-        if takes_positionals && !arg.starts_with('-') {
-            positionals.push(arg);
-            continue;
+impl Flag {
+    /// Usage text: a name followed by ` N` (an integer) or ` X` (a number)
+    /// takes a value, spelled `<flag> V` or `<flag>=V`; a bare name is a
+    /// presence flag.
+    fn usage(self) -> &'static str {
+        match self {
+            Flag::Figures => "FIGURE...|all",
+            Flag::Quick => "--quick",
+            Flag::Paper => "--paper",
+            Flag::Jobs => "--jobs N",
+            Flag::MaxCycles => "--max_cycles N",
+            Flag::Native => "--native",
+            Flag::Recover => "--recover",
+            Flag::MinAgreement => "--min_agreement X",
         }
-        let (name, inline_value) = match arg.split_once('=') {
-            Some((name, _)) => (name, true),
-            None => (arg.as_str(), false),
-        };
-        let takes_value = accepted().find_map(|usage| {
-            let (flag, value) = usage.split_once(' ').map_or((usage, false), |(f, _)| (f, true));
-            (flag == name).then_some(value)
-        });
-        let ok = match takes_value {
-            Some(true) => {
-                if !inline_value {
-                    // Skip the value; its own parser reports a missing or bad one.
-                    it.next();
-                }
-                true
+    }
+}
+
+/// A harness bin's command line, parsed once into a value. Nothing here is
+/// process-global: a bin applies each field where it belongs (the plans'
+/// [`RunConfig`]s, [`crate::sweep::set_jobs`]).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Cli {
+    /// Positional arguments, in order ([`Flag::Figures`]).
+    pub positionals: Vec<String>,
+    /// `--quick` or `--paper`; [`Scale::Standard`] without either.
+    pub scale: Scale,
+    /// `--jobs N` (0 = auto).
+    pub jobs: usize,
+    /// `--max_cycles N`; `None` when absent or 0.
+    pub max_cycles: Option<u64>,
+    /// `--native`.
+    pub native: bool,
+    /// `--recover`.
+    pub recover: bool,
+    /// `--min_agreement X`.
+    pub min_agreement: Option<f64>,
+}
+
+impl Cli {
+    /// Parse a whole command line (`args[0]` is the program name) against
+    /// the `accepted` flags. The error is one line: it names the offending
+    /// argument and, for an unknown one, lists what is accepted (the retired
+    /// `--gangs`/`--l2_banks` get [`GANGS_RETIRED`] as a hint). A repeated
+    /// flag takes its last value.
+    pub fn parse(args: impl IntoIterator<Item = String>, accepted: &[Flag]) -> Result<Cli, String> {
+        let mut cli = Cli::default();
+        let (mut quick, mut paper) = (false, false);
+        let mut it = args.into_iter().skip(1);
+        while let Some(arg) = it.next() {
+            if !arg.starts_with('-') && accepted.contains(&Flag::Figures) {
+                cli.positionals.push(arg);
+                continue;
             }
-            Some(false) => !inline_value,
-            None => arg
-                .strip_prefix("-j")
-                .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit())),
-        };
-        if !ok {
-            let hint = if ["--gangs", "--l2_banks"].contains(&name) {
-                format!(": {GANGS_RETIRED}")
-            } else {
-                String::new()
+            let (name, inline) = match arg.split_once('=') {
+                Some((name, value)) => (name, Some(value)),
+                None => (arg.as_str(), None),
             };
-            return Err(format!(
-                "unrecognized argument `{arg}`{hint}; accepted: {}",
-                accepted().collect::<Vec<_>>().join(" ")
-            ));
+            // `-j N` and `-jN` are `--jobs N`.
+            let (name, inline) = match name.strip_prefix("-j") {
+                Some("") => ("--jobs", inline),
+                Some(n) if inline.is_none() && n.bytes().all(|b| b.is_ascii_digit()) => ("--jobs", Some(n)),
+                _ => (name, inline),
+            };
+            let Some(&flag) = accepted.iter().find(|f| f.usage().split(' ').next() == Some(name)) else {
+                return Err(unrecognized(&arg, accepted));
+            };
+            let value = match (flag.usage().contains(' '), inline) {
+                (false, None) => String::new(),
+                (false, Some(_)) => return Err(unrecognized(&arg, accepted)),
+                (true, Some(v)) => v.to_string(),
+                (true, None) => it.next().ok_or_else(|| format!("`{name}` requires a value"))?,
+            };
+            match flag {
+                Flag::Figures => unreachable!("a bare word is a positional"),
+                Flag::Quick => quick = true,
+                Flag::Paper => paper = true,
+                Flag::Jobs => cli.jobs = integer(name, &value)?,
+                Flag::MaxCycles => cli.max_cycles = Some(integer(name, &value)?).filter(|&n| n > 0),
+                Flag::Native => cli.native = true,
+                Flag::Recover => cli.recover = true,
+                Flag::MinAgreement => {
+                    let x = value.parse().ok().filter(|x: &f64| x.is_finite());
+                    cli.min_agreement = Some(x.ok_or_else(|| format!("`{name}` takes a number, got `{value}`"))?);
+                }
+            }
         }
+        cli.scale = match (quick, paper) {
+            (true, true) => return Err("`--quick` and `--paper` exclude each other".into()),
+            (true, false) => Scale::Quick,
+            (false, true) => Scale::Paper,
+            (false, false) => Scale::Standard,
+        };
+        Ok(cli)
     }
-    Ok(positionals)
-}
 
-/// Scan argv for a `<flag> N` / `<flag>=N` pair, returning the raw value.
-/// Shared by every value-taking CLI flag so the parsing (and its
-/// edge-case handling) lives in exactly one place.
-pub fn flag_value_from_args(flag: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    let eq = format!("{flag}=");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            let v = it
-                .next()
-                .unwrap_or_else(|| panic!("{flag} requires a value"));
-            return Some(v.clone());
-        } else if let Some(v) = a.strip_prefix(&eq) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-/// Process-wide default for [`RunConfig::max_cycles`] (the wedge
-/// watchdog), installed by the bins' `--max_cycles N` flag. 0 = no bound.
-static DEFAULT_MAX_CYCLES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Set the default watchdog bound newly-built [`RunConfig`]s start with
-/// (0 = unbounded).
-pub fn set_default_max_cycles(n: u64) {
-    DEFAULT_MAX_CYCLES.store(n, std::sync::atomic::Ordering::Relaxed);
-}
-
-/// The current default watchdog bound (`None` = unbounded).
-pub fn default_max_cycles() -> Option<u64> {
-    match DEFAULT_MAX_CYCLES.load(std::sync::atomic::Ordering::Relaxed) {
-        0 => None,
-        n => Some(n),
+    /// [`Self::parse`] this process's command line; on an error, print it
+    /// as one `error:` line and exit 2 before anything runs.
+    pub fn from_env(accepted: &[Flag]) -> Cli {
+        Cli::parse(std::env::args(), accepted).unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2);
+        })
     }
 }
 
-/// Parse the `--max_cycles N` / `--max_cycles=N` flag (0 or absent = no
-/// watchdog). With the default collecting sweeps, a configuration that
-/// wedges (livelocks, or stalls forever under an injected fault) becomes
-/// one attributable `ERR` cell instead of a hung process.
-pub fn max_cycles_from_args() -> u64 {
-    match flag_value_from_args("--max_cycles") {
-        None => 0,
-        Some(v) => v
-            .parse()
-            .unwrap_or_else(|_| panic!("--max_cycles requires a non-negative integer, got {v:?}")),
-    }
+fn integer<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("`{name}` takes a non-negative integer, got `{value}`"))
 }
 
-/// Parse `--max_cycles` from the CLI and install it as the process default
-/// — called by every harness bin via [`crate::init_from_args`].
-pub fn set_max_cycles_from_args() {
-    set_default_max_cycles(max_cycles_from_args());
-}
-
-/// Parse the `--jobs N` / `--jobs=N` / `-jN` sweep-parallelism flag from
-/// the CLI (0 = auto: one host worker per CPU). Every harness bin threads
-/// this into [`crate::sweep::set_jobs`]; it is a host-performance knob only
-/// — simulated results are bit-identical for every value (see
-/// [`crate::sweep`]).
-pub fn jobs_from_args() -> usize {
-    let parse = |v: &str| -> usize {
-        v.parse()
-            .unwrap_or_else(|_| panic!("--jobs requires a non-negative integer, got {v:?}"))
+fn unrecognized(arg: &str, accepted: &[Flag]) -> String {
+    let name = arg.split_once('=').map_or(arg, |(name, _)| name);
+    let hint = if ["--gangs", "--l2_banks"].contains(&name) {
+        format!(": {GANGS_RETIRED}")
+    } else {
+        String::new()
     };
-    if let Some(v) = flag_value_from_args("--jobs") {
-        return parse(&v);
-    }
-    // Short forms `-j N` / `-jN`, kept out of the shared helper (no other
-    // flag has them).
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "-j" {
-            let v = it.next().expect("--jobs requires a value (0 = auto)");
-            return parse(v);
-        } else if let Some(v) = a.strip_prefix("-j") {
-            return parse(v);
-        }
-    }
-    0
+    let usage: Vec<_> = accepted.iter().map(|f| f.usage()).collect();
+    format!("unrecognized argument `{arg}`{hint}; accepted: {}", usage.join(" "))
 }
 
 impl RunConfig {
@@ -409,17 +363,30 @@ mod tests {
     }
 
     #[test]
+    fn run_config_default_is_pure() {
+        let cfg = RunConfig::default();
+        assert!(!cfg.native);
+        assert!(!cfg.race_check);
+        assert_eq!(cfg.max_cycles, None);
+    }
+
+    /// The flags a bin without positionals or extras of its own takes.
+    const PLAIN: &[Flag] = &[Flag::Quick, Flag::Paper, Flag::Jobs, Flag::MaxCycles, Flag::Native];
+
+    fn parse(args: &[&str], accepted: &[Flag]) -> Result<Cli, String> {
+        Cli::parse(args.iter().map(|s| s.to_string()), accepted)
+    }
+
+    #[test]
     fn retired_flags_are_rejected_not_ignored() {
-        let check = |a: &[&str], extra: &[&str]| {
-            reject_unknown_flags(a.iter().map(|s| s.to_string()), extra)
-        };
+        let check = |a: &[&str]| parse(a, PLAIN).map(|cli| cli.positionals);
         for old in [
             &["fig1_lazylist", "--quick", "--gangs", "4"][..],
             &["fig1_lazylist", "--gangs=2"],
             &["fig1_lazylist", "--jobs", "4", "--l2_banks", "8"],
             &["fig1_lazylist", "--l2_banks=1"],
         ] {
-            let err = check(old, &[]).expect_err("retired flag accepted");
+            let err = check(old).expect_err("retired flag accepted");
             assert!(err.contains(GANGS_RETIRED), "{old:?}: {err}");
         }
         for (bad, offender) in [
@@ -430,8 +397,9 @@ mod tests {
             (&["fig1_lazylist", "-jx"], "`-jx`"),
             (&["fig1_lazylist", "4"], "`4`"),
             (&["fig1_lazylist", "--quick", "--fail-fast"], "`--fail-fast`"),
+            (&["fig1_lazylist", "--paper", "--race_check"], "`--race_check`"),
         ] {
-            let err = check(bad, &[]).expect_err("unknown argument accepted");
+            let err = check(bad).expect_err("unknown argument accepted");
             assert!(err.contains(offender), "{bad:?}: {err}");
             assert!(err.contains("--quick --paper --jobs N"), "lists the accepted flags: {err}");
             assert!(!err.contains(GANGS_RETIRED), "{bad:?}: {err}");
@@ -439,28 +407,71 @@ mod tests {
         for ok in [
             &["fig1_lazylist"][..],
             &["fig1_lazylist", "--quick", "--jobs", "4"],
-            &["fig1_lazylist", "--paper", "--jobs=4", "--native", "--race_check"],
+            &["fig1_lazylist", "--paper", "--jobs=4", "--native"],
             &["fig1_lazylist", "-j4"],
             &["fig1_lazylist", "-j", "4"],
             &["fig1_lazylist", "--max_cycles", "10"],
             &["fig1_lazylist", "--max_cycles=10"],
         ] {
-            assert_eq!(check(ok, &[]), Ok(vec![]), "{ok:?}");
+            assert_eq!(check(ok), Ok(vec![]), "{ok:?}");
         }
-        assert_eq!(
-            check(&["validate", "--min_agreement", "0.3", "--min_agreement=0.3"], &["--min_agreement X"]),
-            Ok(vec![])
-        );
+        let validate = parse(&["validate", "--min_agreement", "0.5", "--min_agreement=0.3"], &[Flag::MinAgreement]);
+        assert_eq!(validate.map(|cli| cli.min_agreement), Ok(Some(0.3)));
         // `fig` declares positionals: they come back in order, flag values
         // are not mistaken for them, and flags are checked as everywhere.
-        let fig = &["--recover", "FIGURE..."];
-        assert_eq!(
-            check(&["fig", "--quick", "fig_robustness", "--jobs", "4", "--recover", "fig9"], fig),
-            Ok(vec!["fig_robustness".to_string(), "fig9".to_string()])
-        );
-        assert_eq!(check(&["fig", "--quick"], fig), Ok(vec![]));
-        let err = check(&["fig", "all", "--quik"], fig).expect_err("unknown flag accepted");
+        let fig = &[Flag::Figures, Flag::Quick, Flag::Jobs, Flag::Recover];
+        let cli = parse(&["fig", "--quick", "fig_robustness", "--jobs", "4", "--recover", "fig9"], fig);
+        assert_eq!(cli.map(|cli| cli.positionals), Ok(vec!["fig_robustness".to_string(), "fig9".to_string()]));
+        assert_eq!(parse(&["fig", "--quick"], fig).map(|cli| cli.positionals), Ok(vec![]));
+        let err = parse(&["fig", "all", "--quik"], fig).expect_err("unknown flag accepted");
         assert!(err.contains("`--quik`") && err.contains("FIGURE..."), "{err}");
+    }
+
+    #[test]
+    fn flags_parse_into_one_value() {
+        let cli = parse(&["fig", "all", "--paper", "-j3", "--max_cycles=7", "--native", "--recover"], &[
+            Flag::Figures,
+            Flag::Quick,
+            Flag::Paper,
+            Flag::Jobs,
+            Flag::MaxCycles,
+            Flag::Native,
+            Flag::Recover,
+        ]);
+        let want = Cli {
+            positionals: vec!["all".to_string()],
+            scale: Scale::Paper,
+            jobs: 3,
+            max_cycles: Some(7),
+            native: true,
+            recover: true,
+            min_agreement: None,
+        };
+        assert_eq!(cli, Ok(want));
+        let plain = parse(&["validate"], PLAIN).expect("no flags");
+        assert_eq!((plain.scale, plain.jobs, plain.max_cycles, plain.native), (Scale::Standard, 0, None, false));
+        // 0 is no bound, the same as no flag.
+        assert_eq!(parse(&["fig", "--max_cycles", "0"], PLAIN).map(|cli| cli.max_cycles), Ok(None));
+        assert_eq!(parse(&["fig", "--quick"], PLAIN).map(|cli| cli.scale), Ok(Scale::Quick));
+    }
+
+    #[test]
+    fn malformed_values_name_their_flag() {
+        for (bad, flag) in [
+            (&["fig", "--jobs"][..], "`--jobs` requires a value"),
+            (&["fig", "-j"], "`--jobs` requires a value"),
+            (&["fig", "--jobs", "abc"], "`--jobs` takes a non-negative integer, got `abc`"),
+            (&["fig", "--jobs=-1"], "`--jobs` takes a non-negative integer, got `-1`"),
+            (&["fig", "--max_cycles", "-5"], "`--max_cycles` takes a non-negative integer, got `-5`"),
+            (&["fig", "--max_cycles"], "`--max_cycles` requires a value"),
+            (&["fig", "--min_agreement"], "`--min_agreement` requires a value"),
+            (&["fig", "--min_agreement", "high"], "`--min_agreement` takes a number, got `high`"),
+            (&["fig", "--min_agreement=NaN"], "`--min_agreement` takes a number, got `NaN`"),
+            (&["fig", "--quick", "--paper"], "`--quick` and `--paper` exclude each other"),
+        ] {
+            let err = parse(bad, &[PLAIN, &[Flag::MinAgreement]].concat()).expect_err("malformed value accepted");
+            assert_eq!(err, flag, "{bad:?}");
+        }
     }
 
     #[test]

@@ -31,29 +31,18 @@ use crate::table::SeriesTable;
 
 /// Experiment scale: trades fidelity to the paper's exact parameters
 /// against wall-clock time on the host.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum Scale {
     /// Smoke scale for CI: 4 threads max, 300 ops/thread.
     Quick,
     /// Default: full thread sweep, 1000 ops/thread.
+    #[default]
     Standard,
     /// The paper's §V parameters: 3000 ops/thread, threads 1..32.
     Paper,
 }
 
 impl Scale {
-    /// Parse from a CLI argument.
-    pub fn from_args() -> Scale {
-        let args: Vec<String> = std::env::args().collect();
-        if args.iter().any(|a| a == "--quick") {
-            Scale::Quick
-        } else if args.iter().any(|a| a == "--paper") {
-            Scale::Paper
-        } else {
-            Scale::Standard
-        }
-    }
-
     /// Thread sweep for throughput figures.
     pub fn threads(self) -> Vec<usize> {
         match self {
@@ -214,14 +203,15 @@ impl Plan {
 }
 
 /// Run every cell of `plans` as **one** flat sweep and assemble their
-/// tables, returned as `(csv name, table)` in plan order then table order.
+/// tables, returned as `(csv name, table)` in plan order then table order,
+/// next to the failed cells in submission order.
 ///
 /// A cell occupies the host threads it runs on — its workload threads when
 /// native, one when simulated — so `--jobs N` bounds host threads whatever
 /// the mix. A cell that panics (a livelock ceiling, the wedge watchdog)
-/// yields [`sweep::ERR_CELL`] in every entry that reads it and lands in the
-/// sweep's failure registry; all other entries keep their values.
-pub fn render(label: &str, plans: &[Plan]) -> Vec<(String, SeriesTable)> {
+/// yields [`sweep::ERR_CELL`] in every entry that reads it and one
+/// [`sweep::TaskFailure`]; all other entries keep their values.
+pub fn render(label: &str, plans: &[Plan]) -> (Vec<(String, SeriesTable)>, Vec<sweep::TaskFailure>) {
     let tasks = plans
         .iter()
         .flat_map(|plan| &plan.cells)
@@ -233,10 +223,12 @@ pub fn render(label: &str, plans: &[Plan]) -> Vec<(String, SeriesTable)> {
         .collect();
     let outcomes = sweep::run_results_weighted(label, tasks);
     // One flat index space over many figures: say which cell a failure was.
+    let mut failures = Vec::new();
     for (cell, outcome) in plans.iter().flat_map(|plan| &plan.cells).zip(&outcomes) {
         if let Err(f) = outcome {
             let (structure, threads) = (cell.structure.name(), cell.cfg.threads);
             eprintln!("[sweep {} #{}] is {structure} under {}, {threads} threads", f.label, f.index, cell.scheme);
+            failures.push(f.clone());
         }
     }
     let mut outcomes = outcomes.into_iter();
@@ -270,7 +262,7 @@ pub fn render(label: &str, plans: &[Plan]) -> Vec<(String, SeriesTable)> {
             out.push((layout.csv.clone(), table));
         }
     }
-    out
+    (out, failures)
 }
 
 /// One registry entry.
@@ -1022,8 +1014,9 @@ fn faulted_queue(scale: Scale, threads: usize, fault_plan: FaultPlan) -> RunConf
             ..Default::default()
         },
         // Backstop: if fault handling ever wedged a run, the watchdog
-        // turns it into an attributable ERR cell instead of a hang.
-        max_cycles: crate::config::default_max_cycles().or(Some(2_000_000_000)),
+        // turns it into an attributable ERR cell instead of a hang. A
+        // nonzero `fig --max_cycles` replaces it.
+        max_cycles: Some(2_000_000_000),
         ..base(scale)
     }
 }
@@ -1205,7 +1198,7 @@ mod tests {
     fn quick(names: &[&str], recover: bool) -> Vec<SeriesTable> {
         let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
         let plans = select(&names, Scale::Quick, recover).expect("registry names");
-        render("test", &plans).into_iter().map(|(_, table)| table).collect()
+        render("test", &plans).0.into_iter().map(|(_, table)| table).collect()
     }
 
     fn row(t: &SeriesTable, name: &str) -> Vec<f64> {
@@ -1303,22 +1296,20 @@ mod tests {
 
     #[test]
     fn a_failed_cell_is_err_and_every_other_cell_completes() {
-        // The failure registry is process-wide and the sweep tests drain
-        // it: hold their lock.
-        let _serial = crate::sweep::tests::JobsLock::take();
         let names = ["ablation_assoc".to_string(), "queue_bench".to_string()];
         let mut plans = select(&names, Scale::Quick, false).unwrap();
         // The 4-way cell of the associativity sweep trips the watchdog.
         plans[0].cells[1].cfg.max_cycles = Some(1);
-        let tables = render("test-failed-cell", &plans);
+        let (tables, failures) = render("test-failed-cell", &plans);
         let [assoc_tput, assoc_spurious, queue] = &tables[..] else {
             panic!("two associativity tables and the queue's");
         };
 
-        let failures = sweep::take_failures();
-        let ours: Vec<_> = failures.iter().filter(|f| f.label == "test-failed-cell").collect();
-        assert_eq!(ours.len(), 1, "{failures:?}");
-        assert_eq!(ours[0].index, 1);
+        let [failure] = &failures[..] else {
+            panic!("exactly the one failed cell: {failures:?}");
+        };
+        assert_eq!((failure.label.as_str(), failure.index), ("test-failed-cell", 1));
+        assert!(failure.message.contains("wedge watchdog"), "{}", failure.message);
 
         for (csv, t) in [assoc_tput, assoc_spurious] {
             for (name, values) in &t.series {

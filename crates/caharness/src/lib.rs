@@ -8,16 +8,22 @@
 //! (`cargo run -p caharness --release --bin fig -- fig1_lazylist`),
 //! printing the series as text tables and writing CSVs under `results/`.
 //!
-//! | binary | does |
-//! |---|---|
-//! | `fig <figure>... \| all` | renders the named figures (all 19 for `all`) as one flat sweep; with no name it lists the registry, one line per figure |
-//! | `validate` | runs one panel on the simulator and on real host threads and scores the agreement of their scheme orderings |
-//! | `race_audit` | happens-before race audit over the scheme × structure grid, diffed against a whitelist |
+//! | binary | does | accepts |
+//! |---|---|---|
+//! | `fig <figure>... \| all` | renders the named figures (all 19 for `all`) as one flat sweep; with no name it lists the registry, one line per figure | `--quick`\|`--paper`, `--recover`, `--jobs N`, `--max_cycles N`, `--native` |
+//! | `validate` | runs one panel on the simulator and on real host threads and scores the agreement of their scheme orderings | `--quick`\|`--paper`, `--jobs N`, `--max_cycles N`, `--min_agreement X` |
+//! | `race_audit` | happens-before race audit over the scheme × structure grid, diffed against a whitelist | `--quick`, `--max_cycles N` (`--native` exits 2: simulator only) |
 //!
-//! Every binary accepts `--jobs N`: experiment configurations are
-//! independent (one simulated machine each, per-config seeds), so the
-//! [`sweep`] engine runs them concurrently on `N` host threads with
-//! bit-identical results for every `N` (0/default = one per host CPU).
+//! Each binary parses its command line once, into a [`config::Cli`] value,
+//! and applies it to the configurations it builds; [`RunConfig::default`]
+//! reads nothing from the process. Any argument a binary does not honour —
+//! a typo, a retired flag, a malformed value, `--quick` with `--paper` —
+//! exits 2 with one `error:` line before any cell runs.
+//!
+//! `--jobs N` (also `-jN`): experiment configurations are independent (one
+//! simulated machine each, per-config seeds), so the [`sweep`] engine runs
+//! them concurrently on `N` host threads with bit-identical results for
+//! every `N` (0/default = one per host CPU).
 //!
 //! Robustness: `--max_cycles N` arms the per-core wedge watchdog (a
 //! run that passes `N` simulated cycles panics instead of spinning forever
@@ -32,7 +38,7 @@
 //! retraction, merge, scan) — and report the adopted backlog and the
 //! crash→adoption-complete latency in the [`Metrics`] recovery counters.
 //!
-//! Native mode (PR 8): `--native` reruns the throughput figures on **real
+//! Native mode (PR 8): `fig --native` reruns the throughput figures on **real
 //! host threads** (`casmr::NativeMachine`) instead of the simulator —
 //! same structures, same schemes, same workload generator, wall-clock
 //! metrics. Conditional Access needs the simulated hardware and renders
@@ -91,29 +97,17 @@ pub use runner::{
 };
 pub use table::SeriesTable;
 
-/// Parse the shared harness CLI flags ([`config::SHARED_FLAGS`]) and
-/// install them as process defaults. Every harness binary calls this first,
-/// passing the flags only it takes (spelled like `SHARED_FLAGS`). Anything
-/// else on the command line exits 2: a typo or a retired flag must not
-/// quietly produce a different table. Returns the positional arguments, for
-/// a bin whose `extra` declares that it takes them (see
-/// [`config::reject_unknown_flags`]).
-pub fn init_from_args(extra: &[&str]) -> Vec<String> {
-    let positionals = config::reject_unknown_flags(std::env::args(), extra).unwrap_or_else(|msg| {
-        eprintln!("error: {msg}");
-        std::process::exit(2);
-    });
-    sweep::set_jobs_from_args();
-    config::set_max_cycles_from_args();
-    config::set_native_from_args();
-    config::set_race_check_from_args();
-    positionals
-}
-
-/// Report sweep tasks that failed and exit nonzero if there were any. `fig`
-/// and `validate` call this last.
-pub fn finish() {
-    if sweep::report_failures() != 0 {
-        std::process::exit(1);
+/// Print the sweep tasks that failed (what [`experiments::render`] returns
+/// next to its tables) and exit 1 if there were any, so a sweep that
+/// degraded to `ERR` cells still fails CI. `fig` and `validate` call this
+/// last.
+pub fn finish(failures: &[sweep::TaskFailure]) {
+    if failures.is_empty() {
+        return;
     }
+    eprintln!("[sweep] {} task(s) FAILED:", failures.len());
+    for f in failures {
+        eprintln!("  [{} #{}] {}", f.label, f.index, f.message);
+    }
+    std::process::exit(1);
 }

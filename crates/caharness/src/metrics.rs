@@ -2,8 +2,9 @@
 
 use mcsim::{FootprintSample, MachineStats};
 
-/// Everything measured in one experiment run.
-#[derive(Clone, Debug)]
+/// Everything measured in one experiment run. A counter a run has no
+/// source for stays at its `Default` zero.
+#[derive(Clone, Debug, Default)]
 pub struct Metrics {
     /// Scheme legend name (`none`, `ca`, `ibr`, ...).
     pub scheme: &'static str,
@@ -131,12 +132,7 @@ impl Metrics {
             crashed_cores: stats.crashed.iter().filter(|&&c| c).count(),
             fault_stalls: stats.sum(|c| c.fault_stalls),
             alloc_failures: stats.sum(|c| c.alloc_failures),
-            peak_garbage_bytes: 0,
-            final_garbage_bytes: 0,
-            orphans_detected: 0,
-            adoptions: 0,
-            adopted_bytes: 0,
-            recovery_cycles: 0,
+            ..Default::default()
         }
     }
 
@@ -156,34 +152,7 @@ impl Metrics {
             throughput: stats.total_ops as f64 / (stats.wall_ns.max(1) as f64 / 1000.0),
             final_allocated: stats.allocated_not_freed,
             peak_allocated: stats.peak_allocated,
-            footprint: Vec::new(),
-            cread_fail: 0,
-            cwrite_fail: 0,
-            spurious_revokes: 0,
-            fences: 0,
-            l1_miss_ratio: 0.0,
-            sibling_revokes: 0,
-            e_grants: 0,
-            silent_upgrades: 0,
-            tx_begins: 0,
-            tx_aborts: 0,
-            batched_events: 0,
-            turn_handoffs: 0,
-            l1_hit_cycles: 0,
-            l2_hit_cycles: 0,
-            mem_fill_cycles: 0,
-            invalidation_cycles: 0,
-            untag_alls: 0,
-            untag_ones: 0,
-            crashed_cores: 0,
-            fault_stalls: 0,
-            alloc_failures: 0,
-            peak_garbage_bytes: 0,
-            final_garbage_bytes: 0,
-            orphans_detected: 0,
-            adoptions: 0,
-            adopted_bytes: 0,
-            recovery_cycles: 0,
+            ..Default::default()
         }
     }
 

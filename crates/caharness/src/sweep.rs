@@ -53,12 +53,8 @@ type WorkQueue<'env, T> = Mutex<VecDeque<(usize, usize, Task<'env, T>)>>;
 /// Global worker-count knob. 0 = auto (one worker per host CPU).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
 
-/// Process-wide registry of collected task failures (see
-/// [`report_failures`]). A `Mutex<Vec>` rather than a counter so the final
-/// report can say *which* cells died and why.
-static FAILURES: Mutex<Vec<TaskFailure>> = Mutex::new(Vec::new());
-
-/// One collected task failure.
+/// One task that panicked, as [`run_results_weighted`] returns it in the
+/// task's slot.
 #[derive(Clone, Debug)]
 pub struct TaskFailure {
     /// The sweep's label (e.g. `lazylist 50i-50d`).
@@ -67,33 +63,6 @@ pub struct TaskFailure {
     pub index: usize,
     /// The panic message (or a placeholder for non-string payloads).
     pub message: String,
-}
-
-/// Number of task failures collected so far in this process.
-pub fn failure_count() -> usize {
-    FAILURES.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
-}
-
-/// Drain the collected failures (tests; [`report_failures`] uses it too).
-pub fn take_failures() -> Vec<TaskFailure> {
-    std::mem::take(&mut *FAILURES.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
-}
-
-/// Print every collected failure to stderr and return the process exit
-/// code (1 if anything failed, else 0). Harness bins end `main` with
-/// `std::process::exit(sweep::report_failures())` so a sweep that degraded
-/// — rendered `ERR` cells instead of results — still fails CI.
-pub fn report_failures() -> i32 {
-    let failures = take_failures();
-    if failures.is_empty() {
-        return 0;
-    }
-    let mut err = std::io::stderr().lock();
-    let _ = writeln!(err, "[sweep] {} task(s) FAILED:", failures.len());
-    for f in &failures {
-        let _ = writeln!(err, "  [{} #{}] {}", f.label, f.index, f.message);
-    }
-    1
 }
 
 /// The `f64` value an `ERR` table cell carries: a NaN with a recognizable
@@ -115,31 +84,11 @@ fn panic_message(e: &(dyn std::any::Any + Send)) -> String {
         .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
-fn record_failure(label: &str, index: usize, message: String) -> TaskFailure {
-    let f = TaskFailure {
-        label: label.to_string(),
-        index,
-        message,
-    };
-    FAILURES
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .push(f.clone());
-    f
-}
-
 /// Set the number of host worker threads for subsequent sweeps
 /// (0 = auto: one per host CPU). Bins thread `--jobs N` through here; the
 /// setting only affects host wall-clock, never simulated results.
 pub fn set_jobs(n: usize) {
     JOBS.store(n, Ordering::Relaxed);
-}
-
-/// Parse `--jobs` from the CLI and install it as the pool width — the
-/// one-liner every harness bin calls (see
-/// [`crate::config::jobs_from_args`] for the accepted spellings).
-pub fn set_jobs_from_args() {
-    set_jobs(crate::config::jobs_from_args());
 }
 
 /// The effective worker count for a sweep started now.
@@ -254,9 +203,7 @@ impl Occupancy {
 ///
 /// A panicking task (e.g. a livelock ceiling or wedge watchdog firing
 /// inside one configuration) becomes an `Err(TaskFailure)` for that slot —
-/// the sweep keeps going, the failure is also pushed into the process-wide
-/// registry ([`report_failures`]), and every other cell still produces its
-/// result.
+/// the sweep keeps going and every other cell still produces its result.
 ///
 /// Tasks may themselves be multi-threaded on the host, so each declares an
 /// **occupancy weight** — the number of host threads it runs (1 for a
@@ -276,8 +223,11 @@ pub fn run_results_weighted<'env, T: Send + 'env>(
     let workers = jobs().clamp(1, total.max(1));
     let progress = Progress::new(label, total, workers);
     let execute = |i: usize, task: Task<'env, T>| -> Result<T, TaskFailure> {
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task))
-            .map_err(|e| record_failure(label, i, panic_message(&*e)));
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).map_err(|e| TaskFailure {
+            label: label.to_string(),
+            index: i,
+            message: panic_message(&*e),
+        });
         progress.bump();
         r
     };
@@ -346,9 +296,7 @@ pub fn run_results_weighted<'env, T: Send + 'env>(
 /// [`crate::Metrics`] tables).
 ///
 /// Any task failure still panics out of this call, but only *after* every
-/// task has run (so a multi-figure bin loses one figure, not the whole
-/// batch, when it catches the unwind or runs figures in separate sweeps —
-/// and the failure is in the registry either way).
+/// task has run.
 pub fn run<'env, T: Send + 'env>(label: &str, tasks: Vec<Task<'env, T>>) -> Vec<T> {
     run_results_weighted(label, tasks.into_iter().map(|t| (1, t)).collect())
         .into_iter()
@@ -381,7 +329,7 @@ where
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
     use std::sync::MutexGuard;
@@ -390,13 +338,11 @@ pub(crate) mod tests {
     /// concurrent threads; serialize them so each actually executes at the
     /// worker count it sets (results never depend on it — that's the
     /// engine's contract — but the *coverage* of specific pool widths
-    /// does). Restores auto on drop, even on panic. Also held by any test
-    /// elsewhere in the crate that makes a task fail: these tests drain the
-    /// failure registry, which is process-global too.
-    pub(crate) struct JobsLock(#[allow(dead_code)] MutexGuard<'static, ()>);
+    /// does). Restores auto on drop, even on panic.
+    struct JobsLock(#[allow(dead_code)] MutexGuard<'static, ()>);
 
     impl JobsLock {
-        pub(crate) fn take() -> Self {
+        fn take() -> Self {
             static LOCK: Mutex<()> = Mutex::new(());
             JobsLock(LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
         }
@@ -519,16 +465,12 @@ pub(crate) mod tests {
             }));
             assert!(r.is_err(), "a task panic must propagate out of run (jobs={jobs})");
         }
-        // The failures also landed in the registry; drop them so other
-        // tests (and the harness process) aren't polluted.
-        take_failures();
     }
 
     #[test]
     fn collecting_mode_degrades_per_cell() {
         let _jobs = JobsLock::take();
         set_jobs(2);
-        take_failures();
         let tasks = panicky_tasks(2).into_iter().map(|t| (1, t)).collect();
         let out = run_results_weighted("test-collect", tasks);
         assert_eq!(out.len(), 4);
@@ -538,12 +480,6 @@ pub(crate) mod tests {
         assert_eq!((f.label.as_str(), f.index), ("test-collect", 2));
         assert!(f.message.contains("deliberate sweep panic"), "{}", f.message);
         assert_eq!(*out[3].as_ref().unwrap(), 3, "later tasks still run");
-        let collected = take_failures();
-        assert_eq!(
-            collected.iter().filter(|f| f.label == "test-collect").count(),
-            1,
-            "the failure must land in the process registry"
-        );
     }
 
     #[test]

@@ -15,24 +15,135 @@ fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
     )
 }
 
+/// `bin args` exits 2 with exactly one stderr line, an `error:` containing
+/// `needle`.
+fn rejects(bin: &str, args: &[&str], needle: &str) {
+    let (code, stderr) = run(bin, args);
+    assert_eq!(code, Some(2), "{args:?}: {stderr}");
+    assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+    assert!(stderr.starts_with("error: "), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+}
+
+const FIG: &str = env!("CARGO_BIN_EXE_fig");
+const VALIDATE: &str = env!("CARGO_BIN_EXE_validate");
+const RACE_AUDIT: &str = env!("CARGO_BIN_EXE_race_audit");
+
 #[test]
 fn race_audit_rejects_native() {
-    let (code, stderr) = run(env!("CARGO_BIN_EXE_race_audit"), &["--quick", "--native"]);
-    assert_eq!(code, Some(2), "{stderr}");
-    assert_eq!(stderr.lines().count(), 1, "{stderr}");
-    assert!(stderr.contains("only on the simulator"), "{stderr}");
+    rejects(
+        RACE_AUDIT,
+        &["--quick", "--native"],
+        "only on the simulator",
+    );
 }
 
 #[test]
 fn fail_fast_is_an_unknown_flag() {
-    let (code, stderr) = run(
-        env!("CARGO_BIN_EXE_fig"),
+    rejects(
+        FIG,
         &["all", "--quick", "--fail-fast"],
+        "unrecognized argument `--fail-fast`",
     );
-    assert_eq!(code, Some(2), "{stderr}");
-    assert_eq!(stderr.lines().count(), 1, "{stderr}");
-    assert!(
-        stderr.contains("unrecognized argument `--fail-fast`"),
-        "{stderr}"
+}
+
+#[test]
+fn fig_jobs_without_a_value_is_an_error() {
+    rejects(
+        FIG,
+        &["fig1_lazylist", "--quick", "--jobs"],
+        "`--jobs` requires a value",
+    );
+}
+
+#[test]
+fn fig_non_numeric_jobs_is_an_error() {
+    rejects(
+        FIG,
+        &["fig1_lazylist", "--quick", "--jobs", "abc"],
+        "`--jobs` takes a non-negative integer",
+    );
+}
+
+#[test]
+fn fig_negative_max_cycles_is_an_error() {
+    rejects(
+        FIG,
+        &["fig1_lazylist", "--quick", "--max_cycles", "-5"],
+        "`--max_cycles` takes a non-negative integer",
+    );
+}
+
+#[test]
+fn race_audit_takes_no_jobs() {
+    rejects(
+        RACE_AUDIT,
+        &["--quick", "--jobs", "x"],
+        "unrecognized argument `--jobs`",
+    );
+    rejects(
+        RACE_AUDIT,
+        &["--quick", "--jobs", "4"],
+        "unrecognized argument `--jobs`",
+    );
+}
+
+#[test]
+fn race_audit_takes_no_paper() {
+    rejects(
+        RACE_AUDIT,
+        &["--quick", "--paper"],
+        "unrecognized argument `--paper`",
+    );
+}
+
+#[test]
+fn validate_min_agreement_needs_a_number() {
+    rejects(
+        VALIDATE,
+        &["--quick", "--min_agreement"],
+        "`--min_agreement` requires a value",
+    );
+    rejects(
+        VALIDATE,
+        &["--quick", "--min_agreement", "high"],
+        "`--min_agreement` takes a number",
+    );
+}
+
+#[test]
+fn quick_and_paper_together_is_an_error() {
+    rejects(
+        FIG,
+        &["fig1_lazylist", "--quick", "--paper"],
+        "`--quick` and `--paper` exclude each other",
+    );
+    rejects(
+        VALIDATE,
+        &["--paper", "--quick"],
+        "`--quick` and `--paper` exclude each other",
+    );
+}
+
+#[test]
+fn validate_takes_no_native() {
+    rejects(
+        VALIDATE,
+        &["--quick", "--native"],
+        "unrecognized argument `--native`",
+    );
+}
+
+#[test]
+fn race_check_is_not_a_flag() {
+    rejects(
+        FIG,
+        &["fig1_lazylist", "--quick", "--race_check"],
+        "unrecognized argument `--race_check`",
+    );
+    rejects(
+        VALIDATE,
+        &["--quick", "--race_check"],
+        "unrecognized argument `--race_check`",
     );
 }

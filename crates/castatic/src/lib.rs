@@ -13,9 +13,10 @@
 //!    op, or a deleted one all show up as a ledger diff that has to be
 //!    committed — and therefore reviewed.
 //! 3. **`nondet`** — bans nondeterminism hazards in the sim-deterministic
-//!    crates: `Instant::now` / `SystemTime` (host clocks), `env::var`
-//!    outside `config.rs` (hidden configuration), and `HashMap`/`HashSet`
-//!    imports (unordered iteration in result paths).
+//!    crates: `Instant::now` / `SystemTime` (host clocks), `env::var` and
+//!    `env::args` outside `config.rs` (hidden configuration: a process
+//!    default that a library value reads silently), and
+//!    `HashMap`/`HashSet` imports (unordered iteration in result paths).
 //!
 //! Any finding can be waived in place with
 //! `// castatic: allow(<rule>) — justification` on the finding's line or
@@ -52,8 +53,8 @@ pub struct Rules {
     pub unsafe_comment: bool,
     /// `nondet`: host clocks, env reads, unordered-map imports.
     pub nondet: bool,
-    /// Exempt `env::var` (the `nondet` sub-rule) for this file — the one
-    /// sanctioned configuration funnel (`config.rs`).
+    /// Exempt `env::var` / `env::args` (the `nondet` sub-rule) for this
+    /// file — the one sanctioned configuration funnel (`config.rs`).
     pub env_exempt: bool,
 }
 
@@ -356,11 +357,11 @@ pub fn lint_file(file: &str, src: &str, rules: Rules) -> Vec<Finding> {
                 hit = Some("host clock (`SystemTime`) in a sim-deterministic crate");
             } else if !rules.env_exempt
                 && seq3("env", ":", ":")
-                && toks
-                    .get(idx + 3)
-                    .is_some_and(|x| x.text == "var" || x.text == "var_os" || x.text == "vars")
+                && toks.get(idx + 3).is_some_and(|x| {
+                    ["var", "var_os", "vars", "args", "args_os"].contains(&x.text.as_str())
+                })
             {
-                hit = Some("environment read outside config.rs (hidden configuration)");
+                hit = Some("environment or command-line read outside config.rs (hidden configuration)");
             } else if t.text == "HashMap" || t.text == "HashSet" {
                 // Only flag the import: one finding (and one waiver) per
                 // use, at the point a reviewer looks for it.
@@ -554,6 +555,20 @@ mod tests {
             rules,
             vec![(2, "nondet"), (3, "nondet"), (4, "nondet"), (6, "nondet")]
         );
+    }
+
+    #[test]
+    fn argv_reads_are_env_reads() {
+        let src = "fn f() {\n    let a = std::env::args().count();\n    let b = env::args_os();\n}\n";
+        let f = lint_file("experiments.rs", src, ALL);
+        let rules: Vec<_> = f.iter().map(|x| (x.line, x.rule)).collect();
+        assert_eq!(rules, vec![(2, "nondet"), (3, "nondet")]);
+        assert!(f[0].msg.contains("command-line"), "{}", f[0].msg);
+        let exempt = Rules {
+            env_exempt: true,
+            ..ALL
+        };
+        assert!(lint_file("config.rs", src, exempt).is_empty());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! - `nondet` runs on the sim-deterministic crates (mcsim, cacore, casmr,
 //!   cads, caharness), excluding `bin/` (the figure binaries are host-side
 //!   reporting tools and measure wall clock on purpose) and exempting
-//!   `config.rs` from the env-read sub-rule (the sanctioned funnel).
+//!   `config.rs` from the env/argv-read sub-rule (the sanctioned funnel).
 //! - `atomic-ledger` runs on `crates/casmr/src` and diffs against
 //!   `ORDERINGS.md` at the repo root.
 
@@ -24,7 +24,7 @@ use castatic::{atomic_uses, lint_file, Finding, Rules};
 const NONDET_CRATES: &[&str] = &["mcsim", "cacore", "casmr", "cads", "caharness"];
 
 /// Crates linted at all (skips `shims/`, which is vendored-shim code).
-const LINT_CRATES: &[&str] = &["mcsim", "cacore", "casmr", "cads", "caharness", "cabench", "castatic"];
+const LINT_CRATES: &[&str] = &["mcsim", "cacore", "casmr", "cads", "caharness", "castatic"];
 
 fn repo_root() -> PathBuf {
     // Baked at compile time: crates/castatic -> repo root.

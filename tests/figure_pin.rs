@@ -33,6 +33,7 @@ fn quick_figures_match_the_goldens() {
     plans.extend(select(&names(&["fig_recovery"]), Scale::Quick, false).expect("in the registry"));
 
     let rendered: String = render("figure_pin", &plans)
+        .0
         .iter()
         .enumerate()
         .map(|(i, (csv, t))| {

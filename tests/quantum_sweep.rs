@@ -110,7 +110,7 @@ fn parallel_sweep_is_byte_identical_across_jobs() {
     let plans = experiments::select(&["queue_bench".to_string()], Scale::Quick, false).unwrap();
     let render = |jobs: usize| {
         sweep::set_jobs(jobs);
-        let tables = experiments::render("jobs determinism", &plans);
+        let (tables, _) = experiments::render("jobs determinism", &plans);
         sweep::set_jobs(0);
         let (_, t) = &tables[0];
         format!("{}\n{}", t.render(), t.to_csv())
