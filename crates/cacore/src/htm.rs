@@ -69,8 +69,26 @@ pub fn tx_loop<T>(ctx: &mut Ctx, mut body: impl FnMut(&mut Ctx) -> TxStep<T>) ->
 /// returns [`TxStep::Restart`] from the enclosing function on abort (the
 /// transaction has already been rolled back by the hardware).
 ///
-/// ```ignore
-/// let next = tx_try!(ctx.tx_read(node.word(W_NEXT)));
+/// A counter that two threads increment, one transaction per increment:
+///
+/// ```
+/// use cacore::{tx_check, tx_loop, tx_try, TxStep};
+/// use mcsim::{Machine, MachineConfig};
+///
+/// let m = Machine::new(MachineConfig { cores: 2, ..Default::default() });
+/// let counter = m.alloc_static(1);
+/// m.run_on(2, |_, ctx| {
+///     for _ in 0..100 {
+///         tx_loop(ctx, |ctx| {
+///             ctx.tx_begin();
+///             let v = tx_try!(ctx.tx_read(counter));
+///             tx_check!(ctx.tx_write(counter, v + 1));
+///             tx_check!(ctx.tx_commit());
+///             TxStep::Done(())
+///         });
+///     }
+/// });
+/// assert_eq!(m.host_read(counter), 200);
 /// ```
 #[macro_export]
 macro_rules! tx_try {

@@ -62,6 +62,96 @@ pub enum CaStep<T> {
 /// capacity eviction, both of which are transient. Hitting the ceiling means
 /// the data structure is broken (e.g. it forgot to untag on some path), so
 /// we fail loudly rather than hang the test suite.
+///
+/// # Example: a structure of your own
+///
+/// A bag of values whose `take_any` unlinks the first node and frees it at
+/// once, following the paper's §IV directives:
+///
+/// 1. **DI**: every access to a node that can be freed is a `cread` or a
+///    `cwrite` inside `ca_loop`; a failure ([`ca_try!`](crate::ca_try),
+///    [`ca_check!`](crate::ca_check)) untags everything and retries the
+///    operation from scratch.
+/// 2. **DII**: right after a node is first tagged, validate that it was
+///    reachable (here: its `seq` stamp is even, so it was not retired).
+/// 3. **Write before free**: bump the node's `seq` before freeing it, which
+///    revokes every tag on it.
+///
+/// ```
+/// use cacore::{ca_check, ca_loop, ca_try, CaStep};
+/// use mcsim::machine::Ctx;
+/// use mcsim::{Addr, Machine, MachineConfig};
+///
+/// // Node words: value, next, seq (odd = retired). One node per line.
+/// const W_VAL: u64 = 0;
+/// const W_NEXT: u64 = 1;
+/// const W_SEQ: u64 = 2;
+///
+/// struct CaBag {
+///     head: Addr, // static cell: the first node, 0 = empty
+/// }
+///
+/// impl CaBag {
+///     fn add(&self, ctx: &mut Ctx, value: u64) {
+///         let n = ctx.alloc();
+///         ctx.write(n.word(W_VAL), value);
+///         ctx.write(n.word(W_SEQ), 0);
+///         ca_loop(ctx, |ctx| {
+///             let first = ca_try!(ctx.cread(self.head));
+///             ctx.write(n.word(W_NEXT), first); // private until published
+///             ca_check!(ctx.cwrite(self.head, n.0));
+///             CaStep::Done(())
+///         })
+///     }
+///
+///     fn take_any(&self, ctx: &mut Ctx) -> Option<u64> {
+///         let (node, val) = ca_loop(ctx, |ctx| {
+///             let first = ca_try!(ctx.cread(self.head));
+///             if first == 0 {
+///                 return CaStep::Done(None);
+///             }
+///             let node = Addr(first);
+///             // DII: a node retired before we tagged it is not trusted.
+///             let seq = ca_try!(ctx.cread(node.word(W_SEQ)));
+///             if seq % 2 == 1 {
+///                 return CaStep::Retry;
+///             }
+///             let next = ca_try!(ctx.cread(node.word(W_NEXT)));
+///             let val = ca_try!(ctx.cread(node.word(W_VAL)));
+///             ca_check!(ctx.cwrite(self.head, next));
+///             // Write before free: the cwrite revoked head's taggers; this
+///             // revokes anyone who tagged only the node.
+///             ctx.write(node.word(W_SEQ), seq + 1);
+///             CaStep::Done(Some((node, val)))
+///         })?;
+///         ctx.free(node);
+///         Some(val)
+///     }
+/// }
+///
+/// // The use-after-free detector is armed: any read of freed memory panics.
+/// let machine = Machine::new(MachineConfig { cores: 4, ..Default::default() });
+/// let bag = CaBag { head: machine.alloc_static(1) };
+/// let sums = machine.run_on(4, |tid, ctx| {
+///     let (mut added, mut taken) = (0, 0);
+///     for i in 1..=1000u64 {
+///         let v = tid as u64 * 10_000 + i;
+///         bag.add(ctx, v);
+///         added += v;
+///         if i % 2 == 0 {
+///             taken += bag.take_any(ctx).unwrap_or(0);
+///         }
+///     }
+///     (added, taken)
+/// });
+/// let leftover = machine.run_on(1, |_, ctx| {
+///     std::iter::from_fn(|| bag.take_any(ctx)).sum::<u64>()
+/// });
+/// let added: u64 = sums.iter().map(|s| s.0).sum();
+/// let taken: u64 = sums.iter().map(|s| s.1).sum::<u64>() + leftover[0];
+/// assert_eq!(added, taken, "no value lost or duplicated");
+/// assert_eq!(machine.stats().allocated_not_freed, 0);
+/// ```
 pub fn ca_loop<T>(ctx: &mut Ctx, mut body: impl FnMut(&mut Ctx) -> CaStep<T>) -> T {
     let mut retries: u64 = 0;
     loop {
@@ -86,10 +176,7 @@ pub fn ca_loop<T>(ctx: &mut Ctx, mut body: impl FnMut(&mut Ctx) -> CaStep<T>) ->
 
 /// `cread` with the paper's `CA_CHECK`: evaluates to the loaded value, or
 /// returns [`CaStep::Retry`] from the enclosing function on failure.
-///
-/// ```ignore
-/// let top = ca_try!(ctx.cread(stack.top));
-/// ```
+/// [`ca_loop`] shows it in a whole structure.
 #[macro_export]
 macro_rules! ca_try {
     ($e:expr) => {
@@ -102,10 +189,7 @@ macro_rules! ca_try {
 
 /// `cwrite` (or any boolean CA condition) with the paper's `CA_CHECK`:
 /// returns [`CaStep::Retry`] from the enclosing function when false.
-///
-/// ```ignore
-/// ca_check!(ctx.cwrite(stack.top, newtop.0));
-/// ```
+/// [`ca_loop`] shows it in a whole structure.
 #[macro_export]
 macro_rules! ca_check {
     ($e:expr) => {

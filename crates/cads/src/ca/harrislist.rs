@@ -37,14 +37,6 @@ use crate::traits::{DsShared, SetDs};
 /// The lock-free Conditional-Access sorted list.
 pub struct CaHarrisList {
     head: Addr,
-    tail: Addr,
-}
-
-impl CaHarrisList {
-    /// Tail sentinel address (for checkers).
-    pub fn tail_node(&self) -> Addr {
-        self.tail
-    }
 }
 
 struct Located {
@@ -60,7 +52,7 @@ impl CaHarrisList {
         let tail = machine.alloc_static(1);
         machine.host_write(tail.word(W_KEY), KEY_TAIL);
         machine.host_write(head.word(W_NEXT), tail.0);
-        Self { head, tail }
+        Self { head }
     }
 
     /// Head sentinel (for checkers).

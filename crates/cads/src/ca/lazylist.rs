@@ -30,8 +30,6 @@ use crate::traits::{DsShared, SetDs};
 pub struct CaLazyList {
     /// Head sentinel node (static, key −∞, never marked or freed).
     head: Addr,
-    /// Tail sentinel node (static, key +∞).
-    tail: Addr,
 }
 
 /// Result of a successful `locate`.
@@ -48,17 +46,12 @@ impl CaLazyList {
         let tail = machine.alloc_static(1);
         machine.host_write(tail.word(W_KEY), KEY_TAIL);
         machine.host_write(head.word(W_NEXT), tail.0);
-        Self { head, tail }
+        Self { head }
     }
 
     /// Head sentinel address (for checkers walking the final state).
     pub fn head_node(&self) -> Addr {
         self.head
-    }
-
-    /// Tail sentinel address.
-    pub fn tail_node(&self) -> Addr {
-        self.tail
     }
 
     /// Algorithm 3 `locate`: returns tagged `pred`/`curr` with

@@ -32,11 +32,6 @@ impl CaStack {
             top: machine.alloc_static(1),
         }
     }
-
-    /// Address of the `top` cell (tests/examples).
-    pub fn top_cell(&self) -> Addr {
-        self.top
-    }
 }
 
 impl DsShared for CaStack {

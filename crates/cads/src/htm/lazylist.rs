@@ -49,8 +49,6 @@ pub const DEFAULT_META_SLOTS: usize = 256;
 pub struct HtmLazyList {
     /// Head sentinel (static, key −∞, never marked or freed).
     head: Addr,
-    /// Tail sentinel (static, key +∞).
-    tail: Addr,
     /// Base of the version table: `slots` consecutive static lines.
     meta: Addr,
     slots: u64,
@@ -87,7 +85,6 @@ impl HtmLazyList {
         machine.host_write(head.word(W_NEXT), tail.0);
         Self {
             head,
-            tail,
             meta,
             slots: slots as u64,
         }
@@ -96,11 +93,6 @@ impl HtmLazyList {
     /// Head sentinel address (for checkers walking the final state).
     pub fn head_node(&self) -> Addr {
         self.head
-    }
-
-    /// Tail sentinel address.
-    pub fn tail_node(&self) -> Addr {
-        self.tail
     }
 
     /// The version slot guarding `node`: a Fibonacci hash of its line

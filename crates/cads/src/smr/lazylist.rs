@@ -28,7 +28,6 @@ const SLOTS: usize = 3;
 /// The SMR-parameterized lazy list.
 pub struct SmrLazyList<S> {
     head: Addr,
-    tail: Addr,
     smr: S,
 }
 
@@ -45,7 +44,7 @@ impl<S> SmrLazyList<S> {
         let tail = host.alloc_static(1);
         host.host_write(tail.word(W_KEY), KEY_TAIL);
         host.host_write(head.word(W_NEXT), tail.0);
-        Self { head, tail, smr }
+        Self { head, smr }
     }
 
     /// The underlying scheme.
@@ -56,11 +55,6 @@ impl<S> SmrLazyList<S> {
     /// Head sentinel (for checkers).
     pub fn head_node(&self) -> Addr {
         self.head
-    }
-
-    /// Tail sentinel.
-    pub fn tail_node(&self) -> Addr {
-        self.tail
     }
 }
 

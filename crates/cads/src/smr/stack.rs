@@ -6,7 +6,8 @@
 //! epoch/interval schemes cover the whole operation. The `none` baseline is
 //! ABA-safe too, trivially — addresses are never reused because nothing is
 //! ever freed. Only *unsafe manual* immediate freeing breaks the CAS (see
-//! `examples/aba_demo.rs`); Conditional Access is how the paper makes
+//! `plain_cas_free_in_pop_faults_where_ca_stack_does_not` in
+//! `tests/ca_semantics.rs`); Conditional Access is how the paper makes
 //! immediate freeing safe.
 
 use casmr::{Env, EnvHost, Smr, SmrBase};

@@ -1476,5 +1476,10 @@ mod tests {
             none.last().unwrap() > ca.last().unwrap(),
             "leaky footprint must exceed CA"
         );
+        // Immediate reclamation vs batching: CA's peak is below rcu's
+        // (`f64::max` skips NaN cells).
+        let peak = |v: &[f64]| v.iter().copied().fold(0.0, f64::max);
+        let rcu = row(t, "rcu");
+        assert!(peak(&ca) < peak(&rcu), "CA peak below rcu's: {ca:?} vs {rcu:?}");
     }
 }

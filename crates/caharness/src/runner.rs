@@ -539,8 +539,8 @@ fn reject_native(needs_sim: bool, what: &str) {
     assert!(
         !needs_sim,
         "{what} is simulator-only and cannot run with RunConfig::native \
-         (Conditional Access and the instrumented runners need the \
-         simulated machine)"
+         (Conditional Access, the CA/HTM-only structures and fault plans \
+         need the simulated machine)"
     );
 }
 

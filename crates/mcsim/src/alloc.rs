@@ -9,7 +9,8 @@
 //! The allocator also implements the reproduction's use-after-free
 //! *detector*: every data access is validated against the allocation map, so
 //! an SMR bug (or a deliberately broken data structure, see
-//! `examples/aba_demo.rs`) is caught at the exact access. This machine-checks
+//! `plain_cas_free_in_pop_faults_where_ca_stack_does_not` in
+//! `tests/ca_semantics.rs`) is caught at the exact access. This machine-checks
 //! the paper's Theorem 6 across the whole test suite.
 //!
 //! Address-space layout (in 64-byte lines):

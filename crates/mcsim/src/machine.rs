@@ -208,26 +208,6 @@ impl Default for MachineConfig {
     }
 }
 
-impl MachineConfig {
-    /// The paper's Graphite configuration with `cores` cores.
-    pub fn paper(cores: usize) -> Self {
-        Self {
-            cores,
-            ..Self::default()
-        }
-    }
-
-    /// The paper configuration with 2-way SMT: `threads` hardware threads
-    /// packed two per physical core (paper §III's hyperthreading rules).
-    pub fn paper_smt2(threads: usize) -> Self {
-        Self {
-            cores: threads,
-            smt: 2,
-            ..Self::default()
-        }
-    }
-}
-
 /// A sample of the allocation footprint: (completed ops, allocated-not-freed).
 pub type FootprintSample = (u64, u64);
 

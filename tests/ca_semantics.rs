@@ -6,8 +6,10 @@ mod common;
 use common::machine;
 use conditional_access::ca::{ca_check, ca_loop, ca_try, CaStep};
 use conditional_access::ds::ca::{CaLazyList, CaStack};
+use conditional_access::ds::layout::{W_KEY, W_NEXT};
 use conditional_access::ds::{SetDs, StackDs};
-use conditional_access::sim::{Machine, MachineConfig, Rng, UafMode};
+use conditional_access::sim::machine::Ctx;
+use conditional_access::sim::{Addr, Machine, MachineConfig, Rng, UafMode};
 
 /// Theorem 6 (safety): no CA structure ever touches reclaimed memory.
 /// The detector is armed in Panic mode; heavy churn with immediate reuse
@@ -66,6 +68,91 @@ fn theorem7_aba_freedom_exact_counts() {
         n
     });
     assert_eq!(drained[0], pushed_minus_popped);
+    assert_eq!(m.stats().allocated_not_freed, 0);
+}
+
+/// A Treiber stack that frees in `pop` with nothing but plain CAS: what
+/// "just free it" looks like without Conditional Access (§IV-A).
+struct BrokenStack {
+    top: Addr,
+}
+
+impl BrokenStack {
+    fn push(&self, ctx: &mut Ctx, value: u64) {
+        let n = ctx.alloc();
+        ctx.write(n.word(W_KEY), value);
+        loop {
+            let t = ctx.read(self.top);
+            ctx.write(n.word(W_NEXT), t);
+            if ctx.cas(self.top, t, n.0).is_ok() {
+                return;
+            }
+        }
+    }
+
+    fn pop(&self, ctx: &mut Ctx) -> Option<u64> {
+        loop {
+            let t = ctx.read(self.top);
+            if t == 0 {
+                return None;
+            }
+            // `t` may already be freed: this read is the use-after-free the
+            // detector records. Were it to survive, the CAS below compares
+            // only the address, so a recycled node slips through (ABA).
+            let next = ctx.read(Addr(t).word(W_NEXT));
+            if ctx.cas(self.top, t, next).is_ok() {
+                let v = ctx.read(Addr(t).word(W_KEY));
+                ctx.free(Addr(t));
+                return Some(v);
+            }
+        }
+    }
+}
+
+/// §IV-A's ABA scenario, both ways, under the same 4-thread push/pop churn
+/// with immediate reuse: the plain-CAS stack reads freed memory, while
+/// Algorithm 1's `cwrite` fails on the invalidated line instead of comparing
+/// values, so the CA stack never does and ends with nothing allocated.
+#[test]
+fn plain_cas_free_in_pop_faults_where_ca_stack_does_not() {
+    let recording = || {
+        Machine::new(MachineConfig {
+            cores: 4,
+            uaf_mode: UafMode::Record,
+            ..Default::default()
+        })
+    };
+    let m = recording();
+    let broken = BrokenStack {
+        top: m.alloc_static(1),
+    };
+    m.run_on(4, |tid, ctx| {
+        for i in 0..2000u64 {
+            broken.push(ctx, (tid as u64) << 32 | i);
+            broken.pop(ctx);
+        }
+    });
+    assert!(
+        !m.faults().is_empty(),
+        "the plain-CAS stack must read freed memory"
+    );
+
+    let m = recording();
+    let st = CaStack::new(&m);
+    m.run_on(4, |tid, ctx| {
+        let mut tls = ();
+        for i in 0..2000u64 {
+            st.push(ctx, &mut tls, (tid as u64) << 32 | i);
+            st.pop(ctx, &mut tls);
+        }
+    });
+    let faults = m.faults();
+    assert!(
+        faults.is_empty(),
+        "CA stack faulted {} times, first {:?}",
+        faults.len(),
+        faults[0]
+    );
     assert_eq!(m.stats().allocated_not_freed, 0);
 }
 
@@ -134,7 +221,7 @@ fn failed_creads_do_not_touch_freed_memory() {
                     }
                     // The node can be freed at any time; if this succeeds
                     // the memory must still be live (detector checks).
-                    let _ = ca_try!(ctx.cread(conditional_access::sim::Addr(p)));
+                    let _ = ca_try!(ctx.cread(Addr(p)));
                     CaStep::Done(())
                 });
             }
