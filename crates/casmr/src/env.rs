@@ -106,10 +106,35 @@ pub trait Env {
     /// (except under `MachineConfig::race_check`, where it issues a
     /// zero-cost trace event so the `mcsim::hb` analyzer sees the edge),
     /// [`crate::native::NativeEnv`] overrides with a real `SeqCst` fence.
-    /// Fences the cost model *does* charge (hp's per-protect fence, rcu's
-    /// pin) go through [`Env::fence`] instead.
+    /// Fences the cost model *does* charge go through [`Env::fence`]
+    /// (rcu's pin) or [`Env::protect_fence`] (hp's per-protect fence)
+    /// instead; hp's scan fence is [`Env::reclaim_fence`].
     #[inline]
     fn smr_fence(&mut self) {}
+
+    /// The light half of an asymmetric fence pair: issued by a reader
+    /// between publishing a reservation (a hazard pointer) and re-reading
+    /// the field it protects. Defaults to [`Env::fence`], so the simulator
+    /// charges and traces exactly the fence it always did.
+    ///
+    /// An environment may make this cheaper than a full fence (the native
+    /// backend makes it a compiler fence) only if every reader of the
+    /// published slots issues [`Env::reclaim_fence`] before loading them:
+    /// the heavy half must force the full fence onto every publisher.
+    #[inline]
+    fn protect_fence(&mut self) {
+        self.fence()
+    }
+
+    /// The heavy half of the pair: issued by a reclaimer before it loads
+    /// the reservations that [`Env::protect_fence`] callers published.
+    /// Defaults to [`Env::smr_fence`]. The native backend makes it
+    /// `membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED)`, a full fence on
+    /// every running thread of the process, when the kernel supports it.
+    #[inline]
+    fn reclaim_fence(&mut self) {
+        self.smr_fence()
+    }
 
     /// Busy-wait hint for blocking spin loops; `iter` is the caller's
     /// iteration count within the current acquisition attempt.

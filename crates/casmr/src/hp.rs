@@ -9,6 +9,16 @@
 //! paper's §V — hp pays it for *every node visited* during a traversal,
 //! which is why it sits at the bottom of every throughput figure.
 //!
+//! The two fences form an asymmetric pair: the protect fence is
+//! [`Env::protect_fence`] and the scan's is [`Env::reclaim_fence`]. The
+//! simulator keeps both at their defaults (a charged full fence per
+//! protect, an uncharged scan fence), so the paper's cost model is intact.
+//! The native backend moves the cost to the reclaimer where the kernel
+//! allows it: a compiler fence per protect and one
+//! `membarrier(PRIVATE_EXPEDITED)` per scan, i.e. once per
+//! `reclaim_freq` retires instead of once per hop (Folly's hazptr does the
+//! same).
+//!
 //! hp (like he) also requires traversals to validate reachability after
 //! protecting ([`SmrBase::needs_validation`] = true): a hazard does not
 //! protect a node that was already retired before the hazard became visible,
@@ -121,7 +131,7 @@ impl<E: Env + ?Sized> Smr<E> for Hp {
             }
             if tls.published[slot] != v {
                 ctx.write(self.slot_addr(tls.bag.tid, slot), v);
-                ctx.fence();
+                ctx.protect_fence();
                 tls.published[slot] = v;
             }
             let v2 = ctx.read(field);
@@ -143,9 +153,10 @@ impl<E: Env + ?Sized> Smr<E> for Hp {
         // below: without this a weakly-ordered host can satisfy the loads
         // while the unlink still sits in the store buffer, missing a hazard
         // whose owner still observed the node linked (no-op in the
-        // sequentially consistent simulator — see `Env::smr_fence`).
+        // sequentially consistent simulator — see `Env::smr_fence`). It is
+        // also the heavy half that makes a light `protect_fence` sound.
         if !self.skip_scan_fence {
-            ctx.smr_fence();
+            ctx.reclaim_fence();
         }
         // Collect every published hazard (simulated loads of all threads'
         // hazard lines — N*K shared reads, the scan cost the paper charges

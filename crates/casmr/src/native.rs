@@ -10,6 +10,10 @@
 //! [`crate::env::Env`] reads/writes/CAS map to real atomic operations
 //! (Acquire / Release / AcqRel), `fence` to a real `SeqCst` fence, and
 //! `alloc`/`free` to a thread-cached free-list allocator over the pool.
+//! Where the kernel supports `membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED)`
+//! (Linux x86-64), the asymmetric pair [`Env::protect_fence`] /
+//! [`Env::reclaim_fence`] is a compiler fence / that syscall; elsewhere
+//! both are `SeqCst` fences.
 //! Live and peak lines are exact at any time; lines allocated and freed and
 //! ops completed are per-thread tallies each `NativeEnv` adds in when it
 //! drops, so they are exact once [`NativeMachine::run_on`] returns.
@@ -28,7 +32,7 @@
 //!   has. CA structures stay pinned to the simulator.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use mcsim::Addr;
@@ -51,6 +55,51 @@ const SPIN_YIELD_AFTER: u64 = 64;
 
 /// Words per line, as a slice length.
 const WPL: usize = WORDS_PER_LINE as usize;
+
+/// `membarrier(2)` commands, from `linux/membarrier.h`.
+const MEMBARRIER_CMD_QUERY: i32 = 0;
+const MEMBARRIER_CMD_PRIVATE_EXPEDITED: i32 = 1 << 3;
+const MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED: i32 = 1 << 4;
+
+/// `membarrier(cmd, 0, 0)`: the syscall's return value, or -1 where this
+/// build has no binding for it.
+#[cfg(all(target_os = "linux", target_arch = "x86_64", not(miri)))]
+fn membarrier(cmd: i32) -> i64 {
+    use std::ffi::{c_int, c_long, c_uint};
+    extern "C" {
+        fn syscall(num: c_long, ...) -> c_long;
+    }
+    const SYS_MEMBARRIER: c_long = 324;
+    let (cmd, flags, cpu_id): (c_int, c_uint, c_int) = (cmd, 0, 0);
+    // SAFETY: `syscall` is variadic; `membarrier` reads exactly these three
+    // arguments at these C types (`int cmd, unsigned int flags, int
+    // cpu_id`). It takes no pointer, so it touches no memory of ours, and
+    // it reports failure through its return value.
+    unsafe { syscall(SYS_MEMBARRIER, cmd, flags, cpu_id) }
+}
+
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64", not(miri))))]
+fn membarrier(_cmd: i32) -> i64 {
+    -1
+}
+
+/// Whether the asymmetric fence pair may be used: the `QUERY` mask lists
+/// `PRIVATE_EXPEDITED` and the process registered for it (`register`
+/// returned 0). Anything else keeps both halves full fences.
+fn asymmetric_fences_ok(query: i64, register: impl FnOnce() -> i64) -> bool {
+    query >= 0 && query & MEMBARRIER_CMD_PRIVATE_EXPEDITED as i64 != 0 && register() == 0
+}
+
+/// Register the process for expedited private membarriers, once; every
+/// later call returns the first call's verdict.
+fn asymmetric_fences() -> bool {
+    static REGISTERED: OnceLock<bool> = OnceLock::new();
+    *REGISTERED.get_or_init(|| {
+        asymmetric_fences_ok(membarrier(MEMBARRIER_CMD_QUERY), || {
+            membarrier(MEMBARRIER_CMD_REGISTER_PRIVATE_EXPEDITED)
+        })
+    })
+}
 
 /// The word at address `a` of the pool `words`: word `a / 8`.
 #[inline]
@@ -88,6 +137,9 @@ pub struct NativeMachine {
     free_list: Mutex<Vec<u64>>,
     counts: Counts,
     start: Instant,
+    /// [`Env::protect_fence`] / [`Env::reclaim_fence`] are a compiler
+    /// fence / a `membarrier` (else both are `SeqCst` fences).
+    asymmetric: bool,
 }
 
 /// Counters snapshot for a native run (the analog of `MachineStats`).
@@ -127,6 +179,7 @@ impl NativeMachine {
             counts: Counts::default(),
             // castatic: allow(nondet) — the native backend measures wall clock by design
             start: Instant::now(),
+            asymmetric: asymmetric_fences(),
         }
     }
 
@@ -326,6 +379,8 @@ pub struct NativeEnv<'p> {
     words: &'p [AtomicU64],
     tid: usize,
     threads: usize,
+    /// The machine's fence-pair verdict, copied off the shared struct.
+    asymmetric: bool,
     /// Thread-local cache of free lines.
     cache: Vec<u64>,
     /// Completed operations, allocs and frees counted here, flushed on drop.
@@ -341,6 +396,7 @@ impl<'p> NativeEnv<'p> {
             words: mach.words(),
             tid,
             threads,
+            asymmetric: mach.asymmetric,
             cache: Vec::with_capacity(CACHE_MAX + 1),
             ops: 0,
             allocated: 0,
@@ -410,9 +466,25 @@ impl Env for NativeEnv<'_> {
         Addr(l as u64 * LINE_BYTES)
     }
 
+    /// Panics, with `mcsim::alloc`'s messages, on a misaligned address, the
+    /// NULL line, or a line the bump pointer never handed out: recycling
+    /// any of them would later make `alloc` return it. A double free, or
+    /// the free of a static line, goes undetected: that needs a per-line
+    /// bitmap.
     fn free(&mut self, a: Addr) {
-        debug_assert!(a.0.is_multiple_of(LINE_BYTES), "free of a non-line address");
-        self.cache.push(a.0 / LINE_BYTES);
+        assert!(
+            a.0.is_multiple_of(LINE_BYTES),
+            "free of a non-line-aligned address {a:?}"
+        );
+        let line = a.0 / LINE_BYTES;
+        assert!(line != 0, "free of non-heap address {a:?}");
+        // Relaxed suffices: the bump that handed `line` out happens before
+        // the Release store that published its address to this thread.
+        assert!(
+            line < self.mach.next.load(Ordering::Relaxed),
+            "free of never-allocated heap line {a:?}"
+        );
+        self.cache.push(line);
         self.freed += 1;
         self.mach.counts.live.fetch_sub(1, Ordering::Relaxed);
         if self.cache.len() >= CACHE_MAX {
@@ -438,6 +510,33 @@ impl Env for NativeEnv<'_> {
     #[inline]
     fn smr_fence(&mut self) {
         std::sync::atomic::fence(Ordering::SeqCst);
+    }
+
+    /// A compiler fence when [`Env::reclaim_fence`] is a `membarrier`:
+    /// the kernel then runs the hardware fence on this thread at the
+    /// moment a reclaimer needs it, and only the compiler must keep the
+    /// publish store ahead of the re-read.
+    #[inline]
+    fn protect_fence(&mut self) {
+        if self.asymmetric {
+            std::sync::atomic::compiler_fence(Ordering::SeqCst);
+        } else {
+            std::sync::atomic::fence(Ordering::SeqCst);
+        }
+    }
+
+    /// `membarrier(PRIVATE_EXPEDITED)`: a full fence on every running
+    /// thread of the process, this one included (the kernel fences on
+    /// entry and exit), so a protect that issued only a compiler fence is
+    /// ordered before the loads that follow.
+    #[inline]
+    fn reclaim_fence(&mut self) {
+        if self.asymmetric {
+            let r = membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED);
+            assert_eq!(r, 0, "membarrier failed after registering");
+        } else {
+            std::sync::atomic::fence(Ordering::SeqCst);
+        }
     }
 
     #[inline]
@@ -621,6 +720,42 @@ mod tests {
             let r = std::panic::catch_unwind(|| m.host_read(Addr(a)));
             assert!(r.is_err(), "a read at {a:#x} must panic");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "free of non-heap address")]
+    fn freeing_the_null_line_panics() {
+        NativeMachine::new(16).run_init(|env| env.free(Addr(0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "free of never-allocated heap line")]
+    fn freeing_a_line_past_the_bump_pointer_panics() {
+        NativeMachine::new(16).run_init(|env| {
+            let a = env.alloc();
+            env.free(Addr(a.0 + LINE_BYTES));
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "free of a non-line-aligned address")]
+    fn freeing_a_misaligned_address_panics() {
+        NativeMachine::new(16).run_init(|env| {
+            let a = env.alloc();
+            env.free(a.word(1));
+        });
+    }
+
+    #[test]
+    fn fence_pair_is_asymmetric_only_after_registering() {
+        let bit = MEMBARRIER_CMD_PRIVATE_EXPEDITED as i64;
+        let refuse = || -> i64 { panic!("registered without the QUERY bit") };
+        assert!(asymmetric_fences_ok(0x3ff, || 0));
+        assert!(!asymmetric_fences_ok(0x3ff & !bit, refuse), "no bit");
+        assert!(!asymmetric_fences_ok(-38, refuse), "ENOSYS");
+        assert!(!asymmetric_fences_ok(bit, || -1), "registration refused");
+        let linux_x86_64 = cfg!(all(target_os = "linux", target_arch = "x86_64", not(miri)));
+        assert_eq!(NativeMachine::new(2).asymmetric, linux_x86_64);
     }
 
     #[test]

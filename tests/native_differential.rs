@@ -17,6 +17,9 @@
 //!   allocated_not_freed` identity holds, the leaky oracle frees nothing,
 //!   and every reclaiming scheme actually freed something under the
 //!   aggressive test cadence — on real threads, not simulated ones.
+//! * **hp under its asymmetric fence pair**: one longer two-thread run
+//!   (20 000 ops each on 16 keys), since hp's protect fence is only a
+//!   compiler fence wherever its scan issues a `membarrier`.
 //!
 //! Conditional Access is absent by design: it needs the simulated cache
 //! hardware (see `casmr`'s env docs for why there is no native CA).
@@ -30,7 +33,7 @@ use conditional_access::ds::seqcheck::walk_list;
 use conditional_access::ds::smr::SmrLazyList;
 use conditional_access::ds::DsShared;
 use conditional_access::smr::{
-    with_scheme, HeartbeatBoard, NativeMachine, Orphan, Qsbr, SchemeKind, Smr, SmrBase,
+    with_scheme, HeartbeatBoard, Hp, NativeMachine, Orphan, Qsbr, SchemeKind, Smr, SmrBase,
     TlsVault,
 };
 
@@ -241,6 +244,25 @@ fn native_crashed_worker_is_detected_and_adopted_with_the_structure() {
         });
         drain_and_check("qsbr crash adoption", &m, &ds, &all_logs);
     }
+}
+
+/// hp's protect fence is only a compiler fence wherever the scan's fence is
+/// a `membarrier`, so its safety rests on that pair: two threads on 16 keys,
+/// scanning every 4 retires, for 20 000 ops each.
+#[test]
+fn native_hp_stress_reclaims_under_the_fence_pair() {
+    let m = pool();
+    let ds = SmrLazyList::new(&m, Hp::new(&m, 2, tight_smr()));
+    let h = histories(&m, &Sets(&ds), 2, 20_000, 16, 0x4A2D);
+    let keys = walk_list(&m, ds.head_node()); // sorted and unmarked, or panics
+    check_set_accounting("hp stress", &h, &keys);
+    let stats = m.stats();
+    assert_eq!(
+        stats.allocated_not_freed,
+        stats.allocated - stats.freed,
+        "hp stress: pool ledger out of balance"
+    );
+    assert!(stats.freed > 0, "hp stress: no node was ever reclaimed");
 }
 
 #[test]
