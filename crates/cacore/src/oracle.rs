@@ -101,12 +101,6 @@ impl TagOracle {
     pub fn is_tagged(&self, c: CoreId, a: Addr) -> bool {
         self.tags[c].contains(&a.0)
     }
-
-    /// Size of core `c`'s tag set (the hardware bounds this by cache
-    /// geometry; the oracle does not).
-    pub fn tag_count(&self, c: CoreId) -> usize {
-        self.tags[c].len()
-    }
 }
 
 #[cfg(test)]
@@ -173,7 +167,7 @@ mod tests {
         assert!(o.arb(0));
         o.untag_all(0);
         assert!(!o.arb(0));
-        assert_eq!(o.tag_count(0), 0);
+        assert!(!o.is_tagged(0, A), "untagAll empties the tag set");
         assert!(o.cread(0, A));
     }
 

@@ -27,7 +27,7 @@
 
 use cacore::TagOracle;
 use mcsim::coherence::{CacheConfig, CoherenceHub, Protocol};
-use mcsim::{Addr, LatencyModel};
+use mcsim::Addr;
 use proptest::prelude::*;
 
 #[derive(Clone, Copy, Debug)]
@@ -80,7 +80,6 @@ fn hub_with(smt: usize, protocol: Protocol, threads: usize) -> CoherenceHub {
             l2_assoc: 2,
             protocol,
         },
-        LatencyModel::uniform(),
         1 << 16,
     )
 }

@@ -322,7 +322,6 @@ mod tests {
         let s = Rcu::new(&m, 4, SmrConfig {
             reclaim_freq: 8,
             epoch_freq: 10,
-            ..Default::default()
         });
         let b = SmrExtBst::new(&m, s);
         let nets = m.run_on(4, |tid, ctx| {

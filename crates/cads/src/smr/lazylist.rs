@@ -270,7 +270,6 @@ mod tests {
         let s = Qsbr::new(&m2, 1, SmrConfig {
             reclaim_freq: 5,
             epoch_freq: 5,
-            ..Default::default()
         });
         let l2 = SmrLazyList::new(&m2, s);
         churn(&m2, &l2);
@@ -325,7 +324,6 @@ mod tests {
         let s = Ibr::new(&m, 4, SmrConfig {
             reclaim_freq: 8,
             epoch_freq: 10,
-            ..Default::default()
         });
         let l = SmrLazyList::new(&m, s);
         let nets = m.run_on(4, |tid, ctx| {

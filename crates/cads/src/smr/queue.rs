@@ -215,7 +215,6 @@ mod tests {
         let s = Qsbr::new(&m, 1, SmrConfig {
             reclaim_freq: 5,
             epoch_freq: 5,
-            ..Default::default()
         });
         let q = SmrQueue::new(&m, s);
         m.run_on(1, |_, ctx| {

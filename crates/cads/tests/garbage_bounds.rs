@@ -40,7 +40,6 @@ fn cfg() -> SmrConfig {
     SmrConfig {
         reclaim_freq: 4,
         epoch_freq: 8,
-        ..Default::default()
     }
 }
 

@@ -2,7 +2,7 @@
 //! command lines ([`Cli`]).
 
 use casmr::SmrConfig;
-use mcsim::{CacheConfig, ExecBackend, FaultPlan, LatencyModel, MachineConfig, UafMode};
+use mcsim::{CacheConfig, ExecBackend, FaultPlan, MachineConfig, UafMode};
 
 use crate::experiments::Scale;
 
@@ -37,6 +37,11 @@ impl Mix {
 }
 
 /// One experiment run's parameters.
+///
+/// Cycle costs are not a setting: every run charges the fixed table in
+/// `mcsim::latency`. Every run also uses the `Auto` host backend, which
+/// `MCSIM_EXEC` resolves; a test that needs a named backend builds its
+/// `Machine` from a `MachineConfig` itself.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// Simulated hardware threads = workload threads.
@@ -59,8 +64,6 @@ pub struct RunConfig {
     pub quantum: u64,
     /// L1 geometry (the associativity ablation overrides this).
     pub cache: CacheConfig,
-    /// Latency model.
-    pub latency: LatencyModel,
     /// Sample the allocation footprint every N global ops (Figure 3).
     pub sample_every: Option<u64>,
     /// Hash-table bucket count (paper: 128).
@@ -68,9 +71,6 @@ pub struct RunConfig {
     /// OS-preemption model: (interval, cost) in cycles (see
     /// `MachineConfig::ctx_switch`).
     pub ctx_switch: Option<(u64, u64)>,
-    /// Host execution backend (simulated results are identical across
-    /// backends; see `mcsim::ExecBackend`).
-    pub exec: ExecBackend,
     /// **Retired** (PR 18, see `history/README.md`): must be 1 — [`crate::run`]
     /// rejects anything else with [`GANGS_RETIRED`]. The field survives only
     /// because the frozen `perfbench/` workspace still writes `gangs: 1`;
@@ -117,11 +117,9 @@ impl Default for RunConfig {
             smr: SmrConfig::default(),
             quantum: 64,
             cache: CacheConfig::default(),
-            latency: LatencyModel::default(),
             sample_every: None,
             buckets: 128,
             ctx_switch: None,
-            exec: ExecBackend::Auto,
             gangs: 1,
             fault_plan: FaultPlan::none(),
             max_cycles: None,
@@ -249,7 +247,13 @@ impl Cli {
                 Flag::Recover => cli.recover = true,
                 Flag::MinAgreement => {
                     let x = value.parse().ok().filter(|x: &f64| x.is_finite());
-                    cli.min_agreement = Some(x.ok_or_else(|| format!("`{name}` takes a number, got `{value}`"))?);
+                    let x = x.ok_or_else(|| format!("`{name}` takes a number, got `{value}`"))?;
+                    // An agreement is a fraction: a floor outside [0, 1]
+                    // would either always or never fail.
+                    if !(0.0..=1.0).contains(&x) {
+                        return Err(format!("`{name}` must lie in [0, 1], got `{value}`"));
+                    }
+                    cli.min_agreement = Some(x);
                 }
             }
         }
@@ -288,21 +292,20 @@ fn unrecognized(arg: &str, accepted: &[Flag]) -> String {
 }
 
 impl RunConfig {
-    /// Build the simulated machine for this run.
+    /// Build the simulated machine for this run, on the `Auto` host backend.
     pub fn machine_config(&self) -> MachineConfig {
         let mem_bytes = (self.leaky_worst_nodes() * 64).next_power_of_two().max(1 << 22);
         MachineConfig {
             cores: self.threads,
             smt: self.smt,
             cache: self.cache.clone(),
-            latency: self.latency.clone(),
             mem_bytes,
             static_lines: 4096,
             quantum: self.quantum,
             sample_every: self.sample_every,
             uaf_mode: UafMode::Panic,
             ctx_switch: self.ctx_switch,
-            exec: self.exec,
+            exec: ExecBackend::Auto,
             fault_plan: self.fault_plan.clone(),
             max_cycles: self.max_cycles,
             race_check: self.race_check,
@@ -467,6 +470,7 @@ mod tests {
             (&["fig", "--min_agreement"], "`--min_agreement` requires a value"),
             (&["fig", "--min_agreement", "high"], "`--min_agreement` takes a number, got `high`"),
             (&["fig", "--min_agreement=NaN"], "`--min_agreement` takes a number, got `NaN`"),
+            (&["fig", "--min_agreement", "1.5"], "`--min_agreement` must lie in [0, 1], got `1.5`"),
             (&["fig", "--quick", "--paper"], "`--quick` and `--paper` exclude each other"),
         ] {
             let err = parse(bad, &[PLAIN, &[Flag::MinAgreement]].concat()).expect_err("malformed value accepted");

@@ -582,7 +582,6 @@ fn ablation_freq(scale: Scale, _: bool) -> Plan {
         smr: SmrConfig {
             reclaim_freq: f,
             epoch_freq: 5 * f,
-            ..Default::default()
         },
         ..base(scale)
     });
@@ -691,7 +690,6 @@ fn ablation_latency(scale: Scale, _: bool) -> Plan {
         smr: SmrConfig {
             reclaim_freq: 300,
             epoch_freq: 1500,
-            ..Default::default()
         },
         ..paper_batch.clone()
     };
@@ -1011,7 +1009,6 @@ fn faulted_queue(scale: Scale, threads: usize, fault_plan: FaultPlan) -> RunConf
         smr: SmrConfig {
             reclaim_freq: 4,
             epoch_freq: 8,
-            ..Default::default()
         },
         // Backstop: if fault handling ever wedged a run, the watchdog
         // turns it into an attributable ERR cell instead of a hang. A

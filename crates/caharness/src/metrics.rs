@@ -155,30 +155,6 @@ impl Metrics {
             ..Default::default()
         }
     }
-
-    /// Attach scheme-level garbage accounting ([`crate::run`] calls this
-    /// with the merged per-thread [`casmr::GarbageStats`]).
-    pub fn with_garbage(mut self, g: &casmr::GarbageStats) -> Self {
-        self.peak_garbage_bytes = g.peak_bytes();
-        self.final_garbage_bytes = g.live_bytes();
-        self
-    }
-
-    /// Attach crash-recovery accounting ([`crate::run`] calls this with
-    /// the counters its restart closures collected).
-    pub fn with_recovery(
-        mut self,
-        orphans_detected: u64,
-        adoptions: u64,
-        adopted_bytes: u64,
-        recovery_cycles: u64,
-    ) -> Self {
-        self.orphans_detected = orphans_detected;
-        self.adoptions = adoptions;
-        self.adopted_bytes = adopted_bytes;
-        self.recovery_cycles = recovery_cycles;
-        self
-    }
 }
 
 #[cfg(test)]

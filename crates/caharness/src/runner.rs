@@ -154,10 +154,6 @@ pub struct Outcome {
     /// determinism tests (identical runs must produce identical per-core
     /// counters, not just identical aggregates). No cores for native runs.
     pub stats: MachineStats,
-    /// Retired-but-unfreed accounting merged over the *surviving* threads —
-    /// which is where a pinned backlog accumulates, since it is the
-    /// survivors who retire nodes they can no longer free.
-    pub garbage: GarbageStats,
     /// Per-core recovery clocks (all `None` without restarts; empty natively).
     pub recovery: RecoveryClocks,
     /// Operations completed on the sequential fallback path
@@ -351,7 +347,7 @@ struct Probe {
 impl Outcome {
     /// Fold the finished workers' probes into the host's metrics.
     fn fold(
-        metrics: Metrics,
+        mut metrics: Metrics,
         stats: MachineStats,
         recovery: RecoveryClocks,
         race: Option<RaceReport>,
@@ -360,23 +356,21 @@ impl Outcome {
     ) -> Outcome {
         let mut garbage = GarbageStats::default();
         let mut latency = (instrument == Instrument::Latency).then(Histogram::new);
-        let (mut orphans, mut adoptions, mut adopted_bytes, mut recovery_cycles) = (0, 0, 0, 0u64);
         for p in probes {
             garbage.merge(&p.garbage);
             if let (Some(merged), Some(h)) = (&mut latency, &p.latency) {
                 merged.merge(h);
             }
-            orphans += p.orphans_detected;
-            adoptions += p.adoptions;
-            adopted_bytes += p.adopted_bytes;
-            recovery_cycles = recovery_cycles.max(p.recovery_cycles);
+            metrics.orphans_detected += p.orphans_detected;
+            metrics.adoptions += p.adoptions;
+            metrics.adopted_bytes += p.adopted_bytes;
+            metrics.recovery_cycles = metrics.recovery_cycles.max(p.recovery_cycles);
         }
+        metrics.peak_garbage_bytes = garbage.peak_bytes();
+        metrics.final_garbage_bytes = garbage.live_bytes();
         Outcome {
-            metrics: metrics
-                .with_garbage(&garbage)
-                .with_recovery(orphans, adoptions, adopted_bytes, recovery_cycles),
+            metrics,
             stats,
-            garbage,
             recovery,
             fallbacks: 0,
             latency,
@@ -896,7 +890,6 @@ mod tests {
         casmr::SmrConfig {
             reclaim_freq: 4,
             epoch_freq: 8,
-            ..Default::default()
         }
     }
 

@@ -109,6 +109,11 @@ fn validate_min_agreement_needs_a_number() {
         &["--quick", "--min_agreement", "high"],
         "`--min_agreement` takes a number",
     );
+    rejects(
+        VALIDATE,
+        &["--quick", "--min_agreement", "-0.5"],
+        "`--min_agreement` must lie in [0, 1]",
+    );
 }
 
 #[test]

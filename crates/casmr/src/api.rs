@@ -69,10 +69,6 @@ pub struct SmrConfig {
     /// Advance the global era/epoch after this many allocations ("epoch
     /// frequency", paper: 150 allocations).
     pub epoch_freq: u64,
-    /// Hazard/era slots per thread (hp/he). 4 suffices for every structure
-    /// in this repository (BST traversal holds grandparent/parent/leaf plus
-    /// one rotating slot).
-    pub slots_per_thread: usize,
 }
 
 impl Default for SmrConfig {
@@ -80,10 +76,17 @@ impl Default for SmrConfig {
         Self {
             reclaim_freq: 30,
             epoch_freq: 150,
-            slots_per_thread: 4,
         }
     }
 }
+
+/// Hazard/era slots per thread (hp/he). 4 suffices for every structure in
+/// this repository (BST traversal holds grandparent/parent/leaf plus one
+/// rotating slot).
+pub const SLOTS_PER_THREAD: usize = 4;
+
+// Each thread's slots live in its one metadata line.
+const _: () = assert!(SLOTS_PER_THREAD <= crate::env::WORDS_PER_LINE as usize);
 
 /// Aggregate retired-but-unfreed ("garbage") accounting for one thread —
 /// or, after [`GarbageStats::merge`], for a whole run.
@@ -656,7 +659,6 @@ pub(crate) mod tests {
             SmrConfig {
                 reclaim_freq: if scan_at_depart { 3 } else { 2 },
                 epoch_freq: 1,
-                ..Default::default()
             },
         );
         m.run_on(1, |_, ctx| {

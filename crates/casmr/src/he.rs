@@ -19,8 +19,8 @@
 use mcsim::Addr;
 
 use crate::api::{
-    per_thread_lines, EraClock, RetireBag, Retired, Smr, SmrBase, SmrConfig,
-    NODE_BIRTH_WORD,
+    per_thread_lines, EraClock, RetireBag, Retired, Smr, SmrBase, SmrConfig, NODE_BIRTH_WORD,
+    SLOTS_PER_THREAD,
 };
 use crate::env::{Env, EnvHost};
 
@@ -38,23 +38,22 @@ pub struct HeTls {
     bag: RetireBag,
     alloc_count: u64,
     /// Host-side mirror of published slot eras.
-    published: Vec<u64>,
+    published: [u64; SLOTS_PER_THREAD],
 }
 
 impl He {
     /// Build the scheme, allocating metadata.
     pub fn new<H: EnvHost + ?Sized>(host: &H, threads: usize, cfg: SmrConfig) -> Self {
-        assert!(cfg.slots_per_thread <= crate::env::WORDS_PER_LINE as usize);
         let clock = EraClock::new(host);
         // Wedge attribution: the lowest published era is the oldest hazard
         // era — the thread whose protection pins the most intervals.
-        let k = cfg.slots_per_thread as u64;
+        let k = SLOTS_PER_THREAD as u64;
         let slots = per_thread_lines(host, threads, "he.eras", 0, k, 0);
         Self { clock, slots, cfg }
     }
 
     fn slot_addr(&self, tid: usize, slot: usize) -> Addr {
-        debug_assert!(slot < self.cfg.slots_per_thread);
+        debug_assert!(slot < SLOTS_PER_THREAD);
         self.slots[tid].word(slot as u64)
     }
 }
@@ -66,7 +65,7 @@ impl SmrBase for He {
         HeTls {
             bag: RetireBag::new(tid, self.cfg.reclaim_freq),
             alloc_count: 0,
-            published: vec![0; self.cfg.slots_per_thread],
+            published: [0; SLOTS_PER_THREAD],
         }
     }
 
@@ -89,7 +88,7 @@ impl SmrBase for He {
 
 impl<E: Env + ?Sized> Smr<E> for He {
     fn end_op(&self, ctx: &mut E, tls: &mut Self::Tls) {
-        for s in 0..self.cfg.slots_per_thread {
+        for s in 0..SLOTS_PER_THREAD {
             self.clear_slot(ctx, tls, s);
         }
     }
@@ -147,9 +146,9 @@ impl<E: Env + ?Sized> Smr<E> for He {
     /// Snapshot every published era; a node stays while one falls inside
     /// its `[birth, retire]`.
     fn scan(&self, ctx: &mut E, tls: &mut HeTls) {
-        let mut eras: Vec<u64> = Vec::with_capacity(self.slots.len() * self.cfg.slots_per_thread);
+        let mut eras: Vec<u64> = Vec::with_capacity(self.slots.len() * SLOTS_PER_THREAD);
         for line in &self.slots {
-            for s in 0..self.cfg.slots_per_thread {
+            for s in 0..SLOTS_PER_THREAD {
                 let e = ctx.read(line.word(s as u64));
                 if e != 0 {
                     eras.push(e);
@@ -166,7 +165,7 @@ impl<E: Env + ?Sized> Smr<E> for He {
     /// unconditionally). A published era nobody will ever protect-read
     /// under again blocks no interval.
     fn revoke(&self, ctx: &mut E, tid: usize) {
-        for s in 0..self.cfg.slots_per_thread {
+        for s in 0..SLOTS_PER_THREAD {
             ctx.write(self.slot_addr(tid, s), 0);
         }
     }
@@ -198,7 +197,6 @@ mod tests {
         let cfg = SmrConfig {
             reclaim_freq: 1,
             epoch_freq: 1, // every alloc bumps the era
-            ..Default::default()
         };
         let s = He::new(&m, 2, cfg);
         let mailbox = m.alloc_static(1);
@@ -255,7 +253,6 @@ mod tests {
         let cfg = SmrConfig {
             reclaim_freq: 1,
             epoch_freq: 1,
-            ..Default::default()
         };
         let s = He::new(&m, 2, cfg);
         let mailbox = m.alloc_static(1);

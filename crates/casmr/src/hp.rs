@@ -30,7 +30,7 @@ use std::collections::HashSet;
 
 use mcsim::Addr;
 
-use crate::api::{per_thread_lines, RetireBag, Smr, SmrBase, SmrConfig};
+use crate::api::{per_thread_lines, RetireBag, Smr, SmrBase, SmrConfig, SLOTS_PER_THREAD};
 use crate::env::{Env, EnvHost};
 
 /// Hazard-pointer scheme state.
@@ -49,7 +49,7 @@ pub struct Hp {
 pub struct HpTls {
     bag: RetireBag,
     /// Host-side mirror of the published slots (skip redundant publishes).
-    published: Vec<u64>,
+    published: [u64; SLOTS_PER_THREAD],
     /// Workhorse set reused by scans.
     hazard_set: HashSet<u64>,
 }
@@ -57,14 +57,10 @@ pub struct HpTls {
 impl Hp {
     /// Build the scheme, allocating one hazard line per thread.
     pub fn new<H: EnvHost + ?Sized>(host: &H, threads: usize, cfg: SmrConfig) -> Self {
-        assert!(
-            cfg.slots_per_thread <= crate::env::WORDS_PER_LINE as usize,
-            "hazard slots must fit the thread's line"
-        );
         // Wedge attribution: hazards are addresses, not eras, so "oldest"
         // has no temporal meaning — but any non-zero slot deterministically
         // names a thread still holding protections.
-        let k = cfg.slots_per_thread as u64;
+        let k = SLOTS_PER_THREAD as u64;
         let slots = per_thread_lines(host, threads, "hp.hazards", 0, k, 0);
         Self {
             slots,
@@ -80,7 +76,7 @@ impl Hp {
     }
 
     fn slot_addr(&self, tid: usize, slot: usize) -> Addr {
-        debug_assert!(slot < self.cfg.slots_per_thread);
+        debug_assert!(slot < SLOTS_PER_THREAD);
         self.slots[tid].word(slot as u64)
     }
 }
@@ -91,7 +87,7 @@ impl SmrBase for Hp {
     fn register(&self, tid: usize) -> HpTls {
         HpTls {
             bag: RetireBag::new(tid, self.cfg.reclaim_freq),
-            published: vec![0; self.cfg.slots_per_thread],
+            published: [0; SLOTS_PER_THREAD],
             hazard_set: HashSet::new(),
         }
     }
@@ -116,7 +112,7 @@ impl SmrBase for Hp {
 impl<E: Env + ?Sized> Smr<E> for Hp {
     /// Clear the slots that were used this operation.
     fn end_op(&self, ctx: &mut E, tls: &mut Self::Tls) {
-        for s in 0..self.cfg.slots_per_thread {
+        for s in 0..SLOTS_PER_THREAD {
             self.clear_slot(ctx, tls, s);
         }
     }
@@ -166,7 +162,7 @@ impl<E: Env + ?Sized> Smr<E> for Hp {
         } = tls;
         hazard_set.clear();
         for line in &self.slots {
-            for s in 0..self.cfg.slots_per_thread {
+            for s in 0..SLOTS_PER_THREAD {
                 let h = ctx.read(line.word(s as u64));
                 if h != 0 {
                     hazard_set.insert(h);
@@ -178,11 +174,11 @@ impl<E: Env + ?Sized> Smr<E> for Hp {
 
     /// Clear *every* slot of the victim's hazard line (its host-side
     /// `published` mirror is only accurate up to the crash point, so all
-    /// `slots_per_thread` words are zeroed unconditionally). Sound only
+    /// `SLOTS_PER_THREAD` words are zeroed unconditionally). Sound only
     /// under the fail-stop declaration: a hazard nobody will ever
     /// dereference again guards nothing.
     fn revoke(&self, ctx: &mut E, tid: usize) {
-        for s in 0..self.cfg.slots_per_thread {
+        for s in 0..SLOTS_PER_THREAD {
             ctx.write(self.slot_addr(tid, s), 0);
         }
     }

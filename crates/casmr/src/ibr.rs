@@ -181,7 +181,6 @@ mod tests {
         let cfg = SmrConfig {
             reclaim_freq: 1,
             epoch_freq: 2,
-            ..Default::default()
         };
         let s = Ibr::new(&m, 1, cfg);
         m.run_on(1, |_, ctx| {
@@ -220,7 +219,6 @@ mod tests {
         let cfg = SmrConfig {
             reclaim_freq: 1,
             epoch_freq: 1, // era bumps every alloc: intervals are tight
-            ..Default::default()
         };
         let s = Ibr::new(&m, 2, cfg);
         let held = m.run_on(1, |_, ctx| {
@@ -304,7 +302,6 @@ mod tests {
         let cfg = SmrConfig {
             reclaim_freq: 1,
             epoch_freq: 1, // every alloc bumps the era: tight intervals
-            ..Default::default()
         };
         let s = Ibr::new(&m, 2, cfg);
         let live = m.run_on(1, |_, ctx| {

@@ -838,7 +838,6 @@ mod tests {
         let cfg = SmrConfig {
             reclaim_freq: 4,
             epoch_freq: 2,
-            ..Default::default()
         };
         let s = Qsbr::new(&m, 2, cfg);
         let board = HeartbeatBoard::new(2);
@@ -922,7 +921,6 @@ mod tests {
         let cfg = SmrConfig {
             reclaim_freq: 4,
             epoch_freq: 2,
-            ..Default::default()
         };
         let s = Qsbr::new(&m, 2, cfg);
         let handoff = TlsVault::new(2);

@@ -169,7 +169,6 @@ mod tests {
         let cfg = SmrConfig {
             reclaim_freq: 1,
             epoch_freq: 2,
-            ..Default::default()
         };
         let s = Qsbr::new(&m, 1, cfg);
         m.run_on(1, |_, ctx| {
@@ -199,7 +198,6 @@ mod tests {
         let cfg = SmrConfig {
             reclaim_freq: 1,
             epoch_freq: 1,
-            ..Default::default()
         };
         let s = Qsbr::new(&m, 2, cfg);
         m.run_on(2, |tid, ctx| {
@@ -233,7 +231,6 @@ mod tests {
         let s = Qsbr::new(&m, 2, SmrConfig {
             reclaim_freq: 4,
             epoch_freq: 3,
-            ..Default::default()
         });
         m.run_on(2, |tid, ctx| {
             let mut tls = s.register(tid);

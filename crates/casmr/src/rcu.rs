@@ -145,7 +145,6 @@ mod tests {
         let cfg = SmrConfig {
             reclaim_freq: 1,
             epoch_freq: 2,
-            ..Default::default()
         };
         let s = Rcu::new(&m, 2, cfg);
         m.run_on(2, |tid, ctx| {
@@ -175,7 +174,6 @@ mod tests {
         let cfg = SmrConfig {
             reclaim_freq: 1,
             epoch_freq: 1,
-            ..Default::default()
         };
         let s = Rcu::new(&m, 2, cfg);
         let done = m.alloc_static(1);

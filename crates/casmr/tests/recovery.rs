@@ -78,7 +78,6 @@ fn tight() -> SmrConfig {
     SmrConfig {
         reclaim_freq: 4,
         epoch_freq: 2,
-        ..Default::default()
     }
 }
 
@@ -224,7 +223,6 @@ fn wedge_watchdog_names_the_crashed_qsbr_reader() {
         SmrConfig {
             reclaim_freq: 2,
             epoch_freq: 2,
-            ..Default::default()
         },
     );
     let mailbox = m.alloc_static(1);

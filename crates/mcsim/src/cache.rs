@@ -314,11 +314,6 @@ impl L1Meta {
     pub fn clean(state: MsiState) -> Self {
         Self { state, tags: 0 }
     }
-
-    /// Is any hyperthread's tag bit set?
-    pub fn any_tagged(&self) -> bool {
-        self.tags != 0
-    }
 }
 
 /// A private L1 data cache: set-associative array plus a side list of the
@@ -462,11 +457,6 @@ impl DirMeta {
     /// Add a sharer bit.
     pub fn add_sharer(&mut self, c: CoreId) {
         self.sharers |= 1 << c;
-    }
-
-    /// Drop a sharer bit.
-    pub fn remove_sharer(&mut self, c: CoreId) {
-        self.sharers &= !(1 << c);
     }
 }
 
@@ -634,7 +624,7 @@ mod tests {
             .insert(l(4), L1Meta::clean(MsiState::Shared))
             .1
             .unwrap();
-        assert!(ev.payload.any_tagged(), "evicted entry carried the tag bit");
+        assert_eq!(ev.payload.tags, 0b1, "evicted entry carried the tag bit");
         assert!(!l1.is_tagged(l(0), 0));
         // Stale tag_list entry must not clear the new resident of the set.
         assert_eq!(l1.clear_all_tags(0), 0);
@@ -693,8 +683,6 @@ mod tests {
         d.add_sharer(0);
         d.add_sharer(3);
         assert_eq!(d.holders(), 0b1001);
-        d.remove_sharer(0);
-        assert_eq!(d.holders(), 0b1000);
         d.sharers = 0;
         d.owner = Some(5);
         assert_eq!(d.holders(), 1 << 5);

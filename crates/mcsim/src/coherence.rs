@@ -9,8 +9,8 @@
 //!
 //! Every operation here executes atomically under the machine lock, so a
 //! coherence "message exchange" (invalidate + ack) is a single state
-//! transition; the latency model charges the cycles the round trip would
-//! have cost.
+//! transition; the cost table ([`crate::latency`]) charges the cycles the
+//! round trip would have cost.
 //!
 //! Conditional Access hooks (paper §III):
 //! * a `cread` sets the issuing hardware thread's tag bit of the L1 line it
@@ -51,7 +51,7 @@
 
 use crate::addr::{Addr, CoreId, Line};
 use crate::cache::{DirMeta, L1Meta, MsiState, SetAssoc, Way, L1};
-use crate::latency::LatencyModel;
+use crate::latency as lat;
 use crate::mem::Memory;
 use crate::stats::{RevokeCause, StatsBank};
 
@@ -129,7 +129,6 @@ pub struct CoherenceHub {
     /// The shared inclusive L2; each line's payload is its directory entry.
     pub(crate) l2: SetAssoc<DirMeta>,
     pub(crate) mem: Memory,
-    pub(crate) lat: LatencyModel,
     /// Hardware threads per physical core (1 = no SMT).
     smt: usize,
     /// `(physical core, hyperthread index)` of every hardware thread:
@@ -150,13 +149,7 @@ impl CoherenceHub {
     /// Build a hub for `threads` hardware threads packed `smt` per physical
     /// core (at most 64 physical cores: directory bitmaps are u64; at most
     /// 8-way SMT: tag masks are u8).
-    pub fn new(
-        threads: usize,
-        smt: usize,
-        cache: &CacheConfig,
-        lat: LatencyModel,
-        mem_bytes: u64,
-    ) -> Self {
+    pub fn new(threads: usize, smt: usize, cache: &CacheConfig, mem_bytes: u64) -> Self {
         assert!(threads >= 1, "need at least one hardware thread");
         assert!((1..=8).contains(&smt), "1..=8 hyperthreads per core");
         assert!(
@@ -171,7 +164,6 @@ impl CoherenceHub {
                 .collect(),
             l2: SetAssoc::new(cache.l2_bytes, cache.l2_assoc),
             mem: Memory::new(mem_bytes),
-            lat,
             smt,
             placement: (0..threads)
                 .map(|t| ((t / smt) as u8, (t % smt) as u8))
@@ -302,13 +294,13 @@ impl CoherenceHub {
     /// edits the entry through.
     fn l2_get_or_fill(&mut self, t: CoreId, line: Line) -> (u64, Way) {
         if let Some(way) = self.l2.lookup_touch(line) {
-            let c = self.lat.l2_hit;
+            let c = lat::L2_HIT;
             let s = self.stats.core(t);
             s.l2_hits += 1;
             s.l2_hit_cycles += c;
             return (c, way);
         }
-        let fill = self.lat.l2_hit + self.lat.mem;
+        let fill = lat::L2_HIT + lat::MEM;
         let s = self.stats.core(t);
         s.mem_accesses += 1;
         s.mem_fill_cycles += fill;
@@ -322,7 +314,7 @@ impl CoherenceHub {
                 {
                     if state == MsiState::Modified {
                         // Writeback forwarded to memory along with the victim.
-                        cost += self.lat.dirty_supply;
+                        cost += lat::DIRTY_SUPPLY;
                     }
                 }
             }
@@ -333,7 +325,7 @@ impl CoherenceHub {
     /// Account an access served by `t`'s local L1; returns its cost.
     #[inline]
     fn l1_hit(&mut self, t: CoreId) -> u64 {
-        let c = self.lat.l1_hit;
+        let c = lat::L1_HIT;
         let s = self.stats.core(t);
         s.l1_hits += 1;
         s.l1_hit_cycles += c;
@@ -380,7 +372,7 @@ impl CoherenceHub {
             if was_modified {
                 // Dirty cache-to-cache supply plus writeback.
                 d.dirty = true;
-                cost += self.lat.dirty_supply;
+                cost += lat::DIRTY_SUPPLY;
             }
         }
         let way = if self.protocol == Protocol::Mesi && d.holders() == 0 {
@@ -431,7 +423,7 @@ impl CoherenceHub {
     #[cold]
     #[inline(never)]
     fn upgrade_shared(&mut self, t: CoreId, pcore: usize, line: Line, way: Way) -> u64 {
-        let mut cost = self.lat.upgrade;
+        let mut cost = lat::UPGRADE;
         // One directory probe: claim ownership in place, then deliver the
         // invalidations (which only touch the other L1s, ARBs and stats, so
         // `way` still names our copy afterwards).
@@ -444,7 +436,7 @@ impl CoherenceHub {
         d.sharers = 0;
         d.owner = Some(pcore);
         if others != 0 {
-            let inv = self.lat.invalidation;
+            let inv = lat::INVALIDATION;
             cost += inv;
             let s = self.stats.core(t);
             s.invalidations_sent += 1;
@@ -478,13 +470,13 @@ impl CoherenceHub {
             let removed = self.invalidate_l1_copy(o, line, RevokeCause::RemoteInvalidation);
             if removed == Some(MsiState::Modified) {
                 self.l2.at_mut(dir_way).dirty = true;
-                cost += self.lat.dirty_supply;
+                cost += lat::DIRTY_SUPPLY;
             }
             sent = true;
         }
         if others != 0 {
-            cost += self.lat.invalidation;
-            self.stats.core(t).invalidation_cycles += self.lat.invalidation;
+            cost += lat::INVALIDATION;
+            self.stats.core(t).invalidation_cycles += lat::INVALIDATION;
             sent = true;
             for h in bits(others) {
                 self.invalidate_l1_copy(h, line, RevokeCause::RemoteInvalidation);
@@ -550,7 +542,7 @@ impl CoherenceHub {
         s.cas_ops += 1;
         let (pcore, ht) = self.place(t);
         let (cost, way) = self.acquire_exclusive(t, pcore, a.line());
-        let cost = cost + self.lat.cas_extra;
+        let cost = cost + lat::CAS_EXTRA;
         let cur = self.mem.read(a);
         if cur == expected {
             self.revoke_siblings_on_store(pcore, ht, way);
@@ -566,7 +558,7 @@ impl CoherenceHub {
     pub fn fence(&mut self, t: CoreId) -> u64 {
         self.assert_outside_tx(t, "fence");
         self.stats.core(t).fences += 1;
-        self.lat.fence
+        lat::FENCE
     }
 
     /// `cread` (paper §II-B): fail fast if the ARB is set; otherwise load
@@ -580,17 +572,17 @@ impl CoherenceHub {
         self.stats.core(t).accesses += 1;
         if self.arb[t] {
             self.stats.core(t).cread_fail += 1;
-            return (None, self.lat.ca_fail);
+            return (None, lat::CA_FAIL);
         }
         let (pcore, ht) = self.place(t);
         let (cost, way) = self.acquire_shared(t, pcore, a.line());
         self.l1s[pcore].tag_way(way, ht);
         if self.arb[t] {
             self.stats.core(t).cread_fail += 1;
-            return (None, cost + self.lat.ca_fail);
+            return (None, cost + lat::CA_FAIL);
         }
         self.stats.core(t).cread_ok += 1;
-        (Some(self.mem.read(a)), cost + self.lat.ca_check)
+        (Some(self.mem.read(a)), cost + lat::CA_CHECK)
     }
 
     /// `cwrite` (paper §II-B): fails if the ARB is set **or the target line
@@ -613,7 +605,7 @@ impl CoherenceHub {
             Some(way) if !self.arb[t] => way,
             _ => {
                 self.stats.core(t).cwrite_fail += 1;
-                return (false, self.lat.ca_fail);
+                return (false, lat::CA_FAIL);
             }
         };
         l1.touch(way);
@@ -625,7 +617,7 @@ impl CoherenceHub {
         self.revoke_siblings_on_store(pcore, ht, way);
         self.mem.write(a, v);
         self.stats.core(t).cwrite_ok += 1;
-        (true, cost + self.lat.ca_check)
+        (true, cost + lat::CA_CHECK)
     }
 
     /// `untagOne`: drop one line from the calling hardware thread's tag set.
@@ -685,7 +677,7 @@ impl CoherenceHub {
         self.l1s[pcore].clear_all_tags(ht);
         self.arb[t] = false;
         self.stats.core(t).tx_begins += 1;
-        self.lat.tx_begin
+        lat::TX_BEGIN
     }
 
     /// Is a transaction in flight on `t`?
@@ -711,7 +703,7 @@ impl CoherenceHub {
         self.stats.core(t).accesses += 1;
         if self.arb[t] {
             self.tx_rollback(t);
-            return (None, self.lat.tx_abort);
+            return (None, lat::TX_ABORT);
         }
         let (pcore, ht) = self.place(t);
         let (cost, way) = self.acquire_shared(t, pcore, a.line());
@@ -719,7 +711,7 @@ impl CoherenceHub {
         if self.arb[t] {
             // The fill evicted part of our own read set: capacity abort.
             self.tx_rollback(t);
-            return (None, cost + self.lat.tx_abort);
+            return (None, cost + lat::TX_ABORT);
         }
         let v = self.tx[t]
             .writes
@@ -739,14 +731,14 @@ impl CoherenceHub {
         self.stats.core(t).accesses += 1;
         if self.arb[t] {
             self.tx_rollback(t);
-            return (false, self.lat.tx_abort);
+            return (false, lat::TX_ABORT);
         }
         let (pcore, ht) = self.place(t);
         let (cost, way) = self.acquire_shared(t, pcore, a.line());
         self.l1s[pcore].tag_way(way, ht);
         if self.arb[t] {
             self.tx_rollback(t);
-            return (false, cost + self.lat.tx_abort);
+            return (false, cost + lat::TX_ABORT);
         }
         self.tx[t].writes.push((a, v));
         (true, cost)
@@ -761,7 +753,7 @@ impl CoherenceHub {
         assert!(self.tx[t].active, "tx_commit outside a transaction");
         if self.arb[t] {
             self.tx_rollback(t);
-            return (None, self.lat.tx_abort);
+            return (None, lat::TX_ABORT);
         }
         (Some(std::mem::take(&mut self.tx[t].writes)), 0)
     }
@@ -770,7 +762,7 @@ impl CoherenceHub {
     /// whole commit is one machine event), invalidating remote copies and
     /// revoking their tags, then dissolve the transaction.
     pub fn tx_commit_apply(&mut self, t: CoreId, writes: &[(Addr, u64)]) -> u64 {
-        let mut cost = self.lat.tx_commit;
+        let mut cost = lat::TX_COMMIT;
         let (pcore, ht) = self.place(t);
         for &(a, v) in writes {
             let (c, way) = self.acquire_exclusive(t, pcore, a.line());
@@ -789,7 +781,7 @@ impl CoherenceHub {
     pub fn tx_abort(&mut self, t: CoreId) -> u64 {
         assert!(self.tx[t].active, "tx_abort outside a transaction");
         self.tx_rollback(t);
-        self.lat.tx_abort
+        lat::TX_ABORT
     }
 
     /// Host-side (zero-cost, non-coherent) read for checkers and debuggers.
@@ -867,13 +859,7 @@ mod tests {
     use super::*;
 
     fn hub(cores: usize) -> CoherenceHub {
-        CoherenceHub::new(
-            cores,
-            1,
-            &CacheConfig::default(),
-            LatencyModel::default(),
-            1 << 20,
-        )
+        CoherenceHub::new(cores, 1, &CacheConfig::default(), 1 << 20)
     }
 
     fn mesi_hub(cores: usize) -> CoherenceHub {
@@ -884,20 +870,13 @@ mod tests {
                 protocol: Protocol::Mesi,
                 ..CacheConfig::default()
             },
-            LatencyModel::default(),
             1 << 20,
         )
     }
 
     /// `threads` hardware threads packed 2 per physical core.
     fn smt_hub(threads: usize) -> CoherenceHub {
-        CoherenceHub::new(
-            threads,
-            2,
-            &CacheConfig::default(),
-            LatencyModel::default(),
-            1 << 20,
-        )
+        CoherenceHub::new(threads, 2, &CacheConfig::default(), 1 << 20)
     }
 
     /// A tiny hierarchy that makes evictions easy to provoke:
@@ -913,7 +892,6 @@ mod tests {
                 l2_assoc: 2,
                 protocol: Protocol::Msi,
             },
-            LatencyModel::default(),
             1 << 20,
         )
     }
@@ -924,11 +902,10 @@ mod tests {
     #[test]
     fn read_miss_then_hit() {
         let mut h = hub(2);
-        let lat = h.lat.clone();
         let (_, cost) = h.read(0, A);
-        assert_eq!(cost, lat.l2_hit + lat.mem, "cold miss goes to memory");
+        assert_eq!(cost, lat::L2_HIT + lat::MEM, "cold miss goes to memory");
         let (_, cost) = h.read(0, A);
-        assert_eq!(cost, lat.l1_hit, "second read hits L1");
+        assert_eq!(cost, lat::L1_HIT, "second read hits L1");
         h.check_invariants();
     }
 
@@ -938,7 +915,7 @@ mod tests {
         h.write(0, A, 42);
         let (v, cost) = h.read(1, A);
         assert_eq!(v, 42);
-        assert!(cost >= h.lat.dirty_supply, "dirty supply must be charged");
+        assert!(cost >= lat::DIRTY_SUPPLY, "dirty supply must be charged");
         // Core 0 downgraded to S, not invalidated.
         assert_eq!(
             h.l1s[0].array.lookup(A.line()).unwrap().payload.state,
@@ -972,7 +949,7 @@ mod tests {
         // Subsequent cread fails without touching memory.
         let (v, cost) = h.cread(0, A);
         assert_eq!(v, None);
-        assert_eq!(cost, h.lat.ca_fail);
+        assert_eq!(cost, lat::CA_FAIL);
         assert_eq!(h.stats.core(0).cread_fail, 1);
         h.check_invariants();
     }
@@ -1007,7 +984,7 @@ mod tests {
         h.read(0, A); // plain read does not tag
         let (ok, cost) = h.cwrite(0, A, 1);
         assert!(!ok, "cwrite without cread must fail (TOCTOU rule)");
-        assert_eq!(cost, h.lat.ca_fail);
+        assert_eq!(cost, lat::CA_FAIL);
         assert_eq!(h.stats.core(0).cwrite_fail, 1);
         // After a cread it succeeds.
         h.cread(0, A);
@@ -1174,13 +1151,12 @@ mod tests {
     #[test]
     fn event_cost_micro_profile_pinned() {
         // A tiny scripted workload whose per-path counts AND cycle
-        // attribution are pinned exactly (relative to the latency model, so
-        // retuning constants does not break it). Any change to a coherence
+        // attribution are pinned exactly (relative to the cost table, so
+        // retuning a constant does not break it). Any change to a coherence
         // hot path's cost accounting fails here, in CI, instead of
         // surfacing as unexplained end-to-end wall-clock or throughput
         // drift.
         let mut h = hub(2);
-        let lat = h.lat.clone();
         h.read(0, A); // core 0: cold fill from memory
         h.read(0, A); // core 0: L1 hit
         h.read(1, A); // core 1: L2 hit, joins sharers
@@ -1196,10 +1172,10 @@ mod tests {
             (s0.accesses, s0.l1_hits, s0.l2_hits, s0.mem_accesses),
             (4, 1, 1, 1)
         );
-        assert_eq!(s0.l1_hit_cycles, lat.l1_hit);
-        assert_eq!(s0.l2_hit_cycles, lat.l2_hit);
-        assert_eq!(s0.mem_fill_cycles, lat.l2_hit + lat.mem);
-        assert_eq!(s0.invalidation_cycles, lat.invalidation);
+        assert_eq!(s0.l1_hit_cycles, lat::L1_HIT);
+        assert_eq!(s0.l2_hit_cycles, lat::L2_HIT);
+        assert_eq!(s0.mem_fill_cycles, lat::L2_HIT + lat::MEM);
+        assert_eq!(s0.invalidation_cycles, lat::INVALIDATION);
         assert_eq!(s0.invalidations_sent, 1);
         assert_eq!(s0.invalidations_received, 1);
         assert_eq!((s0.untag_alls, s0.untag_ones), (1, 1));
@@ -1210,9 +1186,9 @@ mod tests {
             (2, 0, 1, 0)
         );
         assert_eq!(s1.l1_hit_cycles, 0);
-        assert_eq!(s1.l2_hit_cycles, lat.l2_hit);
+        assert_eq!(s1.l2_hit_cycles, lat::L2_HIT);
         assert_eq!(s1.mem_fill_cycles, 0);
-        assert_eq!(s1.invalidation_cycles, lat.invalidation);
+        assert_eq!(s1.invalidation_cycles, lat::INVALIDATION);
         assert_eq!(s1.invalidations_sent, 1);
         assert_eq!((s1.untag_alls, s1.untag_ones), (0, 0));
         h.check_invariants();
@@ -1237,13 +1213,7 @@ mod tests {
         for smt in 1..=8 {
             for pcores in [1, 2, 3, 7, 64] {
                 let threads = pcores * smt;
-                let h = CoherenceHub::new(
-                    threads,
-                    smt,
-                    &CacheConfig::default(),
-                    LatencyModel::default(),
-                    1 << 12,
-                );
+                let h = CoherenceHub::new(threads, smt, &CacheConfig::default(), 1 << 12);
                 for t in 0..threads {
                     assert_eq!(h.place(t), (t / smt, t % smt), "smt {smt}, thread {t}");
                     assert_eq!(h.pc(t), t / smt);
@@ -1359,7 +1329,6 @@ mod tests {
                 l2_assoc: 2,
                 protocol,
             },
-            LatencyModel::default(),
             1 << 20,
         );
         let mut lcg: u64 = 0xDEADBEEF;
@@ -1467,7 +1436,7 @@ mod tests {
         let mut h = mesi_hub(2);
         h.read(0, A); // E
         let cost = h.write(0, A, 1); // silent E→M
-        assert_eq!(cost, h.lat.l1_hit, "E→M promotion must cost an L1 hit");
+        assert_eq!(cost, lat::L1_HIT, "E→M promotion must cost an L1 hit");
         assert_eq!(h.stats.core(0).silent_upgrades, 1);
         assert_eq!(
             h.l1s[0].array.lookup(A.line()).unwrap().payload.state,
@@ -1479,7 +1448,7 @@ mod tests {
         let mut h2 = hub(2);
         h2.read(0, A);
         let msi_cost = h2.write(0, A, 1);
-        assert!(msi_cost > h.lat.l1_hit, "MSI upgrade is not silent");
+        assert!(msi_cost > lat::L1_HIT, "MSI upgrade is not silent");
     }
 
     #[test]
@@ -1489,7 +1458,7 @@ mod tests {
         let (v, cost) = h.read(1, A);
         assert_eq!(v, 0);
         assert!(
-            cost < h.lat.l2_hit + h.lat.mem + h.lat.dirty_supply,
+            cost < lat::L2_HIT + lat::MEM + lat::DIRTY_SUPPLY,
             "clean E downgrade must not charge a dirty supply"
         );
         assert_eq!(
@@ -1526,7 +1495,6 @@ mod tests {
                 l2_assoc: 4,
                 protocol: Protocol::Mesi,
             },
-            LatencyModel::default(),
             1 << 20,
         );
         let a = Line(0).base();
@@ -1566,7 +1534,7 @@ mod tests {
         assert_eq!(h.l1s.len(), 1);
         h.read(0, A); // thread 0 fills
         let (_, cost) = h.read(1, A); // sibling hits the same L1
-        assert_eq!(cost, h.lat.l1_hit, "siblings share the L1");
+        assert_eq!(cost, lat::L1_HIT, "siblings share the L1");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use crate::addr::{Addr, CoreId};
 use crate::hb::Kind;
+use crate::latency as lat;
 use crate::machine::SimState;
 
 /// One statically typed architectural operation.
@@ -218,7 +219,7 @@ impl Event for AllocOp {
         } else {
             st.alloc.alloc(c)
         };
-        (a, st.hub.lat.malloc)
+        (a, lat::MALLOC)
     }
 }
 
@@ -235,7 +236,7 @@ impl Event for FreeOp {
     #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> ((), u64) {
         st.alloc.free(c, self.0);
-        ((), st.hub.lat.free)
+        ((), lat::FREE)
     }
 }
 

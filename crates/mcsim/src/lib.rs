@@ -77,7 +77,6 @@ pub use cache::MsiState;
 pub use coherence::CacheConfig;
 pub use fault::{CoreOutcome, CrashFault, FaultPlan, Restart, RestartFault, StallFault, WedgeProbe};
 pub use hb::{Finding, RaceReport};
-pub use latency::LatencyModel;
 pub use machine::{Ctx, ExecBackend, FootprintSample, Machine, MachineConfig};
 pub use rng::{Rng, SplitMix64};
 pub use stats::{CoreStats, MachineStats, RevokeCause};

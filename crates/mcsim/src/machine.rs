@@ -66,7 +66,6 @@ use crate::event::{
     TxAbortOp, TxBeginOp, TxCommitOp, TxReadOp, TxWriteOp, UntagAllOp, UntagOneOp, WriteOp,
 };
 use crate::fault::{CoreOutcome, FaultPlan, FaultState, FaultStop, Restart, WedgeProbe};
-use crate::latency::LatencyModel;
 use crate::sched::{Sched, NO_TURN};
 use crate::stats::MachineStats;
 
@@ -133,7 +132,8 @@ impl ExecBackend {
     }
 }
 
-/// Machine configuration.
+/// Machine configuration. Cycle costs are not part of it: every machine
+/// charges the one fixed table in [`crate::latency`].
 #[derive(Clone, Debug)]
 pub struct MachineConfig {
     /// Number of simulated hardware threads (one workload thread runs on
@@ -147,8 +147,6 @@ pub struct MachineConfig {
     pub smt: usize,
     /// Cache hierarchy geometry.
     pub cache: CacheConfig,
-    /// Cycle-cost model.
-    pub latency: LatencyModel,
     /// Simulated physical memory size in bytes.
     pub mem_bytes: u64,
     /// Lines reserved for static allocations (list heads, SMR metadata).
@@ -193,7 +191,6 @@ impl Default for MachineConfig {
             cores: 8,
             smt: 1,
             cache: CacheConfig::default(),
-            latency: LatencyModel::default(),
             mem_bytes: 64 << 20,
             static_lines: 4096,
             quantum: 64,
@@ -322,13 +319,7 @@ const _: () = {
 impl Machine {
     /// Build a machine.
     pub fn new(cfg: MachineConfig) -> Self {
-        let mut hub = CoherenceHub::new(
-            cfg.cores,
-            cfg.smt,
-            &cfg.cache,
-            cfg.latency.clone(),
-            cfg.mem_bytes,
-        );
+        let mut hub = CoherenceHub::new(cfg.cores, cfg.smt, &cfg.cache, cfg.mem_bytes);
         hub.trace.enabled = cfg.race_check;
         let mut alloc = Allocator::new(cfg.cores, cfg.mem_bytes, cfg.static_lines);
         alloc.uaf_mode = cfg.uaf_mode;

@@ -75,13 +75,6 @@ impl Rng {
         }
     }
 
-    /// Uniform value in `[lo, hi]` inclusive.
-    #[inline]
-    pub fn range_inclusive(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(lo <= hi);
-        lo + self.below(hi - lo + 1)
-    }
-
     /// Bernoulli trial: true with probability `percent / 100`.
     #[inline]
     pub fn percent(&mut self, percent: u64) -> bool {
@@ -120,20 +113,6 @@ mod tests {
             seen[v as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "all residues should appear");
-    }
-
-    #[test]
-    fn range_inclusive_hits_endpoints() {
-        let mut r = Rng::new(9);
-        let (mut lo_seen, mut hi_seen) = (false, false);
-        for _ in 0..10_000 {
-            match r.range_inclusive(5, 8) {
-                5 => lo_seen = true,
-                8 => hi_seen = true,
-                v => assert!((5..=8).contains(&v)),
-            }
-        }
-        assert!(lo_seen && hi_seen);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 use std::collections::HashMap;
 
 use mcsim::coherence::{CacheConfig, CoherenceHub, Protocol};
-use mcsim::{Addr, LatencyModel};
+use mcsim::latency as lat;
+use mcsim::Addr;
 use proptest::prelude::*;
 
 #[derive(Clone, Copy, Debug)]
@@ -80,9 +81,9 @@ fn geometries() -> Vec<CacheConfig> {
 }
 
 fn run_stream(cache: &CacheConfig, smt: usize, prog: &[(usize, Op)]) {
-    let mut hub = CoherenceHub::new(CORES, smt, cache, LatencyModel::default(), 1 << 16);
-    let lat = LatencyModel::default();
-    let max_cost = lat.l2_hit + lat.mem + 2 * lat.dirty_supply + lat.invalidation + lat.cas_extra;
+    let mut hub = CoherenceHub::new(CORES, smt, cache, 1 << 16);
+    let max_cost =
+        lat::L2_HIT + lat::MEM + 2 * lat::DIRTY_SUPPLY + lat::INVALIDATION + lat::CAS_EXTRA;
     let mut shadow: HashMap<u64, u64> = HashMap::new();
     let mut arb_before = [false; CORES];
     for (step, &(c, op)) in prog.iter().enumerate() {
@@ -94,12 +95,12 @@ fn run_stream(cache: &CacheConfig, smt: usize, prog: &[(usize, Op)]) {
                     shadow.get(&addr(i).0).copied().unwrap_or(0),
                     "step {step}: read saw a value that was never the latest write"
                 );
-                assert!(cost >= lat.l1_hit && cost <= max_cost, "read cost {cost}");
+                assert!(cost >= lat::L1_HIT && cost <= max_cost, "read cost {cost}");
             }
             Op::Write(i, v) => {
                 let cost = hub.write(c, addr(i), v as u64);
                 shadow.insert(addr(i).0, v as u64);
-                assert!(cost >= lat.l1_hit && cost <= max_cost, "write cost {cost}");
+                assert!(cost >= lat::L1_HIT && cost <= max_cost, "write cost {cost}");
             }
             Op::Cas(i, v) => {
                 let expected = shadow.get(&addr(i).0).copied().unwrap_or(0);
@@ -172,7 +173,7 @@ fn hub_event_costs_are_deterministic() {
         })
         .collect();
     let total = |geom: &CacheConfig| -> u64 {
-        let mut hub = CoherenceHub::new(CORES, 1, geom, LatencyModel::default(), 1 << 16);
+        let mut hub = CoherenceHub::new(CORES, 1, geom, 1 << 16);
         let mut sum = 0;
         for &(c, op) in &prog {
             sum += match op {

@@ -65,7 +65,6 @@ pub fn tight_smr() -> SmrConfig {
     SmrConfig {
         reclaim_freq: 4,
         epoch_freq: 6,
-        ..Default::default()
     }
 }
 

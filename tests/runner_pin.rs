@@ -58,7 +58,6 @@ fn crash_cfg(plan: FaultPlan) -> RunConfig {
         smr: SmrConfig {
             reclaim_freq: 4,
             epoch_freq: 8,
-            ..Default::default()
         },
         ..tiny(4, UPDATES)
     }
