@@ -11,7 +11,7 @@
 //! the recorded paper-vs-measured results.
 //!
 //! One executor, [`render`], runs the cells of any number of plans as a
-//! single flat task list on the [`crate::sweep`] work-stealing pool
+//! single flat task list on the [`crate::sweep`] pool's one queue
 //! (`--jobs N`), so the pool stays saturated across table and figure
 //! boundaries instead of draining to a straggler at each. Cells are
 //! independent (one `Machine` each, per-config seeds), so the tables are

@@ -752,6 +752,13 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "cannot prefill 9 distinct keys")]
+    fn native_run_rejects_an_impossible_prefill() {
+        // The worker's own panic message, not a generic join failure.
+        run_set(SetKind::LazyList, SchemeKind::Hp, &RunConfig { native: true, ..overfull() });
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot prefill 9 distinct keys")]
     fn fault_plan_run_rejects_an_impossible_prefill() {
         let cfg = RunConfig {
             fault_plan: FaultPlan::none().stall(0, 2_000, 50_000),

@@ -5,9 +5,9 @@
 //! cross-product is an *independent* experiment: it builds its own
 //! [`mcsim::Machine`], derives every RNG stream from its own
 //! [`crate::RunConfig::seed`], and shares no mutable state with any other
-//! cell. This module exploits that independence: a small work-stealing pool
-//! of **host** threads executes many configurations concurrently while the
-//! simulated results stay bit-identical to a serial run.
+//! cell. This module exploits that independence: a small pool of **host**
+//! threads sharing one task queue executes many configurations concurrently
+//! while the simulated results stay bit-identical to a serial run.
 //!
 //! ## Determinism contract
 //!
@@ -20,35 +20,32 @@
 //! 2. per-config RNG streams are derived from the config's own seed
 //!    ([`crate::RunConfig::thread_seed`]), never from a shared generator,
 //!    and
-//! 3. results are collected into **index-ordered** slots, so tables are
-//!    assembled in task-submission order regardless of which worker finished
-//!    first.
+//! 3. results are put back in task-submission order, so tables are
+//!    assembled in that order regardless of which worker finished first.
 //!
 //! `--jobs 1`, `--jobs 4` and `--jobs 8` therefore produce byte-identical
 //! metrics tables (enforced by `tests/quantum_sweep.rs`).
 //!
 //! ## Scheduling
 //!
-//! Tasks are dealt round-robin into one deque per worker; a worker pops
-//! from the front of its own deque and, when empty, steals from the back of
-//! a victim's. Experiment cells vary in cost by orders of magnitude (32
-//! simulated threads vs 1), so stealing — not static partitioning — is what
-//! keeps all workers busy until the tail of the sweep.
+//! One `Mutex` guards the tasks, in submission order, and the host-thread
+//! budget in use. A worker takes the head task once its weight fits the
+//! budget and otherwise sleeps on one `Condvar` until a running task gives
+//! units back. The calling thread is worker 0, so `--jobs 1` spawns nothing
+//! and runs the tasks in order on the caller. Dispatch takes well under a
+//! microsecond, against milliseconds for even the cheapest cell.
 //!
 //! Progress (configs done / ETA) is reported on stderr: live `\r` updates
 //! when stderr is a terminal, one summary line otherwise.
 
-use std::collections::VecDeque;
 use std::io::{IsTerminal, Write as _};
+use std::iter::Peekable;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 /// One unit of sweep work (an experiment configuration to run).
 pub type Task<'env, T> = Box<dyn FnOnce() -> T + Send + 'env>;
-
-/// A worker's deque of (submission index, occupancy weight, task) triples.
-type WorkQueue<'env, T> = Mutex<VecDeque<(usize, usize, Task<'env, T>)>>;
 
 /// Global worker-count knob. 0 = auto (one worker per host CPU).
 static JOBS: AtomicUsize = AtomicUsize::new(0);
@@ -160,42 +157,13 @@ impl Progress {
     }
 }
 
-/// Host-occupancy gate for [`run_results_weighted`]: a counting budget of
-/// `capacity` units that workers acquire before executing a task and
-/// release after. A weight-1 (simulated) task occupies its own worker
-/// thread and nothing else; a native task that spawns `t` host threads of
-/// its own declares weight `t`, which additionally idles `t - 1` peer
-/// workers — so a sweep never oversubscribes the host even when tasks are
-/// themselves multi-threaded.
-struct Occupancy {
-    capacity: usize,
-    in_use: Mutex<usize>,
-    freed: std::sync::Condvar,
-}
-
-impl Occupancy {
-    fn new(capacity: usize) -> Self {
-        Occupancy {
-            capacity,
-            in_use: Mutex::new(0),
-            freed: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Block until `w` units are available. `w` must already be clamped to
-    /// `1..=capacity`.
-    fn acquire(&self, w: usize) {
-        let mut used = self.in_use.lock().unwrap();
-        while *used + w > self.capacity {
-            used = self.freed.wait(used).unwrap();
-        }
-        *used += w;
-    }
-
-    fn release(&self, w: usize) {
-        *self.in_use.lock().unwrap() -= w;
-        self.freed.notify_all();
-    }
+/// What [`run_results_weighted`]'s one lock guards: the tasks not yet
+/// taken (with their submission indices and weights), the budget units
+/// running tasks hold, and the number of workers asleep on the condvar.
+struct Queue<I: Iterator> {
+    tasks: Peekable<I>,
+    in_use: usize,
+    waiting: usize,
 }
 
 /// Run every task and return per-task results **in submission order**,
@@ -208,10 +176,10 @@ impl Occupancy {
 /// Tasks may themselves be multi-threaded on the host, so each declares an
 /// **occupancy weight** — the number of host threads it runs (1 for a
 /// simulated cell; the workload thread count for a native cell, which
-/// spawns that many real threads). The pool admits tasks through a budget
-/// of [`jobs`] units (weights clamp into `1..=jobs`), so `--jobs N` bounds
-/// *host threads*, not merely concurrent tasks, and a native 8-thread cell
-/// is not time-sliced against 7 simulated cells.
+/// spawns that many real threads). A task starts only once its weight fits
+/// a budget of [`jobs`] units (weights clamp into `1..=jobs`), so `--jobs N`
+/// bounds *host threads*, not merely concurrent tasks, and a native
+/// 8-thread cell is not time-sliced against 7 simulated cells.
 ///
 /// Weights change host scheduling only; the determinism contract (results
 /// in submission order, values independent of worker count) is unchanged.
@@ -220,74 +188,56 @@ pub fn run_results_weighted<'env, T: Send + 'env>(
     tasks: Vec<(usize, Task<'env, T>)>,
 ) -> Vec<Result<T, TaskFailure>> {
     let total = tasks.len();
-    let workers = jobs().clamp(1, total.max(1));
+    let budget = jobs();
+    let workers = budget.clamp(1, total.max(1));
     let progress = Progress::new(label, total, workers);
-    let execute = |i: usize, task: Task<'env, T>| -> Result<T, TaskFailure> {
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).map_err(|e| TaskFailure {
-            label: label.to_string(),
-            index: i,
-            message: panic_message(&*e),
-        });
-        progress.bump();
-        r
-    };
-    if workers <= 1 {
-        let out = tasks.into_iter().enumerate().map(|(i, (_, t))| execute(i, t)).collect();
-        progress.finish();
-        return out;
-    }
-
-    // Deal round-robin; worker w owns deque w.
-    let queues: Vec<WorkQueue<'env, T>> =
-        (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (i, (weight, t)) in tasks.into_iter().enumerate() {
-        queues[i % workers].lock().unwrap().push_back((i, weight, t));
-    }
-    // Index-ordered result slots: completion order cannot perturb output
-    // order (the determinism contract above).
-    let slots: Vec<Mutex<Option<Result<T, TaskFailure>>>> =
-        (0..total).map(|_| Mutex::new(None)).collect();
-    let occupancy = Occupancy::new(workers);
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queues = &queues;
-            let slots = &slots;
-            let execute = &execute;
-            let occupancy = &occupancy;
-            scope.spawn(move || loop {
-                // Own work first (front), then steal from a victim (back):
-                // stolen tasks are the ones their owner would reach last.
-                // Two statements on purpose: the own-deque guard must be
-                // dropped before a victim's is taken, or two workers that
-                // drain together each hold one lock and wait for the other.
-                let own = queues[w].lock().unwrap().pop_front();
-                let next = own.or_else(|| {
-                    (1..workers)
-                        .map(|d| (w + d) % workers)
-                        .find_map(|v| queues[v].lock().unwrap().pop_back())
-                });
-                match next {
-                    Some((i, weight, task)) => {
-                        // This worker thread is itself one unit of the
-                        // budget, so every task acquires at least 1.
-                        let units = weight.clamp(1, workers);
-                        occupancy.acquire(units);
-                        let r = execute(i, task);
-                        occupancy.release(units);
-                        *slots[i].lock().unwrap() = Some(r);
-                    }
-                    // All deques empty and no task spawns tasks: done.
-                    None => break,
-                }
+    let queue = Mutex::new(Queue {
+        tasks: tasks.into_iter().enumerate().peekable(),
+        in_use: 0,
+        waiting: 0,
+    });
+    let freed = Condvar::new();
+    let work = || {
+        let mut done = Vec::new();
+        let mut q = queue.lock().unwrap();
+        while let Some(units) = q.tasks.peek().map(|&(_, (weight, _))| weight.clamp(1, budget)) {
+            if q.in_use + units > budget {
+                q.waiting += 1;
+                q = freed.wait(q).unwrap();
+                q.waiting -= 1;
+                continue;
+            }
+            let (i, (_, task)) = q.tasks.next().expect("peeked");
+            q.in_use += units;
+            drop(q);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).map_err(|e| TaskFailure {
+                label: label.to_string(),
+                index: i,
+                message: panic_message(&*e),
             });
+            progress.bump();
+            done.push((i, r));
+            q = queue.lock().unwrap();
+            q.in_use -= units;
+            // std's condvar makes a syscall per notify even with no one
+            // asleep, which would dominate a trivial task at `--jobs 1`.
+            if q.waiting > 0 {
+                freed.notify_all();
+            }
         }
+        done
+    };
+    let mut done = std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+        let mut done = work();
+        for h in helpers {
+            done.extend(h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+        }
+        done
     });
     progress.finish();
-    slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("every sweep task ran"))
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Run every task, one host thread each, and return their results **in
@@ -416,10 +366,10 @@ mod tests {
     #[test]
     fn draining_workers_do_not_deadlock() {
         // Trivial tasks make every worker run dry at nearly the same
-        // instant, over and over: a worker that held its own deque's lock
-        // while stealing deadlocked against a peer doing the same (3 of 24
-        // runs at jobs = 2). A deadlocked sweep cannot be joined, so it
-        // runs on a detached thread and the test waits with a timeout.
+        // instant, over and over — where a lost wake-up or a lock order
+        // cycle would hang the sweep. A deadlocked sweep cannot be joined,
+        // so it runs on a detached thread and the test waits with a
+        // timeout.
         let _jobs = JobsLock::take();
         let (done_tx, done_rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
@@ -438,6 +388,50 @@ mod tests {
         done_rx
             .recv_timeout(std::time::Duration::from_secs(120))
             .expect("sweep did not finish: workers deadlocked (or the sweep panicked)");
+    }
+
+    #[test]
+    fn weights_never_exceed_the_budget() {
+        // Each task holds its clamped weight in `running` for ~1 ms; the
+        // high-water mark must stay within `jobs` units.
+        let _jobs = JobsLock::take();
+        set_jobs(3);
+        let (running, high) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let tasks = [1, 3, 1, 2, 1, 3, 2, 1]
+            .into_iter()
+            .map(|w: usize| {
+                let (running, high) = (&running, &high);
+                let task = Box::new(move || {
+                    let now = running.fetch_add(w, Ordering::SeqCst) + w;
+                    high.fetch_max(now, Ordering::SeqCst);
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    running.fetch_sub(w, Ordering::SeqCst);
+                }) as Task<()>;
+                (w, task)
+            })
+            .collect();
+        let out = run_results_weighted("test-budget", tasks);
+        assert!(out.iter().all(Result::is_ok));
+        // A weight-3 task fills the budget alone, so the mark is exactly 3.
+        assert_eq!(high.load(Ordering::SeqCst), 3, "units in use at once with jobs = 3");
+    }
+
+    #[test]
+    fn one_job_runs_in_order_on_the_caller() {
+        let _jobs = JobsLock::take();
+        set_jobs(1);
+        let seen = Mutex::new(Vec::new());
+        let tasks = (0..10usize)
+            .map(|i| {
+                let seen = &seen;
+                Box::new(move || seen.lock().unwrap().push((i, std::thread::current().id())))
+                    as Task<()>
+            })
+            .collect();
+        run("test-caller", tasks);
+        let me = std::thread::current().id();
+        let seen = seen.into_inner().unwrap();
+        assert_eq!(seen, (0..10).map(|i| (i, me)).collect::<Vec<_>>());
     }
 
     fn panicky_tasks(bad: u32) -> Vec<Task<'static, u32>> {

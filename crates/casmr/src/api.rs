@@ -1,6 +1,6 @@
 //! The reclamation-scheme interface shared by every baseline, plus the
 //! machinery they have in common: the global era, and the whole retire-list
-//! lifecycle — [`RetireBag`] (per-thread list, scan cadence, meter), its
+//! lifecycle — [`RetireBag`] (per-thread list, scan cadence, garbage counts), its
 //! sweep, and the provided [`Smr::retire`] / [`Smr::depart`] /
 //! [`Smr::adopt`] / [`Smr::join`]. A scheme's own file supplies only what
 //! differs; [`Smr`] lists it.
@@ -88,8 +88,8 @@ pub const SLOTS_PER_THREAD: usize = 4;
 // Each thread's slots live in its one metadata line.
 const _: () = assert!(SLOTS_PER_THREAD <= crate::env::WORDS_PER_LINE as usize);
 
-/// Aggregate retired-but-unfreed ("garbage") accounting for one thread —
-/// or, after [`GarbageStats::merge`], for a whole run.
+/// Retired-but-unfreed ("garbage") accounting for one thread — embedded in
+/// its [`RetireBag`] — or, after [`GarbageStats::merge`], for a whole run.
 ///
 /// All counts are in nodes; every node in this repository is one cache
 /// line, so bytes are `nodes × LINE_BYTES` ([`GarbageStats::peak_bytes`]).
@@ -97,6 +97,14 @@ const _: () = assert!(SLOTS_PER_THREAD <= crate::env::WORDS_PER_LINE as usize);
 /// its peak garbage stays within a constant of `reclaim_freq × threads`
 /// even with a stalled/crashed thread, and *unbounded* when the peak
 /// tracks the total retire count instead (qsbr/rcu under a silent thread).
+///
+/// Purely host-side bookkeeping — it issues **no simulated operations**
+/// and charges no simulated cycles, so counting cannot perturb the
+/// simulated schedule. The time-*series* view of garbage rides on the
+/// Figure-3 machinery instead (`MachineConfig::sample_every` +
+/// `Machine::footprint_samples`, which sample `allocated_not_freed` in
+/// simulated time); these counts add the per-scheme peak/live split that
+/// `allocated_not_freed` (live data + garbage) cannot give by itself.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GarbageStats {
     /// Nodes handed to [`Smr::retire`].
@@ -122,80 +130,32 @@ impl GarbageStats {
         self.live * crate::env::LINE_BYTES
     }
 
-    /// Fold another thread's stats into this one.
+    /// Fold another thread's stats into this one — a whole run's, or an
+    /// adopted thread's (see [`Smr::adopt`]): `retired`, `freed` and `live`
+    /// add exactly, so flow accounting stays balanced across membership
+    /// churn, and the peak becomes the *sum* of the two peaks (the
+    /// conservative direction for the robustness bound: a scheme reported
+    /// bounded under summed peaks is bounded under the true peak too).
     pub fn merge(&mut self, other: &GarbageStats) {
         self.retired += other.retired;
         self.freed += other.freed;
         self.live += other.live;
         self.peak += other.peak;
     }
-}
-
-/// Host-side garbage meter embedded in each scheme's per-thread state.
-///
-/// Purely host-side bookkeeping — it issues **no simulated operations**
-/// and charges no simulated cycles, so arming it cannot perturb the
-/// simulated schedule (the determinism goldens and the latency-runner
-/// equivalence tests stay byte-identical). The time-*series* view of
-/// garbage rides on the Figure-3 machinery instead
-/// (`MachineConfig::sample_every` + `Machine::footprint_samples`, which
-/// sample `allocated_not_freed` in simulated time); the meter contributes
-/// the per-scheme peak/live split that `allocated_not_freed` (live data +
-/// garbage) cannot give by itself.
-#[derive(Clone, Debug, Default)]
-pub struct GarbageMeter {
-    retired: u64,
-    freed: u64,
-    peak: u64,
-}
-
-impl GarbageMeter {
-    /// Fresh meter (all zeros).
-    pub fn new() -> Self {
-        Self::default()
-    }
 
     /// Count one node handed to `retire`.
     #[inline]
-    pub fn on_retire(&mut self) {
+    fn on_retire(&mut self) {
         self.retired += 1;
-        self.peak = self.peak.max(self.retired - self.freed);
+        self.live += 1;
+        self.peak = self.peak.max(self.live);
     }
 
     /// Count one node freed by a scan.
     #[inline]
-    pub fn on_free(&mut self) {
+    fn on_free(&mut self) {
         self.freed += 1;
-    }
-
-    /// Nodes currently retired-but-unfreed.
-    #[inline]
-    pub fn live(&self) -> u64 {
-        self.retired - self.freed
-    }
-
-    /// Fold an adopted thread's meter into this one (see
-    /// [`Smr::adopt`]): `retired` and `freed` add exactly — so run-wide
-    /// flow accounting stays balanced across membership churn — and the
-    /// peak becomes the *sum* of the two peaks, an upper bound on the true
-    /// combined instantaneous peak (the same convention as
-    /// [`GarbageStats::merge`], and the conservative direction for the
-    /// robustness bound: a scheme reported bounded under summed peaks is
-    /// bounded under the true peak too).
-    pub fn merge(&mut self, other: &GarbageMeter) {
-        self.retired += other.retired;
-        self.freed += other.freed;
-        self.peak += other.peak;
-    }
-
-    /// Snapshot the counters.
-    pub fn stats(&self) -> GarbageStats {
-        GarbageStats {
-            retired: self.retired,
-            freed: self.freed,
-            live: self.live(),
-            peak: self.peak,
-        }
+        self.live -= 1;
     }
 }
 
@@ -212,7 +172,7 @@ pub struct Retired {
 
 /// The per-thread half every scheme shares, embedded in its `Tls`: who the
 /// thread is, what it has retired and not yet freed, how far it is from its
-/// next scan, and the [`GarbageMeter`]. Host-side only (a real
+/// next scan, and its [`GarbageStats`]. Host-side only (a real
 /// implementation keeps it in thread-private memory); the one simulated
 /// charge is the sweep's [`Env::tick`] per examined entry.
 #[derive(Debug)]
@@ -223,7 +183,7 @@ pub struct RetireBag {
     /// ([`SmrConfig::reclaim_freq`]).
     scan_every: u64,
     retires_since_scan: u64,
-    meter: GarbageMeter,
+    garbage: GarbageStats,
 }
 
 impl RetireBag {
@@ -234,21 +194,21 @@ impl RetireBag {
             retired: Vec::new(),
             scan_every,
             retires_since_scan: 0,
-            meter: GarbageMeter::new(),
+            garbage: GarbageStats::default(),
         }
     }
 
     /// Count a retire that is never listed (leaky: nothing will free it).
     #[inline]
     pub(crate) fn leak(&mut self) {
-        self.meter.on_retire();
+        self.garbage.on_retire();
     }
 
     /// List a stamped node; true when the scan cadence is due.
     #[inline]
     fn push(&mut self, r: Retired) -> bool {
         self.retired.push(r);
-        self.meter.on_retire();
+        self.garbage.on_retire();
         self.retires_since_scan += 1;
         self.retires_since_scan >= self.scan_every
     }
@@ -272,12 +232,12 @@ impl RetireBag {
             } else {
                 let r = self.retired.swap_remove(i);
                 env.free(r.addr);
-                self.meter.on_free();
+                self.garbage.on_free();
             }
         }
     }
 
-    /// Take over `estate`'s retire list and meter. A `token` marks the
+    /// Take over `estate`'s retire list and garbage counts. A `token` marks the
     /// estate as a crash victim's: it must name the estate's thread — the
     /// one place a [`CrashToken`] is checked, before anything is touched —
     /// and that thread is returned for the caller to [`Smr::revoke`].
@@ -287,7 +247,7 @@ impl RetireBag {
             estate.tid
         });
         self.retired.append(&mut estate.retired);
-        self.meter.merge(&estate.meter);
+        self.garbage.merge(&estate.garbage);
         victim
     }
 }
@@ -317,9 +277,9 @@ pub trait SmrBase: Sync {
     }
 
     /// This thread's retired-but-unfreed accounting (see [`GarbageStats`]),
-    /// read off its bag's meter. Host-side only.
+    /// a copy of its bag's counts. Host-side only.
     fn garbage(&self, tls: &Self::Tls) -> GarbageStats {
-        Self::bag(tls).meter.stats()
+        Self::bag(tls).garbage.clone()
     }
 
     /// Scheme name as used in the paper's figures.
@@ -434,7 +394,7 @@ pub trait Smr<E: Env + ?Sized>: SmrBase {
     /// Take over an orphan's reclamation obligations.
     ///
     /// For a [`Orphan::departed`] orphan this merges the residual retire
-    /// list and its [`GarbageMeter`] into `tls` and scans. For a
+    /// list and its [`GarbageStats`] into `tls` and scans. For a
     /// [`Orphan::crashed`] orphan the scheme additionally **forcibly
     /// retracts** the victim's live publications — clearing its hazard/era
     /// slots, deactivating its reservation, deregistering its

@@ -53,7 +53,7 @@ impl SmrBase for Leaky {
 
 /// No per-read cost, no per-op cost (the protection defaults), and a
 /// lifecycle that is pure accounting: with nothing published and nothing
-/// listed, `depart` hands over the meter and `adopt` merges it — the leak
+/// listed, `depart` hands over the counts and `adopt` merges them — the leak
 /// changes owners, not size — after the same token check as everyone's.
 impl<E: Env + ?Sized> Smr<E> for Leaky {
     #[inline]

@@ -44,8 +44,7 @@ pub mod rcu;
 pub mod recovery;
 
 pub use api::{
-    GarbageMeter, GarbageStats, RetireBag, Retired, Smr, SmrBase, SmrConfig, INACTIVE,
-    NODE_BIRTH_WORD,
+    GarbageStats, RetireBag, Retired, Smr, SmrBase, SmrConfig, INACTIVE, NODE_BIRTH_WORD,
 };
 pub use env::{Env, EnvHost, SimEnv, LINE_BYTES, WORDS_PER_LINE};
 pub use native::{HeartbeatBoard, NativeEnv, NativeMachine, NativeStats};

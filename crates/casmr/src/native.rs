@@ -242,7 +242,8 @@ impl NativeMachine {
     }
 
     /// Run `f` on `n` real host threads, returning the per-thread results
-    /// in thread-id order. The native analog of `Machine::run_on`.
+    /// in thread-id order. The native analog of `Machine::run_on`, and like
+    /// it, a worker's panic is re-raised here with its own payload.
     pub fn run_on<R: Send>(
         &self,
         n: usize,
@@ -254,7 +255,7 @@ impl NativeMachine {
                 .map(|tid| s.spawn(move || f(tid, &mut NativeEnv::new(self, tid, n))))
                 .collect::<Vec<_>>() // spawn them all before joining any
                 .into_iter()
-                .map(|h| h.join().expect("native worker panicked"))
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
                 .collect()
         })
     }

@@ -104,7 +104,7 @@ fn larger_quanta_batch_more_events() {
 #[test]
 fn parallel_sweep_is_byte_identical_across_jobs() {
     // The caharness sweep engine runs experiment configurations on a
-    // work-stealing pool of host threads. Host parallelism must be
+    // pool of host threads sharing one task queue. Host parallelism must be
     // invisible in the output: a 21-configuration plan (the queue figure:
     // 7 schemes × 3 thread counts) rendered with --jobs 1, 4 and 8 must
     // produce byte-identical metrics tables — same cells, same order, same
