@@ -5,7 +5,6 @@ pub mod extbst;
 pub mod fallback_list;
 pub mod harrislist;
 pub mod lazylist;
-pub mod lockfree_bst;
 pub mod queue;
 pub mod stack;
 
@@ -13,6 +12,5 @@ pub use extbst::CaExtBst;
 pub use fallback_list::FbCaLazyList;
 pub use harrislist::CaHarrisList;
 pub use lazylist::CaLazyList;
-pub use lockfree_bst::CaLfExtBst;
 pub use queue::CaQueue;
 pub use stack::CaStack;

@@ -12,8 +12,8 @@
 //!
 //! Plus the extension structures:
 //!
-//! * [`ca::CaHarrisList`] and [`ca::CaLfExtBst`] — **lock-free** CA list
-//!   and tree (the paper's future-work question, answered);
+//! * [`ca::CaHarrisList`] — a **lock-free** CA list (the paper's
+//!   future-work question, answered for the Harris list);
 //! * [`ca::FbCaLazyList`] — the lazy list wrapped in the §IV fallback path
 //!   (guaranteed progress on any cache geometry);
 //! * [`htm::HtmLazyList`] — the §VI comparator: hand-over-hand hardware

@@ -35,7 +35,7 @@ fn main() {
     let (names, scale, recover) = (&cli.positionals, cli.scale, cli.recover);
     let mut plans = select(names, scale, recover).unwrap_or_else(|msg| {
         eprintln!("error: {msg}\n\nfigures:");
-        for fig in &FIGURES {
+        for fig in FIGURES {
             eprintln!("  {:<20}{}", fig.name, fig.about);
         }
         std::process::exit(2);

@@ -11,10 +11,11 @@
 //! introduced ordering holes.
 //!
 //! The workload is deliberately small (the analyzer is O(events) per run
-//! and the grid has 39 cells: the paper's five structures under all seven
-//! schemes, the four CA-only extensions as `ca`) and pinned to quantum 0,
-//! where the analyzer's linearization `(clock, core, seq)` is exact, so the
-//! report is byte-identical across backends.
+//! and the grid is every `Structure::ALL` × `SchemeKind::ALL` pair that
+//! `Structure::supports`: the paper's five structures under every scheme,
+//! the CA-only extensions as `ca`; the closing line counts the cells) and
+//! pinned to quantum 0, where the analyzer's linearization `(clock, core,
+//! seq)` is exact, so the report is byte-identical across backends.
 //!
 //! Usage: `cargo run --release -p caharness --bin race_audit [--quick]
 //! [--max_cycles N]` (simulator only: `--native` exits 2; the cells run one

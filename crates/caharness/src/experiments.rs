@@ -304,7 +304,7 @@ pub fn select(names: &[String], scale: Scale, recover: bool) -> Result<Vec<Plan>
 }
 
 /// Every figure, in the order `fig all` emits them.
-pub static FIGURES: [Figure; 19] = [
+pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig1_lazylist",
         about: "Fig. 1 top: lazy list, keys 0..1K, three workload panels",
@@ -396,31 +396,7 @@ pub static FIGURES: [Figure; 19] = [
         name: "harris_bench",
         about: "extension: lock-free CA Harris list vs the lock-based lists",
         recover: None,
-        plan: |s, _| {
-            lockfree_bench(
-                "harris_bench.csv",
-                "Lock-free CA Harris list vs lock-based lists — 50i-50d",
-                ("ca-harris (lock-free)", Structure::Harris),
-                ("lazy", LAZY_LIST),
-                1000,
-                s,
-            )
-        },
-    },
-    Figure {
-        name: "lfbst_bench",
-        about: "extension: lock-free CA external BST vs the lock-based BSTs",
-        recover: None,
-        plan: |s, _| {
-            lockfree_bench(
-                "lfbst_bench.csv",
-                "Lock-free CA external BST vs lock-based BSTs — 50i-50d, keys 0..10K",
-                ("ca-lf-bst (lock-free)", Structure::LfBst),
-                ("bst", EXT_BST),
-                10_000,
-                s,
-            )
-        },
+        plan: harris_bench,
     },
     Figure {
         name: "htm_bench",
@@ -906,32 +882,24 @@ fn queue_bench(scale: Scale, _: bool) -> Plan {
     plan
 }
 
-/// The lock-free extensions (paper future work), 100% updates: one
-/// lock-free CA `variant` row, then the lock-based structure of the same
-/// shape under CA and the fastest baselines, as `{scheme}-{suffix}` rows.
-fn lockfree_bench(
-    csv: &str,
-    title: &str,
-    (variant_row, variant): (&str, Structure),
-    (suffix, lock_based): (&str, Structure),
-    key_range: u64,
-    scale: Scale,
-) -> Plan {
+/// Extension: the lock-free CA Harris list (`ca-harris`), then the lazy
+/// list under CA and the fastest baselines as `{scheme}-lazy` rows, 50i-50d.
+fn harris_bench(scale: Scale, _: bool) -> Plan {
     let threads = scale.threads();
-    let keys = RunConfig {
-        key_range,
-        prefill: key_range / 2,
-        ..base(scale)
-    };
-    let cfgs = at_threads(&threads, keys);
+    let cfgs = at_threads(&threads, base(scale));
     let mut plan = Plan::default();
-    let lock_free = plan.cells(variant, SchemeKind::Ca, &cfgs);
+    let lock_free = plan.cells(Structure::Harris, SchemeKind::Ca, &cfgs);
     let baselines =
-        plan.by_scheme(lock_based, &[SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::None], &cfgs);
-    let table = plan.table(csv, title, "variant\\threads", labels(&threads));
-    table.row(variant_row, &lock_free, throughput_of);
+        plan.by_scheme(LAZY_LIST, &[SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::None], &cfgs);
+    let table = plan.table(
+        "harris_bench.csv",
+        "Lock-free CA Harris list vs lock-based lists — 50i-50d",
+        "variant\\threads",
+        labels(&threads),
+    );
+    table.row("ca-harris (lock-free)", &lock_free, throughput_of);
     for (scheme, cells) in &baselines {
-        table.row(format!("{scheme}-{suffix}"), cells, throughput_of);
+        table.row(format!("{scheme}-lazy"), cells, throughput_of);
     }
     plan
 }
@@ -1209,7 +1177,7 @@ mod tests {
         for scale in [Scale::Quick, Scale::Standard, Scale::Paper] {
             for recover in [false, true] {
                 let mut csvs = BTreeSet::new();
-                for fig in &FIGURES {
+                for fig in FIGURES {
                     let plan = (fig.plan)(scale, recover);
                     for c in &plan.cells {
                         assert!(
@@ -1240,7 +1208,7 @@ mod tests {
                         }
                     }
                 }
-                assert_eq!(csvs.len(), 37, "tables per full run ({scale:?}, recover={recover})");
+                assert_eq!(csvs.len(), 36, "tables per full run ({scale:?}, recover={recover})");
             }
         }
     }
@@ -1258,7 +1226,7 @@ mod tests {
         // `all`: robustness plain, recovery with adoption — the registry's
         // `recover` column, not a special case in the bin.
         let all = csvs(&["all"], false);
-        assert_eq!(all.len(), 37);
+        assert_eq!(all.len(), 36);
         assert_eq!(all.iter().filter(|csv| csv.ends_with("_adopt.csv")).count(), 2);
         let plans = select(&names(&["all"]), Scale::Quick, false).unwrap();
         let robustness = &plans[FIGURES.iter().position(|f| f.name == "fig_robustness").unwrap()];

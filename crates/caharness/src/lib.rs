@@ -10,7 +10,7 @@
 //!
 //! | binary | does | accepts |
 //! |---|---|---|
-//! | `fig <figure>... \| all` | renders the named figures (all 19 for `all`) as one flat sweep; with no name it lists the registry, one line per figure | `--quick`\|`--paper`, `--recover`, `--jobs N`, `--max_cycles N`, `--native` |
+//! | `fig <figure>... \| all` | renders the named figures (every registry entry for `all`) as one flat sweep; with no name it lists the registry, one line per figure | `--quick`\|`--paper`, `--recover`, `--jobs N`, `--max_cycles N`, `--native` |
 //! | `validate` | runs one panel on the simulator and on real host threads and scores the agreement of their scheme orderings | `--quick`\|`--paper`, `--jobs N`, `--max_cycles N`, `--min_agreement X` |
 //! | `race_audit` | happens-before race audit over the scheme × structure grid, diffed against a whitelist | `--quick`, `--max_cycles N` (`--native` exits 2: simulator only) |
 //!

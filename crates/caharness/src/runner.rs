@@ -21,7 +21,7 @@
 //! (`SetOps`, `StackOps`, `QueueOps`) against [`casmr::Env`] and
 //! monomorphized by exactly two host shells, `run_sim` and `run_native`.
 
-use cads::ca::{CaExtBst, CaHarrisList, CaLazyList, CaLfExtBst, CaQueue, CaStack, FbCaLazyList};
+use cads::ca::{CaExtBst, CaHarrisList, CaLazyList, CaQueue, CaStack, FbCaLazyList};
 use cads::htm::HtmLazyList;
 use cads::smr::{SmrExtBst, SmrLazyList, SmrQueue, SmrStack};
 use cads::{DsShared, HashTable, QueueDs, SetDs, StackDs};
@@ -69,8 +69,6 @@ pub enum Structure {
     Queue,
     /// Lock-free Conditional-Access Harris list (extension beyond the paper).
     Harris,
-    /// Lock-free Conditional-Access external BST (extension).
-    LfBst,
     /// Hand-over-hand **transactional** lazy list (the Zhou et al.
     /// comparator of §VI) with a `slots`-entry metadata version table. Like
     /// CA it reclaims immediately and needs no SMR scheme.
@@ -89,14 +87,13 @@ pub enum Structure {
 
 impl Structure {
     /// Every structure, the parameterised ones at their `cads` defaults.
-    pub const ALL: [Structure; 9] = [
+    pub const ALL: [Structure; 8] = [
         Structure::Set(SetKind::LazyList),
         Structure::Set(SetKind::ExtBst),
         Structure::Set(SetKind::HashTable),
         Structure::Stack,
         Structure::Queue,
         Structure::Harris,
-        Structure::LfBst,
         Structure::HtmList {
             slots: cads::htm::lazylist::DEFAULT_META_SLOTS,
         },
@@ -112,7 +109,6 @@ impl Structure {
             Structure::Stack => "stack",
             Structure::Queue => "queue",
             Structure::Harris => "harris",
-            Structure::LfBst => "lfbst",
             Structure::HtmList { .. } => "htmlist",
             Structure::FallbackList { .. } => "fallbacklist",
         }
@@ -605,7 +601,6 @@ pub fn run(
         Structure::Stack => run_sim_immediate(&m, &StackOps(CaStack::new(&m)), job),
         Structure::Queue => run_sim_immediate(&m, &QueueOps(CaQueue::new(&m)), job),
         Structure::Harris => run_sim_immediate(&m, &SetOps(CaHarrisList::new(&m)), job),
-        Structure::LfBst => run_sim_immediate(&m, &SetOps(CaLfExtBst::new(&m)), job),
         Structure::HtmList { slots } => {
             run_sim_immediate(&m, &SetOps(HtmLazyList::with_slots(&m, slots)), job)
         }

@@ -17,8 +17,8 @@
 //!   transactional retry scaffolding for the §VI comparator.
 //! * [`smr`] — the six baseline reclamation schemes.
 //! * [`ds`] — the benchmarked data structures (CA + SMR variants, the
-//!   lock-free CA Harris list and external BST, the fallback-wrapped list,
-//!   and the hand-over-hand transactional list).
+//!   lock-free CA Harris list, the fallback-wrapped list, and the
+//!   hand-over-hand transactional list).
 //! * [`harness`] — workload generation, the paper's experiments, and the
 //!   tail-latency histogram.
 //!

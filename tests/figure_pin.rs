@@ -1,11 +1,12 @@
 //! Byte-identity pin for the figure tables.
 //!
 //! `tests/goldens/figure_pin.txt` holds one digest per table the `fig`
-//! binary writes at `--quick`: the 37 CSVs of `fig all`, plus the two flag
+//! binary writes at `--quick`: the 36 CSVs of `fig all`, plus the two flag
 //! variants `all` never takes (`fig_robustness --recover`, three tables
 //! with the `1+adopt`/`2+adopt` columns; `fig_recovery` without
 //! `--recover`, two tables). The file was generated from the per-figure
-//! functions the registry replaced (PR 20) and has not changed since. Each
+//! functions the registry replaced (PR 20); since then rows have only left
+//! it, with deleted figures. Each
 //! digest covers the rendered text table (title, corner label, alignment)
 //! and the CSV bytes, so a refactor of the experiments layer that moves a
 //! title, reorders a series or changes one cell's configuration shows up as
@@ -20,14 +21,14 @@
 mod common;
 
 use common::{check_golden, Digest};
-use conditional_access::harness::experiments::{render, select, Scale};
+use conditional_access::harness::experiments::{render, select, Scale, FIGURES};
 
 #[test]
 fn quick_figures_match_the_goldens() {
     let names = |ns: &[&str]| ns.iter().map(|n| n.to_string()).collect::<Vec<_>>();
     let mut plans = select(&names(&["all"]), Scale::Quick, false).expect("the registry");
     let full_run: usize = plans.iter().map(|p| p.tables.len()).sum();
-    assert_eq!(full_run, 37, "a full run writes 37 tables");
+    assert_eq!(full_run, 36, "a full run writes 36 tables");
     // The flag variants a full run does not take.
     plans.extend(select(&names(&["fig_robustness"]), Scale::Quick, true).expect("in the registry"));
     plans.extend(select(&names(&["fig_recovery"]), Scale::Quick, false).expect("in the registry"));
@@ -47,5 +48,44 @@ fn quick_figures_match_the_goldens() {
         "figure_pin.txt",
         &rendered,
         "a figure table diverged from the pinned bytes",
+    );
+}
+
+/// The figures EXPERIMENTS.md gives a verdict section: a heading that names
+/// the figure in backticks, followed by prose (the paper section or
+/// extension question, the cells it reads and the verdict of a run). Lines
+/// inside code fences are table or command text, never headings.
+fn verdict_sections(doc: &str) -> Vec<String> {
+    let mut covered = Vec::new();
+    let mut heading: Option<&str> = None;
+    let mut has_prose = false;
+    let mut fenced = false;
+    for line in doc.lines().chain(["# end"]) {
+        if line.starts_with("```") {
+            fenced = !fenced;
+        } else if !fenced && line.starts_with('#') {
+            if let (Some(h), true) = (heading, has_prose) {
+                covered.extend(h.split('`').skip(1).step_by(2).map(str::to_string));
+            }
+            (heading, has_prose) = (Some(line), false);
+        } else if !fenced && !line.trim().is_empty() {
+            has_prose = true;
+        }
+    }
+    covered
+}
+
+#[test]
+fn every_figure_has_a_verdict_section() {
+    let covered = verdict_sections(include_str!("../EXPERIMENTS.md"));
+    let missing: Vec<&str> = FIGURES
+        .iter()
+        .map(|f| f.name)
+        .filter(|name| !covered.iter().any(|c| c == name))
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "figures without a verdict section in EXPERIMENTS.md (a heading naming \
+         the figure in backticks, then prose): {missing:?}"
     );
 }

@@ -13,7 +13,7 @@ use std::collections::BTreeSet;
 
 use common::{check_set_accounting, histories, machine, Sets};
 use conditional_access::sim::machine::Ctx;
-use conditional_access::ds::ca::{CaExtBst, CaHarrisList, CaLazyList, CaLfExtBst, FbCaLazyList};
+use conditional_access::ds::ca::{CaExtBst, CaHarrisList, CaLazyList, FbCaLazyList};
 use conditional_access::ds::htm::HtmLazyList;
 use conditional_access::ds::seqcheck::{walk_bst, walk_list};
 use conditional_access::ds::smr::SmrLazyList;
@@ -103,8 +103,8 @@ proptest! {
     }
 
     #[test]
-    fn concurrent_harris_accounting(seed in 0u64..1_000_000) {
-        let m = machine(3, 0);
+    fn concurrent_harris_accounting(seed in 0u64..1_000_000, quantum in 0u64..256) {
+        let m = machine(3, quantum);
         let ds = CaHarrisList::new(&m);
         let h = histories(&m, &Sets(&ds), 3, 120, 16, seed);
         // Quiesce (helping unlinks the marked backlog) before walking.
@@ -149,26 +149,6 @@ proptest! {
         let ds = HtmLazyList::with_slots(&m, slots);
         let h = histories(&m, &Sets(&ds), 3, 120, 16, seed);
         check_set_accounting("concurrent", &h, &walk_list(&m, ds.head_node()));
-    }
-
-    #[test]
-    fn ca_lf_bst_matches_btreeset(ops in proptest::collection::vec(op_strategy(24), 1..120)) {
-        check_sequential(CaLfExtBst::new, &ops);
-    }
-
-    #[test]
-    fn concurrent_lf_bst_accounting(seed in 0u64..1_000_000, quantum in 0u64..256) {
-        let m = machine(3, quantum);
-        let ds = CaLfExtBst::new(&m);
-        let h = histories(&m, &Sets(&ds), 3, 120, 16, seed);
-        // Quiesce: help every pending unlink before walking host-side.
-        m.run_on(1, |_, ctx| {
-            let mut t = ();
-            for k in 1..=16 {
-                ds.contains(ctx, &mut t, k);
-            }
-        });
-        check_set_accounting("concurrent", &h, &walk_bst(&m, ds.root_node()));
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //!
 //! `tests/goldens/runner_pin.txt` was captured at the parent commit, from
 //! the per-instrument entry points that `caharness::run` replaced: stack,
-//! queue, the four CA-only structures, latency capture (metrics and
+//! queue, the CA-only structures, latency capture (metrics and
 //! histogram buckets), the robust set runner under a finite stall, the
 //! robust queue runner under two crashes, and the recovery runner (metrics,
 //! machine stats, recovery clocks) — every scheme. Labels, configurations
 //! and digests below are that generator's (the `g1` label prefix dates from
 //! when the grid had a second, since-retired axis); only the call producing
-//! each cell changed.
+//! each cell changed, and the rows of deleted structures went with them.
 //!
 //! Simulated results are bit-identical across host execution backends, so
 //! one golden file serves both `MCSIM_EXEC` legs.
@@ -98,7 +98,6 @@ fn all_lines() -> String {
     }
     for structure in [
         Structure::Harris,
-        Structure::LfBst,
         Structure::HtmList { slots: 64 },
         Structure::FallbackList { max_attempts: 2 },
     ] {
