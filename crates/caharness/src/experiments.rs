@@ -542,8 +542,8 @@ fn ablation_assoc(scale: Scale, _: bool) -> Plan {
         "metric\\assoc",
         labels(&assocs),
     )
-    .row("cread failures", &cells, |o| o.metrics.cread_fail as f64)
-    .row("eviction revokes", &cells, |o| o.metrics.spurious_revokes as f64);
+    .row("cread failures", &cells, |o| o.stats.sum(|c| c.cread_fail) as f64)
+    .row("eviction revokes", &cells, |o| o.stats.sum(|c| c.spurious_revokes()) as f64);
     plan
 }
 
@@ -628,7 +628,7 @@ fn ablation_ctxswitch(scale: Scale, _: bool) -> Plan {
     )
     .row("ca ops/Mcycle", &ca, throughput_of)
     .row("qsbr ops/Mcycle", &qsbr, throughput_of)
-    .row("ca spurious revokes", &ca, |o| o.metrics.spurious_revokes as f64);
+    .row("ca spurious revokes", &ca, |o| o.stats.sum(|c| c.spurious_revokes()) as f64);
     plan
 }
 
@@ -749,11 +749,11 @@ fn ablation_smt(scale: Scale, _: bool) -> Plan {
     revokes.rows = vec![
         (
             "sibling-store revokes".into(),
-            each(&ca2, |o| o.metrics.sibling_revokes as f64),
+            each(&ca2, |o| o.stats.sum(|c| c.revoke_sibling) as f64),
         ),
         (
             "conditional-access failures".into(),
-            each(&ca2, |o| (o.metrics.cread_fail + o.metrics.cwrite_fail) as f64),
+            each(&ca2, |o| o.stats.sum(|c| c.cread_fail + c.cwrite_fail) as f64),
         ),
     ];
     plan
@@ -798,7 +798,10 @@ fn ablation_protocol(scale: Scale, _: bool) -> Plan {
         mesi_events.across(
             name,
             cells[1],
-            &[|o| o.metrics.e_grants as f64, |o| o.metrics.silent_upgrades as f64],
+            &[
+                |o| o.stats.sum(|c| c.e_grants) as f64,
+                |o| o.stats.sum(|c| c.silent_upgrades) as f64,
+            ],
         );
     }
     plan
@@ -941,10 +944,10 @@ fn htm_bench(scale: Scale, _: bool) -> Plan {
     );
     for (name, cells) in &htm {
         aborts.row(format!("{name} aborts/op"), cells, |o| {
-            o.metrics.tx_aborts as f64 / o.metrics.total_ops.max(1) as f64
+            o.stats.sum(|c| c.tx_aborts) as f64 / o.metrics.total_ops.max(1) as f64
         });
         aborts.row(format!("{name} tx/op"), cells, |o| {
-            o.metrics.tx_begins as f64 / o.metrics.total_ops.max(1) as f64
+            o.stats.sum(|c| c.tx_begins) as f64 / o.metrics.total_ops.max(1) as f64
         });
     }
     plan

@@ -1,4 +1,13 @@
 //! Per-run measurement record.
+//!
+//! One home per counter. A simulator counter lives in `mcsim::CoreStats`;
+//! a reader sums it from [`crate::Outcome::stats`] (`MachineStats::sum`,
+//! `CoreStats::spurious_revokes`, `MachineStats::crashed`). [`Metrics`]
+//! holds what `MachineStats` cannot say — the scheme, throughput, the
+//! footprint, the scheme-level garbage meter and the recovery counters —
+//! plus twelve copies of `MachineStats` sums (`cread_fail` through
+//! `untag_alls`) that only the frozen `perfbench/` reads. Those copies go
+//! when perfbench moves onto `Outcome` (ROADMAP item 8(c)).
 
 use mcsim::{FootprintSample, MachineStats};
 
@@ -22,6 +31,7 @@ pub struct Metrics {
     pub peak_allocated: u64,
     /// Footprint samples over time (Figure 3 series).
     pub footprint: Vec<FootprintSample>,
+    // --- copies of `MachineStats` sums, read only by `perfbench/` -------
     /// Failed creads (conflict + spurious).
     pub cread_fail: u64,
     /// Failed cwrites.
@@ -30,25 +40,14 @@ pub struct Metrics {
     pub spurious_revokes: u64,
     /// Fences executed (the hp/he/ibr per-read cost).
     pub fences: u64,
-    /// L1 miss ratio over all accesses.
+    /// L1 miss ratio over all accesses (0 when there were none).
     pub l1_miss_ratio: f64,
-    /// ARB sets caused by sibling-hyperthread stores (SMT runs only).
-    pub sibling_revokes: u64,
-    /// MESI runs only: read misses granted Exclusive.
-    pub e_grants: u64,
-    /// MESI runs only: silent E→M promotions.
-    pub silent_upgrades: u64,
-    /// HTM comparator: transactions begun.
-    pub tx_begins: u64,
-    /// HTM comparator: transactions aborted.
-    pub tx_aborts: u64,
     /// Simulator host-path: events that kept the turn (executed under the
     /// batched, lock-free-for-the-owner fast path).
     pub batched_events: u64,
     /// Simulator host-path: scheduler turn handoffs (lock release + thread
     /// wake). `batched / (batched + handoffs)` is the batching hit rate.
     pub turn_handoffs: u64,
-    // --- event-cost micro-profile (see mcsim::stats::CoreStats) --------
     /// Cycles charged on L1-hit fast paths.
     pub l1_hit_cycles: u64,
     /// Cycles charged on fills served by the shared L2.
@@ -59,15 +58,7 @@ pub struct Metrics {
     pub invalidation_cycles: u64,
     /// `untagAll` instructions executed.
     pub untag_alls: u64,
-    /// `untagOne` instructions executed.
-    pub untag_ones: u64,
-    // --- robustness (fault-injection runs; zeros elsewhere) ------------
-    /// Simulated cores that fail-stopped under an injected crash.
-    pub crashed_cores: usize,
-    /// Injected stall/burst-deschedule windows that fired.
-    pub fault_stalls: u64,
-    /// Allocations that failed recoverably under injected heap pressure.
-    pub alloc_failures: u64,
+    // --- garbage (scheme-level meter; zeros where there is none) --------
     /// Scheme-level peak of retired-but-unfreed bytes (sum of per-thread
     /// peaks — an upper bound; see `casmr::GarbageStats::merge`). 0 when
     /// the runner has no scheme-level meter (e.g. `ca`, which never holds
@@ -100,7 +91,7 @@ impl Metrics {
         stats: &MachineStats,
         footprint: Vec<FootprintSample>,
     ) -> Self {
-        let accesses = stats.sum(|c| c.accesses).max(1);
+        let accesses = stats.sum(|c| c.accesses);
         let hits = stats.sum(|c| c.l1_hits);
         Self {
             scheme,
@@ -115,12 +106,11 @@ impl Metrics {
             cwrite_fail: stats.sum(|c| c.cwrite_fail),
             spurious_revokes: stats.sum(|c| c.spurious_revokes()),
             fences: stats.sum(|c| c.fences),
-            l1_miss_ratio: 1.0 - hits as f64 / accesses as f64,
-            sibling_revokes: stats.sum(|c| c.revoke_sibling),
-            e_grants: stats.sum(|c| c.e_grants),
-            silent_upgrades: stats.sum(|c| c.silent_upgrades),
-            tx_begins: stats.sum(|c| c.tx_begins),
-            tx_aborts: stats.sum(|c| c.tx_aborts),
+            l1_miss_ratio: if accesses == 0 {
+                0.0
+            } else {
+                1.0 - hits as f64 / accesses as f64
+            },
             batched_events: stats.sum(|c| c.batched_events),
             turn_handoffs: stats.sum(|c| c.turn_handoffs),
             l1_hit_cycles: stats.sum(|c| c.l1_hit_cycles),
@@ -128,10 +118,6 @@ impl Metrics {
             mem_fill_cycles: stats.sum(|c| c.mem_fill_cycles),
             invalidation_cycles: stats.sum(|c| c.invalidation_cycles),
             untag_alls: stats.sum(|c| c.untag_alls),
-            untag_ones: stats.sum(|c| c.untag_ones),
-            crashed_cores: stats.crashed.iter().filter(|&&c| c).count(),
-            fault_stalls: stats.sum(|c| c.fault_stalls),
-            alloc_failures: stats.sum(|c| c.alloc_failures),
             ..Default::default()
         }
     }
@@ -141,8 +127,8 @@ impl Metrics {
     /// equivalent: `cycles` holds wall-clock **nanoseconds** and
     /// `throughput` ops/µs — dimensionally the same Mops/s the simulated
     /// ops/Mcycle figure means at a 1 GHz clock, so sim and native columns
-    /// share axes. Every simulator-internal counter (cache, coherence,
-    /// CA/HTM, fault) is zero.
+    /// share axes. The copied `MachineStats` sums are zero, as is every
+    /// sum over the native `Outcome::stats`, which has no cores.
     pub fn from_native(scheme: &'static str, threads: usize, stats: &casmr::NativeStats) -> Self {
         Self {
             scheme,
@@ -184,5 +170,9 @@ mod tests {
         assert_eq!(m.cread_fail, 3);
         assert_eq!(m.final_allocated, 5);
         assert_eq!(m.peak_allocated, 9);
+
+        // A run with no memory accesses misses nothing, as `from_native`.
+        let idle = Metrics::from_stats("ca", 1, &MachineStats::default(), vec![]);
+        assert_eq!(idle.l1_miss_ratio, 0.0);
     }
 }

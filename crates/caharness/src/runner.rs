@@ -662,6 +662,8 @@ mod tests {
         }
     }
 
+    const LAZY: Structure = Structure::Set(SetKind::LazyList);
+
     fn plain(structure: Structure, scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
         run(structure, scheme, cfg, Instrument::None).metrics
     }
@@ -697,11 +699,11 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let cfg = tiny(3, UPDATES);
-        let a = run_set(SetKind::LazyList, SchemeKind::Ca, &cfg);
-        let b = run_set(SetKind::LazyList, SchemeKind::Ca, &cfg);
-        assert_eq!(a.cycles, b.cycles);
-        assert_eq!(a.final_allocated, b.final_allocated);
-        assert_eq!(a.cread_fail, b.cread_fail);
+        let a = run(LAZY, SchemeKind::Ca, &cfg, Instrument::None);
+        let b = run(LAZY, SchemeKind::Ca, &cfg, Instrument::None);
+        assert_eq!(a.metrics.cycles, b.metrics.cycles);
+        assert_eq!(a.metrics.final_allocated, b.metrics.final_allocated);
+        assert_eq!(a.stats.sum(|c| c.cread_fail), b.stats.sum(|c| c.cread_fail));
     }
 
     #[test]
@@ -812,9 +814,11 @@ mod tests {
 
     #[test]
     fn htm_run_reports_transactions() {
-        let m = plain(Structure::HtmList { slots: 64 }, SchemeKind::Ca, &tiny(2, UPDATES));
+        let cfg = tiny(2, UPDATES);
+        let out = run(Structure::HtmList { slots: 64 }, SchemeKind::Ca, &cfg, Instrument::None);
+        let m = &out.metrics;
         assert_eq!(m.total_ops, 300);
-        assert!(m.tx_begins > 0, "every op runs transactions");
+        assert!(out.stats.sum(|c| c.tx_begins) > 0, "every op runs transactions");
         assert!(m.throughput > 0.0);
         // Immediate reclamation: like CA, allocated tracks the live set.
         assert!(m.final_allocated <= 64);
@@ -835,17 +839,19 @@ mod tests {
         // simulated results identical to an empty plan's.
         let cfg = tiny(2, UPDATES);
         let empty = run_set(SetKind::LazyList, SchemeKind::Qsbr, &cfg);
-        let unfired = run_set(
-            SetKind::LazyList,
+        let unfired = run(
+            LAZY,
             SchemeKind::Qsbr,
             &RunConfig {
                 fault_plan: FaultPlan::none().crash(1, u64::MAX),
                 ..cfg
             },
+            Instrument::None,
         );
+        assert_eq!(unfired.stats.crashed, [false, false]);
+        let unfired = unfired.metrics;
         assert_eq!(empty.cycles, unfired.cycles);
         assert_eq!(empty.total_ops, unfired.total_ops);
-        assert_eq!(unfired.crashed_cores, 0);
         assert_eq!(empty.peak_garbage_bytes, unfired.peak_garbage_bytes);
         assert!(empty.peak_garbage_bytes > 0, "qsbr holds a retire backlog");
     }
@@ -860,8 +866,9 @@ mod tests {
             max_cycles: Some(100_000_000),
             ..tiny(2, UPDATES)
         };
-        let m = run_queue(SchemeKind::Qsbr, &cfg);
-        assert_eq!(m.crashed_cores, 1);
+        let out = run(Structure::Queue, SchemeKind::Qsbr, &cfg, Instrument::None);
+        assert_eq!(out.stats.crashed, [false, true]);
+        let m = out.metrics;
         assert!(
             m.total_ops < 300,
             "the crashed core must lose some of its ops, got {}",
@@ -881,10 +888,11 @@ mod tests {
             max_cycles: Some(100_000_000),
             ..tiny(2, UPDATES)
         };
-        let m = run_set(SetKind::LazyList, SchemeKind::Qsbr, &cfg);
-        assert_eq!(m.crashed_cores, 0);
+        let out = run(LAZY, SchemeKind::Qsbr, &cfg, Instrument::None);
+        let m = &out.metrics;
+        assert_eq!(out.stats.crashed, [false, false]);
         assert_eq!(m.total_ops, 300, "a finite stall loses no operations");
-        assert_eq!(m.fault_stalls, 1);
+        assert_eq!(out.stats.sum(|c| c.fault_stalls), 1);
         assert!(m.cycles >= 50_000, "the stall window is on the clock");
     }
 
@@ -947,11 +955,12 @@ mod tests {
             ..crash_only.clone()
         };
         let a = run_queue(SchemeKind::Qsbr, &crash_only);
-        let b = run_queue(SchemeKind::Qsbr, &with_restart);
+        let b = run(Structure::Queue, SchemeKind::Qsbr, &with_restart, Instrument::None);
+        assert_eq!(b.stats.crashed, [false, true]);
+        let b = b.metrics;
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.total_ops, b.total_ops);
         assert_eq!(b.orphans_detected, 0, "nobody came back to adopt");
-        assert_eq!(b.crashed_cores, 1);
     }
 
     #[test]
@@ -997,10 +1006,10 @@ mod tests {
     #[test]
     fn smt_config_drives_sibling_revokes() {
         let cfg = RunConfig { smt: 2, ..tiny(4, UPDATES) };
-        let m = run_set(SetKind::LazyList, SchemeKind::Ca, &cfg);
-        assert_eq!(m.total_ops, 600);
+        let out = run(LAZY, SchemeKind::Ca, &cfg, Instrument::None);
+        assert_eq!(out.metrics.total_ops, 600);
         assert!(
-            m.sibling_revokes > 0,
+            out.stats.sum(|c| c.revoke_sibling) > 0,
             "2 hyperthreads per core must conflict somewhere in 600 ops"
         );
     }
@@ -1023,7 +1032,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let m = run_set(SetKind::LazyList, SchemeKind::Ca, &cfg);
-        assert!(m.e_grants > 0, "MESI runs must grant Exclusive lines");
+        let out = run(LAZY, SchemeKind::Ca, &cfg, Instrument::None);
+        assert!(out.stats.sum(|c| c.e_grants) > 0, "MESI runs must grant Exclusive lines");
     }
 }

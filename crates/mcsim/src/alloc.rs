@@ -124,19 +124,6 @@ impl Allocator {
         self.heap_end - self.heap_base
     }
 
-    /// Shrink the heap to at most `lines` lines (allocation-pressure
-    /// injection, `FaultPlan::heap_limit_lines`). Machine-build time only —
-    /// shrinking below already-allocated lines would corrupt the bitmap.
-    pub fn limit_heap_lines(&mut self, lines: u64) {
-        assert!(lines >= 1, "heap limit of zero lines");
-        assert_eq!(
-            self.brk, self.heap_base,
-            "limit_heap_lines after allocation began"
-        );
-        self.heap_end = self.heap_end.min(self.heap_base + lines);
-        self.allocated.truncate((self.heap_end - self.heap_base) as usize);
-    }
-
     /// Allocate `n` consecutive static lines (machine-build time only).
     pub fn alloc_static(&mut self, n: u64) -> Addr {
         assert!(
@@ -151,21 +138,8 @@ impl Allocator {
 
     /// Allocate one heap line for core `c`. Reuses the most recently freed
     /// line of this core first (LIFO), then fresh lines, then steals from
-    /// the longest other free list. Panics on exhaustion; see
-    /// [`Self::try_alloc`] for the recoverable variant.
+    /// the longest other free list. Panics on exhaustion.
     pub fn alloc(&mut self, c: CoreId) -> Addr {
-        match self.try_alloc(c) {
-            Some(a) => a,
-            None => panic!(
-                "simulated heap exhausted: {} lines all live (raise MachineConfig::mem_bytes)",
-                self.heap_lines()
-            ),
-        }
-    }
-
-    /// [`Self::alloc`] with exhaustion as a verdict: `None` when every heap
-    /// line is live (the `FaultPlan::oom_recoverable` path).
-    pub fn try_alloc(&mut self, c: CoreId) -> Option<Addr> {
         let line = if let Some(l) = self.free_lists[c].pop() {
             l
         } else if self.brk < self.heap_end {
@@ -177,8 +151,14 @@ impl Allocator {
             let victim = (0..self.free_lists.len())
                 .filter(|&o| o != c)
                 .max_by_key(|&o| self.free_lists[o].len())
-                .filter(|&o| !self.free_lists[o].is_empty());
-            self.free_lists[victim?].pop().expect("nonempty")
+                .filter(|&o| !self.free_lists[o].is_empty())
+                .unwrap_or_else(|| {
+                    panic!(
+                        "simulated heap exhausted: {} lines all live (raise MachineConfig::mem_bytes)",
+                        self.heap_lines()
+                    )
+                });
+            self.free_lists[victim].pop().expect("nonempty")
         };
         let idx = (line - self.heap_base) as usize;
         debug_assert!(!self.allocated[idx], "free list handed out a live line");
@@ -186,7 +166,7 @@ impl Allocator {
         self.total_allocs += 1;
         self.allocated_not_freed += 1;
         self.peak = self.peak.max(self.allocated_not_freed);
-        Some(Line(line).base())
+        Line(line).base()
     }
 
     /// Free a heap line. Panics on double free or freeing a non-heap line —
@@ -340,6 +320,8 @@ mod tests {
         a.free(1, nodes[0]); // only core 1's list has a free line
         let again = a.alloc(0); // core 0 must steal it
         assert_eq!(again, nodes[0]);
+        a.free(0, nodes[7]);
+        assert_eq!(a.alloc(0), nodes[7], "a full heap hands a freed line out again");
     }
 
     #[test]
@@ -349,34 +331,6 @@ mod tests {
         for _ in 0..31 {
             a.alloc(0);
         }
-    }
-
-    #[test]
-    fn try_alloc_reports_exhaustion_recoverably() {
-        let mut a = Allocator::new(1, 32 * 64, 1); // 30 heap lines
-        let nodes: Vec<Addr> = (0..30).map(|_| a.alloc(0)).collect();
-        assert_eq!(a.try_alloc(0), None);
-        assert_eq!(a.try_alloc(0), None, "verdict is repeatable, not sticky-corrupt");
-        a.free(0, nodes[7]);
-        assert_eq!(a.try_alloc(0), Some(nodes[7]), "recovers after a free");
-    }
-
-    #[test]
-    fn heap_limit_shrinks_capacity() {
-        let mut a = Allocator::new(1, 64 * 1024, 16);
-        a.limit_heap_lines(4);
-        assert_eq!(a.heap_lines(), 4);
-        for _ in 0..4 {
-            assert!(a.try_alloc(0).is_some());
-        }
-        assert_eq!(a.try_alloc(0), None);
-    }
-
-    #[test]
-    fn heap_limit_larger_than_heap_is_noop() {
-        let mut a = Allocator::new(1, 32 * 64, 1);
-        a.limit_heap_lines(1 << 40);
-        assert_eq!(a.heap_lines(), 30);
     }
 
     #[test]

@@ -1391,11 +1391,11 @@ mod tests {
         // `smt > 1` rows cover the sibling-tag and core-placement paths.
         let mut moved = Vec::new();
         for (protocol, smt, pinned, pinned_residency) in [
-            (Protocol::Msi, 1, 0xd66c52515defa177u64, 0x65499206603271a3u64),
-            (Protocol::Mesi, 1, 0xe2a686c69a934a11, 0x230942eb922bebcd),
-            (Protocol::Msi, 2, 0x6bbfa0aa8a4ef7b1, 0xbe82f3bd6dfeb212),
-            (Protocol::Mesi, 2, 0x245f88b514a28fc4, 0x12891d3551e007a7),
-            (Protocol::Msi, 4, 0xd878799880529036, 0xb91f170f1ecb6010),
+            (Protocol::Msi, 1, 0x5c532ca4c3f3e2b1u64, 0x65499206603271a3u64),
+            (Protocol::Mesi, 1, 0xdc6d6730e84bd14b, 0x230942eb922bebcd),
+            (Protocol::Msi, 2, 0xc5aae966b804557f, 0xbe82f3bd6dfeb212),
+            (Protocol::Mesi, 2, 0xc49c163e616f0198, 0x12891d3551e007a7),
+            (Protocol::Msi, 4, 0xdd66422049e67638, 0xb91f170f1ecb6010),
         ] {
             let (outcome, residency) = scripted_run(protocol, smt);
             let got = (digest(&outcome), digest(&residency));

@@ -195,7 +195,7 @@ impl Event for UntagAllOp {
     }
 }
 
-/// Allocate one node; `Addr::NULL` is the recoverable-exhaustion verdict.
+/// Allocate one node.
 #[derive(Copy, Clone)]
 pub(crate) struct AllocOp;
 
@@ -203,23 +203,11 @@ impl Event for AllocOp {
     type R = Addr;
     #[inline]
     fn trace(self, out: &Addr) -> Option<(Kind, Addr)> {
-        (*out != Addr::NULL).then_some((Kind::Alloc, *out))
+        Some((Kind::Alloc, *out))
     }
     #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> (Addr, u64) {
-        // Under oom_recoverable, exhaustion is a verdict: the malloc
-        // latency is still charged (the simulated allocator did the work of
-        // discovering there was nothing to hand out) and the null address
-        // flows back to `Ctx::try_alloc` as `None`.
-        let a = if st.fault.oom_recoverable {
-            st.alloc.try_alloc(c).unwrap_or_else(|| {
-                st.hub.stats.core(c).alloc_failures += 1;
-                Addr::NULL
-            })
-        } else {
-            st.alloc.alloc(c)
-        };
-        (a, lat::MALLOC)
+        (st.alloc.alloc(c), lat::MALLOC)
     }
 }
 

@@ -10,7 +10,7 @@
 //! identical simulated cycles on every execution backend — the same
 //! determinism contract the rest of the simulator keeps.
 //!
-//! Three fault kinds (see [`FaultPlan`]):
+//! Two fault kinds (see [`FaultPlan`]):
 //!
 //! * **Stall** ([`StallFault`]): at the first event issued at
 //!   `clock >= at`, the core is descheduled for `dur` cycles. The
@@ -29,10 +29,6 @@
 //!   [`crate::machine::Machine::run_recover_on`] to observe crashes as
 //!   values ([`CoreOutcome::Crashed`]) instead of panics, and to resume a
 //!   crashed core that a [`RestartFault`] names.
-//! * **Allocation pressure**: [`FaultPlan::heap_limit_lines`] shrinks the
-//!   heap and [`FaultPlan::oom_recoverable`] turns heap exhaustion into a
-//!   recoverable per-op verdict (`Ctx::try_alloc` returns `None`, the
-//!   `alloc_failures` counter ticks) instead of the default panic.
 //!
 //! Triggers are checked at **event boundaries** (every simulated memory
 //! access, fence, allocator call, or op-completion is an event), so a
@@ -102,12 +98,6 @@ pub struct FaultPlan {
     /// Scheduled recoveries of crashed cores (at most one per core takes
     /// effect; the earliest wins, like crashes).
     pub restarts: Vec<RestartFault>,
-    /// Shrink the simulated heap to this many lines (allocation
-    /// pressure). `None` keeps the heap `MachineConfig::mem_bytes` gives.
-    pub heap_limit_lines: Option<u64>,
-    /// Make heap exhaustion a recoverable per-op verdict (`Ctx::try_alloc`
-    /// returns `None`, `alloc_failures` ticks) instead of a panic.
-    pub oom_recoverable: bool,
 }
 
 impl FaultPlan {
@@ -135,21 +125,9 @@ impl FaultPlan {
         self
     }
 
-    /// Builder: cap the heap at `lines` lines and make exhaustion
-    /// recoverable.
-    pub fn alloc_pressure(mut self, lines: u64) -> Self {
-        self.heap_limit_lines = Some(lines);
-        self.oom_recoverable = true;
-        self
-    }
-
     /// Does the plan inject anything at all?
     pub fn is_empty(&self) -> bool {
-        self.stalls.is_empty()
-            && self.crashes.is_empty()
-            && self.restarts.is_empty()
-            && self.heap_limit_lines.is_none()
-            && !self.oom_recoverable
+        self.stalls.is_empty() && self.crashes.is_empty() && self.restarts.is_empty()
     }
 }
 
@@ -277,11 +255,6 @@ pub(crate) struct FaultState {
     /// disarmed plans fire nothing (the watchdog included), so prefill
     /// runs don't consume measured-run triggers.
     pub armed: bool,
-    /// `FaultPlan::oom_recoverable`, hoisted next to the hot fields. Not
-    /// gated by `armed` — it is a property of the allocator's contract
-    /// (the workload must be written against `Ctx::try_alloc`), not a
-    /// trigger to be consumed.
-    pub oom_recoverable: bool,
     /// Cached [`Self::active`] so the per-event check is one load
     /// (recomputed by [`Self::set_armed`]).
     pub hot: bool,
@@ -315,7 +288,6 @@ impl FaultState {
             crashed: vec![false; cores],
             max_cycles: max_cycles.unwrap_or(u64::MAX),
             armed: true,
-            oom_recoverable: plan.oom_recoverable,
             hot: false,
         };
         s.hot = s.active();
@@ -428,13 +400,10 @@ mod tests {
             .stall(1, 100, 5_000)
             .stall(1, 50, 10)
             .crash(2, 200)
-            .restart(2, 900)
-            .alloc_pressure(64);
+            .restart(2, 900);
         assert_eq!(p.stalls.len(), 2);
         assert_eq!(p.crashes, vec![CrashFault { core: 2, at: 200 }]);
         assert_eq!(p.restarts, vec![RestartFault { core: 2, at: 900 }]);
-        assert_eq!(p.heap_limit_lines, Some(64));
-        assert!(p.oom_recoverable);
         assert!(!p.is_empty());
         assert!(FaultPlan::default().is_empty());
         assert!(

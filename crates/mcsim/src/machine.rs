@@ -323,9 +323,6 @@ impl Machine {
         hub.trace.enabled = cfg.race_check;
         let mut alloc = Allocator::new(cfg.cores, cfg.mem_bytes, cfg.static_lines);
         alloc.uaf_mode = cfg.uaf_mode;
-        if let Some(lines) = cfg.fault_plan.heap_limit_lines {
-            alloc.limit_heap_lines(lines);
-        }
         let state = SimState {
             hub,
             alloc,
@@ -638,9 +635,7 @@ impl Machine {
     /// Arm or disarm the fault plan's triggers (stalls, crashes, the wedge
     /// watchdog). Machines are built armed; a harness disarms around its
     /// prefill run so trigger clocks are only consumed — and the watchdog
-    /// only enforced — during the measured run. Allocation pressure
-    /// (`FaultPlan::oom_recoverable` + `heap_limit_lines`) is a standing
-    /// property of the machine, not a trigger, and stays in effect.
+    /// only enforced — during the measured run.
     pub fn set_faults_armed(&self, armed: bool) {
         self.shared.lock().fault.set_armed(armed);
     }
@@ -1134,33 +1129,9 @@ impl<'m> Ctx<'m> {
     }
 
     /// Allocate one node (a 64-byte line). Charges the malloc latency.
-    /// On heap exhaustion the default configuration panics inside the
-    /// event; an allocation-pressure run (`FaultPlan::oom_recoverable`)
-    /// must use [`Self::try_alloc`] instead — calling `alloc` there turns
-    /// the verdict back into a panic.
+    /// Panics inside the event on heap exhaustion.
     pub fn alloc(&mut self) -> Addr {
-        let a = self.event(AllocOp);
-        assert!(
-            a != Addr::NULL,
-            "allocation failed on core {} (oom_recoverable run): \
-             handle exhaustion via Ctx::try_alloc",
-            self.core
-        );
-        a
-    }
-
-    /// [`Self::alloc`] with heap exhaustion as a verdict: `None` when the
-    /// heap has no line to hand out (only possible under
-    /// `FaultPlan::oom_recoverable`; the default configuration panics
-    /// inside the event instead). The malloc latency is charged either way,
-    /// and each `None` ticks the core's `alloc_failures` counter.
-    pub fn try_alloc(&mut self) -> Option<Addr> {
-        let a = self.event(AllocOp);
-        if a == Addr::NULL {
-            None
-        } else {
-            Some(a)
-        }
+        self.event(AllocOp)
     }
 
     /// Free one node. Charges the free latency. Traps double frees.
@@ -1763,41 +1734,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn alloc_pressure_reports_oom_recoverably() {
-        let m = fault_machine(FaultPlan::none().alloc_pressure(8));
-        let outs = m.run_on(2, |_, ctx| {
-            let mut got = 0u64;
-            let mut last = None;
-            for _ in 0..10 {
-                if let Some(a) = ctx.try_alloc() {
-                    got += 1;
-                    last = Some(a);
-                }
-            }
-            // Recover: free one line and allocate it again.
-            if let Some(a) = last {
-                ctx.free(a);
-                assert!(ctx.try_alloc().is_some());
-            }
-            got
-        });
-        assert_eq!(outs.iter().sum::<u64>(), 8, "8-line heap hands out 8 lines");
-        let stats = m.stats();
-        assert_eq!(stats.sum(|c| c.alloc_failures), 12);
-        assert_eq!(stats.allocated_not_freed, 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "handle exhaustion via Ctx::try_alloc")]
-    fn plain_alloc_rejects_oom_verdict() {
-        let m = fault_machine(FaultPlan::none().alloc_pressure(2));
-        m.run_on(1, |_, ctx| {
-            for _ in 0..3 {
-                ctx.alloc();
-            }
-        });
-    }
 
     #[test]
     fn fault_runs_are_deterministic_across_backends() {

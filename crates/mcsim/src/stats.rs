@@ -121,10 +121,6 @@ pub struct CoreStats {
     /// a burst deschedule with the usual context-switch side effects; the
     /// burst is *additionally* counted in `ctx_switches`.
     pub fault_stalls: u64,
-    /// Recoverable heap-exhaustion verdicts returned to this core
-    /// (`FaultPlan::oom_recoverable` allocation-pressure runs only; the
-    /// default configuration panics instead and never ticks this).
-    pub alloc_failures: u64,
 }
 
 impl CoreStats {

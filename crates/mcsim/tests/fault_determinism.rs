@@ -1,11 +1,11 @@
 //! The fault-injection determinism contract (PR 6 tentpole), end to end:
-//! a `FaultPlan` — stalls, a crash, allocation pressure, plus the wedge
-//! watchdog ceiling — must fire at *identical simulated clocks* on both
-//! host execution backends (threads, coop) and on every rerun.
+//! a `FaultPlan` — stalls, a crash, plus the wedge watchdog ceiling — must
+//! fire at *identical simulated clocks* on both host execution backends
+//! (threads, coop) and on every rerun.
 //!
-//! The signature compared is deliberately fat — per-core clocks, stall and
-//! alloc-failure counters, crash verdicts, final shared state — so a
-//! trigger drifting by one event anywhere in the grid fails loudly.
+//! The signature compared is deliberately fat — per-core clocks, stall
+//! counters, crash verdicts, final shared state — so a trigger drifting by
+//! one event anywhere in the grid fails loudly.
 
 use mcsim::{Addr, CoreOutcome, ExecBackend, FaultPlan, Machine, MachineConfig};
 
@@ -18,15 +18,15 @@ struct Signature {
     crashed_outcomes: Vec<bool>,
     crashed_stats: Vec<bool>,
     returns: Vec<Option<u64>>,
-    per_core: Vec<(u64, u64, u64)>, // (cycles, fault_stalls, alloc_failures)
+    per_core: Vec<(u64, u64)>, // (cycles, fault_stalls)
     max_cycles: u64,
     final_counter: u64,
 }
 
 /// A workload that exercises every fault kind mid-operation: shared-counter
 /// CAS contention (so stalls and the crash land inside read/CAS retry
-/// loops) plus alloc/free churn against a shrunken heap (so allocation
-/// pressure produces recoverable verdicts on some cores).
+/// loops) plus alloc/free churn (so they also land between an allocation
+/// and its free).
 fn run_cell(exec: ExecBackend) -> Signature {
     let m = Machine::new(MachineConfig {
         cores: CORES,
@@ -37,8 +37,7 @@ fn run_cell(exec: ExecBackend) -> Signature {
         fault_plan: FaultPlan::none()
             .stall(1, 800, 25_000)
             .stall(5, 2_000, 10_000)
-            .crash(6, 3_000)
-            .alloc_pressure(6),
+            .crash(6, 3_000),
         max_cycles: Some(5_000_000),
         ..Default::default()
     });
@@ -55,18 +54,14 @@ fn run_cell(exec: ExecBackend) -> Signature {
                         break;
                     }
                 }
-                // Churn the pressured heap: each core keeps up to 3 lines
-                // live, so the steady-state demand (8 cores × 3 lines)
-                // oversubscribes the 6-line heap and some allocations fail
-                // recoverably.
+                // Churn the heap: each core keeps up to 3 lines live.
                 if held.len() == 3 {
                     ctx.free(held.remove(0));
                 }
-                if let Some(a) = ctx.try_alloc() {
-                    ctx.write(a, i as u64);
-                    held.push(a);
-                    got += 1;
-                }
+                let a = ctx.alloc();
+                ctx.write(a, i as u64);
+                held.push(a);
+                got += 1;
                 ctx.op_completed();
             }
             for a in held {
@@ -85,7 +80,7 @@ fn run_cell(exec: ExecBackend) -> Signature {
         per_core: st
             .cores
             .iter()
-            .map(|c| (c.cycles, c.fault_stalls, c.alloc_failures))
+            .map(|c| (c.cycles, c.fault_stalls))
             .collect(),
         max_cycles: st.max_cycles,
         final_counter: m.host_read(counter),
@@ -102,8 +97,7 @@ const BACKENDS: [ExecBackend; 2] = [ExecBackend::Threads, ExecBackend::Coop];
 fn fault_plan_fires_identically_across_backends_and_layouts() {
     let reference = run_cell(ExecBackend::Threads);
 
-    // The plan actually bit: the crash landed, at least one stall
-    // fired, and the pressured heap produced recoverable verdicts.
+    // The plan actually bit: the crash landed and both stalls fired.
     assert_eq!(
         reference.crashed_stats,
         {
@@ -117,10 +111,6 @@ fn fault_plan_fires_identically_across_backends_and_layouts() {
     assert!(reference.returns[6].is_none(), "crashed core has no return");
     assert_eq!(reference.per_core[1].1, 1, "core 1 stall");
     assert_eq!(reference.per_core[5].1, 1, "core 5 stall");
-    assert!(
-        reference.per_core.iter().map(|c| c.2).sum::<u64>() > 0,
-        "allocation pressure must produce recoverable failures"
-    );
 
     // Byte-identity across both backends, and across repeats.
     for exec in BACKENDS {
@@ -134,7 +124,7 @@ fn fault_plan_fires_identically_across_backends_and_layouts() {
 struct RestartSignature {
     recovery_clocks: Vec<Option<(u64, u64)>>, // (crash_clock, restart_clock)
     returns: Vec<Option<u64>>,
-    per_core: Vec<(u64, u64, u64)>,
+    per_core: Vec<(u64, u64)>,
     crashed_stats: Vec<bool>,
     final_counter: u64,
 }
@@ -204,7 +194,7 @@ fn run_restart_cell(exec: ExecBackend) -> RestartSignature {
         per_core: st
             .cores
             .iter()
-            .map(|c| (c.cycles, c.fault_stalls, c.alloc_failures))
+            .map(|c| (c.cycles, c.fault_stalls))
             .collect(),
         crashed_stats: st.crashed.clone(),
         final_counter: m.host_read(counter),

@@ -8,6 +8,9 @@
 //! * **No shrinking.** A failing case panics with the seed and case index;
 //!   cases are fully deterministic (seeded from the test's name), so a
 //!   failure reproduces by just re-running the test.
+//! * **No environment.** The shim reads no environment variable, so
+//!   `PROPTEST_CASES` has no effect: a property runs exactly the
+//!   `ProptestConfig::cases` it names, on the same inputs every run.
 //! * **Uniform `prop_oneof!`.** Arm weights are not supported (the tests
 //!   here never use them).
 //! * **`generate` instead of value trees.** Strategies are plain generator

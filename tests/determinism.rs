@@ -4,7 +4,7 @@
 
 mod common;
 
-use caharness::{run_set, run_stack, Mix, RunConfig, SetKind};
+use caharness::{run, run_set, run_stack, Instrument, Mix, RunConfig, SetKind, Structure};
 use casmr::SchemeKind;
 
 fn cfg(threads: usize, quantum: u64, seed: u64) -> RunConfig {
@@ -26,13 +26,16 @@ fn cfg(threads: usize, quantum: u64, seed: u64) -> RunConfig {
 #[test]
 fn identical_runs_identical_stats() {
     for scheme in [SchemeKind::Ca, SchemeKind::Hp, SchemeKind::Qsbr] {
-        let a = run_set(SetKind::LazyList, scheme, &cfg(3, 64, 42));
-        let b = run_set(SetKind::LazyList, scheme, &cfg(3, 64, 42));
-        assert_eq!(a.cycles, b.cycles, "{scheme}: cycles diverged");
-        assert_eq!(a.total_ops, b.total_ops);
-        assert_eq!(a.final_allocated, b.final_allocated, "{scheme}");
-        assert_eq!(a.cread_fail, b.cread_fail, "{scheme}");
-        assert_eq!(a.fences, b.fences, "{scheme}");
+        let lazy = Structure::Set(SetKind::LazyList);
+        let a = run(lazy, scheme, &cfg(3, 64, 42), Instrument::None);
+        let b = run(lazy, scheme, &cfg(3, 64, 42), Instrument::None);
+        let (am, bm) = (&a.metrics, &b.metrics);
+        assert_eq!(am.cycles, bm.cycles, "{scheme}: cycles diverged");
+        assert_eq!(am.total_ops, bm.total_ops);
+        assert_eq!(am.final_allocated, bm.final_allocated, "{scheme}");
+        let (a, b) = (&a.stats, &b.stats);
+        assert_eq!(a.sum(|c| c.cread_fail), b.sum(|c| c.cread_fail), "{scheme}");
+        assert_eq!(a.sum(|c| c.fences), b.sum(|c| c.fences), "{scheme}");
     }
 }
 

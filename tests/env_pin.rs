@@ -74,15 +74,16 @@ fn panel_cfg(threads: usize) -> RunConfig {
 /// One figure-panel cell through the public harness runner: every simulated
 /// metric that feeds the figures, bit-exact (`f64::to_bits`).
 fn panel_digest(structure: Structure, scheme: SchemeKind, cfg: &RunConfig) -> u64 {
-    let m = run(structure, scheme, cfg, Instrument::None).metrics;
+    let o = run(structure, scheme, cfg, Instrument::None);
+    let m = &o.metrics;
     let mut d = Digest::new();
     d.u64(m.total_ops);
     d.u64(m.cycles);
     d.u64(m.throughput.to_bits());
     d.u64(m.final_allocated);
     d.u64(m.peak_allocated);
-    d.u64(m.cread_fail);
-    d.u64(m.fences);
+    d.u64(o.stats.sum(|c| c.cread_fail));
+    d.u64(o.stats.sum(|c| c.fences));
     d.0
 }
 

@@ -65,6 +65,40 @@ fn check_sequential<D: for<'m> SetDs<Ctx<'m>>>(mk: impl FnOnce(&conditional_acce
     );
 }
 
+/// Three threads of 120 mixed ops on the CA lazy list at `quantum`; the
+/// per-key accounting must match the final list.
+fn ca_list_accounting(seed: u64, quantum: u64) {
+    let m = machine(3, quantum);
+    let ds = CaLazyList::new(&m);
+    let h = histories(&m, &Sets(&ds), 3, 120, 16, seed);
+    check_set_accounting("concurrent", &h, &walk_list(&m, ds.head_node()));
+}
+
+/// [`ca_list_accounting`] on the CA Harris list.
+fn harris_accounting(seed: u64, quantum: u64) {
+    let m = machine(3, quantum);
+    let ds = CaHarrisList::new(&m);
+    let h = histories(&m, &Sets(&ds), 3, 120, 16, seed);
+    // Quiesce (helping unlinks the marked backlog) before walking.
+    m.run_on(1, |_, ctx| {
+        let mut t = ();
+        ds.contains(ctx, &mut t, 1000);
+    });
+    check_set_accounting("concurrent", &h, &walk_list(&m, ds.head_node()));
+}
+
+/// The proptest shim seeds from the test name, so the two properties
+/// below see the same 48 quanta on every run. This sweeps all of `0..256`
+/// once, one fixed seed per quantum.
+#[test]
+fn every_quantum_keeps_list_accounting() {
+    for quantum in 0..256u64 {
+        let seed = 0x9e37_79b9 ^ quantum;
+        ca_list_accounting(seed, quantum);
+        harris_accounting(seed, quantum);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -96,24 +130,12 @@ proptest! {
 
     #[test]
     fn concurrent_ca_list_accounting(seed in 0u64..1_000_000, quantum in 0u64..256) {
-        let m = machine(3, quantum);
-        let ds = CaLazyList::new(&m);
-        let h = histories(&m, &Sets(&ds), 3, 120, 16, seed);
-        check_set_accounting("concurrent", &h, &walk_list(&m, ds.head_node()));
+        ca_list_accounting(seed, quantum);
     }
 
     #[test]
     fn concurrent_harris_accounting(seed in 0u64..1_000_000, quantum in 0u64..256) {
-        let m = machine(3, quantum);
-        let ds = CaHarrisList::new(&m);
-        let h = histories(&m, &Sets(&ds), 3, 120, 16, seed);
-        // Quiesce (helping unlinks the marked backlog) before walking.
-        m.run_on(1, |_, ctx| {
-            use conditional_access::ds::SetDs;
-            let mut t = ();
-            ds.contains(ctx, &mut t, 1000);
-        });
-        check_set_accounting("concurrent", &h, &walk_list(&m, ds.head_node()));
+        harris_accounting(seed, quantum);
     }
 
     #[test]

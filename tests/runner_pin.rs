@@ -13,6 +13,12 @@
 //! Simulated results are bit-identical across host execution backends, so
 //! one golden file serves both `MCSIM_EXEC` legs.
 //!
+//! The digests hash `Debug` text, so they also move when `Metrics` or
+//! `CoreStats` loses a field while nothing simulated changes. Such a move
+//! is re-derived, not regenerated blind: render the cells at the parent,
+//! cut each deleted `, name: value` pair from the text, rehash, and compare
+//! with the regenerated file. The headline columns must not move.
+//!
 //! Regenerate (only when an *intentional* simulated-behaviour change lands):
 //! `MCSIM_WRITE_GOLDENS=1 cargo test --test runner_pin`
 
