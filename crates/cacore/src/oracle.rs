@@ -22,7 +22,10 @@
 //! conditional access the program must `untagAll` before the tag set is
 //! consulted again (directive DI).
 
-// castatic: allow(nondet) — the per-core tag sets are membership-only
+#[expect(
+    clippy::disallowed_types,
+    reason = "the per-core tag sets are membership-only"
+)]
 use std::collections::HashSet;
 
 use mcsim::{Addr, CoreId};
@@ -30,12 +33,14 @@ use mcsim::{Addr, CoreId};
 /// The abstract Conditional Access machine state.
 #[derive(Clone, Debug)]
 pub struct TagOracle {
+    #[expect(clippy::disallowed_types, reason = "membership-only")]
     tags: Vec<HashSet<u64>>,
     arb: Vec<bool>,
 }
 
 impl TagOracle {
     /// A fresh oracle for `cores` cores.
+    #[expect(clippy::disallowed_types, reason = "membership-only")]
     pub fn new(cores: usize) -> Self {
         Self {
             tags: vec![HashSet::new(); cores],

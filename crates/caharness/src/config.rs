@@ -268,6 +268,10 @@ impl Cli {
 
     /// [`Self::parse`] this process's command line; on an error, print it
     /// as one `error:` line and exit 2 before anything runs.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one sanctioned argv read: every bin parses its command line here"
+    )]
     pub fn from_env(accepted: &[Flag]) -> Cli {
         Cli::parse(std::env::args(), accepted).unwrap_or_else(|msg| {
             eprintln!("error: {msg}");

@@ -107,13 +107,16 @@ struct Progress {
 }
 
 impl Progress {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "progress-bar ETA only, never in results"
+    )]
     fn new(label: &str, total: usize, workers: usize) -> Self {
         Self {
             label: label.to_string(),
             total,
             workers,
             done: AtomicUsize::new(0),
-            // castatic: allow(nondet) — progress-bar ETA only, never in results
             start: Instant::now(),
             live: std::io::stderr().is_terminal() && total > 1,
         }

@@ -25,7 +25,10 @@
 //! so the data structure must confirm the node was still reachable
 //! afterwards (in the lazy list: source node unmarked) and restart otherwise.
 
-// castatic: allow(nondet) — the scan-time hazard set is membership-only
+#[expect(
+    clippy::disallowed_types,
+    reason = "the scan-time hazard set is membership-only"
+)]
 use std::collections::HashSet;
 
 use mcsim::Addr;
@@ -39,10 +42,6 @@ pub struct Hp {
     /// empty).
     slots: Vec<Addr>,
     cfg: SmrConfig,
-    /// Test-only fault: skip the scan's `smr_fence` (the exact PR-8 fence
-    /// hole), so the race-analyzer self-test can assert the analyzer
-    /// reports precisely that missing edge. Never set outside tests.
-    skip_scan_fence: bool,
 }
 
 /// Per-thread hazard-pointer state.
@@ -51,6 +50,7 @@ pub struct HpTls {
     /// Host-side mirror of the published slots (skip redundant publishes).
     published: [u64; SLOTS_PER_THREAD],
     /// Workhorse set reused by scans.
+    #[expect(clippy::disallowed_types, reason = "membership-only")]
     hazard_set: HashSet<u64>,
 }
 
@@ -62,17 +62,7 @@ impl Hp {
         // names a thread still holding protections.
         let k = SLOTS_PER_THREAD as u64;
         let slots = per_thread_lines(host, threads, "hp.hazards", 0, k, 0);
-        Self {
-            slots,
-            cfg,
-            skip_scan_fence: false,
-        }
-    }
-
-    /// Reintroduce the PR-8 scan-fence hole (see `skip_scan_fence`).
-    #[doc(hidden)]
-    pub fn test_skip_scan_fence(&mut self) {
-        self.skip_scan_fence = true;
+        Self { slots, cfg }
     }
 
     fn slot_addr(&self, tid: usize, slot: usize) -> Addr {
@@ -84,6 +74,7 @@ impl Hp {
 impl SmrBase for Hp {
     type Tls = HpTls;
 
+    #[expect(clippy::disallowed_types, reason = "membership-only")]
     fn register(&self, tid: usize) -> HpTls {
         HpTls {
             bag: RetireBag::new(tid, self.cfg.reclaim_freq),
@@ -151,9 +142,7 @@ impl<E: Env + ?Sized> Smr<E> for Hp {
         // whose owner still observed the node linked (no-op in the
         // sequentially consistent simulator — see `Env::smr_fence`). It is
         // also the heavy half that makes a light `protect_fence` sound.
-        if !self.skip_scan_fence {
-            ctx.reclaim_fence();
-        }
+        ctx.reclaim_fence();
         // Collect every published hazard (simulated loads of all threads'
         // hazard lines — N*K shared reads, the scan cost the paper charges
         // hp with).
@@ -337,11 +326,61 @@ mod tests {
         assert!(Hp::new(&m, 1, SmrConfig::default()).needs_validation());
     }
 
+    /// hp without its scan fence: every method forwards to the wrapped
+    /// environment except [`Env::reclaim_fence`], which does nothing.
+    struct NoScanFence<'a, E: ?Sized>(&'a mut E);
+
+    impl<E: Env + ?Sized> Env for NoScanFence<'_, E> {
+        fn tid(&self) -> usize {
+            self.0.tid()
+        }
+        fn threads(&self) -> usize {
+            self.0.threads()
+        }
+        fn read(&mut self, a: Addr) -> u64 {
+            self.0.read(a)
+        }
+        fn write(&mut self, a: Addr, v: u64) {
+            self.0.write(a, v)
+        }
+        fn cas(&mut self, a: Addr, expected: u64, new: u64) -> Result<u64, u64> {
+            self.0.cas(a, expected, new)
+        }
+        fn fence(&mut self) {
+            self.0.fence()
+        }
+        fn tick(&mut self, n: u64) {
+            self.0.tick(n)
+        }
+        fn alloc(&mut self) -> Addr {
+            self.0.alloc()
+        }
+        fn free(&mut self, a: Addr) {
+            self.0.free(a)
+        }
+        fn op_completed(&mut self) {
+            self.0.op_completed()
+        }
+        fn now(&mut self) -> u64 {
+            self.0.now()
+        }
+        fn smr_fence(&mut self) {
+            self.0.smr_fence()
+        }
+        fn protect_fence(&mut self) {
+            self.0.protect_fence()
+        }
+        fn reclaim_fence(&mut self) {}
+        fn spin_hint(&mut self, iter: u64) {
+            self.0.spin_hint(iter)
+        }
+    }
+
     /// The race-analyzer regression pin for the PR-8 fence hole: with the
     /// scan fence in place the hazard publish → scan read pair is ordered
     /// (publisher's protect fence + scanner's smr_fence); strip the scan
-    /// fence and the analyzer must report exactly that pair on the
-    /// `hp.hazards` region.
+    /// fence ([`NoScanFence`]) and the analyzer must report exactly that
+    /// pair on the `hp.hazards` region.
     #[test]
     fn race_analyzer_catches_missing_scan_fence() {
         let run = |skip_fence: bool| {
@@ -353,13 +392,10 @@ mod tests {
                 race_check: true,
                 ..Default::default()
             });
-            let mut s = Hp::new(&m, 2, SmrConfig {
+            let s = Hp::new(&m, 2, SmrConfig {
                 reclaim_freq: 1,
                 ..Default::default()
             });
-            if skip_fence {
-                s.test_skip_scan_fence();
-            }
             let mailbox = m.alloc_static(1);
             m.run_on(2, |tid, ctx| {
                 let mut tls = s.register(tid);
@@ -373,7 +409,12 @@ mod tests {
                     // local clocks): reads every thread's hazard slots.
                     ctx.tick(10_000);
                     let n = ctx.alloc();
-                    s.retire(ctx, &mut tls, n); // reclaim_freq 1 → scan
+                    // reclaim_freq 1 → scan
+                    if skip_fence {
+                        s.retire(&mut NoScanFence(ctx), &mut tls, n);
+                    } else {
+                        s.retire(ctx, &mut tls, n);
+                    }
                 }
             });
             m.race_report()

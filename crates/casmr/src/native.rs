@@ -163,6 +163,10 @@ pub struct NativeStats {
 impl NativeMachine {
     /// Build a machine whose pool holds `lines` allocation lines (line 0 is
     /// reserved for NULL, so the usable capacity is `lines - 1`).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the native backend measures wall clock by design"
+    )]
     pub fn new(lines: usize) -> Self {
         assert!(lines >= 2, "pool needs at least one usable line");
         // At 8-byte alignment `alloc_zeroed` is `calloc`, which maps zero
@@ -177,7 +181,6 @@ impl NativeMachine {
             next: AtomicU64::new(1),
             free_list: Mutex::new(Vec::new()),
             counts: Counts::default(),
-            // castatic: allow(nondet) — the native backend measures wall clock by design
             start: Instant::now(),
             asymmetric: asymmetric_fences(),
         }
@@ -222,8 +225,11 @@ impl NativeMachine {
 
     /// Restart the wall clock and the operation counter (call between the
     /// prefill and the timed section, like `Machine::reset_timing`).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock restart between prefill and timed phase"
+    )]
     pub fn reset_timing(&mut self) {
-        // castatic: allow(nondet) — wall-clock restart between prefill and timed phase
         self.start = Instant::now();
         self.counts.ops.store(0, Ordering::Relaxed);
     }
@@ -352,20 +358,23 @@ impl HeartbeatBoard {
     /// check in strictly more often than `deadline`, or the supervisor has
     /// already reaped the thread). Declaring a live-but-slow worker
     /// crashed is a use-after-free.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "liveness detection is wall-clock by design"
+    )]
     pub unsafe fn detect(&self, tid: usize, deadline: Duration) -> Option<CrashToken> {
         let snapshot = self.read(tid);
-        // castatic: allow(nondet) — liveness detection is wall-clock by design
         let start = Instant::now();
         let mut backoff = Duration::from_millis(1);
         loop {
-            // castatic: allow(nondet) — lease-deadline probe interval
             std::thread::sleep(backoff);
             if self.read(tid) != snapshot {
                 return None; // it moved: alive
             }
             if start.elapsed() >= deadline {
-                // The lease expired: the membership contract (caller's
-                // safety obligation) now makes the fail-stop declaration.
+                // SAFETY: the lease expired, so the membership contract
+                // (this fn's own safety obligation, met by the caller)
+                // makes the fail-stop declaration sound.
                 return Some(unsafe { CrashToken::assert_fail_stop(tid) });
             }
             backoff = (backoff * 2).min(Duration::from_millis(50));

@@ -393,9 +393,8 @@ fn adopt_rejects_a_mismatched_token() {
                 m.run_on(1, |_, ctx| {
                     let mut writer = s.register(0);
                     let victim = s.register(1);
-                    // SAFETY (of the mint itself): thread 9 does not exist;
-                    // the adopt below must reject the mismatch before acting
-                    // on it.
+                    // SAFETY: thread 9 does not exist; the adopt below
+                    // must reject the mismatch before acting on it.
                     let token = unsafe { CrashToken::assert_fail_stop(9) };
                     s.adopt(ctx, &mut writer, Orphan::crashed(victim, token));
                 });

@@ -183,6 +183,7 @@ fn ledger_findings(root: &Path) -> Vec<Finding> {
     out
 }
 
+#[expect(clippy::disallowed_methods, reason = "the lint's own command line")]
 fn main() {
     let root = repo_root();
     if std::env::args().any(|a| a == "--write-ledger") {

@@ -9,6 +9,10 @@
 //! without it — the `MCSIM_EXEC=threads` env override alone would still
 //! *compile* the asm.
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a build script's inputs are environment variables; cargo tracks them"
+)]
 fn main() {
     println!("cargo:rustc-check-cfg=cfg(mcsim_coop)");
     println!("cargo:rerun-if-env-changed=MCSIM_NO_COOP");

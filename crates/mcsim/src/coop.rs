@@ -169,14 +169,23 @@ pub(crate) const STACK_SIZE: usize = 1 << 20;
 
 const PAGE: usize = 4096;
 
-// Raw x86-64 Linux syscalls (the workspace is offline: no libc crate).
-// SAFETY (both wrappers): callers pass argument values valid for the
-// specific syscall; the asm clobbers only rcx/r11 per the kernel ABI.
+/// Raw x86-64 Linux syscall `nr` with three arguments (the workspace is
+/// offline: no libc crate). The asm clobbers only rcx/r11, per the kernel
+/// ABI.
+///
+/// # Safety
+///
+/// The caller passes argument values valid for syscall `nr`, and the call
+/// must not unmap or remap memory that is still in use.
 unsafe fn sys3(nr: usize, a: usize, b: usize, c: usize) -> isize {
     sys6(nr, a, b, c, 0, 0, 0)
 }
 
-// SAFETY: as for `sys3` above.
+/// [`sys3`] with six arguments.
+///
+/// # Safety
+///
+/// As for [`sys3`].
 #[allow(clippy::too_many_arguments)]
 unsafe fn sys6(nr: usize, a: usize, b: usize, c: usize, d: usize, e: usize, f: usize) -> isize {
     let ret: isize;
@@ -306,9 +315,10 @@ mod tests {
 
         let mut stack = Stack::new(64 * 1024);
         let ctxs = &raw mut CTXS as *mut *mut u8;
-        // SAFETY (closure + block below): the context table and stack are
-        // static/local state that outlives every switch; slot 1 is saved
-        // by the switch that resumes slot 0, so targets are always live.
+        // SAFETY: the context table and stack are static/local state that
+        // outlives every switch (here and in the block below); slot 1 is
+        // saved by the switch that resumes slot 0, so targets are always
+        // live.
         let body: Box<dyn FnOnce() -> usize> = Box::new(move || unsafe {
             for _ in 0..3 {
                 COUNT.fetch_add(1, Ordering::Relaxed);
@@ -356,9 +366,10 @@ mod tests {
         let witness = Arc::clone(&token);
         let mut progress = 0u64;
         let progress_ptr: *mut u64 = &mut progress;
-        // SAFETY (closure + block below): ctxs/progress are locals of the
-        // enclosing test frame, which is suspended (hence live) whenever
-        // the coroutine runs; slot reads always follow the matching save.
+        // SAFETY: ctxs/progress are locals of the enclosing test frame,
+        // which is suspended (hence live) whenever the coroutine runs, here
+        // and in the block below; slot reads always follow the matching
+        // save.
         let body: Box<dyn FnOnce() -> usize> = Box::new(move || unsafe {
             let _held = witness; // freed only when the closure is dropped
             for i in 1..=3u64 {

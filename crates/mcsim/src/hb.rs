@@ -64,7 +64,10 @@
 
 #![forbid(unsafe_code)]
 
-// castatic: allow(nondet) — lookup-only maps; reports aggregate via BTreeMap
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only maps; reports aggregate via BTreeMap"
+)]
 use std::collections::HashMap;
 
 use crate::Addr;
@@ -199,14 +202,6 @@ pub struct RaceReport {
 }
 
 impl RaceReport {
-    /// Signatures as `(region, prior, later)` triples — the whitelist key.
-    pub fn signatures(&self) -> Vec<(String, String, String)> {
-        self.findings
-            .iter()
-            .map(|f| (f.region.clone(), f.prior.to_string(), f.later.to_string()))
-            .collect()
-    }
-
     /// Stable text rendering: one header line, one line per signature.
     /// Byte-identical across backends and reruns for the same
     /// simulated program (the determinism pin hashes this).
@@ -278,14 +273,16 @@ fn join(into: &mut [u64], from: &[u64]) {
 ///
 /// `static_lines` is the machine's static-region size (lines `1..=s` are
 /// `static`, above is `heap`, modulo explicit labels).
+#[expect(
+    clippy::disallowed_types,
+    reason = "lookup-only maps: the report is built from the BTreeMap aggregation"
+)]
 pub(crate) fn analyze(bank: &TraceBank, static_lines: u64) -> RaceReport {
     let n = bank.cores.len();
     let mut vc: Vec<Vec<u64>> = (0..n).map(|_| vec![0u64; n]).collect();
     let mut fence_vc = vec![0u64; n];
     // Keyed lookup only — findings are aggregated through the BTreeMap
     // below, so iteration order of these never reaches the report.
-    // castatic: allow(nondet) — HashMaps here are lookup-only; the report is
-    // built from the BTreeMap aggregation, which iterates in key order.
     let mut words: HashMap<u64, WordState> = HashMap::new();
     let mut free_vc: HashMap<u64, Vec<u64>> = HashMap::new();
     let mut sigs: std::collections::BTreeMap<(String, &'static str, &'static str), Finding> =

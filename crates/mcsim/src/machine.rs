@@ -104,8 +104,11 @@ impl ExecBackend {
     /// or embedder setting the variable after the first machine ran
     /// silently kept the stale backend — the regression test below pins
     /// the re-read behaviour.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "MCSIM_EXEC is the documented backend override knob"
+    )]
     pub(crate) fn env_override() -> Option<ExecBackend> {
-        // castatic: allow(nondet) — MCSIM_EXEC is the documented backend override knob
         Self::parse_override(std::env::var("MCSIM_EXEC").ok()?.as_str())
     }
 

@@ -11,7 +11,7 @@
 //! 4. the ARB is *monotonic between untagAlls*: once revoked, a core stays
 //!    revoked until it explicitly untags.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use mcsim::coherence::{CacheConfig, CoherenceHub, Protocol};
 use mcsim::latency as lat;
@@ -84,7 +84,7 @@ fn run_stream(cache: &CacheConfig, smt: usize, prog: &[(usize, Op)]) {
     let mut hub = CoherenceHub::new(CORES, smt, cache, 1 << 16);
     let max_cost =
         lat::L2_HIT + lat::MEM + 2 * lat::DIRTY_SUPPLY + lat::INVALIDATION + lat::CAS_EXTRA;
-    let mut shadow: HashMap<u64, u64> = HashMap::new();
+    let mut shadow: BTreeMap<u64, u64> = BTreeMap::new();
     let mut arb_before = [false; CORES];
     for (step, &(c, op)) in prog.iter().enumerate() {
         match op {

@@ -507,6 +507,10 @@ pub fn golden(file: &str) -> String {
 /// Hold `rendered` (one `label = value` per line) to `tests/goldens/<file>`,
 /// or write the file when `MCSIM_WRITE_GOLDENS` is set. `what` says what a
 /// divergence means, for the panic message.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "MCSIM_WRITE_GOLDENS is the documented regenerate switch of every golden"
+)]
 pub fn check_golden(file: &str, rendered: &str, what: &str) {
     if std::env::var_os("MCSIM_WRITE_GOLDENS").is_some() {
         let path = golden_path(file);
