@@ -181,7 +181,7 @@ impl<E: Env + ?Sized> Smr<E> for Hp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcsim::{Machine, MachineConfig};
+    use mcsim::{Ctx, Machine, MachineConfig};
 
     fn machine(cores: usize) -> Machine {
         Machine::new(MachineConfig {
@@ -326,13 +326,13 @@ mod tests {
         assert!(Hp::new(&m, 1, SmrConfig::default()).needs_validation());
     }
 
-    /// hp without its scan fence: every method forwards to the wrapped
-    /// environment except [`Env::reclaim_fence`], which does nothing.
-    struct NoScanFence<'a, E: ?Sized>(&'a mut E);
+    /// hp without its scan fence: the simulator's `Ctx` with
+    /// [`Env::reclaim_fence`] a no-op; every other method is `Ctx`'s own.
+    struct NoScanFence<'a, 'm>(&'a mut Ctx<'m>);
 
-    impl<E: Env + ?Sized> Env for NoScanFence<'_, E> {
+    impl Env for NoScanFence<'_, '_> {
         fn tid(&self) -> usize {
-            self.0.tid()
+            self.0.core()
         }
         fn threads(&self) -> usize {
             self.0.threads()
@@ -367,13 +367,7 @@ mod tests {
         fn smr_fence(&mut self) {
             self.0.smr_fence()
         }
-        fn protect_fence(&mut self) {
-            self.0.protect_fence()
-        }
         fn reclaim_fence(&mut self) {}
-        fn spin_hint(&mut self, iter: u64) {
-            self.0.spin_hint(iter)
-        }
     }
 
     /// The race-analyzer regression pin for the PR-8 fence hole: with the

@@ -837,7 +837,7 @@ mod tests {
     /// bounded deadline and adopts its orphaned qsbr state. Without the
     /// adoption the victim's never-again-updated announcement would pin
     /// every retire forever; with it, accounting balances to zero leaked
-    /// lines. (This test also runs under TSan/ASan in CI.)
+    /// lines. (This test also runs under ASan in CI.)
     #[test]
     fn crashed_native_worker_is_detected_and_adopted() {
         use crate::api::{Smr, SmrBase, SmrConfig};

@@ -3,9 +3,9 @@
 //! lives in exactly one place. A future aarch64 port only edits this file.
 //!
 //! `MCSIM_NO_COOP=1` force-disables the backend even where it is available:
-//! the sanitizer CI legs set it because the coop backend's hand-rolled
+//! the ASan CI job sets it because the coop backend's hand-rolled
 //! context-switch assembly has no TSan/ASan instrumentation (the sanitizers
-//! cannot track a user-space stack switch), so those legs must build
+//! cannot track a user-space stack switch), so that job must build
 //! without it — the `MCSIM_EXEC=threads` env override alone would still
 //! *compile* the asm.
 

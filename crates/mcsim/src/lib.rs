@@ -32,9 +32,8 @@
 //!   and a use-after-free detector that machine-checks the paper's safety
 //!   theorems across the test suite.
 //! * **Deterministic fault injection** ([`fault`]): seeded plans that
-//!   stall, burst-deschedule or crash chosen cores mid-operation and
-//!   inject allocation pressure, firing at identical simulated clocks on
-//!   every backend — the substrate of the robustness experiments (one
+//!   stall, burst-deschedule or crash chosen cores mid-operation, firing
+//!   at identical simulated clocks on every backend — the substrate of the robustness experiments (one
 //!   stalled thread pins epoch-based reclamation; CA stays bounded).
 //!
 //! ## Quick start

@@ -170,8 +170,8 @@ pub struct MachineConfig {
     /// are identical across backends).
     pub exec: ExecBackend,
     /// Deterministic fault-injection plan (see [`crate::fault`]): stalls,
-    /// burst deschedules, crashes and allocation pressure, all triggered by
-    /// per-core local clocks so they fire identically on every backend.
+    /// burst deschedules and crashes, all triggered by per-core local
+    /// clocks so they fire identically on every backend.
     /// Empty by default.
     pub fault_plan: FaultPlan,
     /// Wedge watchdog: panic with a diagnostic if any core's local clock
