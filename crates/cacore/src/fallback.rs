@@ -34,9 +34,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use mcsim::machine::Ctx;
-use mcsim::{Addr, Machine};
-
-use crate::CaStep;
+use mcsim::{Addr, Machine, Restart};
 
 /// Cycles ticked per spin iteration while waiting (lock or quiescence).
 const SPIN_TICK: u64 = 8;
@@ -80,14 +78,14 @@ impl FallbackLock {
     /// global lock after `max_attempts` consecutive failures.
     ///
     /// `optimistic` is one attempt of the operation (the closure a plain
-    /// `ca_loop` would retry); this function performs the `untagAll` on
-    /// every attempt exit, exactly like `ca_loop`. `sequential` runs with
-    /// every other operation excluded and must not use conditional
-    /// accesses.
+    /// [`crate::attempt_loop`] would retry); this function performs the
+    /// `untagAll` after every attempt, exactly like `attempt_loop`'s CA
+    /// hook. `sequential` runs with every other operation excluded and
+    /// must not use conditional accesses.
     pub fn execute<T>(
         &self,
         ctx: &mut Ctx,
-        mut optimistic: impl FnMut(&mut Ctx) -> CaStep<T>,
+        mut optimistic: impl FnMut(&mut Ctx) -> Result<T, Restart>,
         sequential: impl FnOnce(&mut Ctx) -> T,
     ) -> T {
         let me = ctx.core();
@@ -109,8 +107,8 @@ impl FallbackLock {
                 // alone keeps a fallback holder exclusive; the cread is
                 // just the cheapest possible "is the lock free" probe.
                 match ctx.cread(self.lock) {
-                    Some(0) => ctx.untag_one(self.lock),
-                    Some(_) => {
+                    Ok(0) => ctx.untag_one(self.lock),
+                    Ok(_) => {
                         // Lock held: drain quietly and re-announce later.
                         ctx.untag_all();
                         ctx.write(ann, 0);
@@ -119,22 +117,20 @@ impl FallbackLock {
                         }
                         continue 'announced;
                     }
-                    None => {
+                    Err(Restart) => {
                         ctx.untag_all();
                         failures += 1;
                         continue;
                     }
                 }
-                match optimistic(ctx) {
-                    CaStep::Done(v) => {
-                        ctx.untag_all();
+                let outcome = optimistic(ctx);
+                ctx.untag_all();
+                match outcome {
+                    Ok(v) => {
                         ctx.write(ann, 0);
                         return v;
                     }
-                    CaStep::Retry => {
-                        ctx.untag_all();
-                        failures += 1;
-                    }
+                    Err(Restart) => failures += 1,
                 }
             }
         }
@@ -166,7 +162,6 @@ impl FallbackLock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ca_check, ca_try};
     use mcsim::{MachineConfig, UafMode};
 
     fn machine(cores: usize) -> Machine {
@@ -191,9 +186,8 @@ mod tests {
                 fb.execute(
                     ctx,
                     |ctx| {
-                        let v = ca_try!(ctx.cread(a));
-                        ca_check!(ctx.cwrite(a, v + 1));
-                        CaStep::Done(())
+                        let v = ctx.cread(a)?;
+                        ctx.cwrite(a, v + 1)
                     },
                     |ctx| {
                         let v = ctx.read(a);
@@ -217,7 +211,7 @@ mod tests {
             for _ in 0..20 {
                 fb.execute(
                     ctx,
-                    |_ctx| CaStep::<()>::Retry, // hopeless optimistic path
+                    |_ctx| Err::<(), _>(Restart), // hopeless optimistic path
                     |ctx| {
                         let v = ctx.read(a);
                         ctx.write(a, v + 1);
@@ -242,7 +236,7 @@ mod tests {
                 if tid == 0 {
                     fb.execute(
                         ctx,
-                        |_ctx| CaStep::<()>::Retry,
+                        |_ctx| Err::<(), _>(Restart),
                         |ctx| {
                             let v = ctx.read(a);
                             ctx.write(a, v + 1);
@@ -252,9 +246,8 @@ mod tests {
                     fb.execute(
                         ctx,
                         |ctx| {
-                            let v = ca_try!(ctx.cread(a));
-                            ca_check!(ctx.cwrite(a, v + 1));
-                            CaStep::Done(())
+                            let v = ctx.cread(a)?;
+                            ctx.cwrite(a, v + 1)
                         },
                         |ctx| {
                             let v = ctx.read(a);
@@ -281,7 +274,7 @@ mod tests {
                 // Fall back instantly, hold the lock across a slow op.
                 fb.execute(
                     ctx,
-                    |_ctx| CaStep::<u64>::Retry,
+                    |_ctx| Err::<u64, _>(Restart),
                     |ctx| {
                         for i in 0..50 {
                             ctx.write(a, i);
@@ -296,9 +289,9 @@ mod tests {
                     fb.execute(
                         ctx,
                         |ctx| {
-                            let v = ca_try!(ctx.cread(a));
-                            ca_check!(ctx.cwrite(a, v + 1));
-                            CaStep::Done(v + 1)
+                            let v = ctx.cread(a)?;
+                            ctx.cwrite(a, v + 1)?;
+                            Ok(v + 1)
                         },
                         |ctx| {
                             let v = ctx.read(a) + 1;
@@ -332,11 +325,10 @@ mod tests {
                         ctx,
                         |ctx| {
                             if hopeless {
-                                return CaStep::Retry;
+                                return Err(Restart);
                             }
-                            let v = ca_try!(ctx.cread(a));
-                            ca_check!(ctx.cwrite(a, v + 1));
-                            CaStep::Done(())
+                            let v = ctx.cread(a)?;
+                            ctx.cwrite(a, v + 1)
                         },
                         |ctx| {
                             let v = ctx.read(a);

@@ -14,120 +14,54 @@
 //!   operations introduced significant latency" — every traversal hop pays
 //!   `tx_begin + tx_commit`, where Conditional Access pays nothing.
 //!
-//! This module provides the retry loop and check macros for writing such
-//! operations against the simulator's `tx_*` primitives (`mcsim::machine::
-//! Ctx::{tx_begin, tx_read, tx_write, tx_commit, tx_abort}`); the actual
+//! Such operations run in the one attempt loop, [`crate::attempt_loop`],
+//! with [`abort_open_tx`] as the after-attempt hook. An attempt body
+//! propagates a failed `tx_read`/`tx_write`/`tx_commit` (already rolled back
+//! by the hardware) with `?`, and a failed in-transaction validation by
+//! returning `Err(Restart)` with the transaction still open: the hook
+//! aborts it. The simulator's `tx_*` primitives are `mcsim::machine::
+//! Ctx::{tx_begin, tx_read, tx_write, tx_commit, tx_abort}`; the actual
 //! hand-over-hand list lives in `cads::htm`.
 
 use mcsim::machine::Ctx;
 
-/// One attempt of a transactional operation body: either it finished with a
-/// value, or some transaction in it aborted and the operation must restart.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum TxStep<T> {
-    /// The operation completed (its final transaction committed).
-    Done(T),
-    /// A transaction aborted (conflict, capacity, or failed validation);
-    /// restart the operation from scratch.
-    Restart,
-}
-
-/// Run a transactional operation body until it completes.
-///
-/// The body must leave no transaction in flight on either exit path: a
-/// failed `tx_read`/`tx_write`/`tx_commit` has already aborted, and a failed
-/// in-transaction validation must call `tx_abort` before returning
-/// [`TxStep::Restart`] (the [`tx_validate!`](crate::tx_validate) macro does
-/// this). The retry ceiling converts a livelocked operation into a loud
-/// failure, exactly like [`ca_loop`](crate::ca_loop).
-pub fn tx_loop<T>(ctx: &mut Ctx, mut body: impl FnMut(&mut Ctx) -> TxStep<T>) -> T {
-    let mut retries: u64 = 0;
-    loop {
-        let step = body(ctx);
-        debug_assert!(
-            !ctx.tx_active(),
-            "transactional operation body left a transaction in flight on \
-             thread {}",
-            ctx.core()
-        );
-        match step {
-            TxStep::Done(v) => return v,
-            TxStep::Restart => {
-                retries += 1;
-                assert!(
-                    retries < 10_000_000,
-                    "transactional operation retried 10M times on thread {}: \
-                     livelock",
-                    ctx.core()
-                );
-            }
-        }
-    }
-}
-
-/// `tx_read`/`tx_begin` result check: evaluates to the loaded value, or
-/// returns [`TxStep::Restart`] from the enclosing function on abort (the
-/// transaction has already been rolled back by the hardware).
+/// The after-attempt hook of a transactional operation: abort the
+/// transaction an attempt left in flight (a failed validation returns
+/// `Err(Restart)` mid-transaction). A failed `tx_read`/`tx_write`/
+/// `tx_commit` has already rolled back, and [`Ctx::tx_active`] charges no
+/// cycles, so such an attempt is not aborted twice.
 ///
 /// A counter that two threads increment, one transaction per increment:
 ///
 /// ```
-/// use cacore::{tx_check, tx_loop, tx_try, TxStep};
+/// use cacore::attempt_loop;
+/// use cacore::htm::abort_open_tx;
 /// use mcsim::{Machine, MachineConfig};
 ///
 /// let m = Machine::new(MachineConfig { cores: 2, ..Default::default() });
 /// let counter = m.alloc_static(1);
 /// m.run_on(2, |_, ctx| {
 ///     for _ in 0..100 {
-///         tx_loop(ctx, |ctx| {
+///         attempt_loop(ctx, abort_open_tx, |ctx| {
 ///             ctx.tx_begin();
-///             let v = tx_try!(ctx.tx_read(counter));
-///             tx_check!(ctx.tx_write(counter, v + 1));
-///             tx_check!(ctx.tx_commit());
-///             TxStep::Done(())
+///             let v = ctx.tx_read(counter)?;
+///             ctx.tx_write(counter, v + 1)?;
+///             ctx.tx_commit()
 ///         });
 ///     }
 /// });
 /// assert_eq!(m.host_read(counter), 200);
 /// ```
-#[macro_export]
-macro_rules! tx_try {
-    ($e:expr) => {
-        match $e {
-            Some(v) => v,
-            None => return $crate::htm::TxStep::Restart,
-        }
-    };
-}
-
-/// Boolean transactional check (`tx_write`, `tx_commit`): returns
-/// [`TxStep::Restart`] from the enclosing function when false.
-#[macro_export]
-macro_rules! tx_check {
-    ($e:expr) => {
-        if !$e {
-            return $crate::htm::TxStep::Restart;
-        }
-    };
-}
-
-/// In-transaction validation: when `cond` is false, explicitly abort the
-/// in-flight transaction and restart the operation. This is the
-/// hand-over-hand version check ("has this node been freed since the
-/// previous transaction observed it?").
-#[macro_export]
-macro_rules! tx_validate {
-    ($ctx:expr, $cond:expr) => {
-        if !$cond {
-            $ctx.tx_abort();
-            return $crate::htm::TxStep::Restart;
-        }
-    };
+pub fn abort_open_tx(ctx: &mut Ctx) {
+    if ctx.tx_active() {
+        ctx.tx_abort();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{attempt_loop, Restart};
     use mcsim::{Machine, MachineConfig};
 
     fn machine(cores: usize) -> Machine {
@@ -145,12 +79,12 @@ mod tests {
         let m = machine(1);
         let a = m.alloc_static(1);
         let v = m.run_on(1, |_, ctx| {
-            tx_loop(ctx, |ctx| {
+            attempt_loop(ctx, abort_open_tx, |ctx| {
                 ctx.tx_begin();
-                let v = tx_try!(ctx.tx_read(a));
-                tx_check!(ctx.tx_write(a, v + 1));
-                tx_check!(ctx.tx_commit());
-                TxStep::Done(v + 1)
+                let v = ctx.tx_read(a)?;
+                ctx.tx_write(a, v + 1)?;
+                ctx.tx_commit()?;
+                Ok(v + 1)
             })
         });
         assert_eq!(v, vec![1]);
@@ -163,17 +97,23 @@ mod tests {
         let a = m.alloc_static(1);
         let attempts = m.run_on(1, |_, ctx| {
             let mut n = 0;
-            tx_loop(ctx, |ctx| {
+            attempt_loop(ctx, abort_open_tx, |ctx| {
                 n += 1;
                 ctx.tx_begin();
-                let _ = tx_try!(ctx.tx_read(a));
-                tx_validate!(ctx, n >= 3); // fail the first two attempts
-                tx_check!(ctx.tx_commit());
-                TxStep::Done(())
+                ctx.tx_read(a)?;
+                if n < 3 {
+                    return Err(Restart); // fail the first two validations
+                }
+                ctx.tx_commit()
             });
             n
         });
         assert_eq!(attempts, vec![3]);
+        // Each failed validation is aborted exactly once, by the hook.
+        let core = &m.stats().cores[0];
+        assert_eq!(core.tx_begins, 3);
+        assert_eq!(core.tx_aborts, 2);
+        assert_eq!(core.tx_commits, 1);
     }
 
     #[test]
@@ -182,16 +122,21 @@ mod tests {
         let a = m.alloc_static(1);
         m.run_on(4, |_, ctx| {
             for _ in 0..100 {
-                tx_loop(ctx, |ctx| {
+                attempt_loop(ctx, abort_open_tx, |ctx| {
                     ctx.tx_begin();
-                    let v = tx_try!(ctx.tx_read(a));
-                    tx_check!(ctx.tx_write(a, v + 1));
-                    tx_check!(ctx.tx_commit());
-                    TxStep::Done(())
+                    let v = ctx.tx_read(a)?;
+                    ctx.tx_write(a, v + 1)?;
+                    ctx.tx_commit()
                 });
             }
         });
         assert_eq!(m.host_read(a), 400);
+        // A restart after a failed tx_read (already rolled back) is not
+        // aborted a second time: every begin ends once.
+        let stats = m.stats();
+        for c in &stats.cores {
+            assert_eq!(c.tx_begins, c.tx_commits + c.tx_aborts, "{c:?}");
+        }
         m.check_invariants();
     }
 }

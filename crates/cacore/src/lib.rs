@@ -4,10 +4,11 @@
 //! instruction set (paper §II) as a programming model over the simulated
 //! machine, together with
 //!
-//! * the retry scaffolding every CA data structure uses (the paper's
-//!   `CA_CHECK` macro: on failure, `untagAll` and restart the operation) —
-//!   see [`ca_loop`], [`ca_try!`](crate::ca_try) and
-//!   [`ca_check!`](crate::ca_check);
+//! * the attempt loop CA and HTM operations run in, [`attempt_loop`]
+//!   ([`fallback`] drives its own attempts): an attempt body returns
+//!   `Result<T, Restart>` and propagates a failed `cread`/`cwrite` with
+//!   `?` — the paper's `CA_CHECK` macro (on failure, `untagAll` and
+//!   restart the operation);
 //! * the Conditional-Access try-lock of **Algorithm 2** ([`lock`]);
 //! * an executable **reference oracle** of the §II abstract semantics with an
 //!   unbounded tag set ([`oracle`]), used by property tests to prove the
@@ -36,26 +37,23 @@ pub mod lock;
 pub mod oracle;
 
 pub use fallback::FallbackLock;
-pub use htm::{tx_loop, TxStep};
-pub use lock::{try_lock, try_lock_detailed, unlock, TryLockOutcome};
+pub use lock::{try_lock, unlock};
+pub use mcsim::Restart;
 pub use oracle::TagOracle;
 
 use mcsim::machine::Ctx;
 
-/// One attempt of a CA operation body: either it finished with a value, or a
-/// conditional access failed and the operation must be retried from scratch.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum CaStep<T> {
-    /// The operation completed.
-    Done(T),
-    /// A `cread`/`cwrite` failed (or validation failed); `untagAll` and
-    /// retry — the paper's `CA_CHECK ... goto retry` path.
-    Retry,
-}
-
-/// Run a CA operation body until it completes, performing the paper's
-/// mandatory `untagAll` on every exit path (both retry and success —
-/// Algorithm 1 and Algorithm 3 end every operation with `untagAll`).
+/// Run one operation until an attempt completes, calling `after_attempt`
+/// after **every** attempt, successful or not:
+///
+/// * a CA operation passes [`Ctx::untag_all`] — Algorithms 1 and 3 end
+///   every attempt, retry and success alike, with `untagAll`;
+/// * an HTM operation passes [`htm::abort_open_tx`], which aborts the
+///   transaction a failed validation left in flight.
+///
+/// An attempt restarts the operation from scratch by returning
+/// `Err(`[`Restart`]`)`, usually through `?` on a failed `cread`, `cwrite`
+/// or `tx_*`.
 ///
 /// The retry counter guards against livelock bugs: a correct CA data
 /// structure on this simulator can only fail because of a real conflict or a
@@ -69,16 +67,15 @@ pub enum CaStep<T> {
 /// once, following the paper's §IV directives:
 ///
 /// 1. **DI**: every access to a node that can be freed is a `cread` or a
-///    `cwrite` inside `ca_loop`; a failure ([`ca_try!`](crate::ca_try),
-///    [`ca_check!`](crate::ca_check)) untags everything and retries the
-///    operation from scratch.
+///    `cwrite` inside `attempt_loop`; a failure (`?`) untags everything and
+///    retries the operation from scratch.
 /// 2. **DII**: right after a node is first tagged, validate that it was
 ///    reachable (here: its `seq` stamp is even, so it was not retired).
 /// 3. **Write before free**: bump the node's `seq` before freeing it, which
 ///    revokes every tag on it.
 ///
 /// ```
-/// use cacore::{ca_check, ca_loop, ca_try, CaStep};
+/// use cacore::{attempt_loop, Restart};
 /// use mcsim::machine::Ctx;
 /// use mcsim::{Addr, Machine, MachineConfig};
 ///
@@ -96,33 +93,32 @@ pub enum CaStep<T> {
 ///         let n = ctx.alloc();
 ///         ctx.write(n.word(W_VAL), value);
 ///         ctx.write(n.word(W_SEQ), 0);
-///         ca_loop(ctx, |ctx| {
-///             let first = ca_try!(ctx.cread(self.head));
+///         attempt_loop(ctx, Ctx::untag_all, |ctx| {
+///             let first = ctx.cread(self.head)?;
 ///             ctx.write(n.word(W_NEXT), first); // private until published
-///             ca_check!(ctx.cwrite(self.head, n.0));
-///             CaStep::Done(())
+///             ctx.cwrite(self.head, n.0)
 ///         })
 ///     }
 ///
 ///     fn take_any(&self, ctx: &mut Ctx) -> Option<u64> {
-///         let (node, val) = ca_loop(ctx, |ctx| {
-///             let first = ca_try!(ctx.cread(self.head));
+///         let (node, val) = attempt_loop(ctx, Ctx::untag_all, |ctx| {
+///             let first = ctx.cread(self.head)?;
 ///             if first == 0 {
-///                 return CaStep::Done(None);
+///                 return Ok(None);
 ///             }
 ///             let node = Addr(first);
 ///             // DII: a node retired before we tagged it is not trusted.
-///             let seq = ca_try!(ctx.cread(node.word(W_SEQ)));
+///             let seq = ctx.cread(node.word(W_SEQ))?;
 ///             if seq % 2 == 1 {
-///                 return CaStep::Retry;
+///                 return Err(Restart);
 ///             }
-///             let next = ca_try!(ctx.cread(node.word(W_NEXT)));
-///             let val = ca_try!(ctx.cread(node.word(W_VAL)));
-///             ca_check!(ctx.cwrite(self.head, next));
+///             let next = ctx.cread(node.word(W_NEXT))?;
+///             let val = ctx.cread(node.word(W_VAL))?;
+///             ctx.cwrite(self.head, next)?;
 ///             // Write before free: the cwrite revoked head's taggers; this
 ///             // revokes anyone who tagged only the node.
 ///             ctx.write(node.word(W_SEQ), seq + 1);
-///             CaStep::Done(Some((node, val)))
+///             Ok(Some((node, val)))
 ///         })?;
 ///         ctx.free(node);
 ///         Some(val)
@@ -152,51 +148,28 @@ pub enum CaStep<T> {
 /// assert_eq!(added, taken, "no value lost or duplicated");
 /// assert_eq!(machine.stats().allocated_not_freed, 0);
 /// ```
-pub fn ca_loop<T>(ctx: &mut Ctx, mut body: impl FnMut(&mut Ctx) -> CaStep<T>) -> T {
+pub fn attempt_loop<'m, T>(
+    ctx: &mut Ctx<'m>,
+    after_attempt: impl Fn(&mut Ctx<'m>),
+    mut attempt: impl FnMut(&mut Ctx<'m>) -> Result<T, Restart>,
+) -> T {
     let mut retries: u64 = 0;
     loop {
-        match body(ctx) {
-            CaStep::Done(v) => {
-                ctx.untag_all();
-                return v;
-            }
-            CaStep::Retry => {
-                ctx.untag_all();
+        let outcome = attempt(ctx);
+        after_attempt(ctx);
+        match outcome {
+            Ok(v) => return v,
+            Err(Restart) => {
                 retries += 1;
                 assert!(
                     retries < 10_000_000,
-                    "CA operation retried 10M times on core {}: livelock — \
-                     the data structure is violating the CA usage directives",
+                    "operation retried 10M times on core {}: livelock — \
+                     the attempt body violates the CA usage directives",
                     ctx.core()
                 );
             }
         }
     }
-}
-
-/// `cread` with the paper's `CA_CHECK`: evaluates to the loaded value, or
-/// returns [`CaStep::Retry`] from the enclosing function on failure.
-/// [`ca_loop`] shows it in a whole structure.
-#[macro_export]
-macro_rules! ca_try {
-    ($e:expr) => {
-        match $e {
-            Some(v) => v,
-            None => return $crate::CaStep::Retry,
-        }
-    };
-}
-
-/// `cwrite` (or any boolean CA condition) with the paper's `CA_CHECK`:
-/// returns [`CaStep::Retry`] from the enclosing function when false.
-/// [`ca_loop`] shows it in a whole structure.
-#[macro_export]
-macro_rules! ca_check {
-    ($e:expr) => {
-        if !$e {
-            return $crate::CaStep::Retry;
-        }
-    };
 }
 
 #[cfg(test)]
@@ -219,14 +192,17 @@ mod tests {
         let m = machine(1);
         let a = m.alloc_static(1);
         let v = m.run_on(1, |_, ctx| {
-            ca_loop(ctx, |ctx| {
-                let v = ca_try!(ctx.cread(a));
-                ca_check!(ctx.cwrite(a, v + 1));
-                CaStep::Done(v + 1)
+            attempt_loop(ctx, Ctx::untag_all, |ctx| {
+                let v = ctx.cread(a)?;
+                ctx.cwrite(a, v + 1)?;
+                Ok(v + 1)
             })
         });
         assert_eq!(v, vec![1]);
-        assert!(m.probe_tagged_lines(0).is_empty(), "ca_loop must untagAll");
+        assert!(
+            m.probe_tagged_lines(0).is_empty(),
+            "the CA hook must untagAll"
+        );
         assert!(!m.probe_arb(0));
     }
 
@@ -236,13 +212,13 @@ mod tests {
         let a = m.alloc_static(1);
         let tries = m.run_on(1, |_, ctx| {
             let mut attempts = 0;
-            ca_loop(ctx, |ctx| {
+            attempt_loop(ctx, Ctx::untag_all, |ctx| {
                 attempts += 1;
-                let v = ca_try!(ctx.cread(a));
+                let v = ctx.cread(a)?;
                 if attempts < 3 {
-                    return CaStep::Retry; // simulate validation failure
+                    return Err(Restart); // simulate validation failure
                 }
-                CaStep::Done(v)
+                Ok(v)
             });
             attempts
         });
@@ -258,10 +234,9 @@ mod tests {
         let a = m.alloc_static(1);
         m.run_on(4, |_, ctx| {
             for _ in 0..200 {
-                ca_loop(ctx, |ctx| {
-                    let v = ca_try!(ctx.cread(a));
-                    ca_check!(ctx.cwrite(a, v + 1));
-                    CaStep::Done(())
+                attempt_loop(ctx, Ctx::untag_all, |ctx| {
+                    let v = ctx.cread(a)?;
+                    ctx.cwrite(a, v + 1)
                 });
             }
         });
@@ -280,12 +255,12 @@ mod tests {
         m.host_write(x, 3);
         m.host_write(y, 4);
         let ok = m.run_on(1, |_, ctx| {
-            ca_loop(ctx, |ctx| {
-                let vx = ca_try!(ctx.cread(x));
-                let vy = ca_try!(ctx.cread(y));
-                let _ = ca_try!(ctx.cread(sum));
-                ca_check!(ctx.cwrite(sum, vx + vy));
-                CaStep::Done(true)
+            attempt_loop(ctx, Ctx::untag_all, |ctx| {
+                let vx = ctx.cread(x)?;
+                let vy = ctx.cread(y)?;
+                ctx.cread(sum)?;
+                ctx.cwrite(sum, vx + vy)?;
+                Ok(true)
             })
         });
         assert_eq!(ok, vec![true]);

@@ -11,46 +11,23 @@
 //! owner, so it cannot be concurrently freed (paper §IV-B step 5).
 
 use mcsim::machine::Ctx;
-use mcsim::Addr;
+use mcsim::{Addr, Restart};
 
 /// Lock word values.
 const UNLOCKED: u64 = 0;
 const LOCKED: u64 = 1;
 
-/// Why a [`try_lock_detailed`] attempt failed.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum TryLockOutcome {
-    /// Lock acquired.
-    Acquired,
-    /// The lock word was already 1 (held by another thread).
-    Busy,
-    /// A conditional access failed: the node may have been deleted/freed.
-    /// The operation must `untagAll` and restart.
-    Revoked,
-}
-
-/// Algorithm 2, with the failure reason exposed.
+/// Algorithm 2: `Ok` iff the lock was acquired. A lock held by another
+/// thread and a failed conditional access (the node may have been
+/// deleted or freed) both return `Err`; callers `untagAll` and retry.
 ///
 /// Precondition: the line containing `lock` was `cread` by this thread (the
 /// node is tagged). The initial `cread` here re-tags it harmlessly.
-pub fn try_lock_detailed(ctx: &mut Ctx, lock: Addr) -> TryLockOutcome {
-    let Some(v) = ctx.cread(lock) else {
-        return TryLockOutcome::Revoked;
-    };
-    if v == LOCKED {
-        return TryLockOutcome::Busy;
+pub fn try_lock(ctx: &mut Ctx, lock: Addr) -> Result<(), Restart> {
+    if ctx.cread(lock)? == LOCKED {
+        return Err(Restart);
     }
-    if ctx.cwrite(lock, LOCKED) {
-        TryLockOutcome::Acquired
-    } else {
-        TryLockOutcome::Revoked
-    }
-}
-
-/// Algorithm 2 as published: returns `true` iff the lock was acquired.
-/// Both `Busy` and `Revoked` report `false`; callers `untagAll` and retry.
-pub fn try_lock(ctx: &mut Ctx, lock: Addr) -> bool {
-    try_lock_detailed(ctx, lock) == TryLockOutcome::Acquired
+    ctx.cwrite(lock, LOCKED)
 }
 
 /// Release a lock acquired by [`try_lock`]. Plain store — safe because only
@@ -80,26 +57,27 @@ mod tests {
         let node = m.alloc_static(1);
         let lock = node.word(1);
         let out = m.run_on(1, |_, ctx| {
-            ctx.cread(node); // precondition: tag the node
+            let _ = ctx.cread(node); // precondition: tag the node
             let got = try_lock(ctx, lock);
-            let relock_while_held = try_lock_detailed(ctx, lock);
+            let relock_while_held = try_lock(ctx, lock);
             unlock(ctx, lock);
             ctx.untag_all();
-            ctx.cread(node);
+            let _ = ctx.cread(node);
             let regot = try_lock(ctx, lock);
             unlock(ctx, lock);
             ctx.untag_all();
             (got, relock_while_held, regot)
         });
-        assert_eq!(out, vec![(true, TryLockOutcome::Busy, true)]);
+        assert_eq!(out, vec![(Ok(()), Err(Restart), Ok(()))]);
         assert_eq!(m.host_read(lock), 0);
     }
 
     #[test]
     fn lock_fails_after_remote_modification() {
         // Thread 0 tags the node; thread 1 then writes it (as a deleter
-        // would). Thread 0's try_lock must fail with Revoked, not Busy —
-        // it must not write to a node that may have been freed.
+        // would). Thread 0's try_lock must fail on its conditional access,
+        // not on a held lock — it must not write to a node that may have
+        // been freed.
         let m = machine(2);
         let node = m.alloc_static(1);
         let lock = node.word(1);
@@ -107,12 +85,12 @@ mod tests {
 
         let outs = m.run_on(2, |tid, ctx| match tid {
             0 => {
-                ctx.cread(node); // tag
+                let _ = ctx.cread(node); // tag
                 // Spin until the other thread has marked the node.
                 while ctx.read(mark) == 0 {
                     ctx.tick(1);
                 }
-                let out = try_lock_detailed(ctx, lock);
+                let out = try_lock(ctx, lock);
                 ctx.untag_all();
                 Some(out)
             }
@@ -121,13 +99,17 @@ mod tests {
                 None
             }
         });
-        assert_eq!(outs[0], Some(TryLockOutcome::Revoked));
+        assert_eq!(outs[0], Some(Err(Restart)));
+        assert_eq!(m.host_read(lock), 0, "the lock was never taken");
+        let c0 = &m.stats().cores[0];
+        assert_eq!(c0.cread_fail + c0.cwrite_fail, 1, "{c0:?}");
     }
 
     #[test]
     fn mutual_exclusion_under_contention() {
         // N threads increment a counter protected by the CA lock. The node
-        // is never freed here, so Busy/Revoked both simply retry.
+        // is never freed here, so a held lock and a revoked tag both
+        // simply retry.
         let m = machine(4);
         let node = m.alloc_static(1);
         let lock = node.word(0);
@@ -135,8 +117,8 @@ mod tests {
         m.run_on(4, |_, ctx| {
             for _ in 0..100 {
                 loop {
-                    ctx.cread(node);
-                    if try_lock(ctx, lock) {
+                    let _ = ctx.cread(node);
+                    if try_lock(ctx, lock).is_ok() {
                         break;
                     }
                     ctx.untag_all();

@@ -19,7 +19,7 @@
 //! `∞₁`/`∞₂`. Real keys are `< ∞₁`, so every real leaf has an internal
 //! parent *and* grandparent, and the sentinels are never deletable.
 
-use cacore::{ca_check, ca_loop, ca_try, lock, CaStep};
+use cacore::{attempt_loop, lock, Restart};
 use mcsim::machine::Ctx;
 use mcsim::{Addr, Machine};
 
@@ -77,7 +77,7 @@ impl CaExtBst {
 
     /// `cread`-only search for `key`. Maintains the tag window
     /// {gp, p, leaf}; earlier path nodes are untagged hand-over-hand.
-    fn search(&self, ctx: &mut Ctx, key: u64) -> CaStep<Found> {
+    fn search(&self, ctx: &mut Ctx, key: u64) -> Result<Found, Restart> {
         debug_assert!((1..=MAX_REAL_KEY).contains(&key));
         ctx.tick(TICK_PER_OP);
         // The root is static and never marked: no validation needed, but its
@@ -86,20 +86,20 @@ impl CaExtBst {
         let mut gp_key = KEY_INF2;
         let mut p = self.root;
         let mut p_key = KEY_INF2;
-        let mut node = Addr(ca_try!(ctx.cread(self.root.word(child_word(KEY_INF2, key)))));
+        let mut node = Addr(ctx.cread(self.root.word(child_word(KEY_INF2, key)))?);
         loop {
             ctx.tick(TICK_PER_HOP);
             // First touch of `node`: the cread tags it; validate its mark
             // immediately (DII).
-            let mark = ca_try!(ctx.cread(node.word(W_BST_MARK)));
+            let mark = ctx.cread(node.word(W_BST_MARK))?;
             if mark != 0 {
-                return CaStep::Retry;
+                return Err(Restart);
             }
-            let node_key = ca_try!(ctx.cread(node.word(W_KEY)));
-            let left = ca_try!(ctx.cread(node.word(W_LEFT)));
+            let node_key = ctx.cread(node.word(W_KEY))?;
+            let left = ctx.cread(node.word(W_LEFT))?;
             if left == 0 {
                 // Leaf reached.
-                return CaStep::Done(Found {
+                return Ok(Found {
                     gp,
                     gp_key,
                     p,
@@ -111,7 +111,7 @@ impl CaExtBst {
             let next = if key < node_key {
                 left
             } else {
-                ca_try!(ctx.cread(node.word(W_RIGHT)))
+                ctx.cread(node.word(W_RIGHT))?
             };
             // Slide the window: gp leaves it.
             if gp != p {
@@ -128,26 +128,19 @@ impl CaExtBst {
 
 impl CaExtBst {
     /// One optimistic attempt of `contains`.
-    fn contains_attempt(&self, ctx: &mut Ctx, key: u64) -> CaStep<bool> {
-        let f = match self.search(ctx, key) {
-            CaStep::Done(f) => f,
-            CaStep::Retry => return CaStep::Retry,
-        };
-        CaStep::Done(f.leaf_key == key)
+    fn contains_attempt(&self, ctx: &mut Ctx, key: u64) -> Result<bool, Restart> {
+        Ok(self.search(ctx, key)?.leaf_key == key)
     }
 
     /// One optimistic attempt of `insert`.
-    fn insert_attempt(&self, ctx: &mut Ctx, key: u64) -> CaStep<bool> {
-        let f = match self.search(ctx, key) {
-            CaStep::Done(f) => f,
-            CaStep::Retry => return CaStep::Retry,
-        };
+    fn insert_attempt(&self, ctx: &mut Ctx, key: u64) -> Result<bool, Restart> {
+        let f = self.search(ctx, key)?;
         if f.leaf_key == key {
-            return CaStep::Done(false); // LP: already present
+            return Ok(false); // LP: already present
         }
         // Locking p validates it: if p was marked, unlinked, or its
         // child pointer changed since tagging, the try-lock fails.
-        ca_check!(lock::try_lock(ctx, f.p.word(W_BST_LOCK)));
+        lock::try_lock(ctx, f.p.word(W_BST_LOCK))?;
         // Critical section (p locked): plain writes.
         let new_leaf = ctx.alloc();
         ctx.write(new_leaf.word(W_KEY), key);
@@ -168,25 +161,22 @@ impl CaExtBst {
         ctx.write(internal.word(W_BST_MARK), 0);
         ctx.write(f.p.word(child_word(f.p_key, key)), internal.0); // LP
         lock::unlock(ctx, f.p.word(W_BST_LOCK));
-        CaStep::Done(true)
+        Ok(true)
     }
 
     /// One optimistic attempt of `delete`; on success returns the unlinked
     /// (parent, leaf) pair, which the caller frees after its `untagAll`.
-    fn delete_attempt(&self, ctx: &mut Ctx, key: u64) -> CaStep<Option<(Addr, Addr)>> {
-        let f = match self.search(ctx, key) {
-            CaStep::Done(f) => f,
-            CaStep::Retry => return CaStep::Retry,
-        };
+    fn delete_attempt(&self, ctx: &mut Ctx, key: u64) -> Result<Option<(Addr, Addr)>, Restart> {
+        let f = self.search(ctx, key)?;
         if f.leaf_key != key {
-            return CaStep::Done(None); // LP: absent
+            return Ok(None); // LP: absent
         }
         // Lock ancestor-first (gp, then p); try-locks double as
         // validation of both nodes.
-        ca_check!(lock::try_lock(ctx, f.gp.word(W_BST_LOCK)));
-        if !lock::try_lock(ctx, f.p.word(W_BST_LOCK)) {
+        lock::try_lock(ctx, f.gp.word(W_BST_LOCK))?;
+        if let Err(restart) = lock::try_lock(ctx, f.p.word(W_BST_LOCK)) {
             lock::unlock(ctx, f.gp.word(W_BST_LOCK));
-            return CaStep::Retry;
+            return Err(restart);
         }
         // Critical section. Mark both removed nodes first — the
         // write-before-free rule revokes every tag on them.
@@ -198,7 +188,7 @@ impl CaExtBst {
         ctx.write(f.gp.word(child_word(f.gp_key, key)), sibling);
         lock::unlock(ctx, f.p.word(W_BST_LOCK));
         lock::unlock(ctx, f.gp.word(W_BST_LOCK));
-        CaStep::Done(Some((f.p, f.leaf)))
+        Ok(Some((f.p, f.leaf)))
     }
 }
 
@@ -211,15 +201,15 @@ impl DsShared for CaExtBst {
 /// Sim-only: the CA primitive exists only in the simulator.
 impl<'m> SetDs<Ctx<'m>> for CaExtBst {
     fn contains(&self, ctx: &mut Ctx<'m>, _tls: &mut Self::Tls, key: u64) -> bool {
-        ca_loop(ctx, |ctx| self.contains_attempt(ctx, key))
+        attempt_loop(ctx, Ctx::untag_all, |ctx| self.contains_attempt(ctx, key))
     }
 
     fn insert(&self, ctx: &mut Ctx<'m>, _tls: &mut Self::Tls, key: u64) -> bool {
-        ca_loop(ctx, |ctx| self.insert_attempt(ctx, key))
+        attempt_loop(ctx, Ctx::untag_all, |ctx| self.insert_attempt(ctx, key))
     }
 
     fn delete(&self, ctx: &mut Ctx<'m>, _tls: &mut Self::Tls, key: u64) -> bool {
-        let victims = ca_loop(ctx, |ctx| self.delete_attempt(ctx, key));
+        let victims = attempt_loop(ctx, Ctx::untag_all, |ctx| self.delete_attempt(ctx, key));
         match victims {
             Some((p, leaf)) => {
                 // Immediate reclamation of both unlinked nodes.

@@ -27,7 +27,7 @@
 //! * the physical unlink after a successful mark is best-effort: if it
 //!   fails, a later traversal's helping completes it.
 
-use cacore::{ca_check, ca_loop, ca_try, CaStep};
+use cacore::{attempt_loop, Restart};
 use mcsim::machine::Ctx;
 use mcsim::{Addr, Machine};
 
@@ -62,22 +62,22 @@ impl CaHarrisList {
 
     /// Traversal with helping. Returns tagged `pred`/`curr` with
     /// `pred.key < key ≤ curr.key`, `curr` unmarked at tag time.
-    fn locate(&self, ctx: &mut Ctx, key: u64) -> CaStep<Located> {
+    fn locate(&self, ctx: &mut Ctx, key: u64) -> Result<Located, Restart> {
         debug_assert!(key > 0 && key < KEY_TAIL);
         ctx.tick(TICK_PER_OP);
         let mut pred = self.head;
-        let mut curr = Addr(ca_try!(ctx.cread(self.head.word(W_NEXT))));
+        let mut curr = Addr(ctx.cread(self.head.word(W_NEXT))?);
         loop {
             ctx.tick(TICK_PER_HOP);
             // DII: tag curr through its mark word and validate.
-            let mark = ca_try!(ctx.cread(curr.word(W_MARK)));
+            let mark = ctx.cread(curr.word(W_MARK))?;
             if mark != 0 {
                 // Help unlink the marked node. Reading curr.next is safe:
                 // curr cannot have been freed, or this cread would have
                 // failed (the freer unlinked it by writing pred.next, which
                 // we have tagged).
-                let next = Addr(ca_try!(ctx.cread(curr.word(W_NEXT))));
-                ca_check!(ctx.cwrite(pred.word(W_NEXT), next.0));
+                let next = Addr(ctx.cread(curr.word(W_NEXT))?);
+                ctx.cwrite(pred.word(W_NEXT), next.0)?;
                 // Sole unlinker: reclaim immediately. Drop our own tag
                 // first so the line's reuse does not revoke us spuriously.
                 ctx.untag_one(curr);
@@ -85,15 +85,15 @@ impl CaHarrisList {
                 curr = next;
                 continue; // pred unchanged; validate the new curr
             }
-            let currkey = ca_try!(ctx.cread(curr.word(W_KEY)));
+            let currkey = ctx.cread(curr.word(W_KEY))?;
             if currkey >= key {
-                return CaStep::Done(Located {
+                return Ok(Located {
                     pred,
                     curr,
                     currkey,
                 });
             }
-            let next = Addr(ca_try!(ctx.cread(curr.word(W_NEXT))));
+            let next = Addr(ctx.cread(curr.word(W_NEXT))?);
             ctx.untag_one(pred);
             pred = curr;
             curr = next;
@@ -110,20 +110,16 @@ impl DsShared for CaHarrisList {
 /// Sim-only: the CA primitive exists only in the simulator.
 impl<'m> SetDs<Ctx<'m>> for CaHarrisList {
     fn contains(&self, ctx: &mut Ctx<'m>, _tls: &mut Self::Tls, key: u64) -> bool {
-        ca_loop(ctx, |ctx| match self.locate(ctx, key) {
-            CaStep::Done(loc) => CaStep::Done(loc.currkey == key),
-            CaStep::Retry => CaStep::Retry,
+        attempt_loop(ctx, Ctx::untag_all, |ctx| {
+            Ok(self.locate(ctx, key)?.currkey == key)
         })
     }
 
     fn insert(&self, ctx: &mut Ctx<'m>, _tls: &mut Self::Tls, key: u64) -> bool {
-        ca_loop(ctx, |ctx| {
-            let loc = match self.locate(ctx, key) {
-                CaStep::Done(l) => l,
-                CaStep::Retry => return CaStep::Retry,
-            };
+        attempt_loop(ctx, Ctx::untag_all, |ctx| {
+            let loc = self.locate(ctx, key)?;
             if loc.currkey == key {
-                return CaStep::Done(false);
+                return Ok(false);
             }
             let n = ctx.alloc();
             ctx.write(n.word(W_KEY), key);
@@ -132,34 +128,32 @@ impl<'m> SetDs<Ctx<'m>> for CaHarrisList {
             // Splice. Success proves pred was untouched since tagging —
             // in particular pred.next still equals curr and pred is
             // unmarked. A failure leaks nothing: n is still private.
-            if !ctx.cwrite(loc.pred.word(W_NEXT), n.0) {
+            if let Err(restart) = ctx.cwrite(loc.pred.word(W_NEXT), n.0) {
                 ctx.free(n); // reclaim the private node before retrying
-                return CaStep::Retry;
+                return Err(restart);
             }
-            CaStep::Done(true) // LP: the successful splice
+            Ok(true) // LP: the successful splice
         })
     }
 
     fn delete(&self, ctx: &mut Ctx<'m>, _tls: &mut Self::Tls, key: u64) -> bool {
-        ca_loop(ctx, |ctx| {
-            let loc = match self.locate(ctx, key) {
-                CaStep::Done(l) => l,
-                CaStep::Retry => return CaStep::Retry,
-            };
+        attempt_loop(ctx, Ctx::untag_all, |ctx| {
+            let loc = self.locate(ctx, key)?;
             if loc.currkey != key {
-                return CaStep::Done(false);
+                return Ok(false);
             }
             // Logical delete; only one marker can win (a competitor's mark
             // revokes our tag first).
-            ca_check!(ctx.cwrite(loc.curr.word(W_MARK), 1)); // LP
-            // Best-effort physical unlink; helping finishes it otherwise.
-            if let Some(next) = ctx.cread(loc.curr.word(W_NEXT)) {
-                if ctx.cwrite(loc.pred.word(W_NEXT), next) {
+            ctx.cwrite(loc.curr.word(W_MARK), 1)?; // LP
+            // Best-effort physical unlink: a failure does not restart the
+            // (already linearized) delete; helping finishes the unlink.
+            if let Ok(next) = ctx.cread(loc.curr.word(W_NEXT)) {
+                if ctx.cwrite(loc.pred.word(W_NEXT), next).is_ok() {
                     ctx.untag_one(loc.curr);
                     ctx.free(loc.curr);
                 }
             }
-            CaStep::Done(true)
+            Ok(true)
         })
     }
 }

@@ -19,7 +19,7 @@
 //! * `delete` marks (the write-before-free rule), unlinks, unlocks, and
 //!   frees the node **immediately**.
 
-use cacore::{ca_check, ca_loop, ca_try, lock, CaStep};
+use cacore::{attempt_loop, lock, Restart};
 use mcsim::machine::Ctx;
 use mcsim::{Addr, Machine};
 
@@ -60,32 +60,32 @@ impl CaLazyList {
     /// The head sentinel can never be marked or freed, so the paper's
     /// VALIDATE on it (line 11) is vacuous and skipped; its `next` field is
     /// still cread so the head line is tagged and monitored.
-    fn locate(&self, ctx: &mut Ctx, key: u64) -> CaStep<Located> {
+    fn locate(&self, ctx: &mut Ctx, key: u64) -> Result<Located, Restart> {
         debug_assert!(key > 0 && key < KEY_TAIL);
         ctx.tick(TICK_PER_OP);
         let mut pred = self.head;
         // Tags the head line.
-        let mut curr = Addr(ca_try!(ctx.cread(self.head.word(W_NEXT))));
+        let mut curr = Addr(ctx.cread(self.head.word(W_NEXT))?);
         // VALIDATE(curr) — the cread both tags curr and loads its mark (DII).
-        let mark = ca_try!(ctx.cread(curr.word(W_MARK)));
+        let mark = ctx.cread(curr.word(W_MARK))?;
         if mark != 0 {
-            return CaStep::Retry;
+            return Err(Restart);
         }
-        let mut currkey = ca_try!(ctx.cread(curr.word(W_KEY)));
+        let mut currkey = ctx.cread(curr.word(W_KEY))?;
         while currkey < key {
             ctx.tick(TICK_PER_HOP);
-            let next = Addr(ca_try!(ctx.cread(curr.word(W_NEXT))));
+            let next = Addr(ctx.cread(curr.word(W_NEXT))?);
             // Hand-over-hand: only pred and curr need to stay tagged.
             ctx.untag_one(pred);
             pred = curr;
             curr = next;
-            let mark = ca_try!(ctx.cread(curr.word(W_MARK)));
+            let mark = ctx.cread(curr.word(W_MARK))?;
             if mark != 0 {
-                return CaStep::Retry;
+                return Err(Restart);
             }
-            currkey = ca_try!(ctx.cread(curr.word(W_KEY)));
+            currkey = ctx.cread(curr.word(W_KEY))?;
         }
-        CaStep::Done(Located {
+        Ok(Located {
             pred,
             curr,
             currkey,
@@ -93,41 +93,32 @@ impl CaLazyList {
     }
 
     /// Lock `pred` then `curr` with the Algorithm 2 try-locks; on any
-    /// failure release what was taken and signal a retry.
-    fn lock_pair(&self, ctx: &mut Ctx, pred: Addr, curr: Addr) -> bool {
-        if !lock::try_lock(ctx, pred.word(W_LOCK)) {
-            return false;
-        }
-        if !lock::try_lock(ctx, curr.word(W_LOCK)) {
+    /// failure release what was taken and signal a restart.
+    fn lock_pair(&self, ctx: &mut Ctx, pred: Addr, curr: Addr) -> Result<(), Restart> {
+        lock::try_lock(ctx, pred.word(W_LOCK))?;
+        if let Err(restart) = lock::try_lock(ctx, curr.word(W_LOCK)) {
             lock::unlock(ctx, pred.word(W_LOCK));
-            return false;
+            return Err(restart);
         }
-        true
+        Ok(())
     }
 
-    /// One optimistic attempt of `contains` (the body `ca_loop` retries).
-    /// Exposed at crate level so the fallback wrapper can drive attempts
-    /// under its own retry policy.
-    pub(crate) fn contains_attempt(&self, ctx: &mut Ctx, key: u64) -> CaStep<bool> {
-        let loc = match self.locate(ctx, key) {
-            CaStep::Done(l) => l,
-            CaStep::Retry => return CaStep::Retry,
-        };
-        CaStep::Done(loc.currkey == key)
+    /// One optimistic attempt of `contains` (the body `attempt_loop`
+    /// retries). Exposed at crate level so the fallback wrapper can drive
+    /// attempts under its own retry policy.
+    pub(crate) fn contains_attempt(&self, ctx: &mut Ctx, key: u64) -> Result<bool, Restart> {
+        Ok(self.locate(ctx, key)?.currkey == key)
     }
 
     /// One optimistic attempt of `insert`.
-    pub(crate) fn insert_attempt(&self, ctx: &mut Ctx, key: u64) -> CaStep<bool> {
-        let loc = match self.locate(ctx, key) {
-            CaStep::Done(l) => l,
-            CaStep::Retry => return CaStep::Retry,
-        };
+    pub(crate) fn insert_attempt(&self, ctx: &mut Ctx, key: u64) -> Result<bool, Restart> {
+        let loc = self.locate(ctx, key)?;
         if loc.currkey == key {
-            return CaStep::Done(false); // LP: key already present
+            return Ok(false); // LP: key already present
         }
         // Lock acquisition *is* the validation: a failure means pred or
         // curr was modified (possibly deleted/freed) since tagging.
-        ca_check!(self.lock_pair(ctx, loc.pred, loc.curr));
+        self.lock_pair(ctx, loc.pred, loc.curr)?;
         // Critical section: plain accesses are safe on locked nodes.
         let n = ctx.alloc();
         ctx.write(n.word(W_KEY), key);
@@ -137,20 +128,17 @@ impl CaLazyList {
         ctx.write(loc.pred.word(W_NEXT), n.0); // LP
         lock::unlock(ctx, loc.curr.word(W_LOCK));
         lock::unlock(ctx, loc.pred.word(W_LOCK));
-        CaStep::Done(true)
+        Ok(true)
     }
 
     /// One optimistic attempt of `delete`; on success returns the unlinked
     /// victim, which the caller frees after its `untagAll`.
-    pub(crate) fn delete_attempt(&self, ctx: &mut Ctx, key: u64) -> CaStep<Option<Addr>> {
-        let loc = match self.locate(ctx, key) {
-            CaStep::Done(l) => l,
-            CaStep::Retry => return CaStep::Retry,
-        };
+    pub(crate) fn delete_attempt(&self, ctx: &mut Ctx, key: u64) -> Result<Option<Addr>, Restart> {
+        let loc = self.locate(ctx, key)?;
         if loc.currkey != key {
-            return CaStep::Done(None); // LP: key absent
+            return Ok(None); // LP: key absent
         }
-        ca_check!(self.lock_pair(ctx, loc.pred, loc.curr));
+        self.lock_pair(ctx, loc.pred, loc.curr)?;
         // Mark before unlink: the write-before-free rule. Any thread
         // with curr tagged is revoked by this store.
         ctx.write(loc.curr.word(W_MARK), 1); // LP
@@ -158,7 +146,7 @@ impl CaLazyList {
         ctx.write(loc.pred.word(W_NEXT), next);
         lock::unlock(ctx, loc.curr.word(W_LOCK));
         lock::unlock(ctx, loc.pred.word(W_LOCK));
-        CaStep::Done(Some(loc.curr))
+        Ok(Some(loc.curr))
     }
 }
 
@@ -174,17 +162,17 @@ impl DsShared for CaLazyList {
 impl<'m> SetDs<Ctx<'m>> for CaLazyList {
     /// Algorithm 3 `contain`: linearizes at the cread of `curr.key`.
     fn contains(&self, ctx: &mut Ctx<'m>, _tls: &mut Self::Tls, key: u64) -> bool {
-        ca_loop(ctx, |ctx| self.contains_attempt(ctx, key))
+        attempt_loop(ctx, Ctx::untag_all, |ctx| self.contains_attempt(ctx, key))
     }
 
     /// Algorithm 3 `insert`.
     fn insert(&self, ctx: &mut Ctx<'m>, _tls: &mut Self::Tls, key: u64) -> bool {
-        ca_loop(ctx, |ctx| self.insert_attempt(ctx, key))
+        attempt_loop(ctx, Ctx::untag_all, |ctx| self.insert_attempt(ctx, key))
     }
 
     /// Algorithm 3 `delete` — frees the victim immediately after untagAll.
     fn delete(&self, ctx: &mut Ctx<'m>, _tls: &mut Self::Tls, key: u64) -> bool {
-        let victim = ca_loop(ctx, |ctx| self.delete_attempt(ctx, key));
+        let victim = attempt_loop(ctx, Ctx::untag_all, |ctx| self.delete_attempt(ctx, key));
         match victim {
             Some(node) => {
                 ctx.free(node); // immediate reclamation (Algorithm 3 line 59)

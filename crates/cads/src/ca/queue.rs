@@ -7,7 +7,7 @@
 //! immediately: any thread that tagged it fails its next conditional access
 //! because unlinking wrote the `head` cell it also has tagged.
 
-use cacore::{ca_check, ca_loop, ca_try, CaStep};
+use cacore::{attempt_loop, Restart};
 use mcsim::machine::Ctx;
 use mcsim::{Addr, Machine};
 
@@ -52,43 +52,43 @@ impl<'m> QueueDs<Ctx<'m>> for CaQueue {
         let n = ctx.alloc();
         ctx.write(n.word(W_KEY), value);
         ctx.write(n.word(W_NEXT), 0);
-        ca_loop(ctx, |ctx| {
+        attempt_loop(ctx, Ctx::untag_all, |ctx| {
             ctx.tick(TICK_PER_OP);
-            let t = ca_try!(ctx.cread(self.tail));
-            let next = ca_try!(ctx.cread(Addr(t).word(W_NEXT)));
+            let t = ctx.cread(self.tail)?;
+            let next = ctx.cread(Addr(t).word(W_NEXT))?;
             if next != 0 {
                 // Tail lags: help swing it, then retry. Failure is benign
                 // (someone else helped first) — retry either way.
                 let _ = ctx.cwrite(self.tail, next);
-                return CaStep::Retry;
+                return Err(Restart);
             }
             // Link the new node. The tag on t's line (from the cread of
             // t.next) makes this fail if t was popped/freed meanwhile.
-            ca_check!(ctx.cwrite(Addr(t).word(W_NEXT), n.0)); // LP
+            ctx.cwrite(Addr(t).word(W_NEXT), n.0)?; // LP
             // Swing the tail; failure means a helper beat us — fine.
             let _ = ctx.cwrite(self.tail, n.0);
-            CaStep::Done(())
+            Ok(())
         })
     }
 
     fn dequeue(&self, ctx: &mut Ctx<'m>, _tls: &mut Self::Tls) -> Option<u64> {
-        let (dummy, value) = ca_loop(ctx, |ctx| {
+        let (dummy, value) = attempt_loop(ctx, Ctx::untag_all, |ctx| {
             ctx.tick(TICK_PER_OP);
-            let h = ca_try!(ctx.cread(self.head));
-            let t = ca_try!(ctx.cread(self.tail));
-            let next = ca_try!(ctx.cread(Addr(h).word(W_NEXT)));
+            let h = ctx.cread(self.head)?;
+            let t = ctx.cread(self.tail)?;
+            let next = ctx.cread(Addr(h).word(W_NEXT))?;
             if h == t {
                 if next == 0 {
-                    return CaStep::Done(None); // empty
+                    return Ok(None); // empty
                 }
                 // Tail lags behind an in-flight enqueue: help and retry.
                 let _ = ctx.cwrite(self.tail, next);
-                return CaStep::Retry;
+                return Err(Restart);
             }
             // Read the value out of the new dummy before unlinking.
-            let v = ca_try!(ctx.cread(Addr(next).word(W_KEY)));
-            ca_check!(ctx.cwrite(self.head, next)); // LP
-            CaStep::Done(Some((Addr(h), v)))
+            let v = ctx.cread(Addr(next).word(W_KEY))?;
+            ctx.cwrite(self.head, next)?; // LP
+            Ok(Some((Addr(h), v)))
         })?;
         // The old dummy is exclusively ours — immediate reclamation.
         ctx.free(dummy);

@@ -12,7 +12,7 @@
 //! of `top`'s line — unlike the CAS in a plain Treiber stack, which the
 //! `aba_demo` example shows corrupting itself under the same schedule.
 
-use cacore::{ca_check, ca_loop, ca_try, CaStep};
+use cacore::attempt_loop;
 use mcsim::machine::Ctx;
 use mcsim::{Addr, Machine};
 
@@ -46,30 +46,29 @@ impl<'m> StackDs<Ctx<'m>> for CaStack {
     fn push(&self, ctx: &mut Ctx<'m>, _tls: &mut Self::Tls, value: u64) {
         let n = ctx.alloc();
         ctx.write(n.word(W_KEY), value);
-        ca_loop(ctx, |ctx| {
+        attempt_loop(ctx, Ctx::untag_all, |ctx| {
             ctx.tick(TICK_PER_OP);
-            let t = ca_try!(ctx.cread(self.top));
+            let t = ctx.cread(self.top)?;
             // The new node is private until published: plain write.
             ctx.write(n.word(W_NEXT), t);
-            ca_check!(ctx.cwrite(self.top, n.0)); // LP
-            CaStep::Done(())
+            ctx.cwrite(self.top, n.0) // LP
         })
     }
 
     /// Algorithm 1, `pop` — frees the node before returning.
     fn pop(&self, ctx: &mut Ctx<'m>, _tls: &mut Self::Tls) -> Option<u64> {
-        let popped = ca_loop(ctx, |ctx| {
+        let popped = attempt_loop(ctx, Ctx::untag_all, |ctx| {
             ctx.tick(TICK_PER_OP);
-            let t = ca_try!(ctx.cread(self.top));
+            let t = ctx.cread(self.top)?;
             if t == 0 {
-                return CaStep::Done(None);
+                return Ok(None);
             }
             // `t` may be freed by a racing pop at any moment; its fields
             // must be cread (directive DI). A failure here is the ARB
             // telling us `top` changed.
-            let next = ca_try!(ctx.cread(Addr(t).word(W_NEXT)));
-            ca_check!(ctx.cwrite(self.top, next)); // LP
-            CaStep::Done(Some(Addr(t)))
+            let next = ctx.cread(Addr(t).word(W_NEXT))?;
+            ctx.cwrite(self.top, next)?; // LP
+            Ok(Some(Addr(t)))
         })?;
         // The node is now exclusively ours (unlinked); plain read is safe.
         let value = ctx.read(popped.word(W_KEY));
@@ -79,14 +78,13 @@ impl<'m> StackDs<Ctx<'m>> for CaStack {
 
     /// Read the top value (tags top + node; any concurrent pop fails us).
     fn peek(&self, ctx: &mut Ctx<'m>, _tls: &mut Self::Tls) -> Option<u64> {
-        ca_loop(ctx, |ctx| {
+        attempt_loop(ctx, Ctx::untag_all, |ctx| {
             ctx.tick(TICK_PER_OP);
-            let t = ca_try!(ctx.cread(self.top));
+            let t = ctx.cread(self.top)?;
             if t == 0 {
-                return CaStep::Done(None);
+                return Ok(None);
             }
-            let v = ca_try!(ctx.cread(Addr(t).word(W_KEY)));
-            CaStep::Done(Some(v))
+            Ok(Some(ctx.cread(Addr(t).word(W_KEY))?))
         })
     }
 }

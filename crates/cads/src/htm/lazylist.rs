@@ -32,8 +32,8 @@
 //! * **false conflicts** — unrelated nodes hashing to the same metadata
 //!   slot abort readers that never touched the deleted node.
 
-use cacore::htm::TxStep;
-use cacore::{tx_check, tx_loop, tx_try, tx_validate};
+use cacore::htm::abort_open_tx;
+use cacore::{attempt_loop, Restart};
 use mcsim::machine::Ctx;
 use mcsim::{Addr, Machine};
 
@@ -60,6 +60,17 @@ pub struct HtmLazyList {
 struct Versioned {
     node: Addr,
     version: u64,
+}
+
+/// Read `a` in the open transaction and restart the operation unless it
+/// holds `want` — the hand-over-hand version, mark and link checks. The
+/// after-attempt hook aborts the transaction a failed check leaves open.
+fn tx_expect(ctx: &mut Ctx, a: Addr, want: u64) -> Result<(), Restart> {
+    if ctx.tx_read(a)? == want {
+        Ok(())
+    } else {
+        Err(Restart)
+    }
 }
 
 /// Result of a successful hand-over-hand search.
@@ -107,15 +118,15 @@ impl HtmLazyList {
     /// `pred`/`curr` with `pred.key < key ≤ curr.key`; the final hop's
     /// committed transaction proved both unmarked/reachable at its commit
     /// point.
-    fn search(&self, ctx: &mut Ctx, key: u64) -> TxStep<Located> {
+    fn search(&self, ctx: &mut Ctx, key: u64) -> Result<Located, Restart> {
         debug_assert!(key > 0 && key < KEY_TAIL);
         ctx.tick(TICK_PER_OP);
         // Transaction 0: snapshot (head.next, its version, head's version).
         ctx.tx_begin();
-        let v_head = tx_try!(ctx.tx_read(self.slot(self.head)));
-        let first = Addr(tx_try!(ctx.tx_read(self.head.word(W_NEXT))));
-        let v_first = tx_try!(ctx.tx_read(self.slot(first)));
-        tx_check!(ctx.tx_commit());
+        let v_head = ctx.tx_read(self.slot(self.head))?;
+        let first = Addr(ctx.tx_read(self.head.word(W_NEXT))?);
+        let v_first = ctx.tx_read(self.slot(first))?;
+        ctx.tx_commit()?;
         let mut pred = Versioned {
             node: self.head,
             version: v_head,
@@ -131,29 +142,26 @@ impl HtmLazyList {
             ctx.tx_begin();
             // pred not freed since it was last validated (version check must
             // precede any dereference of pred)...
-            tx_validate!(ctx, tx_try!(ctx.tx_read(self.slot(pred.node))) == pred.version);
+            tx_expect(ctx, self.slot(pred.node), pred.version)?;
             // ...and still unmarked, and still pointing at curr (so curr is
             // reachable if it passes its own version check).
-            tx_validate!(ctx, tx_try!(ctx.tx_read(pred.node.word(W_MARK))) == 0);
-            tx_validate!(
-                ctx,
-                tx_try!(ctx.tx_read(pred.node.word(W_NEXT))) == curr.node.0
-            );
+            tx_expect(ctx, pred.node.word(W_MARK), 0)?;
+            tx_expect(ctx, pred.node.word(W_NEXT), curr.node.0)?;
             // curr not freed since its pointer was captured.
-            tx_validate!(ctx, tx_try!(ctx.tx_read(self.slot(curr.node))) == curr.version);
-            let currkey = tx_try!(ctx.tx_read(curr.node.word(W_KEY)));
+            tx_expect(ctx, self.slot(curr.node), curr.version)?;
+            let currkey = ctx.tx_read(curr.node.word(W_KEY))?;
             if currkey >= key {
-                tx_check!(ctx.tx_commit());
-                return TxStep::Done(Located {
+                ctx.tx_commit()?;
+                return Ok(Located {
                     pred,
                     curr,
                     currkey,
                 });
             }
-            tx_validate!(ctx, tx_try!(ctx.tx_read(curr.node.word(W_MARK))) == 0);
-            let next = Addr(tx_try!(ctx.tx_read(curr.node.word(W_NEXT))));
-            let v_next = tx_try!(ctx.tx_read(self.slot(next)));
-            tx_check!(ctx.tx_commit());
+            tx_expect(ctx, curr.node.word(W_MARK), 0)?;
+            let next = Addr(ctx.tx_read(curr.node.word(W_NEXT))?);
+            let v_next = ctx.tx_read(self.slot(next))?;
+            ctx.tx_commit()?;
             pred = curr;
             curr = Versioned {
                 node: next,
@@ -164,21 +172,11 @@ impl HtmLazyList {
 
     /// Revalidate the search window inside the update transaction: pred
     /// live, unmarked, still pointing at curr; curr live.
-    fn validate_window(&self, ctx: &mut Ctx, loc: &Located) -> TxStep<()> {
-        tx_validate!(
-            ctx,
-            tx_try!(ctx.tx_read(self.slot(loc.pred.node))) == loc.pred.version
-        );
-        tx_validate!(ctx, tx_try!(ctx.tx_read(loc.pred.node.word(W_MARK))) == 0);
-        tx_validate!(
-            ctx,
-            tx_try!(ctx.tx_read(loc.pred.node.word(W_NEXT))) == loc.curr.node.0
-        );
-        tx_validate!(
-            ctx,
-            tx_try!(ctx.tx_read(self.slot(loc.curr.node))) == loc.curr.version
-        );
-        TxStep::Done(())
+    fn validate_window(&self, ctx: &mut Ctx, loc: &Located) -> Result<(), Restart> {
+        tx_expect(ctx, self.slot(loc.pred.node), loc.pred.version)?;
+        tx_expect(ctx, loc.pred.node.word(W_MARK), 0)?;
+        tx_expect(ctx, loc.pred.node.word(W_NEXT), loc.curr.node.0)?;
+        tx_expect(ctx, self.slot(loc.curr.node), loc.curr.version)
     }
 }
 
@@ -192,12 +190,8 @@ impl DsShared for HtmLazyList {
 impl<'m> SetDs<Ctx<'m>> for HtmLazyList {
     /// Membership test: linearizes at the final hop transaction's commit.
     fn contains(&self, ctx: &mut Ctx<'m>, _tls: &mut Self::Tls, key: u64) -> bool {
-        tx_loop(ctx, |ctx| {
-            let loc = match self.search(ctx, key) {
-                TxStep::Done(l) => l,
-                TxStep::Restart => return TxStep::Restart,
-            };
-            TxStep::Done(loc.currkey == key)
+        attempt_loop(ctx, abort_open_tx, |ctx| {
+            Ok(self.search(ctx, key)?.currkey == key)
         })
     }
 
@@ -206,26 +200,20 @@ impl<'m> SetDs<Ctx<'m>> for HtmLazyList {
         // plain writes initialize it. Allocated once per *operation*, not
         // per attempt, and released on the not-inserted path.
         let mut node: Option<Addr> = None;
-        let inserted = tx_loop(ctx, |ctx| {
-            let loc = match self.search(ctx, key) {
-                TxStep::Done(l) => l,
-                TxStep::Restart => return TxStep::Restart,
-            };
+        let inserted = attempt_loop(ctx, abort_open_tx, |ctx| {
+            let loc = self.search(ctx, key)?;
             if loc.currkey == key {
-                return TxStep::Done(false); // LP: the search's last commit
+                return Ok(false); // LP: the search's last commit
             }
             let n = *node.get_or_insert_with(|| ctx.alloc());
             ctx.write(n.word(W_KEY), key);
             ctx.write(n.word(W_MARK), 0);
             ctx.write(n.word(W_NEXT), loc.curr.node.0);
             ctx.tx_begin();
-            match self.validate_window(ctx, &loc) {
-                TxStep::Done(()) => {}
-                TxStep::Restart => return TxStep::Restart,
-            }
-            tx_check!(ctx.tx_write(loc.pred.node.word(W_NEXT), n.0));
-            tx_check!(ctx.tx_commit()); // LP: link becomes visible
-            TxStep::Done(true)
+            self.validate_window(ctx, &loc)?;
+            ctx.tx_write(loc.pred.node.word(W_NEXT), n.0)?;
+            ctx.tx_commit()?; // LP: link becomes visible
+            Ok(true)
         });
         if !inserted {
             if let Some(n) = node {
@@ -239,30 +227,24 @@ impl<'m> SetDs<Ctx<'m>> for HtmLazyList {
     /// frees **immediately** — the "precise memory reclamation" half of the
     /// design.
     fn delete(&self, ctx: &mut Ctx<'m>, _tls: &mut Self::Tls, key: u64) -> bool {
-        let victim = tx_loop(ctx, |ctx| {
-            let loc = match self.search(ctx, key) {
-                TxStep::Done(l) => l,
-                TxStep::Restart => return TxStep::Restart,
-            };
+        let victim = attempt_loop(ctx, abort_open_tx, |ctx| {
+            let loc = self.search(ctx, key)?;
             if loc.currkey != key {
-                return TxStep::Done(None); // LP: the search's last commit
+                return Ok(None); // LP: the search's last commit
             }
             ctx.tx_begin();
-            match self.validate_window(ctx, &loc) {
-                TxStep::Done(()) => {}
-                TxStep::Restart => return TxStep::Restart,
-            }
+            self.validate_window(ctx, &loc)?;
             // curr could have been marked by a concurrent deleter whose
             // unlink has not yet retargeted pred.next — never free twice.
-            tx_validate!(ctx, tx_try!(ctx.tx_read(loc.curr.node.word(W_MARK))) == 0);
-            let next = tx_try!(ctx.tx_read(loc.curr.node.word(W_NEXT)));
-            tx_check!(ctx.tx_write(loc.curr.node.word(W_MARK), 1)); // LP
-            tx_check!(ctx.tx_write(loc.pred.node.word(W_NEXT), next));
+            tx_expect(ctx, loc.curr.node.word(W_MARK), 0)?;
+            let next = ctx.tx_read(loc.curr.node.word(W_NEXT))?;
+            ctx.tx_write(loc.curr.node.word(W_MARK), 1)?; // LP
+            ctx.tx_write(loc.pred.node.word(W_NEXT), next)?;
             // The version bump that makes reclamation precise: every reader
             // still carrying (curr, old version) will fail its next check.
-            tx_check!(ctx.tx_write(self.slot(loc.curr.node), loc.curr.version + 1));
-            tx_check!(ctx.tx_commit());
-            TxStep::Done(Some(loc.curr.node))
+            ctx.tx_write(self.slot(loc.curr.node), loc.curr.version + 1)?;
+            ctx.tx_commit()?;
+            Ok(Some(loc.curr.node))
         });
         match victim {
             Some(node) => {

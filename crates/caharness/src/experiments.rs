@@ -514,7 +514,7 @@ fn fig3_memory(scale: Scale, _: bool) -> Plan {
 /// which livelocks an operation *deterministically* — the situation for
 /// which the paper's §IV "facilitating progress" discussion prescribes a
 /// fallback. Our reproduction surfaces that boundary faithfully (the
-/// `ca_loop` retry ceiling turns it into a loud failure); see
+/// `attempt_loop` retry ceiling turns it into a loud failure); see
 /// EXPERIMENTS.md.
 fn ablation_assoc(scale: Scale, _: bool) -> Plan {
     let threads = scale.fixed_threads();
@@ -835,8 +835,8 @@ fn ablation_fallback(scale: Scale, _: bool) -> Plan {
     .row("fallbacks taken", &guarded, fallbacks);
 
     // Hostile geometry: a 16-line direct-mapped L1. Bare CA livelocks here
-    // (the ca_loop ceiling turns that into a panic), so only the fallback
-    // variant is run.
+    // (the attempt_loop ceiling turns that into a panic), so only the
+    // fallback variant is run.
     let threads: Vec<usize> = match scale {
         Scale::Quick => vec![1, 2],
         _ => vec![1, 2, 4],

@@ -25,7 +25,7 @@
 //! Tokens are deliberately hard to mint:
 //!
 //! * [`CrashToken::from_restart`] is **safe**: it consumes a
-//!   [`mcsim::Restart`], whose only constructor is private to the
+//!   [`mcsim::CoreRestart`], whose only constructor is private to the
 //!   simulator — holding one proves the simulator itself crashed the core
 //!   (fault injection is exact in simulation, so the declaration is a
 //!   ground truth, not a guess).
@@ -81,12 +81,12 @@ impl CrashToken {
 
     /// Mint a token from a simulator restart notice.
     ///
-    /// Safe: [`mcsim::Restart`] can only be constructed by the simulator
+    /// Safe: [`mcsim::CoreRestart`] can only be constructed by the simulator
     /// itself (its constructor is `pub(crate)` to `mcsim`), and it is only
     /// handed to [`mcsim::Machine::run_recover_on`] recovery closures for
     /// cores whose injected crash actually fired — so possession proves
     /// the fail-stop fact rather than asserting it.
-    pub fn from_restart(restart: &mcsim::Restart) -> CrashToken {
+    pub fn from_restart(restart: &mcsim::CoreRestart) -> CrashToken {
         CrashToken { tid: restart.core }
     }
 

@@ -7,7 +7,7 @@
 //! * the wedge watchdog names the scheme + core of the oldest outstanding
 //!   reservation when a crashed member pins reclamation (the qsbr wedge);
 //! * `Machine::run_recover_on` adopt-then-continue: a crashed core
-//!   restarts, mints a `CrashToken` from the simulator's `Restart`
+//!   restarts, mints a `CrashToken` from the simulator's `CoreRestart`
 //!   notice, adopts its own orphaned state and brings garbage back down —
 //!   with the UAF detector armed throughout. Without the restart the same
 //!   workload strands the backlog, pinning the contrast the robustness
@@ -279,7 +279,7 @@ fn wedge_watchdog_names_the_crashed_qsbr_reader() {
 ///
 /// Core 1 crashes mid-churn; its qsbr state survives in the vault. At the
 /// restart trigger the core resumes, mints a `CrashToken` from the
-/// simulator's `Restart` notice (the only safe mint), rejoins, adopts its
+/// simulator's `CoreRestart` notice (the only safe mint), rejoins, adopts its
 /// own orphan and finishes the remaining operations; the final drain then
 /// frees everything. Without the restart, the same workload strands the
 /// dead member's protection and the survivor's backlog stays pinned.

@@ -17,7 +17,7 @@
 use crate::addr::{Addr, CoreId};
 use crate::hb::Kind;
 use crate::latency as lat;
-use crate::machine::SimState;
+use crate::machine::{Restart, SimState};
 
 /// One statically typed architectural operation.
 pub(crate) trait Event: Copy {
@@ -97,19 +97,19 @@ impl Event for CasOp {
 pub(crate) struct CreadOp(pub Addr);
 
 impl Event for CreadOp {
-    type R = Option<u64>;
+    type R = Result<u64, Restart>;
     #[inline]
-    fn trace(self, out: &Option<u64>) -> Option<(Kind, Addr)> {
-        out.map(|_| (Kind::CreadOk, self.0))
+    fn trace(self, out: &Result<u64, Restart>) -> Option<(Kind, Addr)> {
+        out.is_ok().then_some((Kind::CreadOk, self.0))
     }
     #[inline]
-    fn exec(self, st: &mut SimState, c: CoreId) -> (Option<u64>, u64) {
+    fn exec(self, st: &mut SimState, c: CoreId) -> (Result<u64, Restart>, u64) {
         let (v, cost) = st.hub.cread(c, self.0);
         if v.is_some() {
             // The load architecturally happened: validate it.
             st.alloc.check_access(c, self.0, "cread");
         }
-        (v, cost)
+        (v.ok_or(Restart), cost)
     }
 }
 
@@ -118,20 +118,20 @@ impl Event for CreadOp {
 pub(crate) struct CwriteOp(pub Addr, pub u64);
 
 impl Event for CwriteOp {
-    type R = bool;
+    type R = Result<(), Restart>;
     #[inline]
-    fn trace(self, out: &bool) -> Option<(Kind, Addr)> {
-        out.then_some((Kind::CwriteOk, self.0))
+    fn trace(self, out: &Result<(), Restart>) -> Option<(Kind, Addr)> {
+        out.is_ok().then_some((Kind::CwriteOk, self.0))
     }
     #[inline]
-    fn exec(self, st: &mut SimState, c: CoreId) -> (bool, u64) {
+    fn exec(self, st: &mut SimState, c: CoreId) -> (Result<(), Restart>, u64) {
         // Check whether the store would actually execute before validating
         // the target (a failed cwrite touches no memory).
         let (ok, cost) = st.hub.cwrite(c, self.0, self.1);
         if ok {
             st.alloc.check_access(c, self.0, "cwrite");
         }
-        (ok, cost)
+        (ok.then_some(()).ok_or(Restart), cost)
     }
 }
 
@@ -240,49 +240,50 @@ impl Event for TxBeginOp {
     }
 }
 
-/// Speculative load (`None` = the transaction aborted).
+/// Speculative load (`Err` = the transaction aborted).
 #[derive(Copy, Clone)]
 pub(crate) struct TxReadOp(pub Addr);
 
 impl Event for TxReadOp {
-    type R = Option<u64>;
+    type R = Result<u64, Restart>;
     #[inline]
-    fn exec(self, st: &mut SimState, c: CoreId) -> (Option<u64>, u64) {
+    fn exec(self, st: &mut SimState, c: CoreId) -> (Result<u64, Restart>, u64) {
         let (v, cost) = st.hub.tx_read(c, self.0);
         if v.is_some() {
             st.alloc.check_access(c, self.0, "tx_read");
         }
-        (v, cost)
+        (v.ok_or(Restart), cost)
     }
 }
 
-/// Speculative store (`false` = the transaction aborted).
+/// Speculative store (`Err` = the transaction aborted).
 #[derive(Copy, Clone)]
 pub(crate) struct TxWriteOp(pub Addr, pub u64);
 
 impl Event for TxWriteOp {
-    type R = bool;
+    type R = Result<(), Restart>;
     #[inline]
-    fn exec(self, st: &mut SimState, c: CoreId) -> (bool, u64) {
-        st.hub.tx_write(c, self.0, self.1)
+    fn exec(self, st: &mut SimState, c: CoreId) -> (Result<(), Restart>, u64) {
+        let (ok, cost) = st.hub.tx_write(c, self.0, self.1);
+        (ok.then_some(()).ok_or(Restart), cost)
     }
 }
 
-/// Attempt to commit (`false` = conflict, rolled back).
+/// Attempt to commit (`Err` = conflict, rolled back).
 #[derive(Copy, Clone)]
 pub(crate) struct TxCommitOp;
 
 impl Event for TxCommitOp {
-    type R = bool;
-    fn exec(self, st: &mut SimState, c: CoreId) -> (bool, u64) {
+    type R = Result<(), Restart>;
+    fn exec(self, st: &mut SimState, c: CoreId) -> (Result<(), Restart>, u64) {
         let (writes, abort_cost) = st.hub.tx_commit_begin(c);
         match writes {
-            None => (false, abort_cost),
+            None => (Err(Restart), abort_cost),
             Some(w) => {
                 for &(a, _) in &w {
                     st.alloc.check_access(c, a, "tx_commit");
                 }
-                (true, st.hub.tx_commit_apply(c, &w))
+                (Ok(()), st.hub.tx_commit_apply(c, &w))
             }
         }
     }

@@ -147,11 +147,11 @@ pub struct FaultStop {
 /// recovery closure of [`crate::machine::Machine::run_recover_on`].
 /// `#[non_exhaustive]` means only the simulator can mint one — downstream
 /// layers (e.g. `casmr`'s `CrashToken`) lean on that to justify
-/// fail-stop-only recovery actions: a `Restart` in hand proves the
+/// fail-stop-only recovery actions: a `CoreRestart` in hand proves the
 /// environment *declared* the crash, it was not inferred from a stall.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
-pub struct Restart {
+pub struct CoreRestart {
     /// The restarted core.
     pub core: CoreId,
     /// Its local clock when the [`CrashFault`] fired.
@@ -161,9 +161,9 @@ pub struct Restart {
     pub restart_clock: u64,
 }
 
-impl Restart {
+impl CoreRestart {
     pub(crate) fn new(core: CoreId, crash_clock: u64, restart_clock: u64) -> Self {
-        Restart {
+        CoreRestart {
             core,
             crash_clock,
             restart_clock,

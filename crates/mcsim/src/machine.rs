@@ -65,7 +65,7 @@ use crate::event::{
     AllocOp, CasOp, CreadOp, CwriteOp, Event, FenceOp, FreeOp, OpCompletedOp, ReadOp, SmrFenceOp,
     TxAbortOp, TxBeginOp, TxCommitOp, TxReadOp, TxWriteOp, UntagAllOp, UntagOneOp, WriteOp,
 };
-use crate::fault::{CoreOutcome, FaultPlan, FaultState, FaultStop, Restart, WedgeProbe};
+use crate::fault::{CoreOutcome, CoreRestart, FaultPlan, FaultState, FaultStop, WedgeProbe};
 use crate::sched::{Sched, NO_TURN};
 use crate::stats::MachineStats;
 
@@ -402,7 +402,7 @@ impl Machine {
         &self,
         n: usize,
         f: impl Fn(usize, &mut Ctx) -> R + Sync,
-        recover: impl Fn(&Restart, &mut Ctx) -> R + Sync,
+        recover: impl Fn(&CoreRestart, &mut Ctx) -> R + Sync,
     ) -> Vec<CoreOutcome<R>> {
         self.run_on(n, |i, ctx| {
             let payload =
@@ -425,7 +425,7 @@ impl Machine {
             // crash), then run the recovery body on the same core and Ctx.
             let target = restart_at.max(crash.clock);
             ctx.tick(target - crash.clock);
-            let result = recover(&Restart::new(i, crash.clock, target), ctx);
+            let result = recover(&CoreRestart::new(i, crash.clock, target), ctx);
             CoreOutcome::Recovered {
                 core: i,
                 crash_clock: crash.clock,
@@ -725,6 +725,21 @@ impl Machine {
         st.hub.l1s[pcore].tagged_lines(c % self.cfg.smt)
     }
 }
+
+/// A conditional access or a hardware transaction failed: the operation
+/// must restart. This is the error of [`Ctx::cread`], [`Ctx::cwrite`],
+/// [`Ctx::tx_read`], [`Ctx::tx_write`] and [`Ctx::tx_commit`], so an
+/// attempt body propagates the paper's `CA_CHECK` with `?` and the `cacore`
+/// crate's `attempt_loop` restarts it.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct Restart;
+
+// The error adds no host cost: the results keep `Option<u64>`'s and
+// `bool`'s layout.
+const _: () = assert!(
+    size_of::<Result<u64, Restart>>() == size_of::<Option<u64>>()
+        && size_of::<Result<(), Restart>>() == size_of::<bool>()
+);
 
 /// Per-core handle used by simulated programs to touch the machine.
 ///
@@ -1110,14 +1125,14 @@ impl<'m> Ctx<'m> {
         }
     }
 
-    /// `cread`: conditional load (None = failed, CAFAIL set). See paper
-    /// §II-B and `cacore::isa`.
-    pub fn cread(&mut self, a: Addr) -> Option<u64> {
+    /// `cread`: conditional load (`Err` = failed, CAFAIL set). See paper
+    /// §II-B and the `cacore` crate docs.
+    pub fn cread(&mut self, a: Addr) -> Result<u64, Restart> {
         self.event(CreadOp(a))
     }
 
-    /// `cwrite`: conditional store (false = failed, CAFAIL set).
-    pub fn cwrite(&mut self, a: Addr, v: u64) -> bool {
+    /// `cwrite`: conditional store (`Err` = failed, CAFAIL set).
+    pub fn cwrite(&mut self, a: Addr, v: u64) -> Result<(), Restart> {
         self.event(CwriteOp(a, v))
     }
 
@@ -1150,22 +1165,22 @@ impl<'m> Ctx<'m> {
         self.event(TxBeginOp)
     }
 
-    /// Speculative load inside a transaction. `None` means the transaction
+    /// Speculative load inside a transaction. `Err` means the transaction
     /// detected a conflict and **has aborted**; restart it.
-    pub fn tx_read(&mut self, a: Addr) -> Option<u64> {
+    pub fn tx_read(&mut self, a: Addr) -> Result<u64, Restart> {
         self.event(TxReadOp(a))
     }
 
     /// Speculative store inside a transaction (buffered until commit).
-    /// `false` means the transaction has aborted.
-    pub fn tx_write(&mut self, a: Addr, v: u64) -> bool {
+    /// `Err` means the transaction has aborted.
+    pub fn tx_write(&mut self, a: Addr, v: u64) -> Result<(), Restart> {
         self.event(TxWriteOp(a, v))
     }
 
     /// Attempt to commit. On success all buffered writes become visible
     /// atomically (and the use-after-free detector validates each target);
-    /// on conflict the transaction is rolled back and `false` is returned.
-    pub fn tx_commit(&mut self) -> bool {
+    /// on conflict the transaction is rolled back and `Err` is returned.
+    pub fn tx_commit(&mut self) -> Result<(), Restart> {
         self.event(TxCommitOp)
     }
 
@@ -1437,7 +1452,7 @@ mod tests {
         let fails = m.run_on(1, |_, ctx| {
             let mut fails = 0;
             for _ in 0..200 {
-                if ctx.cread(a).is_none() {
+                if ctx.cread(a).is_err() {
                     fails += 1;
                     ctx.untag_all();
                 }
@@ -1460,7 +1475,7 @@ mod tests {
         let fails2 = m2.run_on(1, |_, ctx| {
             let mut fails = 0;
             for _ in 0..200 {
-                if ctx.cread(Addr(a.0)).is_none() {
+                if ctx.cread(Addr(a.0)).is_err() {
                     fails += 1;
                     ctx.untag_all();
                 }
@@ -1611,7 +1626,7 @@ mod tests {
             ctx.untag_all();
             (v, ok, ctx.read(a))
         });
-        assert_eq!(outs, vec![(Some(0), true, 9)]);
+        assert_eq!(outs, vec![(Ok(0), Ok(()), 9)]);
     }
 
     // --- fault injection (crate::fault) ---------------------------------

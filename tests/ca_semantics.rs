@@ -4,7 +4,7 @@
 mod common;
 
 use common::machine;
-use conditional_access::ca::{ca_check, ca_loop, ca_try, CaStep};
+use conditional_access::ca::attempt_loop;
 use conditional_access::ds::ca::{CaLazyList, CaStack};
 use conditional_access::ds::layout::{W_KEY, W_NEXT};
 use conditional_access::ds::{SetDs, StackDs};
@@ -214,15 +214,15 @@ fn failed_creads_do_not_touch_freed_memory() {
         } else {
             // Reader: cread mailbox, then conditionally cread the node.
             for _ in 0..rounds {
-                ca_loop(ctx, |ctx| {
-                    let p = ca_try!(ctx.cread(mailbox));
+                attempt_loop(ctx, Ctx::untag_all, |ctx| {
+                    let p = ctx.cread(mailbox)?;
                     if p == 0 {
-                        return CaStep::Done(());
+                        return Ok(());
                     }
                     // The node can be freed at any time; if this succeeds
                     // the memory must still be live (detector checks).
-                    let _ = ca_try!(ctx.cread(Addr(p)));
-                    CaStep::Done(())
+                    ctx.cread(Addr(p))?;
+                    Ok(())
                 });
             }
         }
@@ -247,20 +247,18 @@ fn multiword_atomic_snapshot_update() {
         if tid < 2 {
             let target = if tid == 0 { a } else { b };
             for _ in 0..50 {
-                ca_loop(ctx, |ctx| {
-                    let v = ca_try!(ctx.cread(target));
-                    ca_check!(ctx.cwrite(target, v + 1));
-                    CaStep::Done(())
+                attempt_loop(ctx, Ctx::untag_all, |ctx| {
+                    let v = ctx.cread(target)?;
+                    ctx.cwrite(target, v + 1)
                 });
             }
         } else {
             for _ in 0..100 {
-                ca_loop(ctx, |ctx| {
-                    let va = ca_try!(ctx.cread(a));
-                    let vb = ca_try!(ctx.cread(b));
-                    let _ = ca_try!(ctx.cread(sum));
-                    ca_check!(ctx.cwrite(sum, va + vb));
-                    CaStep::Done(())
+                attempt_loop(ctx, Ctx::untag_all, |ctx| {
+                    let va = ctx.cread(a)?;
+                    let vb = ctx.cread(b)?;
+                    ctx.cread(sum)?;
+                    ctx.cwrite(sum, va + vb)
                 });
             }
         }
@@ -268,12 +266,11 @@ fn multiword_atomic_snapshot_update() {
     // The final aggregation may predate the last increments, but a, b only
     // grow; run one more aggregation to quiesce.
     m.run_on(1, |_, ctx| {
-        ca_loop(ctx, |ctx| {
-            let va = ca_try!(ctx.cread(a));
-            let vb = ca_try!(ctx.cread(b));
-            let _ = ca_try!(ctx.cread(sum));
-            ca_check!(ctx.cwrite(sum, va + vb));
-            CaStep::Done(())
+        attempt_loop(ctx, Ctx::untag_all, |ctx| {
+            let va = ctx.cread(a)?;
+            let vb = ctx.cread(b)?;
+            ctx.cread(sum)?;
+            ctx.cwrite(sum, va + vb)
         });
     });
     assert_eq!(m.host_read(a), 50);
@@ -290,8 +287,9 @@ fn multiword_atomic_snapshot_update() {
 /// (Note: an L1 whose associativity is smaller than the tag window — e.g.
 /// direct-mapped with the 3-line traversal window — livelocks
 /// deterministically, which is precisely why §III prescribes a fallback for
-/// such hardware. The `ca_loop` retry ceiling converts that livelock into a
-/// loud panic; here we stay in the regime where progress is guaranteed.)
+/// such hardware. The `attempt_loop` retry ceiling converts that livelock
+/// into a loud panic; here we stay in the regime where progress is
+/// guaranteed.)
 #[test]
 fn tiny_l2_spurious_failures_are_safe() {
     let m = Machine::new(MachineConfig {
