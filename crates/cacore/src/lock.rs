@@ -86,6 +86,7 @@ mod tests {
         let outs = m.run_on(2, |tid, ctx| match tid {
             0 => {
                 let _ = ctx.cread(node); // tag
+
                 // Spin until the other thread has marked the node.
                 while ctx.read(mark) == 0 {
                     ctx.tick(1);

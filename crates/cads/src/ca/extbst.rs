@@ -23,7 +23,10 @@ use cacore::{attempt_loop, lock, Restart};
 use mcsim::machine::Ctx;
 use mcsim::{Addr, Machine};
 
-use crate::layout::{KEY_INF1, KEY_INF2, MAX_REAL_KEY, TICK_PER_HOP, TICK_PER_OP, W_BST_LOCK, W_BST_MARK, W_KEY, W_LEFT, W_RIGHT};
+use crate::layout::{
+    KEY_INF1, KEY_INF2, MAX_REAL_KEY, TICK_PER_HOP, TICK_PER_OP, W_BST_LOCK, W_BST_MARK, W_KEY,
+    W_LEFT, W_RIGHT,
+};
 use crate::traits::{DsShared, SetDs};
 
 /// The Conditional-Access external BST.

@@ -145,6 +145,7 @@ impl<'m> SetDs<Ctx<'m>> for CaHarrisList {
             // Logical delete; only one marker can win (a competitor's mark
             // revokes our tag first).
             ctx.cwrite(loc.curr.word(W_MARK), 1)?; // LP
+
             // Best-effort physical unlink: a failure does not restart the
             // (already linearized) delete; helping finishes the unlink.
             if let Ok(next) = ctx.cread(loc.curr.word(W_NEXT)) {

@@ -65,6 +65,7 @@ impl<'m> QueueDs<Ctx<'m>> for CaQueue {
             // Link the new node. The tag on t's line (from the cread of
             // t.next) makes this fail if t was popped/freed meanwhile.
             ctx.cwrite(Addr(t).word(W_NEXT), n.0)?; // LP
+
             // Swing the tail; failure means a helper beat us — fine.
             let _ = ctx.cwrite(self.tail, n.0);
             Ok(())

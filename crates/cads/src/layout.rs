@@ -66,8 +66,13 @@ mod tests {
 
     #[test]
     fn field_words_fit_one_line_with_birth_word() {
-        for w in [W_KEY, W_NEXT, W_MARK, W_LOCK, W_LEFT, W_RIGHT, W_BST_LOCK, W_BST_MARK] {
-            assert!(w < casmr::NODE_BIRTH_WORD, "field {w} collides with birth era");
+        for w in [
+            W_KEY, W_NEXT, W_MARK, W_LOCK, W_LEFT, W_RIGHT, W_BST_LOCK, W_BST_MARK,
+        ] {
+            assert!(
+                w < casmr::NODE_BIRTH_WORD,
+                "field {w} collides with birth era"
+            );
         }
     }
 }

@@ -86,12 +86,11 @@ impl<S: SmrBase> SmrExtBst<S> {
             let mut p = self.root;
             let mut p_key = KEY_INF2;
             let mut slot = 0usize;
-            let mut node = Addr(self.smr.read_ptr(
-                ctx,
-                tls,
-                slot,
-                self.root.word(child_word(KEY_INF2, key)),
-            ));
+            let mut node =
+                Addr(
+                    self.smr
+                        .read_ptr(ctx, tls, slot, self.root.word(child_word(KEY_INF2, key))),
+                );
             // Root is static and never marked: initial protection is sound.
             loop {
                 debug_assert!(!node.is_null());
@@ -172,8 +171,7 @@ impl<E: Env + ?Sized, S: Smr<E>> SetDs<E> for SmrExtBst<S> {
             let f = self.search(ctx, tls, key);
             self.lock_node(ctx, f.p);
             let dir = child_word(f.p_key, key);
-            let valid =
-                ctx.read(f.p.word(W_BST_MARK)) == 0 && ctx.read(f.p.word(dir)) == f.leaf.0;
+            let valid = ctx.read(f.p.word(W_BST_MARK)) == 0 && ctx.read(f.p.word(dir)) == f.leaf.0;
             if !valid {
                 self.unlock_node(ctx, f.p);
                 continue;
@@ -291,10 +289,14 @@ mod tests {
     #[test]
     fn concurrent_stress_hp_bst() {
         let m = machine(4);
-        let s = Hp::new(&m, 4, SmrConfig {
-            reclaim_freq: 4,
-            ..Default::default()
-        });
+        let s = Hp::new(
+            &m,
+            4,
+            SmrConfig {
+                reclaim_freq: 4,
+                ..Default::default()
+            },
+        );
         let b = SmrExtBst::new(&m, s);
         let nets = m.run_on(4, |tid, ctx| {
             let mut t = b.register(tid);
@@ -319,10 +321,14 @@ mod tests {
     #[test]
     fn concurrent_stress_rcu_bst() {
         let m = machine(4);
-        let s = Rcu::new(&m, 4, SmrConfig {
-            reclaim_freq: 8,
-            epoch_freq: 10,
-        });
+        let s = Rcu::new(
+            &m,
+            4,
+            SmrConfig {
+                reclaim_freq: 8,
+                epoch_freq: 10,
+            },
+        );
         let b = SmrExtBst::new(&m, s);
         let nets = m.run_on(4, |tid, ctx| {
             let mut t = b.register(tid);

@@ -267,10 +267,14 @@ mod tests {
         assert_eq!(m1.stats().allocated_not_freed, 40, "leaky leaks all");
 
         let m2 = machine(1);
-        let s = Qsbr::new(&m2, 1, SmrConfig {
-            reclaim_freq: 5,
-            epoch_freq: 5,
-        });
+        let s = Qsbr::new(
+            &m2,
+            1,
+            SmrConfig {
+                reclaim_freq: 5,
+                epoch_freq: 5,
+            },
+        );
         let l2 = SmrLazyList::new(&m2, s);
         churn(&m2, &l2);
         assert!(
@@ -285,10 +289,14 @@ mod tests {
         // The most delicate combination: hazard pointers + concurrent
         // deletes + the armed UAF detector. Any protection hole panics.
         let m = machine(4);
-        let s = Hp::new(&m, 4, SmrConfig {
-            reclaim_freq: 4,
-            ..Default::default()
-        });
+        let s = Hp::new(
+            &m,
+            4,
+            SmrConfig {
+                reclaim_freq: 4,
+                ..Default::default()
+            },
+        );
         let l = SmrLazyList::new(&m, s);
         let nets = m.run_on(4, |tid, ctx| {
             let mut t = l.register(tid);
@@ -321,10 +329,14 @@ mod tests {
     #[test]
     fn concurrent_stress_ibr() {
         let m = machine(4);
-        let s = Ibr::new(&m, 4, SmrConfig {
-            reclaim_freq: 8,
-            epoch_freq: 10,
-        });
+        let s = Ibr::new(
+            &m,
+            4,
+            SmrConfig {
+                reclaim_freq: 8,
+                epoch_freq: 10,
+            },
+        );
         let l = SmrLazyList::new(&m, s);
         let nets = m.run_on(4, |tid, ctx| {
             let mut t = l.register(tid);

@@ -169,10 +169,14 @@ mod tests {
     #[test]
     fn hp_producer_consumer_stress() {
         let m = machine(4);
-        let s = Hp::new(&m, 4, SmrConfig {
-            reclaim_freq: 4,
-            ..Default::default()
-        });
+        let s = Hp::new(
+            &m,
+            4,
+            SmrConfig {
+                reclaim_freq: 4,
+                ..Default::default()
+            },
+        );
         let q = SmrQueue::new(&m, s);
         let done = m.alloc_static(1);
         let results = m.run_on(4, |tid, ctx| {
@@ -212,10 +216,14 @@ mod tests {
     #[test]
     fn footprint_bounded_with_reclaiming_scheme() {
         let m = machine(1);
-        let s = Qsbr::new(&m, 1, SmrConfig {
-            reclaim_freq: 5,
-            epoch_freq: 5,
-        });
+        let s = Qsbr::new(
+            &m,
+            1,
+            SmrConfig {
+                reclaim_freq: 5,
+                epoch_freq: 5,
+            },
+        );
         let q = SmrQueue::new(&m, s);
         m.run_on(1, |_, ctx| {
             let mut t = q.register(0);
@@ -265,9 +273,7 @@ mod tests {
             }
             (enq, deq)
         });
-        let (enq, deq): (i64, i64) = outs
-            .iter()
-            .fold((0, 0), |(a, b), &(e, d)| (a + e, b + d));
+        let (enq, deq): (i64, i64) = outs.iter().fold((0, 0), |(a, b), &(e, d)| (a + e, b + d));
         let drained = m.run_on(1, |_, ctx| {
             let mut tls = q.register(0);
             let mut n = 0i64;

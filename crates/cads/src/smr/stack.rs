@@ -133,10 +133,14 @@ mod tests {
     #[test]
     fn hp_pop_under_contention_no_value_lost() {
         let m = machine(4);
-        let s = Hp::new(&m, 4, SmrConfig {
-            reclaim_freq: 4,
-            ..Default::default()
-        });
+        let s = Hp::new(
+            &m,
+            4,
+            SmrConfig {
+                reclaim_freq: 4,
+                ..Default::default()
+            },
+        );
         let st = SmrStack::new(&m, s);
         m.run_on(1, |_, ctx| {
             let mut t = st.register(0);

@@ -11,9 +11,9 @@
 //! scheme runs the same workload at K and 2K survivor iterations, and the
 //! verdict is whether peak garbage tracked the extra work.
 
-use casmr::{with_scheme, GarbageStats, SchemeKind, Smr, SmrConfig};
 use cads::ca::stack::CaStack;
 use cads::traits::{DsShared, StackDs};
+use casmr::{with_scheme, GarbageStats, SchemeKind, Smr, SmrConfig};
 use mcsim::machine::Ctx;
 use mcsim::{Addr, FaultPlan, Machine, MachineConfig};
 

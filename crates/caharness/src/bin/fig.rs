@@ -45,7 +45,10 @@ fn main() {
         cell.cfg.max_cycles = cli.max_cycles.or(cell.cfg.max_cycles);
     }
     caharness::sweep::set_jobs(cli.jobs);
-    eprintln!("[fig {} at {scale:?} scale, recover={recover}]", names.join(" "));
+    eprintln!(
+        "[fig {} at {scale:?} scale, recover={recover}]",
+        names.join(" ")
+    );
     let (tables, failures) = render(&names.join("+"), &plans);
     for (csv, table) in tables {
         table.emit(&csv);

@@ -38,8 +38,7 @@ fn whitelist() -> Vec<(String, String, String)> {
         .filter(|l| !l.is_empty())
         .map(|l| {
             let mut it = l.split_whitespace();
-            let (Some(region), Some(prior), Some(later)) = (it.next(), it.next(), it.next())
-            else {
+            let (Some(region), Some(prior), Some(later)) = (it.next(), it.next(), it.next()) else {
                 panic!("malformed whitelist line: {l:?} (want `region prior later # why`)");
             };
             (region.to_string(), prior.to_string(), later.to_string())
@@ -99,8 +98,10 @@ fn main() {
                 // plus the queue's qsbr cell for an epoch scheme.
                 let keep = matches!(
                     (structure, scheme),
-                    (Structure::Set(SetKind::LazyList), SchemeKind::Hp | SchemeKind::Ca)
-                        | (Structure::Set(SetKind::ExtBst), SchemeKind::Hp)
+                    (
+                        Structure::Set(SetKind::LazyList),
+                        SchemeKind::Hp | SchemeKind::Ca
+                    ) | (Structure::Set(SetKind::ExtBst), SchemeKind::Hp)
                         | (Structure::Set(SetKind::HashTable), SchemeKind::Ca)
                         | (Structure::Stack, SchemeKind::Hp)
                         | (Structure::Queue, SchemeKind::Qsbr)

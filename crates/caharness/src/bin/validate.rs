@@ -36,7 +36,13 @@ fn tie(a: f64, b: f64) -> bool {
 }
 
 fn main() {
-    let cli = Cli::from_env(&[Flag::Quick, Flag::Paper, Flag::Jobs, Flag::MaxCycles, Flag::MinAgreement]);
+    let cli = Cli::from_env(&[
+        Flag::Quick,
+        Flag::Paper,
+        Flag::Jobs,
+        Flag::MaxCycles,
+        Flag::MinAgreement,
+    ]);
     let (scale, min_agreement) = (cli.scale, cli.min_agreement.unwrap_or(0.2));
     caharness::sweep::set_jobs(cli.jobs);
     eprintln!("[validate at {scale:?} scale, agreement floor {min_agreement}]");
@@ -50,8 +56,16 @@ fn main() {
     // the pool never oversubscribes the host.
     let mut plan = Plan::default();
     for (native, csv, title) in [
-        (false, "validate_sim.csv", "Validation — simulated lazy list 50i-50d (ops/Mcycle)"),
-        (true, "validate_native.csv", "Validation — native lazy list 50i-50d (ops/µs wall-clock)"),
+        (
+            false,
+            "validate_sim.csv",
+            "Validation — simulated lazy list 50i-50d (ops/Mcycle)",
+        ),
+        (
+            true,
+            "validate_native.csv",
+            "Validation — native lazy list 50i-50d (ops/µs wall-clock)",
+        ),
     ] {
         let cfgs: Vec<RunConfig> = threads
             .iter()

@@ -20,9 +20,18 @@ pub struct Mix {
 impl Mix {
     /// The paper's workload triplet.
     pub const PAPER: [Mix; 3] = [
-        Mix { insert_pct: 0, delete_pct: 0 },
-        Mix { insert_pct: 5, delete_pct: 5 },
-        Mix { insert_pct: 50, delete_pct: 50 },
+        Mix {
+            insert_pct: 0,
+            delete_pct: 0,
+        },
+        Mix {
+            insert_pct: 5,
+            delete_pct: 5,
+        },
+        Mix {
+            insert_pct: 50,
+            delete_pct: 50,
+        },
     ];
 
     /// Figure-panel label, e.g. `50i-50d`.
@@ -225,17 +234,24 @@ impl Cli {
             // `-j N` and `-jN` are `--jobs N`.
             let (name, inline) = match name.strip_prefix("-j") {
                 Some("") => ("--jobs", inline),
-                Some(n) if inline.is_none() && n.bytes().all(|b| b.is_ascii_digit()) => ("--jobs", Some(n)),
+                Some(n) if inline.is_none() && n.bytes().all(|b| b.is_ascii_digit()) => {
+                    ("--jobs", Some(n))
+                }
                 _ => (name, inline),
             };
-            let Some(&flag) = accepted.iter().find(|f| f.usage().split(' ').next() == Some(name)) else {
+            let Some(&flag) = accepted
+                .iter()
+                .find(|f| f.usage().split(' ').next() == Some(name))
+            else {
                 return Err(unrecognized(&arg, accepted));
             };
             let value = match (flag.usage().contains(' '), inline) {
                 (false, None) => String::new(),
                 (false, Some(_)) => return Err(unrecognized(&arg, accepted)),
                 (true, Some(v)) => v.to_string(),
-                (true, None) => it.next().ok_or_else(|| format!("`{name}` requires a value"))?,
+                (true, None) => it
+                    .next()
+                    .ok_or_else(|| format!("`{name}` requires a value"))?,
             };
             match flag {
                 Flag::Figures => unreachable!("a bare word is a positional"),
@@ -281,7 +297,9 @@ impl Cli {
 }
 
 fn integer<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
-    value.parse().map_err(|_| format!("`{name}` takes a non-negative integer, got `{value}`"))
+    value
+        .parse()
+        .map_err(|_| format!("`{name}` takes a non-negative integer, got `{value}`"))
 }
 
 fn unrecognized(arg: &str, accepted: &[Flag]) -> String {
@@ -292,13 +310,18 @@ fn unrecognized(arg: &str, accepted: &[Flag]) -> String {
         String::new()
     };
     let usage: Vec<_> = accepted.iter().map(|f| f.usage()).collect();
-    format!("unrecognized argument `{arg}`{hint}; accepted: {}", usage.join(" "))
+    format!(
+        "unrecognized argument `{arg}`{hint}; accepted: {}",
+        usage.join(" ")
+    )
 }
 
 impl RunConfig {
     /// Build the simulated machine for this run, on the `Auto` host backend.
     pub fn machine_config(&self) -> MachineConfig {
-        let mem_bytes = (self.leaky_worst_nodes() * 64).next_power_of_two().max(1 << 22);
+        let mem_bytes = (self.leaky_worst_nodes() * 64)
+            .next_power_of_two()
+            .max(1 << 22);
         MachineConfig {
             cores: self.threads,
             smt: self.smt,
@@ -366,7 +389,10 @@ mod tests {
         assert!(pool_heap > 2 * 32 * 3000, "native pool fits it too");
         // Both sizes are pinned by goldens and the native pool tests.
         assert_eq!(mc.mem_bytes, 1 << 24);
-        assert_eq!(cfg.native_pool_lines(), 2 * cfg.prefill as usize + 2 * 32 * 3000 + 8193);
+        assert_eq!(
+            cfg.native_pool_lines(),
+            2 * cfg.prefill as usize + 2 * 32 * 3000 + 8193
+        );
     }
 
     #[test]
@@ -378,7 +404,13 @@ mod tests {
     }
 
     /// The flags a bin without positionals or extras of its own takes.
-    const PLAIN: &[Flag] = &[Flag::Quick, Flag::Paper, Flag::Jobs, Flag::MaxCycles, Flag::Native];
+    const PLAIN: &[Flag] = &[
+        Flag::Quick,
+        Flag::Paper,
+        Flag::Jobs,
+        Flag::MaxCycles,
+        Flag::Native,
+    ];
 
     fn parse(args: &[&str], accepted: &[Flag]) -> Result<Cli, String> {
         Cli::parse(args.iter().map(|s| s.to_string()), accepted)
@@ -403,12 +435,21 @@ mod tests {
             (&["fig1_lazylist", "--quick=1"], "`--quick=1`"),
             (&["fig1_lazylist", "-jx"], "`-jx`"),
             (&["fig1_lazylist", "4"], "`4`"),
-            (&["fig1_lazylist", "--quick", "--fail-fast"], "`--fail-fast`"),
-            (&["fig1_lazylist", "--paper", "--race_check"], "`--race_check`"),
+            (
+                &["fig1_lazylist", "--quick", "--fail-fast"],
+                "`--fail-fast`",
+            ),
+            (
+                &["fig1_lazylist", "--paper", "--race_check"],
+                "`--race_check`",
+            ),
         ] {
             let err = check(bad).expect_err("unknown argument accepted");
             assert!(err.contains(offender), "{bad:?}: {err}");
-            assert!(err.contains("--quick --paper --jobs N"), "lists the accepted flags: {err}");
+            assert!(
+                err.contains("--quick --paper --jobs N"),
+                "lists the accepted flags: {err}"
+            );
             assert!(!err.contains(GANGS_RETIRED), "{bad:?}: {err}");
         }
         for ok in [
@@ -422,29 +463,63 @@ mod tests {
         ] {
             assert_eq!(check(ok), Ok(vec![]), "{ok:?}");
         }
-        let validate = parse(&["validate", "--min_agreement", "0.5", "--min_agreement=0.3"], &[Flag::MinAgreement]);
+        let validate = parse(
+            &["validate", "--min_agreement", "0.5", "--min_agreement=0.3"],
+            &[Flag::MinAgreement],
+        );
         assert_eq!(validate.map(|cli| cli.min_agreement), Ok(Some(0.3)));
         // `fig` declares positionals: they come back in order, flag values
         // are not mistaken for them, and flags are checked as everywhere.
         let fig = &[Flag::Figures, Flag::Quick, Flag::Jobs, Flag::Recover];
-        let cli = parse(&["fig", "--quick", "fig_robustness", "--jobs", "4", "--recover", "fig9"], fig);
-        assert_eq!(cli.map(|cli| cli.positionals), Ok(vec!["fig_robustness".to_string(), "fig9".to_string()]));
-        assert_eq!(parse(&["fig", "--quick"], fig).map(|cli| cli.positionals), Ok(vec![]));
+        let cli = parse(
+            &[
+                "fig",
+                "--quick",
+                "fig_robustness",
+                "--jobs",
+                "4",
+                "--recover",
+                "fig9",
+            ],
+            fig,
+        );
+        assert_eq!(
+            cli.map(|cli| cli.positionals),
+            Ok(vec!["fig_robustness".to_string(), "fig9".to_string()])
+        );
+        assert_eq!(
+            parse(&["fig", "--quick"], fig).map(|cli| cli.positionals),
+            Ok(vec![])
+        );
         let err = parse(&["fig", "all", "--quik"], fig).expect_err("unknown flag accepted");
-        assert!(err.contains("`--quik`") && err.contains("FIGURE..."), "{err}");
+        assert!(
+            err.contains("`--quik`") && err.contains("FIGURE..."),
+            "{err}"
+        );
     }
 
     #[test]
     fn flags_parse_into_one_value() {
-        let cli = parse(&["fig", "all", "--paper", "-j3", "--max_cycles=7", "--native", "--recover"], &[
-            Flag::Figures,
-            Flag::Quick,
-            Flag::Paper,
-            Flag::Jobs,
-            Flag::MaxCycles,
-            Flag::Native,
-            Flag::Recover,
-        ]);
+        let cli = parse(
+            &[
+                "fig",
+                "all",
+                "--paper",
+                "-j3",
+                "--max_cycles=7",
+                "--native",
+                "--recover",
+            ],
+            &[
+                Flag::Figures,
+                Flag::Quick,
+                Flag::Paper,
+                Flag::Jobs,
+                Flag::MaxCycles,
+                Flag::Native,
+                Flag::Recover,
+            ],
+        );
         let want = Cli {
             positionals: vec!["all".to_string()],
             scale: Scale::Paper,
@@ -456,10 +531,19 @@ mod tests {
         };
         assert_eq!(cli, Ok(want));
         let plain = parse(&["validate"], PLAIN).expect("no flags");
-        assert_eq!((plain.scale, plain.jobs, plain.max_cycles, plain.native), (Scale::Standard, 0, None, false));
+        assert_eq!(
+            (plain.scale, plain.jobs, plain.max_cycles, plain.native),
+            (Scale::Standard, 0, None, false)
+        );
         // 0 is no bound, the same as no flag.
-        assert_eq!(parse(&["fig", "--max_cycles", "0"], PLAIN).map(|cli| cli.max_cycles), Ok(None));
-        assert_eq!(parse(&["fig", "--quick"], PLAIN).map(|cli| cli.scale), Ok(Scale::Quick));
+        assert_eq!(
+            parse(&["fig", "--max_cycles", "0"], PLAIN).map(|cli| cli.max_cycles),
+            Ok(None)
+        );
+        assert_eq!(
+            parse(&["fig", "--quick"], PLAIN).map(|cli| cli.scale),
+            Ok(Scale::Quick)
+        );
     }
 
     #[test]
@@ -467,17 +551,42 @@ mod tests {
         for (bad, flag) in [
             (&["fig", "--jobs"][..], "`--jobs` requires a value"),
             (&["fig", "-j"], "`--jobs` requires a value"),
-            (&["fig", "--jobs", "abc"], "`--jobs` takes a non-negative integer, got `abc`"),
-            (&["fig", "--jobs=-1"], "`--jobs` takes a non-negative integer, got `-1`"),
-            (&["fig", "--max_cycles", "-5"], "`--max_cycles` takes a non-negative integer, got `-5`"),
+            (
+                &["fig", "--jobs", "abc"],
+                "`--jobs` takes a non-negative integer, got `abc`",
+            ),
+            (
+                &["fig", "--jobs=-1"],
+                "`--jobs` takes a non-negative integer, got `-1`",
+            ),
+            (
+                &["fig", "--max_cycles", "-5"],
+                "`--max_cycles` takes a non-negative integer, got `-5`",
+            ),
             (&["fig", "--max_cycles"], "`--max_cycles` requires a value"),
-            (&["fig", "--min_agreement"], "`--min_agreement` requires a value"),
-            (&["fig", "--min_agreement", "high"], "`--min_agreement` takes a number, got `high`"),
-            (&["fig", "--min_agreement=NaN"], "`--min_agreement` takes a number, got `NaN`"),
-            (&["fig", "--min_agreement", "1.5"], "`--min_agreement` must lie in [0, 1], got `1.5`"),
-            (&["fig", "--quick", "--paper"], "`--quick` and `--paper` exclude each other"),
+            (
+                &["fig", "--min_agreement"],
+                "`--min_agreement` requires a value",
+            ),
+            (
+                &["fig", "--min_agreement", "high"],
+                "`--min_agreement` takes a number, got `high`",
+            ),
+            (
+                &["fig", "--min_agreement=NaN"],
+                "`--min_agreement` takes a number, got `NaN`",
+            ),
+            (
+                &["fig", "--min_agreement", "1.5"],
+                "`--min_agreement` must lie in [0, 1], got `1.5`",
+            ),
+            (
+                &["fig", "--quick", "--paper"],
+                "`--quick` and `--paper` exclude each other",
+            ),
         ] {
-            let err = parse(bad, &[PLAIN, &[Flag::MinAgreement]].concat()).expect_err("malformed value accepted");
+            let err = parse(bad, &[PLAIN, &[Flag::MinAgreement]].concat())
+                .expect_err("malformed value accepted");
             assert_eq!(err, flag, "{bad:?}");
         }
     }

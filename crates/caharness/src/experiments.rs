@@ -160,7 +160,12 @@ impl Plan {
 
     /// Add one uninstrumented cell per configuration (usually one per x
     /// label); returns their indices.
-    pub fn cells(&mut self, structure: Structure, scheme: SchemeKind, cfgs: &[RunConfig]) -> Vec<usize> {
+    pub fn cells(
+        &mut self,
+        structure: Structure,
+        scheme: SchemeKind,
+        cfgs: &[RunConfig],
+    ) -> Vec<usize> {
         let cell = |cfg: &RunConfig| Cell {
             structure,
             scheme,
@@ -211,7 +216,10 @@ impl Plan {
 /// the mix. A cell that panics (a livelock ceiling, the wedge watchdog)
 /// yields [`sweep::ERR_CELL`] in every entry that reads it and one
 /// [`sweep::TaskFailure`]; all other entries keep their values.
-pub fn render(label: &str, plans: &[Plan]) -> (Vec<(String, SeriesTable)>, Vec<sweep::TaskFailure>) {
+pub fn render(
+    label: &str,
+    plans: &[Plan],
+) -> (Vec<(String, SeriesTable)>, Vec<sweep::TaskFailure>) {
     let tasks = plans
         .iter()
         .flat_map(|plan| &plan.cells)
@@ -227,7 +235,10 @@ pub fn render(label: &str, plans: &[Plan]) -> (Vec<(String, SeriesTable)>, Vec<s
     for (cell, outcome) in plans.iter().flat_map(|plan| &plan.cells).zip(&outcomes) {
         if let Err(f) = outcome {
             let (structure, threads) = (cell.structure.name(), cell.cfg.threads);
-            eprintln!("[sweep {} #{}] is {structure} under {}, {threads} threads", f.label, f.index, cell.scheme);
+            eprintln!(
+                "[sweep {} #{}] is {structure} under {}, {threads} threads",
+                f.label, f.index, cell.scheme
+            );
             failures.push(f.clone());
         }
     }
@@ -237,7 +248,8 @@ pub fn render(label: &str, plans: &[Plan]) -> (Vec<(String, SeriesTable)>, Vec<s
         let cells: Vec<_> = outcomes.by_ref().take(plan.cells.len()).collect();
         for layout in &plan.tables {
             let width = layout.x_labels.len();
-            let mut table = SeriesTable::new(&*layout.title, layout.corner, layout.x_labels.clone());
+            let mut table =
+                SeriesTable::new(&*layout.title, layout.corner, layout.x_labels.clone());
             for (name, row) in &layout.rows {
                 let values = match row {
                     Row::Each(entries) => entries
@@ -285,7 +297,11 @@ pub fn select(names: &[String], scale: Scale, recover: bool) -> Result<Vec<Plan>
     let mut picked: Vec<(&Figure, bool)> = Vec::new();
     for name in names {
         if name == "all" {
-            picked.extend(FIGURES.iter().map(|f| (f, recover || f.recover == Some(true))));
+            picked.extend(
+                FIGURES
+                    .iter()
+                    .map(|f| (f, recover || f.recover == Some(true))),
+            );
         } else {
             let fig = FIGURES
                 .iter()
@@ -309,13 +325,29 @@ pub static FIGURES: &[Figure] = &[
         name: "fig1_lazylist",
         about: "Fig. 1 top: lazy list, keys 0..1K, three workload panels",
         recover: None,
-        plan: |s, _| throughput("fig1_lazylist", LAZY_LIST, 1000, "Fig 1 (top) lazy list, size ~500", s),
+        plan: |s, _| {
+            throughput(
+                "fig1_lazylist",
+                LAZY_LIST,
+                1000,
+                "Fig 1 (top) lazy list, size ~500",
+                s,
+            )
+        },
     },
     Figure {
         name: "fig1_extbst",
         about: "Fig. 1 bottom: external BST, keys 0..10K",
         recover: None,
-        plan: |s, _| throughput("fig1_extbst", EXT_BST, 10_000, "Fig 1 (bottom) external BST, size ~5K", s),
+        plan: |s, _| {
+            throughput(
+                "fig1_extbst",
+                EXT_BST,
+                10_000,
+                "Fig 1 (bottom) external BST, size ~5K",
+                s,
+            )
+        },
     },
     Figure {
         name: "fig2_hashtable",
@@ -323,14 +355,28 @@ pub static FIGURES: &[Figure] = &[
         recover: None,
         plan: |s, _| {
             let table = Structure::Set(SetKind::HashTable);
-            throughput("fig2_hashtable", table, 1000, "Fig 2 (top) hash table, 128 buckets", s)
+            throughput(
+                "fig2_hashtable",
+                table,
+                1000,
+                "Fig 2 (top) hash table, 128 buckets",
+                s,
+            )
         },
     },
     Figure {
         name: "fig2_stack",
         about: "Fig. 2 bottom: Treiber stack (reads are peeks)",
         recover: None,
-        plan: |s, _| throughput("fig2_stack", Structure::Stack, 1000, "Fig 2 (bottom) stack", s),
+        plan: |s, _| {
+            throughput(
+                "fig2_stack",
+                Structure::Stack,
+                1000,
+                "Fig 2 (bottom) stack",
+                s,
+            )
+        },
     },
     Figure {
         name: "fig3_memory",
@@ -447,7 +493,9 @@ fn labels<T: ToString>(xs: &[T]) -> Vec<String> {
 /// Column labels of a [`Row::Trace`] table: the global operation count at
 /// each of the `total_ops / every` samples.
 fn sample_labels(total_ops: u64, every: u64) -> Vec<String> {
-    (1..=total_ops / every).map(|i| (i * every).to_string()).collect()
+    (1..=total_ops / every)
+        .map(|i| (i * every).to_string())
+        .collect()
 }
 
 fn throughput_of(o: &Outcome) -> f64 {
@@ -542,8 +590,12 @@ fn ablation_assoc(scale: Scale, _: bool) -> Plan {
         "metric\\assoc",
         labels(&assocs),
     )
-    .row("cread failures", &cells, |o| o.stats.sum(|c| c.cread_fail) as f64)
-    .row("eviction revokes", &cells, |o| o.stats.sum(|c| c.spurious_revokes()) as f64);
+    .row("cread failures", &cells, |o| {
+        o.stats.sum(|c| c.cread_fail) as f64
+    })
+    .row("eviction revokes", &cells, |o| {
+        o.stats.sum(|c| c.spurious_revokes()) as f64
+    });
     plan
 }
 
@@ -562,7 +614,11 @@ fn ablation_freq(scale: Scale, _: bool) -> Plan {
         ..base(scale)
     });
     let mut plan = Plan::default();
-    let rows = plan.by_scheme(LAZY_LIST, &[SchemeKind::Qsbr, SchemeKind::Ibr, SchemeKind::Ca], &cfgs);
+    let rows = plan.by_scheme(
+        LAZY_LIST,
+        &[SchemeKind::Qsbr, SchemeKind::Ibr, SchemeKind::Ca],
+        &cfgs,
+    );
     plan.table(
         "ablation_freq_throughput.csv",
         format!("Reclamation-frequency ablation — lazy list, {threads} threads, 50i-50d"),
@@ -592,7 +648,11 @@ fn ablation_quantum(scale: Scale, _: bool) -> Plan {
         ..base(scale)
     });
     let mut plan = Plan::default();
-    let rows = plan.by_scheme(LAZY_LIST, &[SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::Hp], &cfgs);
+    let rows = plan.by_scheme(
+        LAZY_LIST,
+        &[SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::Hp],
+        &cfgs,
+    );
     plan.table(
         "ablation_quantum.csv",
         format!("Scheduler-quantum ablation — lazy list, {threads} threads, 50i-50d"),
@@ -628,12 +688,16 @@ fn ablation_ctxswitch(scale: Scale, _: bool) -> Plan {
     )
     .row("ca ops/Mcycle", &ca, throughput_of)
     .row("qsbr ops/Mcycle", &qsbr, throughput_of)
-    .row("ca spurious revokes", &ca, |o| o.stats.sum(|c| c.spurious_revokes()) as f64);
+    .row("ca spurious revokes", &ca, |o| {
+        o.stats.sum(|c| c.spurious_revokes()) as f64
+    });
     plan
 }
 
 fn latency_of(o: &Outcome) -> &Histogram {
-    o.latency.as_ref().expect("the cell ran with Instrument::Latency")
+    o.latency
+        .as_ref()
+        .expect("the cell ran with Instrument::Latency")
 }
 
 /// §I claim: batch reclamation causes "long program interruptions and
@@ -673,7 +737,11 @@ fn ablation_latency(scale: Scale, _: bool) -> Plan {
     let mut rows = Vec::new();
     for (cfg, schemes, suffix) in [
         (&paper_batch, &SchemeKind::ALL[..], ""),
-        (&big_batch, &[SchemeKind::Qsbr, SchemeKind::Ibr, SchemeKind::He], "@300"),
+        (
+            &big_batch,
+            &[SchemeKind::Qsbr, SchemeKind::Ibr, SchemeKind::He],
+            "@300",
+        ),
     ] {
         for &scheme in schemes {
             let cell = plan.push(Cell {
@@ -727,7 +795,10 @@ fn ablation_smt(scale: Scale, _: bool) -> Plan {
                     (t % smt == 0).then(|| plan.cells(LAZY_LIST, scheme, &[cfg])[0])
                 })
                 .collect();
-            packings.push((format!("{} smt={smt}", scheme.name()), each(&cells, throughput_of)));
+            packings.push((
+                format!("{} smt={smt}", scheme.name()),
+                each(&cells, throughput_of),
+            ));
             if (smt, scheme) == (2, SchemeKind::Ca) {
                 ca2 = cells;
             }
@@ -753,7 +824,9 @@ fn ablation_smt(scale: Scale, _: bool) -> Plan {
         ),
         (
             "conditional-access failures".into(),
-            each(&ca2, |o| o.stats.sum(|c| c.cread_fail + c.cwrite_fail) as f64),
+            each(&ca2, |o| {
+                o.stats.sum(|c| c.cread_fail + c.cwrite_fail) as f64
+            }),
         ),
     ];
     plan
@@ -778,7 +851,10 @@ fn ablation_protocol(scale: Scale, _: bool) -> Plan {
                 },
                 ..base(scale)
             });
-            rows.push((format!("{prefix}/{}", scheme.name()), plan.cells(structure, scheme, &cfgs)));
+            rows.push((
+                format!("{prefix}/{}", scheme.name()),
+                plan.cells(structure, scheme, &cfgs),
+            ));
         }
     }
     plan.table(
@@ -823,7 +899,11 @@ fn ablation_fallback(scale: Scale, _: bool) -> Plan {
     };
     let cfgs = at_threads(&threads, base(scale));
     let bare = plan.cells(LAZY_LIST, SchemeKind::Ca, &cfgs);
-    let guarded = plan.cells(Structure::FallbackList { max_attempts: 32 }, SchemeKind::Ca, &cfgs);
+    let guarded = plan.cells(
+        Structure::FallbackList { max_attempts: 32 },
+        SchemeKind::Ca,
+        &cfgs,
+    );
     plan.table(
         "ablation_fallback_overhead.csv",
         "Fallback ablation — fast-path overhead on the paper geometry (lazy list, 50i-50d)",
@@ -855,7 +935,11 @@ fn ablation_fallback(scale: Scale, _: bool) -> Plan {
         ..base(scale)
     };
     let cfgs = at_threads(&threads, geometry);
-    let hostile = plan.cells(Structure::FallbackList { max_attempts: 8 }, SchemeKind::Ca, &cfgs);
+    let hostile = plan.cells(
+        Structure::FallbackList { max_attempts: 8 },
+        SchemeKind::Ca,
+        &cfgs,
+    );
     plan.table(
         "ablation_fallback_hostile.csv",
         "Fallback ablation — hostile geometry (1 KiB direct-mapped L1); bare CA livelocks",
@@ -880,8 +964,13 @@ fn queue_bench(scale: Scale, _: bool) -> Plan {
     let cfgs = at_threads(&threads, queue);
     let mut plan = Plan::default();
     let rows = plan.by_scheme(Structure::Queue, &SchemeKind::ALL, &cfgs);
-    plan.table("queue_bench.csv", "MS queue — 50enq-50deq", "scheme\\threads", labels(&threads))
-        .rows(&rows, throughput_of);
+    plan.table(
+        "queue_bench.csv",
+        "MS queue — 50enq-50deq",
+        "scheme\\threads",
+        labels(&threads),
+    )
+    .rows(&rows, throughput_of);
     plan
 }
 
@@ -892,8 +981,11 @@ fn harris_bench(scale: Scale, _: bool) -> Plan {
     let cfgs = at_threads(&threads, base(scale));
     let mut plan = Plan::default();
     let lock_free = plan.cells(Structure::Harris, SchemeKind::Ca, &cfgs);
-    let baselines =
-        plan.by_scheme(LAZY_LIST, &[SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::None], &cfgs);
+    let baselines = plan.by_scheme(
+        LAZY_LIST,
+        &[SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::None],
+        &cfgs,
+    );
     let table = plan.table(
         "harris_bench.csv",
         "Lock-free CA Harris list vs lock-based lists — 50i-50d",
@@ -919,8 +1011,11 @@ fn htm_bench(scale: Scale, _: bool) -> Plan {
         ("htm_bench_updates.csv", Mix::PAPER[2]),
     ] {
         let cfgs = at_threads(&threads, RunConfig { mix, ..base(scale) });
-        let baselines =
-            plan.by_scheme(LAZY_LIST, &[SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::None], &cfgs);
+        let baselines = plan.by_scheme(
+            LAZY_LIST,
+            &[SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::None],
+            &cfgs,
+        );
         htm = [256usize, 16]
             .map(|slots| {
                 let cells = plan.cells(Structure::HtmList { slots }, SchemeKind::Ca, &cfgs);
@@ -1067,7 +1162,10 @@ fn fig_robustness(scale: Scale, recover: bool) -> Plan {
         "scheme\\stalled",
         x_labels,
     );
-    for (name, cells) in rows.iter().filter(|(name, _)| name != SchemeKind::Ca.name()) {
+    for (name, cells) in rows
+        .iter()
+        .filter(|(name, _)| name != SchemeKind::Ca.name())
+    {
         // The `+adopt` columns report the *final* backlog: the peak still
         // shows the pre-adoption pileup, the final shows the repair (near
         // zero for every scheme once the orphan's publications are
@@ -1080,7 +1178,9 @@ fn fig_robustness(scale: Scale, recover: bool) -> Plan {
             };
             Some((cell, f))
         });
-        garbage.rows.push((name.clone(), Row::Each(entries.collect())));
+        garbage
+            .rows
+            .push((name.clone(), Row::Each(entries.collect())));
     }
     plan
 }
@@ -1142,7 +1242,9 @@ fn fig_recovery(scale: Scale, recover: bool) -> Plan {
         ("adoptions", |o| o.metrics.adoptions as f64),
         ("adopted_bytes", |o| o.metrics.adopted_bytes as f64),
         ("latency_cycles", |o| o.metrics.recovery_cycles as f64),
-        ("final_garbage_bytes", |o| o.metrics.final_garbage_bytes as f64),
+        ("final_garbage_bytes", |o| {
+            o.metrics.final_garbage_bytes as f64
+        }),
     ];
     let summary = plan.table(
         format!("recovery_summary{suffix}.csv"),
@@ -1166,7 +1268,11 @@ mod tests {
     fn quick(names: &[&str], recover: bool) -> Vec<SeriesTable> {
         let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
         let plans = select(&names, Scale::Quick, recover).expect("registry names");
-        render("test", &plans).0.into_iter().map(|(_, table)| table).collect()
+        render("test", &plans)
+            .0
+            .into_iter()
+            .map(|(_, table)| table)
+            .collect()
     }
 
     fn row(t: &SeriesTable, name: &str) -> Vec<f64> {
@@ -1191,7 +1297,12 @@ mod tests {
                             c.scheme
                         );
                         if c.structure == Structure::Queue {
-                            assert_eq!(c.cfg.mix.updates(), 100, "{}: queues have no reads", fig.name);
+                            assert_eq!(
+                                c.cfg.mix.updates(),
+                                100,
+                                "{}: queues have no reads",
+                                fig.name
+                            );
                         }
                     }
                     assert!(!plan.tables.is_empty(), "{} writes nothing", fig.name);
@@ -1201,17 +1312,28 @@ mod tests {
                         for (name, row) in &t.rows {
                             match row {
                                 Row::Each(entries) => {
-                                    assert_eq!(entries.len(), t.x_labels.len(), "{} row {name}", t.csv);
+                                    assert_eq!(
+                                        entries.len(),
+                                        t.x_labels.len(),
+                                        "{} row {name}",
+                                        t.csv
+                                    );
                                     for (i, _) in entries.iter().flatten() {
                                         assert!(*i < plan.cells.len(), "{} row {name}", t.csv);
                                     }
                                 }
-                                Row::Trace(i) => assert!(*i < plan.cells.len(), "{} row {name}", t.csv),
+                                Row::Trace(i) => {
+                                    assert!(*i < plan.cells.len(), "{} row {name}", t.csv)
+                                }
                             }
                         }
                     }
                 }
-                assert_eq!(csvs.len(), 36, "tables per full run ({scale:?}, recover={recover})");
+                assert_eq!(
+                    csvs.len(),
+                    36,
+                    "tables per full run ({scale:?}, recover={recover})"
+                );
             }
         }
     }
@@ -1230,16 +1352,28 @@ mod tests {
         // `recover` column, not a special case in the bin.
         let all = csvs(&["all"], false);
         assert_eq!(all.len(), 36);
-        assert_eq!(all.iter().filter(|csv| csv.ends_with("_adopt.csv")).count(), 2);
+        assert_eq!(
+            all.iter().filter(|csv| csv.ends_with("_adopt.csv")).count(),
+            2
+        );
         let plans = select(&names(&["all"]), Scale::Quick, false).unwrap();
-        let robustness = &plans[FIGURES.iter().position(|f| f.name == "fig_robustness").unwrap()];
+        let robustness = &plans[FIGURES
+            .iter()
+            .position(|f| f.name == "fig_robustness")
+            .unwrap()];
         assert_eq!(robustness.tables[0].x_labels, ["0", "1", "2"]);
         // A named figure takes the flag as given.
-        assert!(csvs(&["fig_recovery"], false).iter().all(|csv| !csv.ends_with("_adopt.csv")));
-        assert!(csvs(&["fig_recovery", "queue_bench"], true)[..2].iter().all(|csv| csv.ends_with("_adopt.csv")));
+        assert!(csvs(&["fig_recovery"], false)
+            .iter()
+            .all(|csv| !csv.ends_with("_adopt.csv")));
+        assert!(csvs(&["fig_recovery", "queue_bench"], true)[..2]
+            .iter()
+            .all(|csv| csv.ends_with("_adopt.csv")));
 
         let err = |ns: &[&str], recover: bool| {
-            select(&names(ns), Scale::Quick, recover).err().expect("rejected")
+            select(&names(ns), Scale::Quick, recover)
+                .err()
+                .expect("rejected")
         };
         assert!(err(&[], false).contains("at least one figure"));
         assert!(err(&["fig9"], false).contains("unknown figure `fig9`"));
@@ -1276,8 +1410,15 @@ mod tests {
         let [failure] = &failures[..] else {
             panic!("exactly the one failed cell: {failures:?}");
         };
-        assert_eq!((failure.label.as_str(), failure.index), ("test-failed-cell", 1));
-        assert!(failure.message.contains("wedge watchdog"), "{}", failure.message);
+        assert_eq!(
+            (failure.label.as_str(), failure.index),
+            ("test-failed-cell", 1)
+        );
+        assert!(
+            failure.message.contains("wedge watchdog"),
+            "{}",
+            failure.message
+        );
 
         for (csv, t) in [assoc_tput, assoc_spurious] {
             for (name, values) in &t.series {
@@ -1287,7 +1428,11 @@ mod tests {
                 }
             }
             assert!(t.render().contains("ERR"));
-            assert!(t.to_csv().lines().skip(1).all(|l| l.split(',').nth(2) == Some("ERR")));
+            assert!(t
+                .to_csv()
+                .lines()
+                .skip(1)
+                .all(|l| l.split(',').nth(2) == Some("ERR")));
         }
         // ERR is one specific NaN; a not-applicable cell's plain NaN is not.
         assert!(!sweep::is_err_cell(f64::NAN));
@@ -1354,7 +1499,10 @@ mod tests {
         let (trace_rec, summary) = (&recovered[0], &recovered[1]);
         let trace_no = &quick(&["fig_recovery"], false)[0];
         let last_finite = |r: &[f64]| -> f64 {
-            *r.iter().rev().find(|v| v.is_finite()).expect("a finite sample")
+            *r.iter()
+                .rev()
+                .find(|v| v.is_finite())
+                .expect("a finite sample")
         };
         // The trace is allocated-not-freed, i.e. live queue set plus
         // garbage, and the live set random-walks upward under the 50/50
@@ -1439,7 +1587,10 @@ mod tests {
         // CA stays near the live-set size throughout; none only grows.
         let ca = row(t, "ca");
         let none = row(t, "none");
-        assert!(ca.iter().all(|&v| v.is_nan() || v < 700.0), "ca flat: {ca:?}");
+        assert!(
+            ca.iter().all(|&v| v.is_nan() || v < 700.0),
+            "ca flat: {ca:?}"
+        );
         assert!(
             none.last().unwrap() > ca.last().unwrap(),
             "leaky footprint must exceed CA"
@@ -1448,6 +1599,9 @@ mod tests {
         // (`f64::max` skips NaN cells).
         let peak = |v: &[f64]| v.iter().copied().fold(0.0, f64::max);
         let rcu = row(t, "rcu");
-        assert!(peak(&ca) < peak(&rcu), "CA peak below rcu's: {ca:?} vs {rcu:?}");
+        assert!(
+            peak(&ca) < peak(&rcu),
+            "CA peak below rcu's: {ca:?} vs {rcu:?}"
+        );
     }
 }

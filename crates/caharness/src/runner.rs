@@ -118,8 +118,10 @@ impl Structure {
     /// every scheme; the rest embody immediate reclamation (CA or HTM) and
     /// run only as `ca`.
     pub fn supports(self, scheme: SchemeKind) -> bool {
-        matches!(self, Structure::Set(_) | Structure::Stack | Structure::Queue)
-            || scheme == SchemeKind::Ca
+        matches!(
+            self,
+            Structure::Set(_) | Structure::Stack | Structure::Queue
+        ) || scheme == SchemeKind::Ca
     }
 }
 
@@ -445,7 +447,12 @@ where
     );
     let stats = m.stats();
     Outcome::fold(
-        Metrics::from_stats(job.scheme.name(), cfg.threads, &stats, m.footprint_samples()),
+        Metrics::from_stats(
+            job.scheme.name(),
+            cfg.threads,
+            &stats,
+            m.footprint_samples(),
+        ),
         stats,
         outs.iter().map(|o| o.recovered()).collect(),
         cfg.race_check.then(|| m.race_report()),
@@ -555,8 +562,17 @@ pub fn run(
             "queues have no read operation: use an enqueue/dequeue-only mix"
         );
     }
-    assert!(cfg.gangs == 1, "RunConfig::gangs = {}: {}", cfg.gangs, crate::config::GANGS_RETIRED);
-    let job = Job { scheme, cfg, instrument };
+    assert!(
+        cfg.gangs == 1,
+        "RunConfig::gangs = {}: {}",
+        cfg.gangs,
+        crate::config::GANGS_RETIRED
+    );
+    let job = Job {
+        scheme,
+        cfg,
+        instrument,
+    };
     if cfg.native {
         // Only the structures that take an SMR scheme have a native build.
         reject_native(!structure.supports(SchemeKind::None), structure.name());
@@ -592,7 +608,9 @@ pub fn run(
         });
     }
     match structure {
-        Structure::Set(SetKind::LazyList) => run_sim_immediate(&m, &SetOps(CaLazyList::new(&m)), job),
+        Structure::Set(SetKind::LazyList) => {
+            run_sim_immediate(&m, &SetOps(CaLazyList::new(&m)), job)
+        }
         Structure::Set(SetKind::ExtBst) => run_sim_immediate(&m, &SetOps(CaExtBst::new(&m)), job),
         Structure::Set(SetKind::HashTable) => {
             let table = HashTable::new(&m, cfg.buckets, CaLazyList::new);
@@ -605,7 +623,11 @@ pub fn run(
             run_sim_immediate(&m, &SetOps(HtmLazyList::with_slots(&m, slots)), job)
         }
         Structure::FallbackList { max_attempts } => {
-            let w = SetOps(FbCaLazyList::with_max_attempts(&m, cfg.threads, max_attempts));
+            let w = SetOps(FbCaLazyList::with_max_attempts(
+                &m,
+                cfg.threads,
+                max_attempts,
+            ));
             let mut out = run_sim_immediate(&m, &w, job);
             out.fallbacks = w.0.fallbacks_taken();
             out
@@ -633,14 +655,20 @@ pub fn run_queue(scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
 
 /// [`run_set`] on real host threads whatever `cfg.native` says.
 pub fn run_set_native(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
-    let cfg = RunConfig { native: true, ..cfg.clone() };
+    let cfg = RunConfig {
+        native: true,
+        ..cfg.clone()
+    };
     run_set(kind, scheme, &cfg)
 }
 
 /// [`run`] on a set with [`Instrument::Latency`].
 pub fn run_set_latency(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> (Metrics, Histogram) {
     let out = run(Structure::Set(kind), scheme, cfg, Instrument::Latency);
-    (out.metrics, out.latency.expect("latency capture was requested"))
+    (
+        out.metrics,
+        out.latency.expect("latency capture was requested"),
+    )
 }
 
 #[cfg(test)]
@@ -649,7 +677,10 @@ mod tests {
     use crate::config::Mix;
     use mcsim::FaultPlan;
 
-    const UPDATES: Mix = Mix { insert_pct: 50, delete_pct: 50 };
+    const UPDATES: Mix = Mix {
+        insert_pct: 50,
+        delete_pct: 50,
+    };
 
     fn tiny(threads: usize, mix: Mix) -> RunConfig {
         RunConfig {
@@ -681,8 +712,14 @@ mod tests {
                     Structure::Stack => 30,
                     _ => 50,
                 };
-                let mix = Mix { insert_pct: pct, delete_pct: pct };
-                let cfg = RunConfig { buckets: 8, ..tiny(2, mix) };
+                let mix = Mix {
+                    insert_pct: pct,
+                    delete_pct: pct,
+                };
+                let cfg = RunConfig {
+                    buckets: 8,
+                    ..tiny(2, mix)
+                };
                 let m = plain(structure, scheme, &cfg);
                 assert_eq!(m.total_ops, 300, "{} {scheme}", structure.name());
                 assert!(m.throughput > 0.0, "{} {scheme}", structure.name());
@@ -726,19 +763,39 @@ mod tests {
     #[test]
     #[should_panic(expected = "were retired in PR 18")]
     fn retired_gangs_field_is_rejected() {
-        run_set(SetKind::LazyList, SchemeKind::Ca, &RunConfig { gangs: 2, ..tiny(2, UPDATES) });
+        run_set(
+            SetKind::LazyList,
+            SchemeKind::Ca,
+            &RunConfig {
+                gangs: 2,
+                ..tiny(2, UPDATES)
+            },
+        );
     }
 
     #[test]
     #[should_panic(expected = "no read operation")]
     fn queue_rejects_read_mixes() {
-        run_queue(SchemeKind::Ca, &tiny(1, Mix { insert_pct: 5, delete_pct: 5 }));
+        run_queue(
+            SchemeKind::Ca,
+            &tiny(
+                1,
+                Mix {
+                    insert_pct: 5,
+                    delete_pct: 5,
+                },
+            ),
+        );
     }
 
     // Without the range assert `while live < cfg.prefill` never ends; the one
     // prefill body must guard the instrumented and fault-plan runs too.
     fn overfull() -> RunConfig {
-        RunConfig { key_range: 8, prefill: 9, ..tiny(1, UPDATES) }
+        RunConfig {
+            key_range: 8,
+            prefill: 9,
+            ..tiny(1, UPDATES)
+        }
     }
 
     #[test]
@@ -751,7 +808,14 @@ mod tests {
     #[should_panic(expected = "cannot prefill 9 distinct keys")]
     fn native_run_rejects_an_impossible_prefill() {
         // The worker's own panic message, not a generic join failure.
-        run_set(SetKind::LazyList, SchemeKind::Hp, &RunConfig { native: true, ..overfull() });
+        run_set(
+            SetKind::LazyList,
+            SchemeKind::Hp,
+            &RunConfig {
+                native: true,
+                ..overfull()
+            },
+        );
     }
 
     #[test]
@@ -782,8 +846,16 @@ mod tests {
     #[test]
     fn latency_capture_runs_natively() {
         // Latency needs only Env::now, so it works on real host threads.
-        let cfg = RunConfig { native: true, ..tiny(2, UPDATES) };
-        let out = run(Structure::Set(SetKind::LazyList), SchemeKind::Hp, &cfg, Instrument::Latency);
+        let cfg = RunConfig {
+            native: true,
+            ..tiny(2, UPDATES)
+        };
+        let out = run(
+            Structure::Set(SetKind::LazyList),
+            SchemeKind::Hp,
+            &cfg,
+            Instrument::Latency,
+        );
         assert_eq!(out.latency.expect("requested").count(), 2 * 150);
         assert_eq!(out.metrics.total_ops, 2 * 150);
     }
@@ -808,17 +880,28 @@ mod tests {
     #[test]
     #[should_panic(expected = "htmlist is simulator-only")]
     fn native_runs_reject_ca_only_structures() {
-        let cfg = RunConfig { native: true, ..tiny(2, UPDATES) };
+        let cfg = RunConfig {
+            native: true,
+            ..tiny(2, UPDATES)
+        };
         plain(Structure::HtmList { slots: 64 }, SchemeKind::Ca, &cfg);
     }
 
     #[test]
     fn htm_run_reports_transactions() {
         let cfg = tiny(2, UPDATES);
-        let out = run(Structure::HtmList { slots: 64 }, SchemeKind::Ca, &cfg, Instrument::None);
+        let out = run(
+            Structure::HtmList { slots: 64 },
+            SchemeKind::Ca,
+            &cfg,
+            Instrument::None,
+        );
         let m = &out.metrics;
         assert_eq!(m.total_ops, 300);
-        assert!(out.stats.sum(|c| c.tx_begins) > 0, "every op runs transactions");
+        assert!(
+            out.stats.sum(|c| c.tx_begins) > 0,
+            "every op runs transactions"
+        );
         assert!(m.throughput > 0.0);
         // Immediate reclamation: like CA, allocated tracks the live set.
         assert!(m.final_allocated <= 64);
@@ -827,7 +910,12 @@ mod tests {
     #[test]
     fn fallback_run_roomy_geometry_never_falls_back() {
         let structure = Structure::FallbackList { max_attempts: 32 };
-        let out = run(structure, SchemeKind::Ca, &tiny(2, UPDATES), Instrument::None);
+        let out = run(
+            structure,
+            SchemeKind::Ca,
+            &tiny(2, UPDATES),
+            Instrument::None,
+        );
         assert_eq!(out.metrics.total_ops, 300);
         assert_eq!(out.fallbacks, 0);
     }
@@ -955,7 +1043,12 @@ mod tests {
             ..crash_only.clone()
         };
         let a = run_queue(SchemeKind::Qsbr, &crash_only);
-        let b = run(Structure::Queue, SchemeKind::Qsbr, &with_restart, Instrument::None);
+        let b = run(
+            Structure::Queue,
+            SchemeKind::Qsbr,
+            &with_restart,
+            Instrument::None,
+        );
         assert_eq!(b.stats.crashed, [false, true]);
         let b = b.metrics;
         assert_eq!(a.cycles, b.cycles);
@@ -1005,7 +1098,10 @@ mod tests {
 
     #[test]
     fn smt_config_drives_sibling_revokes() {
-        let cfg = RunConfig { smt: 2, ..tiny(4, UPDATES) };
+        let cfg = RunConfig {
+            smt: 2,
+            ..tiny(4, UPDATES)
+        };
         let out = run(LAZY, SchemeKind::Ca, &cfg, Instrument::None);
         assert_eq!(out.metrics.total_ops, 600);
         assert!(
@@ -1033,6 +1129,9 @@ mod tests {
             ..Default::default()
         };
         let out = run(LAZY, SchemeKind::Ca, &cfg, Instrument::None);
-        assert!(out.stats.sum(|c| c.e_grants) > 0, "MESI runs must grant Exclusive lines");
+        assert!(
+            out.stats.sum(|c| c.e_grants) > 0,
+            "MESI runs must grant Exclusive lines"
+        );
     }
 }

@@ -203,7 +203,11 @@ pub fn run_results_weighted<'env, T: Send + 'env>(
     let work = || {
         let mut done = Vec::new();
         let mut q = queue.lock().unwrap();
-        while let Some(units) = q.tasks.peek().map(|&(_, (weight, _))| weight.clamp(1, budget)) {
+        while let Some(units) = q
+            .tasks
+            .peek()
+            .map(|&(_, (weight, _))| weight.clamp(1, budget))
+        {
             if q.in_use + units > budget {
                 q.waiting += 1;
                 q = freed.wait(q).unwrap();
@@ -213,10 +217,12 @@ pub fn run_results_weighted<'env, T: Send + 'env>(
             let (i, (_, task)) = q.tasks.next().expect("peeked");
             q.in_use += units;
             drop(q);
-            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).map_err(|e| TaskFailure {
-                label: label.to_string(),
-                index: i,
-                message: panic_message(&*e),
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(task)).map_err(|e| {
+                TaskFailure {
+                    label: label.to_string(),
+                    index: i,
+                    message: panic_message(&*e),
+                }
             });
             progress.bump();
             done.push((i, r));
@@ -255,7 +261,10 @@ pub fn run<'env, T: Send + 'env>(label: &str, tasks: Vec<Task<'env, T>>) -> Vec<
         .into_iter()
         .map(|r| match r {
             Ok(t) => t,
-            Err(f) => panic!("[sweep {} #{}] task failed: {}", f.label, f.index, f.message),
+            Err(f) => panic!(
+                "[sweep {} #{}] task failed: {}",
+                f.label, f.index, f.message
+            ),
         })
         .collect()
 }
@@ -273,11 +282,18 @@ where
     let cell = &cell;
     let tasks: Vec<Task<T>> = rows
         .iter()
-        .flat_map(|r| cols.iter().map(move |c| Box::new(move || cell(r, c)) as Task<T>))
+        .flat_map(|r| {
+            cols.iter()
+                .map(move |c| Box::new(move || cell(r, c)) as Task<T>)
+        })
         .collect();
     let mut flat = run(label, tasks).into_iter();
     rows.iter()
-        .map(|_| cols.iter().map(|_| flat.next().expect("grid shape")).collect())
+        .map(|_| {
+            cols.iter()
+                .map(|_| flat.next().expect("grid shape"))
+                .collect()
+        })
         .collect()
 }
 
@@ -297,7 +313,10 @@ mod tests {
     impl JobsLock {
         fn take() -> Self {
             static LOCK: Mutex<()> = Mutex::new(());
-            JobsLock(LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
+            JobsLock(
+                LOCK.lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner),
+            )
         }
     }
 
@@ -416,7 +435,11 @@ mod tests {
         let out = run_results_weighted("test-budget", tasks);
         assert!(out.iter().all(Result::is_ok));
         // A weight-3 task fills the budget alone, so the mark is exactly 3.
-        assert_eq!(high.load(Ordering::SeqCst), 3, "units in use at once with jobs = 3");
+        assert_eq!(
+            high.load(Ordering::SeqCst),
+            3,
+            "units in use at once with jobs = 3"
+        );
     }
 
     #[test]
@@ -460,7 +483,10 @@ mod tests {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 run("test-propagate", panicky_tasks(2))
             }));
-            assert!(r.is_err(), "a task panic must propagate out of run (jobs={jobs})");
+            assert!(
+                r.is_err(),
+                "a task panic must propagate out of run (jobs={jobs})"
+            );
         }
     }
 
@@ -475,7 +501,11 @@ mod tests {
         assert_eq!(*out[1].as_ref().unwrap(), 1);
         let f = out[2].as_ref().unwrap_err();
         assert_eq!((f.label.as_str(), f.index), ("test-collect", 2));
-        assert!(f.message.contains("deliberate sweep panic"), "{}", f.message);
+        assert!(
+            f.message.contains("deliberate sweep panic"),
+            "{}",
+            f.message
+        );
         assert_eq!(*out[3].as_ref().unwrap(), 3, "later tasks still run");
     }
 

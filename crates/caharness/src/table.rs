@@ -19,11 +19,7 @@ pub struct SeriesTable {
 
 impl SeriesTable {
     /// Create an empty table.
-    pub fn new(
-        title: impl Into<String>,
-        x_name: impl Into<String>,
-        x_labels: Vec<String>,
-    ) -> Self {
+    pub fn new(title: impl Into<String>, x_name: impl Into<String>, x_labels: Vec<String>) -> Self {
         Self {
             title: title.into(),
             x_name: x_name.into(),
@@ -120,11 +116,7 @@ mod tests {
 
     #[test]
     fn render_is_aligned_and_complete() {
-        let mut t = SeriesTable::new(
-            "Fig X",
-            "threads",
-            vec!["1".into(), "2".into(), "4".into()],
-        );
+        let mut t = SeriesTable::new("Fig X", "threads", vec!["1".into(), "2".into(), "4".into()]);
         t.push_series("ca", vec![1.0, 2.0, 4.0]);
         t.push_series("qsbr", vec![1.5, 2.5, 3.5]);
         let r = t.render();

@@ -287,10 +287,14 @@ mod tests {
         // With a huge epoch_freq the era never moves: after the first
         // publish, further protected reads cost no store and no fence.
         let m = machine(1);
-        let s = He::new(&m, 1, SmrConfig {
-            epoch_freq: 1_000_000,
-            ..Default::default()
-        });
+        let s = He::new(
+            &m,
+            1,
+            SmrConfig {
+                epoch_freq: 1_000_000,
+                ..Default::default()
+            },
+        );
         let mailbox = m.alloc_static(1);
         m.run_on(1, |_, ctx| {
             let mut tls = s.register(0);
@@ -311,10 +315,14 @@ mod tests {
     #[test]
     fn moving_era_republishes() {
         let m = machine(1);
-        let s = He::new(&m, 1, SmrConfig {
-            epoch_freq: 1,
-            ..Default::default()
-        });
+        let s = He::new(
+            &m,
+            1,
+            SmrConfig {
+                epoch_freq: 1,
+                ..Default::default()
+            },
+        );
         let mailbox = m.alloc_static(1);
         m.run_on(1, |_, ctx| {
             let mut tls = s.register(0);

@@ -317,7 +317,11 @@ mod tests {
                 let _ = s.read_ptr(ctx, &mut tls, i % 2, *b);
             }
         });
-        assert_eq!(m.stats().sum(|c| c.fences), 4, "one fence per protected read");
+        assert_eq!(
+            m.stats().sum(|c| c.fences),
+            4,
+            "one fence per protected read"
+        );
     }
 
     #[test]
@@ -386,10 +390,14 @@ mod tests {
                 race_check: true,
                 ..Default::default()
             });
-            let s = Hp::new(&m, 2, SmrConfig {
-                reclaim_freq: 1,
-                ..Default::default()
-            });
+            let s = Hp::new(
+                &m,
+                2,
+                SmrConfig {
+                    reclaim_freq: 1,
+                    ..Default::default()
+                },
+            );
             let mailbox = m.alloc_static(1);
             m.run_on(2, |tid, ctx| {
                 let mut tls = s.register(tid);
@@ -424,12 +432,7 @@ mod tests {
             .findings
             .iter()
             .find(|f| f.region == "hp.hazards")
-            .unwrap_or_else(|| {
-                panic!(
-                    "missing scan fence must be reported:\n{}",
-                    broken.render()
-                )
-            });
+            .unwrap_or_else(|| panic!("missing scan fence must be reported:\n{}", broken.render()));
         assert_eq!((f.prior, f.later), ("write", "read"));
     }
 }

@@ -21,8 +21,8 @@
 use mcsim::Addr;
 
 use crate::api::{
-    per_thread_lines, EraClock, RetireBag, Retired, Smr, SmrBase, SmrConfig,
-    INACTIVE, NODE_BIRTH_WORD,
+    per_thread_lines, EraClock, RetireBag, Retired, Smr, SmrBase, SmrConfig, INACTIVE,
+    NODE_BIRTH_WORD,
 };
 use crate::env::{Env, EnvHost};
 
@@ -264,10 +264,14 @@ mod tests {
     #[test]
     fn read_ptr_extends_reservation_on_era_change() {
         let m = machine(1);
-        let s = Ibr::new(&m, 1, SmrConfig {
-            epoch_freq: 1, // every alloc bumps the era
-            ..Default::default()
-        });
+        let s = Ibr::new(
+            &m,
+            1,
+            SmrConfig {
+                epoch_freq: 1, // every alloc bumps the era
+                ..Default::default()
+            },
+        );
         let mailbox = m.alloc_static(1);
         m.run_on(1, |_, ctx| {
             let mut tls = s.register(0);

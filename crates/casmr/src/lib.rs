@@ -47,14 +47,14 @@ pub use api::{
     GarbageStats, RetireBag, Retired, Smr, SmrBase, SmrConfig, INACTIVE, NODE_BIRTH_WORD,
 };
 pub use env::{Env, EnvHost, SimEnv, LINE_BYTES, WORDS_PER_LINE};
-pub use native::{HeartbeatBoard, NativeEnv, NativeMachine, NativeStats};
-pub use recovery::{CrashToken, Orphan, TlsVault};
 pub use he::He;
 pub use hp::Hp;
 pub use ibr::Ibr;
 pub use leaky::Leaky;
+pub use native::{HeartbeatBoard, NativeEnv, NativeMachine, NativeStats};
 pub use qsbr::Qsbr;
 pub use rcu::Rcu;
+pub use recovery::{CrashToken, Orphan, TlsVault};
 
 /// The seven reclamation configurations of the paper's evaluation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]

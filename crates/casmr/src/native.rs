@@ -816,7 +816,10 @@ mod tests {
             // SAFETY: worker 1 beats every millisecond, far inside the
             // 500 ms lease; `None` is the only sound outcome.
             let verdict = unsafe { board.detect(1, Duration::from_millis(500)) };
-            assert!(verdict.is_none(), "a beating worker must not be declared dead");
+            assert!(
+                verdict.is_none(),
+                "a beating worker must not be declared dead"
+            );
             stop.store(1, Ordering::Release);
         });
     }

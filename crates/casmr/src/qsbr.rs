@@ -19,8 +19,8 @@
 use mcsim::Addr;
 
 use crate::api::{
-    oldest_active, per_thread_lines, EraClock, RetireBag, Retired, Smr, SmrBase,
-    SmrConfig, INACTIVE,
+    oldest_active, per_thread_lines, EraClock, RetireBag, Retired, Smr, SmrBase, SmrConfig,
+    INACTIVE,
 };
 use crate::env::{Env, EnvHost};
 
@@ -228,10 +228,14 @@ mod tests {
         // test if qsbr ever frees a node the reader can still reach.
         let m = machine(2);
         let mailbox = m.alloc_static(1);
-        let s = Qsbr::new(&m, 2, SmrConfig {
-            reclaim_freq: 4,
-            epoch_freq: 3,
-        });
+        let s = Qsbr::new(
+            &m,
+            2,
+            SmrConfig {
+                reclaim_freq: 4,
+                epoch_freq: 3,
+            },
+        );
         m.run_on(2, |tid, ctx| {
             let mut tls = s.register(tid);
             if tid == 0 {

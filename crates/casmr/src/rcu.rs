@@ -14,8 +14,8 @@
 use mcsim::Addr;
 
 use crate::api::{
-    oldest_active, per_thread_lines, EraClock, RetireBag, Retired, Smr, SmrBase,
-    SmrConfig, INACTIVE,
+    oldest_active, per_thread_lines, EraClock, RetireBag, Retired, Smr, SmrBase, SmrConfig,
+    INACTIVE,
 };
 use crate::env::{Env, EnvHost};
 

@@ -34,7 +34,10 @@ impl Addr {
     /// aligned word accesses.
     #[inline]
     pub fn word_index(self) -> usize {
-        debug_assert!(self.0.is_multiple_of(8), "unaligned word access at {self:?}");
+        debug_assert!(
+            self.0.is_multiple_of(8),
+            "unaligned word access at {self:?}"
+        );
         (self.0 / 8) as usize
     }
 

@@ -182,10 +182,7 @@ impl Allocator {
             "free of non-heap address {a:?}"
         );
         let idx = (line - self.heap_base) as usize;
-        assert!(
-            line < self.brk,
-            "free of never-allocated heap line {a:?}"
-        );
+        assert!(line < self.brk, "free of never-allocated heap line {a:?}");
         assert!(self.allocated[idx], "DOUBLE FREE by core {c}: {a:?}");
         self.allocated[idx] = false;
         self.total_frees += 1;
@@ -321,7 +318,11 @@ mod tests {
         let again = a.alloc(0); // core 0 must steal it
         assert_eq!(again, nodes[0]);
         a.free(0, nodes[7]);
-        assert_eq!(a.alloc(0), nodes[7], "a full heap hands a freed line out again");
+        assert_eq!(
+            a.alloc(0),
+            nodes[7],
+            "a full heap hands a freed line out again"
+        );
     }
 
     #[test]

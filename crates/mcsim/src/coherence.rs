@@ -803,7 +803,12 @@ impl CoherenceHub {
                 let d = self
                     .l2
                     .lookup(e.line)
-                    .unwrap_or_else(|| panic!("inclusion violated: core {c} holds {:?} absent from L2", e.line))
+                    .unwrap_or_else(|| {
+                        panic!(
+                            "inclusion violated: core {c} holds {:?} absent from L2",
+                            e.line
+                        )
+                    })
                     .payload;
                 match e.payload.state {
                     MsiState::Modified | MsiState::Exclusive => {
@@ -818,7 +823,11 @@ impl CoherenceHub {
                         assert_eq!(d.sharers, 0, "owned line {:?} has sharer bits", e.line);
                     }
                     MsiState::Shared => {
-                        assert!(d.owner.is_none(), "S copy of {:?} coexists with owner", e.line);
+                        assert!(
+                            d.owner.is_none(),
+                            "S copy of {:?} coexists with owner",
+                            e.line
+                        );
                         assert!(
                             d.sharers & (1 << c) != 0,
                             "core {c} holds {:?} in S but is not in the sharer set",
@@ -838,11 +847,14 @@ impl CoherenceHub {
         for entry in self.l2.iter() {
             let d = entry.payload;
             if let Some(o) = d.owner {
-                assert_eq!(d.sharers, 0, "owner and sharers coexist on {:?}", entry.line);
-                let e = self.l1s[o]
-                    .array
-                    .lookup(entry.line)
-                    .unwrap_or_else(|| panic!("directory owner {o} does not hold {:?}", entry.line));
+                assert_eq!(
+                    d.sharers, 0,
+                    "owner and sharers coexist on {:?}",
+                    entry.line
+                );
+                let e = self.l1s[o].array.lookup(entry.line).unwrap_or_else(|| {
+                    panic!("directory owner {o} does not hold {:?}", entry.line)
+                });
                 assert!(
                     matches!(e.payload.state, MsiState::Modified | MsiState::Exclusive),
                     "owner copy of {:?} is {:?}",
@@ -931,7 +943,10 @@ mod tests {
         h.read(0, A);
         h.read(1, A);
         h.write(1, A, 9);
-        assert!(h.l1s[0].array.lookup(A.line()).is_none(), "core 0 invalidated");
+        assert!(
+            h.l1s[0].array.lookup(A.line()).is_none(),
+            "core 0 invalidated"
+        );
         assert_eq!(h.stats.core(0).invalidations_received, 1);
         assert_eq!(h.stats.core(1).invalidations_sent, 1);
         assert!(!h.arb(0), "untagged line: no revoke");
@@ -1101,7 +1116,10 @@ mod tests {
         let up = h.write(0, A, 1); // S→M upgrade, no other sharers
         let mut h2 = hub(2);
         let cold = h2.write(0, A, 1); // I→M from memory
-        assert!(up < cold, "upgrade {up} must be cheaper than cold write {cold}");
+        assert!(
+            up < cold,
+            "upgrade {up} must be cheaper than cold write {cold}"
+        );
     }
 
     #[test]
@@ -1333,7 +1351,9 @@ mod tests {
         );
         let mut lcg: u64 = 0xDEADBEEF;
         let mut step = || {
-            lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            lcg = lcg
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             lcg >> 33
         };
         let mut costs = 0u64;
@@ -1360,24 +1380,27 @@ mod tests {
                     .collect()
             })
             .collect();
-        l1s.iter_mut().for_each(|l1| l1.sort_unstable_by_key(|e| e.0));
-        let mut l2: Vec<_> = h
-            .l2
-            .iter()
-            .map(|e| {
-                let d = e.payload;
-                (e.line.0, e.lru, d.sharers, d.owner, d.dirty)
-            })
-            .collect();
+        l1s.iter_mut()
+            .for_each(|l1| l1.sort_unstable_by_key(|e| e.0));
+        let mut l2: Vec<_> =
+            h.l2.iter()
+                .map(|e| {
+                    let d = e.payload;
+                    (e.line.0, e.lru, d.sharers, d.owner, d.dirty)
+                })
+                .collect();
         l2.sort_unstable_by_key(|e| e.0);
-        ((h.stats.cores.clone(), h.arb.clone(), words, costs), (l1s, l2))
+        (
+            (h.stats.cores.clone(), h.arb.clone(), words, costs),
+            (l1s, l2),
+        )
     }
 
     /// FNV-1a over a value's `Debug` rendering.
     fn digest(v: &impl std::fmt::Debug) -> u64 {
-        format!("{v:?}")
-            .bytes()
-            .fold(0xcbf29ce484222325, |h, b| (h ^ b as u64).wrapping_mul(0x100000001b3))
+        format!("{v:?}").bytes().fold(0xcbf29ce484222325, |h, b| {
+            (h ^ b as u64).wrapping_mul(0x100000001b3)
+        })
     }
 
     #[test]
@@ -1391,7 +1414,12 @@ mod tests {
         // `smt > 1` rows cover the sibling-tag and core-placement paths.
         let mut moved = Vec::new();
         for (protocol, smt, pinned, pinned_residency) in [
-            (Protocol::Msi, 1, 0x5c532ca4c3f3e2b1u64, 0x65499206603271a3u64),
+            (
+                Protocol::Msi,
+                1,
+                0x5c532ca4c3f3e2b1u64,
+                0x65499206603271a3u64,
+            ),
             (Protocol::Mesi, 1, 0xdc6d6730e84bd14b, 0x230942eb922bebcd),
             (Protocol::Msi, 2, 0xc5aae966b804557f, 0xbe82f3bd6dfeb212),
             (Protocol::Mesi, 2, 0xc49c163e616f0198, 0x12891d3551e007a7),
@@ -1400,10 +1428,17 @@ mod tests {
             let (outcome, residency) = scripted_run(protocol, smt);
             let got = (digest(&outcome), digest(&residency));
             if got != (pinned, pinned_residency) {
-                moved.push(format!("({protocol:?}, {smt}, {:#018x}, {:#018x})", got.0, got.1));
+                moved.push(format!(
+                    "({protocol:?}, {smt}, {:#018x}, {:#018x})",
+                    got.0, got.1
+                ));
             }
         }
-        assert!(moved.is_empty(), "scripted hub outcome changed; now:\n{}", moved.join("\n"));
+        assert!(
+            moved.is_empty(),
+            "scripted hub outcome changed; now:\n{}",
+            moved.join("\n")
+        );
     }
 
     // --- MESI -----------------------------------------------------------

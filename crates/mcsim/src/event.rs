@@ -83,7 +83,14 @@ impl Event for CasOp {
     type R = Result<u64, u64>;
     #[inline]
     fn trace(self, out: &Result<u64, u64>) -> Option<(Kind, Addr)> {
-        Some((if out.is_ok() { Kind::CasOk } else { Kind::CasFail }, self.0))
+        Some((
+            if out.is_ok() {
+                Kind::CasOk
+            } else {
+                Kind::CasFail
+            },
+            self.0,
+        ))
     }
     #[inline]
     fn exec(self, st: &mut SimState, c: CoreId) -> (Result<u64, u64>, u64) {

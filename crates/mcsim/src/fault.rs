@@ -264,7 +264,11 @@ impl FaultState {
     pub fn new(plan: &FaultPlan, cores: usize, max_cycles: Option<u64>) -> Self {
         let mut stalls: Vec<Vec<(u64, u64)>> = vec![Vec::new(); cores];
         for s in &plan.stalls {
-            assert!(s.core < cores, "FaultPlan stall on core {} of {cores}", s.core);
+            assert!(
+                s.core < cores,
+                "FaultPlan stall on core {} of {cores}",
+                s.core
+            );
             stalls[s.core].push((s.at, s.dur));
         }
         for l in &mut stalls {
@@ -272,12 +276,20 @@ impl FaultState {
         }
         let mut crash_at = vec![u64::MAX; cores];
         for c in &plan.crashes {
-            assert!(c.core < cores, "FaultPlan crash on core {} of {cores}", c.core);
+            assert!(
+                c.core < cores,
+                "FaultPlan crash on core {} of {cores}",
+                c.core
+            );
             crash_at[c.core] = crash_at[c.core].min(c.at);
         }
         let mut restart_at = vec![u64::MAX; cores];
         for r in &plan.restarts {
-            assert!(r.core < cores, "FaultPlan restart on core {} of {cores}", r.core);
+            assert!(
+                r.core < cores,
+                "FaultPlan restart on core {} of {cores}",
+                r.core
+            );
             restart_at[r.core] = restart_at[r.core].min(r.at);
         }
         let mut s = Self {
@@ -377,12 +389,7 @@ pub(crate) fn apply_stalls_and_watchdog(
 /// determinism tests. `detail` is
 /// the optional attribution suffix ("oldest outstanding reservation: …")
 /// built where simulated memory is readable.
-pub(crate) fn wedge_panic(
-    core: CoreId,
-    clock: u64,
-    max_cycles: u64,
-    detail: Option<String>,
-) -> ! {
+pub(crate) fn wedge_panic(core: CoreId, clock: u64, max_cycles: u64, detail: Option<String>) -> ! {
     let detail = detail.map_or(String::new(), |d| format!("; {d}"));
     panic!(
         "wedge watchdog: core {core} passed max_cycles = {max_cycles} \
@@ -443,17 +450,15 @@ mod tests {
         let mut cursor = 0;
         let mut clock = 99;
         let mut count = 0;
-        let (fired, wedged) = apply_stalls_and_watchdog(
-            &mut clock, &stalls, &mut cursor, u64::MAX, || count += 1,
-        );
+        let (fired, wedged) =
+            apply_stalls_and_watchdog(&mut clock, &stalls, &mut cursor, u64::MAX, || count += 1);
         assert!(!wedged);
         assert_eq!((fired, clock, cursor, count), (0, 99, 0, 0));
         clock = 105;
         // First stall fires and pushes the clock past the second trigger,
         // which then fires in the same sweep.
-        let (fired, wedged) = apply_stalls_and_watchdog(
-            &mut clock, &stalls, &mut cursor, u64::MAX, || count += 1,
-        );
+        let (fired, wedged) =
+            apply_stalls_and_watchdog(&mut clock, &stalls, &mut cursor, u64::MAX, || count += 1);
         assert!(!wedged);
         assert_eq!((fired, clock, cursor, count), (2, 185, 2, 2));
     }
@@ -463,8 +468,7 @@ mod tests {
     fn watchdog_trips() {
         let mut clock = 1_001;
         let mut cursor = 0;
-        let (_, wedged) =
-            apply_stalls_and_watchdog(&mut clock, &[], &mut cursor, 1_000, || {});
+        let (_, wedged) = apply_stalls_and_watchdog(&mut clock, &[], &mut cursor, 1_000, || {});
         assert!(wedged, "past the ceiling must report wedged");
         wedge_panic(3, clock, 1_000, None);
     }

@@ -396,8 +396,14 @@ pub(crate) fn analyze(bank: &TraceBank, static_lines: u64) -> RaceReport {
                                 if let Some(a) = w {
                                     if a.epoch > vc[c][d] {
                                         report_pair(
-                                            &mut sigs, word, Kind::Write, d, a.clock, Kind::Read,
-                                            c, ev.clock,
+                                            &mut sigs,
+                                            word,
+                                            Kind::Write,
+                                            d,
+                                            a.clock,
+                                            Kind::Read,
+                                            c,
+                                            ev.clock,
                                         );
                                     }
                                 }
@@ -425,16 +431,28 @@ pub(crate) fn analyze(bank: &TraceBank, static_lines: u64) -> RaceReport {
                                 if let Some(a) = w {
                                     if a.epoch > vc[c][d] {
                                         report_pair(
-                                            &mut sigs, word, Kind::Write, d, a.clock, Kind::Write,
-                                            c, ev.clock,
+                                            &mut sigs,
+                                            word,
+                                            Kind::Write,
+                                            d,
+                                            a.clock,
+                                            Kind::Write,
+                                            c,
+                                            ev.clock,
                                         );
                                     }
                                 }
                                 if let Some(a) = r {
                                     if a.epoch > vc[c][d] {
                                         report_pair(
-                                            &mut sigs, word, Kind::Read, d, a.clock, Kind::Write,
-                                            c, ev.clock,
+                                            &mut sigs,
+                                            word,
+                                            Kind::Read,
+                                            d,
+                                            a.clock,
+                                            Kind::Write,
+                                            c,
+                                            ev.clock,
                                         );
                                     }
                                 }
@@ -539,7 +557,12 @@ mod tests {
     #[test]
     fn missing_smr_fence_is_reported() {
         let r = fence_litmus(false);
-        assert_eq!(r.findings.len(), 1, "exactly one signature:\n{}", r.render());
+        assert_eq!(
+            r.findings.len(),
+            1,
+            "exactly one signature:\n{}",
+            r.render()
+        );
         let f = &r.findings[0];
         assert_eq!(
             (f.region.as_str(), f.prior, f.later, f.count),
@@ -588,7 +611,12 @@ mod tests {
     #[test]
     fn skipped_cas_edge_is_reported() {
         let r = cas_edge_litmus(false);
-        assert_eq!(r.findings.len(), 1, "exactly one signature:\n{}", r.render());
+        assert_eq!(
+            r.findings.len(),
+            1,
+            "exactly one signature:\n{}",
+            r.render()
+        );
         let f = &r.findings[0];
         assert_eq!(
             (f.region.as_str(), f.prior, f.later),
@@ -619,7 +647,12 @@ mod tests {
             }
         });
         let r = m.race_report();
-        assert_eq!(r.findings.len(), 1, "write->read must survive:\n{}", r.render());
+        assert_eq!(
+            r.findings.len(),
+            1,
+            "write->read must survive:\n{}",
+            r.render()
+        );
         let f = &r.findings[0];
         assert_eq!(
             (f.region.as_str(), f.prior, f.later),

@@ -74,7 +74,9 @@ pub use addr::{Addr, CoreId, Line, LINE_BYTES, WORDS_PER_LINE};
 pub use alloc::{Fault, LineStatus, UafMode};
 pub use cache::MsiState;
 pub use coherence::CacheConfig;
-pub use fault::{CoreOutcome, CoreRestart, CrashFault, FaultPlan, RestartFault, StallFault, WedgeProbe};
+pub use fault::{
+    CoreOutcome, CoreRestart, CrashFault, FaultPlan, RestartFault, StallFault, WedgeProbe,
+};
 pub use hb::{Finding, RaceReport};
 pub use machine::{Ctx, ExecBackend, FootprintSample, Machine, MachineConfig, Restart};
 pub use rng::{Rng, SplitMix64};

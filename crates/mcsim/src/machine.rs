@@ -257,18 +257,12 @@ std::thread_local! {
 /// markers intact. (Only the coop backend holds the lock for a whole run;
 /// the threads backend sets/clears the cell directly around its cached
 /// guard, hence the dead-code allowance on non-coop targets.)
-#[cfg_attr(
-    not(mcsim_coop),
-    allow(dead_code)
-)]
+#[cfg_attr(not(mcsim_coop), allow(dead_code))]
 struct StateHoldMark {
     prev: *const (),
 }
 
-#[cfg_attr(
-    not(mcsim_coop),
-    allow(dead_code)
-)]
+#[cfg_attr(not(mcsim_coop), allow(dead_code))]
 impl StateHoldMark {
     fn set(shared: &Shared) -> Self {
         let prev = HOLDING_STATE.replace(shared as *const Shared as *const ());
@@ -289,10 +283,7 @@ impl Shared {
     /// them (the seed used parking_lot, which has no poisoning).
     fn lock(&self) -> MutexGuard<'_, SimState> {
         assert!(
-            !std::ptr::eq(
-                HOLDING_STATE.get(),
-                self as *const Shared as *const ()
-            ),
+            !std::ptr::eq(HOLDING_STATE.get(), self as *const Shared as *const ()),
             "Machine host-side methods (stats, host_read, check_invariants, ...) \
              cannot be called from inside this machine's run closures: the \
              calling core holds the machine's state lock (for the whole run on \
@@ -830,10 +821,7 @@ impl<'m> ThreadsCtx<'m> {
 /// Raw handles for the coroutine backend. All pointers are owned by
 /// `run_coop`'s frame and outlive the coroutine; exclusivity of `state`
 /// access is guaranteed by the turn (only the owner's coroutine runs).
-#[cfg_attr(
-    not(mcsim_coop),
-    allow(dead_code)
-)]
+#[cfg_attr(not(mcsim_coop), allow(dead_code))]
 struct CoopCtx {
     state: *mut SimState,
     /// Context-slot table (`cores + 1` entries; the last is the main slot).
@@ -1606,10 +1594,7 @@ mod tests {
         );
         assert_eq!(ExecBackend::parse_override("auto"), None);
         if COOP_SUPPORTED {
-            assert_eq!(
-                ExecBackend::parse_override("coop"),
-                Some(ExecBackend::Coop)
-            );
+            assert_eq!(ExecBackend::parse_override("coop"), Some(ExecBackend::Coop));
         }
         // Two consecutive resolutions agree with the live environment (no
         // memoization to go stale between them).
@@ -1721,7 +1706,10 @@ mod tests {
         let m = fault_machine(FaultPlan::none().crash(1, 0));
         m.set_faults_armed(false);
         let outs = cas_work(&m, 2, 20);
-        assert!(outs.iter().all(|o| !o.crashed()), "disarmed plans fire nothing");
+        assert!(
+            outs.iter().all(|o| !o.crashed()),
+            "disarmed plans fire nothing"
+        );
         m.set_faults_armed(true);
         let outs = cas_work(&m, 2, 20);
         assert!(outs[1].crashed());
@@ -1752,7 +1740,6 @@ mod tests {
         });
     }
 
-
     #[test]
     fn fault_runs_are_deterministic_across_backends() {
         if !COOP_SUPPORTED {
@@ -1765,9 +1752,7 @@ mod tests {
                 static_lines: 64,
                 quantum: 0,
                 exec,
-                fault_plan: FaultPlan::none()
-                    .stall(2, 500, 10_000)
-                    .crash(3, 1_500),
+                fault_plan: FaultPlan::none().stall(2, 500, 10_000).crash(3, 1_500),
                 ..Default::default()
             });
             let outs = cas_work(&m, 4, 100);
@@ -1857,8 +1842,16 @@ mod tests {
                 )
             }));
             let payload = caught.expect_err("a panic out of recover must propagate");
-            assert_eq!(panic_message(&*payload), "deliberate recovery panic", "{exec:?}");
-            assert_eq!(m.stats().crashed, vec![false, true, false, false], "{exec:?}");
+            assert_eq!(
+                panic_message(&*payload),
+                "deliberate recovery panic",
+                "{exec:?}"
+            );
+            assert_eq!(
+                m.stats().crashed,
+                vec![false, true, false, false],
+                "{exec:?}"
+            );
         }
     }
 
@@ -1877,7 +1870,11 @@ mod tests {
                 },
                 |_, _| unreachable!("no core crashes"),
             );
-            assert_eq!(outs, vec![CoreOutcome::Done(0), CoreOutcome::Done(1)], "{exec:?}");
+            assert_eq!(
+                outs,
+                vec![CoreOutcome::Done(0), CoreOutcome::Done(1)],
+                "{exec:?}"
+            );
         }
     }
 
@@ -1899,7 +1896,11 @@ mod tests {
                 },
                 |_, _| unreachable!("cores 0..2 never crash"),
             );
-            assert_eq!(outs, vec![CoreOutcome::Done(0), CoreOutcome::Done(1)], "{exec:?}");
+            assert_eq!(
+                outs,
+                vec![CoreOutcome::Done(0), CoreOutcome::Done(1)],
+                "{exec:?}"
+            );
             assert_eq!(m.stats().crashed, vec![false; 4], "{exec:?}");
         }
     }

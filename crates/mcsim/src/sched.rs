@@ -298,7 +298,11 @@ mod tests {
         s.clocks[0] += 5;
         assert_eq!(s.after_event(0), Some(1), "core 1 at 0 is now min");
         s.clocks[1] += 3;
-        assert_eq!(s.after_event(1), None, "3 <= 5: core 1 is still min, keeps turn");
+        assert_eq!(
+            s.after_event(1),
+            None,
+            "3 <= 5: core 1 is still min, keeps turn"
+        );
         s.clocks[1] += 4;
         assert_eq!(s.after_event(1), Some(0), "7 > 5: hand back to core 0");
     }
@@ -433,7 +437,10 @@ mod tests {
             s.clocks[0] += 1;
             assert_eq!(s.after_event(0), None, "within quantum: keep turn");
         }
-        assert_eq!(s.refreshes, refreshes, "keep-turn decisions must not touch the tree");
+        assert_eq!(
+            s.refreshes, refreshes,
+            "keep-turn decisions must not touch the tree"
+        );
     }
 
     #[test]
@@ -515,7 +522,9 @@ mod tests {
                 // Deterministic pseudo-random choices.
                 let mut lcg: u64 = 0x1234_5678 ^ quantum ^ ((cores as u64) << 40);
                 let mut step = || {
-                    lcg = lcg.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    lcg = lcg
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
                     lcg >> 33
                 };
                 let at = format!("cores {cores}, quantum {quantum}");
@@ -527,7 +536,11 @@ mod tests {
                         s.reset_clocks();
                         r.clocks.fill(0);
                     }
-                    let n = if run % 2 == 1 { 1 + step() as usize % cores } else { cores };
+                    let n = if run % 2 == 1 {
+                        1 + step() as usize % cores
+                    } else {
+                        cores
+                    };
                     assert_eq!(s.start_run(n), r.start_run(n), "start {run} ({at})");
                     let mut events = 0u32;
                     while s.turn != NO_TURN {
@@ -541,7 +554,11 @@ mod tests {
                         }
                         // Tie-heavy: mostly 0, 1 or 2 cycles, sometimes a
                         // jump past small quanta.
-                        let cost = if step() % 8 == 0 { step() % 40 } else { step() % 3 };
+                        let cost = if step() % 8 == 0 {
+                            step() % 40
+                        } else {
+                            step() % 3
+                        };
                         s.clocks[me] += cost;
                         r.clocks[me] += cost;
                         assert_eq!(

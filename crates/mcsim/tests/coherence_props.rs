@@ -105,7 +105,11 @@ fn run_stream(cache: &CacheConfig, smt: usize, prog: &[(usize, Op)]) {
             Op::Cas(i, v) => {
                 let expected = shadow.get(&addr(i).0).copied().unwrap_or(0);
                 let (r, cost) = hub.cas(c, addr(i), expected, v as u64);
-                assert_eq!(r, Ok(expected), "step {step}: CAS with true expected must win");
+                assert_eq!(
+                    r,
+                    Ok(expected),
+                    "step {step}: CAS with true expected must win"
+                );
                 shadow.insert(addr(i).0, v as u64);
                 assert!(cost <= max_cost);
             }

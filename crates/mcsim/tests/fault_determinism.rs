@@ -50,7 +50,10 @@ fn run_cell(exec: ExecBackend) -> Signature {
             for _round in 0..60u64 {
                 loop {
                     let cur = ctx.read(counter);
-                    if ctx.cas(counter, cur, cur.wrapping_mul(31) + i as u64 + 1).is_ok() {
+                    if ctx
+                        .cas(counter, cur, cur.wrapping_mul(31) + i as u64 + 1)
+                        .is_ok()
+                    {
                         break;
                     }
                 }
@@ -114,7 +117,11 @@ fn fault_plan_fires_identically_across_backends_and_layouts() {
 
     // Byte-identity across both backends, and across repeats.
     for exec in BACKENDS {
-        assert_eq!(run_cell(exec), reference, "fault schedule diverged: {exec:?}");
+        assert_eq!(
+            run_cell(exec),
+            reference,
+            "fault schedule diverged: {exec:?}"
+        );
     }
 }
 
@@ -158,7 +165,10 @@ fn run_restart_cell(exec: ExecBackend) -> RestartSignature {
             for _ in 0..60u64 {
                 loop {
                     let cur = ctx.read(counter);
-                    if ctx.cas(counter, cur, cur.wrapping_mul(31) + i as u64 + 1).is_ok() {
+                    if ctx
+                        .cas(counter, cur, cur.wrapping_mul(31) + i as u64 + 1)
+                        .is_ok()
+                    {
                         break;
                     }
                 }

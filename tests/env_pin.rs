@@ -43,7 +43,15 @@ fn battery_digest(
     seed: u64,
     uaf: UafMode,
 ) -> u64 {
-    let cell = battery(&battery_machine(threads, uaf), structure, scheme, threads, ops, range, seed);
+    let cell = battery(
+        &battery_machine(threads, uaf),
+        structure,
+        scheme,
+        threads,
+        ops,
+        range,
+        seed,
+    );
     let mut d = Digest::new();
     for &op in cell.history.iter().flatten() {
         op.digest(&mut d);
@@ -186,7 +194,11 @@ fn all_digests() -> Vec<(String, u64)> {
     // Figure panel: lazy list 50i-50d, all schemes × {1, 2, 4} threads.
     for scheme in SchemeKind::ALL {
         for threads in [1usize, 2, 4] {
-            let h = panel_digest(Structure::Set(SetKind::LazyList), scheme, &panel_cfg(threads));
+            let h = panel_digest(
+                Structure::Set(SetKind::LazyList),
+                scheme,
+                &panel_cfg(threads),
+            );
             out.push((format!("panel lazylist {scheme} t{threads}"), h));
         }
     }

@@ -39,7 +39,11 @@ fn quick_figures_match_the_goldens() {
         .enumerate()
         .map(|(i, (csv, t))| {
             // Robustness writes the same three files with and without the flag.
-            let flag = if (full_run..full_run + 3).contains(&i) { " --recover" } else { "" };
+            let flag = if (full_run..full_run + 3).contains(&i) {
+                " --recover"
+            } else {
+                ""
+            };
             let digest = Digest::of(&format!("{}\n{}", t.render(), t.to_csv()));
             format!("{csv}{flag} = {digest:#018x}\n")
         })

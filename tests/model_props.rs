@@ -12,12 +12,12 @@ mod common;
 use std::collections::BTreeSet;
 
 use common::{check_set_accounting, histories, machine, Sets};
-use conditional_access::sim::machine::Ctx;
 use conditional_access::ds::ca::{CaExtBst, CaHarrisList, CaLazyList, FbCaLazyList};
 use conditional_access::ds::htm::HtmLazyList;
 use conditional_access::ds::seqcheck::{walk_bst, walk_list};
 use conditional_access::ds::smr::SmrLazyList;
 use conditional_access::ds::SetDs;
+use conditional_access::sim::machine::Ctx;
 use conditional_access::smr::{Hp, SmrConfig};
 use proptest::prelude::*;
 
@@ -38,7 +38,10 @@ fn op_strategy(range: u64) -> impl Strategy<Value = Op> {
 }
 
 /// Single-threaded script, checked op-by-op against BTreeSet.
-fn check_sequential<D: for<'m> SetDs<Ctx<'m>>>(mk: impl FnOnce(&conditional_access::sim::Machine) -> D, ops: &[Op]) {
+fn check_sequential<D: for<'m> SetDs<Ctx<'m>>>(
+    mk: impl FnOnce(&conditional_access::sim::Machine) -> D,
+    ops: &[Op],
+) {
     let m = machine(1, 0);
     let ds = mk(&m);
     let ops_vec = ops.to_vec();

@@ -162,7 +162,9 @@ fn native_graceful_churn_balances_accounting() {
         });
         m.run_on(1, |_, env| {
             let mut last = final_vault.take(0).expect("survivor 0 parked");
-            let o = ds.smr().depart(env, final_vault.take(1).expect("survivor 1 parked"));
+            let o = ds
+                .smr()
+                .depart(env, final_vault.take(1).expect("survivor 1 parked"));
             ds.smr().adopt(env, &mut last, o);
             let end = ds.smr().depart(env, last);
             assert_eq!(ds.smr().garbage(end.tls()).live, 0);
@@ -211,10 +213,8 @@ fn native_crashed_worker_is_detected_and_adopted_with_the_structure() {
                 // frozen past the lease deadline is declared fail-stop.
                 // SAFETY: the victim stopped beating because it returned;
                 // it will never touch the structure again.
-                let token = unsafe {
-                    board.detect(2, std::time::Duration::from_millis(200))
-                }
-                .expect("a silent worker past its lease must be declared crashed");
+                let token = unsafe { board.detect(2, std::time::Duration::from_millis(200)) }
+                    .expect("a silent worker past its lease must be declared crashed");
                 drop(guard);
                 let (orphan_tls, victim_log) =
                     vault.take(2).expect("victim state parked for adoption");

@@ -13,7 +13,11 @@ use caharness::{run, Instrument, Metrics, Mix, RunConfig, SetKind, Structure};
 use casmr::SchemeKind;
 use mcsim::{ExecBackend, Machine, MachineConfig, MachineStats};
 
-fn set_run_with_stats(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> (Metrics, MachineStats) {
+fn set_run_with_stats(
+    kind: SetKind,
+    scheme: SchemeKind,
+    cfg: &RunConfig,
+) -> (Metrics, MachineStats) {
     let out = run(Structure::Set(kind), scheme, cfg, Instrument::None);
     (out.metrics, out.stats)
 }
@@ -97,8 +101,14 @@ fn larger_quanta_batch_more_events() {
         m.batched_events as f64 / (m.batched_events + m.turn_handoffs).max(1) as f64
     };
     let (r0, r64, r1024) = (ratio(0), ratio(64), ratio(1024));
-    assert!(r0 < r64 && r64 < r1024, "batching ratios not monotone: {r0:.3} {r64:.3} {r1024:.3}");
-    assert!(r1024 > 0.9, "quantum 1024 should batch >90% of events, got {r1024:.3}");
+    assert!(
+        r0 < r64 && r64 < r1024,
+        "batching ratios not monotone: {r0:.3} {r64:.3} {r1024:.3}"
+    );
+    assert!(
+        r1024 > 0.9,
+        "quantum 1024 should batch >90% of events, got {r1024:.3}"
+    );
 }
 
 #[test]

@@ -103,7 +103,10 @@ fn reports_match_goldens_across_backends() {
             race_report(Structure::Queue, SchemeKind::Qsbr, &c).1
         }),
     ] {
-        lines.push_str(&format!("{label} = {:#018x}\n", Digest::of(&report.render())));
+        lines.push_str(&format!(
+            "{label} = {:#018x}\n",
+            Digest::of(&report.render())
+        ));
     }
     check_golden(
         "race_report.txt",

@@ -31,8 +31,14 @@ use conditional_access::harness::{
 use conditional_access::sim::FaultPlan;
 use conditional_access::smr::{SchemeKind, SmrConfig};
 
-const UPDATES: Mix = Mix { insert_pct: 50, delete_pct: 50 };
-const MIXED: Mix = Mix { insert_pct: 30, delete_pct: 30 };
+const UPDATES: Mix = Mix {
+    insert_pct: 50,
+    delete_pct: 50,
+};
+const MIXED: Mix = Mix {
+    insert_pct: 30,
+    delete_pct: 30,
+};
 
 fn tiny(threads: usize, mix: Mix) -> RunConfig {
     RunConfig {
@@ -109,14 +115,22 @@ fn all_lines() -> String {
     ] {
         let o = run(structure, SchemeKind::Ca, &tiny(4, MIXED), Instrument::None);
         let m = probeless(&o.metrics);
-        out += &line(format!("g1 plain {} ca", structure.name()), &m, &(&m, o.fallbacks));
+        out += &line(
+            format!("g1 plain {} ca", structure.name()),
+            &m,
+            &(&m, o.fallbacks),
+        );
     }
     for kind in [SetKind::LazyList, SetKind::ExtBst, SetKind::HashTable] {
         for scheme in SchemeKind::ALL {
             let cfg = tiny(4, MIXED);
             let o = run(Structure::Set(kind), scheme, &cfg, Instrument::Latency);
             let m = probeless(&o.metrics);
-            out += &line(format!("g1 latency {} {scheme}", kind.name()), &m, &(&m, &o.latency));
+            out += &line(
+                format!("g1 latency {} {scheme}", kind.name()),
+                &m,
+                &(&m, &o.latency),
+            );
         }
     }
     for scheme in SchemeKind::ALL {
@@ -129,7 +143,12 @@ fn all_lines() -> String {
             out += &line(format!("g1 {label} {} {scheme}", structure.name()), &m, &m);
         }
         let restart = FaultPlan::none().crash(3, 5_000).restart(3, 40_000);
-        let o = run(Structure::Queue, scheme, &crash_cfg(restart), Instrument::None);
+        let o = run(
+            Structure::Queue,
+            scheme,
+            &crash_cfg(restart),
+            Instrument::None,
+        );
         let all = (&o.metrics, &o.stats, &o.recovery);
         out += &line(format!("g1 recover queue {scheme}"), &o.metrics, &all);
     }
@@ -155,5 +174,8 @@ fn run_set_under_a_stall_plan_returns_what_the_robust_runner_returned() {
     let m = run_set(SetKind::LazyList, SchemeKind::Qsbr, &stall_cfg());
     let pinned = line("g1 stall lazylist qsbr".to_string(), &m, &m);
     assert!(golden("runner_pin.txt").contains(&pinned), "{pinned}");
-    assert!(pinned.contains(" = ops=300 cycles=90520 peak_garbage=4928 "), "{pinned}");
+    assert!(
+        pinned.contains(" = ops=300 cycles=90520 peak_garbage=4928 "),
+        "{pinned}"
+    );
 }

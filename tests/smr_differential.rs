@@ -45,15 +45,38 @@ const SEEDS: [u64; 3] = [0xD1FF, 0x5EED5, 0xFACADE];
 /// every seed, with no UAF fault.
 fn histories_match_the_leaky_oracle(structure: &str, range: u64) {
     let run = |scheme, seed| {
-        battery(&battery_machine(1, UafMode::Panic), structure, scheme, 1, 400, range, seed)
+        battery(
+            &battery_machine(1, UafMode::Panic),
+            structure,
+            scheme,
+            1,
+            400,
+            range,
+            seed,
+        )
     };
     for seed in SEEDS {
         let oracle = run(SchemeKind::None, seed);
         assert_eq!(oracle.faults, 0);
-        for scheme in SchemeKind::ALL.into_iter().filter(|&s| s != SchemeKind::None) {
-            let Cell { label, history, contents, faults, .. } = run(scheme, seed);
-            assert_eq!(history, oracle.history, "{label}: history diverged from the leaky oracle");
-            assert_eq!(contents, oracle.contents, "{label}: final contents diverged");
+        for scheme in SchemeKind::ALL
+            .into_iter()
+            .filter(|&s| s != SchemeKind::None)
+        {
+            let Cell {
+                label,
+                history,
+                contents,
+                faults,
+                ..
+            } = run(scheme, seed);
+            assert_eq!(
+                history, oracle.history,
+                "{label}: history diverged from the leaky oracle"
+            );
+            assert_eq!(
+                contents, oracle.contents,
+                "{label}: final contents diverged"
+            );
             assert_eq!(faults, 0, "{label}: UAF oracle violation");
         }
     }
@@ -68,7 +91,11 @@ fn concurrent_runs_have_zero_uaf_violations(structure: &str, range: u64) {
         for seed in SEEDS {
             let m = battery_machine(4, UafMode::Record);
             let cell = battery(&m, structure, scheme, 4, 250, range, seed);
-            assert_eq!(cell.faults, 0, "{}: use-after-reclaim oracle violation(s)", cell.label);
+            assert_eq!(
+                cell.faults, 0,
+                "{}: use-after-reclaim oracle violation(s)",
+                cell.label
+            );
             cell.check_conservation();
         }
     }
@@ -221,10 +248,23 @@ where
             let token = CrashToken::from_restart(restart);
             let o = vault.take(restart.core).expect("crash parked the state");
             assert!(o.hanging, "crash must land in the victim's hang window");
-            let RecWorker { tls: orphan_tls, rng, log, done, .. } = o;
+            let RecWorker {
+                tls: orphan_tls,
+                rng,
+                log,
+                done,
+                ..
+            } = o;
             let mut tls = q.smr().join(ctx, restart.core);
-            q.smr().adopt(ctx, &mut tls, Orphan::crashed(orphan_tls, token));
-            let mut w = RecWorker { tls, rng, log, done, hanging: false };
+            q.smr()
+                .adopt(ctx, &mut tls, Orphan::crashed(orphan_tls, token));
+            let mut w = RecWorker {
+                tls,
+                rng,
+                log,
+                done,
+                hanging: false,
+            };
             while w.done < OPS {
                 step(ctx, &mut w);
             }
