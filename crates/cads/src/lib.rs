@@ -31,4 +31,4 @@ pub mod smr;
 pub mod traits;
 
 pub use hashtable::HashTable;
-pub use traits::{DsShared, QueueDs, SetDs, StackDs};
+pub use traits::{DsShared, Op, QueueDs, SetDs, StackDs};

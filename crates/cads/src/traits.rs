@@ -57,3 +57,44 @@ pub trait QueueDs<E: Env + ?Sized>: DsShared {
     /// Dequeue the head value, if any.
     fn dequeue(&self, env: &mut E, tls: &mut Self::Tls) -> Option<u64>;
 }
+
+/// One applied call of the traits above with its result, so a history can
+/// be held to a sequential model or to value conservation: a set op's key
+/// and returned `bool`, a push's or enqueue's value, a removal's or peek's
+/// returned `Option`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Op {
+    Insert(u64, bool),
+    Delete(u64, bool),
+    Contains(u64, bool),
+    Push(u64),
+    Pop(Option<u64>),
+    Peek(Option<u64>),
+    Enqueue(u64),
+    Dequeue(Option<u64>),
+}
+
+impl Op {
+    /// The value this op put into the structure, if it put one.
+    pub fn added(self) -> Option<u64> {
+        match self {
+            Op::Insert(k, true) => Some(k),
+            Op::Push(v) | Op::Enqueue(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The value this op took out of the structure, if it took one.
+    pub fn removed(self) -> Option<u64> {
+        match self {
+            Op::Delete(k, true) => Some(k),
+            Op::Pop(v) | Op::Dequeue(v) => v,
+            _ => None,
+        }
+    }
+
+    /// Whether this is a set operation (a history holds one family's ops).
+    pub fn on_a_set(self) -> bool {
+        matches!(self, Op::Insert(..) | Op::Delete(..) | Op::Contains(..))
+    }
+}

@@ -25,7 +25,7 @@
 //! stack and the queue, covering the CAS-heavy and fence-heavy schemes).
 
 use caharness::config::{Cli, Flag};
-use caharness::{run, Instrument, Mix, RunConfig, Scale, SetKind, Structure};
+use caharness::{run, Mix, RunConfig, Scale, SetKind, Structure};
 use casmr::SchemeKind;
 
 /// Whitelisted benign signatures, one `region prior later # why` per line.
@@ -111,7 +111,7 @@ fn main() {
                 }
             }
             let cfg = audit_cfg(structure == Structure::Queue, cli.max_cycles);
-            let report = run(structure, scheme, &cfg, Instrument::None)
+            let report = run(structure, scheme, &cfg)
                 .race
                 .expect("audit_cfg arms race_check");
             cells += 1;

@@ -108,6 +108,12 @@ pub struct RunConfig {
     /// cost, byte-identical schedules). Ignored by native runs (the
     /// analyzer is a simulator instrument).
     pub race_check: bool,
+    /// Record every measured operation, its result and its invocation and
+    /// response clocks, into [`crate::Outcome::history`] (the latency
+    /// figure reads [`crate::Outcome::latency`], derived from it). Off by
+    /// default. Host-side like `race_check`: the clock reads issue no
+    /// event, so the simulated run is the same with or without it.
+    pub history: bool,
 }
 
 impl Default for RunConfig {
@@ -134,6 +140,7 @@ impl Default for RunConfig {
             max_cycles: None,
             native: false,
             race_check: false,
+            history: false,
         }
     }
 }

@@ -24,8 +24,7 @@ use mcsim::coherence::Protocol;
 use mcsim::{CacheConfig, FaultPlan};
 
 use crate::config::{Mix, RunConfig};
-use crate::hist::Histogram;
-use crate::runner::{run, Instrument, Outcome, SetKind, Structure};
+use crate::runner::{run, Outcome, SetKind, Structure};
 use crate::sweep;
 use crate::table::SeriesTable;
 
@@ -78,8 +77,6 @@ pub struct Cell {
     pub scheme: SchemeKind,
     /// Everything else about the run.
     pub cfg: RunConfig,
-    /// Per-operation instrument.
-    pub instrument: Instrument,
 }
 
 /// Reads one table entry out of a finished cell.
@@ -158,8 +155,8 @@ impl Plan {
         self.cells.len() - 1
     }
 
-    /// Add one uninstrumented cell per configuration (usually one per x
-    /// label); returns their indices.
+    /// Add one cell per configuration (usually one per x label); returns
+    /// their indices.
     pub fn cells(
         &mut self,
         structure: Structure,
@@ -170,7 +167,6 @@ impl Plan {
             structure,
             scheme,
             cfg: cfg.clone(),
-            instrument: Instrument::None,
         };
         cfgs.iter().map(|cfg| self.push(cell(cfg))).collect()
     }
@@ -225,7 +221,7 @@ pub fn render(
         .flat_map(|plan| &plan.cells)
         .map(|c| {
             let weight = if c.cfg.native { c.cfg.threads } else { 1 };
-            let task = move || run(c.structure, c.scheme, &c.cfg, c.instrument);
+            let task = move || run(c.structure, c.scheme, &c.cfg);
             (weight, Box::new(task) as sweep::Task<Outcome>)
         })
         .collect();
@@ -694,25 +690,21 @@ fn ablation_ctxswitch(scale: Scale, _: bool) -> Plan {
     plan
 }
 
-fn latency_of(o: &Outcome) -> &Histogram {
-    o.latency
-        .as_ref()
-        .expect("the cell ran with Instrument::Latency")
-}
-
 /// §I claim: batch reclamation causes "long program interruptions and
-/// dramatically increases tail latency". Records per-operation latency
-/// (simulated cycles) and reports the distribution per scheme; the second
-/// group re-runs the epoch schemes with a 10× larger batch to show the tail
-/// scaling with the tuning knob while CA has no knob and no tail.
+/// dramatically increases tail latency". Records every operation
+/// ([`RunConfig::history`]) and reports the latency distribution derived
+/// from the records ([`Outcome::latency`], simulated cycles) per scheme;
+/// the second group re-runs the epoch schemes with a 10× larger batch to
+/// show the tail scaling with the tuning knob while CA has no knob and no
+/// tail.
 fn ablation_latency(scale: Scale, _: bool) -> Plan {
     let threads = scale.fixed_threads();
     let columns: [(&str, Extract); 5] = [
-        ("p50", |o| latency_of(o).quantile(0.50) as f64),
-        ("p90", |o| latency_of(o).quantile(0.90) as f64),
-        ("p99", |o| latency_of(o).quantile(0.99) as f64),
-        ("p99.9", |o| latency_of(o).quantile(0.999) as f64),
-        ("max", |o| latency_of(o).max() as f64),
+        ("p50", |o| o.latency().quantile(0.50) as f64),
+        ("p90", |o| o.latency().quantile(0.90) as f64),
+        ("p99", |o| o.latency().quantile(0.99) as f64),
+        ("p99.9", |o| o.latency().quantile(0.999) as f64),
+        ("max", |o| o.latency().max() as f64),
     ];
     let paper_batch = RunConfig {
         threads,
@@ -723,6 +715,7 @@ fn ablation_latency(scale: Scale, _: bool) -> Plan {
             Scale::Quick => scale.ops(),
             _ => scale.ops().max(2500),
         },
+        history: true,
         ..base(scale)
     };
     // The knob turned up: reclaim batches of 300 (epoch bump every 1500).
@@ -748,7 +741,6 @@ fn ablation_latency(scale: Scale, _: bool) -> Plan {
                 structure: LAZY_LIST,
                 scheme,
                 cfg: cfg.clone(),
-                instrument: Instrument::Latency,
             });
             rows.push((format!("{}{suffix}", scheme.name()), cell));
         }

@@ -105,17 +105,6 @@ impl Histogram {
         self.min = self.min.min(v);
     }
 
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.total += other.total;
-        self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count
@@ -212,29 +201,6 @@ mod tests {
         }
         assert_eq!(h.quantile(1.0), 1_700_000);
         assert_eq!(h.count(), 100_000);
-    }
-
-    #[test]
-    fn merge_equals_combined_recording() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut c = Histogram::new();
-        for i in 0..1000u64 {
-            let v = i * i % 7919 + 1;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            c.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), c.count());
-        assert_eq!(a.max(), c.max());
-        assert_eq!(a.min(), c.min());
-        for q in [0.1, 0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.quantile(q), c.quantile(q), "q={q}");
-        }
     }
 
     #[test]

@@ -48,7 +48,7 @@
 //! ## The runner
 //!
 //! Every figure cell ([`experiments::Cell`]) is one call of
-//! [`run`]`(structure, scheme, &cfg, instrument) -> `[`Outcome`], made by the
+//! [`run`]`(structure, scheme, &cfg) -> `[`Outcome`], made by the
 //! one executor [`experiments::render`]: one prefill and one operation loop per
 //! structure family, shared by Conditional Access and every SMR baseline, on
 //! both hosts. [`Structure`] names what is driven ([`Structure::ALL`] ×
@@ -56,10 +56,11 @@
 //! grid); [`RunConfig`] says everything else — `native` picks the host, a
 //! non-empty `fault_plan` is disarmed for the prefill and survived in the
 //! measured phase (restarts bring the victim back to adopt its orphan),
-//! `race_check` fills [`Outcome::race`]; [`Instrument::Latency`] fills
-//! [`Outcome::latency`]. `run_set` / `run_stack` / `run_queue` /
-//! `run_set_native` / `run_set_latency` are one-line delegations kept for the
-//! frozen `perfbench/` workspace.
+//! `race_check` fills [`Outcome::race`], `history` fills
+//! [`Outcome::history`] (one [`Timed`] `cads::Op` per measured operation,
+//! from which [`Outcome::latency`] is derived). `run_set` / `run_stack` /
+//! `run_queue` / `run_set_native` / `run_set_latency` are one-line
+//! delegations kept for the frozen `perfbench/` workspace.
 //!
 //! A new **figure** is one entry of [`experiments::FIGURES`] (a builder of
 //! cells and table layouts; nothing else names it). A new **scheme** needs
@@ -75,9 +76,9 @@
 //!   (`SetOps`, `StackOps`, `QueueOps`) whose prefill and step it shares;
 //! * **a structure family** — one more `family!` newtype with its
 //!   `Workload` impl (the only place a prefill loop or a mix roll lives);
-//! * **an instrument** — an [`Instrument`] variant, its probe in
-//!   `Worker::drive`, its field in [`Outcome`] merged in `Outcome::fold`.
-//!   Neither host shell (`run_sim`, `run_native`) changes.
+//! * **a per-op measurement** — derive it from [`Outcome::history`], as
+//!   [`Outcome::latency`] does; neither `Worker::drive` nor a host shell
+//!   (`run_sim`, `run_native`) changes.
 
 pub mod config;
 pub mod experiments;
@@ -92,8 +93,8 @@ pub use experiments::Scale;
 pub use hist::Histogram;
 pub use metrics::Metrics;
 pub use runner::{
-    run, run_queue, run_set, run_set_latency, run_set_native, run_stack, Instrument, Outcome,
-    RecoveryClocks, SetKind, Structure,
+    run, run_queue, run_set, run_set_latency, run_set_native, run_stack, Outcome, RecoveryClocks,
+    SetKind, Structure, Timed,
 };
 pub use table::SeriesTable;
 

@@ -1,10 +1,10 @@
 //! The experiment runner: **one** entry point, [`run`], drives every
-//! benchmarked [`Structure`] under every scheme, on either host, with every
-//! instrument — so Conditional Access and the SMR baselines are always
-//! measured by the same prefill and the same operation loop.
+//! benchmarked [`Structure`] under every scheme, on either host — so
+//! Conditional Access and the SMR baselines are always measured by the same
+//! prefill and the same operation loop.
 //!
 //! What a run does beyond prefill + measured phase follows from what
-//! [`RunConfig`] already says; nothing is selected by function name:
+//! [`RunConfig`] says; nothing is selected by function name or argument:
 //!
 //! * [`RunConfig::native`] picks the host: real threads over a
 //!   [`casmr::NativeMachine`] instead of the simulator. Conditional Access,
@@ -14,8 +14,9 @@
 //!   measured phase; an injected crash is an outcome, not a panic; a
 //!   restart in the plan brings the victim back to adopt its own wreck.
 //! * [`RunConfig::race_check`] adds the happens-before [`mcsim::RaceReport`].
-//! * Per-operation latency capture is the one thing `RunConfig` cannot
-//!   express, and the one [`Instrument`] argument.
+//! * [`RunConfig::history`] records each measured operation as a [`Timed`]
+//!   [`Op`] in [`Outcome::history`], which [`Outcome::latency`] reads. An
+//!   operation a crash interrupts is not recorded.
 //!
 //! The prefill and the operation step are written once per structure family
 //! (`SetOps`, `StackOps`, `QueueOps`) against [`casmr::Env`] and
@@ -24,7 +25,7 @@
 use cads::ca::{CaExtBst, CaHarrisList, CaLazyList, CaQueue, CaStack, FbCaLazyList};
 use cads::htm::HtmLazyList;
 use cads::smr::{SmrExtBst, SmrLazyList, SmrQueue, SmrStack};
-use cads::{DsShared, HashTable, QueueDs, SetDs, StackDs};
+use cads::{DsShared, HashTable, Op, QueueDs, SetDs, StackDs};
 use casmr::{
     with_scheme, CrashToken, Env, GarbageStats, NativeEnv, NativeMachine, Orphan, SchemeKind, Smr,
     SmrBase, TlsVault,
@@ -125,16 +126,17 @@ impl Structure {
     }
 }
 
-/// The one per-run instrument [`RunConfig`] does not already describe.
+/// One measured operation as [`RunConfig::history`] records it: the op with
+/// its result, and [`Env::now`] just before and just after it (simulated
+/// cycles, or wall nanoseconds natively).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum Instrument {
-    /// Plain run.
-    None,
-    /// Record every operation's latency (simulated cycles, or wall
-    /// nanoseconds natively) into [`Outcome::latency`] — the §I tail-latency
-    /// claim's instrument. The probes are host-side [`Env::now`] reads, so
-    /// simulated results are identical to a plain run's.
-    Latency,
+pub struct Timed {
+    /// What the operation did and returned.
+    pub op: Op,
+    /// The clock when it was invoked.
+    pub invoke: u64,
+    /// The clock when it responded.
+    pub response: u64,
 }
 
 /// Recovery clocks per core, as reported by
@@ -157,8 +159,9 @@ pub struct Outcome {
     /// Operations completed on the sequential fallback path
     /// ([`Structure::FallbackList`] only).
     pub fallbacks: u64,
-    /// Merged per-operation latency ([`Instrument::Latency`] only).
-    pub latency: Option<Histogram>,
+    /// Every thread's measured operations in completion order, one list per
+    /// thread in tid order ([`RunConfig::history`] only; empty otherwise).
+    pub history: Vec<Vec<Timed>>,
     /// Happens-before analysis ([`RunConfig::race_check`] only).
     pub race: Option<RaceReport>,
 }
@@ -168,14 +171,13 @@ pub struct Outcome {
 struct Job<'a> {
     scheme: SchemeKind,
     cfg: &'a RunConfig,
-    instrument: Instrument,
 }
 
 /// One structure family's workload, written once against any [`Env`]: how
 /// to fill the structure and what one measured operation is.
 trait Workload<E: Env>: DsShared {
     fn prefill(&self, env: &mut E, tls: &mut Self::Tls, rng: &mut Rng, cfg: &RunConfig);
-    fn step(&self, env: &mut E, tls: &mut Self::Tls, rng: &mut Rng, cfg: &RunConfig);
+    fn step(&self, env: &mut E, tls: &mut Self::Tls, rng: &mut Rng, cfg: &RunConfig) -> Op;
 }
 
 /// Family wrappers: a blanket `Workload` impl per `cads` trait would
@@ -227,15 +229,15 @@ impl<E: Env, D: SetDs<E>> Workload<E> for SetOps<D> {
     }
 
     #[inline]
-    fn step(&self, env: &mut E, tls: &mut D::Tls, rng: &mut Rng, cfg: &RunConfig) {
+    fn step(&self, env: &mut E, tls: &mut D::Tls, rng: &mut Rng, cfg: &RunConfig) -> Op {
         let key = 1 + rng.below(cfg.key_range);
         let roll = rng.below(100);
         if roll < cfg.mix.insert_pct {
-            self.0.insert(env, tls, key);
+            Op::Insert(key, self.0.insert(env, tls, key))
         } else if roll < cfg.mix.updates() {
-            self.0.delete(env, tls, key);
+            Op::Delete(key, self.0.delete(env, tls, key))
         } else {
-            self.0.contains(env, tls, key);
+            Op::Contains(key, self.0.contains(env, tls, key))
         }
     }
 }
@@ -248,14 +250,16 @@ impl<E: Env, D: StackDs<E>> Workload<E> for StackOps<D> {
     }
 
     #[inline]
-    fn step(&self, env: &mut E, tls: &mut D::Tls, rng: &mut Rng, cfg: &RunConfig) {
+    fn step(&self, env: &mut E, tls: &mut D::Tls, rng: &mut Rng, cfg: &RunConfig) -> Op {
         let roll = rng.below(100);
         if roll < cfg.mix.insert_pct {
-            self.0.push(env, tls, 1 + rng.below(cfg.key_range));
+            let v = 1 + rng.below(cfg.key_range);
+            self.0.push(env, tls, v);
+            Op::Push(v)
         } else if roll < cfg.mix.updates() {
-            self.0.pop(env, tls);
+            Op::Pop(self.0.pop(env, tls))
         } else {
-            self.0.peek(env, tls);
+            Op::Peek(self.0.peek(env, tls))
         }
     }
 }
@@ -268,12 +272,14 @@ impl<E: Env, D: QueueDs<E>> Workload<E> for QueueOps<D> {
     }
 
     #[inline]
-    fn step(&self, env: &mut E, tls: &mut D::Tls, rng: &mut Rng, cfg: &RunConfig) {
+    fn step(&self, env: &mut E, tls: &mut D::Tls, rng: &mut Rng, cfg: &RunConfig) -> Op {
         let roll = rng.below(100);
         if roll < cfg.mix.insert_pct {
-            self.0.enqueue(env, tls, 1 + rng.below(cfg.key_range));
+            let v = 1 + rng.below(cfg.key_range);
+            self.0.enqueue(env, tls, v);
+            Op::Enqueue(v)
         } else {
-            self.0.dequeue(env, tls);
+            Op::Dequeue(self.0.dequeue(env, tls))
         }
     }
 }
@@ -287,12 +293,12 @@ fn prefill<E: Env, W: Workload<E>>(w: &W, env: &mut E, cfg: &RunConfig) {
 
 /// One worker's state across the measured phase: thread-local reclamation
 /// state, the workload RNG, the completed-op count (so a restarted core can
-/// finish exactly its interrupted quota) and the latency histogram.
+/// finish exactly its interrupted quota) and the op records.
 struct Worker<T> {
     tls: T,
     rng: Rng,
     done: u64,
-    latency: Option<Histogram>,
+    history: Option<Vec<Timed>>,
 }
 
 impl<T> Worker<T> {
@@ -301,19 +307,24 @@ impl<T> Worker<T> {
             tls,
             rng: Rng::new(job.cfg.thread_seed(tid)),
             done: 0,
-            latency: (job.instrument == Instrument::Latency).then(Histogram::new),
+            history: job.cfg.history.then(Vec::new),
         }
     }
 
     /// The measured loop: run operations until this worker's quota is met.
     fn drive<E: Env, W: Workload<E, Tls = T>>(&mut self, w: &W, env: &mut E, cfg: &RunConfig) {
         while self.done < cfg.ops_per_thread {
-            match &mut self.latency {
-                None => w.step(env, &mut self.tls, &mut self.rng, cfg),
-                Some(hist) => {
-                    let start = env.now();
-                    w.step(env, &mut self.tls, &mut self.rng, cfg);
-                    hist.record(env.now() - start);
+            match &mut self.history {
+                None => _ = w.step(env, &mut self.tls, &mut self.rng, cfg),
+                Some(history) => {
+                    let invoke = env.now();
+                    let op = w.step(env, &mut self.tls, &mut self.rng, cfg);
+                    let response = env.now();
+                    history.push(Timed {
+                        op,
+                        invoke,
+                        response,
+                    });
                 }
             }
             env.op_completed();
@@ -325,7 +336,7 @@ impl<T> Worker<T> {
     fn probe(&mut self, garbage: GarbageStats) -> Probe {
         Probe {
             garbage,
-            latency: self.latency.take(),
+            history: self.history.take(),
             ..Default::default()
         }
     }
@@ -335,7 +346,7 @@ impl<T> Worker<T> {
 #[derive(Default)]
 struct Probe {
     garbage: GarbageStats,
-    latency: Option<Histogram>,
+    history: Option<Vec<Timed>>,
     orphans_detected: u64,
     adoptions: u64,
     adopted_bytes: u64,
@@ -350,15 +361,12 @@ impl Outcome {
         recovery: RecoveryClocks,
         race: Option<RaceReport>,
         probes: impl Iterator<Item = Probe>,
-        instrument: Instrument,
     ) -> Outcome {
         let mut garbage = GarbageStats::default();
-        let mut latency = (instrument == Instrument::Latency).then(Histogram::new);
+        let mut history = Vec::new();
         for p in probes {
             garbage.merge(&p.garbage);
-            if let (Some(merged), Some(h)) = (&mut latency, &p.latency) {
-                merged.merge(h);
-            }
+            history.extend(p.history);
             metrics.orphans_detected += p.orphans_detected;
             metrics.adoptions += p.adoptions;
             metrics.adopted_bytes += p.adopted_bytes;
@@ -371,9 +379,25 @@ impl Outcome {
             stats,
             recovery,
             fallbacks: 0,
-            latency,
+            history,
             race,
         }
+    }
+
+    /// Per-operation latency, `response - invoke` of every record in
+    /// [`Self::history`]: the §I tail-latency claim's instrument. The
+    /// records' [`Env::now`] reads are host-side, so the simulated run is
+    /// identical to one without them.
+    pub fn latency(&self) -> Histogram {
+        assert!(
+            !self.history.is_empty(),
+            "Outcome::latency reads the per-op records: set RunConfig::history"
+        );
+        let mut hist = Histogram::new();
+        for t in self.history.iter().flatten() {
+            hist.record(t.response - t.invoke);
+        }
+        hist
     }
 }
 
@@ -383,15 +407,16 @@ impl Outcome {
 /// works through the held guard, so an injected crash unwinds out of the
 /// closure, merely poisons the slot, and strands the state instead of
 /// destroying it. A crashed core with no restart simply stops contributing
-/// operations, exactly like a thread that stalled forever (the two are
-/// indistinguishable to the survivors). When a victim's restart trigger
-/// fires, its recovery closure mints a [`casmr::CrashToken`] from the
-/// restart notice (safe: the notice proves the simulator itself fail-stopped
-/// the core), takes the wreck out of the vault, lets `rejoin` turn it into
-/// fresh thread-local state (adopting the orphan, for schemes that have
-/// one), and finishes the interrupted quota. The vault, the probes and the
-/// `catch_unwind` [`Machine::run_recover_on`] puts around each core's body
-/// are host-side only: with an empty plan the simulated schedule is the
+/// operations (its [`Outcome::history`] ends at its last completed one),
+/// exactly like a thread that stalled forever (the two are indistinguishable
+/// to the survivors). When a victim's restart trigger fires, its recovery
+/// closure mints a [`casmr::CrashToken`] from the restart notice (safe: the
+/// notice proves the simulator itself fail-stopped the core), takes the wreck
+/// out of the vault, lets `rejoin` turn it into fresh thread-local state
+/// (adopting the orphan, for schemes that have one), and finishes the
+/// interrupted quota, appending to the same records. The vault, the probes
+/// and the `catch_unwind` [`Machine::run_recover_on`] puts around each core's
+/// body are host-side only: with an empty plan the simulated schedule is the
 /// one [`Machine::run_on`] would produce.
 ///
 /// Crash plans are a *measurement* only on nonblocking structures (the
@@ -456,8 +481,13 @@ where
         stats,
         outs.iter().map(|o| o.recovered()).collect(),
         cfg.race_check.then(|| m.race_report()),
-        outs.into_iter().filter_map(|o| o.done()),
-        job.instrument,
+        // A core that crashed for good reports the records it completed.
+        outs.into_iter().enumerate().map(|(tid, o)| {
+            o.done().unwrap_or_else(|| Probe {
+                history: vault.take(tid).and_then(|p| p.history),
+                ..Default::default()
+            })
+        }),
     )
 }
 
@@ -493,7 +523,6 @@ where
         RecoveryClocks::new(),
         None,
         probes.into_iter(),
-        job.instrument,
     )
 }
 
@@ -544,12 +573,7 @@ fn reject_native(needs_sim: bool, what: &str) {
 /// Run one experiment: build the machine `cfg` describes, build `structure`
 /// under `scheme` on it, prefill, run the measured phase, and collect the
 /// [`Outcome`]. See the module docs for what `cfg` implies.
-pub fn run(
-    structure: Structure,
-    scheme: SchemeKind,
-    cfg: &RunConfig,
-    instrument: Instrument,
-) -> Outcome {
+pub fn run(structure: Structure, scheme: SchemeKind, cfg: &RunConfig) -> Outcome {
     assert!(
         structure.supports(scheme),
         "{} embodies immediate reclamation and runs only as `ca`, not `{scheme}`",
@@ -568,11 +592,7 @@ pub fn run(
         cfg.gangs,
         crate::config::GANGS_RETIRED
     );
-    let job = Job {
-        scheme,
-        cfg,
-        instrument,
-    };
+    let job = Job { scheme, cfg };
     if cfg.native {
         // Only the structures that take an SMR scheme have a native build.
         reject_native(!structure.supports(SchemeKind::None), structure.name());
@@ -640,17 +660,17 @@ pub fn run(
 
 /// [`run`] on a set, metrics only.
 pub fn run_set(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
-    run(Structure::Set(kind), scheme, cfg, Instrument::None).metrics
+    run(Structure::Set(kind), scheme, cfg).metrics
 }
 
 /// [`run`] on the stack, metrics only.
 pub fn run_stack(scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
-    run(Structure::Stack, scheme, cfg, Instrument::None).metrics
+    run(Structure::Stack, scheme, cfg).metrics
 }
 
 /// [`run`] on the queue, metrics only.
 pub fn run_queue(scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
-    run(Structure::Queue, scheme, cfg, Instrument::None).metrics
+    run(Structure::Queue, scheme, cfg).metrics
 }
 
 /// [`run_set`] on real host threads whatever `cfg.native` says.
@@ -662,13 +682,16 @@ pub fn run_set_native(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> Met
     run_set(kind, scheme, &cfg)
 }
 
-/// [`run`] on a set with [`Instrument::Latency`].
+/// [`run`] on a set with [`RunConfig::history`] set, metrics and
+/// [`Outcome::latency`].
 pub fn run_set_latency(kind: SetKind, scheme: SchemeKind, cfg: &RunConfig) -> (Metrics, Histogram) {
-    let out = run(Structure::Set(kind), scheme, cfg, Instrument::Latency);
-    (
-        out.metrics,
-        out.latency.expect("latency capture was requested"),
-    )
+    let cfg = RunConfig {
+        history: true,
+        ..cfg.clone()
+    };
+    let out = run(Structure::Set(kind), scheme, &cfg);
+    let hist = out.latency();
+    (out.metrics, hist)
 }
 
 #[cfg(test)]
@@ -696,7 +719,7 @@ mod tests {
     const LAZY: Structure = Structure::Set(SetKind::LazyList);
 
     fn plain(structure: Structure, scheme: SchemeKind, cfg: &RunConfig) -> Metrics {
-        run(structure, scheme, cfg, Instrument::None).metrics
+        run(structure, scheme, cfg).metrics
     }
 
     #[test]
@@ -736,8 +759,8 @@ mod tests {
     #[test]
     fn runs_are_deterministic() {
         let cfg = tiny(3, UPDATES);
-        let a = run(LAZY, SchemeKind::Ca, &cfg, Instrument::None);
-        let b = run(LAZY, SchemeKind::Ca, &cfg, Instrument::None);
+        let a = run(LAZY, SchemeKind::Ca, &cfg);
+        let b = run(LAZY, SchemeKind::Ca, &cfg);
         assert_eq!(a.metrics.cycles, b.metrics.cycles);
         assert_eq!(a.metrics.final_allocated, b.metrics.final_allocated);
         assert_eq!(a.stats.sum(|c| c.cread_fail), b.stats.sum(|c| c.cread_fail));
@@ -828,36 +851,93 @@ mod tests {
         run_set(SetKind::LazyList, SchemeKind::Qsbr, &cfg);
     }
 
+    /// The per-op record lengths of `out`, in tid order.
+    fn lens(out: &Outcome) -> Vec<usize> {
+        out.history.iter().map(Vec::len).collect()
+    }
+
     #[test]
-    fn latency_capture_is_free() {
-        // The now() probes are host-side: throughput and op counts must be
-        // identical to an uninstrumented run, and the histogram must hold
-        // exactly one sample per operation.
+    fn history_capture_is_free() {
+        // The now() stamps are host-side: the simulated run must be
+        // identical to an unrecorded one, with one record per operation.
         let cfg = tiny(2, UPDATES);
-        let plain = run_set(SetKind::LazyList, SchemeKind::Ca, &cfg);
-        let (instr, hist) = run_set_latency(SetKind::LazyList, SchemeKind::Ca, &cfg);
-        assert_eq!(plain.cycles, instr.cycles, "instrumentation must be free");
-        assert_eq!(plain.total_ops, instr.total_ops);
-        assert_eq!(hist.count(), instr.total_ops);
+        let plain = run(LAZY, SchemeKind::Ca, &cfg);
+        let cfg = RunConfig {
+            history: true,
+            ..cfg
+        };
+        let recorded = run(LAZY, SchemeKind::Ca, &cfg);
+        let sim = |o: &Outcome| format!("{:?}", (&o.metrics, &o.stats));
+        assert_eq!(sim(&plain), sim(&recorded), "recording must be free");
+        assert!(plain.history.is_empty());
+        assert_eq!(lens(&recorded), [150, 150]);
+        let hist = recorded.latency();
+        assert_eq!(hist.count(), recorded.metrics.total_ops);
         assert!(hist.quantile(0.5) > 0, "ops take nonzero simulated time");
         assert!(hist.max() >= hist.quantile(0.99));
     }
 
     #[test]
-    fn latency_capture_runs_natively() {
-        // Latency needs only Env::now, so it works on real host threads.
+    fn history_capture_runs_natively() {
+        // The stamps need only Env::now, so they work on real host threads.
         let cfg = RunConfig {
             native: true,
+            history: true,
             ..tiny(2, UPDATES)
         };
-        let out = run(
-            Structure::Set(SetKind::LazyList),
-            SchemeKind::Hp,
-            &cfg,
-            Instrument::Latency,
-        );
-        assert_eq!(out.latency.expect("requested").count(), 2 * 150);
+        let out = run(LAZY, SchemeKind::Hp, &cfg);
+        assert_eq!(lens(&out), [150, 150]);
+        assert_eq!(out.latency().count(), 2 * 150);
         assert_eq!(out.metrics.total_ops, 2 * 150);
+    }
+
+    #[test]
+    fn history_survives_a_crash_and_restart() {
+        // The restarted core carries its records across the crash and the
+        // op the crash interrupted is not recorded, so every tid holds
+        // exactly its quota, in order; recording moves no simulated clock.
+        let restart = RunConfig {
+            fault_plan: FaultPlan::none().crash(3, 5_000).restart(3, 40_000),
+            max_cycles: Some(100_000_000),
+            smr: tight_smr(),
+            ..tiny(4, UPDATES)
+        };
+        let sim = |o: &Outcome| format!("{:?}", (&o.metrics, &o.stats, &o.recovery));
+        for scheme in [SchemeKind::Qsbr, SchemeKind::Ca] {
+            let plain = run(Structure::Queue, scheme, &restart);
+            let cfg = RunConfig {
+                history: true,
+                ..restart.clone()
+            };
+            let out = run(Structure::Queue, scheme, &cfg);
+            assert_eq!(sim(&plain), sim(&out), "{scheme}: recording must be free");
+            assert_eq!(lens(&out), [150; 4], "{scheme}");
+            for (tid, records) in out.history.iter().enumerate() {
+                assert!(records.iter().all(|t| t.invoke <= t.response), "{tid}");
+                let ordered = records.windows(2).all(|w| w[0].response <= w[1].invoke);
+                assert!(ordered, "{scheme} tid {tid}: records out of order");
+            }
+            let (_, restarted) = out.recovery[3].expect("core 3 came back");
+            let last = out.history[3].last().expect("core 3 finished its quota");
+            assert!(
+                last.invoke >= restarted,
+                "{scheme}: the quota ends after the restart"
+            );
+        }
+        // Without the restart the victim keeps the records it completed.
+        let cfg = RunConfig {
+            fault_plan: FaultPlan::none().crash(3, 5_000),
+            history: true,
+            ..restart
+        };
+        let out = run(Structure::Queue, SchemeKind::Qsbr, &cfg);
+        let lost = lens(&out);
+        assert_eq!(lost[..3], [150; 3]);
+        assert!(
+            (1..150).contains(&lost[3]),
+            "core 3 completed {} ops",
+            lost[3]
+        );
     }
 
     #[test]
@@ -890,12 +970,7 @@ mod tests {
     #[test]
     fn htm_run_reports_transactions() {
         let cfg = tiny(2, UPDATES);
-        let out = run(
-            Structure::HtmList { slots: 64 },
-            SchemeKind::Ca,
-            &cfg,
-            Instrument::None,
-        );
+        let out = run(Structure::HtmList { slots: 64 }, SchemeKind::Ca, &cfg);
         let m = &out.metrics;
         assert_eq!(m.total_ops, 300);
         assert!(
@@ -910,12 +985,7 @@ mod tests {
     #[test]
     fn fallback_run_roomy_geometry_never_falls_back() {
         let structure = Structure::FallbackList { max_attempts: 32 };
-        let out = run(
-            structure,
-            SchemeKind::Ca,
-            &tiny(2, UPDATES),
-            Instrument::None,
-        );
+        let out = run(structure, SchemeKind::Ca, &tiny(2, UPDATES));
         assert_eq!(out.metrics.total_ops, 300);
         assert_eq!(out.fallbacks, 0);
     }
@@ -934,7 +1004,6 @@ mod tests {
                 fault_plan: FaultPlan::none().crash(1, u64::MAX),
                 ..cfg
             },
-            Instrument::None,
         );
         assert_eq!(unfired.stats.crashed, [false, false]);
         let unfired = unfired.metrics;
@@ -954,7 +1023,7 @@ mod tests {
             max_cycles: Some(100_000_000),
             ..tiny(2, UPDATES)
         };
-        let out = run(Structure::Queue, SchemeKind::Qsbr, &cfg, Instrument::None);
+        let out = run(Structure::Queue, SchemeKind::Qsbr, &cfg);
         assert_eq!(out.stats.crashed, [false, true]);
         let m = out.metrics;
         assert!(
@@ -976,7 +1045,7 @@ mod tests {
             max_cycles: Some(100_000_000),
             ..tiny(2, UPDATES)
         };
-        let out = run(LAZY, SchemeKind::Qsbr, &cfg, Instrument::None);
+        let out = run(LAZY, SchemeKind::Qsbr, &cfg);
         let m = &out.metrics;
         assert_eq!(out.stats.crashed, [false, false]);
         assert_eq!(m.total_ops, 300, "a finite stall loses no operations");
@@ -1002,7 +1071,7 @@ mod tests {
             smr: tight_smr(),
             ..tiny(2, UPDATES)
         };
-        let out = run(Structure::Queue, SchemeKind::Qsbr, &cfg, Instrument::None);
+        let out = run(Structure::Queue, SchemeKind::Qsbr, &cfg);
         let m = &out.metrics;
         assert_eq!(m.total_ops, 300, "the restarted core finishes its quota");
         assert_eq!(m.orphans_detected, 1);
@@ -1043,12 +1112,7 @@ mod tests {
             ..crash_only.clone()
         };
         let a = run_queue(SchemeKind::Qsbr, &crash_only);
-        let b = run(
-            Structure::Queue,
-            SchemeKind::Qsbr,
-            &with_restart,
-            Instrument::None,
-        );
+        let b = run(Structure::Queue, SchemeKind::Qsbr, &with_restart);
         assert_eq!(b.stats.crashed, [false, true]);
         let b = b.metrics;
         assert_eq!(a.cycles, b.cycles);
@@ -1102,7 +1166,7 @@ mod tests {
             smt: 2,
             ..tiny(4, UPDATES)
         };
-        let out = run(LAZY, SchemeKind::Ca, &cfg, Instrument::None);
+        let out = run(LAZY, SchemeKind::Ca, &cfg);
         assert_eq!(out.metrics.total_ops, 600);
         assert!(
             out.stats.sum(|c| c.revoke_sibling) > 0,
@@ -1128,7 +1192,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let out = run(LAZY, SchemeKind::Ca, &cfg, Instrument::None);
+        let out = run(LAZY, SchemeKind::Ca, &cfg);
         assert!(
             out.stats.sum(|c| c.e_grants) > 0,
             "MESI runs must grant Exclusive lines"

@@ -7,7 +7,7 @@
 //! to the leaky oracle's (one thread) and its results to exact conservation
 //! (many threads). Its pieces, each written once:
 //!
-//! * [`Op`] — one logged operation with its result;
+//! * [`digest_op`] — one logged operation ([`Op`]) into a golden digest;
 //! * [`Family::op`] — one draw from a thread's stream applied to a set
 //!   ([`Sets`]), stack ([`Stacks`]) or queue ([`Queues`]), generic over
 //!   `casmr::Env`, so the same body runs on the simulator and on real host
@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use conditional_access::ds::ca::{CaExtBst, CaLazyList, CaQueue, CaStack};
 use conditional_access::ds::seqcheck::{walk_bst, walk_list};
 use conditional_access::ds::smr::{SmrExtBst, SmrLazyList, SmrQueue, SmrStack};
-use conditional_access::ds::{DsShared, HashTable, QueueDs, SetDs, StackDs};
+use conditional_access::ds::{DsShared, HashTable, Op, QueueDs, SetDs, StackDs};
 use conditional_access::sim::machine::Ctx;
 use conditional_access::sim::{Machine, MachineConfig, MachineStats, Rng, UafMode};
 use conditional_access::smr::{with_scheme, Env, NativeEnv, NativeMachine, SchemeKind, SmrConfig};
@@ -70,62 +70,24 @@ pub fn tight_smr() -> SmrConfig {
 
 // --- the battery ------------------------------------------------------------
 
-/// One logged operation with its result.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Op {
-    Insert(u64, bool),
-    Delete(u64, bool),
-    Contains(u64, bool),
-    Push(u64),
-    Pop(Option<u64>),
-    Peek(Option<u64>),
-    Enqueue(u64),
-    Dequeue(Option<u64>),
-}
-
-impl Op {
-    /// Hash the words `tests/goldens/env_pin.txt` was recorded from: a set
-    /// op as `(kind, key, ok)`, a stack or queue op as `(kind, value)` with
-    /// a removal's value stored `+ 1` (0 = empty); kinds count from 0 in
-    /// declaration order within the family.
-    pub fn digest(self, d: &mut Digest) {
-        let took = |v: Option<u64>| v.map_or(0, |v| v + 1);
-        let (kind, value, ok) = match self {
-            Op::Insert(k, ok) => (0, k, Some(ok)),
-            Op::Delete(k, ok) => (1, k, Some(ok)),
-            Op::Contains(k, ok) => (2, k, Some(ok)),
-            Op::Push(v) | Op::Enqueue(v) => (0, v, None),
-            Op::Pop(v) | Op::Dequeue(v) => (1, took(v), None),
-            Op::Peek(v) => (2, took(v), None),
-        };
-        d.u64(kind);
-        d.u64(value);
-        if let Some(ok) = ok {
-            d.u64(ok as u64);
-        }
-    }
-
-    /// The value this op put into the structure, if it put one.
-    fn added(self) -> Option<u64> {
-        match self {
-            Op::Insert(k, true) => Some(k),
-            Op::Push(v) | Op::Enqueue(v) => Some(v),
-            _ => None,
-        }
-    }
-
-    /// The value this op took out of the structure, if it took one.
-    fn removed(self) -> Option<u64> {
-        match self {
-            Op::Delete(k, true) => Some(k),
-            Op::Pop(v) | Op::Dequeue(v) => v,
-            _ => None,
-        }
-    }
-
-    /// Whether this is a set operation (a history holds one family's ops).
-    fn on_a_set(self) -> bool {
-        matches!(self, Op::Insert(..) | Op::Delete(..) | Op::Contains(..))
+/// Hash the words `tests/goldens/env_pin.txt` was recorded from: a set op
+/// as `(kind, key, ok)`, a stack or queue op as `(kind, value)` with a
+/// removal's value stored `+ 1` (0 = empty); kinds count from 0 in
+/// declaration order within the family.
+pub fn digest_op(op: Op, d: &mut Digest) {
+    let took = |v: Option<u64>| v.map_or(0, |v| v + 1);
+    let (kind, value, ok) = match op {
+        Op::Insert(k, ok) => (0, k, Some(ok)),
+        Op::Delete(k, ok) => (1, k, Some(ok)),
+        Op::Contains(k, ok) => (2, k, Some(ok)),
+        Op::Push(v) | Op::Enqueue(v) => (0, v, None),
+        Op::Pop(v) | Op::Dequeue(v) => (1, took(v), None),
+        Op::Peek(v) => (2, took(v), None),
+    };
+    d.u64(kind);
+    d.u64(value);
+    if let Some(ok) = ok {
+        d.u64(ok as u64);
     }
 }
 

@@ -4,7 +4,7 @@
 
 mod common;
 
-use caharness::{run, run_set, run_stack, Instrument, Mix, RunConfig, SetKind, Structure};
+use caharness::{run, run_set, run_stack, Mix, RunConfig, SetKind, Structure};
 use casmr::SchemeKind;
 
 fn cfg(threads: usize, quantum: u64, seed: u64) -> RunConfig {
@@ -27,8 +27,8 @@ fn cfg(threads: usize, quantum: u64, seed: u64) -> RunConfig {
 fn identical_runs_identical_stats() {
     for scheme in [SchemeKind::Ca, SchemeKind::Hp, SchemeKind::Qsbr] {
         let lazy = Structure::Set(SetKind::LazyList);
-        let a = run(lazy, scheme, &cfg(3, 64, 42), Instrument::None);
-        let b = run(lazy, scheme, &cfg(3, 64, 42), Instrument::None);
+        let a = run(lazy, scheme, &cfg(3, 64, 42));
+        let b = run(lazy, scheme, &cfg(3, 64, 42));
         let (am, bm) = (&a.metrics, &b.metrics);
         assert_eq!(am.cycles, bm.cycles, "{scheme}: cycles diverged");
         assert_eq!(am.total_ops, bm.total_ops);

@@ -25,8 +25,8 @@
 
 mod common;
 
-use common::{battery, battery_machine, check_golden, tight_smr, Digest};
-use conditional_access::harness::{run, Instrument, Mix, RunConfig, SetKind, Structure};
+use common::{battery, battery_machine, check_golden, digest_op, tight_smr, Digest};
+use conditional_access::harness::{run, Mix, RunConfig, SetKind, Structure};
 use conditional_access::sim::machine::Ctx;
 use conditional_access::sim::UafMode;
 use conditional_access::smr::{with_scheme, CrashToken, Orphan, SchemeKind, Smr, SmrBase};
@@ -54,7 +54,7 @@ fn battery_digest(
     );
     let mut d = Digest::new();
     for &op in cell.history.iter().flatten() {
-        op.digest(&mut d);
+        digest_op(op, &mut d);
     }
     d.slice(&cell.contents);
     d.u64(cell.faults as u64);
@@ -82,7 +82,7 @@ fn panel_cfg(threads: usize) -> RunConfig {
 /// One figure-panel cell through the public harness runner: every simulated
 /// metric that feeds the figures, bit-exact (`f64::to_bits`).
 fn panel_digest(structure: Structure, scheme: SchemeKind, cfg: &RunConfig) -> u64 {
-    let o = run(structure, scheme, cfg, Instrument::None);
+    let o = run(structure, scheme, cfg);
     let m = &o.metrics;
     let mut d = Digest::new();
     d.u64(m.total_ops);

@@ -16,24 +16,18 @@ use conditional_access::ds::ca::{CaExtBst, CaHarrisList, CaLazyList, FbCaLazyLis
 use conditional_access::ds::htm::HtmLazyList;
 use conditional_access::ds::seqcheck::{walk_bst, walk_list};
 use conditional_access::ds::smr::SmrLazyList;
-use conditional_access::ds::SetDs;
+use conditional_access::ds::{Op, SetDs};
 use conditional_access::sim::machine::Ctx;
 use conditional_access::smr::{Hp, SmrConfig};
 use proptest::prelude::*;
 
-#[derive(Clone, Copy, Debug)]
-enum Op {
-    Insert(u64),
-    Delete(u64),
-    Contains(u64),
-}
-
+/// A script of set ops; a script op's result field is unused.
 fn op_strategy(range: u64) -> impl Strategy<Value = Op> {
     let key = 1..=range;
     prop_oneof![
-        key.clone().prop_map(Op::Insert),
-        key.clone().prop_map(Op::Delete),
-        key.prop_map(Op::Contains),
+        key.clone().prop_map(|k| Op::Insert(k, false)),
+        key.clone().prop_map(|k| Op::Delete(k, false)),
+        key.prop_map(|k| Op::Contains(k, false)),
     ]
 }
 
@@ -51,9 +45,10 @@ fn check_sequential<D: for<'m> SetDs<Ctx<'m>>>(
         let mut bad = Vec::new();
         for (i, op) in ops_vec.iter().enumerate() {
             let (got, want) = match *op {
-                Op::Insert(k) => (ds.insert(ctx, &mut tls, k), model.insert(k)),
-                Op::Delete(k) => (ds.delete(ctx, &mut tls, k), model.remove(&k)),
-                Op::Contains(k) => (ds.contains(ctx, &mut tls, k), model.contains(&k)),
+                Op::Insert(k, _) => (ds.insert(ctx, &mut tls, k), model.insert(k)),
+                Op::Delete(k, _) => (ds.delete(ctx, &mut tls, k), model.remove(&k)),
+                Op::Contains(k, _) => (ds.contains(ctx, &mut tls, k), model.contains(&k)),
+                _ => unreachable!("set scripts hold set ops"),
             };
             if got != want {
                 bad.push((i, *op, got, want));

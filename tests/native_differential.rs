@@ -28,10 +28,10 @@ mod common;
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use common::{check_set_accounting, histories, thread_rng, tight_smr, Family, Op, Sets};
+use common::{check_set_accounting, histories, thread_rng, tight_smr, Family, Sets};
 use conditional_access::ds::seqcheck::walk_list;
 use conditional_access::ds::smr::SmrLazyList;
-use conditional_access::ds::DsShared;
+use conditional_access::ds::{DsShared, Op};
 use conditional_access::smr::{
     with_scheme, HeartbeatBoard, Hp, NativeMachine, Orphan, Qsbr, SchemeKind, Smr, SmrBase,
     TlsVault,

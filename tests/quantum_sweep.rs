@@ -9,7 +9,7 @@
 
 mod common;
 
-use caharness::{run, Instrument, Metrics, Mix, RunConfig, SetKind, Structure};
+use caharness::{run, Metrics, Mix, RunConfig, SetKind, Structure};
 use casmr::SchemeKind;
 use mcsim::{ExecBackend, Machine, MachineConfig, MachineStats};
 
@@ -18,7 +18,7 @@ fn set_run_with_stats(
     scheme: SchemeKind,
     cfg: &RunConfig,
 ) -> (Metrics, MachineStats) {
-    let out = run(Structure::Set(kind), scheme, cfg, Instrument::None);
+    let out = run(Structure::Set(kind), scheme, cfg);
     (out.metrics, out.stats)
 }
 

@@ -18,9 +18,7 @@
 mod common;
 
 use common::{check_golden, Digest};
-use conditional_access::harness::{
-    run, run_set, Instrument, Metrics, Mix, RunConfig, SetKind, Structure,
-};
+use conditional_access::harness::{run, run_set, Metrics, Mix, RunConfig, SetKind, Structure};
 use conditional_access::sim::RaceReport;
 use conditional_access::smr::SchemeKind;
 
@@ -30,7 +28,7 @@ fn race_report(structure: Structure, scheme: SchemeKind, cfg: &RunConfig) -> (Me
         race_check: true,
         ..cfg.clone()
     };
-    let out = run(structure, scheme, &armed, Instrument::None);
+    let out = run(structure, scheme, &armed);
     (out.metrics, out.race.expect("race_check was armed"))
 }
 

@@ -25,9 +25,7 @@
 mod common;
 
 use common::{check_golden, golden, Digest};
-use conditional_access::harness::{
-    run, run_set, Instrument, Metrics, Mix, RunConfig, SetKind, Structure,
-};
+use conditional_access::harness::{run, run_set, Metrics, Mix, RunConfig, SetKind, Structure};
 use conditional_access::sim::FaultPlan;
 use conditional_access::smr::{SchemeKind, SmrConfig};
 
@@ -103,7 +101,7 @@ fn all_lines() -> String {
     let mut out = String::new();
     for scheme in SchemeKind::ALL {
         for (structure, mix) in [(Structure::Stack, MIXED), (Structure::Queue, UPDATES)] {
-            let o = run(structure, scheme, &tiny(4, mix), Instrument::None);
+            let o = run(structure, scheme, &tiny(4, mix));
             let m = probeless(&o.metrics);
             out += &line(format!("g1 plain {} {scheme}", structure.name()), &m, &m);
         }
@@ -113,7 +111,7 @@ fn all_lines() -> String {
         Structure::HtmList { slots: 64 },
         Structure::FallbackList { max_attempts: 2 },
     ] {
-        let o = run(structure, SchemeKind::Ca, &tiny(4, MIXED), Instrument::None);
+        let o = run(structure, SchemeKind::Ca, &tiny(4, MIXED));
         let m = probeless(&o.metrics);
         out += &line(
             format!("g1 plain {} ca", structure.name()),
@@ -123,14 +121,15 @@ fn all_lines() -> String {
     }
     for kind in [SetKind::LazyList, SetKind::ExtBst, SetKind::HashTable] {
         for scheme in SchemeKind::ALL {
-            let cfg = tiny(4, MIXED);
-            let o = run(Structure::Set(kind), scheme, &cfg, Instrument::Latency);
+            let cfg = RunConfig {
+                history: true,
+                ..tiny(4, MIXED)
+            };
+            let o = run(Structure::Set(kind), scheme, &cfg);
             let m = probeless(&o.metrics);
-            out += &line(
-                format!("g1 latency {} {scheme}", kind.name()),
-                &m,
-                &(&m, &o.latency),
-            );
+            // `Some`: the golden hashed the histogram as an optional field.
+            let all = (&m, Some(o.latency()));
+            out += &line(format!("g1 latency {} {scheme}", kind.name()), &m, &all);
         }
     }
     for scheme in SchemeKind::ALL {
@@ -139,16 +138,11 @@ fn all_lines() -> String {
             ("stall", Structure::Set(SetKind::LazyList), stall_cfg()),
             ("two_crash", Structure::Queue, crash_cfg(two_crashes)),
         ] {
-            let m = run(structure, scheme, &cfg, Instrument::None).metrics;
+            let m = run(structure, scheme, &cfg).metrics;
             out += &line(format!("g1 {label} {} {scheme}", structure.name()), &m, &m);
         }
         let restart = FaultPlan::none().crash(3, 5_000).restart(3, 40_000);
-        let o = run(
-            Structure::Queue,
-            scheme,
-            &crash_cfg(restart),
-            Instrument::None,
-        );
+        let o = run(Structure::Queue, scheme, &crash_cfg(restart));
         let all = (&o.metrics, &o.stats, &o.recovery);
         out += &line(format!("g1 recover queue {scheme}"), &o.metrics, &all);
     }

@@ -26,11 +26,11 @@
 mod common;
 
 use common::{
-    battery, battery_machine, check_flow, config, thread_rng, tight_smr, Cell, Drain, Family, Op,
+    battery, battery_machine, check_flow, config, thread_rng, tight_smr, Cell, Drain, Family,
     Queues,
 };
 use conditional_access::ds::smr::SmrQueue;
-use conditional_access::ds::DsShared;
+use conditional_access::ds::{DsShared, Op};
 use conditional_access::sim::machine::Ctx;
 use conditional_access::sim::{CoreOutcome, FaultPlan, Machine, MachineConfig, Rng, UafMode};
 use conditional_access::smr::{
