@@ -161,11 +161,11 @@ impl<'m> Env for Ctx<'m> {
     fn threads(&self) -> usize {
         Ctx::threads(self)
     }
-    #[inline]
+    #[inline(always)]
     fn read(&mut self, a: Addr) -> u64 {
         Ctx::read(self, a)
     }
-    #[inline]
+    #[inline(always)]
     fn write(&mut self, a: Addr, v: u64) {
         Ctx::write(self, a, v)
     }

@@ -19,8 +19,12 @@
 //! line 0                  null page (never valid)
 //! [1, static_brk)         statics allocated at machine-build time (always valid)
 //! [static_brk, heap_base) reserved, unallocated statics (wild)
-//! [heap_base, heap_end)   node heap, tracked by the allocation bitmap
+//! [heap_base, heap_end)   node heap
 //! ```
+//!
+//! One liveness table spans every line: a line is live while it is a
+//! handed-out static or an allocated heap node, so a legal access is one
+//! lookup; the layout above is consulted only to classify a fault.
 
 #![forbid(unsafe_code)]
 
@@ -77,7 +81,8 @@ pub struct Allocator {
     heap_end: u64,
     brk: u64,
     free_lists: Vec<Vec<u64>>,
-    allocated: Vec<bool>,
+    /// Per line of memory: a handed-out static or an allocated heap line.
+    live: Vec<bool>,
     /// Live count: the Y axis of the paper's Figure 3.
     pub allocated_not_freed: u64,
     /// High-water mark of `allocated_not_freed`.
@@ -109,7 +114,7 @@ impl Allocator {
             heap_end: total_lines,
             brk: heap_base,
             free_lists: vec![Vec::new(); cores],
-            allocated: vec![false; (total_lines - heap_base) as usize],
+            live: vec![false; total_lines as usize],
             allocated_not_freed: 0,
             peak: 0,
             total_allocs: 0,
@@ -133,6 +138,7 @@ impl Allocator {
         );
         let line = self.static_brk;
         self.static_brk += n;
+        self.live[line as usize..self.static_brk as usize].fill(true);
         Line(line).base()
     }
 
@@ -160,9 +166,11 @@ impl Allocator {
                 });
             self.free_lists[victim].pop().expect("nonempty")
         };
-        let idx = (line - self.heap_base) as usize;
-        debug_assert!(!self.allocated[idx], "free list handed out a live line");
-        self.allocated[idx] = true;
+        debug_assert!(
+            !self.live[line as usize],
+            "free list handed out a live line"
+        );
+        self.live[line as usize] = true;
         self.total_allocs += 1;
         self.allocated_not_freed += 1;
         self.peak = self.peak.max(self.allocated_not_freed);
@@ -181,17 +189,26 @@ impl Allocator {
             (self.heap_base..self.heap_end).contains(&line),
             "free of non-heap address {a:?}"
         );
-        let idx = (line - self.heap_base) as usize;
         assert!(line < self.brk, "free of never-allocated heap line {a:?}");
-        assert!(self.allocated[idx], "DOUBLE FREE by core {c}: {a:?}");
-        self.allocated[idx] = false;
+        assert!(self.live[line as usize], "DOUBLE FREE by core {c}: {a:?}");
+        self.live[line as usize] = false;
         self.total_frees += 1;
         self.allocated_not_freed -= 1;
         self.free_lists[c].push(line);
     }
 
-    /// Classify a line for the access detector.
-    #[inline]
+    /// Is `line` legal to access: a handed-out static or an allocated
+    /// heap line? One lookup in the liveness table.
+    #[inline(always)]
+    pub fn is_live(&self, line: Line) -> bool {
+        usize::try_from(line.0)
+            .ok()
+            .and_then(|l| self.live.get(l))
+            .is_some_and(|&live| live)
+    }
+
+    /// Classify a line for the access detector (the fault path; a legal
+    /// access is answered by [`Self::is_live`]).
     pub fn line_status(&self, line: Line) -> LineStatus {
         let l = line.0;
         if l == 0 {
@@ -203,7 +220,7 @@ impl Allocator {
         } else if l < self.heap_end {
             if l >= self.brk {
                 LineStatus::WildHeap
-            } else if self.allocated[(l - self.heap_base) as usize] {
+            } else if self.live[l as usize] {
                 LineStatus::Allocated
             } else {
                 LineStatus::Freed
@@ -213,38 +230,28 @@ impl Allocator {
         }
     }
 
-    /// Classify a program data access **read-only**: `Some(fault)` if the
-    /// access would trip the detector.
-    #[inline]
-    pub fn access_fault(&self, core: CoreId, addr: Addr, kind: &'static str) -> Option<Fault> {
-        let status = self.line_status(addr.line());
-        if matches!(status, LineStatus::Static | LineStatus::Allocated) {
-            None
-        } else {
-            Some(Fault {
-                core,
-                addr,
-                status,
-                kind,
-            })
-        }
-    }
-
     /// Validate a program data access; returns true if it may proceed.
     /// In [`UafMode::Panic`] an invalid access aborts the simulation. Runs
-    /// once per memory event: the valid case is an inlined classification,
-    /// the fault is out of line.
-    #[inline]
+    /// once per memory event: the valid case is one liveness lookup, the
+    /// fault is classified out of line.
+    #[inline(always)]
     pub fn check_access(&mut self, core: CoreId, addr: Addr, kind: &'static str) -> bool {
-        match self.access_fault(core, addr, kind) {
-            None => true,
-            Some(f) => self.access_violation(f),
-        }
+        self.is_live(addr.line()) || self.access_violation(core, addr, kind)
     }
 
     #[cold]
     #[inline(never)]
-    fn access_violation(&mut self, f: Fault) -> bool {
+    fn access_violation(&mut self, core: CoreId, addr: Addr, kind: &'static str) -> bool {
+        let f = Fault {
+            core,
+            addr,
+            status: self.line_status(addr.line()),
+            kind,
+        };
+        debug_assert!(
+            !matches!(f.status, LineStatus::Static | LineStatus::Allocated),
+            "the liveness table and the classification disagree on {addr:?}"
+        );
         match self.uaf_mode {
             UafMode::Panic => panic_access(&f),
             UafMode::Record => self.faults.push(f),
@@ -282,6 +289,74 @@ mod tests {
         assert_eq!(a.line_status(Line(3)), LineStatus::WildStatic);
         assert_eq!(a.line_status(Line(17)), LineStatus::WildHeap);
         assert_eq!(a.line_status(Line(10_000)), LineStatus::OutOfRange);
+    }
+
+    /// Every line up to past the end of memory: `check_access` (one
+    /// liveness lookup) passes exactly the lines the layout cascade calls
+    /// `Static` or `Allocated`, and a recorded fault carries the cascade's
+    /// status. Returns the statuses seen.
+    fn check_every_line(a: &mut Allocator) -> Vec<LineStatus> {
+        a.uaf_mode = UafMode::Record;
+        let mut seen = Vec::new();
+        for l in 0..a.heap_end + 2 {
+            let status = a.line_status(Line(l));
+            let legal = matches!(status, LineStatus::Static | LineStatus::Allocated);
+            let faults = a.faults.len();
+            assert_eq!(
+                a.check_access(0, Line(l).base(), "read"),
+                legal,
+                "line {l}: {status:?}"
+            );
+            assert_eq!(a.is_live(Line(l)), legal, "line {l}: {status:?}");
+            let recorded: Vec<_> = a.faults.drain(faults..).map(|f| f.status).collect();
+            assert_eq!(
+                recorded,
+                if legal { vec![] } else { vec![status] },
+                "line {l}"
+            );
+            if !seen.contains(&status) {
+                seen.push(status);
+            }
+        }
+        a.uaf_mode = UafMode::Panic;
+        seen
+    }
+
+    #[test]
+    fn liveness_table_matches_the_classification() {
+        let mut a = alc();
+        assert!(!check_every_line(&mut a).contains(&LineStatus::Static));
+        let s = a.alloc_static(2);
+        let x = a.alloc(0);
+        let y = a.alloc(1);
+        let status = |a: &Allocator, at: Addr| a.line_status(at.line());
+        assert_eq!(status(&a, s), LineStatus::Static);
+        assert_eq!(status(&a, x), LineStatus::Allocated);
+        check_every_line(&mut a);
+        a.free(0, x);
+        assert_eq!(status(&a, x), LineStatus::Freed);
+        check_every_line(&mut a);
+        assert_eq!(a.alloc(0), x, "LIFO reuse");
+        assert_eq!(status(&a, x), LineStatus::Allocated);
+        a.free(0, y);
+        let mut seen = check_every_line(&mut a);
+        seen.sort_by_key(|s| format!("{s:?}"));
+        assert_eq!(
+            format!("{seen:?}"),
+            "[Allocated, Freed, Null, OutOfRange, Static, WildHeap, WildStatic]",
+            "every LineStatus is covered"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "DOUBLE FREE")]
+    fn double_free_after_reuse_detected() {
+        let mut a = alc();
+        let x = a.alloc(0);
+        a.free(0, x);
+        assert_eq!(a.alloc(0), x, "LIFO reuse");
+        a.free(0, x);
+        a.free(1, x);
     }
 
     #[test]

@@ -11,15 +11,21 @@
 //! ids (`addr >> 6`, with [`u64::MAX`] — which no address can produce — in
 //! an empty way), the LRU stamps (0 in an empty way) and the payloads. A
 //! probe reads only the set's ids, 64 contiguous bytes for 8 ways, and
-//! visits **every** way: the match is folded into a way index with a select
-//! per way, never an early exit. Which way holds a line is as good as random,
-//! so an exit branch mispredicts on most probes; a sampling profile of the
-//! repository's benchmark put a third of `list_read`'s host time and a
-//! quarter of `hash_update`'s in the early-exit scan over
-//! `Option<Entry<P>>` ways this layout replaced (`hash_update` 56.1 → 38.7
-//! ns per event with it gone). The price is the perfectly predicted case:
-//! re-reading one line, which used to exit at the first way, pays the full
-//! pass, about 2.5 ns more.
+//! visits **every** way, never with an early exit. Which way holds a line is
+//! as good as random, so an exit branch mispredicts on most probes; a
+//! sampling profile of the repository's benchmark put a third of
+//! `list_read`'s host time and a quarter of `hash_update`'s in the
+//! early-exit scan over `Option<Entry<P>>` ways this layout replaced
+//! (`hash_update` 56.1 → 38.7 ns per event with it gone).
+//!
+//! An 8-way set, the default for both levels, is compared as one `[u64; 8]`:
+//! eight independent compares build a match mask, and its `trailing_zeros`
+//! is the way. Nothing in that pass depends on an earlier way, so even the
+//! perfectly predicted case — re-reading one line, which an early exit
+//! would answer at its first way — costs eight parallel compares, not a
+//! chain of eight selects. Every other associativity folds the match into a
+//! way index with a select per way (`select_way`); under debug assertions
+//! the 8-way mask is checked against that fold on every probe.
 //!
 //! # The way-index contract
 //!
@@ -156,21 +162,32 @@ impl<P> SetAssoc<P> {
     }
 
     /// The full pass over `line`'s set: every id is compared and the match,
-    /// if any, selected — a line is resident in at most one way.
-    #[inline]
+    /// if any, selected — a line is resident in at most one way. An 8-way
+    /// set is compared as one fixed-width array folded into a match mask;
+    /// every other associativity takes the select-fold of [`select_way`].
+    #[inline(always)]
     fn scan(&self, line: Line) -> Option<Way> {
         debug_assert_ne!(line.0, EMPTY, "the empty-way sentinel is not a line");
         let range = self.set_range(line);
         let base = range.start;
-        let mut hit = usize::MAX;
-        for (i, &id) in self.ids[range].iter().enumerate() {
-            hit = if id == line.0 { i } else { hit };
-        }
-        (hit != usize::MAX).then(|| Way(base + hit))
+        let ids = &self.ids[range];
+        let hit = match <&[u64; 8]>::try_from(ids) {
+            Ok(ways) => {
+                let mut mask = 0u32;
+                for (i, &id) in ways.iter().enumerate() {
+                    mask |= u32::from(id == line.0) << i;
+                }
+                let hit = (mask != 0).then(|| mask.trailing_zeros() as usize);
+                debug_assert_eq!(hit, select_way(ids, line), "8-way mask vs select-fold");
+                hit
+            }
+            Err(_) => select_way(ids, line),
+        };
+        hit.map(|i| Way(base + i))
     }
 
     /// Where `line` is resident, if it is. Touches nothing.
-    #[inline]
+    #[inline(always)]
     pub fn probe(&self, line: Line) -> Option<Way> {
         #[cfg(test)]
         self.probes.set(self.probes.get() + 1);
@@ -178,7 +195,7 @@ impl<P> SetAssoc<P> {
     }
 
     /// Make `way` the most recently used of its set.
-    #[inline]
+    #[inline(always)]
     pub fn touch(&mut self, way: Way) {
         self.stamp += 1;
         self.lru[way.0] = self.stamp;
@@ -220,7 +237,7 @@ impl<P> SetAssoc<P> {
     /// Probe for a resident line and bump its LRU stamp. The stamp is left
     /// untouched on a miss (stamps are only compared between resident
     /// entries, so skipping the bump cannot change any eviction decision).
-    #[inline]
+    #[inline(always)]
     pub fn lookup_touch(&mut self, line: Line) -> Option<Way> {
         let way = self.probe(line)?;
         self.touch(way);
@@ -297,6 +314,17 @@ impl<P> SetAssoc<P> {
     }
 }
 
+/// The select-fold over one set's line ids: the index of the way holding
+/// `line`, visiting every way with no early exit.
+#[inline]
+fn select_way(ids: &[u64], line: Line) -> Option<usize> {
+    let mut hit = usize::MAX;
+    for (i, &id) in ids.iter().enumerate() {
+        hit = if id == line.0 { i } else { hit };
+    }
+    (hit != usize::MAX).then_some(hit)
+}
+
 /// L1 per-line metadata: coherence state and the Conditional Access tag bits.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct L1Meta {
@@ -365,6 +393,7 @@ impl L1 {
     /// live list is a hand-over-hand window of a few lines, so the search
     /// is short, and a traversal would otherwise leave one dead entry per
     /// hop for the next `untagAll` to walk.
+    #[inline(always)]
     pub fn clear_tag(&mut self, line: Line, ht: usize) {
         let Some(way) = self.array.probe(line) else {
             return;

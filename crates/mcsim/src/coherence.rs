@@ -56,6 +56,17 @@ use crate::mem::Memory;
 use crate::stats::{RevokeCause, StatsBank};
 
 /// Iterate over set bits of a mask as core ids.
+/// The panic of [`CoherenceHub::assert_outside_tx`], out of line so the
+/// inlined access paths carry only the test.
+#[cold]
+#[inline(never)]
+fn non_tx_op_inside_tx(t: CoreId, what: &str) -> ! {
+    panic!(
+        "{what} issued inside a hardware transaction on thread {t}: \
+         only tx_read/tx_write are transactional"
+    )
+}
+
 #[inline]
 fn bits(mut m: u64) -> impl Iterator<Item = CoreId> {
     std::iter::from_fn(move || {
@@ -200,13 +211,11 @@ impl CoherenceHub {
         self.place(t).0
     }
 
-    #[inline]
+    #[inline(always)]
     fn assert_outside_tx(&self, t: CoreId, what: &str) {
-        assert!(
-            !self.tx[t].active,
-            "{what} issued inside a hardware transaction on thread {t}: \
-             only tx_read/tx_write are transactional"
-        );
+        if self.tx[t].active {
+            non_tx_op_inside_tx(t, what);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -338,7 +347,7 @@ impl CoherenceHub {
     /// probe. The L1-hit check is the only part that inlines into the event
     /// pipeline; everything that involves the directory is
     /// [`Self::acquire_shared_miss`].
-    #[inline]
+    #[inline(always)]
     fn acquire_shared(&mut self, t: CoreId, pcore: usize, line: Line) -> (u64, Way) {
         match self.l1s[pcore].array.lookup_touch(line) {
             Some(way) => (self.l1_hit(t), way),
@@ -391,7 +400,7 @@ impl CoherenceHub {
     /// `pcore`, invalidating every other copy (setting tagged holders'
     /// ARBs). Returns the cost and the line's L1 way, found by the access's
     /// one L1 probe; a miss goes to [`Self::acquire_exclusive_miss`].
-    #[inline]
+    #[inline(always)]
     fn acquire_exclusive(&mut self, t: CoreId, pcore: usize, line: Line) -> (u64, Way) {
         match self.l1s[pcore].array.lookup_touch(line) {
             Some(way) => (self.make_exclusive(t, pcore, line, way), way),
@@ -403,7 +412,7 @@ impl CoherenceHub {
     /// Modified. Returns cost. Inline: the states that need no directory
     /// traffic (an M copy, or MESI's silent E→M promotion); a Shared copy
     /// goes to [`Self::upgrade_shared`].
-    #[inline]
+    #[inline(always)]
     fn make_exclusive(&mut self, t: CoreId, pcore: usize, line: Line, way: Way) -> u64 {
         let meta = self.l1s[pcore].array.at_mut(way);
         match meta.state {
@@ -510,7 +519,7 @@ impl CoherenceHub {
     // ------------------------------------------------------------------
 
     /// Plain load.
-    #[inline]
+    #[inline(always)]
     pub fn read(&mut self, t: CoreId, a: Addr) -> (u64, u64) {
         self.assert_outside_tx(t, "read");
         self.stats.core(t).accesses += 1;
@@ -519,7 +528,7 @@ impl CoherenceHub {
     }
 
     /// Plain store.
-    #[inline]
+    #[inline(always)]
     pub fn write(&mut self, t: CoreId, a: Addr, v: u64) -> u64 {
         self.assert_outside_tx(t, "write");
         self.stats.core(t).accesses += 1;
@@ -555,6 +564,7 @@ impl CoherenceHub {
     }
 
     /// Memory fence (latency only; the simulator is sequentially consistent).
+    #[inline(always)]
     pub fn fence(&mut self, t: CoreId) -> u64 {
         self.assert_outside_tx(t, "fence");
         self.stats.core(t).fences += 1;
@@ -566,7 +576,7 @@ impl CoherenceHub {
     /// itself may have evicted a tagged victim, which conservatively fails
     /// this cread too (honours Claim 4: success implies no tagged line was
     /// invalidated since it was tagged).
-    #[inline]
+    #[inline(always)]
     pub fn cread(&mut self, t: CoreId, a: Addr) -> (Option<u64>, u64) {
         self.assert_outside_tx(t, "cread");
         self.stats.core(t).accesses += 1;
@@ -622,6 +632,7 @@ impl CoherenceHub {
 
     /// `untagOne`: drop one line from the calling hardware thread's tag set.
     /// No memory access.
+    #[inline(always)]
     pub fn untag_one(&mut self, t: CoreId, a: Addr) -> u64 {
         self.assert_outside_tx(t, "untag_one");
         self.stats.core(t).untag_ones += 1;

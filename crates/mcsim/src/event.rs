@@ -51,7 +51,7 @@ impl Event for ReadOp {
     fn trace(self, _out: &u64) -> Option<(Kind, Addr)> {
         Some((Kind::Read, self.0))
     }
-    #[inline]
+    #[inline(always)]
     fn exec(self, st: &mut SimState, c: CoreId) -> (u64, u64) {
         st.alloc.check_access(c, self.0, "read");
         st.hub.read(c, self.0)
@@ -68,7 +68,7 @@ impl Event for WriteOp {
     fn trace(self, _out: &()) -> Option<(Kind, Addr)> {
         Some((Kind::Write, self.0))
     }
-    #[inline]
+    #[inline(always)]
     fn exec(self, st: &mut SimState, c: CoreId) -> ((), u64) {
         st.alloc.check_access(c, self.0, "write");
         ((), st.hub.write(c, self.0, self.1))
@@ -109,7 +109,7 @@ impl Event for CreadOp {
     fn trace(self, out: &Result<u64, Restart>) -> Option<(Kind, Addr)> {
         out.is_ok().then_some((Kind::CreadOk, self.0))
     }
-    #[inline]
+    #[inline(always)]
     fn exec(self, st: &mut SimState, c: CoreId) -> (Result<u64, Restart>, u64) {
         let (v, cost) = st.hub.cread(c, self.0);
         if v.is_some() {
@@ -152,7 +152,7 @@ impl Event for FenceOp {
     fn trace(self, _out: &()) -> Option<(Kind, Addr)> {
         Some((Kind::Fence, Addr::NULL))
     }
-    #[inline]
+    #[inline(always)]
     fn exec(self, st: &mut SimState, c: CoreId) -> ((), u64) {
         ((), st.hub.fence(c))
     }
@@ -184,7 +184,7 @@ pub(crate) struct UntagOneOp(pub Addr);
 
 impl Event for UntagOneOp {
     type R = ();
-    #[inline]
+    #[inline(always)]
     fn exec(self, st: &mut SimState, c: CoreId) -> ((), u64) {
         ((), st.hub.untag_one(c, self.0))
     }

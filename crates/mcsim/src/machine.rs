@@ -313,6 +313,12 @@ const _: () = {
 impl Machine {
     /// Build a machine.
     pub fn new(cfg: MachineConfig) -> Self {
+        if let Some((interval, _)) = cfg.ctx_switch {
+            assert!(
+                interval >= 1,
+                "MachineConfig::ctx_switch interval must be at least 1 cycle (got 0)"
+            );
+        }
         let mut hub = CoherenceHub::new(cfg.cores, cfg.smt, &cfg.cache, cfg.mem_bytes);
         hub.trace.enabled = cfg.race_check;
         let mut alloc = Allocator::new(cfg.cores, cfg.mem_bytes, cfg.static_lines);
@@ -836,7 +842,7 @@ struct CoopCtx {
 /// its deadline, run `preempt` (which sets the ARB and aborts any
 /// transaction), charge the switch cost, and advance the deadline past the
 /// new clock. Deadline-driven, hence deterministic.
-#[inline]
+#[inline(always)]
 fn apply_preempt_model(
     clock: &mut u64,
     next_preempt: &mut u64,
@@ -845,12 +851,26 @@ fn apply_preempt_model(
 ) {
     if let Some((interval, switch_cost)) = model {
         if *clock >= *next_preempt {
-            preempt();
-            *clock += switch_cost;
-            while *next_preempt <= *clock {
-                *next_preempt += interval;
-            }
+            preempt_now(clock, next_preempt, interval, switch_cost, preempt);
         }
+    }
+}
+
+/// A due preemption of [`apply_preempt_model`], out of line: most events
+/// fall between deadlines.
+#[cold]
+#[inline(never)]
+fn preempt_now(
+    clock: &mut u64,
+    next_preempt: &mut u64,
+    interval: u64,
+    switch_cost: u64,
+    preempt: impl FnOnce(),
+) {
+    preempt();
+    *clock += switch_cost;
+    while *next_preempt <= *clock {
+        *next_preempt += interval;
     }
 }
 
@@ -892,30 +912,37 @@ fn wedge_attribution(st: &SimState) -> Option<String> {
 /// so the result returns in registers and the L1-hit path of `ev.exec`
 /// inlines straight through; everything an empty `FaultPlan` and a disarmed
 /// analyzer never reach is behind an out-of-line cold call.
-#[inline]
+///
+/// The core's clock lives in a local for the whole event and is stored
+/// once, before the scheduling decision reads it; the cold fault paths,
+/// which read and move it through `SimState`, get it stored first. (An
+/// event that panics — the use-after-free detector — therefore leaves the
+/// clock where the previous event put it.)
+#[inline(always)]
 fn run_event_on<T: Event>(
     st: &mut SimState,
     c: CoreId,
     pending: u64,
     ev: T,
 ) -> (T::R, Option<CoreId>) {
-    st.sched.clocks[c] += pending;
+    let mut clock = st.sched.clocks[c] + pending;
     if st.fault.hot {
+        st.sched.clocks[c] = clock;
         crash_if_due(st, c);
     }
-    let issue_clock = st.sched.clocks[c];
     let (out, cost) = ev.exec(st, c);
     if st.hub.trace.enabled {
-        if let Some((kind, addr)) = ev.trace(&out) {
-            st.hub.trace.record(c, issue_clock, kind, addr);
-        }
+        // The issue clock: the event's cost is not charged yet.
+        record_trace(st, c, clock, ev, &out);
     }
-    st.sched.clocks[c] += cost;
+    clock += cost;
     if st.fault.hot {
         // Injected burst deschedules (and the wedge watchdog) land before
         // the periodic model, at the same point in the event: after the
         // op's cost, before the scheduling decision.
+        st.sched.clocks[c] = clock;
         apply_fault_triggers(st, c);
+        clock = st.sched.clocks[c];
     }
     let SimState {
         sched,
@@ -924,18 +951,25 @@ fn run_event_on<T: Event>(
         ctx_switch,
         ..
     } = st;
-    apply_preempt_model(
-        &mut sched.clocks[c],
-        &mut next_preempt[c],
-        *ctx_switch,
-        || hub.preempt(c),
-    );
+    apply_preempt_model(&mut clock, &mut next_preempt[c], *ctx_switch, || {
+        hub.preempt(c)
+    });
+    sched.clocks[c] = clock;
     let next = sched.after_event(c);
     match next {
         Some(_) => hub.stats.core(c).turn_handoffs += 1,
         None => hub.stats.core(c).batched_events += 1,
     }
     (out, next)
+}
+
+/// Record `ev` in the `hb` trace (armed analyzer only).
+#[cold]
+#[inline(never)]
+fn record_trace<T: Event>(st: &mut SimState, c: CoreId, issue_clock: u64, ev: T, out: &T::R) {
+    if let Some((kind, addr)) = ev.trace(out) {
+        st.hub.trace.record(c, issue_clock, kind, addr);
+    }
 }
 
 /// Injected fail-stop check at event issue (armed fault plans only).
@@ -1009,7 +1043,7 @@ impl<'m> Ctx<'m> {
     /// `T::exec` runs under the turn and its result returns in registers.
     /// The backend match only selects *where the state lives*; the pipeline
     /// itself is one copy.
-    #[inline]
+    #[inline(always)]
     fn event<T: Event>(&mut self, ev: T) -> T::R {
         let c = self.core;
         let pending = std::mem::take(&mut self.pending_ticks);
@@ -1080,11 +1114,13 @@ impl<'m> Ctx<'m> {
     // --- architectural operations --------------------------------------
 
     /// Plain 64-bit load.
+    #[inline(never)]
     pub fn read(&mut self, a: Addr) -> u64 {
         self.event(ReadOp(a))
     }
 
     /// Plain 64-bit store.
+    #[inline(never)]
     pub fn write(&mut self, a: Addr, v: u64) {
         self.event(WriteOp(a, v))
     }
@@ -1095,6 +1131,7 @@ impl<'m> Ctx<'m> {
     }
 
     /// Memory fence.
+    #[inline(never)]
     pub fn fence(&mut self) {
         self.event(FenceOp)
     }
@@ -1115,6 +1152,7 @@ impl<'m> Ctx<'m> {
 
     /// `cread`: conditional load (`Err` = failed, CAFAIL set). See paper
     /// §II-B and the `cacore` crate docs.
+    #[inline(never)]
     pub fn cread(&mut self, a: Addr) -> Result<u64, Restart> {
         self.event(CreadOp(a))
     }
@@ -1125,6 +1163,7 @@ impl<'m> Ctx<'m> {
     }
 
     /// `untagOne`.
+    #[inline(never)]
     pub fn untag_one(&mut self, a: Addr) {
         self.event(UntagOneOp(a))
     }
@@ -1224,6 +1263,17 @@ mod tests {
             quantum: 0,
             ..Default::default()
         })
+    }
+
+    #[test]
+    #[should_panic(expected = "MachineConfig::ctx_switch interval must be at least 1")]
+    fn zero_ctx_switch_interval_is_rejected() {
+        // Interval 0 never moves the preemption deadline past the clock, so
+        // the first event would loop forever; `new` refuses it instead.
+        Machine::new(MachineConfig {
+            ctx_switch: Some((0, 100)),
+            ..Default::default()
+        });
     }
 
     #[test]

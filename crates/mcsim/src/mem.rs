@@ -32,27 +32,32 @@ impl Memory {
     }
 
     /// Read the word at `a`.
-    #[inline]
+    #[inline(always)]
     pub fn read(&self, a: Addr) -> u64 {
-        let i = a.word_index();
-        assert!(
-            i < self.words.len(),
-            "simulated read out of bounds: {a:?} (memory is {} bytes)",
-            self.size_bytes()
-        );
-        self.words[i]
+        match self.words.get(a.word_index()) {
+            Some(&w) => w,
+            None => self.out_of_bounds("read", a),
+        }
     }
 
     /// Write the word at `a`.
-    #[inline]
+    #[inline(always)]
     pub fn write(&mut self, a: Addr, v: u64) {
-        let i = a.word_index();
-        assert!(
-            i < self.words.len(),
-            "simulated write out of bounds: {a:?} (memory is {} bytes)",
+        match self.words.get_mut(a.word_index()) {
+            Some(w) => *w = v,
+            None => self.out_of_bounds("write", a),
+        }
+    }
+
+    /// The panic of an access past the end, out of line so the inlined
+    /// accesses carry only the bounds test.
+    #[cold]
+    #[inline(never)]
+    fn out_of_bounds(&self, kind: &str, a: Addr) -> ! {
+        panic!(
+            "simulated {kind} out of bounds: {a:?} (memory is {} bytes)",
             self.size_bytes()
-        );
-        self.words[i] = v;
+        )
     }
 }
 
