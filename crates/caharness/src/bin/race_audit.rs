@@ -18,8 +18,9 @@
 //! seq)` is exact, so the report is byte-identical across backends.
 //!
 //! Usage: `cargo run --release -p caharness --bin race_audit [--quick]
-//! [--max_cycles N]` (simulator only: `--native` exits 2; the cells run one
-//! after another, so there is no `--jobs`).
+//! [--max_cycles N]` (the analyzer watches simulated memory events, so
+//! there is no `--native`; the cells run one after another, so there is no
+//! `--jobs`).
 //!
 //! `--quick` runs a 6-cell subset as a CI smoke (one list, one tree, the
 //! stack and the queue, covering the CAS-heavy and fence-heavy schemes).
@@ -73,14 +74,7 @@ fn audit_cfg(updates_only: bool, max_cycles: Option<u64>) -> RunConfig {
 }
 
 fn main() {
-    let cli = Cli::from_env(&[Flag::Quick, Flag::MaxCycles, Flag::Native]);
-    if cli.native {
-        eprintln!(
-            "error: race_audit runs only on the simulator (the analyzer watches simulated \
-             memory events); drop `--native`"
-        );
-        std::process::exit(2);
-    }
+    let cli = Cli::from_env(&[Flag::Quick, Flag::MaxCycles]);
     let quick = cli.scale == Scale::Quick;
     let allow = whitelist();
 

@@ -174,16 +174,11 @@ pub enum Flag {
     MaxCycles,
     /// `--native`: run on host threads ([`RunConfig::native`]).
     Native,
-    /// `--recover`: the fault figures' restart-and-adopt variant.
-    Recover,
-    /// `--min_agreement X`: `validate`'s rank-agreement floor.
-    MinAgreement,
 }
 
 impl Flag {
-    /// Usage text: a name followed by ` N` (an integer) or ` X` (a number)
-    /// takes a value, spelled `<flag> V` or `<flag>=V`; a bare name is a
-    /// presence flag.
+    /// Usage text: a name followed by ` N` takes an integer, spelled
+    /// `<flag> N` or `<flag>=N`; a bare name is a presence flag.
     fn usage(self) -> &'static str {
         match self {
             Flag::Figures => "FIGURE...|all",
@@ -192,11 +187,19 @@ impl Flag {
             Flag::Jobs => "--jobs N",
             Flag::MaxCycles => "--max_cycles N",
             Flag::Native => "--native",
-            Flag::Recover => "--recover",
-            Flag::MinAgreement => "--min_agreement X",
         }
     }
 }
+
+/// The flags `fig` honours: figure names and every shared flag.
+pub const FIG_FLAGS: &[Flag] = &[
+    Flag::Figures,
+    Flag::Quick,
+    Flag::Paper,
+    Flag::Jobs,
+    Flag::MaxCycles,
+    Flag::Native,
+];
 
 /// A harness bin's command line, parsed once into a value. Nothing here is
 /// process-global: a bin applies each field where it belongs (the plans'
@@ -213,10 +216,6 @@ pub struct Cli {
     pub max_cycles: Option<u64>,
     /// `--native`.
     pub native: bool,
-    /// `--recover`.
-    pub recover: bool,
-    /// `--min_agreement X`.
-    pub min_agreement: Option<f64>,
 }
 
 impl Cli {
@@ -267,17 +266,6 @@ impl Cli {
                 Flag::Jobs => cli.jobs = integer(name, &value)?,
                 Flag::MaxCycles => cli.max_cycles = Some(integer(name, &value)?).filter(|&n| n > 0),
                 Flag::Native => cli.native = true,
-                Flag::Recover => cli.recover = true,
-                Flag::MinAgreement => {
-                    let x = value.parse().ok().filter(|x: &f64| x.is_finite());
-                    let x = x.ok_or_else(|| format!("`{name}` takes a number, got `{value}`"))?;
-                    // An agreement is a fraction: a floor outside [0, 1]
-                    // would either always or never fail.
-                    if !(0.0..=1.0).contains(&x) {
-                        return Err(format!("`{name}` must lie in [0, 1], got `{value}`"));
-                    }
-                    cli.min_agreement = Some(x);
-                }
             }
         }
         cli.scale = match (quick, paper) {
@@ -410,7 +398,7 @@ mod tests {
         assert_eq!(cfg.max_cycles, None);
     }
 
-    /// The flags a bin without positionals or extras of its own takes.
+    /// The flags a bin without positionals takes.
     const PLAIN: &[Flag] = &[
         Flag::Quick,
         Flag::Paper,
@@ -425,80 +413,66 @@ mod tests {
 
     #[test]
     fn retired_flags_are_rejected_not_ignored() {
-        let check = |a: &[&str]| parse(a, PLAIN).map(|cli| cli.positionals);
-        for old in [
-            &["fig1_lazylist", "--quick", "--gangs", "4"][..],
-            &["fig1_lazylist", "--gangs=2"],
-            &["fig1_lazylist", "--jobs", "4", "--l2_banks", "8"],
-            &["fig1_lazylist", "--l2_banks=1"],
-        ] {
-            let err = check(old).expect_err("retired flag accepted");
-            assert!(err.contains(GANGS_RETIRED), "{old:?}: {err}");
+        for accepted in [PLAIN, FIG_FLAGS] {
+            let check = |a: &[&str]| parse(a, accepted).map(|cli| cli.positionals);
+            for old in [
+                &["fig1_lazylist", "--quick", "--gangs", "4"][..],
+                &["fig1_lazylist", "--gangs=2"],
+                &["fig1_lazylist", "--jobs", "4", "--l2_banks", "8"],
+                &["fig1_lazylist", "--l2_banks=1"],
+            ] {
+                let err = check(old).expect_err("retired flag accepted");
+                assert!(err.contains(GANGS_RETIRED), "{old:?}: {err}");
+            }
+            for (bad, offender) in [
+                (&["fig1_lazylist", "--quik"][..], "`--quik`"),
+                (&["fig1_lazylist", "--quick", "--job", "4"], "`--job`"),
+                (&["fig1_lazylist", "--quick", "--recover"], "`--recover`"),
+                (&["fig1_lazylist", "--quick=1"], "`--quick=1`"),
+                (&["fig1_lazylist", "-jx"], "`-jx`"),
+                (
+                    &["fig1_lazylist", "--quick", "--fail-fast"],
+                    "`--fail-fast`",
+                ),
+                (
+                    &["fig1_lazylist", "--paper", "--race_check"],
+                    "`--race_check`",
+                ),
+            ] {
+                let err = check(bad).expect_err("unknown argument accepted");
+                assert!(err.contains(offender), "{bad:?}: {err}");
+                assert!(
+                    err.contains("--quick --paper --jobs N"),
+                    "lists the accepted flags: {err}"
+                );
+                assert!(!err.contains(GANGS_RETIRED), "{bad:?}: {err}");
+            }
+            for ok in [
+                &["fig1_lazylist"][..],
+                &["fig1_lazylist", "--quick", "--jobs", "4"],
+                &["fig1_lazylist", "--paper", "--jobs=4", "--native"],
+                &["fig1_lazylist", "-j4"],
+                &["fig1_lazylist", "-j", "4"],
+                &["fig1_lazylist", "--max_cycles", "10"],
+                &["fig1_lazylist", "--max_cycles=10"],
+            ] {
+                assert_eq!(check(ok), Ok(vec![]), "{ok:?}");
+            }
         }
-        for (bad, offender) in [
-            (&["fig1_lazylist", "--quik"][..], "`--quik`"),
-            (&["fig1_lazylist", "--quick", "--job", "4"], "`--job`"),
-            (&["fig1_lazylist", "--quick", "--recover"], "`--recover`"),
-            (&["fig1_lazylist", "--quick=1"], "`--quick=1`"),
-            (&["fig1_lazylist", "-jx"], "`-jx`"),
-            (&["fig1_lazylist", "4"], "`4`"),
-            (
-                &["fig1_lazylist", "--quick", "--fail-fast"],
-                "`--fail-fast`",
-            ),
-            (
-                &["fig1_lazylist", "--paper", "--race_check"],
-                "`--race_check`",
-            ),
-        ] {
-            let err = check(bad).expect_err("unknown argument accepted");
-            assert!(err.contains(offender), "{bad:?}: {err}");
-            assert!(
-                err.contains("--quick --paper --jobs N"),
-                "lists the accepted flags: {err}"
-            );
-            assert!(!err.contains(GANGS_RETIRED), "{bad:?}: {err}");
-        }
-        for ok in [
-            &["fig1_lazylist"][..],
-            &["fig1_lazylist", "--quick", "--jobs", "4"],
-            &["fig1_lazylist", "--paper", "--jobs=4", "--native"],
-            &["fig1_lazylist", "-j4"],
-            &["fig1_lazylist", "-j", "4"],
-            &["fig1_lazylist", "--max_cycles", "10"],
-            &["fig1_lazylist", "--max_cycles=10"],
-        ] {
-            assert_eq!(check(ok), Ok(vec![]), "{ok:?}");
-        }
-        let validate = parse(
-            &["validate", "--min_agreement", "0.5", "--min_agreement=0.3"],
-            &[Flag::MinAgreement],
-        );
-        assert_eq!(validate.map(|cli| cli.min_agreement), Ok(Some(0.3)));
-        // `fig` declares positionals: they come back in order, flag values
-        // are not mistaken for them, and flags are checked as everywhere.
-        let fig = &[Flag::Figures, Flag::Quick, Flag::Jobs, Flag::Recover];
+        // A bare word is a positional only to a bin that declares them.
+        let err = parse(&["validate", "4"], PLAIN).expect_err("positional accepted");
+        assert!(err.contains("`4`"), "{err}");
+        // `fig`'s positionals come back in order, and flag values are not
+        // mistaken for them.
         let cli = parse(
-            &[
-                "fig",
-                "--quick",
-                "fig_robustness",
-                "--jobs",
-                "4",
-                "--recover",
-                "fig9",
-            ],
-            fig,
+            &["fig", "--quick", "fig_robustness", "--jobs", "4", "fig9"],
+            FIG_FLAGS,
         );
         assert_eq!(
             cli.map(|cli| cli.positionals),
             Ok(vec!["fig_robustness".to_string(), "fig9".to_string()])
         );
-        assert_eq!(
-            parse(&["fig", "--quick"], fig).map(|cli| cli.positionals),
-            Ok(vec![])
-        );
-        let err = parse(&["fig", "all", "--quik"], fig).expect_err("unknown flag accepted");
+        let err = parse(&["fig", "all", "--quik"], FIG_FLAGS).expect_err("unknown flag accepted");
         assert!(
             err.contains("`--quik`") && err.contains("FIGURE..."),
             "{err}"
@@ -508,24 +482,8 @@ mod tests {
     #[test]
     fn flags_parse_into_one_value() {
         let cli = parse(
-            &[
-                "fig",
-                "all",
-                "--paper",
-                "-j3",
-                "--max_cycles=7",
-                "--native",
-                "--recover",
-            ],
-            &[
-                Flag::Figures,
-                Flag::Quick,
-                Flag::Paper,
-                Flag::Jobs,
-                Flag::MaxCycles,
-                Flag::Native,
-                Flag::Recover,
-            ],
+            &["fig", "all", "--paper", "-j3", "--max_cycles=7", "--native"],
+            FIG_FLAGS,
         );
         let want = Cli {
             positionals: vec!["all".to_string()],
@@ -533,8 +491,6 @@ mod tests {
             jobs: 3,
             max_cycles: Some(7),
             native: true,
-            recover: true,
-            min_agreement: None,
         };
         assert_eq!(cli, Ok(want));
         let plain = parse(&["validate"], PLAIN).expect("no flags");
@@ -572,28 +528,11 @@ mod tests {
             ),
             (&["fig", "--max_cycles"], "`--max_cycles` requires a value"),
             (
-                &["fig", "--min_agreement"],
-                "`--min_agreement` requires a value",
-            ),
-            (
-                &["fig", "--min_agreement", "high"],
-                "`--min_agreement` takes a number, got `high`",
-            ),
-            (
-                &["fig", "--min_agreement=NaN"],
-                "`--min_agreement` takes a number, got `NaN`",
-            ),
-            (
-                &["fig", "--min_agreement", "1.5"],
-                "`--min_agreement` must lie in [0, 1], got `1.5`",
-            ),
-            (
                 &["fig", "--quick", "--paper"],
                 "`--quick` and `--paper` exclude each other",
             ),
         ] {
-            let err = parse(bad, &[PLAIN, &[Flag::MinAgreement]].concat())
-                .expect_err("malformed value accepted");
+            let err = parse(bad, PLAIN).expect_err("malformed value accepted");
             assert_eq!(err, flag, "{bad:?}");
         }
     }

@@ -279,40 +279,32 @@ pub struct Figure {
     pub name: &'static str,
     /// What it reproduces, in one line.
     pub about: &'static str,
-    /// `None`: the figure has no `--recover` variant. `Some(d)`: it has,
-    /// and `fig all` renders it with `recover = d` when the flag is absent
-    /// (naming the figure renders the plain variant).
-    pub recover: Option<bool>,
-    /// The builder: `(scale, recover)` to the figure's cells and tables.
-    pub plan: fn(Scale, bool) -> Plan,
+    /// The builder: the figure's cells and tables at a scale.
+    pub plan: fn(Scale) -> Plan,
 }
 
-/// Resolve `fig`'s positional arguments (`all`, or figure names) to plans.
-/// `--recover` is an error unless a requested figure takes it.
-pub fn select(names: &[String], scale: Scale, recover: bool) -> Result<Vec<Plan>, String> {
-    let mut picked: Vec<(&Figure, bool)> = Vec::new();
+/// Resolve `fig`'s positional arguments (`all`, or figure names) to plans,
+/// each figure once, where it is first asked for.
+pub fn select(names: &[String], scale: Scale) -> Result<Vec<Plan>, String> {
+    let mut picked: Vec<&Figure> = Vec::new();
     for name in names {
-        if name == "all" {
-            picked.extend(
-                FIGURES
-                    .iter()
-                    .map(|f| (f, recover || f.recover == Some(true))),
-            );
-        } else {
-            let fig = FIGURES
-                .iter()
-                .find(|f| f.name == name)
-                .ok_or_else(|| format!("unknown figure `{name}`"))?;
-            picked.push((fig, recover));
+        let named: Vec<&Figure> = FIGURES
+            .iter()
+            .filter(|f| name == "all" || f.name == name)
+            .collect();
+        if named.is_empty() {
+            return Err(format!("unknown figure `{name}`"));
+        }
+        for fig in named {
+            if !picked.iter().any(|p| p.name == fig.name) {
+                picked.push(fig);
+            }
         }
     }
     if picked.is_empty() {
         return Err("name at least one figure, or `all`".into());
     }
-    if recover && picked.iter().all(|(f, _)| f.recover.is_none()) {
-        return Err("unrecognized argument `--recover`: no requested figure takes it".into());
-    }
-    Ok(picked.iter().map(|(f, r)| (f.plan)(scale, *r)).collect())
+    Ok(picked.iter().map(|f| (f.plan)(scale)).collect())
 }
 
 /// Every figure, in the order `fig all` emits them.
@@ -320,8 +312,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig1_lazylist",
         about: "Fig. 1 top: lazy list, keys 0..1K, three workload panels",
-        recover: None,
-        plan: |s, _| {
+        plan: |s| {
             throughput(
                 "fig1_lazylist",
                 LAZY_LIST,
@@ -334,8 +325,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig1_extbst",
         about: "Fig. 1 bottom: external BST, keys 0..10K",
-        recover: None,
-        plan: |s, _| {
+        plan: |s| {
             throughput(
                 "fig1_extbst",
                 EXT_BST,
@@ -348,8 +338,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig2_hashtable",
         about: "Fig. 2 top: 128-bucket chaining hash table, keys 0..1K",
-        recover: None,
-        plan: |s, _| {
+        plan: |s| {
             let table = Structure::Set(SetKind::HashTable);
             throughput(
                 "fig2_hashtable",
@@ -363,8 +352,7 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig2_stack",
         about: "Fig. 2 bottom: Treiber stack (reads are peeks)",
-        recover: None,
-        plan: |s, _| {
+        plan: |s| {
             throughput(
                 "fig2_stack",
                 Structure::Stack,
@@ -377,87 +365,82 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig3_memory",
         about: "Fig. 3: unreclaimed nodes over time, 100% updates",
-        recover: None,
         plan: fig3_memory,
     },
     Figure {
         name: "ablation_assoc",
         about: "§III claim: L1 associativity does not hurt CA progress",
-        recover: None,
         plan: ablation_assoc,
     },
     Figure {
         name: "ablation_freq",
         about: "§I batch-size/epoch-frequency tradeoff (CA has no such knob)",
-        recover: None,
         plan: ablation_freq,
     },
     Figure {
         name: "ablation_quantum",
         about: "simulator fidelity: throughput vs scheduler lookahead quantum",
-        recover: None,
         plan: ablation_quantum,
     },
     Figure {
         name: "ablation_ctxswitch",
         about: "§III multiuser claim: OS preemption sets the ARB",
-        recover: None,
         plan: ablation_ctxswitch,
     },
     Figure {
         name: "ablation_latency",
         about: "§I claim: batch reclamation inflates tail latency",
-        recover: None,
         plan: ablation_latency,
     },
     Figure {
         name: "ablation_smt",
         about: "§III SMT rules: 1, 2 and 4 hyperthreads per physical core",
-        recover: None,
         plan: ablation_smt,
     },
     Figure {
         name: "ablation_protocol",
         about: "§IV claim: CA's standing is the same on MSI and MESI",
-        recover: None,
         plan: ablation_protocol,
     },
     Figure {
         name: "ablation_fallback",
         about: "§IV fallback path: fast-path overhead, progress on a hostile L1",
-        recover: None,
         plan: ablation_fallback,
     },
     Figure {
         name: "queue_bench",
         about: "§IV-A MS queue, 50% enqueue / 50% dequeue (implemented, not plotted, in the paper)",
-        recover: None,
         plan: queue_bench,
     },
     Figure {
         name: "harris_bench",
         about: "extension: lock-free CA Harris list vs the lock-based lists",
-        recover: None,
         plan: harris_bench,
     },
     Figure {
         name: "htm_bench",
         about: "§VI comparator: hand-over-hand transactions (Zhou et al.) vs CA",
-        recover: None,
         plan: htm_bench,
     },
     Figure {
         name: "fig_robustness",
-        about: "extension: throughput and garbage bounds with 0/1/2 cores fail-stopped; \
-                --recover adds the restart+adopt columns",
-        recover: Some(false),
-        plan: fig_robustness,
+        about: "extension: throughput and garbage bounds with 0/1/2 cores fail-stopped",
+        plan: |s| fig_robustness(s, false),
+    },
+    Figure {
+        name: "fig_robustness_adopt",
+        about: "extension: fig_robustness plus the restart+adopt columns 1+adopt/2+adopt",
+        plan: |s| fig_robustness(s, true),
     },
     Figure {
         name: "fig_recovery",
-        about: "extension: garbage over time through crash, detection and (--recover) adoption",
-        recover: Some(true),
-        plan: fig_recovery,
+        about: "extension: garbage over time through a crash the victim never recovers from",
+        plan: |s| fig_recovery(s, false),
+    },
+    Figure {
+        name: "fig_recovery_adopt",
+        about: "extension: garbage over time through crash, detection, restart and adoption",
+        plan: |s| fig_recovery(s, true),
     },
 ];
 
@@ -526,7 +509,7 @@ fn throughput(name: &str, structure: Structure, key_range: u64, title: &str, sca
 /// Figure 3: nodes allocated-but-not-freed over time. Lazy list of ~500
 /// nodes, 16 threads, 100% updates, 5000 ops/thread, sampled every 1000
 /// global operations (all parameters straight from the paper).
-fn fig3_memory(scale: Scale, _: bool) -> Plan {
+fn fig3_memory(scale: Scale) -> Plan {
     let (threads, ops) = match scale {
         Scale::Quick => (4, 1500),
         _ => (16, 5000),
@@ -560,7 +543,7 @@ fn fig3_memory(scale: Scale, _: bool) -> Plan {
 /// fallback. Our reproduction surfaces that boundary faithfully (the
 /// `attempt_loop` retry ceiling turns it into a loud failure); see
 /// EXPERIMENTS.md.
-fn ablation_assoc(scale: Scale, _: bool) -> Plan {
+fn ablation_assoc(scale: Scale) -> Plan {
     let threads = scale.fixed_threads();
     let assocs = [2usize, 4, 8, 16];
     let cfgs = assocs.map(|l1_assoc| RunConfig {
@@ -598,7 +581,7 @@ fn ablation_assoc(scale: Scale, _: bool) -> Plan {
 /// §I ablation: the batch-size/epoch-frequency tradeoff that motivates the
 /// paper. Sweeps the reclamation frequency for qsbr and ibr; CA needs no
 /// such parameter (its row is flat by construction).
-fn ablation_freq(scale: Scale, _: bool) -> Plan {
+fn ablation_freq(scale: Scale) -> Plan {
     let threads = scale.fixed_threads();
     let freqs = [1u64, 10, 30, 100, 1000];
     let cfgs = freqs.map(|f| RunConfig {
@@ -635,7 +618,7 @@ fn ablation_freq(scale: Scale, _: bool) -> Plan {
 /// Simulator-fidelity ablation: scheduler lookahead quantum. Throughput
 /// estimates should drift only mildly with the quantum; this bounds the
 /// modeling error introduced by lax synchronization.
-fn ablation_quantum(scale: Scale, _: bool) -> Plan {
+fn ablation_quantum(scale: Scale) -> Plan {
     let threads = scale.fixed_threads();
     let quanta = [0u64, 16, 64, 256, 1024];
     let cfgs = quanta.map(|quantum| RunConfig {
@@ -663,7 +646,7 @@ fn ablation_quantum(scale: Scale, _: bool) -> Plan {
 /// threads. Sweeps the context-switch interval and reports CA throughput,
 /// switch-induced revokes, and a qsbr baseline (which only pays the switch
 /// cost itself). Demonstrates CA degrades gracefully in multiuser systems.
-fn ablation_ctxswitch(scale: Scale, _: bool) -> Plan {
+fn ablation_ctxswitch(scale: Scale) -> Plan {
     let threads = scale.fixed_threads();
     // Interval in cycles; a 1 GHz core with HZ=1000 switches every ~1M
     // cycles, so even the harshest point here (20k) is pessimistic.
@@ -697,7 +680,7 @@ fn ablation_ctxswitch(scale: Scale, _: bool) -> Plan {
 /// the second group re-runs the epoch schemes with a 10× larger batch to
 /// show the tail scaling with the tuning knob while CA has no knob and no
 /// tail.
-fn ablation_latency(scale: Scale, _: bool) -> Plan {
+fn ablation_latency(scale: Scale) -> Plan {
     let threads = scale.fixed_threads();
     let columns: [(&str, Extract); 5] = [
         ("p50", |o| o.latency().quantile(0.50) as f64),
@@ -762,7 +745,7 @@ fn ablation_latency(scale: Scale, _: bool) -> Plan {
 /// shared L1 capacity halves. Reports CA and qsbr throughput per packing,
 /// plus CA's sibling-revoke counts. A thread count that is not a multiple
 /// of the packing has no cell.
-fn ablation_smt(scale: Scale, _: bool) -> Plan {
+fn ablation_smt(scale: Scale) -> Plan {
     let threads: Vec<usize> = match scale {
         Scale::Quick => vec![2, 4],
         _ => vec![4, 8, 16, 32],
@@ -829,7 +812,7 @@ fn ablation_smt(scale: Scale, _: bool) -> Plan {
 /// relative standing must be protocol-independent (the MESI columns get
 /// faster in absolute terms from E-grants and silent upgrades, for every
 /// scheme alike).
-fn ablation_protocol(scale: Scale, _: bool) -> Plan {
+fn ablation_protocol(scale: Scale) -> Plan {
     let threads = scale.fixed_threads();
     let mut plan = Plan::default();
     let mut rows = Vec::new();
@@ -881,7 +864,7 @@ fn ablation_protocol(scale: Scale, _: bool) -> Plan {
 /// hostile geometry — a 16-line direct-mapped L1, where bare CA livelocks
 /// deterministically — and shows operations completing via the sequential
 /// path instead.
-fn ablation_fallback(scale: Scale, _: bool) -> Plan {
+fn ablation_fallback(scale: Scale) -> Plan {
     let fallbacks: Extract = |o| o.fallbacks as f64;
     let mut plan = Plan::default();
 
@@ -947,7 +930,7 @@ fn ablation_fallback(scale: Scale, _: bool) -> Plan {
 }
 
 /// §IV-A extra: MS queue, 50% enqueue / 50% dequeue.
-fn queue_bench(scale: Scale, _: bool) -> Plan {
+fn queue_bench(scale: Scale) -> Plan {
     let threads = scale.threads();
     let queue = RunConfig {
         prefill: 256,
@@ -968,7 +951,7 @@ fn queue_bench(scale: Scale, _: bool) -> Plan {
 
 /// Extension: the lock-free CA Harris list (`ca-harris`), then the lazy
 /// list under CA and the fastest baselines as `{scheme}-lazy` rows, 50i-50d.
-fn harris_bench(scale: Scale, _: bool) -> Plan {
+fn harris_bench(scale: Scale) -> Plan {
     let threads = scale.threads();
     let cfgs = at_threads(&threads, base(scale));
     let mut plan = Plan::default();
@@ -994,7 +977,7 @@ fn harris_bench(scale: Scale, _: bool) -> Plan {
 /// §VI comparator: the hand-over-hand transactional list (Zhou et al.) vs
 /// CA and the fastest epoch baseline, on the read-only and 100%-update
 /// workloads, then the HTM abort rates of the update workload's cells.
-fn htm_bench(scale: Scale, _: bool) -> Plan {
+fn htm_bench(scale: Scale) -> Plan {
     let threads = scale.threads();
     let mut plan = Plan::default();
     let mut htm = Vec::new();
@@ -1090,12 +1073,13 @@ fn faulted_queue(scale: Scale, threads: usize, fault_plan: FaultPlan) -> RunConf
 ///    ([`casmr::GarbageStats`]; CA has no such backlog by construction and
 ///    is omitted).
 ///
-/// With `recover`, each crashed column is re-run as an `N+adopt` column
-/// under a **restart-bearing** plan — the victims come back, certify their
-/// own fail-stop, adopt their orphans (forcible retraction + merge + scan)
-/// and finish their quota — so the three tables show the pinned-backlog
-/// blowup and its repair side by side.
-fn fig_robustness(scale: Scale, recover: bool) -> Plan {
+/// With `adopt` (`fig_robustness_adopt`, CSVs suffixed `_adopt`), each
+/// crashed column is re-run as an `N+adopt` column under a
+/// **restart-bearing** plan — the victims come back, certify their own
+/// fail-stop, adopt their orphans (forcible retraction + merge + scan) and
+/// finish their quota — so the three tables show the pinned-backlog blowup
+/// and its repair side by side.
+fn fig_robustness(scale: Scale, adopt: bool) -> Plan {
     let threads = match scale {
         Scale::Quick => 4,
         _ => 8,
@@ -1106,9 +1090,10 @@ fn fig_robustness(scale: Scale, recover: bool) -> Plan {
         ("1".into(), 1, false),
         ("2".into(), 2, false),
     ];
-    if recover {
+    if adopt {
         cols.extend([1, 2].map(|s| (format!("{s}+adopt"), s, true)));
     }
+    let suffix = if adopt { "_adopt" } else { "" };
     let cfgs: Vec<RunConfig> = cols
         .iter()
         .map(|&(_, crashed, restart)| {
@@ -1131,7 +1116,7 @@ fn fig_robustness(scale: Scale, recover: bool) -> Plan {
     let mut plan = Plan::default();
     let rows = plan.by_scheme(Structure::Queue, &SchemeKind::ALL, &cfgs);
     plan.table(
-        "robustness_tput.csv",
+        format!("robustness_tput{suffix}.csv"),
         format!(
             "Robustness — MS queue 50enq-50deq, {threads} threads, N cores \
              fail-stopped (ops/Mcycle)"
@@ -1141,14 +1126,14 @@ fn fig_robustness(scale: Scale, recover: bool) -> Plan {
     )
     .rows(&rows, throughput_of);
     plan.table(
-        "robustness_footprint.csv",
+        format!("robustness_footprint{suffix}.csv"),
         "Robustness — peak allocated-not-freed nodes under fail-stopped cores",
         "scheme\\stalled",
         x_labels.clone(),
     )
     .rows(&rows, |o| o.metrics.peak_allocated as f64);
     let garbage = plan.table(
-        "robustness_garbage.csv",
+        format!("robustness_garbage{suffix}.csv"),
         "Robustness — peak retired-but-unfreed bytes held by the scheme \
          (CA holds none by construction)",
         "scheme\\stalled",
@@ -1183,14 +1168,15 @@ fn fig_robustness(scale: Scale, recover: bool) -> Plan {
 ///
 /// 1. **garbage over time** — allocated-but-unfreed lines sampled every N
 ///    global ops, tracing crash → detection → adoption → reclaim. With
-///    `recover` the victim restarts, certifies its own fail-stop
+///    `adopt` (`fig_recovery_adopt`, CSVs suffixed `_adopt`) the victim
+///    restarts, certifies its own fail-stop
 ///    ([`casmr::CrashToken::from_restart`]), adopts its orphan and the
 ///    trace returns under the pre-crash bound; without it the qsbr/rcu
 ///    backlog grows with the survivors' work, unbounded.
 /// 2. **recovery summary** — per scheme: orphans detected, adoptions,
 ///    adopted backlog bytes, and the crash→adoption-complete latency in
 ///    simulated cycles.
-fn fig_recovery(scale: Scale, recover: bool) -> Plan {
+fn fig_recovery(scale: Scale, adopt: bool) -> Plan {
     let threads = match scale {
         Scale::Quick => 4,
         _ => 8,
@@ -1204,7 +1190,7 @@ fn fig_recovery(scale: Scale, recover: bool) -> Plan {
     let sample_every = (total_ops / 24).max(1);
     let victim = threads - 1;
     let mut faults = FaultPlan::none().crash(victim, 6_000);
-    if recover {
+    if adopt {
         faults = faults.restart(victim, 60_000);
     }
     let cfg = RunConfig {
@@ -1212,7 +1198,7 @@ fn fig_recovery(scale: Scale, recover: bool) -> Plan {
         sample_every: Some(sample_every),
         ..faulted_queue(scale, threads, faults)
     };
-    let (mode, suffix) = if recover {
+    let (mode, suffix) = if adopt {
         ("crash at 6k cycles, restart+adopt at 60k", "_adopt")
     } else {
         ("crash at 6k cycles, no recovery", "")
@@ -1257,9 +1243,9 @@ mod tests {
 
     /// Render the named figures at `--quick` as one sweep; the tables come
     /// back in emission order.
-    fn quick(names: &[&str], recover: bool) -> Vec<SeriesTable> {
+    fn quick(names: &[&str]) -> Vec<SeriesTable> {
         let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
-        let plans = select(&names, Scale::Quick, recover).expect("registry names");
+        let plans = select(&names, Scale::Quick).expect("registry names");
         render("test", &plans)
             .0
             .into_iter()
@@ -1276,100 +1262,85 @@ mod tests {
         let names: BTreeSet<&str> = FIGURES.iter().map(|f| f.name).collect();
         assert_eq!(names.len(), FIGURES.len(), "figure names are unique");
         for scale in [Scale::Quick, Scale::Standard, Scale::Paper] {
-            for recover in [false, true] {
-                let mut csvs = BTreeSet::new();
-                for fig in FIGURES {
-                    let plan = (fig.plan)(scale, recover);
-                    for c in &plan.cells {
-                        assert!(
-                            c.structure.supports(c.scheme),
-                            "{}: {} under {}",
-                            fig.name,
-                            c.structure.name(),
-                            c.scheme
+            let mut csvs = BTreeSet::new();
+            for fig in FIGURES {
+                let plan = (fig.plan)(scale);
+                for c in &plan.cells {
+                    assert!(
+                        c.structure.supports(c.scheme),
+                        "{}: {} under {}",
+                        fig.name,
+                        c.structure.name(),
+                        c.scheme
+                    );
+                    if c.structure == Structure::Queue {
+                        assert_eq!(
+                            c.cfg.mix.updates(),
+                            100,
+                            "{}: queues have no reads",
+                            fig.name
                         );
-                        if c.structure == Structure::Queue {
-                            assert_eq!(
-                                c.cfg.mix.updates(),
-                                100,
-                                "{}: queues have no reads",
-                                fig.name
-                            );
-                        }
                     }
-                    assert!(!plan.tables.is_empty(), "{} writes nothing", fig.name);
-                    for t in &plan.tables {
-                        assert!(csvs.insert(t.csv.clone()), "{} is written twice", t.csv);
-                        assert!(!t.rows.is_empty(), "{} has no rows", t.csv);
-                        for (name, row) in &t.rows {
-                            match row {
-                                Row::Each(entries) => {
-                                    assert_eq!(
-                                        entries.len(),
-                                        t.x_labels.len(),
-                                        "{} row {name}",
-                                        t.csv
-                                    );
-                                    for (i, _) in entries.iter().flatten() {
-                                        assert!(*i < plan.cells.len(), "{} row {name}", t.csv);
-                                    }
+                }
+                assert!(!plan.tables.is_empty(), "{} writes nothing", fig.name);
+                for t in &plan.tables {
+                    assert!(csvs.insert(t.csv.clone()), "{} is written twice", t.csv);
+                    assert!(!t.rows.is_empty(), "{} has no rows", t.csv);
+                    for (name, row) in &t.rows {
+                        match row {
+                            Row::Each(entries) => {
+                                assert_eq!(entries.len(), t.x_labels.len(), "{} row {name}", t.csv);
+                                for (i, _) in entries.iter().flatten() {
+                                    assert!(*i < plan.cells.len(), "{} row {name}", t.csv);
                                 }
-                                Row::Trace(i) => {
-                                    assert!(*i < plan.cells.len(), "{} row {name}", t.csv)
-                                }
+                            }
+                            Row::Trace(i) => {
+                                assert!(*i < plan.cells.len(), "{} row {name}", t.csv)
                             }
                         }
                     }
                 }
-                assert_eq!(
-                    csvs.len(),
-                    36,
-                    "tables per full run ({scale:?}, recover={recover})"
-                );
             }
+            assert_eq!(csvs.len(), 41, "tables per full run ({scale:?})");
         }
     }
 
     #[test]
-    fn select_resolves_names_and_the_recover_flag() {
+    fn select_resolves_names_once_each() {
         let names = |ns: &[&str]| ns.iter().map(|n| n.to_string()).collect::<Vec<_>>();
-        let csvs = |ns: &[&str], recover: bool| -> Vec<String> {
-            select(&names(ns), Scale::Quick, recover)
+        let csvs = |ns: &[&str]| -> Vec<String> {
+            select(&names(ns), Scale::Quick)
                 .expect("valid selection")
                 .iter()
                 .flat_map(|p| p.tables.iter().map(|t| t.csv.clone()))
                 .collect()
         };
-        // `all`: robustness plain, recovery with adoption — the registry's
-        // `recover` column, not a special case in the bin.
-        let all = csvs(&["all"], false);
-        assert_eq!(all.len(), 36);
+        // `all` is every entry, both fault figures' variants included.
+        let all = csvs(&["all"]);
+        assert_eq!(all.len(), 41);
         assert_eq!(
             all.iter().filter(|csv| csv.ends_with("_adopt.csv")).count(),
-            2
+            5
         );
-        let plans = select(&names(&["all"]), Scale::Quick, false).unwrap();
-        let robustness = &plans[FIGURES
-            .iter()
-            .position(|f| f.name == "fig_robustness")
-            .unwrap()];
-        assert_eq!(robustness.tables[0].x_labels, ["0", "1", "2"]);
-        // A named figure takes the flag as given.
-        assert!(csvs(&["fig_recovery"], false)
-            .iter()
-            .all(|csv| !csv.ends_with("_adopt.csv")));
-        assert!(csvs(&["fig_recovery", "queue_bench"], true)[..2]
-            .iter()
-            .all(|csv| csv.ends_with("_adopt.csv")));
+        // A figure asked for twice runs once, where it is first named.
+        assert_eq!(csvs(&["all", "ablation_assoc"]), all);
+        let (queue, queue_first) = (csvs(&["queue_bench"]), csvs(&["queue_bench", "all"]));
+        assert_eq!(queue_first.len(), 41);
+        assert_eq!(queue_first[..queue.len()], queue[..]);
+        assert_eq!(
+            csvs(&["fig_recovery", "fig_recovery_adopt", "fig_recovery"]),
+            [
+                "recovery_trace.csv",
+                "recovery_summary.csv",
+                "recovery_trace_adopt.csv",
+                "recovery_summary_adopt.csv"
+            ]
+        );
 
-        let err = |ns: &[&str], recover: bool| {
-            select(&names(ns), Scale::Quick, recover)
-                .err()
-                .expect("rejected")
-        };
-        assert!(err(&[], false).contains("at least one figure"));
-        assert!(err(&["fig9"], false).contains("unknown figure `fig9`"));
-        assert!(err(&["fig3_memory"], true).contains("`--recover`"));
+        let err = |ns: &[&str]| select(&names(ns), Scale::Quick).err().expect("rejected");
+        assert!(err(&[]).contains("at least one figure"));
+        assert!(err(&["fig9"]).contains("unknown figure `fig9`"));
+        assert!(err(&["all", "fig9"]).contains("unknown figure `fig9`"));
     }
 
     #[test]
@@ -1378,9 +1349,9 @@ mod tests {
         // byte-identical to rendering A and B alone: flattening only
         // changes host scheduling (task-list shape), never cell values or
         // table assembly order.
-        let together = quick(&["ablation_assoc", "queue_bench"], false);
-        let mut alone = quick(&["ablation_assoc"], false);
-        alone.extend(quick(&["queue_bench"], false));
+        let together = quick(&["ablation_assoc", "queue_bench"]);
+        let mut alone = quick(&["ablation_assoc"]);
+        alone.extend(quick(&["queue_bench"]));
         assert_eq!(together.len(), 3);
         for (t, a) in together.iter().zip(&alone) {
             assert_eq!(t.render(), a.render());
@@ -1391,7 +1362,7 @@ mod tests {
     #[test]
     fn a_failed_cell_is_err_and_every_other_cell_completes() {
         let names = ["ablation_assoc".to_string(), "queue_bench".to_string()];
-        let mut plans = select(&names, Scale::Quick, false).unwrap();
+        let mut plans = select(&names, Scale::Quick).unwrap();
         // The 4-way cell of the associativity sweep trips the watchdog.
         plans[0].cells[1].cfg.max_cycles = Some(1);
         let (tables, failures) = render("test-failed-cell", &plans);
@@ -1428,7 +1399,7 @@ mod tests {
         }
         // ERR is one specific NaN; a not-applicable cell's plain NaN is not.
         assert!(!sweep::is_err_cell(f64::NAN));
-        assert_eq!(queue.1.to_csv(), quick(&["queue_bench"], false)[0].to_csv());
+        assert_eq!(queue.1.to_csv(), quick(&["queue_bench"])[0].to_csv());
     }
 
     #[test]
@@ -1443,7 +1414,7 @@ mod tests {
         // per-op epoch schemes' retired-but-unfreed backlog grows with the
         // survivors' work, while the per-read schemes stay near their
         // no-fault footprint and CA stays at the live set.
-        let tables = quick(&["fig_robustness"], false);
+        let tables = quick(&["fig_robustness"]);
         let [tput, footprint, garbage] = &tables[..] else {
             panic!("three robustness tables");
         };
@@ -1487,9 +1458,10 @@ mod tests {
         // The PR-10 acceptance claim: with restart+adoption, qsbr/rcu
         // post-crash garbage returns under the pre-crash bound; without
         // it, the backlog only grows with the survivors' work.
-        let recovered = quick(&["fig_recovery"], true);
-        let (trace_rec, summary) = (&recovered[0], &recovered[1]);
-        let trace_no = &quick(&["fig_recovery"], false)[0];
+        let tables = quick(&["fig_recovery_adopt", "fig_recovery"]);
+        let [trace_rec, summary, trace_no, _] = &tables[..] else {
+            panic!("two tables per recovery variant");
+        };
         let last_finite = |r: &[f64]| -> f64 {
             *r.iter()
                 .rev()
@@ -1534,7 +1506,7 @@ mod tests {
 
     #[test]
     fn fig_robustness_recover_columns_repair_the_backlog() {
-        let tables = quick(&["fig_robustness"], true);
+        let tables = quick(&["fig_robustness_adopt"]);
         let garbage = &tables[2];
         assert_eq!(garbage.x_labels, ["0", "1", "2", "1+adopt", "2+adopt"]);
         for (name, g) in &garbage.series {
@@ -1574,7 +1546,7 @@ mod tests {
 
     #[test]
     fn fig3_quick_has_all_schemes() {
-        let t = &quick(&["fig3_memory"], false)[0];
+        let t = &quick(&["fig3_memory"])[0];
         assert_eq!(t.series.len(), 7);
         // CA stays near the live-set size throughout; none only grows.
         let ca = row(t, "ca");

@@ -10,9 +10,9 @@
 //!
 //! | binary | does | accepts |
 //! |---|---|---|
-//! | `fig <figure>... \| all` | renders the named figures (every registry entry for `all`) as one flat sweep; with no name it lists the registry, one line per figure | `--quick`\|`--paper`, `--recover`, `--jobs N`, `--max_cycles N`, `--native` |
-//! | `validate` | runs one panel on the simulator and on real host threads and scores the agreement of their scheme orderings | `--quick`\|`--paper`, `--jobs N`, `--max_cycles N`, `--min_agreement X` |
-//! | `race_audit` | happens-before race audit over the scheme × structure grid, diffed against a whitelist | `--quick`, `--max_cycles N` (`--native` exits 2: simulator only) |
+//! | `fig <figure>... \| all` | renders the named figures (every registry entry for `all`), each once, as one flat sweep; with no name it lists the registry, one line per figure | `--quick`\|`--paper`, `--jobs N`, `--max_cycles N`, `--native` |
+//! | `validate` | runs one panel on the simulator and on real host threads and scores the agreement of their scheme orderings against a fixed floor | `--quick`\|`--paper`, `--jobs N`, `--max_cycles N` |
+//! | `race_audit` | happens-before race audit over the scheme × structure grid (simulator only), diffed against a whitelist | `--quick`, `--max_cycles N` |
 //!
 //! Each binary parses its command line once, into a [`config::Cli`] value,
 //! and applies it to the configurations it builds; [`RunConfig::default`]
@@ -30,8 +30,9 @@
 //! — turns a CI hang into a red test). Failed tasks render as `ERR` cells
 //! and the binary exits nonzero after completing everything else.
 //!
-//! Crash recovery (PR 10): `fig fig_recovery --recover` (and
-//! `fig fig_robustness --recover`) put restart-bearing fault plans in
+//! Crash recovery (PR 10): `fig fig_recovery_adopt` (and
+//! `fig fig_robustness_adopt`, the restart-and-adopt twins of the two
+//! fault figures) put restart-bearing fault plans in
 //! [`RunConfig::fault_plan`] — a crashed core's state is parked in a
 //! [`casmr::TlsVault`], its fail-stop certified by a
 //! [`casmr::CrashToken`], its orphan adopted on restart (forcible

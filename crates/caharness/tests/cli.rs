@@ -1,12 +1,15 @@
 //! Command-line contract of the harness binaries: an argument a bin cannot
-//! honour exits 2 with a one-line error before any cell runs.
+//! honour exits 2 with a one-line error before any cell runs, and a failed
+//! cell exits 1 with the list of failed tasks.
 
 use std::process::Command;
 
-/// Run `bin` with `args`; return its exit code and stderr.
+/// Run `bin` with `args` in a scratch directory (a bin that gets as far as
+/// a table writes `results/` there); return its exit code and stderr.
 fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(bin)
         .args(args)
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
         .output()
         .expect("spawn the harness binary");
     (
@@ -34,7 +37,7 @@ fn race_audit_rejects_native() {
     rejects(
         RACE_AUDIT,
         &["--quick", "--native"],
-        "only on the simulator",
+        "unrecognized argument `--native`",
     );
 }
 
@@ -98,25 +101,6 @@ fn race_audit_takes_no_paper() {
 }
 
 #[test]
-fn validate_min_agreement_needs_a_number() {
-    rejects(
-        VALIDATE,
-        &["--quick", "--min_agreement"],
-        "`--min_agreement` requires a value",
-    );
-    rejects(
-        VALIDATE,
-        &["--quick", "--min_agreement", "high"],
-        "`--min_agreement` takes a number",
-    );
-    rejects(
-        VALIDATE,
-        &["--quick", "--min_agreement", "-0.5"],
-        "`--min_agreement` must lie in [0, 1]",
-    );
-}
-
-#[test]
 fn quick_and_paper_together_is_an_error() {
     rejects(
         FIG,
@@ -151,4 +135,12 @@ fn race_check_is_not_a_flag() {
         &["--quick", "--race_check"],
         "unrecognized argument `--race_check`",
     );
+}
+
+#[test]
+fn validate_reports_failed_cells_before_scoring() {
+    let (code, stderr) = run(VALIDATE, &["--quick", "--max_cycles", "1"]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stderr.contains("task(s) FAILED:"), "{stderr}");
+    assert!(!stderr.contains("no scoreable"), "{stderr}");
 }

@@ -1,12 +1,11 @@
 //! Byte-identity pin for the figure tables.
 //!
 //! `tests/goldens/figure_pin.txt` holds one digest per table the `fig`
-//! binary writes at `--quick`: the 36 CSVs of `fig all`, plus the two flag
-//! variants `all` never takes (`fig_robustness --recover`, three tables
-//! with the `1+adopt`/`2+adopt` columns; `fig_recovery` without
-//! `--recover`, two tables). The file was generated from the per-figure
-//! functions the registry replaced (PR 20); since then rows have only left
-//! it, with deleted figures. Each
+//! binary writes at `--quick`: the 41 CSVs of `fig all`. The file was
+//! generated from the per-figure functions the registry replaced (PR 20);
+//! since then rows have left it with deleted figures, and the three
+//! `robustness_*.csv --recover` rows were renamed `robustness_*_adopt.csv`
+//! when the fault figures' variants became registry entries. Each
 //! digest covers the rendered text table (title, corner label, alignment)
 //! and the CSV bytes, so a refactor of the experiments layer that moves a
 //! title, reorders a series or changes one cell's configuration shows up as
@@ -25,27 +24,14 @@ use conditional_access::harness::experiments::{render, select, Scale, FIGURES};
 
 #[test]
 fn quick_figures_match_the_goldens() {
-    let names = |ns: &[&str]| ns.iter().map(|n| n.to_string()).collect::<Vec<_>>();
-    let mut plans = select(&names(&["all"]), Scale::Quick, false).expect("the registry");
-    let full_run: usize = plans.iter().map(|p| p.tables.len()).sum();
-    assert_eq!(full_run, 36, "a full run writes 36 tables");
-    // The flag variants a full run does not take.
-    plans.extend(select(&names(&["fig_robustness"]), Scale::Quick, true).expect("in the registry"));
-    plans.extend(select(&names(&["fig_recovery"]), Scale::Quick, false).expect("in the registry"));
-
-    let rendered: String = render("figure_pin", &plans)
-        .0
+    let plans = select(&["all".to_string()], Scale::Quick).expect("the registry");
+    let (tables, _) = render("figure_pin", &plans);
+    assert_eq!(tables.len(), 41, "a full run writes 41 tables");
+    let rendered: String = tables
         .iter()
-        .enumerate()
-        .map(|(i, (csv, t))| {
-            // Robustness writes the same three files with and without the flag.
-            let flag = if (full_run..full_run + 3).contains(&i) {
-                " --recover"
-            } else {
-                ""
-            };
+        .map(|(csv, t)| {
             let digest = Digest::of(&format!("{}\n{}", t.render(), t.to_csv()));
-            format!("{csv}{flag} = {digest:#018x}\n")
+            format!("{csv} = {digest:#018x}\n")
         })
         .collect();
     check_golden(
