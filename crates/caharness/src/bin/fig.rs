@@ -1,6 +1,8 @@
 //! Renders figures from the registry (`caharness::experiments::FIGURES`):
-//! every cell of every requested figure runs in one flat sweep, tables go
-//! to stdout and CSVs under `results/`. `all` is every figure; a figure
+//! the requested figures add their cells to one plan, which runs as one
+//! flat sweep; tables go to stdout and CSVs under `results/`. A cell that
+//! several figures read runs once (under `--native` it is measured once, so
+//! those tables show the same value). `all` is every figure; a figure
 //! named twice (or named next to `all`) runs once, where it is first asked
 //! for. No name (or an unknown one) lists the registry and exits 2.
 //!
@@ -27,20 +29,20 @@ use caharness::experiments::{render, select, FIGURES};
 fn main() {
     let cli = Cli::from_env(FIG_FLAGS);
     let (names, scale) = (&cli.positionals, cli.scale);
-    let mut plans = select(names, scale).unwrap_or_else(|msg| {
+    let mut plan = select(names, scale).unwrap_or_else(|msg| {
         eprintln!("error: {msg}\n\nfigures:");
         for fig in FIGURES {
             eprintln!("  {:<22}{}", fig.name, fig.about);
         }
         std::process::exit(2);
     });
-    for cell in plans.iter_mut().flat_map(|plan| &mut plan.cells) {
+    for cell in &mut plan.cells {
         cell.cfg.native = cli.native;
         cell.cfg.max_cycles = cli.max_cycles.or(cell.cfg.max_cycles);
     }
     caharness::sweep::set_jobs(cli.jobs);
     eprintln!("[fig {} at {scale:?} scale]", names.join(" "));
-    let (tables, failures) = render(&names.join("+"), &plans);
+    let (tables, failures) = render(&names.join("+"), &plan);
     for (csv, table) in tables {
         table.emit(&csv);
     }

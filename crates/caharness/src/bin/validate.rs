@@ -78,7 +78,7 @@ fn main() {
         plan.table(csv, title, "scheme\\threads", cols.clone())
             .rows(&rows, |o| o.metrics.throughput);
     }
-    let (tables, failures) = render("validate", &[plan]);
+    let (tables, failures) = render("validate", &plan);
     for (csv, table) in &tables {
         table.emit(csv);
     }

@@ -51,7 +51,7 @@ impl Mix {
 /// `mcsim::latency`. Every run also uses the `Auto` host backend, which
 /// `MCSIM_EXEC` resolves; a test that needs a named backend builds its
 /// `Machine` from a `MachineConfig` itself.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunConfig {
     /// Simulated hardware threads = workload threads.
     pub threads: usize,

@@ -1,23 +1,28 @@
 //! The paper's experiments, as data.
 //!
 //! Every figure is an entry of [`FIGURES`]: a name, a one-line description
-//! and a pure builder from a [`Scale`] to a [`Plan`] — a flat list of
-//! [`Cell`]s (exactly [`run`]'s arguments) plus the [`Layout`] of each
-//! table the figure writes, whose rows say which cell feeds which entry
-//! through which extractor. The `fig*` entries reproduce the figures of the
+//! and a pure builder that adds, at a [`Scale`], its [`Cell`]s (exactly
+//! [`run`]'s arguments) and the [`Layout`] of each table it writes to a
+//! [`Plan`], whose rows say which cell feeds which entry through which
+//! extractor. The `fig*` entries reproduce the figures of the
 //! paper's §V; the `ablation_*` entries cover claims the paper makes in
 //! prose (§I batch tradeoffs, §III associativity insensitivity) plus one
 //! simulator-fidelity check. See EXPERIMENTS.md for the experiment index and
 //! the recorded paper-vs-measured results.
 //!
-//! One executor, [`render`], runs the cells of any number of plans as a
+//! A sweep has one plan: every figure it renders adds to it, and a cell
+//! equal to one the plan already has *is* that cell, so it runs once and
+//! feeds every table that reads it (the figures re-read the same
+//! configurations: Fig. 1's lazy-list 50i-50d panel is every ablation's
+//! default column). One executor, [`render`], runs the plan's cells as a
 //! single flat task list on the [`crate::sweep`] pool's one queue
 //! (`--jobs N`), so the pool stays saturated across table and figure
 //! boundaries instead of draining to a straggler at each. Cells are
 //! independent (one `Machine` each, per-config seeds), so the tables are
 //! byte-identical for every worker count and for every grouping of figures
-//! into sweeps. A cell that panics costs its own entries, rendered `ERR`,
-//! and nothing else.
+//! into sweeps. Under `fig --native` a shared cell is measured once, so
+//! every table that reads it shows the same wall-clock value. A cell that
+//! panics costs its own entries, rendered `ERR`, and nothing else.
 
 use casmr::{SchemeKind, SmrConfig};
 use mcsim::coherence::Protocol;
@@ -69,7 +74,9 @@ impl Scale {
     }
 }
 
-/// One experiment: exactly [`run`]'s arguments.
+/// One experiment: exactly [`run`]'s arguments, so equal cells have equal
+/// outcomes.
+#[derive(PartialEq)]
 pub struct Cell {
     /// Structure under test.
     pub structure: Structure,
@@ -139,18 +146,23 @@ impl Layout {
     }
 }
 
-/// What one figure runs and writes.
+/// What one sweep runs and writes: the figures add their cells and tables
+/// to one plan.
 #[derive(Default)]
 pub struct Plan {
-    /// The experiments, in no significant order.
+    /// The experiments, distinct, in no significant order.
     pub cells: Vec<Cell>,
     /// The tables, in emission order.
     pub tables: Vec<Layout>,
 }
 
 impl Plan {
-    /// Add a cell; returns its index.
+    /// Add a cell; returns its index, which is an equal cell's if the plan
+    /// already has one (that cell runs once and feeds both readers).
     pub fn push(&mut self, cell: Cell) -> usize {
+        if let Some(i) = self.cells.iter().position(|c| *c == cell) {
+            return i;
+        }
         self.cells.push(cell);
         self.cells.len() - 1
     }
@@ -203,22 +215,19 @@ impl Plan {
     }
 }
 
-/// Run every cell of `plans` as **one** flat sweep and assemble their
-/// tables, returned as `(csv name, table)` in plan order then table order,
-/// next to the failed cells in submission order.
+/// Run every cell of `plan` as **one** flat sweep and assemble its tables,
+/// returned as `(csv name, table)` in emission order, next to the failed
+/// cells in submission order.
 ///
 /// A cell occupies the host threads it runs on — its workload threads when
 /// native, one when simulated — so `--jobs N` bounds host threads whatever
 /// the mix. A cell that panics (a livelock ceiling, the wedge watchdog)
 /// yields [`sweep::ERR_CELL`] in every entry that reads it and one
 /// [`sweep::TaskFailure`]; all other entries keep their values.
-pub fn render(
-    label: &str,
-    plans: &[Plan],
-) -> (Vec<(String, SeriesTable)>, Vec<sweep::TaskFailure>) {
-    let tasks = plans
+pub fn render(label: &str, plan: &Plan) -> (Vec<(String, SeriesTable)>, Vec<sweep::TaskFailure>) {
+    let tasks = plan
+        .cells
         .iter()
-        .flat_map(|plan| &plan.cells)
         .map(|c| {
             let weight = if c.cfg.native { c.cfg.threads } else { 1 };
             let task = move || run(c.structure, c.scheme, &c.cfg);
@@ -228,7 +237,7 @@ pub fn render(
     let outcomes = sweep::run_results_weighted(label, tasks);
     // One flat index space over many figures: say which cell a failure was.
     let mut failures = Vec::new();
-    for (cell, outcome) in plans.iter().flat_map(|plan| &plan.cells).zip(&outcomes) {
+    for (cell, outcome) in plan.cells.iter().zip(&outcomes) {
         if let Err(f) = outcome {
             let (structure, threads) = (cell.structure.name(), cell.cfg.threads);
             eprintln!(
@@ -238,37 +247,32 @@ pub fn render(
             failures.push(f.clone());
         }
     }
-    let mut outcomes = outcomes.into_iter();
     let mut out = Vec::new();
-    for plan in plans {
-        let cells: Vec<_> = outcomes.by_ref().take(plan.cells.len()).collect();
-        for layout in &plan.tables {
-            let width = layout.x_labels.len();
-            let mut table =
-                SeriesTable::new(&*layout.title, layout.corner, layout.x_labels.clone());
-            for (name, row) in &layout.rows {
-                let values = match row {
-                    Row::Each(entries) => entries
-                        .iter()
-                        .map(|entry| match entry {
-                            Some((i, f)) => cells[*i].as_ref().map_or(sweep::ERR_CELL, f),
-                            None => f64::NAN,
-                        })
-                        .collect(),
-                    Row::Trace(i) => match &cells[*i] {
-                        Ok(o) => {
-                            let samples = o.metrics.footprint.iter().map(|&(_, live)| live as f64);
-                            let mut values: Vec<f64> = samples.collect();
-                            values.resize(width, f64::NAN);
-                            values
-                        }
-                        Err(_) => vec![sweep::ERR_CELL; width],
-                    },
-                };
-                table.push_series(name.as_str(), values);
-            }
-            out.push((layout.csv.clone(), table));
+    for layout in &plan.tables {
+        let width = layout.x_labels.len();
+        let mut table = SeriesTable::new(&*layout.title, layout.corner, layout.x_labels.clone());
+        for (name, row) in &layout.rows {
+            let values = match row {
+                Row::Each(entries) => entries
+                    .iter()
+                    .map(|entry| match entry {
+                        Some((i, f)) => outcomes[*i].as_ref().map_or(sweep::ERR_CELL, f),
+                        None => f64::NAN,
+                    })
+                    .collect(),
+                Row::Trace(i) => match &outcomes[*i] {
+                    Ok(o) => {
+                        let samples = o.metrics.footprint.iter().map(|&(_, live)| live as f64);
+                        let mut values: Vec<f64> = samples.collect();
+                        values.resize(width, f64::NAN);
+                        values
+                    }
+                    Err(_) => vec![sweep::ERR_CELL; width],
+                },
+            };
+            table.push_series(name.as_str(), values);
         }
+        out.push((layout.csv.clone(), table));
     }
     (out, failures)
 }
@@ -279,13 +283,13 @@ pub struct Figure {
     pub name: &'static str,
     /// What it reproduces, in one line.
     pub about: &'static str,
-    /// The builder: the figure's cells and tables at a scale.
-    pub plan: fn(Scale) -> Plan,
+    /// The builder: adds the figure's cells and tables at a scale.
+    pub plan: fn(&mut Plan, Scale),
 }
 
-/// Resolve `fig`'s positional arguments (`all`, or figure names) to plans,
-/// each figure once, where it is first asked for.
-pub fn select(names: &[String], scale: Scale) -> Result<Vec<Plan>, String> {
+/// Resolve `fig`'s positional arguments (`all`, or figure names) to one
+/// plan, adding each figure once, where it is first asked for.
+pub fn select(names: &[String], scale: Scale) -> Result<Plan, String> {
     let mut picked: Vec<&Figure> = Vec::new();
     for name in names {
         let named: Vec<&Figure> = FIGURES
@@ -304,7 +308,11 @@ pub fn select(names: &[String], scale: Scale) -> Result<Vec<Plan>, String> {
     if picked.is_empty() {
         return Err("name at least one figure, or `all`".into());
     }
-    Ok(picked.iter().map(|f| (f.plan)(scale)).collect())
+    let mut plan = Plan::default();
+    for fig in picked {
+        (fig.plan)(&mut plan, scale);
+    }
+    Ok(plan)
 }
 
 /// Every figure, in the order `fig all` emits them.
@@ -312,8 +320,9 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig1_lazylist",
         about: "Fig. 1 top: lazy list, keys 0..1K, three workload panels",
-        plan: |s| {
+        plan: |p, s| {
             throughput(
+                p,
                 "fig1_lazylist",
                 LAZY_LIST,
                 1000,
@@ -325,8 +334,9 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig1_extbst",
         about: "Fig. 1 bottom: external BST, keys 0..10K",
-        plan: |s| {
+        plan: |p, s| {
             throughput(
+                p,
                 "fig1_extbst",
                 EXT_BST,
                 10_000,
@@ -338,9 +348,10 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig2_hashtable",
         about: "Fig. 2 top: 128-bucket chaining hash table, keys 0..1K",
-        plan: |s| {
+        plan: |p, s| {
             let table = Structure::Set(SetKind::HashTable);
             throughput(
+                p,
                 "fig2_hashtable",
                 table,
                 1000,
@@ -352,8 +363,9 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig2_stack",
         about: "Fig. 2 bottom: Treiber stack (reads are peeks)",
-        plan: |s| {
+        plan: |p, s| {
             throughput(
+                p,
                 "fig2_stack",
                 Structure::Stack,
                 1000,
@@ -425,22 +437,22 @@ pub static FIGURES: &[Figure] = &[
     Figure {
         name: "fig_robustness",
         about: "extension: throughput and garbage bounds with 0/1/2 cores fail-stopped",
-        plan: |s| fig_robustness(s, false),
+        plan: |p, s| fig_robustness(p, s, false),
     },
     Figure {
         name: "fig_robustness_adopt",
         about: "extension: fig_robustness plus the restart+adopt columns 1+adopt/2+adopt",
-        plan: |s| fig_robustness(s, true),
+        plan: |p, s| fig_robustness(p, s, true),
     },
     Figure {
         name: "fig_recovery",
         about: "extension: garbage over time through a crash the victim never recovers from",
-        plan: |s| fig_recovery(s, false),
+        plan: |p, s| fig_recovery(p, s, false),
     },
     Figure {
         name: "fig_recovery_adopt",
         about: "extension: garbage over time through crash, detection, restart and adoption",
-        plan: |s| fig_recovery(s, true),
+        plan: |p, s| fig_recovery(p, s, true),
     },
 ];
 
@@ -484,9 +496,15 @@ fn throughput_of(o: &Outcome) -> f64 {
 /// A throughput figure row: one panel per workload of [`Mix::PAPER`],
 /// threads on the x axis, one series per scheme, cells in ops/Mcycle
 /// (prefill is half the key range).
-fn throughput(name: &str, structure: Structure, key_range: u64, title: &str, scale: Scale) -> Plan {
+fn throughput(
+    plan: &mut Plan,
+    name: &str,
+    structure: Structure,
+    key_range: u64,
+    title: &str,
+    scale: Scale,
+) {
     let threads = scale.threads();
-    let mut plan = Plan::default();
     for (i, mix) in Mix::PAPER.into_iter().enumerate() {
         let panel = RunConfig {
             key_range,
@@ -503,13 +521,12 @@ fn throughput(name: &str, structure: Structure, key_range: u64, title: &str, sca
         )
         .rows(&rows, throughput_of);
     }
-    plan
 }
 
 /// Figure 3: nodes allocated-but-not-freed over time. Lazy list of ~500
 /// nodes, 16 threads, 100% updates, 5000 ops/thread, sampled every 1000
 /// global operations (all parameters straight from the paper).
-fn fig3_memory(scale: Scale) -> Plan {
+fn fig3_memory(plan: &mut Plan, scale: Scale) {
     let (threads, ops) = match scale {
         Scale::Quick => (4, 1500),
         _ => (16, 5000),
@@ -521,7 +538,6 @@ fn fig3_memory(scale: Scale) -> Plan {
         sample_every: Some(sample_every),
         ..Default::default()
     };
-    let mut plan = Plan::default();
     let rows = plan.by_scheme(LAZY_LIST, &SchemeKind::ALL, &[cfg]);
     plan.table(
         "fig3_memory.csv",
@@ -530,7 +546,6 @@ fn fig3_memory(scale: Scale) -> Plan {
         sample_labels(threads as u64 * ops, sample_every),
     )
     .traces(&rows);
-    plan
 }
 
 /// §III ablation: L1 associativity must not meaningfully hurt CA progress.
@@ -543,7 +558,7 @@ fn fig3_memory(scale: Scale) -> Plan {
 /// fallback. Our reproduction surfaces that boundary faithfully (the
 /// `attempt_loop` retry ceiling turns it into a loud failure); see
 /// EXPERIMENTS.md.
-fn ablation_assoc(scale: Scale) -> Plan {
+fn ablation_assoc(plan: &mut Plan, scale: Scale) {
     let threads = scale.fixed_threads();
     let assocs = [2usize, 4, 8, 16];
     let cfgs = assocs.map(|l1_assoc| RunConfig {
@@ -554,7 +569,6 @@ fn ablation_assoc(scale: Scale) -> Plan {
         },
         ..base(scale)
     });
-    let mut plan = Plan::default();
     let cells = plan.cells(LAZY_LIST, SchemeKind::Ca, &cfgs);
     plan.table(
         "ablation_assoc_throughput.csv",
@@ -575,13 +589,12 @@ fn ablation_assoc(scale: Scale) -> Plan {
     .row("eviction revokes", &cells, |o| {
         o.stats.sum(|c| c.spurious_revokes()) as f64
     });
-    plan
 }
 
 /// §I ablation: the batch-size/epoch-frequency tradeoff that motivates the
 /// paper. Sweeps the reclamation frequency for qsbr and ibr; CA needs no
 /// such parameter (its row is flat by construction).
-fn ablation_freq(scale: Scale) -> Plan {
+fn ablation_freq(plan: &mut Plan, scale: Scale) {
     let threads = scale.fixed_threads();
     let freqs = [1u64, 10, 30, 100, 1000];
     let cfgs = freqs.map(|f| RunConfig {
@@ -592,7 +605,6 @@ fn ablation_freq(scale: Scale) -> Plan {
         },
         ..base(scale)
     });
-    let mut plan = Plan::default();
     let rows = plan.by_scheme(
         LAZY_LIST,
         &[SchemeKind::Qsbr, SchemeKind::Ibr, SchemeKind::Ca],
@@ -612,13 +624,12 @@ fn ablation_freq(scale: Scale) -> Plan {
         labels(&freqs),
     )
     .rows(&rows, |o| o.metrics.peak_allocated as f64);
-    plan
 }
 
 /// Simulator-fidelity ablation: scheduler lookahead quantum. Throughput
 /// estimates should drift only mildly with the quantum; this bounds the
 /// modeling error introduced by lax synchronization.
-fn ablation_quantum(scale: Scale) -> Plan {
+fn ablation_quantum(plan: &mut Plan, scale: Scale) {
     let threads = scale.fixed_threads();
     let quanta = [0u64, 16, 64, 256, 1024];
     let cfgs = quanta.map(|quantum| RunConfig {
@@ -626,7 +637,6 @@ fn ablation_quantum(scale: Scale) -> Plan {
         quantum,
         ..base(scale)
     });
-    let mut plan = Plan::default();
     let rows = plan.by_scheme(
         LAZY_LIST,
         &[SchemeKind::Ca, SchemeKind::Qsbr, SchemeKind::Hp],
@@ -639,14 +649,13 @@ fn ablation_quantum(scale: Scale) -> Plan {
         labels(&quanta),
     )
     .rows(&rows, throughput_of);
-    plan
 }
 
 /// §III multiuser extension: OS preemption sets the ARB of switched-out
 /// threads. Sweeps the context-switch interval and reports CA throughput,
 /// switch-induced revokes, and a qsbr baseline (which only pays the switch
 /// cost itself). Demonstrates CA degrades gracefully in multiuser systems.
-fn ablation_ctxswitch(scale: Scale) -> Plan {
+fn ablation_ctxswitch(plan: &mut Plan, scale: Scale) {
     let threads = scale.fixed_threads();
     // Interval in cycles; a 1 GHz core with HZ=1000 switches every ~1M
     // cycles, so even the harshest point here (20k) is pessimistic.
@@ -656,7 +665,6 @@ fn ablation_ctxswitch(scale: Scale) -> Plan {
         ctx_switch: interval.map(|i| (i, 2000)),
         ..base(scale)
     });
-    let mut plan = Plan::default();
     let ca = plan.cells(LAZY_LIST, SchemeKind::Ca, &cfgs);
     let qsbr = plan.cells(LAZY_LIST, SchemeKind::Qsbr, &cfgs);
     plan.table(
@@ -670,7 +678,6 @@ fn ablation_ctxswitch(scale: Scale) -> Plan {
     .row("ca spurious revokes", &ca, |o| {
         o.stats.sum(|c| c.spurious_revokes()) as f64
     });
-    plan
 }
 
 /// §I claim: batch reclamation causes "long program interruptions and
@@ -680,7 +687,7 @@ fn ablation_ctxswitch(scale: Scale) -> Plan {
 /// the second group re-runs the epoch schemes with a 10× larger batch to
 /// show the tail scaling with the tuning knob while CA has no knob and no
 /// tail.
-fn ablation_latency(scale: Scale) -> Plan {
+fn ablation_latency(plan: &mut Plan, scale: Scale) {
     let threads = scale.fixed_threads();
     let columns: [(&str, Extract); 5] = [
         ("p50", |o| o.latency().quantile(0.50) as f64),
@@ -709,7 +716,6 @@ fn ablation_latency(scale: Scale) -> Plan {
         },
         ..paper_batch.clone()
     };
-    let mut plan = Plan::default();
     let mut rows = Vec::new();
     for (cfg, schemes, suffix) in [
         (&paper_batch, &SchemeKind::ALL[..], ""),
@@ -737,7 +743,6 @@ fn ablation_latency(scale: Scale) -> Plan {
     for (name, cell) in rows {
         table.across(name, cell, &columns.map(|(_, f)| f));
     }
-    plan
 }
 
 /// §III SMT rules: the same workload threads packed 2 (and 4) hyperthreads
@@ -745,7 +750,7 @@ fn ablation_latency(scale: Scale) -> Plan {
 /// shared L1 capacity halves. Reports CA and qsbr throughput per packing,
 /// plus CA's sibling-revoke counts. A thread count that is not a multiple
 /// of the packing has no cell.
-fn ablation_smt(scale: Scale) -> Plan {
+fn ablation_smt(plan: &mut Plan, scale: Scale) {
     let threads: Vec<usize> = match scale {
         Scale::Quick => vec![2, 4],
         _ => vec![4, 8, 16, 32],
@@ -753,7 +758,6 @@ fn ablation_smt(scale: Scale) -> Plan {
     let each = |cells: &[Option<usize>], f: Extract| {
         Row::Each(cells.iter().map(|c| c.map(|i| (i, f))).collect())
     };
-    let mut plan = Plan::default();
     let mut packings = Vec::new();
     // The (2, ca) row also feeds the revocation table.
     let mut ca2 = Vec::new();
@@ -804,7 +808,6 @@ fn ablation_smt(scale: Scale) -> Plan {
             }),
         ),
     ];
-    plan
 }
 
 /// §IV claim: CA only assumes "MSI, MESI or other such equivalent
@@ -812,9 +815,8 @@ fn ablation_smt(scale: Scale) -> Plan {
 /// relative standing must be protocol-independent (the MESI columns get
 /// faster in absolute terms from E-grants and silent upgrades, for every
 /// scheme alike).
-fn ablation_protocol(scale: Scale) -> Plan {
+fn ablation_protocol(plan: &mut Plan, scale: Scale) {
     let threads = scale.fixed_threads();
-    let mut plan = Plan::default();
     let mut rows = Vec::new();
     for scheme in [SchemeKind::Ca, SchemeKind::None, SchemeKind::Qsbr] {
         for (prefix, structure) in [("list", LAZY_LIST), ("stack", Structure::Stack)] {
@@ -855,7 +857,6 @@ fn ablation_protocol(scale: Scale) -> Plan {
             ],
         );
     }
-    plan
 }
 
 /// §IV "facilitating progress": the elision-style fallback path. Table 1
@@ -864,9 +865,8 @@ fn ablation_protocol(scale: Scale) -> Plan {
 /// hostile geometry — a 16-line direct-mapped L1, where bare CA livelocks
 /// deterministically — and shows operations completing via the sequential
 /// path instead.
-fn ablation_fallback(scale: Scale) -> Plan {
+fn ablation_fallback(plan: &mut Plan, scale: Scale) {
     let fallbacks: Extract = |o| o.fallbacks as f64;
-    let mut plan = Plan::default();
 
     let threads: Vec<usize> = match scale {
         Scale::Quick => vec![1, 2, 4],
@@ -926,18 +926,16 @@ fn ablation_fallback(scale: Scale) -> Plan {
     .row("fallback share of ops", &hostile, |o| {
         o.fallbacks as f64 / o.metrics.total_ops as f64
     });
-    plan
 }
 
 /// §IV-A extra: MS queue, 50% enqueue / 50% dequeue.
-fn queue_bench(scale: Scale) -> Plan {
+fn queue_bench(plan: &mut Plan, scale: Scale) {
     let threads = scale.threads();
     let queue = RunConfig {
         prefill: 256,
         ..base(scale)
     };
     let cfgs = at_threads(&threads, queue);
-    let mut plan = Plan::default();
     let rows = plan.by_scheme(Structure::Queue, &SchemeKind::ALL, &cfgs);
     plan.table(
         "queue_bench.csv",
@@ -946,15 +944,13 @@ fn queue_bench(scale: Scale) -> Plan {
         labels(&threads),
     )
     .rows(&rows, throughput_of);
-    plan
 }
 
 /// Extension: the lock-free CA Harris list (`ca-harris`), then the lazy
 /// list under CA and the fastest baselines as `{scheme}-lazy` rows, 50i-50d.
-fn harris_bench(scale: Scale) -> Plan {
+fn harris_bench(plan: &mut Plan, scale: Scale) {
     let threads = scale.threads();
     let cfgs = at_threads(&threads, base(scale));
-    let mut plan = Plan::default();
     let lock_free = plan.cells(Structure::Harris, SchemeKind::Ca, &cfgs);
     let baselines = plan.by_scheme(
         LAZY_LIST,
@@ -971,15 +967,13 @@ fn harris_bench(scale: Scale) -> Plan {
     for (scheme, cells) in &baselines {
         table.row(format!("{scheme}-lazy"), cells, throughput_of);
     }
-    plan
 }
 
 /// §VI comparator: the hand-over-hand transactional list (Zhou et al.) vs
 /// CA and the fastest epoch baseline, on the read-only and 100%-update
 /// workloads, then the HTM abort rates of the update workload's cells.
-fn htm_bench(scale: Scale) -> Plan {
+fn htm_bench(plan: &mut Plan, scale: Scale) {
     let threads = scale.threads();
-    let mut plan = Plan::default();
     let mut htm = Vec::new();
     for (csv, mix) in [
         ("htm_bench_readonly.csv", Mix::PAPER[0]),
@@ -1020,7 +1014,6 @@ fn htm_bench(scale: Scale) -> Plan {
             o.stats.sum(|c| c.tx_begins) as f64 / o.metrics.total_ops.max(1) as f64
         });
     }
-    plan
 }
 
 /// What the two fault figures share: the lock-free MS queue, and a cadence
@@ -1079,7 +1072,7 @@ fn faulted_queue(scale: Scale, threads: usize, fault_plan: FaultPlan) -> RunConf
 /// fail-stop, adopt their orphans (forcible retraction + merge + scan) and
 /// finish their quota — so the three tables show the pinned-backlog blowup
 /// and its repair side by side.
-fn fig_robustness(scale: Scale, adopt: bool) -> Plan {
+fn fig_robustness(plan: &mut Plan, scale: Scale, adopt: bool) {
     let threads = match scale {
         Scale::Quick => 4,
         _ => 8,
@@ -1113,7 +1106,6 @@ fn fig_robustness(scale: Scale, adopt: bool) -> Plan {
         })
         .collect();
     let x_labels: Vec<String> = cols.iter().map(|(label, _, _)| label.clone()).collect();
-    let mut plan = Plan::default();
     let rows = plan.by_scheme(Structure::Queue, &SchemeKind::ALL, &cfgs);
     plan.table(
         format!("robustness_tput{suffix}.csv"),
@@ -1159,7 +1151,6 @@ fn fig_robustness(scale: Scale, adopt: bool) -> Plan {
             .rows
             .push((name.clone(), Row::Each(entries.collect())));
     }
-    plan
 }
 
 /// The crash-recovery figure (PR 10, extension): every scheme on the MS
@@ -1176,7 +1167,7 @@ fn fig_robustness(scale: Scale, adopt: bool) -> Plan {
 /// 2. **recovery summary** — per scheme: orphans detected, adoptions,
 ///    adopted backlog bytes, and the crash→adoption-complete latency in
 ///    simulated cycles.
-fn fig_recovery(scale: Scale, adopt: bool) -> Plan {
+fn fig_recovery(plan: &mut Plan, scale: Scale, adopt: bool) {
     let threads = match scale {
         Scale::Quick => 4,
         _ => 8,
@@ -1203,7 +1194,6 @@ fn fig_recovery(scale: Scale, adopt: bool) -> Plan {
     } else {
         ("crash at 6k cycles, no recovery", "")
     };
-    let mut plan = Plan::default();
     let rows = plan.by_scheme(Structure::Queue, &SchemeKind::ALL, &[cfg]);
     plan.table(
         format!("recovery_trace{suffix}.csv"),
@@ -1233,7 +1223,6 @@ fn fig_recovery(scale: Scale, adopt: bool) -> Plan {
     for (name, cells) in rows {
         summary.across(name, cells[0], &counters.map(|(_, f)| f));
     }
-    plan
 }
 
 #[cfg(test)]
@@ -1245,8 +1234,8 @@ mod tests {
     /// back in emission order.
     fn quick(names: &[&str]) -> Vec<SeriesTable> {
         let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
-        let plans = select(&names, Scale::Quick).expect("registry names");
-        render("test", &plans)
+        let plan = select(&names, Scale::Quick).expect("registry names");
+        render("test", &plan)
             .0
             .into_iter()
             .map(|(_, table)| table)
@@ -1264,7 +1253,8 @@ mod tests {
         for scale in [Scale::Quick, Scale::Standard, Scale::Paper] {
             let mut csvs = BTreeSet::new();
             for fig in FIGURES {
-                let plan = (fig.plan)(scale);
+                let mut plan = Plan::default();
+                (fig.plan)(&mut plan, scale);
                 for c in &plan.cells {
                     assert!(
                         c.structure.supports(c.scheme),
@@ -1308,12 +1298,9 @@ mod tests {
     #[test]
     fn select_resolves_names_once_each() {
         let names = |ns: &[&str]| ns.iter().map(|n| n.to_string()).collect::<Vec<_>>();
+        let plan = |ns: &[&str]| select(&names(ns), Scale::Quick).expect("valid selection");
         let csvs = |ns: &[&str]| -> Vec<String> {
-            select(&names(ns), Scale::Quick)
-                .expect("valid selection")
-                .iter()
-                .flat_map(|p| p.tables.iter().map(|t| t.csv.clone()))
-                .collect()
+            plan(ns).tables.iter().map(|t| t.csv.clone()).collect()
         };
         // `all` is every entry, both fault figures' variants included.
         let all = csvs(&["all"]);
@@ -1336,6 +1323,11 @@ mod tests {
                 "recovery_summary_adopt.csv"
             ]
         );
+        // The adopt variant's 0/1/2 columns are the plain figure's cells.
+        let cells = |ns: &[&str]| plan(ns).cells.len();
+        assert_eq!(cells(&["fig_robustness"]), 21);
+        assert_eq!(cells(&["fig_robustness_adopt"]), 35);
+        assert_eq!(cells(&["fig_robustness", "fig_robustness_adopt"]), 35);
 
         let err = |ns: &[&str]| select(&names(ns), Scale::Quick).err().expect("rejected");
         assert!(err(&[]).contains("at least one figure"));
@@ -1348,26 +1340,36 @@ mod tests {
         // Rendering figures {A, B} in one sweep must produce tables
         // byte-identical to rendering A and B alone: flattening only
         // changes host scheduling (task-list shape), never cell values or
-        // table assembly order.
-        let together = quick(&["ablation_assoc", "queue_bench"]);
-        let mut alone = quick(&["ablation_assoc"]);
-        alone.extend(quick(&["queue_bench"]));
-        assert_eq!(together.len(), 3);
-        for (t, a) in together.iter().zip(&alone) {
-            assert_eq!(t.render(), a.render());
-            assert_eq!(t.to_csv(), a.to_csv());
+        // table assembly order. The second pair shares one cell (CA, 4
+        // threads, 8-way L1, never preempted), which runs once for both.
+        for (pair, tables, cells) in [
+            (["ablation_assoc", "queue_bench"], 3, 4 + 21),
+            (["ablation_assoc", "ablation_ctxswitch"], 3, 4 + 8 - 1),
+        ] {
+            let names = pair.map(String::from);
+            assert_eq!(select(&names, Scale::Quick).unwrap().cells.len(), cells);
+            let together = quick(&pair);
+            let mut alone = quick(&pair[..1]);
+            alone.extend(quick(&pair[1..]));
+            assert_eq!(together.len(), tables, "{pair:?}");
+            assert_eq!(alone.len(), tables, "{pair:?}");
+            for (t, a) in together.iter().zip(&alone) {
+                assert_eq!(t.render(), a.render());
+                assert_eq!(t.to_csv(), a.to_csv());
+            }
         }
     }
 
     #[test]
     fn a_failed_cell_is_err_and_every_other_cell_completes() {
-        let names = ["ablation_assoc".to_string(), "queue_bench".to_string()];
-        let mut plans = select(&names, Scale::Quick).unwrap();
-        // The 4-way cell of the associativity sweep trips the watchdog.
-        plans[0].cells[1].cfg.max_cycles = Some(1);
-        let (tables, failures) = render("test-failed-cell", &plans);
-        let [assoc_tput, assoc_spurious, queue] = &tables[..] else {
-            panic!("two associativity tables and the queue's");
+        let names = ["ablation_assoc", "ablation_ctxswitch", "queue_bench"].map(String::from);
+        let mut plan = select(&names, Scale::Quick).unwrap();
+        // The 8-way cell of the associativity sweep trips the watchdog. It
+        // is also the context-switch sweep's never-preempted CA cell.
+        plan.cells[2].cfg.max_cycles = Some(1);
+        let (tables, failures) = render("test-failed-cell", &plan);
+        let [assoc_tput, assoc_spurious, (_, ctxswitch), queue] = &tables[..] else {
+            panic!("two associativity tables, the context-switch one and the queue's");
         };
 
         let [failure] = &failures[..] else {
@@ -1375,7 +1377,7 @@ mod tests {
         };
         assert_eq!(
             (failure.label.as_str(), failure.index),
-            ("test-failed-cell", 1)
+            ("test-failed-cell", 2)
         );
         assert!(
             failure.message.contains("wedge watchdog"),
@@ -1384,9 +1386,10 @@ mod tests {
         );
 
         for (csv, t) in [assoc_tput, assoc_spurious] {
+            assert_eq!(t.x_labels[2], "8");
             for (name, values) in &t.series {
-                assert!(sweep::is_err_cell(values[1]), "{csv} {name}: {values:?}");
-                for v in [values[0], values[2], values[3]] {
+                assert!(sweep::is_err_cell(values[2]), "{csv} {name}: {values:?}");
+                for v in [values[0], values[1], values[3]] {
                     assert!(v.is_finite(), "{csv} {name}: {values:?}");
                 }
             }
@@ -1395,8 +1398,21 @@ mod tests {
                 .to_csv()
                 .lines()
                 .skip(1)
-                .all(|l| l.split(',').nth(2) == Some("ERR")));
+                .all(|l| l.split(',').nth(3) == Some("ERR")));
         }
+        // Both `ca` rows read the failed cell in the `never` column; the
+        // qsbr row reads its own cells.
+        assert_eq!(ctxswitch.x_labels[0], "never");
+        for (name, values) in &ctxswitch.series {
+            let shared = name.starts_with("ca ");
+            assert_eq!(sweep::is_err_cell(values[0]), shared, "{name}: {values:?}");
+            assert!(
+                values[1..].iter().all(|v| v.is_finite()),
+                "{name}: {values:?}"
+            );
+        }
+        let qsbr = row(ctxswitch, "qsbr ops/Mcycle");
+        assert!(qsbr.iter().all(|v| v.is_finite()), "{qsbr:?}");
         // ERR is one specific NaN; a not-applicable cell's plain NaN is not.
         assert!(!sweep::is_err_cell(f64::NAN));
         assert_eq!(queue.1.to_csv(), quick(&["queue_bench"])[0].to_csv());

@@ -7,10 +7,13 @@
 //! renders any of them
 //! (`cargo run -p caharness --release --bin fig -- fig1_lazylist`),
 //! printing the series as text tables and writing CSVs under `results/`.
+//! The figures of one run add to one [`experiments::Plan`], where a cell
+//! that several figures read runs once (under `--native`, it is measured
+//! once and every table that reads it shows that value).
 //!
 //! | binary | does | accepts |
 //! |---|---|---|
-//! | `fig <figure>... \| all` | renders the named figures (every registry entry for `all`), each once, as one flat sweep; with no name it lists the registry, one line per figure | `--quick`\|`--paper`, `--jobs N`, `--max_cycles N`, `--native` |
+//! | `fig <figure>... \| all` | renders the named figures (every registry entry for `all`), each once, as one flat sweep over one plan in which equal cells run once; with no name it lists the registry, one line per figure | `--quick`\|`--paper`, `--jobs N`, `--max_cycles N`, `--native` |
 //! | `validate` | runs one panel on the simulator and on real host threads and scores the agreement of their scheme orderings against a fixed floor | `--quick`\|`--paper`, `--jobs N`, `--max_cycles N` |
 //! | `race_audit` | happens-before race audit over the scheme × structure grid (simulator only), diffed against a whitelist | `--quick`, `--max_cycles N` |
 //!

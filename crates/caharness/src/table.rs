@@ -97,16 +97,17 @@ impl SeriesTable {
         out
     }
 
-    /// Print the table and also write it as CSV under `results/`.
+    /// Print the table and also write it as CSV under `results/`; panics,
+    /// naming the path and the OS error, if either cannot be written.
     pub fn emit(&self, csv_name: &str) {
         println!("{}", self.render());
         let dir = Path::new("results");
-        if std::fs::create_dir_all(dir).is_ok() {
-            let path = dir.join(csv_name);
-            if std::fs::write(&path, self.to_csv()).is_ok() {
-                println!("[csv written to {}]\n", path.display());
-            }
-        }
+        std::fs::create_dir_all(dir)
+            .unwrap_or_else(|e| panic!("cannot create {}: {e}", dir.display()));
+        let path = dir.join(csv_name);
+        std::fs::write(&path, self.to_csv())
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+        println!("[csv written to {}]\n", path.display());
     }
 }
 

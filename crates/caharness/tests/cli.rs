@@ -1,15 +1,22 @@
 //! Command-line contract of the harness binaries: an argument a bin cannot
-//! honour exits 2 with a one-line error before any cell runs, and a failed
-//! cell exits 1 with the list of failed tasks.
+//! honour exits 2 with a one-line error before any cell runs, a failed
+//! cell exits 1 with the list of failed tasks, and a table that cannot be
+//! written to `results/` fails the run, naming the path.
 
+use std::path::Path;
 use std::process::Command;
 
 /// Run `bin` with `args` in a scratch directory (a bin that gets as far as
 /// a table writes `results/` there); return its exit code and stderr.
 fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    run_in(Path::new(env!("CARGO_TARGET_TMPDIR")), bin, args)
+}
+
+/// [`run`] in `dir`.
+fn run_in(dir: &Path, bin: &str, args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(bin)
         .args(args)
-        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .current_dir(dir)
         .output()
         .expect("spawn the harness binary");
     (
@@ -143,4 +150,15 @@ fn validate_reports_failed_cells_before_scoring() {
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.contains("task(s) FAILED:"), "{stderr}");
     assert!(!stderr.contains("no scoreable"), "{stderr}");
+}
+
+#[test]
+fn fig_fails_loudly_when_results_cannot_be_written() {
+    // Its own directory: the other cases share one, and write `results/`.
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("results_is_a_file");
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    std::fs::write(dir.join("results"), "not a directory").expect("scratch file");
+    let (code, stderr) = run_in(&dir, FIG, &["queue_bench", "--quick"]);
+    assert!(matches!(code, Some(c) if c != 0), "{code:?}: {stderr}");
+    assert!(stderr.contains("cannot create results"), "{stderr}");
 }

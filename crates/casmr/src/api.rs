@@ -61,7 +61,7 @@ pub const NODE_BIRTH_WORD: u64 = 7;
 
 /// Tuning knobs, defaulted to the paper's §V configuration (which follows
 /// the IBR benchmark defaults).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SmrConfig {
     /// Attempt reclamation after this many retires ("reclamation frequency",
     /// paper: 30 successful removes).

@@ -98,7 +98,7 @@ pub enum Protocol {
 }
 
 /// Geometry of the cache hierarchy.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CacheConfig {
     /// Private L1 data cache size in bytes (paper: 32 KiB).
     pub l1_bytes: usize,

@@ -24,8 +24,8 @@ use conditional_access::harness::experiments::{render, select, Scale, FIGURES};
 
 #[test]
 fn quick_figures_match_the_goldens() {
-    let plans = select(&["all".to_string()], Scale::Quick).expect("the registry");
-    let (tables, _) = render("figure_pin", &plans);
+    let plan = select(&["all".to_string()], Scale::Quick).expect("the registry");
+    let (tables, _) = render("figure_pin", &plan);
     assert_eq!(tables.len(), 41, "a full run writes 41 tables");
     let rendered: String = tables
         .iter()

@@ -121,10 +121,10 @@ fn parallel_sweep_is_byte_identical_across_jobs() {
     // formatting — regardless of completion order.
     use caharness::experiments::{self, Scale};
     use caharness::sweep;
-    let plans = experiments::select(&["queue_bench".to_string()], Scale::Quick).unwrap();
+    let plan = experiments::select(&["queue_bench".to_string()], Scale::Quick).unwrap();
     let render = |jobs: usize| {
         sweep::set_jobs(jobs);
-        let (tables, _) = experiments::render("jobs determinism", &plans);
+        let (tables, _) = experiments::render("jobs determinism", &plan);
         sweep::set_jobs(0);
         let (_, t) = &tables[0];
         format!("{}\n{}", t.render(), t.to_csv())
